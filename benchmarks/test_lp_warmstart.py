@@ -1,18 +1,24 @@
-"""Warm-started LP backend throughput on the omniscient solve hot path.
+"""Persistent-model LP backend on the omniscient solve hot path.
 
 ``BENCH_engine_replay.json`` recorded the cold LP pass as the dominant cost
 of every first replay (~95 fresh solves/sec with scipy's ``linprog``).  The
 persistent ``highs`` backend (:mod:`repro.solvers.lp_backend`) builds one
-HiGHS model per (path set, bounds) key and per demand only rewrites the
-demand-carrying column bounds, re-solving dual-simplex from the previous
-basis.  This bench measures fresh solves/sec per backend per scenario over
-the exact demand family the engine-replay baseline solved, asserts the two
-backends agree on every optimal MLU to 1e-9, and records
-``BENCH_lp_warmstart.json`` -- the record CI's benchmark-regression job
-enforces a ``fresh_lp_solves_per_second`` floor from.
+HiGHS model per (path set, bounds) key, per demand only rewrites the
+demand-carrying column bounds, and starts primal simplex from a canonical
+shortest-path basis.  This bench measures, per scenario over the exact
+demand family the engine-replay baseline solved -- from the smooth WAN trace
+to the bursty ToR one, where carrying the previous basis over lost 10x --
+
+* the solver's own ``simplex_iteration_count`` of crash-started solves
+  against the pivots ``linprog`` needs from scratch for the same demand
+  (deterministic, so this is what the bench *gates* on), and
+* fresh solves/sec per backend (recorded in ``BENCH_lp_warmstart.json``;
+  CI's benchmark-regression job enforces a floor from the record),
+
+and asserts the two backends agree on every optimal MLU to 1e-9.
 
 Without an importable ``highs`` backend the bench skips (it exists to pin
-the warm-start win, not to re-measure scipy alone).
+the persistent model's win, not to re-measure scipy alone).
 
 Methodology notes baked into the record:
 
@@ -22,9 +28,7 @@ Methodology notes baked into the record:
 * Each backend's rate is the best of ``PASSES`` timed sweeps over the
   demand family, because single-core benchmark boxes show double-digit
   percent clock drift between passes; the per-pass rates are recorded too.
-* The first highs pass includes the one-time model build, so the committed
-  ``warm_vs_cold_ratio`` (steady-state single-solve rate over the
-  build-included first-sweep rate) understates the per-solve win.
+  The first highs pass includes the one-time model build.
 """
 
 from __future__ import annotations
@@ -36,13 +40,21 @@ import numpy as np
 import pytest
 
 import bench_common as common
-from repro.solvers.lp import count_lp_solves, solve_mlu_lp_batch
-from repro.solvers.lp_backend import get_lp_backend, importable_lp_backends
+from repro.solvers.lp import constraint_structure, count_lp_solves, solve_mlu_lp_batch
+from repro.solvers.lp_backend import (
+    PersistentHighsBackend,
+    ScipyLinprogBackend,
+    importable_lp_backends,
+)
 
 #: Scenarios x the engine-replay evaluation slice: the same demand family the
-#: 94.8 solves/sec baseline in BENCH_engine_replay.json was measured on.
-SCENARIOS = ("geant_small", "pfabric_small")
+#: 94.8 solves/sec baseline in BENCH_engine_replay.json was measured on, from
+#: the smooth end of the trace-smoothness axis (gravity WAN) to the bursty
+#: one (ToR-level data centre).
+SCENARIOS = ("geant_small", "pfabric_small", "meta_tor_db_small")
 BASELINE_SCENARIO = "geant_small"
+#: Gate: median crash-started pivots over median from-scratch pivots.
+MAX_CRASH_ITERATION_SHARE = 1 / 3
 #: Timed sweeps per backend per scenario (best-of, drift mitigation).
 PASSES = 5
 #: Equivalence tolerance between backends on the optimal MLU.
@@ -70,24 +82,26 @@ def _fresh_rate(path_set, demands, backend_name: str) -> tuple[dict, np.ndarray]
     }, mlus
 
 
-def _warm_vs_cold(path_set, demands) -> dict:
-    """Steady-state warm re-solve rate vs the build-included cold sweep."""
-    backend = get_lp_backend("highs")
-    backend.clear_models()
-    start = time.perf_counter()
-    solve_mlu_lp_batch(path_set, demands, backend=backend, mlu_only=True)
-    cold_elapsed = time.perf_counter() - start
-    cold_rate = len(demands) / cold_elapsed
-    # Warm: the model exists and holds the last optimal basis; re-solving
-    # the same family again is the steady state of a long trace.
-    start = time.perf_counter()
-    solve_mlu_lp_batch(path_set, demands, backend=backend, mlu_only=True)
-    warm_elapsed = time.perf_counter() - start
-    warm_rate = len(demands) / warm_elapsed
+def _simplex_iterations(path_set, demands) -> dict:
+    """The solver's own pivot counts per demand: crash-started vs from scratch.
+
+    From scratch is ``linprog``: the same HiGHS simplex with its defaults
+    (presolve, slack basis) on the same LP, which is what the default ran
+    for every normaliser before.  Both counts are deterministic.
+    """
+    upper = constraint_structure(path_set).trivial_upper
+    model = PersistentHighsBackend()._model(path_set, upper)
+    reference = ScipyLinprogBackend()
+    crash, scratch = [], []
+    for demand in demands:
+        model.solve_mlu(demand)
+        crash.append(model._solver.getInfo().simplex_iteration_count)
+        scratch.append(reference._run(path_set, demand, upper).nit)
     return {
-        "cold_solves_per_second": cold_rate,
-        "warm_solves_per_second": warm_rate,
-        "warm_vs_cold_ratio": warm_rate / cold_rate,
+        "crash_simplex_iterations_median": float(np.median(crash)),
+        "crash_simplex_iterations_max": int(max(crash)),
+        "scratch_simplex_iterations_median": float(np.median(scratch)),
+        "crash_vs_scratch_iteration_share": float(np.median(crash) / np.median(scratch)),
     }
 
 
@@ -117,7 +131,7 @@ def test_lp_warmstart(benchmark):
                 atol=MLU_EQUIVALENCE_ATOL,
                 rtol=0,
             )
-            per_backend["highs"].update(_warm_vs_cold(scenario.paths, demands))
+            per_backend["highs"].update(_simplex_iterations(scenario.paths, demands))
             per_backend["speedup_vs_scipy"] = (
                 per_backend["highs"]["fresh_lp_solves_per_second"]
                 / per_backend["scipy"]["fresh_lp_solves_per_second"]
@@ -132,6 +146,7 @@ def test_lp_warmstart(benchmark):
         lp_workers=1,  # throughput of ONE process; pools multiply it
         passes=PASSES,
         equivalence_atol=MLU_EQUIVALENCE_ATOL,
+        max_crash_iteration_share=MAX_CRASH_ITERATION_SHARE,
         baseline_scenario=BASELINE_SCENARIO,
         fresh_lp_solves_per_second=headline,
         scenarios=outcome,
@@ -139,20 +154,22 @@ def test_lp_warmstart(benchmark):
     print()
     for name, per_backend in outcome.items():
         scipy_rate = per_backend["scipy"]["fresh_lp_solves_per_second"]
-        highs_rate = per_backend["highs"]["fresh_lp_solves_per_second"]
-        ratio = per_backend["highs"]["warm_vs_cold_ratio"]
+        highs = per_backend["highs"]
         print(
-            f"LP warm-start {name}: scipy {scipy_rate:.1f}/s, "
-            f"highs {highs_rate:.1f}/s "
-            f"({per_backend['speedup_vs_scipy']:.1f}x, warm/cold {ratio:.2f}x)"
+            f"LP persistent model {name}: scipy {scipy_rate:.1f}/s, "
+            f"highs {highs['fresh_lp_solves_per_second']:.1f}/s "
+            f"({per_backend['speedup_vs_scipy']:.1f}x), "
+            f"pivots {highs['crash_simplex_iterations_median']:.0f} crash-started vs "
+            f"{highs['scratch_simplex_iterations_median']:.0f} from scratch"
         )
-    # The committed record must show >=5x the 94.8 fresh solves/sec the
-    # engine-replay baseline recorded (474/s; CI enforces a floor from the
-    # record, scaled to runner hardware).  In-bench the gate is the
-    # *same-run* speedup over scipy, which is what warm-starting actually
-    # buys and does not flake with the clock speed of the box.
-    speedup = outcome[BASELINE_SCENARIO]["speedup_vs_scipy"]
-    assert speedup >= 5.0, (
-        f"persistent highs backend is only {speedup:.1f}x scipy on "
-        f"{BASELINE_SCENARIO} (need >= 5x; highs {headline:.1f}/s)"
-    )
+    # The gate is the pivot count, not a wall-clock ratio: it is what the
+    # canonical start buys, it is the same number on every box and every
+    # run, and it would have caught basis carry-over on the bursty trace
+    # (~1960 pivots against ~570 from scratch).  CI still enforces a
+    # solves/sec floor from the committed record, scaled to runner hardware.
+    for name, per_backend in outcome.items():
+        share = per_backend["highs"]["crash_vs_scratch_iteration_share"]
+        assert share <= MAX_CRASH_ITERATION_SHARE, (
+            f"crash-started solves on {name} take {share:.2f} of the pivots "
+            f"of from-scratch solves (need <= {MAX_CRASH_ITERATION_SHARE:.2f})"
+        )

@@ -116,8 +116,9 @@ class EvaluationEngine:
         lp_backend: LP solver backend for the omniscient normalisers (see
             :mod:`repro.solvers.lp_backend`) -- an ``LPBackend`` instance, a
             registered name (``"scipy"``, ``"highs"``, ``"auto"``), or
-            ``None`` (default) for the process default (``REPRO_LP_BACKEND``,
-            scipy if unset).
+            ``None`` (default) for the process default (``REPRO_LP_BACKEND``;
+            ``"auto"`` if unset, which solves normalisers on the persistent
+            ``highs`` model when its bindings import, on scipy otherwise).
     """
 
     def __init__(

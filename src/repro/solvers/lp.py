@@ -24,10 +24,11 @@ precomputed once per :class:`PathSet` in :class:`MLUConstraintStructure` and
 shared by every subsequent solve.
 
 The solver itself is pluggable (see :mod:`repro.solvers.lp_backend`): the
-default ``scipy`` backend runs ``linprog`` exactly as before, while the
-``highs`` backend keeps one persistent warm-started HiGHS model per
-(path set, bounds) key -- selected per call (``backend=``), per process
-(``REPRO_LP_BACKEND``), or ``"auto"``.
+``scipy`` backend runs ``linprog`` per demand, the ``highs`` backend keeps
+one persistent HiGHS model per (path set, bounds) key and starts every solve
+from a canonical shortest-path basis, and the default (``"auto"``) solves
+value-only normalisers on ``highs`` and vertex-returning LPs on ``scipy`` --
+selected per call (``backend=``) or per process (``REPRO_LP_BACKEND``).
 """
 
 from __future__ import annotations
@@ -361,7 +362,8 @@ def solve_mlu_lp(
         backend: LP solver backend -- an :class:`~repro.solvers.lp_backend.
             LPBackend` instance, a registered name (``"scipy"``, ``"highs"``,
             ``"auto"``), or None for the process default
-            (``REPRO_LP_BACKEND``, scipy if unset).
+            (``REPRO_LP_BACKEND``, ``"auto"`` if unset: this full solve
+            then runs on scipy, value-only solves on highs).
 
     Returns:
         ``(configuration, optimal MLU)``.
@@ -382,7 +384,7 @@ def _solve_batch_chunk(args) -> list[tuple[np.ndarray | None, float]]:
     """Process-pool worker: solve a chunk of demands over one path set.
 
     The chunk resolves its LP backend once, so with the persistent ``highs``
-    backend every solve after the first warm-starts one model built for the
+    backend every solve after the first reuses one model built for the
     whole chunk -- the pool path amortises exactly like the sequential path.
     """
     global _LP_SOLVE_CALLS
@@ -518,10 +520,10 @@ def solve_mlu_lp_batch(
     for an ``os.cpu_count()``-derived width, or ``REPRO_LP_WORKERS`` as the
     process default) they fan out over a long-lived process pool shared by
     all batch calls of that width (each worker rebuilds the constraint
-    structure -- and, for the ``highs`` backend, one persistent warm-started
-    model -- once per chunk, then reuses it).  With no width configured the
-    solves run sequentially in-process, still sharing one precomputed
-    structure, one resolved bounds array, and one warm model.  When the pool
+    structure -- and, for the ``highs`` backend, one persistent model --
+    once per chunk, then reuses it).  With no width configured the solves
+    run sequentially in-process, still sharing one precomputed structure,
+    one resolved bounds array, and one persistent model.  When the pool
     cannot be used at all -- the path set fails to pickle, process spawning
     is forbidden by the sandbox, or the pool dies -- the batch falls back to
     the sequential path and a single :class:`RuntimeWarning` is emitted for
@@ -620,7 +622,7 @@ def omniscient_mlu(path_set: PathSet, demand_vector: np.ndarray) -> float:
     Returns a tiny positive floor instead of exactly zero for all-zero
     demands so normalisation never divides by zero.
     """
-    _, mlu = solve_mlu_lp(path_set, demand_vector)
+    [(_, mlu)] = solve_mlu_lp_batch(path_set, demand_vector, mlu_only=True)
     return max(mlu, 1e-12)
 
 

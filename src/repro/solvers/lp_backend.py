@@ -6,22 +6,27 @@ module puts a small backend layer behind :func:`repro.solvers.lp.solve_mlu_lp`
 / :func:`~repro.solvers.lp.solve_mlu_lp_batch`, mirroring the
 :mod:`repro.backend` array-backend pattern:
 
-* :class:`ScipyLinprogBackend` (name ``"scipy"``) -- the default.  Runs
-  today's ``scipy.optimize.linprog(method="highs")`` code path verbatim, so
-  with no backend selected results stay bit-identical to every previous
-  release.
+* :class:`ScipyLinprogBackend` (name ``"scipy"``) -- the reference.  Runs
+  the historical ``scipy.optimize.linprog(method="highs")`` code path
+  verbatim: one model build, presolve and from-scratch solve per demand.
 * :class:`PersistentHighsBackend` (name ``"highs"``) -- builds one persistent
-  HiGHS model per ``(PathSet, ratio-upper-bounds)`` key and re-solves each
-  demand warm-started from the previous optimal basis: no model rebuild, no
-  re-presolve, dual-simplex hot restarts across a whole demand family.
-  Roughly an order of magnitude more fresh solves/sec on trace replay
-  workloads (see ``BENCH_lp_warmstart.json``).
+  HiGHS model per ``(PathSet, ratio-upper-bounds)`` key and solves each
+  demand by primal simplex from a canonical shortest-path basis: no model
+  rebuild, no presolve, ~100 pivots instead of ~650.  About 5x per solve on
+  smooth and bursty traces alike (see ``BENCH_lp_warmstart.json``), and a
+  result is a function of (model, demand) alone.
+* :class:`AutoLPBackend` (name ``"auto"``) -- the default.  Value-only solves
+  (``solve_mlu``: every normaliser) run on ``highs``, whose optimum is
+  unique; vertex-returning ``solve`` stays on ``linprog`` bit for bit,
+  because the quality of the LP-based schemes depends on *which* optimal
+  vertex of a degenerate LP comes back.
 
 Selection follows the array-backend conventions: the ``REPRO_LP_BACKEND``
-environment variable, explicit ``lp_backend=`` / ``backend=`` arguments on
-the solver entry points, the engine and the study layer, or ``"auto"``
-(HiGHS when importable, scipy otherwise).  A known-but-unimportable backend
-falls back to scipy with a single :class:`RuntimeWarning` per process.
+environment variable or explicit ``lp_backend=`` / ``backend=`` arguments on
+the solver entry points, the engine and the study layer; naming ``"scipy"``
+or ``"highs"`` puts *everything* on that solver.  A known-but-unimportable
+backend falls back to scipy with a single :class:`RuntimeWarning` per
+process (``"auto"`` silently: without the bindings it *is* scipy).
 
 The ``highs`` backend needs the ``highspy`` bindings.  When the standalone
 ``highspy`` package is missing, the backend transparently uses the private
@@ -29,23 +34,25 @@ copy scipy >= 1.15 vendors for its own ``linprog``/``milp`` (the same
 pybind11 module, so no new dependency is required); with neither available
 it is unimportable and selection falls back to scipy.
 
-Warm-start formulation
-----------------------
+Persistent-model formulation
+----------------------------
 
-The ratio LP's demand enters the *coefficients* of the edge-load rows, and
-coefficient edits invalidate a simplex basis factorisation.  The persistent
-model therefore solves the equivalent flow form with explicit per-pair
-supply slacks (``x_p = r_p * d_{sd(p)}``)::
+The ratio LP's demand enters the *coefficients* of the edge-load rows, so
+every demand would need a new matrix.  The persistent model therefore solves
+the equivalent flow form with explicit per-pair supply slacks
+(``x_p = r_p * d_{sd(p)}``)::
 
     minimise    t
     subject to  sum_{p in P_i} x_p - s_i = 0      for every SD pair i
                 sum_{p: e in p} x_p - c(e) t <= 0 for every edge e
                 x >= 0, t >= 0, s_i = d_i  (fixed by its bounds)
 
-A new demand is then *one* bulk column-bounds update (``s_i in [d_i, d_i]``),
-which preserves dual feasibility of the previous basis -- exactly the hot
-restart dual simplex is built for.  The optimal objective equals the ratio
-LP's optimal MLU; the optimal *vertex* may differ (degenerate LPs have many),
+A new demand is then *one* bulk column-bounds update (``s_i in [d_i, d_i]``).
+Every solve starts from the same shortest-path basis, the start of Garg &
+Young's multicommodity-flow algorithm, never from the previous solve's:
+carrying a basis over made results depend on solve history and cost 10x on
+bursty traces.  The optimal objective equals the ratio LP's optimal MLU; the
+optimal *vertex* may differ from ``linprog``'s (degenerate LPs have many),
 which is why equivalence is asserted on the MLU, not on the split ratios.
 """
 
@@ -64,6 +71,7 @@ __all__ = [
     "LPBackend",
     "ScipyLinprogBackend",
     "PersistentHighsBackend",
+    "AutoLPBackend",
     "available_lp_backends",
     "importable_lp_backends",
     "get_lp_backend",
@@ -170,7 +178,7 @@ def _load_highspy():
 
 
 class _PersistentModel:
-    """One warm-startable HiGHS model for a ``(PathSet, upper-bounds)`` key."""
+    """One HiGHS model for a ``(PathSet, upper-bounds)`` key, re-solved per demand."""
 
     def __init__(self, hs, highs_cls, path_set, structure, upper) -> None:
         num_paths = path_set.num_paths
@@ -240,22 +248,58 @@ class _PersistentModel:
 
         solver = highs_cls()
         solver.setOptionValue("output_flag", False)
-        # Measured on trace replay: skipping the basis-condition check and
-        # raising the factorisation-update limit keeps the hot restart on the
-        # updated factors, and devex pricing beats the steepest-edge default
-        # by ~25% on the short re-solves this model exists for (steepest-edge
-        # weights go stale with every bounds flip; devex re-primes cheaply).
-        # Every other non-default option (presolve off, dantzig pricing, no
-        # scaling, primal simplex, looser pivot tolerance) solved slower or
-        # traded stability for nothing.
-        solver.setOptionValue("simplex_initial_condition_check", False)
-        solver.setOptionValue("simplex_update_limit", 20000)
-        solver.setOptionValue("simplex_dual_edge_weight_strategy", 1)  # devex
+        solver.setOptionValue("simplex_strategy", 4)  # primal: the start is primal feasible
         solver.passModel(lp)
         self._solver = solver
         self._optimal = hs.HighsModelStatus.kOptimal
+        self._crash_start(hs, path_set, upper)
 
-    def _run(self, demand_vector: np.ndarray) -> float:
+    def _crash_start(self, hs, path_set, upper) -> None:
+        """The canonical start: every pair routed over its first usable paths.
+
+        Each pair's paths are filled in path order up to their ratio caps
+        (the shortest-path routing when nothing is capped or masked).  In
+        ratio units that routing does not depend on the demand: capped paths
+        sit at their upper bound, the pair's partially filled path is basic,
+        everything else is at zero.  Only the edge row that carries ``t`` --
+        the routing's most loaded edge -- is picked per demand.
+        """
+        status = hs.HighsBasisStatus
+        sd = self._path_sd_index
+        paths = np.arange(self._num_paths)
+        before = np.cumsum(upper) - upper
+        need = 1.0 - (before - before[np.searchsorted(sd, np.arange(self._num_pairs))][sd])
+        usable = upper > 0.0
+        last = np.full(self._num_pairs, -1)
+        np.maximum.at(last, sd[usable], paths[usable])
+        # A pair's last usable path takes what rounding left of caps that
+        # sum to one, so every pair with a usable path has a basic one.
+        absorbs = usable & ((upper >= need) | (paths == last[sd]))
+        basic = np.full(self._num_pairs, self._num_paths)
+        np.minimum.at(basic, sd[absorbs], paths[absorbs])
+        self._basis = None
+        if (last < 0).any():
+            # Some pair has no usable path (infeasibility forced on purpose):
+            # there is no routing to start from, the solver reports it.
+            return
+        flows = np.full(self._num_paths, status.kLower, dtype=object)
+        flows[usable & (paths < basic[sd])] = status.kUpper
+        flows[basic] = status.kBasic
+        fill = sparse.diags(np.clip(need, 0.0, upper)) @ path_set.sd_to_path.T
+        per_capacity = sparse.diags(1.0 / path_set.topology.capacities)
+        self._crash_utilisation = (per_capacity @ path_set.path_to_edge.T @ fill).tocsr()
+        self._basis = hs.HighsBasis()
+        self._basis.valid, self._basis.alien = True, False
+        # Columns x | t | s, rows pairs | edges: t is basic in place of the
+        # slack of the tight edge row, which solve_mlu marks per demand.
+        self._basis.col_status = (
+            flows.tolist() + [status.kBasic] + [status.kLower] * self._num_pairs
+        )
+        self._rows = [status.kLower] * self._num_pairs
+        self._rows += [status.kBasic] * self._crash_utilisation.shape[0]
+        self._tight = status.kUpper
+
+    def solve_mlu(self, demand_vector: np.ndarray) -> float:
         from repro.solvers.lp import LPSolveError
 
         solver = self._solver
@@ -268,6 +312,14 @@ class _PersistentModel:
                 self._frac_caps * demand[self._frac_sd],
             )
         solver.changeColsBounds(self._num_pairs, self._slack_cols, demand, demand)
+        # Nothing of the previous solve survives: the result is a function of
+        # (model, demand) alone, whatever this model solved before.
+        solver.clearSolver()
+        if self._basis is not None:
+            rows = self._rows.copy()
+            rows[self._num_pairs + int(np.argmax(self._crash_utilisation @ demand))] = self._tight
+            self._basis.row_status = rows
+            solver.setBasis(self._basis)
         solver.run()
         status = solver.getModelStatus()
         if status != self._optimal:
@@ -276,14 +328,12 @@ class _PersistentModel:
             )
         return float(solver.getObjectiveValue())
 
-    def solve_mlu(self, demand_vector: np.ndarray) -> float:
-        return self._run(demand_vector)
-
     def solve(self, demand_vector: np.ndarray) -> tuple[np.ndarray, float]:
-        mlu = self._run(demand_vector)
-        flows = np.asarray(
-            self._solver.getSolution().col_value[: self._num_paths], dtype=float
-        )
+        mlu = self.solve_mlu(demand_vector)
+        # The solver's feasibility tolerance is absolute, in flow units: a
+        # flow it left that far below zero would turn into a large negative
+        # ratio once divided by a tiny demand.
+        flows = np.clip(self._solver.getSolution().col_value[: self._num_paths], 0.0, None)
         demand_per_path = np.asarray(demand_vector, dtype=float)[self._path_sd_index]
         carried = demand_per_path > 0.0
         ratios = np.where(
@@ -295,12 +345,13 @@ class _PersistentModel:
 
 
 class PersistentHighsBackend(LPBackend):
-    """Warm-started persistent HiGHS models, one per (PathSet, bounds) key.
+    """Persistent HiGHS models, one per (PathSet, bounds) key.
 
-    The first solve for a key builds and factorises the model; subsequent
-    solves only move the demand-carrying column bounds and hot-restart the
-    dual simplex from the previous basis.  Models are kept per backend
-    instance in an LRU of :data:`MAX_PERSISTENT_MODELS`.
+    The first solve for a key builds the model; every solve moves the
+    demand-carrying column bounds and runs primal simplex from the model's
+    canonical shortest-path basis, so results do not depend on what was
+    solved before.  Models are kept per backend instance in an LRU of
+    :data:`MAX_PERSISTENT_MODELS`.
 
     The optimal MLU matches :class:`ScipyLinprogBackend` to solver tolerance
     (the equivalence suite pins 1e-9); the returned split ratios can sit on a
@@ -345,9 +396,30 @@ class PersistentHighsBackend(LPBackend):
         return self._model(path_set, upper).solve_mlu(demand_vector)
 
 
+class AutoLPBackend(LPBackend):
+    """The default: unique values on the persistent model, vertices on ``linprog``.
+
+    Unimportable without the HiGHS bindings (selection then falls back to
+    scipy for everything, silently: that is what ``auto`` means).
+    """
+
+    name = "auto"
+
+    def __init__(self) -> None:
+        self._values = _instantiate("highs")
+        self._vertices = _instantiate("scipy")
+
+    def solve(self, path_set, demand_vector, upper):
+        return self._vertices.solve(path_set, demand_vector, upper)
+
+    def solve_mlu(self, path_set, demand_vector, upper) -> float:
+        return self._values.solve_mlu(path_set, demand_vector, upper)
+
+
 _FACTORIES = {
     "scipy": ScipyLinprogBackend,
     "highs": PersistentHighsBackend,
+    "auto": AutoLPBackend,
 }
 
 _INSTANCES: dict[str, LPBackend] = {}
@@ -384,32 +456,26 @@ def get_lp_backend(name: str | None = None) -> LPBackend:
 
     Args:
         name: Backend name, or None to consult ``REPRO_LP_BACKEND`` (falling
-            back to ``scipy``, the bit-identical default).  The special name
-            ``auto`` picks ``highs`` when importable, ``scipy`` otherwise.
+            back to ``auto``: normalisers on ``highs`` when importable,
+            everything else -- or everything -- on ``scipy``).
 
     Returns:
         The (cached) backend instance.  A *known but unimportable* backend
-        falls back to scipy with a single warning per process; an *unknown*
-        name raises :class:`ValueError`.
+        falls back to scipy with a single warning per process (none for
+        ``auto``); an *unknown* name raises :class:`ValueError`.
     """
     if name is None:
-        name = os.environ.get(LP_BACKEND_ENV_VAR) or "scipy"
+        name = os.environ.get(LP_BACKEND_ENV_VAR) or "auto"
     name = name.strip().lower()
-    if name == "auto":
-        try:
-            return _instantiate("highs")
-        except ImportError:
-            return _instantiate("scipy")
     if name not in _FACTORIES:
         raise ValueError(
             f"unknown LP backend {name!r} (from {LP_BACKEND_ENV_VAR} or an "
-            f"explicit argument); known backends: "
-            f"{', '.join(sorted(_FACTORIES))}, or 'auto'"
+            f"explicit argument); known backends: {', '.join(sorted(_FACTORIES))}"
         )
     try:
         return _instantiate(name)
     except ImportError as exc:
-        if name not in _FALLBACK_WARNED:
+        if name != "auto" and name not in _FALLBACK_WARNED:
             _FALLBACK_WARNED.add(name)
             warnings.warn(
                 f"LP backend {name!r} is not importable ({exc}); "
@@ -427,8 +493,8 @@ def get_lp_backend(name: str | None = None) -> LPBackend:
 def resolve_lp_backend(backend: "LPBackend | str | None") -> LPBackend:
     """Normalise a function's ``backend`` argument.
 
-    ``None`` means the environment default (``REPRO_LP_BACKEND``, scipy if
-    unset), a string is looked up in the registry, and an instance passes
+    ``None`` means the environment default (``REPRO_LP_BACKEND``, ``auto``
+    if unset), a string is looked up in the registry, and an instance passes
     through.
     """
     if backend is None:

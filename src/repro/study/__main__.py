@@ -96,7 +96,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "LP solver backend for the omniscient normalisers ('scipy', "
             "'highs', or 'auto'; default: the REPRO_LP_BACKEND environment "
-            "variable, scipy if unset)"
+            "variable, 'auto' if unset: highs when importable, else scipy)"
         ),
     )
     parser.add_argument(
@@ -354,7 +354,7 @@ def _cmd_serve(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--lp-backend", default=None, metavar="NAME",
-        help="LP solver backend ('scipy', 'highs', or 'auto')",
+        help="LP solver backend ('scipy', 'highs', or 'auto', the default)",
     )
     args = parser.parse_args(argv)
 

@@ -155,7 +155,8 @@ class StudyServer:
             demand).  Defaults to ``<socket_path>.spool/`` so checkpoints
             survive a daemon restart next to the socket they belong to.
         backend / lp_workers / lp_backend: Engine knobs, as in
-            :class:`~repro.evaluation.engine.EvaluationEngine`.  The server
+            :class:`~repro.evaluation.engine.EvaluationEngine` (``lp_backend``
+            defaults to ``REPRO_LP_BACKEND``, ``"auto"`` if unset).  The server
             builds ONE engine with ONE warm LP cache shared by every job.
         cell_workers: Cell process-pool width every job runs with
             (sequential by default -- the daemon's parallelism axis is the

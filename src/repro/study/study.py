@@ -347,8 +347,10 @@ class Study:
                 (``"auto"`` derives one from the CPU count).
             lp_backend: LP solver backend for the omniscient normalisers
                 (``"scipy"``, ``"highs"``, ``"auto"``; see
-                :mod:`repro.solvers.lp_backend`).  Like ``backend``, only
-                used when no explicit engine is given.
+                :mod:`repro.solvers.lp_backend`).  The default follows
+                ``REPRO_LP_BACKEND`` and is ``"auto"`` when that is unset:
+                normalisers on ``highs`` when importable, else on scipy.
+                Like ``backend``, only used when no explicit engine is given.
             checkpoint: Optional path of a :class:`StudyCheckpoint`.  Every
                 finished cell is appended to it immediately (crash-safe
                 writes), so an interrupted grid restarts where it died via

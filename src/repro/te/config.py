@@ -56,15 +56,12 @@ class TEConfiguration:
 
     @staticmethod
     def _normalized(path_set: PathSet, ratios: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        normalized = ratios.copy()
-        for pair_idx, (src, dst) in enumerate(path_set.sd_pairs):
-            indices = list(path_set.path_indices_for(src, dst))
-            total = sums[pair_idx]
-            if total <= TEConfiguration.SUM_TOLERANCE:
-                normalized[indices] = 1.0 / len(indices)
-            else:
-                normalized[indices] = ratios[indices] / total
-        return normalized
+        # A pair whose ratios are all (numerically) zero gets the uniform
+        # split: ones over its path count is the same division.
+        empty = sums <= TEConfiguration.SUM_TOLERANCE
+        paths_per_pair = np.bincount(path_set.path_sd_index, minlength=sums.size)
+        numerator = np.where(empty[path_set.path_sd_index], 1.0, ratios)
+        return numerator / np.where(empty, paths_per_pair, sums)[path_set.path_sd_index]
 
     # ------------------------------------------------------------------ #
     # Constructors

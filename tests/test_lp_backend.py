@@ -8,6 +8,7 @@ import pytest
 from repro.solvers import lp_backend as lpb
 from repro.solvers.lp import count_lp_solves, solve_mlu_lp, solve_mlu_lp_batch
 from repro.solvers.lp_backend import (
+    AutoLPBackend,
     PersistentHighsBackend,
     ScipyLinprogBackend,
     available_lp_backends,
@@ -31,10 +32,16 @@ def clean_registry(monkeypatch):
     return lpb
 
 
+def _broken_load():
+    raise ImportError("no highspy anywhere")
+
+
 class TestSelection:
-    def test_default_is_scipy(self, clean_registry):
-        assert get_lp_backend(None).name == "scipy"
-        assert isinstance(get_lp_backend(None), ScipyLinprogBackend)
+    @needs_highs
+    def test_default_is_auto(self, clean_registry):
+        assert get_lp_backend(None).name == "auto"
+        assert isinstance(get_lp_backend(None), AutoLPBackend)
+        assert get_lp_backend(None) is get_lp_backend("auto")
 
     def test_instances_are_cached(self, clean_registry):
         assert get_lp_backend("scipy") is get_lp_backend("scipy")
@@ -48,26 +55,48 @@ class TestSelection:
         assert get_lp_backend(None).name == "scipy"
 
     def test_registered_names(self):
-        assert available_lp_backends() == ("scipy", "highs")
+        assert available_lp_backends() == ("scipy", "highs", "auto")
         assert "scipy" in importable_lp_backends()
 
     def test_resolve_passthrough_and_lookup(self, clean_registry):
         instance = ScipyLinprogBackend()
         assert resolve_lp_backend(instance) is instance
         assert resolve_lp_backend("scipy").name == "scipy"
-        assert resolve_lp_backend(None).name == "scipy"
+        assert resolve_lp_backend(None) is get_lp_backend(None)
+        assert resolve_lp_backend("auto") is get_lp_backend(None)
 
     @needs_highs
-    def test_auto_prefers_highs(self, clean_registry):
-        assert get_lp_backend("auto").name == "highs"
+    def test_auto_prefers_highs(self, clean_registry, mesh4_paths, rng, monkeypatch):
+        # ...for what has one answer: value-only solves run on the registry's
+        # highs instance, vertex-returning solves on its scipy instance.  The
+        # methods are wrapped on their classes, the way perfbench's tracer
+        # does it, so this also pins that those names are what runs.
+        ran = []
+
+        def record(cls, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args):
+                ran.append((self, method))
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        for cls in (ScipyLinprogBackend, PersistentHighsBackend):
+            record(cls, "solve")
+            record(cls, "solve_mlu")
+        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
+        solve_mlu_lp(mesh4_paths, demand, backend="auto")
+        solve_mlu_lp_batch(mesh4_paths, demand, backend="auto", mlu_only=True)
+        assert ran == [
+            (get_lp_backend("scipy"), "solve"),
+            (get_lp_backend("highs"), "solve_mlu"),
+        ]
 
     def test_unimportable_backend_warns_once_and_falls_back(
         self, clean_registry, monkeypatch
     ):
-        def broken_load():
-            raise ImportError("no highspy anywhere")
-
-        monkeypatch.setattr(lpb, "_load_highspy", broken_load)
+        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
         with pytest.warns(RuntimeWarning, match="falling back to scipy"):
             backend = get_lp_backend("highs")
         assert backend.name == "scipy"
@@ -80,12 +109,109 @@ class TestSelection:
             assert get_lp_backend("highs") is backend
 
     def test_auto_without_highs_is_scipy(self, clean_registry, monkeypatch):
-        def broken_load():
-            raise ImportError("no highspy anywhere")
-
-        monkeypatch.setattr(lpb, "_load_highspy", broken_load)
+        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
         assert get_lp_backend("auto").name == "scipy"
         assert importable_lp_backends() == ("scipy",)
+
+    def test_default_without_highs_is_all_scipy_and_silent(
+        self, clean_registry, monkeypatch, mesh4_paths, rng
+    ):
+        import warnings as warnings_module
+
+        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
+        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error")
+            assert get_lp_backend(None) is get_lp_backend("scipy")
+            [(_, value)] = solve_mlu_lp_batch(mesh4_paths, demand, mlu_only=True)
+        [(_, reference)] = solve_mlu_lp_batch(
+            mesh4_paths, demand, backend=ScipyLinprogBackend(), mlu_only=True
+        )
+        assert value == reference
+
+
+def _linprog_reference(path_set, demand, upper):
+    """The parent's solve, spelled out: what ``scipy`` must keep returning."""
+    from scipy.optimize import linprog
+
+    from repro.solvers.lp import constraint_structure
+
+    structure = constraint_structure(path_set)
+    result = linprog(
+        structure.cost,
+        A_ub=structure.a_ub(demand),
+        b_ub=structure.b_ub,
+        A_eq=structure.a_eq,
+        b_eq=structure.b_eq,
+        bounds=structure.bounds_array(upper),
+        method="highs",
+    )
+    return result.x[: path_set.num_paths], float(result.x[-1])
+
+
+class TestDefaultKeepsPublishedValues:
+    """What the split default may and may not change."""
+
+    @pytest.fixture()
+    def cases(self, mesh4_paths, rng):
+        from repro.solvers.lp import _ratio_upper_bounds
+
+        num_paths = mesh4_paths.num_paths
+        mask = np.ones(num_paths, dtype=bool)
+        mask[::3] = False  # every pair loses its first (shortest) path
+        bounds = [(None, None), (np.full(num_paths, 0.5), None), (None, mask)]
+        demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
+        demands[1, ::2] = 0.0
+        return [
+            (demand, caps, mask, _ratio_upper_bounds(mesh4_paths, caps, mask))
+            for demand in demands
+            for caps, mask in bounds
+        ]
+
+    def test_env_scipy_reproduces_the_parent_bit_for_bit(
+        self, clean_registry, monkeypatch, mesh4_paths, cases
+    ):
+        from repro.solvers.lp import OptimalMLUCache, omniscient_mlu
+        from repro.te.config import TEConfiguration
+
+        monkeypatch.setenv(lpb.LP_BACKEND_ENV_VAR, "scipy")
+        for demand, caps, mask, upper in cases:
+            ratios, mlu = _linprog_reference(mesh4_paths, demand, upper)
+            config, solved = solve_mlu_lp(
+                mesh4_paths, demand, sensitivity_caps=caps, path_mask=mask
+            )
+            assert solved == mlu
+            expected = TEConfiguration(mesh4_paths, ratios, normalize=True)
+            assert np.array_equal(config.split_ratios, expected.split_ratios)
+            if caps is None:
+                cached = OptimalMLUCache().optimal_mlu(mesh4_paths, demand, path_mask=mask)
+                assert cached == max(mlu, 1e-12)
+            if caps is None and mask is None:
+                assert omniscient_mlu(mesh4_paths, demand) == max(mlu, 1e-12)
+
+    @needs_highs
+    def test_default_solve_returns_linprog_ratios_bit_for_bit(
+        self, clean_registry, mesh4_paths, cases
+    ):
+        from repro.solvers.lp import OptimalMLUCache, omniscient_mlu
+
+        for demand, caps, mask, upper in cases:
+            ratios, mlu = _linprog_reference(mesh4_paths, demand, upper)
+            config, solved = solve_mlu_lp(
+                mesh4_paths, demand, sensitivity_caps=caps, path_mask=mask
+            )
+            assert solved == mlu
+            named, _ = solve_mlu_lp(
+                mesh4_paths, demand, sensitivity_caps=caps, path_mask=mask, backend="scipy"
+            )
+            assert np.array_equal(config.split_ratios, named.split_ratios)
+            # Only the normaliser moves, and only in its last bits -- and
+            # omniscient_mlu serves the very value the cache does.
+            if caps is None:
+                cached = OptimalMLUCache().optimal_mlu(mesh4_paths, demand, path_mask=mask)
+                assert cached == pytest.approx(max(mlu, 1e-12), rel=1e-12)
+            if caps is None and mask is None:
+                assert omniscient_mlu(mesh4_paths, demand) == cached
 
 
 @needs_highs
@@ -123,14 +249,14 @@ class TestPersistentModels:
         assert backend.num_models == 0
 
     def test_repeated_solves_stay_exact(self, mesh4_paths, rng):
-        # The warm restart must not drift: re-solving an identical demand on
-        # a warm model reproduces the cold answer exactly.
+        # Re-solving an identical demand on a used model reproduces the
+        # first answer exactly (tests/test_solvers_lp.py has the property).
         backend = PersistentHighsBackend()
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        _, cold = solve_mlu_lp(mesh4_paths, demand, backend=backend)
+        _, first = solve_mlu_lp(mesh4_paths, demand, backend=backend)
         for _ in range(3):
-            _, warm = solve_mlu_lp(mesh4_paths, demand, backend=backend)
-            assert warm == cold
+            _, again = solve_mlu_lp(mesh4_paths, demand, backend=backend)
+            assert again == first
 
 
 class TestBatchBackend:
@@ -215,9 +341,9 @@ class TestEngineAndStudyThreading:
     def test_study_run_accepts_lp_backend(self, monkeypatch):
         from repro.study.study import Study
 
-        # Pin the no-argument default to scipy regardless of the test
-        # environment: the assertion is "explicit kwarg == same default",
-        # which only holds bit-exactly when both runs use one backend.
+        # Pin the no-argument default to "auto" regardless of the test
+        # environment: pred_te's raw MLUs are then linprog's bit for bit and
+        # only the normaliser's last bits may differ from all-scipy.
         monkeypatch.delenv(lpb.LP_BACKEND_ENV_VAR, raising=False)
         monkeypatch.setattr(lpb, "_INSTANCES", {})
 
@@ -264,6 +390,38 @@ class TestEngineAndStudyThreading:
         np.testing.assert_allclose(
             highs_run[0].series, scipy_run[0].series, atol=1e-9
         )
+
+
+    @needs_highs
+    def test_default_study_keeps_the_lp_schemes_published_numbers(self, monkeypatch):
+        # A grid with des_te and pred_te cells: under the default their raw
+        # MLUs are the all-scipy run's bit for bit (their LPs stay on
+        # linprog); only the normaliser's last bits may move.
+        from repro.evaluation.engine import EvaluationEngine
+        from repro.solvers.lp import OptimalMLUCache
+        from repro.study.study import Study
+
+        spec = {
+            "scenario": {
+                "topology": {"kind": "fully_connected", "num_nodes": 4, "capacity": 10.0},
+                "traffic": {"kind": "datacenter", "level": "pod", "seed": 3, "num_intervals": 14},
+                "history_len": 2,
+            },
+            "scheme": {"sweep": [{"kind": "des_te"}, {"kind": "pred_te"}]},
+            "max_intervals": 4,
+        }
+        monkeypatch.setattr(lpb, "_INSTANCES", {})
+
+        def run():
+            return Study(spec).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
+
+        monkeypatch.delenv(lpb.LP_BACKEND_ENV_VAR, raising=False)
+        default = run()
+        monkeypatch.setenv(lpb.LP_BACKEND_ENV_VAR, "scipy")
+        reference = run()
+        for ours, theirs in zip(default, reference, strict=True):
+            assert np.array_equal(ours.result.raw_mlus, theirs.result.raw_mlus)
+            np.testing.assert_allclose(ours.series, theirs.series, rtol=1e-12, atol=0)
 
 
 class TestEnvPlumbing:

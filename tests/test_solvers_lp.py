@@ -195,10 +195,8 @@ class TestProcessPoolFallback:
     ):
         from repro.solvers.lp import solve_mlu_lp_batch
 
-        # Pinned to scipy: the test exercises pool-fallback machinery, and
-        # only the stateless scipy backend guarantees bit-identical split
-        # ratios between two solves of the same demand (warm-started highs
-        # may return a different optimal vertex depending on solve history).
+        # Pinned to scipy: the test exercises pool-fallback machinery, not
+        # a backend, so it names the reference one.
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
         sequential = solve_mlu_lp_batch(mesh4_paths, demands, backend="scipy")
         with pytest.warns(RuntimeWarning, match="process-pool LP batch failed"):
@@ -228,6 +226,39 @@ class TestProcessPoolFallback:
         with pytest.warns(RuntimeWarning):
             solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
         assert lp_solve_calls() == before + len(demands)
+
+
+    def test_default_backend_fans_out_by_name(self, monkeypatch, mesh4_paths, rng):
+        # The default is a registered name ("auto"), so a width still means
+        # a pool: the chunks carry that name for the workers to resolve.
+        # (test_counter_increments_on_fallback_solves is the broken-pool
+        # half: it runs the default backend, too.)
+        from repro.solvers import lp as lp_module
+        from repro.solvers import lp_backend as lpb
+
+        monkeypatch.delenv(lpb.LP_BACKEND_ENV_VAR, raising=False)
+        shipped = []
+
+        class InlinePool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def map(self, fn, jobs):
+                assert fn is lp_module._solve_batch_chunk
+                shipped.extend(jobs)
+                return [fn(job) for job in jobs]
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(lp_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(lp_module, "_POOL_CACHE", {})
+        demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+        sequential = lp_module.solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
+        pooled = lp_module.solve_mlu_lp_batch(mesh4_paths, demands, workers=2, mlu_only=True)
+        assert [len(job[1]) for job in shipped] == [2, 2]
+        assert {job[4] for job in shipped} == {lpb.get_lp_backend(None).name}
+        assert pooled == sequential
 
 
 class TestScopedSolveCounter:
@@ -440,6 +471,107 @@ class TestBackendEquivalence:
         assert config.split_ratios.max() <= 0.5 + 1e-6
 
 
+    def test_tolerance_sized_flow_does_not_become_a_negative_ratio(
+        self, tor_scenario_small, backends
+    ):
+        # Found by the history property below.  The solver's feasibility
+        # tolerance is absolute (1e-7, in flow units), so a pair whose whole
+        # demand is that small can be left with a slightly negative flow on
+        # one path; divided by the demand it used to come back as a ratio
+        # of -0.125, which TEConfiguration rightly refuses.
+        from repro.solvers.lp import solve_mlu_lp
+
+        _, paths, _ = tor_scenario_small
+        _, highs_backend = backends
+        caps = np.zeros(paths.num_paths)
+        caps[111:114] = [0.5, 0.25, 0.625]  # the three paths of pair 37
+        demand = np.zeros(paths.num_sd_pairs)
+        demand[37], demand[47] = 1e-7, 1.0
+        config, mlu = solve_mlu_lp(
+            paths, demand, sensitivity_caps=caps, backend=highs_backend
+        )
+        assert config.split_ratios.min() >= 0.0
+        np.testing.assert_allclose(paths.sd_to_path @ config.split_ratios, 1.0, atol=1e-9)
+        assert mlu == pytest.approx(1.0 / 30.0, abs=1e-9)
+
+
+class TestHistoryIndependence:
+    """A highs result is a function of (model, demand), not of what ran before."""
+
+    pytestmark = pytest.mark.skipif(
+        not _importable("highs"),
+        reason="no importable highs backend (highspy or scipy-vendored HiGHS)",
+    )
+
+    def test_hypothesis_same_bits_after_any_solve_sequence(self, tor_scenario_small):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.solvers.lp import solve_mlu_lp, solve_mlu_lp_batch
+        from repro.solvers.lp_backend import PersistentHighsBackend
+
+        _, paths, traffic = tor_scenario_small
+        num_pairs, num_paths = paths.num_sd_pairs, paths.num_paths
+        first_paths = np.searchsorted(paths.path_sd_index, np.arange(num_pairs))
+        trace = traffic.flat_demands()
+
+        no_first_path = np.ones(num_paths, dtype=bool)
+        no_first_path[first_paths[::2]] = False
+        pair_masked = np.ones(num_paths, dtype=bool)
+        pair_masked[paths.path_sd_index == 3] = False  # relaxed: re-enabled
+        exactly_one = np.array([0.25, 0.5, 0.25])[np.arange(num_paths) - first_paths[paths.path_sd_index]]
+        bounds = st.one_of(
+            st.sampled_from(
+                [
+                    (None, None),
+                    (None, no_first_path),
+                    (None, pair_masked),
+                    (exactly_one, None),
+                    (np.full(num_paths, 0.5), no_first_path),
+                ]
+            ),
+            st.tuples(
+                st.lists(st.floats(0.0, 1.0), min_size=num_paths, max_size=num_paths).map(np.array),
+                st.one_of(
+                    st.none(),
+                    st.lists(st.booleans(), min_size=num_paths, max_size=num_paths).map(np.array),
+                ),
+            ),
+        )
+        demand = st.one_of(
+            st.sampled_from([np.zeros(num_pairs), *trace[:8]]),
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=num_pairs, max_size=num_pairs
+            ).map(np.array),
+        )
+        solve = st.tuples(bounds, demand, st.booleans())
+
+        def run(backend, job):
+            (caps, mask), demand, value_only = job
+            kwargs = dict(sensitivity_caps=caps, path_mask=mask, backend=backend)
+            if value_only:
+                [(_, mlu)] = solve_mlu_lp_batch(paths, demand, mlu_only=True, **kwargs)
+                return None, mlu
+            config, mlu = solve_mlu_lp(paths, demand, **kwargs)
+            return config.split_ratios, mlu
+
+        used = PersistentHighsBackend()  # one history across all examples, too
+
+        @settings(max_examples=40, deadline=None)
+        @given(history=st.lists(solve, max_size=4), bounds=bounds, demand=demand)
+        def check(history, bounds, demand):
+            for job in history:
+                run(used, job)
+            for value_only in (False, True):
+                job = (bounds, demand, value_only)
+                ratios, mlu = run(used, job)
+                fresh_ratios, fresh_mlu = run(PersistentHighsBackend(), job)
+                assert mlu == fresh_mlu
+                assert value_only or np.array_equal(ratios, fresh_ratios)
+
+        check()
+
+
 class TestInfeasibleLP:
     """Both backends surface solver failures as LPSolveError with a message."""
 
@@ -481,5 +613,7 @@ class TestInfeasibleLP:
     def test_highs_backend_raises_with_solver_message(
         self, mesh4_paths, force_zero_upper
     ):
-        with pytest.raises(LPSolveError, match="MLU LP failed: .+"):
+        # No pair has a usable path, so there is no routing to start from:
+        # the model solves from scratch and the solver's own status is named.
+        with pytest.raises(LPSolveError, match="MLU LP failed: Infeasible"):
             self._solve_infeasible(mesh4_paths, "highs")

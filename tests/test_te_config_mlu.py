@@ -57,6 +57,42 @@ class TestTEConfiguration:
         assert config.split_ratios[0] != 0.123
 
 
+    def test_hypothesis_normalisation_matches_the_per_pair_loop(self):
+        # The loop TEConfiguration._normalized used to be, kept as the
+        # reference: the vectorised form does the same IEEE divisions, so
+        # the results are equal bit for bit (pairs here have 3 or 4 paths).
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.paths.ksp import build_ksp_path_set
+        from repro.topology import generators
+
+        paths = build_ksp_path_set(generators.wan_like(6, 7, seed=2), k=4)
+
+        def per_pair_loop(ratios, sums):
+            normalized = ratios.copy()
+            for pair_idx, (src, dst) in enumerate(paths.sd_pairs):
+                indices = list(paths.path_indices_for(src, dst))
+                total = sums[pair_idx]
+                if total <= TEConfiguration.SUM_TOLERANCE:
+                    normalized[indices] = 1.0 / len(indices)
+                else:
+                    normalized[indices] = ratios[indices] / total
+            return normalized
+
+        ratio = st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 5.0))
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(ratio, min_size=paths.num_paths, max_size=paths.num_paths))
+        def check(raw):
+            ratios = np.array(raw)
+            sums = paths.sd_to_path @ ratios
+            config = TEConfiguration(paths, ratios, normalize=True)
+            assert np.array_equal(config.split_ratios, per_pair_loop(ratios, sums))
+
+        check()
+
+
 class TestMLU:
     def test_figure3_scheme1_normal(self, triangle_paths):
         """TE scheme 1 (all shortest paths) on the normal demand: MLU = 0.5."""
