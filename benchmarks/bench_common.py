@@ -23,7 +23,6 @@ import numpy as np
 from repro import datasets
 from repro.backend import active_backend
 from repro.core import TrainingConfig
-from repro.evaluation import evaluate_scheme
 from repro.evaluation.engine import EvaluationEngine
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.solvers.lp import resolve_lp_workers, shared_cache
@@ -189,12 +188,11 @@ def optimal_mlus(scenario: datasets.Scenario, max_intervals: int = MAX_EVAL_INTE
 def evaluate_on_scenario(scheme, scenario: datasets.Scenario, max_intervals: int = MAX_EVAL_INTERVALS):
     """Evaluate an already-precomputed scheme on a scenario's test slice."""
     sliced = test_slice(scenario, max_intervals)
-    return evaluate_scheme(
+    return bench_engine().evaluate_scheme(
         scheme,
         sliced,
         history_len=scenario.history_len,
         optimal_mlus=optimal_mlus(scenario, max_intervals),
-        engine=bench_engine(),
     )
 
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 import pytest
 
 import bench_common as common
-from repro.core import Dote, Figret
-from repro.evaluation import compare_schemes
 from repro.evaluation.reporting import format_table
 from repro.paths.racke import racke_path_set
-from repro.solvers import DesensitizationTE, PredictionBasedTE
+from repro.study import InlineScenario, Study, sweep
 
 
 @pytest.mark.paper("Figure 6")
@@ -25,17 +23,25 @@ def test_fig06_racke_path_selection(benchmark):
     racke_paths = racke_path_set(scenario.topology, k=3, seed=common.BENCH_SEED)
     train, _ = scenario.split()
     test = common.test_slice(scenario, 25)
-    config = common.training_config(scenario, robustness_weight=0.1, epochs=80)
+    # The bundled scenario's traffic on a custom path set: a live
+    # InlineScenario (keyed by identity, so -- as in test_fig19_20 -- it stays
+    # out of the session-shared caches).
+    racke_scenario = InlineScenario(
+        paths=racke_paths, train=train, test=test,
+        history_len=scenario.history_len, name="geant_small/racke",
+    )
+    spec = {
+        "scenario": racke_scenario,
+        "scheme": sweep(
+            common.scheme_spec("figret", "geant_small", 0.1, 80),
+            common.scheme_spec("dote", "geant_small", 0.1, 80),
+            {"kind": "des_te"},
+            {"kind": "pred_te"},   # == SMORE: Racke paths + predicted-demand LP
+        ),
+    }
 
     def run():
-        schemes = [
-            Figret(racke_paths, config),
-            Dote(racke_paths, config),
-            DesensitizationTE(racke_paths),
-            PredictionBasedTE(racke_paths),   # == SMORE: Racke paths + predicted-demand LP
-        ]
-        results = compare_schemes(schemes, train, test, scenario.history_len)
-        return {name: result.statistics for name, result in results.items()}
+        return Study(spec).run().scheme_statistics()
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [common.stats_row(name, stats) for name, stats in results.items()]

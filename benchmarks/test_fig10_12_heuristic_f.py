@@ -9,7 +9,7 @@ Meta DB scenario.
 Each parameter table is declared as one study grid -- a labelled scheme-spec
 sweep over one scenario via ``bench_common.run_study`` -- so the sweep shares
 the session's scenario build and LP-cached normalisers with every other
-benchmark instead of issuing its own ``compare_schemes`` calls.
+benchmark instead of building and replaying its schemes by hand.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Three guarantees of the declarative layer are pinned here:
 
-* **Overhead** -- running a scenarios x schemes x perturbations grid through
-  :class:`repro.study.Study` costs < 5% wall-clock over issuing the
-  equivalent engine calls by hand (the orchestration is dict bookkeeping;
-  the replays dominate).
+* **Overhead** -- what running a scenarios x schemes x perturbations grid
+  through :class:`repro.study.Study` costs over issuing the equivalent
+  engine calls by hand (the orchestration is dict bookkeeping; the replays
+  dominate).  Measured and *recorded* here; the ceiling lives with the other
+  wall-clock limits in ``benchmarks/floors.json`` (``check_floors.py``), not
+  in an assert on a ~50 ms comparison that tier-1 would trip on jitter.
 * **LP dedup** -- across grid cells the omniscient normalisers are solved
   once per distinct demand matrix: adding the whole scheme axis to a grid
   adds *zero* LP solves, and re-running a study on a warm engine solves
@@ -14,17 +16,20 @@ Three guarantees of the declarative layer are pinned here:
   results to sequential execution while fanning distinct scheme trainings
   out over a process pool, and the workers' LP-cache entries and trained
   schemes merge back into the parent (a warm re-run repeats nothing).  The
-  sequential-vs-pooled wall times are *recorded* per width, not asserted:
-  like the LP pool, whether a 2-wide pool wins depends on the core count
-  (see ``BENCH_lp_worker_scaling.json``).
+  sequential-vs-pooled wall times are *recorded* (medians of interleaved
+  pairs on a warm pool, plus every pair), not asserted: like the LP pool,
+  whether a 2-wide pool wins depends on the core count (see
+  ``BENCH_lp_worker_scaling.json``).
 
-Both tests extend one ``BENCH_study_orchestration.json`` record (the second
-writer merges via ``write_bench_record(update=True)``).
+All tests extend one ``BENCH_study_orchestration.json`` record (later
+writers merge via ``write_bench_record(update=True)``).
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import statistics
 import time
 
 import pytest
@@ -146,10 +151,6 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
     run_direct()
     run_study()
     direct_s, study_s = _compare(run_direct, run_study)
-    if study_s / direct_s - 1.0 >= 0.05:
-        # One noisy sample shouldn't fail CI: re-measure with more rounds
-        # before concluding the orchestration itself regressed.
-        direct_s, study_s = _compare(run_direct, run_study, rounds=15)
     overhead = study_s / direct_s - 1.0
 
     # --- LP dedup: scheme axis adds zero solves; warm re-runs solve nothing.
@@ -189,7 +190,6 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
     assert cold_solves > 0  # the cold engine really did the normaliser pass
     assert axis_tally.count == 0  # scheme axis: zero repeat LP solves
     assert rerun_tally.count == 0  # warm re-run: zero repeat LP solves
-    assert overhead < 0.05
 
     common.write_bench_record(
         "study_orchestration",
@@ -209,33 +209,37 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
 # Cell-level process-pool execution
 # --------------------------------------------------------------------- #
 
-#: Registry-free inline scenarios: worker processes rebuild them from the
-#: config dicts alone, whatever the multiprocessing start method.
-def _inline_scenario(name, seed):
+#: The pooled grid has the shape of perfbench's ``dc_train`` workload -- one
+#: ToR scenario x four neural scheme specs x {none, fluctuation} -- because
+#: that is what the pool is for: its sequential cost (well over a second
+#: here) is four trainings, which fan out one per group.  A grid of a few
+#: hundred milliseconds only measures pool start-up and pickling.  The BLAS
+#: thread setting is recorded beside the timings because the verdict flips on
+#: it: on the 2-core dev box two workers x two OpenBLAS threads oversubscribe
+#: the cores (0.2-0.4x), one BLAS thread per process -- what perfbench pins
+#: -- does not (1.2x), and sequential time is the same either way.
+CELL_POOL_WIDTH = 2
+CELL_POOL_PAIRS = 3
+
+
+def _cell_pool_spec(epochs=7):
+    def neural(kind, **params):
+        return {"kind": kind, "epochs": epochs, "seed": common.BENCH_SEED, **params}
+
     return {
-        "name": name,
-        "topology": {"kind": "fully_connected", "num_nodes": 5, "capacity": 10.0},
-        "traffic": {
-            "kind": "datacenter",
-            "level": "pod",
-            "seed": seed,
-            "num_intervals": 80,
+        "scenario": {
+            "name": "meta_tor_db_small",
+            "seed": common.BENCH_SEED,
+            "num_intervals": 72,
         },
-        "history_len": 4,
-    }
-
-
-def _cell_pool_spec():
-    schemes = [
-        {"kind": "figret", "epochs": 6, "history_len": 4, "robustness_weight": 0.1,
-         "seed": common.BENCH_SEED},
-        {"kind": "dote", "epochs": 6, "history_len": 4, "seed": common.BENCH_SEED},
-    ]
-    return {
-        "scenario": sweep(_inline_scenario("cellpool_a", 1), _inline_scenario("cellpool_b", 2)),
-        "scheme": sweep(*schemes),
+        "scheme": sweep(
+            neural("figret", robustness_weight=0.05, label="FIGRET rw=0.05"),
+            neural("figret", robustness_weight=0.15, label="FIGRET rw=0.15"),
+            neural("figret", robustness_weight=0.5, label="FIGRET rw=0.5"),
+            neural("dote"),
+        ),
         "perturbation": sweep({"kind": "none"}, dict(FLUCTUATION)),
-        "max_intervals": 10,
+        "max_intervals": 6,
     }
 
 
@@ -244,11 +248,9 @@ def test_study_cell_worker_scaling(benchmark):
     from repro.study import study as study_module
 
     spec = _cell_pool_spec()
-    timings = {}
-    outputs = {}
 
-    def run_width(cell_workers):
-        # Fresh engine + scheme cache per width: the trainings and the cold
+    def run_width(spec, cell_workers):
+        # Fresh engine + scheme cache per run: the trainings and the cold
         # normaliser pass are the work the pool parallelises, so they must
         # happen inside the timed region.
         engine = EvaluationEngine(cache=OptimalMLUCache())
@@ -260,66 +262,80 @@ def test_study_cell_worker_scaling(benchmark):
         elapsed = time.perf_counter() - start
         return elapsed, results, engine, scheme_cache
 
-    for width in (None, 2, 4):
-        elapsed, results, engine, scheme_cache = run_width(width)
-        label = "sequential" if width is None else f"cell_workers_{width}"
-        timings[label] = elapsed
-        outputs[label] = results
-        if width is not None:
-            # Merge-back contract: the parent engine can re-run the whole
-            # grid without a single new LP solve, and every distinct scheme
-            # spec came back trained.
-            assert len(scheme_cache) == 4  # 2 scenarios x 2 scheme specs
-            with count_lp_solves() as tally:
-                rerun = Study(spec, scheme_cache=scheme_cache).run(engine=engine)
-            assert tally.count == 0
-            assert rerun.to_json() == results.to_json()
+    # Start the pool's workers (process creation, imports) on a throw-away
+    # job: a long-lived pool pays that once, not once per grid.
+    run_width(_cell_pool_spec(epochs=1), CELL_POOL_WIDTH)
 
-    baseline = outputs["sequential"].to_json()
-    for label, results in outputs.items():
-        assert results.to_json() == baseline  # bit-identical at every width
+    pairs = []
+    baseline = None
+    for _ in range(CELL_POOL_PAIRS):
+        sequential_s, results, _, _ = run_width(spec, None)
+        baseline = baseline or results.to_json()
+        assert results.to_json() == baseline
 
-    # If the pool was unusable (sandboxed spawn, broken pool) every width
+        pooled_s, results, engine, scheme_cache = run_width(spec, CELL_POOL_WIDTH)
+        assert results.to_json() == baseline  # bit-identical to sequential
+        # Merge-back contract: the parent engine can re-run the whole grid
+        # without a single new LP solve, and every distinct scheme spec came
+        # back trained.
+        assert len(scheme_cache) == 4  # 1 scenario x 4 scheme specs
+        with count_lp_solves() as tally:
+            rerun = Study(spec, scheme_cache=scheme_cache).run(engine=engine)
+        assert tally.count == 0
+        assert rerun.to_json() == results.to_json()
+        pairs.append((sequential_s, pooled_s))
+
+    # If the pool was unusable (sandboxed spawn, broken pool) the pooled runs
     # silently ran sequentially -- the correctness assertions above still
     # hold, but recording sequential-vs-sequential wall times as pool
     # scaling would fabricate the tracked artifact.  The warn-once module
     # flag is the degradation signal.
     degraded = study_module._CELL_POOL_FALLBACK_WARNED
 
-    cells = len(outputs["sequential"])
+    cells = len(results)
+    sequential_s = statistics.median(pair[0] for pair in pairs)
+    pooled_s = statistics.median(pair[1] for pair in pairs)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info["timings"] = timings
+    benchmark.extra_info["pairs"] = pairs
     benchmark.extra_info["pool_degraded"] = degraded
     print()
-    for label, elapsed in timings.items():
-        print(f"cell-pool scaling: {label:>16} {elapsed * 1e3:8.1f} ms ({cells} cells)")
+    for sequential, pooled in pairs:
+        print(
+            f"cell-pool scaling: sequential {sequential * 1e3:8.1f} ms, "
+            f"cell_workers={CELL_POOL_WIDTH} {pooled * 1e3:8.1f} ms ({cells} cells)"
+        )
     if degraded:
-        print("cell pool unavailable here: widths ran sequentially, timings not recorded")
-
-    if degraded:
+        print("cell pool unavailable here: pooled runs ran sequentially, timings not recorded")
         # Explicit nulls: update=True merges into the committed record, so
         # omitting the keys would leave a previous box's timings sitting
         # next to degraded=true.
-        scaling_metrics = {
-            "cell_pool_sequential_seconds": None,
-            "cell_pool_workers2_seconds": None,
-            "cell_pool_workers4_seconds": None,
-            "cell_pool_workers2_speedup": None,
-            "cell_pool_workers4_speedup": None,
-        }
+        scaling_metrics = dict.fromkeys(
+            (
+                "cell_pool_sequential_seconds",
+                "cell_pool_pooled_seconds",
+                "cell_pool_speedup",
+                "cell_pool_pair_seconds",
+            )
+        )
     else:
+        print(
+            f"cell-pool scaling: medians {sequential_s * 1e3:.1f} vs {pooled_s * 1e3:.1f} ms "
+            f"({sequential_s / pooled_s:.2f}x)"
+        )
         scaling_metrics = {
-            "cell_pool_sequential_seconds": timings["sequential"],
-            "cell_pool_workers2_seconds": timings["cell_workers_2"],
-            "cell_pool_workers4_seconds": timings["cell_workers_4"],
-            "cell_pool_workers2_speedup": timings["sequential"] / timings["cell_workers_2"],
-            "cell_pool_workers4_speedup": timings["sequential"] / timings["cell_workers_4"],
+            "cell_pool_sequential_seconds": sequential_s,
+            "cell_pool_pooled_seconds": pooled_s,
+            "cell_pool_speedup": sequential_s / pooled_s,
+            "cell_pool_pair_seconds": [list(pair) for pair in pairs],
         }
     common.write_bench_record(
         "study_orchestration",
         lp_workers=common.bench_engine().lp_workers,
         update=True,
         cell_pool_grid_cells=cells,
+        cell_pool_width=CELL_POOL_WIDTH,
+        cell_pool_blas_threads=os.environ.get("OPENBLAS_NUM_THREADS")
+        or os.environ.get("OMP_NUM_THREADS"),  # None: the library default
         cell_pool_degraded=degraded,
         **scaling_metrics,
     )

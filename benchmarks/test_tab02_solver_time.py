@@ -16,13 +16,13 @@ Absolute numbers differ from the paper (CPU here vs GPU + Gurobi there); the
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
 
 import bench_common as common
 from repro.evaluation.reporting import format_table
-from repro.evaluation.timing import measure_scheme_timing
 from repro.solvers.oblivious import oblivious_problem_size, solve_oblivious_routing
 from repro.study import build_scheme
 
@@ -54,16 +54,22 @@ def test_tab02_calculation_and_precompute_time(benchmark, scenario_name):
 
         # The LP baselines come from the same scheme-spec registry the study
         # grids build from, so tab02 times exactly what the grids replay.
-        lp_timing = measure_scheme_timing(
-            build_scheme({"kind": "pred_te"}, scenario.paths), train, test, h, max_intervals=5
-        )
-        des_timing = measure_scheme_timing(
-            build_scheme({"kind": "des_te"}, scenario.paths), train, test, h, max_intervals=5
-        )
+        # The two are timed interleaved, interval by interval, and compared
+        # on medians, so a second process on the box slows both alike
+        # instead of whichever scheme happened to be running.
+        lp_times: dict[str, list[float]] = {"pred_te": [], "des_te": []}
+        schemes = {kind: build_scheme({"kind": kind}, scenario.paths) for kind in lp_times}
+        for scheme in schemes.values():
+            scheme.precompute(train)
+        for t in range(h, min(len(flat), h + 5)):
+            for kind, scheme in schemes.items():
+                start = time.perf_counter()
+                scheme.configure(flat[t - h : t])
+                lp_times[kind].append(time.perf_counter() - start)
         return {
             "FIGRET": figret_calc,
-            "LP": lp_timing.mean_calculation_seconds,
-            "Des TE": des_timing.mean_calculation_seconds,
+            "LP": statistics.median(lp_times["pred_te"]),
+            "Des TE": statistics.median(lp_times["des_te"]),
         }
 
     times = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,8 +9,8 @@ The replay hot path -- the neural forward pass, the batched MLU computation
 and failure rerouting -- runs on a pluggable array backend (see
 ``repro.backend``).  The default ``numpy`` backend is bit-identical to the
 classic engine; ``numpy32`` exercises the float32 code path GPU backends
-use; ``torch`` / ``cupy`` are picked up automatically when installed (and
-fall back to numpy with a warning when not).  LP normalisers always stay on
+use; ``torch`` is picked up automatically when installed (and falls back
+to numpy with a warning when not).  LP normalisers always stay on
 CPU/HiGHS behind the shared cache.
 
 This script replays the same scheme on every locally available backend and
@@ -45,8 +45,8 @@ def main() -> None:
     reference_engine = EvaluationEngine(backend="numpy")
     reference = reference_engine.evaluate_scheme(scheme, test, history_len)
 
-    for name in ("numpy", "numpy32", "python", "torch", "cupy"):
-        backend = get_backend(name)  # missing optional backends warn + fall back
+    for name in ("numpy", "numpy32", "python", "torch"):
+        backend = get_backend(name)  # a missing torch warns + falls back
         engine = EvaluationEngine(cache=reference_engine.cache, backend=backend)
         start = time.perf_counter()
         result = engine.evaluate_scheme(scheme, test, history_len)

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import datasets
-from repro.core import Dote, Figret, TrainingConfig
-from repro.evaluation import compare_schemes, reporting
-from repro.solvers import DesensitizationTE
+from repro.evaluation import reporting
+from repro.study import Study, sweep
 from repro.te.sensitivity import max_sensitivity_per_pair
+
+SCENARIO = {"name": "meta_tor_db_small", "seed": 11, "num_intervals": 220}
 
 
 def main() -> None:
-    scenario = datasets.load("meta_tor_db_small", seed=11, num_intervals=220)
+    study = Study()
+    scenario = study.scenario(SCENARIO)  # built once; the cells below share it
     train, test = scenario.split()
     print(f"Scenario: {scenario.name} - {scenario.description}")
     print(
@@ -31,12 +32,15 @@ def main() -> None:
         f"{scenario.paths.num_paths} candidate paths\n"
     )
 
-    config = TrainingConfig(epochs=30, history_len=scenario.history_len, robustness_weight=0.2)
-    figret = Figret(scenario.paths, config)
-    dote = Dote(scenario.paths, config)
-    des = DesensitizationTE(scenario.paths)
-    results = compare_schemes([figret, dote, des], train, test, scenario.history_len)
-    statistics = {name: result.statistics for name, result in results.items()}
+    training = {"epochs": 30, "history_len": scenario.history_len, "robustness_weight": 0.2}
+    figret_spec = {"kind": "figret", **training}
+    study.add(
+        {
+            "scenario": SCENARIO,
+            "scheme": sweep(figret_spec, {"kind": "dote", **training}, {"kind": "des_te"}),
+        }
+    )
+    statistics = study.run().scheme_statistics()
     print(reporting.format_mlu_comparison(statistics, title="ToR-level cluster, normalised MLU"))
 
     figret_sc = statistics["FIGRET"].severe_congestion_fraction
@@ -53,6 +57,7 @@ def main() -> None:
     variance = variance / variance.max()
     flat = test.flat_demands()
     history = flat[: scenario.history_len]
+    figret = study.trained_scheme({"scenario": SCENARIO, "scheme": figret_spec})  # cache hit
     fig_sens = max_sensitivity_per_pair(scenario.paths, figret.configure(history), normalized=True)
     stable = variance < np.percentile(variance, 50)
     bursty = variance > np.percentile(variance, 90)

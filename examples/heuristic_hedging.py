@@ -13,25 +13,29 @@ the constraint structure end to end.
 
 from __future__ import annotations
 
-from repro import datasets
-from repro.core import Figret, TrainingConfig
-from repro.evaluation import compare_schemes, reporting
-from repro.solvers import DesensitizationTE, LinearSensitivityTE, PiecewiseSensitivityTE
+from repro.evaluation import reporting
+from repro.study import Study, sweep
+
+SCENARIO = {"name": "meta_pod_db_small", "seed": 13, "num_intervals": 220}
 
 
 def main() -> None:
-    scenario = datasets.load("meta_pod_db_small", seed=13, num_intervals=220)
-    train, test = scenario.split()
+    study = Study()
+    scenario = study.scenario(SCENARIO)  # built once; the cells below share it
     print(f"Scenario: {scenario.name} - {scenario.description}\n")
 
-    schemes = [
-        DesensitizationTE(scenario.paths),                      # fixed threshold (Jupiter)
-        LinearSensitivityTE(scenario.paths),                    # Appendix C.1, strategy "Both"
-        PiecewiseSensitivityTE(scenario.paths, breakpoint=0.8), # Appendix C.2
-        Figret(scenario.paths, TrainingConfig(epochs=30, history_len=scenario.history_len)),
-    ]
-    results = compare_schemes(schemes, train, test, scenario.history_len)
-    statistics = {name: result.statistics for name, result in results.items()}
+    study.add(
+        {
+            "scenario": SCENARIO,
+            "scheme": sweep(
+                {"kind": "des_te"},                             # fixed threshold (Jupiter)
+                {"kind": "linear_sens"},                        # Appendix C.1, strategy "Both"
+                {"kind": "piecewise_sens", "breakpoint": 0.8},  # Appendix C.2
+                {"kind": "figret", "epochs": 30, "history_len": scenario.history_len},
+            ),
+        }
+    )
+    statistics = study.run().scheme_statistics()
     print(
         reporting.format_mlu_comparison(
             statistics,

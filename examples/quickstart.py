@@ -4,22 +4,24 @@ Run with::
 
     python examples/quickstart.py
 
-The script loads a bundled scenario (a Meta-like PoD-level cluster), trains
-FIGRET and the DOTE baseline on the first 75% of the trace, evaluates both on
-the remaining 25%, and prints the normalised-MLU comparison that mirrors the
-paper's Figure 5.
+The script declares one study -- a bundled scenario (a Meta-like PoD-level
+cluster) x a scheme axis -- which trains FIGRET and the DOTE baseline on the
+first 75% of the trace, evaluates every scheme on the remaining 25% against
+one shared set of omniscient normalisers, and prints the normalised-MLU
+comparison that mirrors the paper's Figure 5.
 """
 
 from __future__ import annotations
 
-from repro import datasets
-from repro.core import Dote, Figret, TrainingConfig
-from repro.evaluation import compare_schemes, reporting
-from repro.solvers import DesensitizationTE, PredictionBasedTE
+from repro.evaluation import reporting
+from repro.study import Study, sweep
+
+SCENARIO = {"name": "meta_pod_db_small", "seed": 7, "num_intervals": 240}
 
 
 def main() -> None:
-    scenario = datasets.load("meta_pod_db_small", seed=7, num_intervals=240)
+    study = Study()
+    scenario = study.scenario(SCENARIO)  # built once; the cells below share it
     train, test = scenario.split()
     print(f"Scenario: {scenario.name} - {scenario.description}")
     print(
@@ -29,15 +31,19 @@ def main() -> None:
     )
     print(f"Trace: {len(scenario.traffic)} intervals ({len(train)} train / {len(test)} test)\n")
 
-    config = TrainingConfig(epochs=30, history_len=scenario.history_len, robustness_weight=0.1)
-    schemes = [
-        Figret(scenario.paths, config),
-        Dote(scenario.paths, config),
-        DesensitizationTE(scenario.paths),
-        PredictionBasedTE(scenario.paths),
-    ]
-    results = compare_schemes(schemes, train, test, scenario.history_len)
-    statistics = {name: result.statistics for name, result in results.items()}
+    training = {"epochs": 30, "history_len": scenario.history_len, "robustness_weight": 0.1}
+    study.add(
+        {
+            "scenario": SCENARIO,
+            "scheme": sweep(
+                {"kind": "figret", **training},
+                {"kind": "dote", **training},
+                {"kind": "des_te"},
+                {"kind": "pred_te"},
+            ),
+        }
+    )
+    statistics = study.run().scheme_statistics()
     print(reporting.format_mlu_comparison(statistics, title="Normalised MLU (1.0 = omniscient optimum)"))
 
     figret_stats = statistics["FIGRET"]

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import datasets
-from repro.core import Dote, Figret, TrainingConfig
-from repro.evaluation import compare_schemes, reporting
-from repro.solvers import DesensitizationTE, PredictionBasedTE
+from repro.evaluation import reporting
+from repro.study import Study, sweep
 from repro.traffic import stats
+
+SCENARIO = {"name": "geant_small", "seed": 21, "num_intervals": 260}
 
 
 def main() -> None:
-    scenario = datasets.load("geant_small", seed=21, num_intervals=260)
-    train, test = scenario.split()
+    study = Study()
+    scenario = study.scenario(SCENARIO)  # built once; the cells below share it
     print(f"Scenario: {scenario.name} - {scenario.description}\n")
 
     # Traffic analysis (Figures 2 and 4).
@@ -36,15 +36,19 @@ def main() -> None:
         f"p05={profile['p05']:.3f}, p50={profile['p50']:.3f}, p95={profile['p95']:.3f}\n"
     )
 
-    config = TrainingConfig(epochs=60, history_len=scenario.history_len, robustness_weight=0.1)
-    schemes = [
-        Figret(scenario.paths, config),
-        Dote(scenario.paths, config),
-        DesensitizationTE(scenario.paths),
-        PredictionBasedTE(scenario.paths),
-    ]
-    results = compare_schemes(schemes, train, test, scenario.history_len)
-    statistics = {name: result.statistics for name, result in results.items()}
+    training = {"epochs": 60, "history_len": scenario.history_len, "robustness_weight": 0.1}
+    study.add(
+        {
+            "scenario": SCENARIO,
+            "scheme": sweep(
+                {"kind": "figret", **training},
+                {"kind": "dote", **training},
+                {"kind": "des_te"},
+                {"kind": "pred_te"},
+            ),
+        }
+    )
+    statistics = study.run().scheme_statistics()
     print(reporting.format_mlu_comparison(statistics, title="GEANT-like WAN, normalised MLU"))
 
 

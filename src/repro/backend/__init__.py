@@ -8,14 +8,14 @@ accelerator array modules.  This package provides:
   the hot path needs (see ``base.py``);
 * the default ``numpy`` backend (bit-identical to the pre-backend engine),
   a ``numpy32`` float32 variant, a pure-``python`` reference backend for CI
-  determinism checks, and optional ``torch`` / ``cupy`` backends that are
-  auto-detected and fall back to numpy (with one warning) when missing;
+  determinism checks, and an optional ``torch`` backend that is
+  auto-detected and falls back to numpy (with one warning) when missing;
 * selection via the ``REPRO_BACKEND`` environment variable, an explicit
   argument (every backend-aware function takes ``backend=``), or the
   :func:`use_backend` override used by :class:`EvaluationEngine`.
 
 ``REPRO_BACKEND_DTYPE`` (``float32`` / ``float64``) picks the compute dtype
-of the GPU backends; the numpy default always computes in float64.
+of the ``torch`` backend; the numpy default always computes in float64.
 
 Example:
     >>> from repro.backend import get_backend, use_backend
@@ -50,15 +50,15 @@ __all__ = [
 
 #: Environment variable naming the default backend for the process.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-#: Environment variable selecting the GPU backends' compute dtype.
+#: Environment variable selecting the ``torch`` backend's compute dtype.
 DTYPE_ENV_VAR = "REPRO_BACKEND_DTYPE"
 
 #: Optional backends in auto-detection preference order.
-_OPTIONAL = ("cupy", "torch")
+_OPTIONAL = ("torch",)
 
 
 def _gpu_dtype():
-    """Compute dtype for the optional GPU backends (float32 by default)."""
+    """Compute dtype for the optional ``torch`` backend (float32 by default)."""
     name = os.environ.get(DTYPE_ENV_VAR, "float32").strip().lower()
     if name not in ("float32", "float64"):
         raise ValueError(
@@ -73,12 +73,6 @@ def _make_torch() -> ArrayBackend:
     return TorchBackend(dtype=_gpu_dtype())
 
 
-def _make_cupy() -> ArrayBackend:
-    from repro.backend.cupy_backend import CupyBackend
-
-    return CupyBackend(dtype=_gpu_dtype())
-
-
 def _make_python() -> ArrayBackend:
     from repro.backend.python_backend import PythonBackend
 
@@ -90,7 +84,6 @@ _FACTORIES = {
     "numpy32": Numpy32Backend,
     "python": _make_python,
     "torch": _make_torch,
-    "cupy": _make_cupy,
 }
 
 _INSTANCES: dict[str, ArrayBackend] = {}
@@ -106,8 +99,8 @@ def available_backends() -> tuple[str, ...]:
 def importable_backends() -> tuple[str, ...]:
     """Backends that can actually run on this machine (no fallbacks).
 
-    The always-available trio plus whichever optional GPU backends have
-    their dependency installed.  The equivalence test suites parameterize
+    The always-available trio plus whichever optional backends have their
+    dependency installed.  The equivalence test suites parameterize
     over exactly this list.
     """
     names = ["numpy", "numpy32", "python"]
@@ -140,7 +133,7 @@ def get_backend(name: str | None = None) -> ArrayBackend:
     Args:
         name: Backend name, or None to consult ``REPRO_BACKEND`` (falling
             back to ``numpy``).  The special name ``auto`` picks the first
-            importable of ``cupy``, ``torch``, ``numpy``.
+            importable of ``torch``, ``numpy``.
 
     Returns:
         The (cached) backend instance.  A *known but unimportable* optional

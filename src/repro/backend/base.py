@@ -40,8 +40,8 @@ class ArrayBackend:
     Subclasses set :attr:`name`, :attr:`compute_dtype` and
     :attr:`tolerance`, and implement the small functional op set below.
     Arrays handled by these ops are *backend-native* (numpy arrays, torch
-    tensors, cupy arrays, or the pure-python reference's ``PyArray``);
-    conversion happens only in :meth:`asarray` / :meth:`to_numpy`.
+    tensors, or the pure-python reference's ``PyArray``); conversion happens
+    only in :meth:`asarray` / :meth:`to_numpy`.
 
     Attributes:
         name: Registry name (``"numpy"``, ``"torch"``, ...).

@@ -2,7 +2,7 @@
 
 This backend implements the generic hot-path op set with plain Python lists
 and ``math`` -- no numpy inside the ops.  It is deliberately slow and exists
-for one reason: CI determinism checks.  The torch/cupy backends run the same
+for one reason: CI determinism checks.  The torch backend runs the same
 *generic* code path in the hot functions, so pinning the pure-python backend
 to the numpy replay (float64, ~1e-9 -- only summation-order rounding differs)
 proves that code path is correct on machines with no GPU and no optional

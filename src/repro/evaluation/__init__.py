@@ -1,4 +1,9 @@
-"""Evaluation harness: metrics, scheme runner, timing, and report formatting."""
+"""Evaluation harness: the replay engine, metrics, timing, and report formatting.
+
+Experiment protocols (scheme comparison, fluctuation, drift, failures) are
+declared as :class:`repro.study.Study` specs; this package is the replay
+kernel they run on.
+"""
 
 from repro.evaluation.metrics import (
     MLUStatistics,
@@ -6,17 +11,12 @@ from repro.evaluation.metrics import (
     normalized_mlu_statistics,
     severe_congestion_fraction,
 )
-from repro.evaluation.engine import EvaluationEngine, build_history_windows, iter_window_chunks
-from repro.evaluation.runner import (
+from repro.evaluation.engine import (
+    EvaluationEngine,
     EvaluationResult,
-    compute_optimal_mlus,
+    build_history_windows,
     default_engine,
-    evaluate_scheme,
-    evaluate_scheme_streaming,
-    compare_schemes,
-    fluctuation_experiment,
-    drift_experiment,
-    failure_experiment,
+    iter_window_chunks,
 )
 from repro.evaluation.timing import SchemeTiming, measure_scheme_timing
 from repro.evaluation import reporting
@@ -31,13 +31,6 @@ __all__ = [
     "iter_window_chunks",
     "default_engine",
     "EvaluationResult",
-    "compute_optimal_mlus",
-    "evaluate_scheme",
-    "evaluate_scheme_streaming",
-    "compare_schemes",
-    "fluctuation_experiment",
-    "drift_experiment",
-    "failure_experiment",
     "SchemeTiming",
     "measure_scheme_timing",
     "reporting",

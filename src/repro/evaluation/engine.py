@@ -42,7 +42,7 @@ import numpy as np
 from repro.backend import ArrayBackend, resolve_backend, use_backend
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
-from repro.solvers.lp import OptimalMLUCache, resolve_lp_workers
+from repro.solvers.lp import OptimalMLUCache, resolve_lp_workers, shared_cache
 from repro.solvers.lp_backend import LPBackend, resolve_lp_backend
 from repro.te.failures import (
     reroute_ratios_around_failures,
@@ -51,12 +51,12 @@ from repro.te.failures import (
 from repro.te.mlu import max_link_utilization
 from repro.te.scheme import TEScheme
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSequence
-from repro.traffic.perturb import gaussian_fluctuation, reverse_rank_fluctuation
 from repro.traffic.windows import build_history_windows, iter_window_chunks
 
 __all__ = [
     "EvaluationResult",
     "EvaluationEngine",
+    "default_engine",
     "build_history_windows",
     "iter_window_chunks",
 ]
@@ -172,8 +172,9 @@ class EvaluationEngine:
             test_sequence: The test portion of the trace.
             history_len: Number of recent demand vectors per window.
             optimal_mlus: Optional pre-computed omniscient MLUs (one per
-                interval of the *full* test sequence, like the seed runner
-                expected) -- when omitted they come from the shared cache.
+                interval of the *full* test sequence; the first
+                ``history_len`` entries are never read) -- when omitted they
+                come from the engine's cache.
             oracle_demand: If True the scheme is handed the *true* next
                 demand as the most recent history row (the Omniscient
                 benchmark).
@@ -299,7 +300,8 @@ class EvaluationEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Experiments (Section 5 protocols)
+    # Failure replay (Section 4.5; the other Section 5 protocols are
+    # compositions of evaluate_scheme and live in repro.study.Study)
     # ------------------------------------------------------------------ #
     @staticmethod
     def _require_shared_path_set(schemes: list[TEScheme]) -> PathSet:
@@ -318,103 +320,6 @@ class EvaluationEngine:
                     f"({path_set!r})"
                 )
         return path_set
-
-    def compare_schemes(
-        self,
-        schemes: list[TEScheme],
-        train_sequence: TrafficMatrixSequence,
-        test_sequence: TrafficMatrixSequence,
-        history_len: int,
-        precompute: bool = True,
-    ) -> dict[str, EvaluationResult]:
-        """Train (precompute) every scheme and replay all on the same trace.
-
-        The omniscient-optimal normalisers are computed once (through the
-        shared cache) and reused by every scheme.
-
-        Raises:
-            ValueError: If the schemes do not all share one :class:`PathSet`.
-        """
-        path_set = self._require_shared_path_set(schemes)
-        flat_test = test_sequence.flat_demands()
-        if len(flat_test) <= history_len:
-            raise ValueError("test sequence is shorter than the history window")
-        # The first ``history_len`` intervals are only ever history, never
-        # normalisation targets, so their LPs are not solved; the NaN head
-        # merely keeps the seed's full-trace indexing convention.
-        tail = self.optimal_mlus(path_set, flat_test[history_len:])
-        optimal = np.concatenate([np.full(history_len, np.nan), tail])
-        results: dict[str, EvaluationResult] = {}
-        for scheme in schemes:
-            if precompute:
-                scheme.precompute(train_sequence)
-            results[scheme.name] = self.evaluate_scheme(
-                scheme, test_sequence, history_len, optimal_mlus=optimal
-            )
-        return results
-
-    def fluctuation_experiment(
-        self,
-        scheme: TEScheme,
-        test_sequence: TrafficMatrixSequence,
-        train_sequence: TrafficMatrixSequence,
-        history_len: int,
-        alphas: tuple[float, ...] = (0.2, 0.5, 1.0, 2.0),
-        worst_case: bool = False,
-        seed: int = 0,
-    ) -> dict[float, dict[str, float]]:
-        """Performance decline under injected fluctuations (Tables 3 and 5).
-
-        See :func:`repro.evaluation.runner.fluctuation_experiment` for the
-        argument semantics; this version reuses cached normalisers for the
-        unperturbed baseline replay.
-        """
-        reference_std = train_sequence.pair_std()
-        baseline = self.evaluate_scheme(scheme, test_sequence, history_len)
-        base_stats = baseline.statistics
-        perturbation = reverse_rank_fluctuation if worst_case else gaussian_fluctuation
-        outcome: dict[float, dict[str, float]] = {}
-        for alpha in alphas:
-            perturbed = perturbation(test_sequence, alpha, reference_std, seed=seed)
-            stats = self.evaluate_scheme(scheme, perturbed, history_len).statistics
-            outcome[alpha] = {
-                "average_decline": stats.mean / base_stats.mean - 1.0,
-                "p90_decline": stats.p90 / base_stats.p90 - 1.0,
-            }
-        return outcome
-
-    def drift_experiment(
-        self,
-        scheme_factory,
-        traffic: TrafficMatrixSequence,
-        history_len: int,
-        segments: tuple[tuple[float, float], ...] = (
-            (0.0, 0.25),
-            (0.25, 0.5),
-            (0.5, 0.75),
-        ),
-    ) -> dict[str, dict[str, float]]:
-        """Natural-drift experiment (Table 4).
-
-        Every per-segment replay runs on the same final-25% test slice, so
-        after the baseline replay the normalisers are pure cache hits.
-        """
-        test = traffic.segment(0.75, 1.0)
-        baseline_scheme = scheme_factory()
-        baseline_scheme.precompute(traffic.segment(0.0, 0.75))
-        baseline = self.evaluate_scheme(baseline_scheme, test, history_len).statistics
-
-        outcome: dict[str, dict[str, float]] = {}
-        for start, end in segments:
-            scheme = scheme_factory()
-            scheme.precompute(traffic.segment(start, end))
-            stats = self.evaluate_scheme(scheme, test, history_len).statistics
-            label = f"{int(start * 100)}%-{int(end * 100)}%"
-            outcome[label] = {
-                "average_decline": stats.mean / baseline.mean - 1.0,
-                "p90_decline": stats.p90 / baseline.p90 - 1.0,
-            }
-        return outcome
 
     def failure_experiment(
         self,
@@ -437,11 +342,31 @@ class EvaluationEngine:
         deterministic functions of their history window (all bundled schemes
         are).
 
+        Schemes named in ``fault_aware_names`` are told each trial's failed
+        links through ``set_failures`` and their output is used as is; every
+        other scheme's pre-failure configuration is rerouted around the
+        failures (Section 4.5).  MLUs are normalised by an oracle that knows
+        both the demand and the failures, so every value is ``>= 1``.
+
         Returns:
             Mapping from scheme name to an array of normalised MLUs (one
             entry per trial x evaluated interval).
+
+        Raises:
+            ValueError: If the schemes do not share one path set, or a scheme
+                named in ``fault_aware_names`` has no ``set_failures`` -- it
+                would skip rerouting without ever learning of the failures
+                and keep sending traffic over dead links.
         """
         path_set = self._require_shared_path_set(schemes)
+        fault_aware = [scheme for scheme in schemes if scheme.name in fault_aware_names]
+        for scheme in fault_aware:
+            if not hasattr(scheme, "set_failures"):
+                raise ValueError(
+                    f"scheme {scheme.name!r} is listed in fault_aware_names but "
+                    "has no set_failures(); only schemes that can be told the "
+                    "failed links may skip rerouting"
+                )
         topology = path_set.topology
         flat = test_sequence.flat_demands()
         windows, targets = build_history_windows(flat, history_len)
@@ -452,9 +377,8 @@ class EvaluationEngine:
         for _ in range(num_trials):
             failed = sample_failed_links(topology, num_failures, rng)
             working_mask = path_set.restrict_to_working_paths(failed)
-            for scheme in schemes:
-                if scheme.name in fault_aware_names and hasattr(scheme, "set_failures"):
-                    scheme.set_failures(failed)
+            for scheme in fault_aware:
+                scheme.set_failures(failed)
             oracle = self.optimal_mlus(path_set, targets, path_mask=working_mask)
             oracle = np.maximum(oracle, NORMALIZER_FLOOR)
             with use_backend(self.backend):
@@ -482,3 +406,13 @@ class EvaluationEngine:
             name: np.concatenate(values) if values else np.array([])
             for name, values in results.items()
         }
+
+
+#: Process-wide engine, built on the process-wide LP-result cache -- the same
+#: cache the trainers populate, so train + eval never solve one LP twice.
+_DEFAULT_ENGINE = EvaluationEngine(cache=shared_cache())
+
+
+def default_engine() -> EvaluationEngine:
+    """The process-wide engine (and its shared optimal-MLU cache)."""
+    return _DEFAULT_ENGINE

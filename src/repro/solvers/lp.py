@@ -1007,7 +1007,7 @@ class OmniscientTE(TEScheme):
         super().__init__(path_set, name="Omniscient")
 
     def configure(self, history: np.ndarray) -> TEConfiguration:
-        # Called with the *true* demand as the last history row by the runner.
+        # Replayed with oracle_demand=True: the last history row is the *true* demand.
         config, _ = solve_mlu_lp(self.path_set, np.asarray(history)[-1])
         return config
 

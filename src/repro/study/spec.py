@@ -335,12 +335,13 @@ def _build_cope(path_set, *, cache=None, lp_workers=None, **params):
 # --------------------------------------------------------------------------- #
 @dataclass
 class InlineScenario:
-    """Live-object scenario context (the legacy facades' calling convention).
+    """Live-object scenario context, for cells no registered scenario describes.
 
-    Carries pre-split sequences instead of a registered scenario, so the
-    :mod:`repro.evaluation.runner` facades can route through the study
-    executor without re-deriving splits.  Not JSON-reproducible: result
-    provenance records it as ``{"inline": name}``.
+    Carries an already-built path set and pre-split sequences -- a custom
+    candidate-path selection (Racke paths on a bundled topology), a
+    hand-made trace -- so such cells still run through the study executor.
+    Not JSON-reproducible: result provenance records it as
+    ``{"inline": name}``.
     """
 
     paths: PathSet | None = None

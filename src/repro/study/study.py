@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.datasets import registry as datasets_registry
 from repro.datasets.registry import Scenario
-from repro.evaluation.engine import EvaluationEngine, EvaluationResult
+from repro.evaluation.engine import EvaluationEngine, EvaluationResult, default_engine
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
 from repro.solvers.lp import (
@@ -809,8 +809,6 @@ class Study:
         if engine is not None:
             return engine
         if backend is None and lp_workers is None and lp_backend is None:
-            from repro.evaluation.runner import default_engine
-
             return default_engine()
         return EvaluationEngine(
             cache=shared_cache(),
@@ -1112,9 +1110,18 @@ class Study:
                 "failure cells replay through the batched failure protocol; the "
                 "streaming and oracle_demand knobs do not apply to them"
             )
+        can_be_told = hasattr(scheme, "set_failures")
         fault_aware = perturbation["fault_aware"]
         if fault_aware is None:
-            fault_aware = hasattr(scheme, "set_failures")
+            fault_aware = can_be_told
+        elif fault_aware and not can_be_told:
+            kind = cell.scheme["kind"] if isinstance(cell.scheme, Mapping) else scheme.name
+            raise ValueError(
+                f"failure cell sets \"fault_aware\": true on scheme {kind!r}, which "
+                "has no set_failures() to be told the failed links through; drop "
+                "fault_aware (or set it to false) so its configuration is "
+                "rerouted around the failures instead"
+            )
         names = (scheme.name,) if fault_aware else ()
         try:
             series = engine.failure_experiment(
@@ -1130,7 +1137,7 @@ class Study:
             # The failure protocol mutates fault-aware schemes (set_failures
             # per trial); clear the last trial's failures so other cells
             # reusing this cached scheme replay an intact network.
-            if fault_aware and hasattr(scheme, "set_failures"):
+            if fault_aware:
                 scheme.set_failures(set())
         metrics = dict(vars(normalized_mlu_statistics(series)))
         return self._record(

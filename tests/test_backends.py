@@ -46,9 +46,7 @@ HISTORY = 4
 
 LOCAL_BACKENDS = importable_backends()
 MISSING_OPTIONAL = [
-    name
-    for name in ("torch", "cupy")
-    if importlib.util.find_spec(name) is None
+    name for name in ("torch",) if importlib.util.find_spec(name) is None
 ]
 
 

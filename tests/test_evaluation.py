@@ -1,4 +1,4 @@
-"""Unit tests for the evaluation harness (metrics, runner, timing, reporting)."""
+"""Unit tests for the evaluation harness (metrics, replay protocols, timing, reporting)."""
 
 from __future__ import annotations
 
@@ -12,16 +12,10 @@ from repro.evaluation.metrics import (
     severe_congestion_fraction,
 )
 from repro.evaluation.reporting import format_mlu_comparison, format_series, format_table
-from repro.evaluation.runner import (
-    compare_schemes,
-    compute_optimal_mlus,
-    drift_experiment,
-    evaluate_scheme,
-    failure_experiment,
-    fluctuation_experiment,
-)
+from repro.evaluation.engine import EvaluationEngine
 from repro.evaluation.timing import measure_scheme_timing
-from repro.solvers import DesensitizationTE, OmniscientTE, PredictionBasedTE
+from repro.solvers import OmniscientTE, PredictionBasedTE
+from repro.study import InlineScenario, Study, sweep
 
 
 class TestMetrics:
@@ -84,79 +78,121 @@ class TestMeanConfidenceInterval:
 
 
 class TestRunner:
+    """The Section 5 protocols: engine replays, and Study cells on the mesh."""
+
+    @staticmethod
+    def _run(paths, traffic, schemes, perturbations=({"kind": "none"},), test_len=16):
+        """Untrained scheme specs x perturbations on the mesh's 70/30 split."""
+        train, test = traffic.split(0.7)
+        scenario = InlineScenario(
+            paths=paths, train=train, test=test[:test_len], history_len=4, name="mesh4"
+        )
+        return Study(
+            {
+                "scenario": scenario,
+                "scheme": sweep(*schemes),
+                "perturbation": sweep(*perturbations),
+                "train": False,
+            }
+        ).run(engine=EvaluationEngine())
+
     def test_omniscient_normalized_mlu_is_one(self, mesh4_paths, mesh4_traffic):
         scheme = OmniscientTE(mesh4_paths)
-        result = evaluate_scheme(scheme, mesh4_traffic[:20], history_len=4, oracle_demand=True)
+        result = EvaluationEngine().evaluate_scheme(
+            scheme, mesh4_traffic[:20], history_len=4, oracle_demand=True
+        )
         np.testing.assert_allclose(result.normalized_mlus, 1.0, atol=1e-5)
 
     def test_normalization_uses_optimal(self, mesh4_paths, mesh4_traffic):
         test = mesh4_traffic[:20]
-        optimal = compute_optimal_mlus(mesh4_paths, test.flat_demands())
+        engine = EvaluationEngine()
+        optimal = engine.optimal_mlus(mesh4_paths, test.flat_demands())
         scheme = PredictionBasedTE(mesh4_paths)
-        result = evaluate_scheme(scheme, test, history_len=4, optimal_mlus=optimal)
+        result = engine.evaluate_scheme(scheme, test, history_len=4, optimal_mlus=optimal)
         np.testing.assert_allclose(result.raw_mlus / result.optimal_mlus, result.normalized_mlus)
         assert (result.normalized_mlus >= 1.0 - 1e-6).all()
 
     def test_too_short_sequence_rejected(self, mesh4_paths, mesh4_traffic):
         with pytest.raises(ValueError):
-            evaluate_scheme(PredictionBasedTE(mesh4_paths), mesh4_traffic[:3], history_len=5)
+            EvaluationEngine().evaluate_scheme(
+                PredictionBasedTE(mesh4_paths), mesh4_traffic[:3], history_len=5
+            )
+        # The same trace as a study cell's test split: rejected, not truncated.
+        with pytest.raises(ValueError):
+            self._run(mesh4_paths, mesh4_traffic, [{"kind": "pred_te"}], test_len=3)
 
     def test_compare_schemes_shares_normalisation(self, mesh4_paths, mesh4_traffic):
-        train, test = mesh4_traffic.split(0.7)
-        schemes = [PredictionBasedTE(mesh4_paths), DesensitizationTE(mesh4_paths)]
-        results = compare_schemes(schemes, train, test[:16], history_len=4)
-        assert set(results) == {"Pred TE (last)", "Des TE"}
-        np.testing.assert_allclose(
-            results["Pred TE (last)"].optimal_mlus, results["Des TE"].optimal_mlus
+        results = self._run(
+            mesh4_paths, mesh4_traffic, [{"kind": "pred_te"}, {"kind": "des_te"}]
+        )
+        assert [record.scheme for record in results] == ["Pred TE (last)", "Des TE"]
+        np.testing.assert_array_equal(
+            results[0].result.optimal_mlus, results[1].result.optimal_mlus
         )
 
     def test_fluctuation_experiment_structure(self, mesh4_paths, mesh4_traffic):
-        train, test = mesh4_traffic.split(0.7)
-        scheme = DesensitizationTE(mesh4_paths)
-        outcome = fluctuation_experiment(
-            scheme, test[:16], train, history_len=4, alphas=(0.5, 2.0), seed=1
+        alphas = (0.5, 2.0)
+        results = self._run(
+            mesh4_paths, mesh4_traffic, [{"kind": "des_te"}],
+            [{"kind": "fluctuation", "alpha": alpha, "seed": 1} for alpha in alphas],
         )
-        assert set(outcome) == {0.5, 2.0}
-        for entry in outcome.values():
-            assert set(entry) == {"average_decline", "p90_decline"}
+        assert [record.spec["perturbation"]["alpha"] for record in results] == list(alphas)
+        for record in results:
+            assert record.experiment == "fluctuation"
+            assert {"average_decline", "p90_decline"} <= set(record.metrics)
 
     def test_larger_fluctuations_cause_larger_decline(self, mesh4_paths, mesh4_traffic):
-        train, test = mesh4_traffic.split(0.7)
-        scheme = PredictionBasedTE(mesh4_paths)
-        outcome = fluctuation_experiment(
-            scheme, test[:16], train, history_len=4, alphas=(0.2, 2.0), seed=3
+        small, large = self._run(
+            mesh4_paths, mesh4_traffic, [{"kind": "pred_te"}],
+            [{"kind": "fluctuation", "alpha": alpha, "seed": 3} for alpha in (0.2, 2.0)],
         )
-        assert outcome[2.0]["average_decline"] >= outcome[0.2]["average_decline"] - 0.02
+        assert large.metrics["average_decline"] >= small.metrics["average_decline"] - 0.02
 
     def test_worst_case_fluctuation_at_least_as_bad(self, mesh4_paths, mesh4_traffic):
-        train, test = mesh4_traffic.split(0.7)
-        scheme = PredictionBasedTE(mesh4_paths)
-        natural = fluctuation_experiment(scheme, test[:16], train, 4, alphas=(1.0,), seed=5)
-        worst = fluctuation_experiment(scheme, test[:16], train, 4, alphas=(1.0,), worst_case=True, seed=5)
+        natural, worst = self._run(
+            mesh4_paths, mesh4_traffic, [{"kind": "pred_te"}],
+            [
+                {"kind": "fluctuation", "alpha": 1.0, "seed": 5, "worst_case": worst_case}
+                for worst_case in (False, True)
+            ],
+        )
         # Not strictly guaranteed sample-by-sample, but the adversarial
         # reassignment should not make things dramatically easier.
-        assert worst[1.0]["average_decline"] >= natural[1.0]["average_decline"] - 0.1
+        assert worst.metrics["average_decline"] >= natural.metrics["average_decline"] - 0.1
 
     def test_drift_experiment_structure(self, mesh4_paths, mesh4_traffic):
-        def factory():
-            return DesensitizationTE(mesh4_paths)
-
-        outcome = drift_experiment(factory, mesh4_traffic, history_len=4,
-                                   segments=((0.0, 0.25), (0.5, 0.75)))
-        assert set(outcome) == {"0%-25%", "50%-75%"}
+        segments = [[0.0, 0.25], [0.5, 0.75]]
+        scenario = InlineScenario(
+            paths=mesh4_paths, traffic=mesh4_traffic, history_len=4, name="mesh4"
+        )
+        results = Study(
+            {
+                "scenario": scenario,
+                "scheme": {"kind": "des_te"},
+                "perturbation": sweep(
+                    *[{"kind": "drift", "train_segment": segment} for segment in segments]
+                ),
+            }
+        ).run(engine=EvaluationEngine())
+        assert [record.spec["perturbation"]["train_segment"] for record in results] == segments
+        for record in results:
+            assert record.experiment == "drift"
+            assert {"average_decline", "p90_decline"} <= set(record.metrics)
 
     def test_failure_experiment_fault_aware_wins(self, mesh4_paths, mesh4_traffic):
-        from repro.solvers import FaultAwareDesensitizationTE
-
-        train, test = mesh4_traffic.split(0.7)
-        des = DesensitizationTE(mesh4_paths)
-        fa = FaultAwareDesensitizationTE(mesh4_paths)
-        results = failure_experiment(
-            [des, fa], test[:8], history_len=4, num_failures=1, num_trials=2, seed=0
+        # test_len=8 with history_len=4: four evaluated intervals per trial.
+        results = self._run(
+            mesh4_paths, mesh4_traffic, [{"kind": "des_te"}, {"kind": "fa_des_te"}],
+            [{"kind": "failure", "num_failures": 1, "num_trials": 2, "seed": 0}],
+            test_len=8,
         )
-        assert set(results) == {"Des TE", "FA Des TE"}
-        assert results["FA Des TE"].mean() <= results["Des TE"].mean() + 0.15
-        assert (results["FA Des TE"] >= 1.0 - 1e-6).all()
+        series = {record.scheme: record.series for record in results}
+        assert set(series) == {"Des TE", "FA Des TE"}
+        assert series["FA Des TE"].mean() <= series["Des TE"].mean() + 0.15
+        # The oracle knows the failures: no scheme, told of them or rerouted
+        # around them, can beat it.
+        for values in series.values():
+            assert (values >= 1.0 - 1e-6).all()
 
 
 class TestTiming:

@@ -15,7 +15,6 @@ from repro.backend import get_backend, importable_backends, use_backend
 from repro.core import Dote, Figret, RetrainingPolicy, RetrainingScheme, TealLike, TrainingConfig
 from repro.core.trainer import build_windows, fit_history_window
 from repro.evaluation.engine import EvaluationEngine, build_history_windows
-from repro.evaluation.runner import compare_schemes, evaluate_scheme
 from repro.solvers import (
     DesensitizationTE,
     OmniscientTE,
@@ -25,6 +24,7 @@ from repro.solvers import (
     solve_mlu_lp,
     solve_mlu_lp_batch,
 )
+from repro.study import InlineScenario, Study, sweep
 from repro.te.config import TEConfiguration
 from repro.te.failures import (
     reroute_around_failures,
@@ -213,8 +213,8 @@ class TestEvaluateSchemeEquivalence:
     def test_lp_scheme_matches_sequential(self, mesh4_paths, mesh4_traffic, oracle_demand):
         test = mesh4_traffic[:14]
         scheme = OmniscientTE(mesh4_paths) if oracle_demand else PredictionBasedTE(mesh4_paths)
-        result = evaluate_scheme(
-            scheme, test, HISTORY, oracle_demand=oracle_demand, engine=EvaluationEngine()
+        result = EvaluationEngine().evaluate_scheme(
+            scheme, test, HISTORY, oracle_demand=oracle_demand
         )
         raw, optimal, normalized = _sequential_replay(
             scheme, test, HISTORY, oracle_demand=oracle_demand
@@ -226,7 +226,7 @@ class TestEvaluateSchemeEquivalence:
     def test_neural_schemes_match_sequential(self, trained_neural_schemes, mesh4_traffic):
         test = mesh4_traffic[:14]
         for scheme in trained_neural_schemes:
-            result = evaluate_scheme(scheme, test, HISTORY, engine=EvaluationEngine())
+            result = EvaluationEngine().evaluate_scheme(scheme, test, HISTORY)
             raw, optimal, normalized = _sequential_replay(scheme, test, HISTORY)
             np.testing.assert_allclose(result.raw_mlus, raw, atol=TOL)
             np.testing.assert_allclose(result.normalized_mlus, normalized, atol=TOL)
@@ -237,8 +237,8 @@ class TestEvaluateSchemeEquivalence:
         matrices.append(np.zeros((4, 4)))  # an all-zero demand interval
         matrices.extend(rng.random((4, 4)) for _ in range(2))
         sequence = TrafficMatrixSequence([TrafficMatrix(m) for m in matrices])
-        result = evaluate_scheme(
-            PredictionBasedTE(mesh4_paths), sequence, HISTORY, engine=EvaluationEngine()
+        result = EvaluationEngine().evaluate_scheme(
+            PredictionBasedTE(mesh4_paths), sequence, HISTORY
         )
         assert np.isfinite(result.normalized_mlus).all()
 
@@ -246,32 +246,50 @@ class TestEvaluateSchemeEquivalence:
         test = mesh4_traffic[:10]
         # A zero normaliser row used to divide by zero; now it is floored.
         optimal = np.zeros(len(test))
-        result = evaluate_scheme(
-            PredictionBasedTE(mesh4_paths),
-            test,
-            HISTORY,
-            optimal_mlus=optimal,
-            engine=EvaluationEngine(),
+        result = EvaluationEngine().evaluate_scheme(
+            PredictionBasedTE(mesh4_paths), test, HISTORY, optimal_mlus=optimal
         )
         assert np.isfinite(result.normalized_mlus).all()
 
 
 class TestCompareSchemes:
+    """Schemes compared under one normaliser must share one path set.
+
+    Pinned at both places that put several schemes under one normaliser: the
+    engine's multi-scheme failure replay and a study scenario's scheme axis.
+    """
+
+    @staticmethod
+    def _scheme_axis(paths, traffic, schemes):
+        train, test = traffic.split(0.7)
+        scenario = InlineScenario(
+            paths=paths, train=train, test=test[:12], history_len=HISTORY, name="mesh4"
+        )
+        return Study({"scenario": scenario, "scheme": sweep(*schemes)}).run(
+            engine=EvaluationEngine()
+        )
+
     def test_mismatched_path_sets_rejected(self, mesh4_paths, triangle_paths, mesh4_traffic):
-        train, test = mesh4_traffic.split(0.7)
         schemes = [PredictionBasedTE(mesh4_paths), PredictionBasedTE(triangle_paths)]
         with pytest.raises(ValueError, match="share one PathSet"):
-            compare_schemes(schemes, train, test[:12], HISTORY, engine=EvaluationEngine())
+            EvaluationEngine().failure_experiment(
+                schemes, mesh4_traffic[:12], HISTORY, num_failures=1, num_trials=1
+            )
+        with pytest.raises(ValueError, match="share its PathSet"):
+            self._scheme_axis(mesh4_paths, mesh4_traffic, schemes)
 
     def test_structurally_equal_path_sets_accepted(self, mesh4_topology, mesh4_traffic):
         from repro.paths.ksp import build_ksp_path_set
 
-        train, test = mesh4_traffic.split(0.7)
         paths_a = build_ksp_path_set(mesh4_topology, k=3)
         paths_b = build_ksp_path_set(mesh4_topology, k=3)
         schemes = [PredictionBasedTE(paths_a), DesensitizationTE(paths_b)]
-        results = compare_schemes(schemes, train, test[:12], HISTORY, engine=EvaluationEngine())
-        assert set(results) == {"Pred TE (last)", "Des TE"}
+        failures = EvaluationEngine().failure_experiment(
+            schemes, mesh4_traffic[:12], HISTORY, num_failures=1, num_trials=1
+        )
+        assert set(failures) == {"Pred TE (last)", "Des TE"}
+        results = self._scheme_axis(paths_a, mesh4_traffic, schemes)
+        assert [record.scheme for record in results] == ["Pred TE (last)", "Des TE"]
 
 
 class TestOptimalMLUCache:

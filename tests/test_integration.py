@@ -7,18 +7,16 @@ numbers: who wins, and in which regime.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import datasets
-from repro.core import Dote, Figret, TealLike, TrainingConfig
-from repro.evaluation import compare_schemes, evaluate_scheme, failure_experiment
-from repro.solvers import (
-    DesensitizationTE,
-    FaultAwareDesensitizationTE,
-    OmniscientTE,
-    PredictionBasedTE,
-)
+from repro.core import Figret, TrainingConfig
+from repro.evaluation import default_engine
+from repro.solvers import OmniscientTE, PredictionBasedTE
+from repro.study import Study, sweep
 from repro.te.failures import reroute_around_failures, sample_failed_links
 from repro.te.mlu import max_link_utilization
 
@@ -31,6 +29,8 @@ FAST = TrainingConfig(
     normalize_by_optimal=True,
     seed=0,
 )
+#: FAST as the parameters of a declarative neural-scheme spec.
+FAST_SPEC = dataclasses.asdict(FAST)
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +40,19 @@ def pod_scenario():
 
 @pytest.fixture(scope="module")
 def pod_results(pod_scenario):
-    train, test = pod_scenario.split()
-    schemes = [
-        Figret(pod_scenario.paths, FAST),
-        Dote(pod_scenario.paths, FAST),
-        DesensitizationTE(pod_scenario.paths),
-        PredictionBasedTE(pod_scenario.paths),
-    ]
-    return compare_schemes(schemes, train, test, FAST.history_len)
+    results = Study(
+        {
+            "scenario": pod_scenario,
+            "scheme": sweep(
+                {"kind": "figret", **FAST_SPEC},
+                {"kind": "dote", **FAST_SPEC},
+                {"kind": "des_te"},
+                {"kind": "pred_te"},
+            ),
+            "history_len": FAST.history_len,
+        }
+    ).run()
+    return {record.scheme: record.result for record in results}
 
 
 class TestMainComparison:
@@ -72,7 +77,7 @@ class TestMainComparison:
 
     def test_omniscient_is_exactly_one(self, pod_scenario):
         _, test = pod_scenario.split()
-        result = evaluate_scheme(
+        result = default_engine().evaluate_scheme(
             OmniscientTE(pod_scenario.paths), test[:12], history_len=4, oracle_demand=True
         )
         np.testing.assert_allclose(result.normalized_mlus, 1.0, atol=1e-5)
@@ -80,17 +85,21 @@ class TestMainComparison:
 
 class TestTealLikeBaseline:
     def test_teal_like_trains_and_cannot_reach_the_optimum(self, pod_scenario):
-        train, test = pod_scenario.split()
-        teal = TealLike(pod_scenario.paths, FAST)
-        dote = Dote(pod_scenario.paths, FAST)
-        results = compare_schemes([teal, dote], train, test, FAST.history_len)
-        teal_stats = results["TEAL-like"].statistics
+        teal = Study(
+            {
+                "scenario": pod_scenario,
+                "scheme": {"kind": "teal", **FAST_SPEC},
+                "history_len": FAST.history_len,
+            }
+        ).run()[0]
+        assert teal.scheme == "TEAL-like"
+        teal_stats = teal.statistics
         # TEAL-like optimises for the stale previous demand, so on bursty
         # traffic it stays measurably away from the omniscient optimum and in
         # the same ballpark as the other learned schemes.
         assert teal_stats.mean > 1.02
         assert teal_stats.mean < 3.0
-        assert (results["TEAL-like"].normalized_mlus >= 1.0 - 1e-6).all()
+        assert (teal.series >= 1.0 - 1e-6).all()
 
 
 class TestFailureHandling:
@@ -108,13 +117,20 @@ class TestFailureHandling:
         assert np.isfinite(mlu) and mlu > 0
 
     def test_failure_experiment_runs_all_schemes(self, pod_scenario):
-        train, test = pod_scenario.split()
-        des = DesensitizationTE(pod_scenario.paths)
-        fa_des = FaultAwareDesensitizationTE(pod_scenario.paths)
-        results = failure_experiment(
-            [des, fa_des], test[:10], history_len=4, num_failures=1, num_trials=2, seed=1
-        )
-        assert {name: len(series) for name, series in results.items()} == {
+        # history_len 4 + max_intervals 6 = the first 10 test intervals,
+        # six evaluated per trial.
+        results = Study(
+            {
+                "scenario": pod_scenario,
+                "scheme": sweep({"kind": "des_te"}, {"kind": "fa_des_te"}),
+                "perturbation": {"kind": "failure", "num_failures": 1, "num_trials": 2,
+                                 "seed": 1},
+                "train": False,
+                "history_len": 4,
+                "max_intervals": 6,
+            }
+        ).run()
+        assert {record.scheme: len(record.series) for record in results} == {
             "Des TE": 12,
             "FA Des TE": 12,
         }
@@ -125,6 +141,6 @@ class TestStableTrafficRegime:
         scenario = datasets.load("uscarrier_small", seed=1, num_intervals=40)
         train, test = scenario.split()
         scheme = PredictionBasedTE(scenario.paths)
-        result = evaluate_scheme(scheme, test, history_len=4)
+        result = default_engine().evaluate_scheme(scheme, test, history_len=4)
         # Figure 5(d): with stable gravity traffic every scheme is near 1.
         assert result.statistics.mean < 1.1

@@ -20,7 +20,9 @@ from repro.datasets import (
     register_scenario,
     unregister_scenario,
 )
+from repro.core import Figret, TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
+from repro.solvers import DesensitizationTE, FaultAwareDesensitizationTE, PredictionBasedTE
 from repro.solvers.lp import OptimalMLUCache, count_lp_solves
 from repro.study import (
     ExperimentSpec,
@@ -33,6 +35,7 @@ from repro.study import (
     sweep,
 )
 from repro.study.__main__ import main as study_cli
+from repro.traffic.perturb import gaussian_fluctuation, reverse_rank_fluctuation
 
 
 # --------------------------------------------------------------------------- #
@@ -345,6 +348,164 @@ class TestAcceptanceGrid:
 
 
 # --------------------------------------------------------------------------- #
+# Experiment semantics: every cell kind == the engine calls it stands for
+# --------------------------------------------------------------------------- #
+class TestCellsMatchEngineCalls:
+    """Declarative cells against the protocols written out by hand.
+
+    ``Study`` is the only place the Section 5 protocols live, so they are
+    pinned against something that does not go through it: each test builds,
+    trains and perturbs its inputs explicitly, replays them with plain
+    ``EvaluationEngine`` calls, and requires the declarative cell to
+    reproduce the numbers bit for bit (numpy backend).
+    """
+
+    HISTORY = 3
+    REFERENCE = {"name": SCENARIO_NAMES[0], "seed": 2}
+
+    @pytest.fixture()
+    def scenario(self, grid_scenarios):
+        return load(grid_scenarios[0], seed=2)
+
+    @staticmethod
+    def _engine() -> EvaluationEngine:
+        return EvaluationEngine(cache=OptimalMLUCache())
+
+    @staticmethod
+    def _figret(scenario, train_sequence) -> Figret:
+        """SCHEME_SPECS[0], constructed and trained without the scheme registry."""
+        params = {key: value for key, value in SCHEME_SPECS[0].items() if key != "kind"}
+        scheme = Figret(scenario.paths, TrainingConfig(**params))
+        scheme.precompute(train_sequence)
+        return scheme
+
+    @staticmethod
+    def _assert_same_replay(record, direct) -> None:
+        np.testing.assert_array_equal(record.series, direct.normalized_mlus)
+        np.testing.assert_array_equal(record.result.raw_mlus, direct.raw_mlus)
+        np.testing.assert_array_equal(record.result.optimal_mlus, direct.optimal_mlus)
+
+    @staticmethod
+    def _assert_same_declines(record, direct, base) -> None:
+        """``direct`` replayed by hand, declines against the ``base`` statistics."""
+        np.testing.assert_array_equal(record.series, direct.normalized_mlus)
+        stats = direct.statistics
+        assert record.metrics["average_decline"] == stats.mean / base.mean - 1.0
+        assert record.metrics["p90_decline"] == stats.p90 / base.p90 - 1.0
+
+    def test_live_scheme_cell_matches_evaluate_scheme(self, scenario):
+        train, test = scenario.split()
+        scheme = self._figret(scenario, train)
+        direct = self._engine().evaluate_scheme(scheme, test, self.HISTORY)
+        record = Study(
+            {"scenario": self.REFERENCE, "scheme": scheme, "train": False}
+        ).run(engine=self._engine())[0]
+        self._assert_same_replay(record, direct)
+
+    def test_scheme_axis_matches_per_scheme_replays(self, scenario):
+        train, test = scenario.split()
+        engine = self._engine()
+        lp_schemes = [DesensitizationTE(scenario.paths), PredictionBasedTE(scenario.paths)]
+        for scheme in lp_schemes:
+            scheme.precompute(train)
+        direct = {
+            scheme.name: engine.evaluate_scheme(scheme, test, self.HISTORY)
+            for scheme in [self._figret(scenario, train), *lp_schemes]
+        }
+
+        declarative = Study(
+            {
+                "scenario": self.REFERENCE,
+                "scheme": sweep(dict(SCHEME_SPECS[0]), {"kind": "des_te"}, {"kind": "pred_te"}),
+            }
+        ).run(engine=self._engine())
+        assert [record.scheme for record in declarative] == list(direct)
+        for record in declarative:
+            self._assert_same_replay(record, direct[record.scheme])
+
+    @pytest.mark.parametrize(
+        "worst_case, alphas, seed",
+        [(False, (0.5, 2.0), 9), (True, (1.0,), 3)],
+        ids=["natural", "worst_case"],
+    )
+    def test_fluctuation_cells_match_engine(self, scenario, worst_case, alphas, seed):
+        train, test = scenario.split()
+        scheme = self._figret(scenario, train)
+        engine = self._engine()
+        reference_std = train.pair_std()
+        base = engine.evaluate_scheme(scheme, test, self.HISTORY).statistics
+        perturb = reverse_rank_fluctuation if worst_case else gaussian_fluctuation
+
+        results = Study(
+            {
+                "scenario": self.REFERENCE,
+                "scheme": dict(SCHEME_SPECS[0]),
+                "perturbation": sweep(
+                    *[
+                        {"kind": "fluctuation", "alpha": alpha, "worst_case": worst_case,
+                         "seed": seed}
+                        for alpha in alphas
+                    ]
+                ),
+            }
+        ).run(engine=self._engine())
+        for alpha, record in zip(alphas, results):
+            perturbed = perturb(test, alpha, reference_std, seed=seed)
+            direct = engine.evaluate_scheme(scheme, perturbed, self.HISTORY)
+            self._assert_same_declines(record, direct, base)
+
+    def test_drift_cells_match_engine(self, scenario):
+        segments = ((0.0, 0.25), (0.25, 0.5))
+        traffic = scenario.traffic
+        engine = self._engine()
+        test = traffic.segment(0.75, 1.0)
+        base = engine.evaluate_scheme(
+            self._figret(scenario, traffic.segment(0.0, 0.75)), test, self.HISTORY
+        ).statistics
+
+        results = Study(
+            {
+                "scenario": self.REFERENCE,
+                "scheme": dict(SCHEME_SPECS[0]),
+                "perturbation": sweep(
+                    *[{"kind": "drift", "train_segment": list(segment)} for segment in segments]
+                ),
+            }
+        ).run(engine=self._engine())
+        for segment, record in zip(segments, results):
+            direct = engine.evaluate_scheme(
+                self._figret(scenario, traffic.segment(*segment)), test, self.HISTORY
+            )
+            self._assert_same_declines(record, direct, base)
+
+    def test_failure_cells_match_engine(self, scenario):
+        _, test = scenario.split()
+        # One multi-scheme call: per-trial failure patterns depend only on
+        # the seed, so per-scheme cells must land on the same trials.
+        direct = self._engine().failure_experiment(
+            [DesensitizationTE(scenario.paths), FaultAwareDesensitizationTE(scenario.paths)],
+            test,
+            self.HISTORY,
+            num_failures=1,
+            num_trials=2,
+            fault_aware_names=("FA Des TE",),
+            seed=42,
+        )
+        results = Study(
+            {
+                "scenario": self.REFERENCE,
+                "scheme": sweep({"kind": "des_te"}, {"kind": "fa_des_te"}),
+                "perturbation": {"kind": "failure", "num_failures": 1, "num_trials": 2,
+                                 "seed": 42},
+                "train": False,
+            }
+        ).run(engine=self._engine())
+        assert [record.scheme for record in results] == list(direct)
+        for record in results:
+            np.testing.assert_array_equal(record.series, direct[record.scheme])
+
+
+# --------------------------------------------------------------------------- #
 # Orchestration behaviour
 # --------------------------------------------------------------------------- #
 class TestStudyBehaviour:
@@ -450,6 +611,35 @@ class TestStudyBehaviour:
             {k: v for k, v in spec.items() if k != "perturbation"}
         ).run(engine=engine).only(experiment="replay")
         np.testing.assert_array_equal(after_failure.series, clean.series)
+
+    def test_fault_aware_needs_set_failures(self):
+        # A scheme that cannot be told the failed links must not skip
+        # rerouting: it would keep routing over dead links and "beat" the
+        # failure oracle (pred_te here came back with every value < 1).
+        def run(fault_aware):
+            return Study(
+                {
+                    "scenario": {"name": "meta_pod_db_small", "seed": 3, "num_intervals": 60},
+                    "scheme": {"kind": "pred_te"},
+                    "perturbation": {"kind": "failure", "num_failures": 2, "num_trials": 4,
+                                     "fault_aware": fault_aware},
+                    "max_intervals": 6,
+                }
+            ).run(engine=EvaluationEngine(cache=OptimalMLUCache()))[0]
+
+        with pytest.raises(ValueError, match="fault_aware.*'pred_te'.*set_failures"):
+            run(True)
+        rerouted = run(None)  # the default: pred_te has no set_failures
+        assert (rerouted.series >= 1.0 - 1e-6).all()
+        np.testing.assert_array_equal(run(False).series, rerouted.series)
+
+        scenario = load("meta_pod_db_small", seed=3, num_intervals=60)
+        scheme = PredictionBasedTE(scenario.paths)
+        with pytest.raises(ValueError, match="'Pred TE \\(last\\)'.*set_failures"):
+            EvaluationEngine().failure_experiment(
+                [scheme], scenario.split()[1], scenario.history_len, num_failures=2,
+                num_trials=1, fault_aware_names=(scheme.name,),
+            )
 
     def test_study_rejects_unknown_spec_type(self):
         with pytest.raises(TypeError, match="Study accepts"):
