@@ -28,7 +28,8 @@ import numpy as np
 from repro.core.config import TrainingConfig
 from repro.core.loss import TELoss
 from repro.core.model import FigretNet
-from repro.nn import Adam, Tensor
+from repro.core.trainer import train_step
+from repro.nn import Adam
 from repro.paths.path_set import PathSet
 from repro.solvers.lp import OptimalMLUCache, shared_cache
 from repro.te.config import TEConfiguration
@@ -100,17 +101,24 @@ class TealLike(TEScheme):
         optimizer = Adam(self._model.parameters(), lr=config.learning_rate)
         rng = np.random.default_rng(config.seed)
         num_samples = scaled.shape[0]
-        for _ in range(config.epochs):
+        for epoch in range(1, config.epochs + 1):
             order = rng.permutation(num_samples)
-            for start in range(0, num_samples, config.batch_size):
+            for step, start in enumerate(range(0, num_samples, config.batch_size), 1):
                 idx = order[start : start + config.batch_size]
-                raw = self._model(Tensor(scaled[idx]))
                 # The defining difference from DOTE: the loss is evaluated on
-                # the *input* demand itself.
-                loss, _ = self._loss(raw, demands[idx], optimal[idx] if optimal is not None else None)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
+                # the *input* demand itself.  No clipping and a constant
+                # learning rate, as TEAL-like has always trained.
+                train_step(
+                    self._model,
+                    self._loss,
+                    optimizer,
+                    scaled[idx],
+                    demands[idx],
+                    optimal[idx] if optimal is not None else None,
+                    gradient_clip=None,
+                    epoch=epoch,
+                    step=step,
+                )
 
     def configure(self, history: np.ndarray) -> TEConfiguration:
         if self._model is None:

@@ -7,6 +7,7 @@ mini-batch Adam updates of a :class:`FigretNet` under a :class:`TELoss`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "TrainingHistory",
     "build_windows",
     "fit_history_window",
+    "train_step",
 ]
 
 
@@ -94,6 +96,45 @@ def fit_history_window(window: np.ndarray, history_len: int) -> np.ndarray:
         )
         return np.concatenate([pad, window], axis=window.ndim - 2)
     return window
+
+
+def train_step(
+    model: FigretNet,
+    loss_fn: TELoss,
+    optimizer: Adam,
+    inputs: np.ndarray,
+    demands: np.ndarray,
+    optimal_mlu: np.ndarray | None,
+    *,
+    gradient_clip: float | None,
+    epoch: int,
+    step: int,
+) -> dict[str, float]:
+    """One optimisation step on one mini-batch; returns the loss components.
+
+    The only copy of the step every learning scheme takes: forward, loss,
+    backward, optional global-norm clipping, optimiser update.  ``epoch`` and
+    ``step`` (both counted from 1) only name the place in the error below.
+
+    Raises:
+        FloatingPointError: The loss is NaN or infinite.  Raised before the
+            optimiser runs: clipping compares ``nan > max_norm`` (False) and
+            Adam would then write NaN into every weight, which surfaces much
+            later as NaN metrics in a stored record, with no error anywhere.
+    """
+    raw_scores = model(Tensor(inputs))
+    loss, components = loss_fn(raw_scores, demands, optimal_mlu)
+    if not math.isfinite(components["total"]):
+        raise FloatingPointError(
+            f"non-finite training loss ({components['total']}) at epoch {epoch}, "
+            f"step {step} (learning rate {optimizer.lr:g}); no update was applied"
+        )
+    optimizer.zero_grad()
+    loss.backward()
+    if gradient_clip is not None:
+        clip_gradient_norm(optimizer.parameters, gradient_clip)
+    optimizer.step()
+    return components
 
 
 class Trainer:
@@ -200,7 +241,7 @@ class Trainer:
         num_samples = scaled_inputs.shape[0]
         base_lr = config.learning_rate
         global_step = 0
-        for _ in range(config.epochs):
+        for epoch in range(1, config.epochs + 1):
             order = rng.permutation(num_samples)
             epoch_total, epoch_mlu, epoch_sens, batches = 0.0, 0.0, 0.0, 0
             for start in range(0, num_samples, config.batch_size):
@@ -211,18 +252,17 @@ class Trainer:
                 self.optimizer.lr = base_lr * warmup
                 global_step += 1
                 batch_idx = order[start : start + config.batch_size]
-                batch_inputs = Tensor(scaled_inputs[batch_idx])
-                batch_targets = targets[batch_idx]
-                batch_optimal = optimal[batch_idx] if optimal is not None else None
-
-                raw_scores = self.model(batch_inputs)
-                loss, components = self.loss(raw_scores, batch_targets, batch_optimal)
-                self.optimizer.zero_grad()
-                loss.backward()
-                if config.gradient_clip is not None:
-                    clip_gradient_norm(self.model.parameters(), config.gradient_clip)
-                self.optimizer.step()
-
+                components = train_step(
+                    self.model,
+                    self.loss,
+                    self.optimizer,
+                    scaled_inputs[batch_idx],
+                    targets[batch_idx],
+                    optimal[batch_idx] if optimal is not None else None,
+                    gradient_clip=config.gradient_clip,
+                    epoch=epoch,
+                    step=batches + 1,
+                )
                 epoch_total += components["total"]
                 epoch_mlu += components["mlu"]
                 epoch_sens += components["sensitivity"]

@@ -13,17 +13,45 @@ from repro.nn.tensor import Tensor
 __all__ = ["SGD", "Adam", "clip_gradient_norm"]
 
 
+#: Elements per block of :meth:`Adam.step`.  One block each of the weights,
+#: the gradient, both moments and two scratch arrays is 6 x 16384 x 8 B =
+#: 768 KB, which sits in a 1-2 MB L2 with room to spare; the update is then
+#: bound by its divisions and square root, not by memory traffic.  Measured
+#: on the 2-core dev box (2 MB L2) over a 6624 x 128 parameter: 4096 -> 8.5
+#: ms, 8192 -> 7.8, 16384 -> 7.2, 32768 -> 7.1, 131072 -> 8.0, whole array
+#: (the old expression) -> 15.5; smaller blocks pay per-call overhead, larger
+#: ones fall out of cache.
+_BLOCK = 16384
+
+#: Flat scratch arrays of :func:`clip_gradient_norm`, as large as the largest
+#: gradient squared so far.  A stack, not a single slot: ``pop`` / ``append``
+#: are atomic, so two threads clipping at once never square into one array.
+_square_scratch: list[np.ndarray] = []
+
+
 def clip_gradient_norm(parameters: list[Tensor], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clipping global norm (useful for monitoring).
+    Returns the pre-clipping global norm (useful for monitoring).  Each
+    gradient is squared into a scratch array kept between calls (no
+    gradient-sized allocation per step) and summed with ``np.sum`` over an
+    array of the gradient's own shape and layout, so the norm has the bits of
+    ``np.sum(grad**2)``; a gradient that is not C-contiguous is squared into
+    a fresh array instead.  The scratch stays allocated at the size of the
+    largest gradient seen in the process.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
+    grads = [param.grad for param in parameters if param.grad is not None]
+    scratch = _square_scratch.pop() if _square_scratch else np.empty(0)
+    largest = max((grad.size for grad in grads), default=0)
+    if scratch.size < largest:
+        scratch = np.empty(largest)
     total = 0.0
-    for param in parameters:
-        if param.grad is not None:
-            total += float(np.sum(param.grad**2))
+    for grad in grads:
+        squares = scratch[: grad.size].reshape(grad.shape) if grad.flags.c_contiguous else None
+        total += float(np.sum(np.square(grad, out=squares)))
+    _square_scratch.append(scratch)
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
@@ -74,6 +102,22 @@ class SGD:
 class Adam:
     """The Adam optimizer (Kingma & Ba, 2014), as used by FIGRET.
 
+    ``step`` evaluates the textbook expression ::
+
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad**2
+        data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+
+    one ufunc at a time, exactly as the whole-array NumPy expression would,
+    but over blocks of :data:`_BLOCK` elements with every intermediate
+    written into two block-sized scratch arrays.  Elementwise operations do
+    not care how an array is cut, so weights and moments have the bits of the
+    whole-array form; what changes is that no parameter-sized temporary is
+    allocated or streamed through memory (the whole-array form makes 14
+    passes and 8 temporaries per parameter per step).  ``lr`` is read on
+    every step (the trainer changes it for warm-up and decay) and no view of
+    ``param.data`` is kept between steps (``load_state_dict`` rebinds it).
+
     Args:
         parameters: Tensors to update.
         lr: Learning rate.
@@ -101,23 +145,46 @@ class Adam:
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
 
     def step(self) -> None:
         """Apply one Adam update using the accumulated gradients."""
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
+        grad_weight1 = 1.0 - self.beta1
+        grad_weight2 = 1.0 - self.beta2
+        scratch1, scratch2 = self._scratch
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
-            grad = param.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # nditer hands out matching 1-D chunks of at most _BLOCK elements
+            # for any shape or layout (0-d, non-contiguous views: those are
+            # buffered and written back), so there is no flat view to get
+            # wrong -- ``reshape(-1)`` of a non-contiguous array is a copy.
+            blocks = np.nditer(
+                [param.data, m, v, param.grad],
+                flags=["external_loop", "buffered", "zerosize_ok"],
+                op_flags=[["readwrite"], ["readwrite"], ["readwrite"], ["readonly"]],
+                buffersize=_BLOCK,
+            )
+            with blocks:
+                for data, m_block, v_block, grad in blocks:
+                    first, second = scratch1[: data.size], scratch2[: data.size]
+                    np.multiply(m_block, self.beta1, out=m_block)
+                    np.multiply(grad, grad_weight1, out=first)
+                    np.add(m_block, first, out=m_block)
+                    np.multiply(v_block, self.beta2, out=v_block)
+                    np.square(grad, out=first)
+                    np.multiply(first, grad_weight2, out=first)
+                    np.add(v_block, first, out=v_block)
+                    np.divide(m_block, bias1, out=first)  # m_hat
+                    np.divide(v_block, bias2, out=second)  # v_hat
+                    np.multiply(first, self.lr, out=first)
+                    np.sqrt(second, out=second)
+                    np.add(second, self.eps, out=second)
+                    np.divide(first, second, out=first)
+                    np.subtract(data, first, out=data)
 
     def zero_grad(self) -> None:
         """Reset the gradients of all managed parameters."""

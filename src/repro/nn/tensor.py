@@ -16,6 +16,7 @@ gradient checking simple and accurate.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 __all__ = ["Tensor"]
 
@@ -30,6 +31,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _segment_layout(segment_ids: np.ndarray, num_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group item positions by segment, CSR style, for any ids.
+
+    Returns ``(order, indptr)``: ``order[indptr[s]:indptr[s + 1]]`` are the
+    items of segment ``s`` in increasing item order (the sort is stable);
+    an empty segment has ``indptr[s] == indptr[s + 1]``.
+    """
+    order = np.argsort(segment_ids, kind="stable")
+    indptr = np.zeros(num_segments + 1, dtype=np.int64)
+    np.cumsum(np.bincount(segment_ids, minlength=num_segments), out=indptr[1:])
+    return order, indptr
+
+
+def _segment_sum(values: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Row-wise segment sums of a ``(batch, num_items)`` array.
+
+    One product with the ``(num_segments, num_items)`` 0/1 membership matrix.
+    The contract is the summation order, not just the value: every sum
+    starts from ``+0.0`` and adds its items in increasing item order (CSR
+    rows are walked left to right), which is what a scatter-add over the
+    items does, so training histories do not depend on which of the two
+    computed them.  ``np.add.reduceat`` does *not* keep that order.
+    """
+    order, indptr = _segment_layout(segment_ids, num_segments)
+    membership = sparse.csr_matrix(
+        (np.ones(order.shape[0]), order, indptr), shape=(num_segments, order.shape[0])
+    )
+    return np.ascontiguousarray((membership @ values.T).T)
 
 
 class Tensor:
@@ -115,12 +146,37 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        Ownership rule: the first gradient a tensor receives *becomes* its
+        buffer instead of being added into a zero-filled one.  A backward
+        closure passes ``owned=True`` only for an array it has just
+        allocated itself (``left.T @ upstream``, ``grad * mask``, ...), which
+        nobody else can hold; such an array is adopted as is when it has the
+        buffer's shape and memory layout.  Anything else -- the upstream
+        ``grad`` handed through unchanged (``__add__`` gives it to both
+        parents), a view of it (``reshape``), the caller's array in
+        ``backward(grad)``, a broadcastable or differently laid out array --
+        is copied, because every later gradient is added into the buffer in
+        place and an array with a second holder would be corrupted silently.
+        Gradients therefore equal the zero-fill-then-add values, except that
+        an adopted ``-0.0`` keeps its sign (``0.0 + -0.0`` is ``+0.0``).
+        """
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        if self.grad is not None:
+            self.grad += grad
+        elif (
+            owned
+            and isinstance(grad, np.ndarray)
+            and grad.shape == self.data.shape
+            and grad.strides == self.data.strides
+        ):
+            self.grad = grad
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -139,7 +195,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         return self._make(-self.data, (self,), backward)
 
@@ -154,8 +210,8 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+            self._accumulate(_unbroadcast(grad * other.data, self.data.shape), owned=True)
+            other._accumulate(_unbroadcast(grad * self.data, other.data.shape), owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -166,9 +222,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
+            self._accumulate(_unbroadcast(grad / other.data, self.data.shape), owned=True)
             other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape)
+                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
+                owned=True,
             )
 
         return self._make(out_data, (self, other), backward)
@@ -184,11 +241,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad @ other.data.T)
+                self._accumulate(grad @ other.data.T, owned=True)
             if other.requires_grad:
                 left = self.data.reshape(-1, self.data.shape[-1])
                 upstream = grad.reshape(-1, grad.shape[-1])
-                other._accumulate(left.T @ upstream)
+                other._accumulate(left.T @ upstream, owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -198,7 +255,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -211,7 +268,7 @@ class Tensor:
         out_data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -222,7 +279,7 @@ class Tensor:
         out_data = np.where(self.data >= 0, positive, negative_exp / (1.0 + negative_exp))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -231,7 +288,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -240,7 +297,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -255,7 +312,7 @@ class Tensor:
             local = np.asarray(grad)
             if axis is not None and not keepdims:
                 local = np.expand_dims(local, axis)
-            self._accumulate(np.broadcast_to(local, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(local, self.data.shape).copy(), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -277,13 +334,13 @@ class Tensor:
             if axis is None:
                 mask = np.zeros_like(self.data)
                 mask[np.unravel_index(np.argmax(self.data), self.data.shape)] = 1.0
-                self._accumulate(mask * local_grad)
+                self._accumulate(mask * local_grad, owned=True)
                 return
             expanded = local_grad if keepdims else np.expand_dims(local_grad, axis)
             argmax = np.argmax(self.data, axis=axis)
             mask = np.zeros_like(self.data)
             np.put_along_axis(mask, np.expand_dims(argmax, axis), 1.0, axis=axis)
-            self._accumulate(mask * expanded)
+            self._accumulate(mask * expanded, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -304,18 +361,18 @@ class Tensor:
 
         Used to broadcast per-SD-pair quantities onto paths: if ``x`` has
         shape ``(..., num_sd)`` and ``index`` maps each path to its SD pair,
-        the result has shape ``(..., num_paths)``.
+        the result has shape ``(..., num_paths)``.  The backward pass is the
+        segment sum of the upstream gradient under ``index`` (any ids:
+        repeated, unsorted, some never named), accumulated in item order --
+        see :func:`_segment_sum`.
         """
         index = np.asarray(index, dtype=np.int64)
         out_data = self.data[..., index]
 
         def backward(grad: np.ndarray) -> None:
-            local = np.zeros_like(self.data)
-            flat_local = local.reshape(-1, self.data.shape[-1])
             flat_grad = grad.reshape(-1, index.shape[0])
-            rows = np.arange(flat_local.shape[0])[:, None]
-            np.add.at(flat_local, (rows, index[None, :]), flat_grad)
-            self._accumulate(flat_local.reshape(self.data.shape))
+            local = _segment_sum(flat_grad, index, self.data.shape[-1])
+            self._accumulate(local.reshape(self.data.shape), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -325,18 +382,18 @@ class Tensor:
         If ``x`` has shape ``(..., num_paths)`` and ``segment_ids`` maps each
         path to its SD pair, the result has shape ``(..., num_segments)`` with
         the per-pair sums.  This is how the per-pair constraint
-        ``sum_p r_p = 1`` is enforced by normalisation.
+        ``sum_p r_p = 1`` is enforced by normalisation.  Ids may be unsorted
+        and segments empty (they sum to zero); each sum adds its items in
+        increasing item order starting from zero, and that order is part of
+        the contract (see :func:`_segment_sum`).
         """
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
-        out_shape = self.data.shape[:-1] + (num_segments,)
         flat_in = self.data.reshape(-1, self.data.shape[-1])
-        flat_out = np.zeros((flat_in.shape[0], num_segments))
-        rows = np.arange(flat_in.shape[0])[:, None]
-        np.add.at(flat_out, (rows, segment_ids[None, :]), flat_in)
-        out_data = flat_out.reshape(out_shape)
+        flat_out = _segment_sum(flat_in, segment_ids, num_segments)
+        out_data = flat_out.reshape(self.data.shape[:-1] + (num_segments,))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[..., segment_ids])
+            self._accumulate(grad[..., segment_ids], owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -345,30 +402,37 @@ class Tensor:
 
         Used for ``S^max_sd`` -- the largest path sensitivity of each SD pair
         (Equation 8).  The gradient flows to the first entry of each segment
-        that achieves the maximum.
+        that achieves the maximum.  Ids may be unsorted; an empty segment is
+        ``-inf`` and receives no gradient.  Items are sorted by segment once
+        and reduced with ``reduceat``: maxima and minima do not depend on the
+        order they are taken in, so unlike the sums there is no order to keep.
         """
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         flat_in = self.data.reshape(-1, self.data.shape[-1])
         batch, num_items = flat_in.shape
+        order, indptr = _segment_layout(segment_ids, num_segments)
+        # reduceat reads a repeated start as a one-item slice, so only the
+        # non-empty segments are reduced; their starts partition the items.
+        occupied = np.flatnonzero(np.diff(indptr))
+        starts = indptr[occupied]
         flat_out = np.full((batch, num_segments), -np.inf)
-        rows = np.arange(batch)[:, None]
-        np.maximum.at(flat_out, (rows, segment_ids[None, :]), flat_in)
+        flat_out[:, occupied] = np.maximum.reduceat(flat_in[:, order], starts, axis=1)
         out_data = flat_out.reshape(self.data.shape[:-1] + (num_segments,))
 
         # Pre-compute the index of the first argmax item of every segment so
-        # the backward pass is fully vectorised.
-        max_per_item = flat_out[rows, segment_ids[None, :]]
-        is_max = flat_in >= max_per_item
-        candidate = np.where(is_max, np.arange(num_items)[None, :], num_items)
+        # the backward pass is one scatter; ``num_items`` (an extra column
+        # dropped afterwards) stands for "no item".
+        is_max = flat_in >= flat_out[:, segment_ids]
+        candidate = np.where(is_max, np.arange(num_items), num_items)
         first_argmax = np.full((batch, num_segments), num_items, dtype=np.int64)
-        np.minimum.at(first_argmax, (rows, segment_ids[None, :]), candidate)
+        first_argmax[:, occupied] = np.minimum.reduceat(candidate[:, order], starts, axis=1)
 
         def backward(grad: np.ndarray) -> None:
-            grad_flat = grad.reshape(batch, num_segments)
             local = np.zeros((batch, num_items + 1))
-            batch_rows = np.arange(batch)[:, None]
-            np.add.at(local, (batch_rows, first_argmax), grad_flat)
-            self._accumulate(local[:, :num_items].reshape(self.data.shape))
+            # Distinct segments have distinct argmax items, so assignment is
+            # the scatter-add; only the dropped column is hit more than once.
+            np.put_along_axis(local, first_argmax, grad.reshape(batch, num_segments), axis=1)
+            self._accumulate(local[:, :num_items].reshape(self.data.shape), owned=True)
 
         return self._make(out_data, (self,), backward)
 
