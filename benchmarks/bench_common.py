@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 import platform
 from pathlib import Path
 
 import numpy as np
 
+# One definition shared with the floor checker, which has to run without
+# the package on its path.
+from check_floors import bench_output_dir
 from repro import datasets
 from repro.backend import active_backend
 from repro.core import TrainingConfig
@@ -221,18 +223,6 @@ def summarize(series: np.ndarray) -> MLUStatistics:
 #: On-disk format marker / version of the benchmark records.
 BENCH_RECORD_FORMAT = "repro-bench-record"
 BENCH_RECORD_VERSION = 1
-
-
-def bench_output_dir() -> Path:
-    """Directory the ``BENCH_*.json`` records are written to.
-
-    The repository root by default (CI uploads ``BENCH_*.json`` from there
-    as a workflow artifact); override with ``REPRO_BENCH_DIR``.
-    """
-    override = os.environ.get("REPRO_BENCH_DIR")
-    if override:
-        return Path(override).expanduser()
-    return Path(__file__).resolve().parent.parent
 
 
 def write_bench_record(

@@ -12,7 +12,9 @@ Run it locally after the benchmark harness::
     PYTHONPATH=src python -m pytest -q benchmarks/
     python benchmarks/check_floors.py
 
-or point it somewhere else::
+Both write to / read from :func:`bench_output_dir` -- ``REPRO_BENCH_DIR``
+when set, the untracked ``benchmarks/.records/`` otherwise -- or point the
+checker somewhere else::
 
     python benchmarks/check_floors.py --records /path/to/records
 
@@ -27,10 +29,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 FLOORS_TABLE = Path(__file__).resolve().parent / "floors.json"
+
+
+def bench_output_dir() -> Path:
+    """Directory the ``BENCH_*.json`` records are written to and checked in.
+
+    ``REPRO_BENCH_DIR`` when set (CI points it at the workspace root, where
+    its artifact upload looks); otherwise the untracked
+    ``benchmarks/.records/``, so a plain test run leaves the tree clean.
+    """
+    override = os.environ.get("REPRO_BENCH_DIR")
+    if override:
+        return Path(override).expanduser()
+    return Path(__file__).resolve().parent / ".records"
 
 
 def check_record(record_path: Path, floors: dict) -> list[str]:
@@ -71,9 +87,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--records",
-        default=".",
+        default=bench_output_dir(),
         metavar="DIR",
-        help="directory holding the BENCH_*.json records (default: cwd)",
+        help=(
+            "directory holding the BENCH_*.json records (default: where the "
+            "harness writes them -- $REPRO_BENCH_DIR, else benchmarks/.records)"
+        ),
     )
     parser.add_argument(
         "--strict",

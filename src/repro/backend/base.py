@@ -50,8 +50,9 @@ class ArrayBackend:
             pinning this backend to the default numpy replay (0.0 means
             bit-identical).
         native_numpy: True only for the default numpy backend, which makes
-            the hot-path functions take their original (pre-backend) code
-            path verbatim -- the bit-identicality guarantee.
+            the MLU, rerouting and per-pair normalisation steps keep their
+            scipy-sparse products (the forward's layer chain is shared by
+            every backend).
     """
 
     name: str = "abstract"

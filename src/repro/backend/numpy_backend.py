@@ -1,9 +1,10 @@
 """NumPy backends: the default float64 backend and a float32 variant.
 
-``numpy`` is the default everywhere and is special: the hot-path functions
-detect it (``native_numpy``) and run their original, pre-backend code path
-verbatim, so ``REPRO_BACKEND=numpy`` replay is bit-identical to the
-pre-backend engine by construction.
+``numpy`` is the default everywhere and is special: MLU, rerouting and the
+forward's per-pair sums detect it (``native_numpy``) and keep their
+scipy-sparse products.  The forward's layer chain is the generic loop; its
+ops here are the expressions the autodiff ``Tensor`` evaluates, so numpy
+replay is bit-identical to the taped forward it replaced.
 
 ``numpy32`` computes through the *generic* backend code path in float32.  It
 exists so the float32 tolerance plumbing (the ~1e-6 bound GPU backends need)
@@ -21,7 +22,7 @@ __all__ = ["NumpyBackend", "Numpy32Backend"]
 
 
 class NumpyBackend(ArrayBackend):
-    """The default backend: float64 NumPy, bit-identical to the seed path."""
+    """The default backend: float64 NumPy, bit-identical to the taped forward."""
 
     name = "numpy"
     compute_dtype = np.float64

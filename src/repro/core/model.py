@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
+from repro.backend import ArrayBackend, active_backend, use_backend
 from repro.nn import Linear, Module, ReLU, Sequential, Sigmoid, Tensor
 from repro.paths.path_set import PathSet
 
@@ -50,9 +50,33 @@ class FigretNet(Module):
         layers.append(Sigmoid())
         self.network = Sequential(*layers)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Raw (0, 1) path scores for a batch of flattened history windows."""
-        return self.network(x)
+    def forward(self, x):
+        """Raw (0, 1) path scores for a batch of flattened history windows.
+
+        A :class:`Tensor` in gives a taped :class:`Tensor` out (training:
+        ``backward`` must reach the weights).  Anything else is inference: a
+        batch native to the active backend comes back as one -- ndarray in,
+        ndarray out on numpy -- through the same layer chain on plain
+        arrays, with no autodiff node recorded.  On numpy the ops are the
+        expressions :class:`Tensor` evaluates (``x @ W + b``,
+        ``x * (x > 0)``, the two-branch sigmoid): same bits either way.
+        """
+        if isinstance(x, Tensor):
+            return self.network(x)
+        xb = active_backend()
+        for module in self.network.modules:
+            if isinstance(module, Linear):
+                # Converted per call: the weights are tiny next to the batch.
+                weight = xb.asarray(module.weight.data, dtype=xb.compute_dtype)
+                bias = xb.asarray(module.bias.data, dtype=xb.compute_dtype)
+                x = xb.add(xb.matmul(x, weight), bias)
+            elif isinstance(module, ReLU):
+                x = xb.relu(x)
+            elif isinstance(module, Sigmoid):
+                x = xb.sigmoid(x)
+            else:  # pragma: no cover - the architecture is fixed above
+                raise TypeError(f"unsupported layer for inference: {module!r}")
+        return x
 
     # ------------------------------------------------------------------ #
     # Pickling (weights + architecture, no autodiff state)
@@ -102,7 +126,8 @@ class FigretNet(Module):
             raise ValueError(
                 f"expected a window with {self.input_dim} entries, got {window.shape[1]}"
             )
-        raw = self.forward(Tensor(window / input_scale)).numpy()[0]
+        with use_backend("numpy"):  # the single-window path is float64 numpy
+            raw = self.forward(window / input_scale)[0]
         sums = np.zeros(self.path_set.num_sd_pairs)
         np.add.at(sums, self.path_set.path_sd_index, raw)
         sums = np.maximum(sums, 1e-12)
@@ -123,10 +148,11 @@ class FigretNet(Module):
                 inputs by the mean training demand).
             backend: Array backend running the forward pass (the active
                 backend -- ``REPRO_BACKEND`` or a :func:`use_backend`
-                override -- when omitted).  The default numpy backend runs
-                the original float64 path bit-identically; alternates
-                convert the batch to the device once and match it within
-                their declared tolerance.
+                override -- when omitted).  Every backend runs the same
+                tape-free layer chain (:meth:`forward`); the default numpy
+                backend gives the bits the taped float64 forward gave,
+                alternates convert the batch to the device once and match
+                it within their declared tolerance.
 
         Returns:
             Split ratios of shape ``(T, num_paths)``; every SD pair's ratios
@@ -139,10 +165,11 @@ class FigretNet(Module):
             raise ValueError(
                 f"expected windows with {self.input_dim} entries each, got shape {arr.shape}"
             )
-        xb = resolve_backend(backend)
+        with use_backend(backend) as xb:
+            # One host-to-device copy of the (already flattened) window batch.
+            raw = self.forward(xb.asarray(arr / input_scale, dtype=xb.compute_dtype))
         if not xb.native_numpy:
-            return self._split_ratios_batch_generic(arr, input_scale, xb)
-        raw = self.forward(Tensor(arr / input_scale)).numpy()
+            return self._pair_normalized_generic(raw, xb)
         # Per-SD-pair sums for every row via the sparse incidence matrix.
         sums = (self.path_set.sd_to_path @ raw.T).T
         # Pairs whose scores underflowed to (effectively) zero fall back to a
@@ -158,33 +185,17 @@ class FigretNet(Module):
             ratios = np.where(dead[:, self.path_set.path_sd_index], uniform, ratios)
         return ratios
 
-    def _split_ratios_batch_generic(
-        self, flat_windows: np.ndarray, input_scale: float, xb: ArrayBackend
-    ) -> np.ndarray:
-        """The backend-generic forward pass + per-pair normalisation.
+    def _pair_normalized_generic(self, raw, xb: ArrayBackend) -> np.ndarray:
+        """Per-pair normalisation of backend-native scores, back on the host.
 
-        One host-to-device copy of the (already flattened) window batch; the
-        layer weights are converted per call (they are tiny next to the
-        batch).  Dead pairs fall back to a uniform split exactly like the
-        numpy path, so the two paths agree within ``xb.tolerance``.
+        Dead pairs fall back to a uniform split exactly like the numpy path,
+        so the two agree within ``xb.tolerance``.
         """
         data = xb.path_set_data(self.path_set)
-        x = xb.asarray(flat_windows / input_scale, dtype=xb.compute_dtype)
-        for module in self.network.modules:
-            if isinstance(module, Linear):
-                weight = xb.asarray(module.weight.data, dtype=xb.compute_dtype)
-                bias = xb.asarray(module.bias.data, dtype=xb.compute_dtype)
-                x = xb.add(xb.matmul(x, weight), bias)
-            elif isinstance(module, ReLU):
-                x = xb.relu(x)
-            elif isinstance(module, Sigmoid):
-                x = xb.sigmoid(x)
-            else:  # pragma: no cover - the architecture is fixed above
-                raise TypeError(f"unsupported layer for backend inference: {module!r}")
-        sums = xb.segment_sum(x, data["index"], data["num_pairs"])
+        sums = xb.segment_sum(raw, data["index"], data["num_pairs"])
         dead = xb.less_equal(sums, 1e-18)
         denominator = xb.where(dead, 1.0, sums)
-        ratios = xb.div(x, xb.take_last(denominator, data["index"]))
+        ratios = xb.div(raw, xb.take_last(denominator, data["index"]))
         ratios = xb.where(
             xb.take_last(dead, data["index"]), data["uniform"], ratios
         )

@@ -1,4 +1,4 @@
-"""Evaluation harness: the replay engine, metrics, timing, and report formatting.
+"""Evaluation harness: the replay engine, metrics, and report formatting.
 
 Experiment protocols (scheme comparison, fluctuation, drift, failures) are
 declared as :class:`repro.study.Study` specs; this package is the replay
@@ -18,7 +18,6 @@ from repro.evaluation.engine import (
     default_engine,
     iter_window_chunks,
 )
-from repro.evaluation.timing import SchemeTiming, measure_scheme_timing
 from repro.evaluation import reporting
 
 __all__ = [
@@ -31,7 +30,5 @@ __all__ = [
     "iter_window_chunks",
     "default_engine",
     "EvaluationResult",
-    "SchemeTiming",
-    "measure_scheme_timing",
     "reporting",
 ]

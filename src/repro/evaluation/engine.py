@@ -211,11 +211,14 @@ class EvaluationEngine:
     ) -> np.ndarray | Iterable[np.ndarray]:
         """Normalise a demand source into what :func:`iter_window_chunks` eats.
 
-        2-D arrays pass through (the no-copy fast path); a
-        :class:`TrafficMatrixSequence` or any iterable of
-        :class:`TrafficMatrix` / flat vectors becomes a lazy row generator,
-        flattening one matrix at a time.
+        An in-memory trace goes in whole: a :class:`TrafficMatrixSequence`
+        as its stored ``flat_demands()``, a 2-D array as is (chunks are then
+        views; no per-interval object is built).  Anything else is a real
+        stream -- an iterable of :class:`TrafficMatrix` / flat vectors --
+        and becomes a lazy row generator, flattening one matrix at a time.
         """
+        if isinstance(source, TrafficMatrixSequence):
+            return source.flat_demands()
         if isinstance(source, np.ndarray) and source.ndim == 2:
             return source
         return (

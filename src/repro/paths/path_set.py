@@ -39,6 +39,8 @@ class PathSet:
         sd_pairs: Ordered SD pairs (row-major, excluding the diagonal).
         paths: Flat tuple of node paths, grouped by SD pair in order.
         path_sd_index: For each path, the index of its SD pair in ``sd_pairs``.
+        edge_to_path: ``PathToEdge`` transposed (|edges| x |paths|), kept
+            because every MLU computation multiplies by it.
     """
 
     def __init__(self, topology: Topology, paths_by_pair: dict[tuple[int, int], list[list[int]]]) -> None:
@@ -99,6 +101,8 @@ class PathSet:
         self.path_to_edge = sparse.csr_matrix(
             (data, (rows, cols)), shape=(num_paths, num_edges)
         )
+        # A CSC matrix over the same arrays (no copy).
+        self.edge_to_path = self.path_to_edge.T
         self.sd_to_path = sparse.csr_matrix(
             (
                 np.ones(num_paths, dtype=float),

@@ -43,16 +43,9 @@ def link_loads(path_set: PathSet, split_ratios, demands) -> np.ndarray:
     demand = np.asarray(demands, dtype=float)
     demand_per_path = path_set.demand_per_path(demand)
     flow_on_path = demand_per_path * ratios
-    # path_to_edge is (paths, edges); flow_on_path is (..., paths).
-    return _sparse_dot(path_set, flow_on_path)
-
-
-def _sparse_dot(path_set: PathSet, flow_on_path: np.ndarray) -> np.ndarray:
-    """Multiply per-path flows by the path-to-edge incidence (sparse-aware)."""
-    if flow_on_path.ndim == 1:
-        return path_set.path_to_edge.T @ flow_on_path
-    # csr_matrix.T @ dense works column-wise; transpose to keep batch leading.
-    return (path_set.path_to_edge.T @ flow_on_path.T).T
+    # edge_to_path is (edges, paths) and flow_on_path (..., paths); sparse @
+    # dense works column-wise, so transpose to keep the batch leading.
+    return (path_set.edge_to_path @ flow_on_path.T).T
 
 
 def link_utilization(path_set: PathSet, split_ratios, demands) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.topology.graph import Topology
-from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSequence
+from repro.traffic.matrix import TrafficMatrixSequence
 
 __all__ = ["DataCenterTrafficGenerator", "DataCenterTrafficProfile"]
 
@@ -134,7 +134,6 @@ class DataCenterTrafficGenerator:
         rng = np.random.default_rng(self.seed)
         n = self.topology.num_nodes
         num_pairs = n * (n - 1)
-        off_diagonal = ~np.eye(n, dtype=bool)
 
         # Per-pair base rates: log-normal, with a sparse subset nearly idle.
         base = rng.lognormal(mean=0.0, sigma=profile.base_sigma, size=num_pairs)
@@ -154,8 +153,8 @@ class DataCenterTrafficGenerator:
         base *= target_total / base.sum()
 
         log_noise = np.zeros(num_pairs)
-        matrices = []
-        for _ in range(num_intervals):
+        demands = np.empty((num_intervals, num_pairs))
+        for t in range(num_intervals):
             innovations = rng.normal(0.0, profile.noise_sigma, size=num_pairs)
             log_noise = profile.ar_coefficient * log_noise + innovations
             demand_flat = base * np.exp(log_noise)
@@ -167,13 +166,12 @@ class DataCenterTrafficGenerator:
                 demand_flat = np.where(
                     burst_events, demand_flat + base * magnitudes, demand_flat
                 )
-            matrix = np.zeros((n, n))
-            matrix[off_diagonal] = demand_flat
-            matrices.append(TrafficMatrix(matrix))
+            demands[t] = demand_flat
         if interval_seconds is None:
             interval_seconds = 1.0 if self.level == "pod" else 10.0
-        return TrafficMatrixSequence(
-            matrices,
+        return TrafficMatrixSequence.from_flat(
+            demands,
+            n,
             interval_seconds=interval_seconds,
             name=f"dc-{self.level}-{self.topology.name}",
         )

@@ -90,12 +90,13 @@ class GravityTrafficGenerator:
         if num_intervals < 1:
             raise ValueError("num_intervals must be at least 1")
         rng = np.random.default_rng(self.seed)
-        matrices = []
-        for _ in range(num_intervals):
-            noise = rng.lognormal(mean=0.0, sigma=self.noise_level, size=self._base.shape)
-            matrices.append(TrafficMatrix(self._base * noise))
+        # One draw for the whole trace: the generator hands out the same
+        # stream as one draw per interval would.
+        noise = rng.lognormal(
+            mean=0.0, sigma=self.noise_level, size=(num_intervals, *self._base.shape)
+        )
         return TrafficMatrixSequence(
-            matrices,
+            self._base * noise,
             interval_seconds=interval_seconds,
             name=f"gravity-{self.topology.name}",
         )

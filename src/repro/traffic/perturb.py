@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSequence
+from repro.traffic.matrix import TrafficMatrixSequence
 
 __all__ = [
     "gaussian_fluctuation",
     "reverse_rank_fluctuation",
     "variance_rank_spearman",
 ]
-
-
-def _flat_to_matrix(flat: np.ndarray, num_nodes: int) -> np.ndarray:
-    matrix = np.zeros((num_nodes, num_nodes))
-    matrix[~np.eye(num_nodes, dtype=bool)] = flat
-    return matrix
 
 
 def gaussian_fluctuation(
@@ -59,11 +53,9 @@ def gaussian_fluctuation(
         raise ValueError("reference_std must have one entry per SD pair")
     noise = rng.normal(0.0, 1.0, size=flats.shape) * std * alpha
     perturbed = np.clip(flats + noise, 0.0, None)
-    matrices = [
-        TrafficMatrix(_flat_to_matrix(row, sequence.num_nodes)) for row in perturbed
-    ]
-    return TrafficMatrixSequence(
-        matrices,
+    return TrafficMatrixSequence.from_flat(
+        perturbed,
+        sequence.num_nodes,
         interval_seconds=sequence.interval_seconds,
         name=f"{sequence.name}-fluct{alpha}",
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.topology.graph import Topology
-from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSequence
+from repro.traffic.matrix import TrafficMatrixSequence
 
 __all__ = ["PFabricTrafficGenerator", "WEB_SEARCH_FLOW_SIZE_CDF", "sample_flow_sizes"]
 
@@ -103,9 +103,8 @@ class PFabricTrafficGenerator:
             mean_total = raw.sum(axis=(1, 2)).mean()
             if mean_total > 0:
                 raw *= target_total / mean_total
-        matrices = [TrafficMatrix(m) for m in raw]
         return TrafficMatrixSequence(
-            matrices,
+            raw,
             interval_seconds=self.interval_seconds,
             name=f"pfabric-{self.topology.name}",
         )

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.topology.graph import Topology
 from repro.traffic.gravity import gravity_matrix
-from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSequence
+from repro.traffic.matrix import TrafficMatrixSequence
 
 __all__ = ["GeantLikeGenerator"]
 
@@ -79,7 +79,7 @@ class GeantLikeGenerator:
         bursty_mask = np.zeros((n, n), dtype=bool)
         bursty_mask[off_diagonal] = bursty_mask_flat
 
-        matrices = []
+        demands = np.empty((num_intervals, n, n))
         for t in range(num_intervals):
             day_phase = 2.0 * np.pi * (t % self.intervals_per_day) / self.intervals_per_day
             week_phase = 2.0 * np.pi * (t % (7 * self.intervals_per_day)) / (
@@ -94,9 +94,9 @@ class GeantLikeGenerator:
             if burst_events.any():
                 multipliers = 1.0 + rng.exponential(self.burst_scale, size=(n, n))
                 demand = np.where(burst_events, demand * multipliers, demand)
-            matrices.append(TrafficMatrix(demand))
+            demands[t] = demand
         return TrafficMatrixSequence(
-            matrices,
+            demands,
             interval_seconds=900.0,
             name=f"geant-like-{self.topology.name}",
         )

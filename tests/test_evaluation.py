@@ -1,4 +1,4 @@
-"""Unit tests for the evaluation harness (metrics, replay protocols, timing, reporting)."""
+"""Unit tests for the evaluation harness (metrics, replay protocols, reporting)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.evaluation.metrics import (
 )
 from repro.evaluation.reporting import format_mlu_comparison, format_series, format_table
 from repro.evaluation.engine import EvaluationEngine
-from repro.evaluation.timing import measure_scheme_timing
 from repro.solvers import OmniscientTE, PredictionBasedTE
 from repro.study import InlineScenario, Study, sweep
 
@@ -193,25 +192,6 @@ class TestRunner:
         # around them, can beat it.
         for values in series.values():
             assert (values >= 1.0 - 1e-6).all()
-
-
-class TestTiming:
-    def test_measure_scheme_timing(self, mesh4_paths, mesh4_traffic):
-        train, test = mesh4_traffic.split(0.7)
-        timing = measure_scheme_timing(
-            PredictionBasedTE(mesh4_paths), train, test, history_len=4, max_intervals=3
-        )
-        assert timing.scheme_name == "Pred TE (last)"
-        assert timing.precompute_seconds >= 0.0
-        assert timing.mean_calculation_seconds > 0.0
-        assert timing.p95_calculation_seconds >= timing.mean_calculation_seconds * 0.5
-
-    def test_timing_requires_enough_intervals(self, mesh4_paths, mesh4_traffic):
-        with pytest.raises(ValueError):
-            measure_scheme_timing(
-                PredictionBasedTE(mesh4_paths), mesh4_traffic[:10], mesh4_traffic[:4],
-                history_len=4, max_intervals=5,
-            )
 
 
 class TestReporting:

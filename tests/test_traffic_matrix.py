@@ -24,6 +24,14 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             TrafficMatrix(data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # nan slipped past ``data < 0`` and surfaced as nan MLUs in every record.
+        data = np.ones((3, 3))
+        data[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TrafficMatrix(data)
+
     def test_flat_excludes_diagonal_in_row_major_order(self):
         data = np.arange(9, dtype=float).reshape(3, 3)
         tm = TrafficMatrix(data)
@@ -59,6 +67,54 @@ class TestTrafficMatrixSequence:
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError, match="same number of nodes"):
             TrafficMatrixSequence([np.ones((3, 3)), np.ones((4, 4))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("source", ["cube", "list", "from_flat"])
+    def test_non_finite_entries_name_the_first_interval(self, source, bad):
+        cube = np.ones((6, 3, 3))
+        cube[4, 0, 1] = bad
+        cube[5, 2, 1] = bad
+        with pytest.raises(ValueError, match=r"finite.*interval 4\b"):
+            if source == "cube":
+                TrafficMatrixSequence(cube)
+            elif source == "list":
+                TrafficMatrixSequence(list(cube))
+            else:
+                flat = cube.reshape(6, 9)[:, [1, 2, 3, 5, 6, 7]]
+                TrafficMatrixSequence.from_flat(flat, num_nodes=3)
+
+    def test_from_flat_round_trips_and_validates(self, simple_sequence):
+        flat = simple_sequence.flat_demands()
+        rebuilt = TrafficMatrixSequence.from_flat(
+            flat, simple_sequence.num_nodes, interval_seconds=5.0, name="again"
+        )
+        assert (rebuilt.interval_seconds, rebuilt.name) == (5.0, "again")
+        np.testing.assert_array_equal(rebuilt.as_array(), simple_sequence.as_array())
+        np.testing.assert_array_equal(rebuilt[3].matrix, simple_sequence[3].matrix)
+        with pytest.raises(ValueError, match="shape"):
+            TrafficMatrixSequence.from_flat(flat, num_nodes=4)
+        with pytest.raises(ValueError, match="shape"):
+            TrafficMatrixSequence.from_flat(flat[0], simple_sequence.num_nodes)
+        with pytest.raises(ValueError, match="empty"):
+            TrafficMatrixSequence.from_flat(flat[:0], simple_sequence.num_nodes)
+        with pytest.raises(ValueError, match="non-negative"):
+            TrafficMatrixSequence.from_flat(flat - 100.0, simple_sequence.num_nodes)
+
+    def test_construction_copies_its_input(self):
+        cube = np.ones((4, 3, 3))
+        flat = np.ones((4, 6))
+        from_cube = TrafficMatrixSequence(cube)
+        from_flat = TrafficMatrixSequence.from_flat(flat, 3)
+        cube[:] = 7.0
+        flat[:] = 7.0
+        assert from_cube.flat_demands().max() == 1.0
+        assert from_flat.flat_demands().max() == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            from_cube.flat_demands()[0, 0] = 2.0
+
+    def test_empty_slice_rejected(self, simple_sequence):
+        with pytest.raises(ValueError, match="empty"):
+            simple_sequence[4:4]
 
     def test_indexing_and_slicing(self, simple_sequence):
         assert isinstance(simple_sequence[0], TrafficMatrix)
