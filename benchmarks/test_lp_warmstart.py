@@ -166,7 +166,8 @@ def test_lp_warmstart(benchmark):
     # canonical start buys, it is the same number on every box and every
     # run, and it would have caught basis carry-over on the bursty trace
     # (~1960 pivots against ~570 from scratch).  CI still enforces a
-    # solves/sec floor from the committed record, scaled to runner hardware.
+    # solves/sec floor (benchmarks/floors.json) on this record, scaled to
+    # runner hardware.
     for name, per_backend in outcome.items():
         share = per_backend["highs"]["crash_vs_scratch_iteration_share"]
         assert share <= MAX_CRASH_ITERATION_SHARE, (

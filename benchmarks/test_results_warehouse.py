@@ -17,7 +17,7 @@ stays cheap:
   the same store: one full parse, a tag-filtered query, the grouped
   mean +/- CI + pooled-percentile aggregation, and the flat CSV export.
 
-The committed ``BENCH_results_warehouse.json`` record is what CI's
+The ``BENCH_results_warehouse.json`` record is what CI's
 benchmark-regression job enforces its append floor from.
 """
 

@@ -17,8 +17,8 @@ three numbers:
   tentpole's zero-repeat-work guarantee as a ratio (must be 1.0; the floor
   in ``benchmarks/floors.json`` allows no repeat solves).
 
-The committed ``BENCH_study_service.json`` record feeds CI's
-benchmark-regression job via ``benchmarks/check_floors.py``.
+The ``BENCH_study_service.json`` record feeds CI's benchmark-regression job
+via ``benchmarks/check_floors.py``.
 """
 
 from __future__ import annotations

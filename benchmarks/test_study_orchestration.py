@@ -306,7 +306,7 @@ def test_study_cell_worker_scaling(benchmark):
         )
     if degraded:
         print("cell pool unavailable here: pooled runs ran sequentially, timings not recorded")
-        # Explicit nulls: update=True merges into the committed record, so
+        # Explicit nulls: update=True merges into the existing record, so
         # omitting the keys would leave a previous box's timings sitting
         # next to degraded=true.
         scaling_metrics = dict.fromkeys(

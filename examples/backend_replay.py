@@ -5,18 +5,20 @@ Run with::
     python examples/backend_replay.py
     REPRO_BACKEND=python python examples/backend_replay.py
 
-The replay hot path -- the neural forward pass, the batched MLU computation
-and failure rerouting -- runs on a pluggable array backend (see
-``repro.backend``).  The default ``numpy`` backend is bit-identical to the
-classic engine; ``numpy32`` exercises the float32 code path GPU backends
-use; ``torch`` is picked up automatically when installed (and falls back
-to numpy with a warning when not).  LP normalisers always stay on
-CPU/HiGHS behind the shared cache.
+A backend runs what a device accelerates: the neural schemes' forward pass
+(see ``repro.backend``).  Per-pair normalisation, the MLU computation and
+failure rerouting are sparse products that stay on the host, and the LP
+schemes and normalisers stay on CPU/HiGHS, so a backend changes nothing but
+the forward.  The default ``numpy`` backend is bit-identical to the classic
+engine; ``numpy32`` runs the forward in float32 as GPU backends do;
+``torch`` is picked up automatically when installed (and falls back to numpy
+with a warning when not).
 
-This script replays the same scheme on every locally available backend and
-prints how far each one drifts from the float64 numpy reference -- the same
-check the CI backend matrix enforces (bit-identical for numpy, ~1e-9 for
-the pure-python reference, ~1e-6 for float32 backends).
+This script replays a briefly trained FIGRET on every locally available
+backend and prints how far each one drifts from the float64 numpy
+reference -- the forward's drift, the same check the CI backend matrix
+enforces (bit-identical for numpy, ~1e-9 for the pure-python reference,
+~1e-6 for float32 backends).
 """
 
 from __future__ import annotations
@@ -27,16 +29,21 @@ import numpy as np
 
 from repro import datasets
 from repro.backend import active_backend, get_backend
+from repro.core import Figret, TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
-from repro.solvers import DesensitizationTE
 
 
 def main() -> None:
     scenario = datasets.load("meta_pod_db_small", seed=7, num_intervals=60)
     train, test = scenario.split()
-    scheme = DesensitizationTE(scenario.paths)
-    scheme.precompute(train)
     history_len = scenario.history_len
+    # A few epochs on a small network: the drift is the forward's whatever
+    # the weights are.
+    scheme = Figret(
+        scenario.paths,
+        TrainingConfig(epochs=3, history_len=history_len, hidden_sizes=(32, 32)),
+    )
+    scheme.precompute(train)
 
     print(f"Scenario: {scenario.name}, {len(test)} test intervals")
     print(f"Active backend (REPRO_BACKEND or default): {active_backend().name}\n")

@@ -1,18 +1,21 @@
-"""Pluggable array backends for the batched replay hot path.
+"""Pluggable array backends for the DNN forward pass.
 
-The replay engine (PR 1-2) reduced whole-trace evaluation to a few
-vectorized passes, which makes the forward path a drop-in target for
-accelerator array modules.  This package provides:
+The one dense, accelerator-shaped computation of the replay is the
+``FigretNet`` forward (Appendix D.4): a chain of matmuls with ReLU / sigmoid
+between them.  That chain is what a backend runs; per-pair normalisation,
+MLU and failure rerouting are sparse products that stay on the host, so the
+LP schemes replay identically on every backend.  This package provides:
 
-* :class:`~repro.backend.base.ArrayBackend` -- the small functional op set
-  the hot path needs (see ``base.py``);
+* :class:`~repro.backend.base.ArrayBackend` -- the six functional ops of the
+  forward (see ``base.py``);
 * the default ``numpy`` backend (bit-identical to the pre-backend engine),
   a ``numpy32`` float32 variant, a pure-``python`` reference backend for CI
   determinism checks, and an optional ``torch`` backend that is
   auto-detected and falls back to numpy (with one warning) when missing;
-* selection via the ``REPRO_BACKEND`` environment variable, an explicit
-  argument (every backend-aware function takes ``backend=``), or the
-  :func:`use_backend` override used by :class:`EvaluationEngine`.
+* selection via the ``REPRO_BACKEND`` environment variable, the
+  :func:`use_backend` override used by :class:`EvaluationEngine`
+  (``EvaluationEngine(backend=)``, ``Study.run(backend=)``, ``--backend``),
+  or ``split_ratios_batch(backend=)`` on a model directly.
 
 ``REPRO_BACKEND_DTYPE`` (``float32`` / ``float64``) picks the compute dtype
 of the ``torch`` backend; the numpy default always computes in float64.
@@ -22,7 +25,7 @@ Example:
     >>> get_backend().name
     'numpy'
     >>> with use_backend("python"):
-    ...     ...  # replay runs through the pure-python reference ops
+    ...     ...  # forward passes run through the pure-python reference ops
 """
 
 from __future__ import annotations
@@ -144,12 +147,16 @@ def get_backend(name: str | None = None) -> ArrayBackend:
         name = os.environ.get(BACKEND_ENV_VAR) or "numpy"
     name = name.strip().lower()
     if name == "auto":
-        for candidate in _OPTIONAL:
-            try:
-                return _instantiate(candidate)
-            except ImportError:
-                continue
-        return _instantiate("numpy")
+        if "auto" not in _INSTANCES:
+            for candidate in _OPTIONAL:
+                try:
+                    return _instantiate(candidate)
+                except ImportError:
+                    continue
+            # Nothing optional imports: cached for the reason given at the
+            # named fallback below (every forward resolves the backend).
+            _INSTANCES["auto"] = _instantiate("numpy")
+        return _INSTANCES["auto"]
     if name not in _FACTORIES:
         raise ValueError(
             f"unknown array backend {name!r} (from {BACKEND_ENV_VAR} or an "

@@ -1,15 +1,13 @@
 """NumPy backends: the default float64 backend and a float32 variant.
 
-``numpy`` is the default everywhere and is special: MLU, rerouting and the
-forward's per-pair sums detect it (``native_numpy``) and keep their
-scipy-sparse products.  The forward's layer chain is the generic loop; its
-ops here are the expressions the autodiff ``Tensor`` evaluates, so numpy
-replay is bit-identical to the taped forward it replaced.
+``numpy`` is the default everywhere.  Its ops are the expressions the
+autodiff ``Tensor`` evaluates (``x @ W + b``, ``x * (x > 0)``, the
+two-branch sigmoid), so numpy replay is bit-identical to the taped forward
+it replaced.
 
-``numpy32`` computes through the *generic* backend code path in float32.  It
-exists so the float32 tolerance plumbing (the ~1e-6 bound GPU backends need)
-is exercised on every machine, GPU or not -- the same role the pure-python
-backend plays for the generic path's correctness.
+``numpy32`` runs the same forward in float32.  It exists so the float32
+tolerance plumbing (the ~1e-6 bound GPU backends need) is exercised on every
+machine, GPU or not.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ class NumpyBackend(ArrayBackend):
     name = "numpy"
     compute_dtype = np.float64
     tolerance = 0.0
-    native_numpy = True
 
     def asarray(self, values, dtype=None):
         if dtype is None and isinstance(values, np.ndarray) and values.dtype.kind == "f":
@@ -37,17 +34,8 @@ class NumpyBackend(ArrayBackend):
     def to_numpy(self, array) -> np.ndarray:
         return np.asarray(array)
 
-    def index_array(self, indices):
-        return np.asarray(indices, dtype=np.int64)
-
     def add(self, a, b):
         return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
 
     def matmul(self, a, b):
         return a @ b
@@ -60,34 +48,10 @@ class NumpyBackend(ArrayBackend):
         negative_exp = np.exp(np.clip(x, -60.0, 0.0))
         return np.where(x >= 0, positive, negative_exp / (1.0 + negative_exp))
 
-    def where(self, condition, a, b):
-        return np.where(condition, a, b)
-
-    def greater(self, a, b):
-        return a > b
-
-    def less_equal(self, a, b):
-        return a <= b
-
-    def atleast_2d(self, x):
-        return np.atleast_2d(x)
-
-    def take_last(self, x, indices):
-        return x[..., indices]
-
-    def segment_sum(self, x, indices, num_segments: int):
-        out = np.zeros(x.shape[:-1] + (num_segments,), dtype=x.dtype)
-        np.add.at(out, (..., indices), x)
-        return out
-
-    def max_last(self, x):
-        return x.max(axis=-1)
-
 
 class Numpy32Backend(NumpyBackend):
-    """Float32 NumPy through the generic code path (float32 CI coverage)."""
+    """The same forward in float32 (float32 CI coverage without a GPU)."""
 
     name = "numpy32"
     compute_dtype = np.float32
     tolerance = 1e-6
-    native_numpy = False

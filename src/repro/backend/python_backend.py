@@ -1,16 +1,16 @@
 """Pure-python reference backend.
 
-This backend implements the generic hot-path op set with plain Python lists
+This backend implements the forward's six operations with plain Python lists
 and ``math`` -- no numpy inside the ops.  It is deliberately slow and exists
 for one reason: CI determinism checks.  The torch backend runs the same
-*generic* code path in the hot functions, so pinning the pure-python backend
-to the numpy replay (float64, ~1e-9 -- only summation-order rounding differs)
-proves that code path is correct on machines with no GPU and no optional
-dependencies at all.
+layer loop (``FigretNet.forward``), so pinning the pure-python backend to the
+numpy replay (float64, ~1e-9 -- only summation-order rounding differs) proves
+that loop correct on machines with no GPU and no optional dependencies at
+all.
 
 Arrays are :class:`PyArray`: a flat row-major ``list[float]`` plus a shape
-tuple, supporting 1-D and 2-D shapes with numpy-style broadcasting across
-the leading axis (everything the replay hot path uses).
+tuple, supporting 1-D and 2-D shapes with a 1-D operand broadcast across the
+rows of a 2-D one (the bias add -- everything the forward uses).
 """
 
 from __future__ import annotations
@@ -52,30 +52,6 @@ class PyArray:
         return f"PyArray(shape={self.shape})"
 
 
-def _broadcast_binary(a: PyArray, b, fn) -> PyArray:
-    """Apply ``fn`` elementwise with scalar / row / full broadcasting."""
-    if not isinstance(b, PyArray):
-        scalar = float(b)
-        return PyArray(a.shape, [fn(v, scalar) for v in a.data])
-    ra, ca = a.rows_cols()
-    rb, cb = b.rows_cols()
-    if ca != cb:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    rows = max(ra, rb)
-    if ra not in (1, rows) or rb not in (1, rows):
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    out = [0.0] * (rows * ca)
-    for r in range(rows):
-        base = r * ca
-        base_a = (r if ra > 1 else 0) * ca
-        base_b = (r if rb > 1 else 0) * cb
-        da, db = a.data, b.data
-        for c in range(ca):
-            out[base + c] = fn(da[base_a + c], db[base_b + c])
-    shape = (rows, ca) if max(a.ndim, b.ndim) == 2 else (ca,)
-    return PyArray(shape, out)
-
-
 def _stable_sigmoid(value: float) -> float:
     if value >= 0:
         return 1.0 / (1.0 + math.exp(-min(value, 60.0)))
@@ -84,12 +60,11 @@ def _stable_sigmoid(value: float) -> float:
 
 
 class PythonBackend(ArrayBackend):
-    """The pure-python reference backend (generic-path determinism checks)."""
+    """The pure-python reference backend (forward determinism checks)."""
 
     name = "python"
     compute_dtype = np.float64
     tolerance = 1e-9
-    native_numpy = False
 
     def asarray(self, values, dtype=None):
         if isinstance(values, PyArray):
@@ -106,17 +81,21 @@ class PythonBackend(ArrayBackend):
             return np.asarray(array, dtype=float)
         return np.array(array.data, dtype=float).reshape(array.shape)
 
-    def index_array(self, indices):
-        return [int(i) for i in np.asarray(indices).ravel()]
-
-    def add(self, a, b):
-        return _broadcast_binary(a, b, lambda x, y: x + y)
-
-    def mul(self, a, b):
-        return _broadcast_binary(a, b, lambda x, y: x * y)
-
-    def div(self, a, b):
-        return _broadcast_binary(a, b, lambda x, y: x / y)
+    def add(self, a: PyArray, b: PyArray) -> PyArray:
+        ra, cols = a.rows_cols()
+        rb, cb = b.rows_cols()
+        rows = max(ra, rb)
+        if cols != cb or ra not in (1, rows) or rb not in (1, rows):
+            raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
+        step_a = cols if ra > 1 else 0
+        step_b = cols if rb > 1 else 0
+        out = [
+            a.data[r * step_a + c] + b.data[r * step_b + c]
+            for r in range(rows)
+            for c in range(cols)
+        ]
+        shape = (rows, cols) if max(a.ndim, b.ndim) == 2 else (cols,)
+        return PyArray(shape, out)
 
     def matmul(self, a: PyArray, b: PyArray) -> PyArray:
         rows, inner = a.rows_cols()
@@ -142,68 +121,3 @@ class PythonBackend(ArrayBackend):
 
     def sigmoid(self, x: PyArray) -> PyArray:
         return PyArray(x.shape, [_stable_sigmoid(v) for v in x.data])
-
-    def where(self, condition: PyArray, a, b) -> PyArray:
-        operands = [condition] + [v for v in (a, b) if isinstance(v, PyArray)]
-        cols = operands[0].rows_cols()[1]
-        rows = max(op.rows_cols()[0] for op in operands)
-        ndim = max(op.ndim for op in operands)
-        for op in operands:
-            r, c = op.rows_cols()
-            if c != cols or r not in (1, rows):
-                raise ValueError(f"incompatible where shapes {[o.shape for o in operands]}")
-
-        def element(operand, r: int, c: int) -> float:
-            if not isinstance(operand, PyArray):
-                return float(operand)
-            orows, _ = operand.rows_cols()
-            return operand.data[(r if orows > 1 else 0) * cols + c]
-
-        out = [
-            element(a, r, c) if element(condition, r, c) != 0.0 else element(b, r, c)
-            for r in range(rows)
-            for c in range(cols)
-        ]
-        shape = (rows, cols) if ndim == 2 else (cols,)
-        return PyArray(shape, out)
-
-    def greater(self, a, b):
-        return _broadcast_binary(a, b, lambda x, y: 1.0 if x > y else 0.0)
-
-    def less_equal(self, a, b):
-        return _broadcast_binary(a, b, lambda x, y: 1.0 if x <= y else 0.0)
-
-    def atleast_2d(self, x: PyArray) -> PyArray:
-        if x.ndim == 2:
-            return x
-        return PyArray((1, x.shape[0]), list(x.data))
-
-    def take_last(self, x: PyArray, indices) -> PyArray:
-        rows, cols = x.rows_cols()
-        out = [0.0] * (rows * len(indices))
-        for r in range(rows):
-            base_in = r * cols
-            base_out = r * len(indices)
-            for j, idx in enumerate(indices):
-                out[base_out + j] = x.data[base_in + idx]
-        shape = (rows, len(indices)) if x.ndim == 2 else (len(indices),)
-        return PyArray(shape, out)
-
-    def segment_sum(self, x: PyArray, indices, num_segments: int) -> PyArray:
-        rows, cols = x.rows_cols()
-        if cols != len(indices):
-            raise ValueError("segment ids must match the last axis")
-        out = [0.0] * (rows * num_segments)
-        for r in range(rows):
-            base_in = r * cols
-            base_out = r * num_segments
-            for j, idx in enumerate(indices):
-                out[base_out + idx] += x.data[base_in + j]
-        shape = (rows, num_segments) if x.ndim == 2 else (num_segments,)
-        return PyArray(shape, out)
-
-    def max_last(self, x: PyArray) -> PyArray:
-        rows, cols = x.rows_cols()
-        out = [max(x.data[r * cols : (r + 1) * cols]) for r in range(rows)]
-        shape = (rows,) if x.ndim == 2 else (1,)
-        return PyArray(shape, out)

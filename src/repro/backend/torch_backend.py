@@ -1,6 +1,6 @@
 """PyTorch backend (optional; auto-detected).
 
-Runs the generic hot-path code on torch tensors -- on CUDA when available,
+Runs the forward's layer chain on torch tensors -- on CUDA when available,
 otherwise on CPU (where ``asarray``/``to_numpy`` are zero-copy for matching
 dtypes, so the backend costs almost nothing).  The compute dtype defaults to
 float32, matching what a GPU deployment would use; set
@@ -29,7 +29,6 @@ class TorchBackend(ArrayBackend):
     tolerance = 1e-6
 
     def __init__(self, dtype=np.float32) -> None:
-        super().__init__()
         self.compute_dtype = np.dtype(dtype).type
         self.device = torch.device("cuda" if torch.cuda.is_available() else "cpu")
 
@@ -38,8 +37,6 @@ class TorchBackend(ArrayBackend):
         if dtype is None:
             return None
         kind = np.dtype(dtype)
-        if kind == np.bool_:
-            return torch.bool
         if kind == np.float32:
             return torch.float32
         if kind == np.float64:
@@ -63,19 +60,8 @@ class TorchBackend(ArrayBackend):
             return array.detach().cpu().numpy()
         return np.asarray(array)
 
-    def index_array(self, indices):
-        return torch.as_tensor(
-            np.asarray(indices, dtype=np.int64), device=self.device
-        )
-
     def add(self, a, b):
         return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
 
     def matmul(self, a, b):
         return a @ b
@@ -85,31 +71,3 @@ class TorchBackend(ArrayBackend):
 
     def sigmoid(self, x):
         return torch.sigmoid(x)
-
-    def where(self, condition, a, b):
-        if not isinstance(a, torch.Tensor):
-            a = torch.as_tensor(a, dtype=b.dtype if isinstance(b, torch.Tensor) else None, device=self.device)
-        if not isinstance(b, torch.Tensor):
-            b = torch.as_tensor(b, dtype=a.dtype, device=self.device)
-        return torch.where(condition, a, b)
-
-    def greater(self, a, b):
-        return a > b
-
-    def less_equal(self, a, b):
-        return a <= b
-
-    def atleast_2d(self, x):
-        return x.unsqueeze(0) if x.dim() == 1 else x
-
-    def take_last(self, x, indices):
-        return x[..., indices]
-
-    def segment_sum(self, x, indices, num_segments: int):
-        out = torch.zeros(
-            x.shape[:-1] + (num_segments,), dtype=x.dtype, device=x.device
-        )
-        return out.index_add_(x.dim() - 1, indices, x)
-
-    def max_last(self, x):
-        return x.max(dim=-1).values

@@ -149,10 +149,13 @@ class FigretNet(Module):
             backend: Array backend running the forward pass (the active
                 backend -- ``REPRO_BACKEND`` or a :func:`use_backend`
                 override -- when omitted).  Every backend runs the same
-                tape-free layer chain (:meth:`forward`); the default numpy
-                backend gives the bits the taped float64 forward gave,
-                alternates convert the batch to the device once and match
-                it within their declared tolerance.
+                tape-free layer chain (:meth:`forward`) on one
+                host-to-device copy of the batch; the raw scores come back
+                to the host once, as float64, and are normalised per pair
+                there through the sparse SD-to-path matrix.  The default
+                numpy backend gives the bits the taped float64 forward gave;
+                alternates match it within their declared tolerance, only
+                the forward differing.
 
         Returns:
             Split ratios of shape ``(T, num_paths)``; every SD pair's ratios
@@ -168,8 +171,7 @@ class FigretNet(Module):
         with use_backend(backend) as xb:
             # One host-to-device copy of the (already flattened) window batch.
             raw = self.forward(xb.asarray(arr / input_scale, dtype=xb.compute_dtype))
-        if not xb.native_numpy:
-            return self._pair_normalized_generic(raw, xb)
+        raw = np.asarray(xb.to_numpy(raw), dtype=float)
         # Per-SD-pair sums for every row via the sparse incidence matrix.
         sums = (self.path_set.sd_to_path @ raw.T).T
         # Pairs whose scores underflowed to (effectively) zero fall back to a
@@ -184,19 +186,3 @@ class FigretNet(Module):
             uniform = 1.0 / counts[self.path_set.path_sd_index]
             ratios = np.where(dead[:, self.path_set.path_sd_index], uniform, ratios)
         return ratios
-
-    def _pair_normalized_generic(self, raw, xb: ArrayBackend) -> np.ndarray:
-        """Per-pair normalisation of backend-native scores, back on the host.
-
-        Dead pairs fall back to a uniform split exactly like the numpy path,
-        so the two agree within ``xb.tolerance``.
-        """
-        data = xb.path_set_data(self.path_set)
-        sums = xb.segment_sum(raw, data["index"], data["num_pairs"])
-        dead = xb.less_equal(sums, 1e-18)
-        denominator = xb.where(dead, 1.0, sums)
-        ratios = xb.div(raw, xb.take_last(denominator, data["index"]))
-        ratios = xb.where(
-            xb.take_last(dead, data["index"]), data["uniform"], ratios
-        )
-        return xb.to_numpy(ratios)

@@ -106,13 +106,12 @@ class EvaluationEngine:
             ``None`` solves sequentially in-process; the string ``"auto"``
             derives a width from ``os.cpu_count()`` (see
             :func:`~repro.solvers.lp.default_lp_workers`).
-        backend: Array backend the replay hot path runs on -- the forward
-            passes, batched MLUs and failure rerouting (see
-            :mod:`repro.backend`).  ``None`` (default) follows the active
-            backend (the ``REPRO_BACKEND`` environment variable, numpy if
-            unset); a name or instance pins this engine regardless of the
-            environment.  LP normalisers always stay on CPU behind the
-            cache.
+        backend: Array backend the neural schemes' forward passes run on
+            (see :mod:`repro.backend`).  ``None`` (default) follows the
+            active backend (the ``REPRO_BACKEND`` environment variable,
+            numpy if unset); a name or instance pins this engine regardless
+            of the environment.  Batched MLUs, failure rerouting, the LP
+            schemes and the LP normalisers always run on the host.
         lp_backend: LP solver backend for the omniscient normalisers (see
             :mod:`repro.solvers.lp_backend`) -- an ``LPBackend`` instance, a
             registered name (``"scipy"``, ``"highs"``, ``"auto"``), or
@@ -274,9 +273,8 @@ class EvaluationEngine:
             rows, history_len, chunk_size, oracle_demand=oracle_demand
         ):
             # One backend scope per chunk: the windows are copied to the
-            # device once here (the chunk is the batching unit), run through
-            # the forward pass and the batched MLU, and only the (T,) MLU
-            # vector returns to the host.
+            # device once here (the chunk is the batching unit) and the
+            # forward's raw scores return to the host once.
             with use_backend(self.backend):
                 ratios = scheme.configure_batch(windows)
                 raw_parts.append(

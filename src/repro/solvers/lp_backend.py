@@ -13,7 +13,8 @@ module puts a small backend layer behind :func:`repro.solvers.lp.solve_mlu_lp`
   HiGHS model per ``(PathSet, ratio-upper-bounds)`` key and solves each
   demand by primal simplex from a canonical shortest-path basis: no model
   rebuild, no presolve, ~100 pivots instead of ~650.  About 5x per solve on
-  smooth and bursty traces alike (see ``BENCH_lp_warmstart.json``), and a
+  smooth and bursty traces alike (``benchmarks/test_lp_warmstart.py`` writes
+  the record to ``benchmarks/.records/BENCH_lp_warmstart.json``), and a
   result is a function of (model, demand) alone.
 * :class:`AutoLPBackend` (name ``"auto"``) -- the default.  Value-only solves
   (``solve_mlu``: every normaliser) run on ``highs``, whose optimum is

@@ -74,7 +74,7 @@ def _workers_type(value: str):
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """The execution knobs shared by the study and suite runners."""
-    parser.add_argument("--backend", help="array backend for the replay hot path")
+    parser.add_argument("--backend", help="array backend for the neural forward passes")
     parser.add_argument(
         "--lp-workers",
         default=None,
@@ -343,7 +343,7 @@ def _cmd_serve(argv: list[str]) -> int:
             "(default: <socket>.spool/ next to the socket)"
         ),
     )
-    parser.add_argument("--backend", help="array backend for the replay hot path")
+    parser.add_argument("--backend", help="array backend for the neural forward passes")
     parser.add_argument(
         "--lp-workers", default=None, type=_workers_type, metavar="N",
         help="LP process-pool width for cold normaliser batches",

@@ -343,7 +343,8 @@ class JsonlRecordStore:
     * a fully appended record is durable and complete;
     * a partially appended trailing record (crash mid-write) is dropped with
       a warning and the file is compacted (atomically) so later appends never
-      concatenate onto the torn line;
+      concatenate onto the torn line; a complete trailing record that lost
+      only its newline is kept, and terminated by the next append;
     * anything else that fails to parse (a corrupt header, junk mid-file)
       raises the store's error class naming the path and line, because
       silently dropping finished work -- or treating foreign files as this
@@ -402,10 +403,26 @@ class JsonlRecordStore:
         os.replace(temp, self.path)
         fsync_directory(self.path.parent)
 
+    def _ends_mid_line(self) -> bool:
+        """True when the (non-empty) file's last byte is not a newline."""
+        with open(self.path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+
     def append(self, record: StudyResult) -> None:
-        """Append one record (one flushed+fsynced line)."""
+        """Append one record (one flushed+fsynced line).
+
+        An append never lands on an unterminated line: a crash between a
+        record's bytes and its newline leaves a complete last record that the
+        next one would be concatenated onto, and the merged line would then
+        read as a torn tail -- two finished records dropped.  Such a file is
+        first rewritten from what :meth:`load` reads of it (complete last
+        record kept, torn one dropped).
+        """
         if self._needs_header():
             self.create()
+        elif self._ends_mid_line():
+            self._rewrite(self.load())
         line = json.dumps(record.to_dict(include_series=True))
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")

@@ -340,7 +340,7 @@ class Study:
         Args:
             engine: Evaluation engine (the process-wide default -- and its
                 shared LP cache -- if omitted).
-            backend: Array backend for the replay hot path; when given
+            backend: Array backend for the neural forward passes; when given
                 without an explicit engine, a backend-pinned engine sharing
                 the process-wide LP cache is used.
             lp_workers: LP process-pool width for cold normaliser batches

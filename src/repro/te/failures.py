@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.te.config import TEConfiguration
 
 __all__ = [
@@ -30,7 +29,6 @@ def reroute_ratios_around_failures(
     path_set,
     ratios: np.ndarray,
     working_mask: np.ndarray,
-    backend: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Vectorized failure rerouting on raw split-ratio arrays.
 
@@ -38,17 +36,13 @@ def reroute_ratios_around_failures(
     :func:`reroute_around_failures` but operates directly on one ratio vector
     ``(num_paths,)`` or a batch ``(T, num_paths)`` with no Python loop over
     SD pairs -- the per-(trial, interval) hot path of the failure experiment.
+    It runs on the host's sparse products whatever array backend is active.
 
     Args:
         path_set: The paths the ratios refer to.
         ratios: Valid per-pair-normalised split ratios (one row per interval).
         working_mask: Boolean mask of surviving paths (as produced by
             :meth:`PathSet.restrict_to_working_paths`).
-        backend: Array backend for the batched redistribution (the active
-            backend when omitted).  The default numpy backend runs the
-            original path bit-identically; alternates match within their
-            declared tolerance.  Mask-derived per-path constants are always
-            computed host-side (the mask lives there anyway).
 
     Returns:
         Rerouted ratios of the same shape.
@@ -61,10 +55,6 @@ def reroute_ratios_around_failures(
         raise ValueError("working_mask must have one entry per path")
     if mask.all():
         return arr.copy()
-    xb = resolve_backend(backend)
-    if not xb.native_numpy:
-        out = _reroute_generic(path_set, rows, mask, xb)
-        return out[0] if single else out
 
     idx = path_set.path_sd_index
     pair_counts = np.asarray(path_set.sd_to_path.sum(axis=1)).ravel()
@@ -91,53 +81,6 @@ def reroute_ratios_around_failures(
     untouched = (surviving_counts == pair_counts)[idx]
     out = np.where(untouched, rows, out)
     return out[0] if single else out
-
-
-def _reroute_generic(
-    path_set, rows: np.ndarray, mask: np.ndarray, xb: ArrayBackend
-) -> np.ndarray:
-    """Backend-generic redistribution (same policy as the numpy path).
-
-    The per-path constants implied by the mask alone -- surviving counts,
-    the uniform fallbacks, the untouched-pair mask -- are tiny ``(P,)``
-    vectors computed in numpy; only the per-(interval, path) tensors run on
-    the backend.
-    """
-    idx = path_set.path_sd_index
-    pair_counts = np.asarray(path_set.sd_to_path.sum(axis=1)).ravel()
-    surviving_counts = path_set.sd_to_path @ mask.astype(float)
-    per_path_surv_count = surviving_counts[idx]
-    uniform_surviving = np.where(
-        mask, 1.0 / np.maximum(per_path_surv_count, 1.0), 0.0
-    )
-    partitioned = per_path_surv_count == 0
-    partition_uniform = 1.0 / pair_counts[idx]
-    untouched = (surviving_counts == pair_counts)[idx]
-
-    data = xb.path_set_data(path_set)
-    row_t = xb.asarray(rows, dtype=xb.compute_dtype)
-    mask_f = xb.asarray(mask.astype(float), dtype=xb.compute_dtype)
-    surviving_total = xb.segment_sum(
-        xb.mul(row_t, mask_f), data["index"], data["num_pairs"]
-    )
-    per_path_total = xb.take_last(surviving_total, data["index"])
-    has_mass = xb.greater(per_path_total, TEConfiguration.SUM_TOLERANCE)
-    safe_total = xb.where(has_mass, per_path_total, 1.0)
-    proportional = xb.where(
-        xb.asarray(mask, dtype=bool), xb.div(row_t, safe_total), 0.0
-    )
-    out = xb.where(
-        has_mass,
-        proportional,
-        xb.asarray(uniform_surviving, dtype=xb.compute_dtype),
-    )
-    out = xb.where(
-        xb.asarray(partitioned, dtype=bool),
-        xb.asarray(partition_uniform, dtype=xb.compute_dtype),
-        out,
-    )
-    out = xb.where(xb.asarray(untouched, dtype=bool), row_t, out)
-    return np.asarray(xb.to_numpy(out), dtype=float)
 
 
 def reroute_around_failures(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.paths.path_set import PathSet
 
 __all__ = ["link_loads", "link_utilization", "max_link_utilization"]
@@ -58,48 +57,16 @@ def max_link_utilization(
     path_set: PathSet,
     split_ratios,
     demands,
-    backend: ArrayBackend | str | None = None,
 ) -> float | np.ndarray:
     """Maximum link utilisation (the TE objective ``M(R, D)`` of Section 3).
 
     Returns a scalar for a single demand vector or an array of shape
-    ``(batch,)`` for a batch of demand vectors.
-
-    Args:
-        backend: Array backend computing the batched gather / product /
-            incidence-matmul / max pipeline (the active backend when
-            omitted).  The default numpy backend runs the original
-            scipy-sparse path bit-identically; alternates copy the batch to
-            the device once and match within their declared tolerance.
+    ``(batch,)`` for a batch of demand vectors.  The product with the sparse
+    incidence runs on the host whatever array backend is active: a backend
+    accelerates the DNN forward only (see :mod:`repro.backend`).
     """
-    xb = resolve_backend(backend)
-    if not xb.native_numpy:
-        return _max_link_utilization_generic(path_set, split_ratios, demands, xb)
     utilization = link_utilization(path_set, split_ratios, demands)
     result = utilization.max(axis=-1)
     if np.ndim(result) == 0:
         return float(result)
-    return result
-
-
-def _max_link_utilization_generic(
-    path_set: PathSet, split_ratios, demands, xb: ArrayBackend
-) -> float | np.ndarray:
-    """Backend-generic MLU: gather -> product -> incidence matmul -> max."""
-    ratios = np.asarray(_split_ratio_array(split_ratios), dtype=float)
-    demand = np.asarray(demands, dtype=float)
-    if demand.shape[-1] != path_set.num_sd_pairs:
-        raise ValueError(
-            f"demand vector must have {path_set.num_sd_pairs} entries, got {demand.shape}"
-        )
-    single = ratios.ndim == 1 and demand.ndim == 1
-    data = xb.path_set_data(path_set)
-    demand_rows = xb.atleast_2d(xb.asarray(demand, dtype=xb.compute_dtype))
-    ratio_rows = xb.atleast_2d(xb.asarray(ratios, dtype=xb.compute_dtype))
-    flow_on_path = xb.mul(xb.take_last(demand_rows, data["index"]), ratio_rows)
-    loads = xb.edge_loads(data, flow_on_path)
-    utilization = xb.div(loads, data["capacities"])
-    result = np.asarray(xb.to_numpy(xb.max_last(utilization)), dtype=float)
-    if single:
-        return float(result[0])
     return result

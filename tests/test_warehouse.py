@@ -14,7 +14,13 @@ from repro.evaluation.metrics import (
     mean_confidence_interval,
     normalized_mlu_statistics,
 )
-from repro.study import ResultSet, ResultWarehouse, StudyResult, WarehouseError
+from repro.study import (
+    ResultSet,
+    ResultWarehouse,
+    StudyCheckpoint,
+    StudyResult,
+    WarehouseError,
+)
 
 
 def _record(
@@ -92,6 +98,29 @@ class TestWarehouseStore:
         # The torn line is gone from disk, so the next append lands cleanly.
         store.append(_record(scheme="NEXT"))
         assert [r.scheme for r in store.results()] == ["KEPT", "NEXT"]
+
+    @pytest.mark.parametrize("store_class", [ResultWarehouse, StudyCheckpoint])
+    def test_append_never_lands_on_an_unterminated_line(
+        self, tmp_path, store_class, recwarn
+    ):
+        """A crash between a record's bytes and its newline loses nothing:
+        the next append must not merge with the complete last record (the
+        merged line would read as a torn tail and drop both)."""
+        path = tmp_path / "store.jsonl"
+        store = store_class(path)
+        store.extend([_record(scheme="A"), _record(scheme="B")])
+        data = path.read_bytes()
+        assert data.endswith(b"}\n")
+        path.write_bytes(data[:-1])
+        store.append(_record(scheme="C"))
+        assert [r.scheme for r in store.load()] == ["A", "B", "C"]
+        assert not recwarn.list
+        # A torn tail met by an append (no load in between) costs only itself.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"scenario": "half-writ')
+        with pytest.warns(RuntimeWarning, match="partially written trailing record"):
+            store.append(_record(scheme="D"))
+        assert [r.scheme for r in store.load()] == ["A", "B", "C", "D"]
 
     def test_foreign_file_raises_warehouse_error(self, tmp_path):
         path = tmp_path / "wh.jsonl"
