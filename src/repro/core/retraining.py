@@ -26,11 +26,11 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.te.config import TEConfiguration
 from repro.te.scheme import TEScheme
 from repro.traffic.matrix import TrafficMatrixSequence
+from repro.traffic.perturb import variance_rank_spearman
 
 __all__ = [
     "TrafficDriftDetector",
@@ -105,7 +105,7 @@ class TrafficDriftDetector:
         ):
             rank_drift = 0.0
         else:
-            rho = scipy_stats.spearmanr(self._train_variance, recent_variance).statistic
+            rho = variance_rank_spearman(self._train_variance, recent_variance)
             rank_drift = 1.0 - float(np.clip(rho, -1.0, 1.0))
         return float(mean_drift + 0.5 * rank_drift)
 

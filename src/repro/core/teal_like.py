@@ -119,6 +119,7 @@ class TealLike(TEScheme):
                     epoch=epoch,
                     step=step,
                 )
+        optimizer.zero_grad()  # the moments go with the optimiser; these would stay
 
     def configure(self, history: np.ndarray) -> TEConfiguration:
         if self._model is None:

@@ -16,6 +16,7 @@ from repro.core.config import TrainingConfig
 from repro.core.loss import TELoss
 from repro.core.model import FigretNet
 from repro.nn import Adam, Tensor, clip_gradient_norm
+from repro.nn.optim import drop_clip_scratch
 from repro.paths.path_set import PathSet
 from repro.solvers.lp import OptimalMLUCache, shared_cache
 from repro.te.config import TEConfiguration
@@ -188,9 +189,9 @@ class Trainer:
         The LP cache is a live process-local object (possibly the shared or
         a disk-persistent one) and is deliberately dropped -- an unpickled
         trainer falls back to :func:`~repro.solvers.lp.shared_cache` if it
-        ever trains again.  Optimizer moments are not carried either: what
-        crosses a process boundary is a *trained* model, and a fresh
-        ``fit`` rebuilds them anyway.
+        ever trains again.  There is no optimiser state to carry: ``fit``
+        releases it when it returns, so the copy refits exactly as the
+        original would.
         """
         return {
             "path_set": self.path_set,
@@ -213,12 +214,22 @@ class Trainer:
         self.model.load_state_dict(state["weights"])
         self.input_scale = state["input_scale"]
         self.history = state["history"]
+        # As after ``fit``: __init__ built zero-filled moments nothing reads.
+        self.optimizer.release()
 
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
     def fit(self, train_sequence: TrafficMatrixSequence) -> TrainingHistory:
-        """Train the model on a traffic sequence and return the loss history."""
+        """Train the model on a traffic sequence and return the loss history.
+
+        Every ``fit`` is a fresh optimisation from the current weights: the
+        Adam moments, the step count, the gradients and the clipping scratch
+        are released on the way out (also when a step raises), so a fitted
+        trainer holds its weights and nothing the size of them besides, and
+        a second ``fit`` gives the same weights in this process as on a copy
+        that crossed a process boundary in between.
+        """
         config = self.config
         inputs, targets = build_windows(train_sequence, config.history_len)
         # Scale inputs so the network sees O(1) values regardless of the
@@ -241,36 +252,40 @@ class Trainer:
         num_samples = scaled_inputs.shape[0]
         base_lr = config.learning_rate
         global_step = 0
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(num_samples)
-            epoch_total, epoch_mlu, epoch_sens, batches = 0.0, 0.0, 0.0, 0
-            for start in range(0, num_samples, config.batch_size):
-                if config.warmup_steps > 0:
-                    warmup = min(1.0, (global_step + 1) / config.warmup_steps)
-                else:
-                    warmup = 1.0
-                self.optimizer.lr = base_lr * warmup
-                global_step += 1
-                batch_idx = order[start : start + config.batch_size]
-                components = train_step(
-                    self.model,
-                    self.loss,
-                    self.optimizer,
-                    scaled_inputs[batch_idx],
-                    targets[batch_idx],
-                    optimal[batch_idx] if optimal is not None else None,
-                    gradient_clip=config.gradient_clip,
-                    epoch=epoch,
-                    step=batches + 1,
+        try:
+            for epoch in range(1, config.epochs + 1):
+                order = rng.permutation(num_samples)
+                epoch_total, epoch_mlu, epoch_sens, batches = 0.0, 0.0, 0.0, 0
+                for start in range(0, num_samples, config.batch_size):
+                    if config.warmup_steps > 0:
+                        warmup = min(1.0, (global_step + 1) / config.warmup_steps)
+                    else:
+                        warmup = 1.0
+                    self.optimizer.lr = base_lr * warmup
+                    global_step += 1
+                    batch_idx = order[start : start + config.batch_size]
+                    components = train_step(
+                        self.model,
+                        self.loss,
+                        self.optimizer,
+                        scaled_inputs[batch_idx],
+                        targets[batch_idx],
+                        optimal[batch_idx] if optimal is not None else None,
+                        gradient_clip=config.gradient_clip,
+                        epoch=epoch,
+                        step=batches + 1,
+                    )
+                    epoch_total += components["total"]
+                    epoch_mlu += components["mlu"]
+                    epoch_sens += components["sensitivity"]
+                    batches += 1
+                self.history.record(
+                    epoch_total / batches, epoch_mlu / batches, epoch_sens / batches
                 )
-                epoch_total += components["total"]
-                epoch_mlu += components["mlu"]
-                epoch_sens += components["sensitivity"]
-                batches += 1
-            self.history.record(
-                epoch_total / batches, epoch_mlu / batches, epoch_sens / batches
-            )
-            base_lr *= config.lr_decay
+                base_lr *= config.lr_decay
+        finally:
+            self.optimizer.release()
+            drop_clip_scratch()
         return self.history
 
     # ------------------------------------------------------------------ #

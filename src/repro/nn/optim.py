@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["SGD", "Adam", "clip_gradient_norm"]
+__all__ = ["SGD", "Adam", "clip_gradient_norm", "drop_clip_scratch"]
 
 
 #: Elements per block of :meth:`Adam.step`.  One block each of the weights,
@@ -24,8 +24,9 @@ __all__ = ["SGD", "Adam", "clip_gradient_norm"]
 _BLOCK = 16384
 
 #: Flat scratch arrays of :func:`clip_gradient_norm`, as large as the largest
-#: gradient squared so far.  A stack, not a single slot: ``pop`` / ``append``
-#: are atomic, so two threads clipping at once never square into one array.
+#: gradient squared since :func:`drop_clip_scratch`.  A stack, not a single
+#: slot: ``pop`` / ``append`` are atomic, so two threads clipping at once
+#: never square into one array.
 _square_scratch: list[np.ndarray] = []
 
 
@@ -38,7 +39,7 @@ def clip_gradient_norm(parameters: list[Tensor], max_norm: float) -> float:
     array of the gradient's own shape and layout, so the norm has the bits of
     ``np.sum(grad**2)``; a gradient that is not C-contiguous is squared into
     a fresh array instead.  The scratch stays allocated at the size of the
-    largest gradient seen in the process.
+    largest gradient seen until :func:`drop_clip_scratch` is called.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
@@ -59,6 +60,21 @@ def clip_gradient_norm(parameters: list[Tensor], max_norm: float) -> float:
             if param.grad is not None:
                 param.grad *= scale
     return norm
+
+
+def drop_clip_scratch() -> None:
+    """Free one scratch array of :func:`clip_gradient_norm`, if any is idle.
+
+    A training calls this when it ends, so a process that has finished
+    training does not keep an array the size of its largest gradient.  One
+    array per call: a training running on another thread whose array is
+    taken from under it allocates a new one at its next step, as a first
+    step does.
+    """
+    try:
+        _square_scratch.pop()
+    except IndexError:
+        pass
 
 
 class SGD:
@@ -118,6 +134,10 @@ class Adam:
     every step (the trainer changes it for warm-up and decay) and no view of
     ``param.data`` is kept between steps (``load_state_dict`` rebinds it).
 
+    The moments are twice the size of the weights and only an optimisation
+    in progress reads them: :meth:`release` frees them when it ends, and the
+    first ``step`` after that allocates them again, at zero.
+
     Args:
         parameters: Tensors to update.
         lr: Learning rate.
@@ -143,12 +163,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._zero_moments()
         self._scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
+
+    def _zero_moments(self) -> None:
+        self._m: list[np.ndarray] | None = [np.zeros_like(p.data) for p in self.parameters]
+        self._v: list[np.ndarray] | None = [np.zeros_like(p.data) for p in self.parameters]
+
+    def release(self) -> None:
+        """End the optimisation: free both moments and every gradient.
+
+        The step count returns to zero with them, so the next ``step`` is the
+        first step of a new optimisation from the current weights -- what a
+        new ``Adam`` over the same parameters would do, without holding
+        zero-filled moments until then.  The moments are dropped, not
+        re-zeroed: ``np.zeros_like`` of a block the allocator has just taken
+        back is served from the heap and written, hence resident.
+        """
+        self._step = 0
+        self._m = self._v = None
+        self.zero_grad()
 
     def step(self) -> None:
         """Apply one Adam update using the accumulated gradients."""
+        if self._m is None:
+            self._zero_moments()
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step

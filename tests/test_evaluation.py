@@ -45,13 +45,23 @@ class TestMetrics:
 
 class TestMeanConfidenceInterval:
     def test_matches_student_t_by_hand(self):
+        # Exactly: the quantile comes from scipy.special.stdtrit, which is
+        # all scipy.stats.t.ppf computes.
         from scipy import stats
 
-        values = [1.0, 2.0, 3.0]
-        mean, half = mean_confidence_interval(values, confidence=0.95)
+        rng = np.random.default_rng(0)
+        for df in [*range(1, 60), 100, 1000, 10**6]:
+            values = rng.random(df + 1)
+            sem = float(values.std(ddof=1)) / float(np.sqrt(values.size))
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                mean, half = mean_confidence_interval(values, confidence=confidence)
+                assert mean == float(values.mean())
+                assert half == float(stats.t.ppf(0.5 + confidence / 2.0, df) * sem), (
+                    df, confidence
+                )
+        mean, half = mean_confidence_interval([1.0, 2.0, 3.0], confidence=0.95)
         assert mean == pytest.approx(2.0)
-        sem = np.std(values, ddof=1) / np.sqrt(3)
-        assert half == pytest.approx(stats.t.ppf(0.975, 2) * sem)
+        assert half == pytest.approx(4.302652729911275 / np.sqrt(3))
 
     def test_single_sample_has_zero_half_width(self):
         assert mean_confidence_interval([1.7]) == (pytest.approx(1.7), 0.0)

@@ -78,6 +78,21 @@ class TestTrafficDriftDetector:
         assert detector.score(recent) > 0.2
         assert detector.has_drifted(recent)
 
+    def test_score_of_a_fixed_pair_of_windows(self):
+        def window(length, multiplier):
+            # Small integers in closed form; ties in the variance ranking.
+            t = np.arange(length)[:, None, None]
+            i = np.arange(4)[None, :, None]
+            j = np.arange(4)[None, None, :]
+            demands = 1.0 + (t * (multiplier * i + j + 1)) % 7
+            return TrafficMatrixSequence(demands * (i != j))
+
+        detector = TrafficDriftDetector(window(20, 3))
+        # Recorded with ``scipy.stats.spearmanr`` called from this module,
+        # before it went through ``variance_rank_spearman``.
+        assert detector.score(window(12, 5)) == 0.7026571441168976
+        assert detector.score(window(20, 3)) == 0.0
+
     def test_shape_mismatch_rejected(self, mesh4_topology):
         train = self._traffic(mesh4_topology, seed=1)
         detector = TrafficDriftDetector(train)

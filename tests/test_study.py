@@ -9,10 +9,15 @@ provenance intact.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets import (
     available_scenarios,
     from_config,
@@ -703,3 +708,58 @@ class TestStudyCLI:
         assert "geant_small" in capsys.readouterr().out
         assert study_cli(["--list-schemes"]) == 0
         assert "figret" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------- #
+# What a study process loads
+# --------------------------------------------------------------------------- #
+_IMPORT_HYGIENE_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+
+def loaded():
+    return "scipy.stats" in sys.modules
+
+import repro.study
+assert not loaded(), "import repro.study loads scipy.stats"
+
+from repro.evaluation.engine import EvaluationEngine
+from repro.solvers.lp import OptimalMLUCache
+from repro.study import ResultWarehouse, Study
+from repro.traffic.perturb import variance_rank_spearman
+
+spec = {
+    "scenario": json.loads(sys.argv[1]),
+    "scheme": {"kind": "dote", "epochs": 1, "history_len": 3, "seed": 0},
+    "perturbation": {"sweep": [{"kind": "none"}, {"kind": "fluctuation", "alpha": 1.0}]},
+    "max_intervals": 3,
+}
+with tempfile.TemporaryDirectory() as scratch:
+    warehouse = ResultWarehouse(Path(scratch) / "records.jsonl")
+    results = Study(spec).run(
+        engine=EvaluationEngine(cache=OptimalMLUCache()), warehouse=warehouse
+    )
+    assert [record.experiment for record in results] == ["replay", "fluctuation"]
+    assert not loaded(), "a study loads scipy.stats"
+    (row,) = warehouse.aggregate(group_by=("scheme",))
+    # Two records pooled: the Student-t half-width was computed.
+    assert row["n"] == 2 and row["ci95"] > 0.0, row
+    assert not loaded(), "aggregate loads scipy.stats"
+variance_rank_spearman([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
+assert loaded(), "this test no longer sees the import it guards against"
+"""
+
+
+def test_scipy_stats_is_loaded_by_its_one_caller_only():
+    """No timing: ``scipy.stats`` costs 0.4 s and 23 MB in every process
+    (CLI run, daemon, pool worker), and a study needs nothing from it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_HYGIENE_SCRIPT, json.dumps(_tiny_config("hygiene_mesh"))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

@@ -497,6 +497,28 @@ class TestPicklableSchemes:
             clone.split_ratios_batch(windows), trainer.split_ratios_batch(windows)
         )
 
+    def test_a_refit_is_the_same_in_process_and_across_one(self, trained_setup):
+        # Every fit is a fresh optimisation from the current weights.  The
+        # original used to continue the first fit's moments and step count
+        # while its unpickled copy started from zero.
+        from repro.core.config import TrainingConfig
+        from repro.core.trainer import Trainer
+
+        scenario, train, _ = trained_setup
+        original = Trainer(
+            scenario.paths,
+            TrainingConfig(epochs=2, history_len=3, normalize_by_optimal=False, seed=0),
+        )
+        original.fit(train)
+        clone = pickle.loads(pickle.dumps(original))
+        original.fit(train)
+        clone.fit(train)
+        refit, expected = original.model.state_dict(), clone.model.state_dict()
+        assert refit.keys() == expected.keys()
+        for key in expected:
+            np.testing.assert_array_equal(refit[key], expected[key])
+        assert original.history.epoch_losses == clone.history.epoch_losses
+
     def test_tensor_pickle_drops_autodiff_tape(self):
         from repro.nn import Tensor
 
