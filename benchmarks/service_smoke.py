@@ -81,7 +81,12 @@ def start_daemon(socket_path: Path, spool_dir: Path) -> subprocess.Popen:
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.study", "serve",
          "--socket", str(socket_path), "--spool-dir", str(spool_dir)],
-        env=dict(os.environ, PYTHONPATH="src"),
+        # Prepended, not replaced: benchmarks/unreached.py profiles the daemon
+        # through a sitecustomize directory on the caller's PYTHONPATH.
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(["src", *filter(None, [os.environ.get("PYTHONPATH")])]),
+        ),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

@@ -10,15 +10,13 @@ A backend runs what a device accelerates: the neural schemes' forward pass
 failure rerouting are sparse products that stay on the host, and the LP
 schemes and normalisers stay on CPU/HiGHS, so a backend changes nothing but
 the forward.  The default ``numpy`` backend is bit-identical to the classic
-engine; ``numpy32`` runs the forward in float32 as GPU backends do;
-``torch`` is picked up automatically when installed (and falls back to numpy
-with a warning when not).
+engine; ``numpy32`` runs the forward in float32 as a device would; ``python``
+is the pure-python reference.
 
-This script replays a briefly trained FIGRET on every locally available
-backend and prints how far each one drifts from the float64 numpy
-reference -- the forward's drift, the same check the CI backend matrix
-enforces (bit-identical for numpy, ~1e-9 for the pure-python reference,
-~1e-6 for float32 backends).
+This script replays a briefly trained FIGRET on every registered backend and
+prints how far each one drifts from the float64 numpy reference -- the
+forward's drift, the same check the CI backend matrix enforces (bit-identical
+for numpy, ~1e-9 for the pure-python reference, ~1e-6 for float32 backends).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import time
 import numpy as np
 
 from repro import datasets
-from repro.backend import active_backend, get_backend
+from repro.backend import active_backend, available_backends, get_backend
 from repro.core import Figret, TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
 
@@ -52,8 +50,8 @@ def main() -> None:
     reference_engine = EvaluationEngine(backend="numpy")
     reference = reference_engine.evaluate_scheme(scheme, test, history_len)
 
-    for name in ("numpy", "numpy32", "python", "torch"):
-        backend = get_backend(name)  # a missing torch warns + falls back
+    for name in available_backends():
+        backend = get_backend(name)
         engine = EvaluationEngine(cache=reference_engine.cache, backend=backend)
         start = time.perf_counter()
         result = engine.evaluate_scheme(scheme, test, history_len)
@@ -61,9 +59,8 @@ def main() -> None:
         drift = float(
             np.max(np.abs(result.normalized_mlus - reference.normalized_mlus))
         )
-        label = name if backend.name == name else f"{name} -> {backend.name}"
         print(
-            f"{label:>16}: replay {elapsed * 1e3:7.1f} ms, "
+            f"{name:>16}: replay {elapsed * 1e3:7.1f} ms, "
             f"max drift vs numpy {drift:.2e} "
             f"(tolerance {backend.tolerance:.0e})"
         )

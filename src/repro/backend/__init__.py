@@ -9,16 +9,12 @@ LP schemes replay identically on every backend.  This package provides:
 * :class:`~repro.backend.base.ArrayBackend` -- the six functional ops of the
   forward (see ``base.py``);
 * the default ``numpy`` backend (bit-identical to the pre-backend engine),
-  a ``numpy32`` float32 variant, a pure-``python`` reference backend for CI
-  determinism checks, and an optional ``torch`` backend that is
-  auto-detected and falls back to numpy (with one warning) when missing;
+  a ``numpy32`` float32 variant and a pure-``python`` reference backend for
+  CI determinism checks -- all three run on numpy alone;
 * selection via the ``REPRO_BACKEND`` environment variable, the
   :func:`use_backend` override used by :class:`EvaluationEngine`
   (``EvaluationEngine(backend=)``, ``Study.run(backend=)``, ``--backend``),
   or ``split_ratios_batch(backend=)`` on a model directly.
-
-``REPRO_BACKEND_DTYPE`` (``float32`` / ``float64``) picks the compute dtype
-of the ``torch`` backend; the numpy default always computes in float64.
 
 Example:
     >>> from repro.backend import get_backend, use_backend
@@ -30,12 +26,8 @@ Example:
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import warnings
 from contextlib import contextmanager
-
-import numpy as np
 
 from repro.backend.base import ArrayBackend
 from repro.backend.numpy_backend import Numpy32Backend, NumpyBackend
@@ -44,7 +36,6 @@ __all__ = [
     "ArrayBackend",
     "BACKEND_ENV_VAR",
     "available_backends",
-    "importable_backends",
     "get_backend",
     "active_backend",
     "resolve_backend",
@@ -53,27 +44,6 @@ __all__ = [
 
 #: Environment variable naming the default backend for the process.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-#: Environment variable selecting the ``torch`` backend's compute dtype.
-DTYPE_ENV_VAR = "REPRO_BACKEND_DTYPE"
-
-#: Optional backends in auto-detection preference order.
-_OPTIONAL = ("torch",)
-
-
-def _gpu_dtype():
-    """Compute dtype for the optional ``torch`` backend (float32 by default)."""
-    name = os.environ.get(DTYPE_ENV_VAR, "float32").strip().lower()
-    if name not in ("float32", "float64"):
-        raise ValueError(
-            f"{DTYPE_ENV_VAR} must be 'float32' or 'float64', got {name!r}"
-        )
-    return np.float32 if name == "float32" else np.float64
-
-
-def _make_torch() -> ArrayBackend:
-    from repro.backend.torch_backend import TorchBackend
-
-    return TorchBackend(dtype=_gpu_dtype())
 
 
 def _make_python() -> ArrayBackend:
@@ -86,48 +56,15 @@ _FACTORIES = {
     "numpy": NumpyBackend,
     "numpy32": Numpy32Backend,
     "python": _make_python,
-    "torch": _make_torch,
 }
 
 _INSTANCES: dict[str, ArrayBackend] = {}
-_FALLBACK_WARNED: set[str] = set()
 _OVERRIDE: ArrayBackend | None = None
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names (optional ones may not be importable)."""
+    """Registered backend names; every one runs on numpy alone."""
     return tuple(_FACTORIES)
-
-
-def importable_backends() -> tuple[str, ...]:
-    """Backends that can actually run on this machine (no fallbacks).
-
-    The always-available trio plus whichever optional backends have their
-    dependency installed.  The equivalence test suites parameterize
-    over exactly this list.
-    """
-    names = ["numpy", "numpy32", "python"]
-    names.extend(
-        name for name in _OPTIONAL if importlib.util.find_spec(name) is not None
-    )
-    return tuple(names)
-
-
-def _instantiate(name: str) -> ArrayBackend:
-    backend = _INSTANCES.get(name)
-    if (
-        backend is not None
-        and name in _OPTIONAL
-        and backend.name == name  # not a cached numpy fallback
-        and np.dtype(backend.compute_dtype) != np.dtype(_gpu_dtype())
-    ):
-        # REPRO_BACKEND_DTYPE changed since this instance was built: rebuild
-        # so the documented dtype override is never silently ignored.
-        backend = None
-    if backend is None:
-        backend = _FACTORIES[name]()
-        _INSTANCES[name] = backend
-    return backend
 
 
 def get_backend(name: str | None = None) -> ArrayBackend:
@@ -135,52 +72,25 @@ def get_backend(name: str | None = None) -> ArrayBackend:
 
     Args:
         name: Backend name, or None to consult ``REPRO_BACKEND`` (falling
-            back to ``numpy``).  The special name ``auto`` picks the first
-            importable of ``torch``, ``numpy``.
+            back to ``numpy``).
 
     Returns:
-        The (cached) backend instance.  A *known but unimportable* optional
-        backend falls back to numpy with a single warning per process;
-        an *unknown* name raises :class:`ValueError`.
+        The (cached) backend instance; an unknown name raises
+        :class:`ValueError`.
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR) or "numpy"
     name = name.strip().lower()
-    if name == "auto":
-        if "auto" not in _INSTANCES:
-            for candidate in _OPTIONAL:
-                try:
-                    return _instantiate(candidate)
-                except ImportError:
-                    continue
-            # Nothing optional imports: cached for the reason given at the
-            # named fallback below (every forward resolves the backend).
-            _INSTANCES["auto"] = _instantiate("numpy")
-        return _INSTANCES["auto"]
     if name not in _FACTORIES:
         raise ValueError(
             f"unknown array backend {name!r} (from {BACKEND_ENV_VAR} or an "
             f"explicit argument); known backends: "
-            f"{', '.join(sorted(_FACTORIES))}, or 'auto'"
+            f"{', '.join(sorted(_FACTORIES))}"
         )
-    try:
-        return _instantiate(name)
-    except ImportError as exc:
-        if name not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(name)
-            warnings.warn(
-                f"array backend {name!r} is not importable ({exc}); "
-                "falling back to numpy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        # Cache the fallback under the failing name: with REPRO_BACKEND set
-        # to a missing backend, every hot-path call resolves the backend, and
-        # re-attempting the failed import each time would pay a module-finder
-        # scan per call.
-        fallback = _instantiate("numpy")
-        _INSTANCES[name] = fallback
-        return fallback
+    backend = _INSTANCES.get(name)
+    if backend is None:
+        backend = _INSTANCES[name] = _FACTORIES[name]()
+    return backend
 
 
 def active_backend() -> ArrayBackend:

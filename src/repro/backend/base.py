@@ -36,12 +36,12 @@ class ArrayBackend:
 
     Subclasses set :attr:`name`, :attr:`compute_dtype` and
     :attr:`tolerance`, and implement the six operations below.  Arrays
-    handled by these ops are *backend-native* (numpy arrays, torch tensors,
-    or the pure-python reference's ``PyArray``); conversion happens only in
+    handled by these ops are *backend-native* (numpy arrays or the
+    pure-python reference's ``PyArray``); conversion happens only in
     :meth:`asarray` / :meth:`to_numpy`.
 
     Attributes:
-        name: Registry name (``"numpy"``, ``"torch"``, ...).
+        name: Registry name (``"numpy"``, ``"python"``, ...).
         compute_dtype: Numpy dtype the forward computes in.
         tolerance: Absolute tolerance the equivalence suites use when
             pinning this backend to the default numpy replay (0.0 means

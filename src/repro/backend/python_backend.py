@@ -2,11 +2,10 @@
 
 This backend implements the forward's six operations with plain Python lists
 and ``math`` -- no numpy inside the ops.  It is deliberately slow and exists
-for one reason: CI determinism checks.  The torch backend runs the same
-layer loop (``FigretNet.forward``), so pinning the pure-python backend to the
+for one reason: CI determinism checks.  Every backend runs the same layer
+loop (``FigretNet.forward``), so pinning the pure-python backend to the
 numpy replay (float64, ~1e-9 -- only summation-order rounding differs) proves
-that loop correct on machines with no GPU and no optional dependencies at
-all.
+that loop correct with no array library inside the ops at all.
 
 Arrays are :class:`PyArray`: a flat row-major ``list[float]`` plus a shape
 tuple, supporting 1-D and 2-D shapes with a 1-D operand broadcast across the

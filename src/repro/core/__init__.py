@@ -7,13 +7,6 @@ from repro.core.trainer import Trainer, TrainingHistory
 from repro.core.figret import Figret
 from repro.core.dote import Dote
 from repro.core.teal_like import TealLike
-from repro.core.retraining import (
-    PerformanceDegradationDetector,
-    RetrainingDecision,
-    RetrainingPolicy,
-    RetrainingScheme,
-    TrafficDriftDetector,
-)
 
 __all__ = [
     "TrainingConfig",
@@ -24,9 +17,4 @@ __all__ = [
     "Figret",
     "Dote",
     "TealLike",
-    "TrafficDriftDetector",
-    "PerformanceDegradationDetector",
-    "RetrainingPolicy",
-    "RetrainingDecision",
-    "RetrainingScheme",
 ]

@@ -1,6 +1,6 @@
 """Plain-text report formatting for benchmark output.
 
-Benchmarks print the same rows/series the paper's tables and figures report;
+Benchmarks print the same rows the paper's tables and figures report;
 these helpers keep that output consistent and readable without requiring a
 plotting stack.
 """
@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import numpy as np
-
 from repro.evaluation.metrics import MLUStatistics
 
-__all__ = ["format_table", "format_mlu_comparison", "format_series"]
+__all__ = ["format_table", "format_mlu_comparison"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str | None = None) -> str:
@@ -65,12 +63,3 @@ def format_mlu_comparison(statistics: Mapping[str, MLUStatistics], title: str | 
         )
     return format_table(headers, rows, title=title)
 
-
-def format_series(name: str, values: np.ndarray, max_points: int = 20) -> str:
-    """Format a numeric series compactly (downsampled to ``max_points``)."""
-    values = np.asarray(values, dtype=float)
-    if values.size > max_points:
-        idx = np.linspace(0, values.size - 1, max_points).astype(int)
-        values = values[idx]
-    formatted = ", ".join(f"{v:.3f}" for v in values)
-    return f"{name}: [{formatted}]"

@@ -1,7 +1,6 @@
 """Gradient-descent optimizers.
 
-FIGRET trains with Adam (Appendix D.4); SGD is provided for tests and
-ablations.
+FIGRET trains with Adam (Appendix D.4).
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["SGD", "Adam", "clip_gradient_norm", "drop_clip_scratch"]
+__all__ = ["Adam", "clip_gradient_norm", "drop_clip_scratch"]
 
 
 #: Elements per block of :meth:`Adam.step`.  One block each of the weights,
@@ -75,44 +74,6 @@ def drop_clip_scratch() -> None:
         _square_scratch.pop()
     except IndexError:
         pass
-
-
-class SGD:
-    """Plain (optionally momentum) stochastic gradient descent.
-
-    Args:
-        parameters: Tensors to update.
-        lr: Learning rate.
-        momentum: Momentum coefficient (0 disables momentum).
-    """
-
-    def __init__(self, parameters: list[Tensor], lr: float = 0.01, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.parameters = list(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        """Apply one update using the accumulated gradients."""
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += param.grad
-                update = velocity
-            else:
-                update = param.grad
-            param.data -= self.lr * update
-
-    def zero_grad(self) -> None:
-        """Reset the gradients of all managed parameters."""
-        for param in self.parameters:
-            param.zero_grad()
 
 
 class Adam:

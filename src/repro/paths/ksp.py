@@ -15,66 +15,20 @@ import networkx as nx
 from repro.paths.path_set import PathSet
 from repro.topology.graph import Topology
 
-__all__ = ["k_shortest_paths", "build_ksp_path_set"]
+__all__ = ["build_ksp_path_set"]
 
 
-def k_shortest_paths(
-    topology: Topology,
-    src: int,
-    dst: int,
-    k: int = 3,
-    weight: str | None = None,
-) -> list[list[int]]:
-    """Return up to ``k`` loop-free shortest paths from ``src`` to ``dst``.
-
-    Args:
-        topology: The network topology.
-        src: Source node.
-        dst: Destination node.
-        k: Number of paths requested.  Fewer are returned if the graph does
-            not contain ``k`` simple paths.
-        weight: Edge attribute used as the path metric.  ``None`` (default)
-            means hop count, ``"inv_capacity"`` weighs each edge by the
-            inverse of its capacity (favouring fat links).
-
-    Raises:
-        nx.NetworkXNoPath: If ``dst`` is unreachable from ``src``.
-    """
-    graph = topology.to_networkx()
-    if weight == "inv_capacity":
-        for a, b, data in graph.edges(data=True):
-            data["weight"] = 1.0 / data["capacity"]
-        weight_attr = "weight"
-    elif weight is None:
-        weight_attr = None
-    else:
-        weight_attr = weight
-    generator = nx.shortest_simple_paths(graph, src, dst, weight=weight_attr)
-    return [list(p) for p in islice(generator, k)]
-
-
-def build_ksp_path_set(
-    topology: Topology,
-    k: int = 3,
-    weight: str | None = None,
-) -> PathSet:
+def build_ksp_path_set(topology: Topology, k: int = 3) -> PathSet:
     """Build a :class:`PathSet` with up to ``k`` shortest paths per SD pair.
 
     This is the default candidate-path construction of the paper (Yen's
-    algorithm, k = 3).  Pairs with fewer than ``k`` simple paths simply get
-    fewer candidates.
+    algorithm, k = 3), with hop count as the path metric.  Pairs with fewer
+    than ``k`` simple paths simply get fewer candidates.
     """
     graph = topology.to_networkx()
-    if weight == "inv_capacity":
-        for a, b, data in graph.edges(data=True):
-            data["weight"] = 1.0 / data["capacity"]
-        weight_attr = "weight"
-    else:
-        weight_attr = weight
-
     paths_by_pair: dict[tuple[int, int], list[list[int]]] = {}
     for src, dst in topology.sd_pairs():
-        generator = nx.shortest_simple_paths(graph, src, dst, weight=weight_attr)
+        generator = nx.shortest_simple_paths(graph, src, dst)
         paths = [list(p) for p in islice(generator, k)]
         if not paths:
             raise nx.NetworkXNoPath(f"no path between {src} and {dst}")

@@ -163,11 +163,6 @@ class PathSet:
         """The candidate node paths serving ``src -> dst``."""
         return [self.paths[i] for i in self.path_indices_for(src, dst)]
 
-    def path_edge_indices(self, path_index: int) -> list[int]:
-        """Edge indices traversed by the given path."""
-        nodes = self.paths[path_index]
-        return [self.topology.edge_index(a, b) for a, b in zip(nodes[:-1], nodes[1:])]
-
     def demand_vector(self, demand_matrix: np.ndarray) -> np.ndarray:
         """Flatten a |V| x |V| demand matrix to a vector in SD-pair order."""
         dm = np.asarray(demand_matrix, dtype=float)

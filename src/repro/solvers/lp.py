@@ -879,23 +879,7 @@ class OptimalMLUCache:
         backend: "LPBackend | str | None" = None,
     ) -> float:
         """Cached :func:`omniscient_mlu` (optionally restricted to a path mask)."""
-        demand_vector = np.asarray(demand_vector, dtype=float)
-        key = (path_set.fingerprint, self._demand_key(demand_vector), self._mask_key(path_mask))
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        [(_, mlu)] = solve_mlu_lp_batch(
-            path_set,
-            demand_vector,
-            path_mask=path_mask,
-            backend=backend,
-            mlu_only=True,
-        )
-        value = max(mlu, 1e-12)
-        self._store(key, value)
-        return value
+        return float(self.optimal_mlus(path_set, demand_vector, path_mask, backend=backend)[0])
 
     def optimal_mlus(
         self,

@@ -72,9 +72,36 @@ def _workers_type(value: str):
     return workers
 
 
+def _backend_type(value: str) -> str:
+    """``type=`` parser for ``--backend``: the registry's own message (it
+    names the known backends) as a clean ``parser.error`` line."""
+    from repro.backend import get_backend
+
+    try:
+        get_backend(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _lp_backend_type(value: str) -> str:
+    """``type=`` parser for ``--lp-backend``, as :func:`_backend_type`."""
+    from repro.solvers.lp_backend import get_lp_backend
+
+    try:
+        get_lp_backend(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """The execution knobs shared by the study and suite runners."""
-    parser.add_argument("--backend", help="array backend for the neural forward passes")
+    parser.add_argument(
+        "--backend",
+        type=_backend_type,
+        help="array backend for the neural forward passes",
+    )
     parser.add_argument(
         "--lp-workers",
         default=None,
@@ -92,6 +119,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lp-backend",
         default=None,
+        type=_lp_backend_type,
         metavar="NAME",
         help=(
             "LP solver backend for the omniscient normalisers ('scipy', "
@@ -343,7 +371,10 @@ def _cmd_serve(argv: list[str]) -> int:
             "(default: <socket>.spool/ next to the socket)"
         ),
     )
-    parser.add_argument("--backend", help="array backend for the neural forward passes")
+    parser.add_argument(
+        "--backend", type=_backend_type,
+        help="array backend for the neural forward passes",
+    )
     parser.add_argument(
         "--lp-workers", default=None, type=_workers_type, metavar="N",
         help="LP process-pool width for cold normaliser batches",
@@ -353,7 +384,7 @@ def _cmd_serve(argv: list[str]) -> int:
         help="process-pool width jobs run their cells with (default: sequential)",
     )
     parser.add_argument(
-        "--lp-backend", default=None, metavar="NAME",
+        "--lp-backend", default=None, type=_lp_backend_type, metavar="NAME",
         help="LP solver backend ('scipy', 'highs', or 'auto', the default)",
     )
     args = parser.parse_args(argv)

@@ -11,7 +11,7 @@ from repro.evaluation.metrics import (
     normalized_mlu_statistics,
     severe_congestion_fraction,
 )
-from repro.evaluation.reporting import format_mlu_comparison, format_series, format_table
+from repro.evaluation.reporting import format_mlu_comparison, format_table
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers import OmniscientTE, PredictionBasedTE
 from repro.study import InlineScenario, Study, sweep
@@ -217,8 +217,3 @@ class TestReporting:
         text = format_mlu_comparison(stats, title="cmp")
         assert "X" in text
         assert "severe>2" in text
-
-    def test_format_series_downsamples(self):
-        text = format_series("s", np.arange(100, dtype=float), max_points=5)
-        assert text.startswith("s: [")
-        assert text.count(",") == 4

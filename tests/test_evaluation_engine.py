@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import get_backend, importable_backends, use_backend
-from repro.core import Dote, Figret, RetrainingPolicy, RetrainingScheme, TealLike, TrainingConfig
+from repro.backend import available_backends, get_backend, use_backend
+from repro.core import Dote, Figret, TealLike, TrainingConfig
 from repro.core.trainer import build_windows, fit_history_window
 from repro.evaluation.engine import EvaluationEngine, build_history_windows
 from repro.solvers import (
@@ -36,10 +36,6 @@ from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSequence
 
 HISTORY = 4
 TOL = 1e-9
-
-#: Array backends available on this machine, each compared with its own
-#: declared tolerance (the float32 plumbing for GPU backends is ~1e-6).
-LOCAL_BACKENDS = importable_backends()
 
 
 def _sequential_replay(scheme, test_sequence, history_len, oracle_demand=False):
@@ -143,38 +139,6 @@ class TestConfigureBatchEquivalence:
         for scheme in trained_neural_schemes:
             self._assert_batch_matches_loop(scheme, windows)
 
-    def test_retraining_wrapper_delegates(self, trained_neural_schemes, mesh4_traffic):
-        inner = trained_neural_schemes[1]
-        wrapper = RetrainingScheme(inner, RetrainingPolicy(period=1000), name="wrapped")
-        windows, _ = build_history_windows(mesh4_traffic[:12].flat_demands(), HISTORY)
-        np.testing.assert_allclose(
-            wrapper.configure_batch(windows), inner.configure_batch(windows), atol=TOL
-        )
-
-    def test_retraining_rebaselines_drift_detector(self, mesh4_paths, mesh4_traffic):
-        from repro.core import TrafficDriftDetector
-
-        train, _ = mesh4_traffic.split(0.5)
-        # Shifted traffic: all demand concentrated on one pair (a shape
-        # change, which the cosine-based drift score reacts to).
-        shifted_mats = []
-        for t in range(12):
-            m = np.zeros((4, 4))
-            m[0, 1] = 100.0 + t
-            shifted_mats.append(TrafficMatrix(m))
-        scaled = TrafficMatrixSequence(shifted_mats)
-        detector = TrafficDriftDetector(train, drift_threshold=0.05)
-        policy = RetrainingPolicy(drift_detector=detector)
-        wrapper = RetrainingScheme(DesensitizationTE(mesh4_paths), policy)
-        wrapper.precompute(train)
-        first = wrapper.maybe_retrain(scaled)
-        assert first.retrain and first.reason == "traffic drift"
-        # After retraining on the shifted traffic, the detector must be
-        # re-baselined -- the same window no longer counts as drift.
-        second = wrapper.maybe_retrain(scaled)
-        assert not second.retrain
-        assert wrapper.retrain_count == 1
-
     def test_batch_ratios_are_valid_splits(self, trained_neural_schemes, mesh4_traffic):
         windows, _ = build_history_windows(mesh4_traffic[:12].flat_demands(), HISTORY)
         for scheme in trained_neural_schemes:
@@ -188,7 +152,7 @@ class TestConfigureBatchEquivalence:
         with pytest.raises(RuntimeError):
             Dote(mesh4_paths).configure_batch(windows)
 
-    @pytest.mark.parametrize("backend_name", LOCAL_BACKENDS)
+    @pytest.mark.parametrize("backend_name", available_backends())
     def test_batch_matches_loop_under_every_backend(
         self, backend_name, trained_neural_schemes, mesh4_traffic
     ):

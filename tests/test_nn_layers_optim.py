@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Linear, Module, ReLU, SGD, Sequential, Sigmoid, Tensor, clip_gradient_norm
+from repro.nn import Adam, Linear, Module, ReLU, Sequential, Sigmoid, Tensor, clip_gradient_norm
 
 
 class TestLayers:
@@ -79,28 +79,6 @@ class _Quadratic(Module):
 
 
 class TestOptimizers:
-    def test_sgd_converges_on_quadratic(self):
-        target = np.array([1.0, -2.0, 3.0])
-        model = _Quadratic(np.zeros(3))
-        opt = SGD(model.parameters(), lr=0.1)
-        for _ in range(200):
-            loss = model.loss(target)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(model.x.data, target, atol=1e-4)
-
-    def test_sgd_momentum_converges(self):
-        target = np.array([0.5, 0.5])
-        model = _Quadratic(np.zeros(2))
-        opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
-        for _ in range(200):
-            loss = model.loss(target)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(model.x.data, target, atol=1e-3)
-
     def test_adam_converges_on_quadratic(self):
         target = np.array([2.0, -1.0, 0.5, 4.0])
         model = _Quadratic(np.zeros(4))
@@ -120,10 +98,6 @@ class TestOptimizers:
 
     def test_invalid_hyperparameters(self):
         param = Tensor(np.ones(1), requires_grad=True)
-        with pytest.raises(ValueError):
-            SGD([param], lr=0.0)
-        with pytest.raises(ValueError):
-            SGD([param], lr=0.1, momentum=1.5)
         with pytest.raises(ValueError):
             Adam([param], lr=-1.0)
         with pytest.raises(ValueError):

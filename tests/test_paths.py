@@ -5,38 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.paths.ksp import build_ksp_path_set, k_shortest_paths
+from repro.paths.ksp import build_ksp_path_set
 from repro.paths.path_set import PathSet
 from repro.paths.racke import racke_path_set
 from repro.topology import generators
 from repro.topology.graph import Topology
-
-
-class TestKShortestPaths:
-    def test_shortest_first(self, mesh4_topology):
-        paths = k_shortest_paths(mesh4_topology, 0, 1, k=3)
-        assert paths[0] == [0, 1]
-        assert len(paths) == 3
-        assert all(p[0] == 0 and p[-1] == 1 for p in paths)
-
-    def test_fewer_paths_when_graph_is_thin(self, line_topology):
-        paths = k_shortest_paths(line_topology, 0, 3, k=3)
-        assert paths == [[0, 1, 2, 3]]
-
-    def test_paths_are_simple(self, mesh4_topology):
-        for path in k_shortest_paths(mesh4_topology, 0, 2, k=3):
-            assert len(set(path)) == len(path)
-
-    def test_inverse_capacity_weighting_prefers_fat_links(self):
-        # 0 -> 2 direct is thin; through 1 both links are fat.
-        topo = Topology(
-            3,
-            [(0, 2, 1.0), (0, 1, 100.0), (1, 2, 100.0), (2, 0, 1.0), (1, 0, 100.0), (2, 1, 100.0)],
-        )
-        hop_paths = k_shortest_paths(topo, 0, 2, k=1)
-        cap_paths = k_shortest_paths(topo, 0, 2, k=1, weight="inv_capacity")
-        assert hop_paths[0] == [0, 2]
-        assert cap_paths[0] == [0, 1, 2]
 
 
 class TestBuildKspPathSet:
@@ -51,6 +24,10 @@ class TestBuildKspPathSet:
         ps = build_ksp_path_set(mesh4_topology, k=3)
         for s, d in mesh4_topology.sd_pairs():
             assert ps.paths_for(s, d)[0] == (s, d)
+
+    def test_candidate_paths_are_simple(self, mesh4_topology):
+        for path in build_ksp_path_set(mesh4_topology).paths:
+            assert len(set(path)) == len(path)
 
     def test_line_topology_has_single_paths(self, line_topology):
         ps = build_ksp_path_set(line_topology, k=3)

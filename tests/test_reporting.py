@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.metrics import normalized_mlu_statistics
-from repro.evaluation.reporting import format_mlu_comparison, format_series, format_table
+from repro.evaluation.reporting import format_mlu_comparison, format_table
 from repro.study import ResultSet, StudyResult
 
 
@@ -73,30 +73,6 @@ class TestFormatMluComparison:
     def test_empty_mapping_is_header_only(self):
         out = format_mlu_comparison({})
         assert len(out.splitlines()) == 2
-
-
-# --------------------------------------------------------------------------- #
-# format_series
-# --------------------------------------------------------------------------- #
-class TestFormatSeries:
-    def test_short_series_verbatim(self):
-        assert format_series("s", np.array([1.0, 2.0])) == "s: [1.000, 2.000]"
-
-    def test_empty_series(self):
-        assert format_series("s", np.array([])) == "s: []"
-
-    def test_long_series_downsampled_keeps_endpoints(self):
-        values = np.arange(100, dtype=float)
-        out = format_series("s", values, max_points=10)
-        parts = out[len("s: ["):-1].split(", ")
-        assert len(parts) == 10
-        assert parts[0] == "0.000"
-        assert parts[-1] == "99.000"
-
-    def test_max_points_boundary_not_downsampled(self):
-        values = np.arange(20, dtype=float)
-        out = format_series("s", values, max_points=20)
-        assert len(out.split(", ")) == 20
 
 
 # --------------------------------------------------------------------------- #

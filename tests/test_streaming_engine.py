@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import get_backend, importable_backends
+from repro.backend import available_backends, get_backend
 from repro.core import Dote, TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers import OmniscientTE, PredictionBasedTE, omniscient_mlu
@@ -31,10 +31,6 @@ HISTORY = 4
 TOL = 1e-9
 #: Pool width for the engines under test (sequential unless CI sets it).
 LP_WORKERS = int(os.environ.get("REPRO_LP_WORKERS", "0")) or None
-
-#: Array backends available on this machine (float32 ones run with their own
-#: declared tolerance, the float32 plumbing the GPU backends need).
-LOCAL_BACKENDS = importable_backends()
 
 
 def make_engine() -> EvaluationEngine:
@@ -300,7 +296,7 @@ class TestBackendStreamingEquivalence:
     (the ~1e-6 float32 bound the GPU backends are pinned to).
     """
 
-    @pytest.mark.parametrize("backend_name", LOCAL_BACKENDS)
+    @pytest.mark.parametrize("backend_name", available_backends())
     @pytest.mark.parametrize("chunk_size", [3, 1000])
     def test_streaming_matches_numpy_batch(
         self, trained_dote, mesh4_traffic, backend_name, chunk_size

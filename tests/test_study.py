@@ -703,6 +703,28 @@ class TestStudyCLI:
         restored = ResultSet.load(out_path)
         assert [record.scheme for record in restored] == ["FIGRET", "DOTE"]
 
+    def test_unknown_backend_is_a_usage_error(self, capsys):
+        """``--backend`` / ``--lp-backend`` are checked against their
+        registries while parsing: exit 2 and one line naming the known
+        backends, before anything runs (the spec file is never opened)."""
+        from repro.backend import available_backends
+        from repro.solvers.lp_backend import available_lp_backends
+
+        known = {
+            "--backend": ", ".join(sorted(available_backends())),
+            "--lp-backend": ", ".join(sorted(available_lp_backends())),
+        }
+        commands = (["spec.json"], ["suite", "suite.json"], ["serve", "--socket", "s.sock"])
+        for command in commands:
+            for flag, names in known.items():
+                with pytest.raises(SystemExit) as excinfo:
+                    study_cli([*command, flag, "nope"])
+                assert excinfo.value.code == 2
+                captured = capsys.readouterr()
+                assert f"argument {flag}: unknown" in captured.err
+                assert f"known backends: {names}" in captured.err
+                assert captured.out == ""
+
     def test_cli_lists_registries(self, capsys):
         assert study_cli(["--list-scenarios"]) == 0
         assert "geant_small" in capsys.readouterr().out
