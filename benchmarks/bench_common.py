@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import platform
 from pathlib import Path
 
 import numpy as np
 
-# One definition shared with the floor checker, which has to run without
-# the package on its path.
-from check_floors import bench_output_dir
 from repro import datasets
 from repro.backend import active_backend
 from repro.core import TrainingConfig
@@ -223,6 +221,19 @@ def summarize(series: np.ndarray) -> MLUStatistics:
 #: On-disk format marker / version of the benchmark records.
 BENCH_RECORD_FORMAT = "repro-bench-record"
 BENCH_RECORD_VERSION = 1
+
+
+def bench_output_dir() -> Path:
+    """Directory the ``BENCH_*.json`` records are written to.
+
+    ``REPRO_BENCH_DIR`` when set (CI points it at the workspace root, where
+    its artifact upload looks); otherwise the untracked
+    ``benchmarks/.records/``, so a plain test run leaves the tree clean.
+    """
+    override = os.environ.get("REPRO_BENCH_DIR")
+    if override:
+        return Path(override).expanduser()
+    return Path(__file__).resolve().parent / ".records"
 
 
 def write_bench_record(

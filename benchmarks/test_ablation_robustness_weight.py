@@ -1,8 +1,7 @@
 """Ablation: the robustness-weight knob that separates DOTE from FIGRET.
 
-DESIGN.md calls out ``robustness_weight`` (the Lagrangian weight on the
-variance-weighted sensitivity term, Equation 8) as the design choice to
-ablate.  Weight 0 recovers DOTE; increasing the weight trades a little
+``robustness_weight`` (the Lagrangian weight on the variance-weighted
+sensitivity term, Equation 8) is the design choice to ablate.  Weight 0 recovers DOTE; increasing the weight trades a little
 average-case MLU for fewer burst-induced congestion events and lower
 sensitivity on bursty pairs.
 """

@@ -17,8 +17,7 @@ stays cheap:
   the same store: one full parse, a tag-filtered query, the grouped
   mean +/- CI + pooled-percentile aggregation, and the flat CSV export.
 
-The ``BENCH_results_warehouse.json`` record is what CI's
-benchmark-regression job enforces its append floor from.
+The numbers land in ``BENCH_results_warehouse.json``.
 """
 
 from __future__ import annotations

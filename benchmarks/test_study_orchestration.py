@@ -5,9 +5,9 @@ Three guarantees of the declarative layer are pinned here:
 * **Overhead** -- what running a scenarios x schemes x perturbations grid
   through :class:`repro.study.Study` costs over issuing the equivalent
   engine calls by hand (the orchestration is dict bookkeeping; the replays
-  dominate).  Measured and *recorded* here; the ceiling lives with the other
-  wall-clock limits in ``benchmarks/floors.json`` (``check_floors.py``), not
-  in an assert on a ~50 ms comparison that tier-1 would trip on jitter.
+  dominate).  Measured and *recorded* here, not asserted: a ~50 ms
+  comparison would trip tier-1 on jitter, and perfbench's ``warm_grid`` is
+  where the warm grid's wall clock is judged.
 * **LP dedup** -- across grid cells the omniscient normalisers are solved
   once per distinct demand matrix: adding the whole scheme axis to a grid
   adds *zero* LP solves, and re-running a study on a warm engine solves

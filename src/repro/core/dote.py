@@ -10,11 +10,7 @@ exactly.
 
 from __future__ import annotations
 
-from repro.core.config import TrainingConfig
-from repro.core.trainer import Trainer, TrainerBackedScheme, TrainingHistory
-from repro.paths.path_set import PathSet
-from repro.solvers.lp import OptimalMLUCache
-from repro.traffic.matrix import TrafficMatrixSequence
+from repro.core.trainer import TrainerBackedScheme
 
 __all__ = ["Dote"]
 
@@ -22,37 +18,10 @@ __all__ = ["Dote"]
 class Dote(TrainerBackedScheme):
     """Deep-learning TE trained on MLU only (no robustness term).
 
-    Args:
-        path_set: Candidate paths.
-        config: Training hyper-parameters.  ``robustness_weight`` is forced
-            to zero (that is what makes it DOTE rather than FIGRET).
-        cache: Optimal-MLU cache for the training normalisers (the process-
-            wide shared cache by default).
-        lp_workers: Optional process-pool width for the normaliser solves.
+    Arguments as :class:`~repro.core.trainer.TrainerBackedScheme`;
+    ``robustness_weight`` is forced to zero (that is what makes it DOTE
+    rather than FIGRET).
     """
 
-    def __init__(
-        self,
-        path_set: PathSet,
-        config: TrainingConfig | None = None,
-        cache: OptimalMLUCache | None = None,
-        lp_workers: int | str | None = None,
-    ) -> None:
-        super().__init__(path_set, name="DOTE")
-        base = config or TrainingConfig()
-        self.config = base.replace(robustness_weight=0.0)
-        self.cache = cache
-        self.lp_workers = lp_workers
-        self.training_history: TrainingHistory | None = None
-
-    def precompute(self, train_sequence: TrafficMatrixSequence) -> None:
-        """Train the network on the training portion of the trace."""
-        self._trainer = Trainer(
-            self.path_set,
-            self.config,
-            pair_variance=None,
-            cache=self.cache,
-            lp_workers=self.lp_workers,
-        )
-        self.training_history = self._trainer.fit(train_sequence)
-
+    scheme_name = "DOTE"
+    forced = {"robustness_weight": 0.0}

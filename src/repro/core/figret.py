@@ -13,12 +13,7 @@ path -- the fine-grained behaviour visualised in Figure 8.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.config import TrainingConfig
-from repro.core.trainer import Trainer, TrainerBackedScheme, TrainingHistory
-from repro.paths.path_set import PathSet
-from repro.solvers.lp import OptimalMLUCache
+from repro.core.trainer import TrainerBackedScheme
 from repro.traffic.matrix import TrafficMatrixSequence
 
 __all__ = ["Figret"]
@@ -27,13 +22,9 @@ __all__ = ["Figret"]
 class Figret(TrainerBackedScheme):
     """The FIGRET TE scheme.
 
-    Args:
-        path_set: Candidate paths.
-        config: Training hyper-parameters.  ``robustness_weight`` controls the
-            strength of the fine-grained robustness term (the paper's L2).
-        cache: Optimal-MLU cache for the training normalisers (the process-
-            wide shared cache by default).
-        lp_workers: Optional process-pool width for the normaliser solves.
+    Arguments as :class:`~repro.core.trainer.TrainerBackedScheme`;
+    ``config.robustness_weight`` controls the strength of the fine-grained
+    robustness term (the paper's L2).
 
     Example:
         >>> scheme = Figret(path_set, TrainingConfig(epochs=10))
@@ -41,29 +32,9 @@ class Figret(TrainerBackedScheme):
         >>> config = scheme.configure(recent_history)
     """
 
-    def __init__(
-        self,
-        path_set: PathSet,
-        config: TrainingConfig | None = None,
-        cache: OptimalMLUCache | None = None,
-        lp_workers: int | str | None = None,
-    ) -> None:
-        super().__init__(path_set, name="FIGRET")
-        self.config = config or TrainingConfig()
-        self.cache = cache
-        self.lp_workers = lp_workers
-        self.training_history: TrainingHistory | None = None
-        self.pair_variance: np.ndarray | None = None
+    scheme_name = "FIGRET"
 
     def precompute(self, train_sequence: TrafficMatrixSequence) -> None:
         """Measure per-pair variance and train the network."""
         self.pair_variance = train_sequence.pair_variance()
-        self._trainer = Trainer(
-            self.path_set,
-            self.config,
-            pair_variance=self.pair_variance,
-            cache=self.cache,
-            lp_workers=self.lp_workers,
-        )
-        self.training_history = self._trainer.fit(train_sequence)
-
+        super().precompute(train_sequence)

@@ -78,36 +78,6 @@ class FigretNet(Module):
                 raise TypeError(f"unsupported layer for inference: {module!r}")
         return x
 
-    # ------------------------------------------------------------------ #
-    # Pickling (weights + architecture, no autodiff state)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """Serialise as architecture config + weight arrays.
-
-        The layer graph is rebuilt on load, so nothing transient (gradient
-        buffers, tape closures) rides along -- this is what lets a trained
-        scheme cross a process-pool boundary.
-        """
-        widths = [
-            module.out_features
-            for module in self.network.modules
-            if isinstance(module, Linear)
-        ]
-        return {
-            "path_set": self.path_set,
-            "history_len": self.history_len,
-            "hidden_sizes": tuple(widths[:-1]),
-            "weights": self.state_dict(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["path_set"],
-            history_len=state["history_len"],
-            hidden_sizes=state["hidden_sizes"],
-        )
-        self.load_state_dict(state["weights"])
-
     def split_ratios(self, history_window: np.ndarray, input_scale: float = 1.0) -> np.ndarray:
         """Convenience inference helper returning normalised split ratios.
 

@@ -139,7 +139,7 @@ def train_step(
 
 
 class Trainer:
-    """Mini-batch Adam trainer for FIGRET / DOTE models.
+    """Mini-batch Adam trainer for the FIGRET / DOTE / TEAL-like models.
 
     Args:
         path_set: Candidate paths.
@@ -221,17 +221,24 @@ class Trainer:
     # Training
     # ------------------------------------------------------------------ #
     def fit(self, train_sequence: TrafficMatrixSequence) -> TrainingHistory:
-        """Train the model on a traffic sequence and return the loss history.
+        """Train on a traffic sequence: :meth:`fit_arrays` over its windows."""
+        return self.fit_arrays(*build_windows(train_sequence, self.config.history_len))
 
-        Every ``fit`` is a fresh optimisation from the current weights: the
+    def fit_arrays(self, inputs: np.ndarray, targets: np.ndarray) -> TrainingHistory:
+        """Train the model to route ``targets[i]`` given ``inputs[i]``.
+
+        The one training loop.  ``inputs`` is ``(N, H * num_sd_pairs)`` and
+        ``targets`` ``(N, num_sd_pairs)``: the demand each configuration is
+        scored on, and the one the normalisers are solved for.
+
+        Every fit is a fresh optimisation from the current weights: the
         Adam moments, the step count, the gradients and the clipping scratch
         are released on the way out (also when a step raises), so a fitted
         trainer holds its weights and nothing the size of them besides, and
-        a second ``fit`` gives the same weights in this process as on a copy
+        a second fit gives the same weights in this process as on a copy
         that crossed a process boundary in between.
         """
         config = self.config
-        inputs, targets = build_windows(train_sequence, config.history_len)
         # Scale inputs so the network sees O(1) values regardless of the
         # traffic volume units.
         self.input_scale = float(max(inputs.mean(), 1e-12))
@@ -309,29 +316,66 @@ class Trainer:
 
 
 class TrainerBackedScheme(TEScheme):
-    """Shared inference plumbing for schemes backed by a :class:`Trainer`.
+    """A learned scheme: one :class:`Trainer`, built and fitted by ``precompute``.
 
-    Subclasses (FIGRET, DOTE) set ``self.config`` in their constructor and
-    assign ``self._trainer`` during ``precompute``; window fitting and the
-    single/batched forward passes live here so they cannot drift apart.
+    FIGRET, DOTE and the TEAL-like baseline are this class with three things
+    named: ``scheme_name``, the config fields the scheme ``forced`` (so that
+    ``config`` states what it trains with), and -- by overriding
+    :meth:`_fit` -- what it fits on.  Construction, pickling, window fitting
+    and the single/batched forward passes live here so they cannot drift
+    apart.
+
+    Args:
+        path_set: Candidate paths.
+        config: Training hyper-parameters (``forced`` fields are overwritten).
+        cache: Optimal-MLU cache for the training normalisers (the process-
+            wide shared cache by default).
+        lp_workers: Optional process-pool width for the normaliser solves.
     """
 
-    def __init__(self, path_set: PathSet, name: str) -> None:
-        super().__init__(path_set, name)
-        self.config: TrainingConfig
+    scheme_name: str
+    forced: dict = {}
+
+    def __init__(
+        self,
+        path_set: PathSet,
+        config: TrainingConfig | None = None,
+        cache: OptimalMLUCache | None = None,
+        lp_workers: int | str | None = None,
+    ) -> None:
+        super().__init__(path_set, name=self.scheme_name)
+        self.config = (config or TrainingConfig()).replace(**self.forced)
+        self.cache = cache
+        self.lp_workers = lp_workers
+        self.training_history: TrainingHistory | None = None
+        # Weights of the sensitivity loss; only FIGRET measures them.
+        self.pair_variance: np.ndarray | None = None
         self._trainer: Trainer | None = None
 
     def __getstate__(self) -> dict:
         """Pickle everything except the live LP cache (process-local).
 
         The embedded :class:`Trainer` carries weights + config through its
-        own ``__getstate__``, so a trained FIGRET/DOTE scheme round-trips a
-        process-pool boundary ready for inference.
+        own ``__getstate__``, so a trained scheme round-trips a process-pool
+        boundary ready for inference.
         """
         state = dict(self.__dict__)
-        if "cache" in state:
-            state["cache"] = None
+        state["cache"] = None
         return state
+
+    def precompute(self, train_sequence: TrafficMatrixSequence) -> None:
+        """Train a fresh network on the training portion of the trace."""
+        self._trainer = Trainer(
+            self.path_set,
+            self.config,
+            pair_variance=self.pair_variance,
+            cache=self.cache,
+            lp_workers=self.lp_workers,
+        )
+        self.training_history = self._fit(self._trainer, train_sequence)
+
+    def _fit(self, trainer: Trainer, train_sequence: TrafficMatrixSequence) -> TrainingHistory:
+        return trainer.fit(train_sequence)
 
     @property
     def history_len(self) -> int:

@@ -166,6 +166,9 @@ class EvaluationEngine:
     ) -> EvaluationResult:
         """Replay a scheme over a test trace in one batched pass.
 
+        The one-chunk case of :meth:`evaluate_streaming`, which holds the
+        replay pipeline.
+
         Args:
             scheme: A scheme whose ``precompute`` has already been called.
             test_sequence: The test portion of the trace.
@@ -181,27 +184,15 @@ class EvaluationEngine:
         Returns:
             Per-interval results for intervals ``history_len .. len(test)-1``.
         """
-        flat = test_sequence.flat_demands()
-        windows, targets = build_history_windows(
-            flat, history_len, oracle_demand=oracle_demand
-        )
-        with use_backend(self.backend):
-            ratios = scheme.configure_batch(windows)
-            raw = np.atleast_1d(
-                np.asarray(
-                    max_link_utilization(scheme.path_set, ratios, targets), dtype=float
-                )
-            )
-        if optimal_mlus is not None:
-            optimal = np.asarray(optimal_mlus, dtype=float)[history_len : len(flat)]
-        else:
-            optimal = self.optimal_mlus(scheme.path_set, targets)
-        normalized = raw / np.maximum(optimal, NORMALIZER_FLOOR)
-        return EvaluationResult(
-            scheme_name=scheme.name,
-            normalized_mlus=normalized,
-            raw_mlus=raw,
-            optimal_mlus=np.array(optimal, dtype=float),
+        # ``max``: a trace with no interval to evaluate gets the window
+        # builder's error, not one about a chunk size the caller never set.
+        return self.evaluate_streaming(
+            scheme,
+            test_sequence,
+            history_len,
+            chunk_size=max(1, len(test_sequence) - history_len),
+            optimal_mlus=optimal_mlus,
+            oracle_demand=oracle_demand,
         )
 
     @staticmethod
@@ -236,15 +227,14 @@ class EvaluationEngine:
     ) -> EvaluationResult:
         """Replay a scheme over an arbitrarily long trace in O(chunk) memory.
 
-        The batched pipeline of :meth:`evaluate_scheme` runs once per chunk
-        of ``chunk_size`` evaluation intervals -- windows, one
-        ``configure_batch`` forward pass, one batched MLU call, cache-served
-        normalisers -- and only ``history_len + chunk_size`` demand rows are
-        ever buffered when the trace arrives as a stream.  Results are
-        numerically identical to the batch path (chunk boundaries fall
-        *between* evaluation intervals; every window still sees its full
+        The replay pipeline -- windows, one ``configure_batch`` forward pass,
+        one batched MLU call, cache-served normalisers -- runs once per chunk
+        of ``chunk_size`` evaluation intervals, and only ``history_len +
+        chunk_size`` demand rows are ever buffered when the trace arrives as
+        a stream.  Results do not depend on ``chunk_size`` (chunk boundaries
+        fall *between* evaluation intervals; every window still sees its full
         history because each chunk carries the preceding ``history_len``
-        rows).
+        rows); :meth:`evaluate_scheme` is the call with one chunk.
 
         Args:
             scheme: A scheme whose ``precompute`` has already been called.
@@ -261,7 +251,7 @@ class EvaluationEngine:
                 the most recent history row (the Omniscient benchmark).
 
         Returns:
-            The same :class:`EvaluationResult` the batch path produces.
+            Per-interval results for intervals ``history_len .. len(trace)-1``.
         """
         rows = self._demand_row_stream(demand_stream)
         raw_parts: list[np.ndarray] = []

@@ -13,8 +13,6 @@ edge penalties that grow exponentially with the load already assigned to an
 edge.  Each SD pair contributes a unit of virtual demand per iteration; after
 an edge has been used, its cost increases, so subsequent path choices avoid
 it.  The result is a diverse, capacity-aware path set.
-
-See DESIGN.md section 1 for the substitution rationale.
 """
 
 from __future__ import annotations

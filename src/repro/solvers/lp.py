@@ -383,26 +383,20 @@ def solve_mlu_lp(
 def _solve_batch_chunk(args) -> list[tuple[np.ndarray | None, float]]:
     """Process-pool worker: solve a chunk of demands over one path set.
 
-    The chunk resolves its LP backend once, so with the persistent ``highs``
-    backend every solve after the first reuses one model built for the
-    whole chunk -- the pool path amortises exactly like the sequential path.
+    The sequential batch, in this process -- so the chunk resolves its LP
+    backend once and, with the persistent ``highs`` backend, every solve
+    after the first reuses one model built for the whole chunk.  The
+    configurations go back as bare ratio arrays (cheaper to pickle).
     """
-    global _LP_SOLVE_CALLS
     path_set, demands, sensitivity_caps, path_mask, backend_name, mlu_only = args
-    lp_backend = resolve_lp_backend(backend_name)
-    structure = constraint_structure(path_set)
-    upper = _resolved_upper_bounds(path_set, structure, sensitivity_caps, path_mask)
-    out: list[tuple[np.ndarray | None, float]] = []
-    for demand in demands:
-        _LP_SOLVE_CALLS += 1
-        demand = _checked_demand(demand, structure.num_sd_pairs)
-        if mlu_only:
-            out.append((None, lp_backend.solve_mlu(path_set, demand, upper)))
-        else:
-            ratios, mlu = lp_backend.solve(path_set, demand, upper)
-            config = TEConfiguration(path_set, ratios, normalize=True)
-            out.append((config.split_ratios, mlu))
-    return out
+    solved = solve_mlu_lp_batch(
+        path_set, demands, sensitivity_caps, path_mask,
+        workers=1, backend=backend_name, mlu_only=mlu_only,
+    )
+    return [
+        (config.split_ratios if config is not None else None, mlu)
+        for config, mlu in solved
+    ]
 
 
 #: Long-lived process pools keyed by width, reused across batch calls so a
@@ -941,9 +935,8 @@ _SHARED_CACHE: OptimalMLUCache | None = None
 def shared_cache() -> OptimalMLUCache:
     """The process-wide optimal-MLU cache.
 
-    Training (:class:`~repro.core.trainer.Trainer`,
-    :class:`~repro.core.teal_like.TealLike`) and the default evaluation
-    engine all draw their omniscient normalisers from this one cache, so a
+    Training (:class:`~repro.core.trainer.Trainer`) and the default
+    evaluation engine draw their omniscient normalisers from this one cache, so a
     demand matrix is never LP-solved twice in a process -- not even once by
     ``fit`` and once more by the subsequent replay.  Pass an explicit cache
     (or engine) to isolate workloads instead.

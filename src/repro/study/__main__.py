@@ -95,8 +95,8 @@ def _lp_backend_type(value: str) -> str:
     return value
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """The execution knobs shared by the study and suite runners."""
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    """The execution knobs the study and suite runners share with ``serve``."""
     parser.add_argument(
         "--backend",
         type=_backend_type,
@@ -127,6 +127,12 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
             "variable, 'auto' if unset: highs when importable, else scipy)"
         ),
     )
+
+
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """What the study and suite runners take besides their input file."""
+    parser.add_argument("--out", help="write the full ResultSet JSON here")
+    _add_engine_options(parser)
     parser.add_argument(
         "--checkpoint",
         metavar="PATH",
@@ -142,28 +148,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="append every finished cell to this durable results warehouse",
     )
-
-
-def _run_kwargs(args) -> dict:
-    return dict(
-        backend=args.backend,
-        lp_workers=args.lp_workers,
-        cell_workers=args.cell_workers,
-        lp_backend=args.lp_backend,
-        warehouse=args.warehouse,
-    )
-
-
-def _check_run_flags(parser: argparse.ArgumentParser, args) -> None:
-    from repro.study.results import StudyCheckpoint
-
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint (the file to resume from)")
-    if args.checkpoint and not args.resume and StudyCheckpoint(args.checkpoint).exists():
-        parser.error(
-            f"checkpoint {args.checkpoint} already exists; pass --resume to "
-            "continue it, or remove the file to start over"
-        )
 
 
 def _load_json_file(parser: argparse.ArgumentParser, path: str, what: str) -> dict:
@@ -225,6 +209,60 @@ def _queried(parser: argparse.ArgumentParser, args):
     return store, results
 
 
+def _run_and_report(parser: argparse.ArgumentParser, args, path: str, suite: bool) -> int:
+    """Load a study spec or suite descriptor, run or resume it, print, save."""
+    from repro.study.results import CheckpointError, StudyCheckpoint
+    from repro.study.study import Study
+    from repro.study.suite import Suite
+
+    if args.resume and not args.checkpoint:
+        parser.error("--resume requires --checkpoint (the file to resume from)")
+    if args.checkpoint and not args.resume and StudyCheckpoint(args.checkpoint).exists():
+        parser.error(
+            f"checkpoint {args.checkpoint} already exists; pass --resume to "
+            "continue it, or remove the file to start over"
+        )
+    document = _load_json_file(parser, path, "suite descriptor" if suite else "study spec")
+    try:
+        study = Suite(document) if suite else Study(document)
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
+    if suite:
+        running = f"Running suite {study.name!r}: {len(study)} experiment cell(s) ..."
+        resuming = f"Resuming suite {study.name!r}: {len(study)} cell(s) from {args.checkpoint} ..."
+        title = f"Suite results ({study.name})"
+    else:
+        running = f"Running {len(study)} experiment cell(s) ..."
+        resuming = f"Resuming {len(study)} experiment cell(s) from {args.checkpoint} ..."
+        title = f"Study results ({path})"
+    run_kwargs = dict(
+        backend=args.backend,
+        lp_workers=args.lp_workers,
+        cell_workers=args.cell_workers,
+        lp_backend=args.lp_backend,
+        warehouse=args.warehouse,
+    )
+    if args.resume:
+        print(resuming)
+        try:
+            results = study.resume(args.checkpoint, **run_kwargs)
+        except CheckpointError as exc:
+            # A corrupt/foreign checkpoint is one clean line, not a
+            # traceback; cell failures still traceback as usual.
+            parser.error(str(exc))
+    else:
+        print(running)
+        results = study.run(checkpoint=args.checkpoint, **run_kwargs)
+    print(results.to_table(title=title))
+    if suite and args.warehouse:
+        print(f"\nWarehoused {len(results)} record(s) in {args.warehouse}")
+    if args.out:
+        saved = results.save(args.out)
+        lead = "" if suite else "\n"
+        print(f"{lead}Wrote {len(results)} records to {saved}")
+    return 0
+
+
 def _cmd_suite(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.study suite",
@@ -234,39 +272,9 @@ def _cmd_suite(argv: list[str]) -> int:
         ),
     )
     parser.add_argument("descriptor", help="path to a JSON suite descriptor")
-    parser.add_argument("--out", help="write the full ResultSet JSON here")
     _add_run_options(parser)
     args = parser.parse_args(argv)
-    _check_run_flags(parser, args)
-
-    from repro.study.results import CheckpointError
-    from repro.study.suite import Suite
-
-    descriptor = _load_json_file(parser, args.descriptor, "suite descriptor")
-    try:
-        suite = Suite(descriptor)
-    except (TypeError, ValueError) as exc:
-        parser.error(str(exc))
-    run_kwargs = _run_kwargs(args)
-    if args.resume:
-        print(
-            f"Resuming suite {suite.name!r}: {len(suite)} cell(s) from "
-            f"{args.checkpoint} ..."
-        )
-        try:
-            results = suite.resume(args.checkpoint, **run_kwargs)
-        except CheckpointError as exc:
-            parser.error(str(exc))
-    else:
-        print(f"Running suite {suite.name!r}: {len(suite)} experiment cell(s) ...")
-        results = suite.run(checkpoint=args.checkpoint, **run_kwargs)
-    print(results.to_table(title=f"Suite results ({suite.name})"))
-    if args.warehouse:
-        print(f"\nWarehoused {len(results)} record(s) in {args.warehouse}")
-    if args.out:
-        path = results.save(args.out)
-        print(f"Wrote {len(results)} records to {path}")
-    return 0
+    return _run_and_report(parser, args, args.descriptor, suite=True)
 
 
 def _cmd_query(argv: list[str]) -> int:
@@ -371,22 +379,7 @@ def _cmd_serve(argv: list[str]) -> int:
             "(default: <socket>.spool/ next to the socket)"
         ),
     )
-    parser.add_argument(
-        "--backend", type=_backend_type,
-        help="array backend for the neural forward passes",
-    )
-    parser.add_argument(
-        "--lp-workers", default=None, type=_workers_type, metavar="N",
-        help="LP process-pool width for cold normaliser batches",
-    )
-    parser.add_argument(
-        "--cell-workers", default=None, type=_workers_type, metavar="N",
-        help="process-pool width jobs run their cells with (default: sequential)",
-    )
-    parser.add_argument(
-        "--lp-backend", default=None, type=_lp_backend_type, metavar="NAME",
-        help="LP solver backend ('scipy', 'highs', or 'auto', the default)",
-    )
+    _add_engine_options(parser)
     args = parser.parse_args(argv)
 
     import signal
@@ -573,35 +566,15 @@ def _cmd_cancel(argv: list[str]) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Subcommand dispatch keeps the original `python -m repro.study spec.json`
-    # form working verbatim (a spec file literally named `suite` would need
-    # `./suite`).
-    if argv[:1] == ["suite"]:
-        return _cmd_suite(argv[1:])
-    if argv[:1] == ["query"]:
-        return _cmd_query(argv[1:])
-    if argv[:1] == ["export"]:
-        return _cmd_export(argv[1:])
-    if argv[:1] == ["serve"]:
-        return _cmd_serve(argv[1:])
-    if argv[:1] == ["submit"]:
-        return _cmd_submit(argv[1:])
-    if argv[:1] == ["status"]:
-        return _cmd_status(argv[1:])
-    if argv[:1] == ["cancel"]:
-        return _cmd_cancel(argv[1:])
-
+def _cmd_study(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.study",
         description=(
             "Expand and run a declarative experiment-study spec "
-            "(subcommands: suite, query, export, serve, submit, status, cancel)."
+            f"(subcommands: {', '.join(_COMMANDS)})."
         ),
     )
     parser.add_argument("spec", nargs="?", help="path to a JSON study spec")
-    parser.add_argument("--out", help="write the full ResultSet JSON here")
     _add_run_options(parser)
     parser.add_argument(
         "--list-scenarios", action="store_true", help="print registered scenarios and exit"
@@ -623,33 +596,27 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.spec:
         parser.error("a spec file is required (or --list-scenarios / --list-schemes)")
-    _check_run_flags(parser, args)
+    return _run_and_report(parser, args, args.spec, suite=False)
 
-    from repro.study.results import CheckpointError
-    from repro.study.study import Study
 
-    spec = _load_json_file(parser, args.spec, "study spec")
-    try:
-        study = Study(spec)
-    except (TypeError, ValueError) as exc:
-        parser.error(str(exc))
-    run_kwargs = _run_kwargs(args)
-    if args.resume:
-        print(f"Resuming {len(study)} experiment cell(s) from {args.checkpoint} ...")
-        try:
-            results = study.resume(args.checkpoint, **run_kwargs)
-        except CheckpointError as exc:
-            # A corrupt/foreign checkpoint is one clean line, not a
-            # traceback; cell failures still traceback as usual.
-            parser.error(str(exc))
-    else:
-        print(f"Running {len(study)} experiment cell(s) ...")
-        results = study.run(checkpoint=args.checkpoint, **run_kwargs)
-    print(results.to_table(title=f"Study results ({args.spec})"))
-    if args.out:
-        path = results.save(args.out)
-        print(f"\nWrote {len(results)} records to {path}")
-    return 0
+#: Subcommands by first argument; anything else is the original
+#: ``python -m repro.study spec.json`` form (a spec file literally named
+#: ``suite`` would need ``./suite``).
+_COMMANDS = {
+    "suite": _cmd_suite,
+    "query": _cmd_query,
+    "export": _cmd_export,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+    "status": _cmd_status,
+    "cancel": _cmd_cancel,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    return command(argv[1:]) if command else _cmd_study(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

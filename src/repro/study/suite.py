@@ -29,9 +29,8 @@ sweep axes expand first, then the suite clones every cell per seed and
 repetition, rewriting the scenario reference's seed and stamping
 ``suite`` / ``study`` / ``seed`` / ``repetition`` (plus the annotations)
 into the cell's tags, which ride into every result record's spec
-provenance.  :class:`Suite` wraps the expansion with run / resume /
-warehouse plumbing; ``python -m repro.study suite`` drives it from the
-shell.
+provenance.  :class:`Suite` is the :class:`~repro.study.study.Study` over
+those cells; ``python -m repro.study suite`` drives it from the shell.
 
 Seed semantics (deliberately explicit):
 
@@ -55,10 +54,8 @@ Seed semantics (deliberately explicit):
 from __future__ import annotations
 
 import copy
-import json
 from collections.abc import Mapping, Sequence
 
-from repro.study.results import ResultSet
 from repro.study.spec import ExperimentSpec, expand_spec
 from repro.study.study import Study
 
@@ -283,13 +280,12 @@ def expand_suite(descriptor: Mapping) -> list[ExperimentSpec]:
     return cells
 
 
-class Suite:
-    """A validated suite descriptor bound to one :class:`Study`.
+class Suite(Study):
+    """A study whose cells come from a validated suite descriptor.
 
     The suite expands eagerly (descriptor errors surface at construction,
-    before anything runs) and keeps one study instance, so consecutive
-    :meth:`run` / :meth:`resume` calls share its scenario / scheme / replay
-    dedup caches.
+    before anything runs); run / resume / plan / execute, and the dedup
+    caches consecutive calls share, are :class:`~repro.study.study.Study`'s.
 
     Args:
         descriptor: The plain-dict suite descriptor (see module docstring).
@@ -305,48 +301,11 @@ class Suite:
     ) -> None:
         self.descriptor = descriptor
         self.name = descriptor.get("name", "suite") if isinstance(descriptor, Mapping) else "suite"
-        self.cells = expand_suite(descriptor)
-        self.study = Study(
-            self.cells, scheme_cache=scheme_cache, scenario_cache=scenario_cache
+        super().__init__(
+            expand_suite(descriptor), scheme_cache=scheme_cache, scenario_cache=scenario_cache
         )
 
-    @classmethod
-    def from_json(cls, text: str, **kwargs) -> "Suite":
-        """Build a suite from a JSON descriptor document."""
-        return cls(json.loads(text), **kwargs)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def run(self, warehouse=None, checkpoint=None, **run_kwargs) -> ResultSet:
-        """Run every cell (see :meth:`repro.study.study.Study.run`).
-
-        ``warehouse`` is a path or :class:`~repro.study.warehouse.
-        ResultWarehouse` that every finished cell is appended to as it
-        completes.
-        """
-        return self.study.run(warehouse=warehouse, checkpoint=checkpoint, **run_kwargs)
-
-    def resume(self, checkpoint, warehouse=None, **run_kwargs) -> ResultSet:
-        """Finish an interrupted run (see :meth:`repro.study.study.Study.resume`).
-
-        Cells loaded from the checkpoint are *not* re-appended to the
-        warehouse; a final reconciliation pass
-        (:meth:`~repro.study.warehouse.ResultWarehouse.sync`) fills any
-        record lost in the crash window between a checkpoint append and its
-        warehouse append.
-        """
-        return self.study.resume(checkpoint, warehouse=warehouse, **run_kwargs)
-
-    def plan(self, **plan_kwargs):
-        """Build the suite's execution plan (see :meth:`repro.study.study.Study.plan`).
-
-        The scheduler-facing half of :meth:`run` / :meth:`resume`: the study
-        server plans a submitted suite eagerly and owns the execution loop
-        through :meth:`execute`.
-        """
-        return self.study.plan(**plan_kwargs)
-
-    def execute(self, plan, on_cell=None, should_stop=None) -> ResultSet:
-        """Run a plan built by :meth:`plan` (see :meth:`repro.study.study.Study.execute`)."""
-        return self.study.execute(plan, on_cell=on_cell, should_stop=should_stop)
+    @property
+    def cells(self) -> list[ExperimentSpec]:
+        """The expanded cells, study-major (see :func:`expand_suite`)."""
+        return self.specs

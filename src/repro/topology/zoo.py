@@ -13,7 +13,7 @@ GraphML files are not redistributable here, so this module provides:
 
 The evaluation of FIGRET depends on the scale and path diversity of these
 graphs rather than on their exact adjacency, so this substitution preserves
-the experiments' behaviour (see DESIGN.md section 1).
+the experiments' behaviour.
 """
 
 from __future__ import annotations

@@ -87,6 +87,21 @@ class TestTealLike:
         with pytest.raises(RuntimeError):
             TealLike(mesh4_paths, FAST).configure(np.ones((1, 12)))
 
+    def test_config_states_what_it_trains_with(self, mesh4_paths, mesh4_traffic):
+        # Clipping, decay and warm-up from a spec were silently ignored while
+        # ``config`` kept reporting them.
+        asked = FAST.replace(lr_decay=0.9, warmup_steps=2, gradient_clip=1.0)
+        fitted = []
+        for config in (asked, FAST):
+            scheme = TealLike(mesh4_paths, config)
+            assert (scheme.config.lr_decay, scheme.config.warmup_steps) == (1.0, 0)
+            assert scheme.config.gradient_clip is None
+            scheme.precompute(mesh4_traffic)
+            assert len(scheme.training_history.epoch_losses) == FAST.epochs
+            fitted.append(scheme._trainer.model.state_dict())
+        assert fitted[0].keys() == fitted[1].keys()
+        assert all(fitted[0][key].tobytes() == fitted[1][key].tobytes() for key in fitted[0])
+
 
 class TestFigretVersusDote:
     def test_figret_hedges_bursty_pairs_more_than_stable_ones(self, tor_scenario_small):
@@ -134,11 +149,10 @@ class TestFittedFootprint:
     Two 768-wide hidden layers on the 4-node mesh (12 pairs, 36 paths) make
     the weights 4.8-4.9 MiB, of which the 768 x 768 layer is 4.5; everything
     else a fitted scheme keeps (loss structures, history) is 0.05 of that.
-    Measured held / weights: 1.05 (FIGRET, DOTE) and 1.00 (TEAL-like); with
-    both Adam moments and every gradient kept it was 4.05, plus 0.91 for the
-    clipping scratch in whichever training ran first, and 2.00 for TEAL-like
-    (gradients only: its optimiser is a local).  The bound is 1.5 and not 2
-    so that keeping the scratch alone would fail it as well.
+    Measured held / weights: 1.05 (all three, one loop); with both Adam
+    moments and every gradient kept it was 4.05, plus 0.91 for the clipping
+    scratch in whichever training ran first.  The bound is 1.5 and not 2 so
+    that keeping the scratch alone would fail it as well.
     """
 
     CONFIG = TrainingConfig(
@@ -163,30 +177,30 @@ class TestFittedFootprint:
     def test_a_fitted_scheme_holds_its_weights_and_no_gradients(
         self, scheme_class, mesh4_paths, mesh4_traffic
     ):
-        def model_of(scheme):
-            return scheme._model if scheme_class is TealLike else scheme._trainer.model
-
         scheme = scheme_class(mesh4_paths, self.CONFIG)
         _, held = self._held_bytes(lambda: scheme.precompute(mesh4_traffic))
-        weights = sum(param.data.nbytes for param in model_of(scheme).parameters())
+        weights = sum(param.data.nbytes for param in scheme._trainer.model.parameters())
         assert weights >= 4.5 * 2**20
-        assert all(param.grad is None for param in model_of(scheme).parameters())
+        assert all(param.grad is None for param in scheme._trainer.model.parameters())
         assert held <= 1.5 * weights
         # The copy that comes back from a pool worker is as light (an
         # unpickled trainer used to build zero-filled moments: 3x).
         blob = pickle.dumps(scheme)
         clone, held = self._held_bytes(lambda: pickle.loads(blob))
-        assert all(param.grad is None for param in model_of(clone).parameters())
+        assert all(param.grad is None for param in clone._trainer.model.parameters())
         assert held <= 1.5 * weights
 
     def test_a_training_that_raises_releases_as_well(self, mesh4_paths, mesh4_traffic):
-        scheme = Figret(mesh4_paths, self.CONFIG.replace(learning_rate=1e300))
+        for scheme_class in (Figret, TealLike):
+            scheme = scheme_class(mesh4_paths, self.CONFIG.replace(learning_rate=1e300))
 
-        def fail():
-            with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="step 2"):
-                scheme.precompute(mesh4_traffic)
+            def fail():
+                with np.errstate(all="ignore"), pytest.raises(
+                    FloatingPointError, match="step 2"
+                ):
+                    scheme.precompute(mesh4_traffic)
 
-        _, held = self._held_bytes(fail)
-        parameters = scheme._trainer.model.parameters()
-        assert all(param.grad is None for param in parameters)
-        assert held <= 1.5 * sum(param.data.nbytes for param in parameters)
+            _, held = self._held_bytes(fail)
+            parameters = scheme._trainer.model.parameters()
+            assert all(param.grad is None for param in parameters)
+            assert held <= 1.5 * sum(param.data.nbytes for param in parameters)

@@ -527,16 +527,13 @@ def _fit_all():
         ("teal", TealLike(scenario.paths, config)),
     ):
         scheme.precompute(train)
-        if name == "teal":
-            weights, history = scheme._model.state_dict(), None
-        else:
-            trainer = scheme._trainer
-            weights = trainer.model.state_dict()
-            history = (
-                trainer.history.epoch_losses,
-                trainer.history.epoch_mlu_losses,
-                trainer.history.epoch_sensitivity_losses,
-            )
+        trainer = scheme._trainer
+        weights = trainer.model.state_dict()
+        history = (
+            trainer.history.epoch_losses,
+            trainer.history.epoch_mlu_losses,
+            trainer.history.epoch_sensitivity_losses,
+        )
         fitted[name] = ({key: value.tobytes() for key, value in weights.items()}, history)
     return fitted
 

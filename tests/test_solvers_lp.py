@@ -259,6 +259,12 @@ class TestProcessPoolFallback:
         assert [len(job[1]) for job in shipped] == [2, 2]
         assert {job[4] for job in shipped} == {lpb.get_lp_backend(None).name}
         assert pooled == sequential
+        # Full solves: a chunk is the sequential batch, run in the worker.
+        sequential = lp_module.solve_mlu_lp_batch(mesh4_paths, demands)
+        pooled = lp_module.solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
+        assert [mlu for _, mlu in pooled] == [mlu for _, mlu in sequential]
+        for (config, _), (expected, _) in zip(pooled, sequential):
+            assert config.split_ratios.tobytes() == expected.split_ratios.tobytes()
 
 
 class TestScopedSolveCounter:

@@ -54,6 +54,12 @@ def _sequential_replay(scheme, test_sequence, history_len, oracle_demand=False):
     return np.array(raw), np.array(optimal), np.array(normalized)
 
 
+def _assert_same_bytes(streamed, batch):
+    """One chunk holding the whole trace *is* the batch replay."""
+    for series in ("raw_mlus", "optimal_mlus", "normalized_mlus"):
+        assert getattr(streamed, series).tobytes() == getattr(batch, series).tobytes(), series
+
+
 def _collect_chunks(source, history_len, chunk_size, oracle_demand=False):
     windows, targets, starts = [], [], []
     for w, t, s in iter_window_chunks(
@@ -114,12 +120,20 @@ class TestIterWindowChunks:
         with pytest.raises(ValueError, match="shorter than the history"):
             list(iter_window_chunks(source, HISTORY, 4))
 
-    def test_bad_arguments_rejected(self, mesh4_traffic):
+    def test_bad_arguments_rejected(self, mesh4_paths, mesh4_traffic):
         flat = mesh4_traffic[:10].flat_demands()
         with pytest.raises(ValueError, match="chunk_size"):
             list(iter_window_chunks(flat, HISTORY, 0))
         with pytest.raises(ValueError, match="history"):
             list(iter_window_chunks(flat, 0, 4))
+        # A trace with nothing to evaluate: one message from both replays.
+        scheme, engine = PredictionBasedTE(mesh4_paths), make_engine()
+        for replay in (engine.evaluate_scheme, engine.evaluate_streaming):
+            for length in (HISTORY - 1, HISTORY):
+                with pytest.raises(
+                    ValueError, match="^test sequence is shorter than the history window$"
+                ):
+                    replay(scheme, mesh4_traffic[:length], HISTORY)
 
     def test_ragged_stream_rejected(self):
         rows = [np.ones(6), np.ones(6), np.ones(5)]
@@ -195,6 +209,8 @@ class TestStreamingReplayEquivalence:
             np.testing.assert_allclose(streamed.raw_mlus, raw, atol=TOL)
             np.testing.assert_allclose(streamed.optimal_mlus, optimal, atol=TOL)
             np.testing.assert_allclose(streamed.normalized_mlus, normalized, atol=TOL)
+            if chunk_size >= len(raw):
+                _assert_same_bytes(streamed, batch)
 
     def test_lp_scheme(self, mesh4_paths, mesh4_traffic):
         self._assert_triple_equivalence(
@@ -261,6 +277,13 @@ class TestStreamingReplayEquivalence:
             streamed.normalized_mlus, batch.normalized_mlus, atol=TOL
         )
         np.testing.assert_allclose(streamed.optimal_mlus, batch.optimal_mlus, atol=TOL)
+        for chunk_size in (len(test) - HISTORY, 1000):
+            _assert_same_bytes(
+                engine.evaluate_streaming(
+                    trained_dote, test, HISTORY, chunk_size=chunk_size, optimal_mlus=optimal
+                ),
+                batch,
+            )
 
     @settings(max_examples=8, deadline=None)
     @given(chunk_size=st.integers(min_value=1, max_value=80))

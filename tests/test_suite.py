@@ -320,6 +320,12 @@ class TestSuiteExecution:
 # --------------------------------------------------------------------------- #
 # CLI subcommands
 # --------------------------------------------------------------------------- #
+def framing(shown: str) -> list[str]:
+    """What a runner prints around its result table, as recorded at PR 21
+    (the header and the rows hold widths and numbers)."""
+    return [line for line in shown.splitlines() if " | " not in line and "-+-" not in line]
+
+
 class TestSuiteCli:
     @pytest.fixture()
     def suite_file(self, tmp_path):
@@ -335,9 +341,12 @@ class TestSuiteCli:
             "suite", str(suite_file), "--warehouse", str(warehouse),
             "--checkpoint", str(tmp_path / "run.ckpt"),
         ]) == 0
-        shown = capsys.readouterr().out
-        assert "Running suite 'small': 4 experiment cell(s)" in shown
-        assert f"Warehoused 4 record(s) in {warehouse}" in shown
+        assert framing(capsys.readouterr().out) == [
+            "Running suite 'small': 4 experiment cell(s) ...",
+            "Suite results (small)",
+            "",
+            f"Warehoused 4 record(s) in {warehouse}",
+        ]
 
         assert study_cli(["query", str(warehouse)]) == 0
         shown = capsys.readouterr().out
@@ -372,11 +381,18 @@ class TestSuiteCli:
                 "--checkpoint", str(checkpoint),
             ])
         capsys.readouterr()
+        out = tmp_path / "results.json"
         assert study_cli([
             "suite", str(suite_file), "--warehouse", str(warehouse),
-            "--checkpoint", str(checkpoint), "--resume",
+            "--checkpoint", str(checkpoint), "--resume", "--out", str(out),
         ]) == 0
-        assert "Resuming suite 'small'" in capsys.readouterr().out
+        assert framing(capsys.readouterr().out) == [
+            f"Resuming suite 'small': 4 cell(s) from {checkpoint} ...",
+            "Suite results (small)",
+            "",
+            f"Warehoused 4 record(s) in {warehouse}",
+            f"Wrote 4 records to {out}",
+        ]
         assert len(ResultWarehouse(warehouse).results()) == 4
 
     def test_cli_error_paths_are_clean(self, tmp_path, suite_file, capsys):
@@ -401,6 +417,17 @@ class TestSuiteCli:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))
         out = tmp_path / "results.json"
-        assert study_cli([str(spec_file), "--out", str(out)]) == 0
-        assert "Running 1 experiment cell(s)" in capsys.readouterr().out
-        assert len(ResultSet.load(out)) == 1
+        checkpoint = tmp_path / "run.ckpt"
+        argv = [str(spec_file), "--out", str(out), "--checkpoint", str(checkpoint)]
+        for extra, first in (
+            ([], "Running 1 experiment cell(s) ..."),
+            (["--resume"], f"Resuming 1 experiment cell(s) from {checkpoint} ..."),
+        ):
+            assert study_cli(argv + extra) == 0
+            assert framing(capsys.readouterr().out) == [
+                first,
+                f"Study results ({spec_file})",
+                "",
+                f"Wrote 1 records to {out}",
+            ]
+            assert len(ResultSet.load(out)) == 1
