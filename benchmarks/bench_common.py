@@ -59,13 +59,15 @@ def bench_engine() -> EvaluationEngine:
     """The engine shared by every benchmark in the session.
 
     Built on the process-wide LP cache (so the trainers' normaliser solves
-    are reused here and vice versa) with an ``os.cpu_count()``-derived
-    process-pool width for cold LP batches -- the larger topologies
+    are reused here and vice versa), whose misses get an
+    ``os.cpu_count()``-derived process-pool width -- the larger topologies
     (Cogentco/UsCarrier) are where the fan-out pays off.
     """
     global _engine
     if _engine is None:
-        _engine = EvaluationEngine(cache=shared_cache(), lp_workers="auto")
+        cache = shared_cache()
+        cache.workers = resolve_lp_workers("auto")
+        _engine = EvaluationEngine(cache=cache)
     return _engine
 
 

@@ -193,7 +193,7 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
 
     common.write_bench_record(
         "study_orchestration",
-        lp_workers=engine.lp_workers,
+        lp_workers=engine.cache.workers,
         update=True,
         grid_cells=cells,
         direct_seconds=direct_s,
@@ -330,7 +330,7 @@ def test_study_cell_worker_scaling(benchmark):
         }
     common.write_bench_record(
         "study_orchestration",
-        lp_workers=common.bench_engine().lp_workers,
+        lp_workers=common.bench_engine().cache.workers,
         update=True,
         cell_pool_grid_cells=cells,
         cell_pool_width=CELL_POOL_WIDTH,
@@ -426,7 +426,7 @@ def test_suite_orchestration_and_warehouse_overhead(tmp_path):
 
     common.write_bench_record(
         "study_orchestration",
-        lp_workers=engine.lp_workers,
+        lp_workers=engine.cache.workers,
         update=True,
         suite_cells=cells,
         suite_expand_cells=len(wide_cells),

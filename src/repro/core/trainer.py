@@ -149,7 +149,7 @@ class Trainer:
         cache: Optimal-MLU cache serving the training-time normalisers (the
             process-wide :func:`~repro.solvers.lp.shared_cache` by default,
             so a later evaluation of the same demands is pure cache hits).
-        lp_workers: Optional process-pool width for the normaliser solves.
+            Which solver and pool width a miss gets is the cache's to say.
     """
 
     def __init__(
@@ -158,13 +158,11 @@ class Trainer:
         config: TrainingConfig,
         pair_variance: np.ndarray | None = None,
         cache: OptimalMLUCache | None = None,
-        lp_workers: int | str | None = None,
     ) -> None:
         self.path_set = path_set
         self.config = config
         self.pair_variance = pair_variance
         self.cache = cache
-        self.lp_workers = lp_workers
         self.model = FigretNet(
             path_set,
             history_len=config.history_len,
@@ -197,7 +195,6 @@ class Trainer:
             "path_set": self.path_set,
             "config": self.config,
             "pair_variance": self.pair_variance,
-            "lp_workers": self.lp_workers,
             "weights": self.model.state_dict(),
             "input_scale": self.input_scale,
             "history": self.history,
@@ -208,8 +205,6 @@ class Trainer:
             state["path_set"],
             state["config"],
             pair_variance=state["pair_variance"],
-            cache=None,
-            lp_workers=state["lp_workers"],
         )
         self.model.load_state_dict(state["weights"])
         self.input_scale = state["input_scale"]
@@ -251,9 +246,7 @@ class Trainer:
             # (same solver, same 1e-12 floor), and the entries stay cached
             # for the evaluation replay of the same demands.
             cache = self.cache if self.cache is not None else shared_cache()
-            optimal = cache.optimal_mlus(
-                self.path_set, targets, workers=self.lp_workers
-            )
+            optimal = cache.optimal_mlus(self.path_set, targets)
 
         rng = np.random.default_rng(config.seed)
         num_samples = scaled_inputs.shape[0]
@@ -330,7 +323,6 @@ class TrainerBackedScheme(TEScheme):
         config: Training hyper-parameters (``forced`` fields are overwritten).
         cache: Optimal-MLU cache for the training normalisers (the process-
             wide shared cache by default).
-        lp_workers: Optional process-pool width for the normaliser solves.
     """
 
     scheme_name: str
@@ -341,12 +333,10 @@ class TrainerBackedScheme(TEScheme):
         path_set: PathSet,
         config: TrainingConfig | None = None,
         cache: OptimalMLUCache | None = None,
-        lp_workers: int | str | None = None,
     ) -> None:
         super().__init__(path_set, name=self.scheme_name)
         self.config = (config or TrainingConfig()).replace(**self.forced)
         self.cache = cache
-        self.lp_workers = lp_workers
         self.training_history: TrainingHistory | None = None
         # Weights of the sensitivity loss; only FIGRET measures them.
         self.pair_variance: np.ndarray | None = None
@@ -370,7 +360,6 @@ class TrainerBackedScheme(TEScheme):
             self.config,
             pair_variance=self.pair_variance,
             cache=self.cache,
-            lp_workers=self.lp_workers,
         )
         self.training_history = self._fit(self._trainer, train_sequence)
 

@@ -42,8 +42,7 @@ import numpy as np
 from repro.backend import ArrayBackend, resolve_backend, use_backend
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
-from repro.solvers.lp import OptimalMLUCache, resolve_lp_workers, shared_cache
-from repro.solvers.lp_backend import LPBackend, resolve_lp_backend
+from repro.solvers.lp import OptimalMLUCache, shared_cache
 from repro.te.failures import (
     reroute_ratios_around_failures,
     sample_failed_links,
@@ -101,39 +100,24 @@ class EvaluationEngine:
     Args:
         cache: Optimal-MLU cache to use (a fresh in-memory one by default;
             pass an ``OptimalMLUCache(path=...)`` to persist LP results
-            across benchmark sessions).
-        lp_workers: Process-pool width for batches of independent LP solves.
-            ``None`` solves sequentially in-process; the string ``"auto"``
-            derives a width from ``os.cpu_count()`` (see
-            :func:`~repro.solvers.lp.default_lp_workers`).
+            across benchmark sessions).  The cache also names the pool width
+            and the LP solver its misses run on (``OptimalMLUCache(workers=,
+            backend=)``): the engine has no LP knob of its own.
         backend: Array backend the neural schemes' forward passes run on
             (see :mod:`repro.backend`).  ``None`` (default) follows the
             active backend (the ``REPRO_BACKEND`` environment variable,
             numpy if unset); a name or instance pins this engine regardless
             of the environment.  Batched MLUs, failure rerouting, the LP
             schemes and the LP normalisers always run on the host.
-        lp_backend: LP solver backend for the omniscient normalisers (see
-            :mod:`repro.solvers.lp_backend`) -- an ``LPBackend`` instance, a
-            registered name (``"scipy"``, ``"highs"``, ``"auto"``), or
-            ``None`` (default) for the process default (``REPRO_LP_BACKEND``;
-            ``"auto"`` if unset, which solves normalisers on the persistent
-            ``highs`` model when its bindings import, on scipy otherwise).
     """
 
     def __init__(
         self,
         cache: OptimalMLUCache | None = None,
-        lp_workers: int | str | None = None,
         backend: ArrayBackend | str | None = None,
-        lp_backend: "LPBackend | str | None" = None,
     ) -> None:
         self.cache = cache if cache is not None else OptimalMLUCache()
-        lp_workers = resolve_lp_workers(lp_workers)
-        self.lp_workers = lp_workers if lp_workers is None or lp_workers > 1 else None
         self.backend = resolve_backend(backend) if backend is not None else None
-        self.lp_backend = (
-            resolve_lp_backend(lp_backend) if lp_backend is not None else None
-        )
 
     # ------------------------------------------------------------------ #
     # Normalisers
@@ -145,13 +129,7 @@ class EvaluationEngine:
         path_mask: np.ndarray | None = None,
     ) -> np.ndarray:
         """Cached omniscient-optimal MLU for every demand vector."""
-        return self.cache.optimal_mlus(
-            path_set,
-            demands,
-            path_mask=path_mask,
-            workers=self.lp_workers,
-            backend=self.lp_backend,
-        )
+        return self.cache.optimal_mlus(path_set, demands, path_mask=path_mask)
 
     # ------------------------------------------------------------------ #
     # Core replay

@@ -658,22 +658,42 @@ class OptimalMLUCache:
     mismatched version or corrupt content is ignored with a warning (cold
     solves, never a crash) and rewritten wholesale on the next flush.
 
+    The cache is also the one place that says *how* a miss is solved, so the
+    training normalisers and the replay normalisers of a study -- both drawn
+    from its engine's cache -- cannot end up on different solvers or widths.
+
     Args:
         max_entries: Oldest entries are evicted from *memory* beyond this
             size (the values are floats, so the default allows millions of
             cached solves).  Already-flushed entries stay on disk.
         path: Optional location of the persistent store.  Parent directories
             are created on flush.
+        workers: Process-pool width for a batch of misses: a positive int
+            (``1`` is sequential whatever the environment says), ``"auto"``
+            for a CPU-count-derived width, or ``None`` to follow
+            ``REPRO_LP_WORKERS`` at solve time (sequential when unset).
+        backend: LP solver for the misses -- an
+            :class:`~repro.solvers.lp_backend.LPBackend` instance or a
+            registered name (``"scipy"``, ``"highs"``, ``"auto"``) -- or
+            ``None`` to follow ``REPRO_LP_BACKEND`` at solve time.
+
+    Raises:
+        ValueError: ``max_entries`` or ``workers`` is out of range, or
+            ``backend`` names no registered LP backend.
     """
 
     def __init__(
         self,
         max_entries: int = 1_000_000,
         path: str | os.PathLike | None = None,
+        workers: int | str | None = None,
+        backend: "LPBackend | str | None" = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
+        self.workers = resolve_lp_workers(workers, use_env=False)
+        self.backend = resolve_lp_backend(backend) if backend is not None else None
         self._entries: OrderedDict[tuple[str, str, str], float] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -870,26 +890,23 @@ class OptimalMLUCache:
         path_set: PathSet,
         demand_vector: np.ndarray,
         path_mask: np.ndarray | None = None,
-        backend: "LPBackend | str | None" = None,
     ) -> float:
         """Cached :func:`omniscient_mlu` (optionally restricted to a path mask)."""
-        return float(self.optimal_mlus(path_set, demand_vector, path_mask, backend=backend)[0])
+        return float(self.optimal_mlus(path_set, demand_vector, path_mask)[0])
 
     def optimal_mlus(
         self,
         path_set: PathSet,
         demands: np.ndarray,
         path_mask: np.ndarray | None = None,
-        workers: int | str | None = None,
-        backend: "LPBackend | str | None" = None,
     ) -> np.ndarray:
         """Cached omniscient MLUs for every row of a ``(T, pairs)`` array.
 
-        Rows missing from the cache are solved (fanning out over a process
-        pool when ``workers`` is set) and inserted; cached rows are returned
-        without re-solving.  The cache only keeps the optimal values, so the
-        batch runs with ``mlu_only=True`` -- solution extraction and
-        configuration construction are skipped entirely.
+        Rows missing from the cache are solved (on the cache's ``backend``,
+        over a process pool of its ``workers``) and inserted; cached rows are
+        returned without re-solving.  The cache only keeps the optimal
+        values, so the batch runs with ``mlu_only=True`` -- solution
+        extraction and configuration construction are skipped entirely.
         """
         demands = np.ascontiguousarray(np.asarray(demands, dtype=float))
         if demands.ndim == 1:
@@ -918,8 +935,8 @@ class OptimalMLUCache:
                 path_set,
                 demands[rows],
                 path_mask=path_mask,
-                workers=workers,
-                backend=backend,
+                workers=self.workers,
+                backend=self.backend,
                 mlu_only=True,
             )
             for (key, indices), (_, mlu) in zip(missing.items(), solved):

@@ -22,10 +22,12 @@ module puts a small backend layer behind :func:`repro.solvers.lp.solve_mlu_lp`
   because the quality of the LP-based schemes depends on *which* optimal
   vertex of a degenerate LP comes back.
 
-Selection follows the array-backend conventions: the ``REPRO_LP_BACKEND``
-environment variable or explicit ``lp_backend=`` / ``backend=`` arguments on
-the solver entry points, the engine and the study layer; naming ``"scipy"``
-or ``"highs"`` puts *everything* on that solver.  A known-but-unimportable
+Selection: ``OptimalMLUCache(backend=)`` names the solver of every
+normaliser drawn from that cache (a study's trainings and replays alike),
+``backend=`` on ``solve_mlu_lp`` / ``solve_mlu_lp_batch`` that of one call,
+and the ``REPRO_LP_BACKEND`` environment variable whatever neither names --
+which includes the LP schemes' own solves, so only ``REPRO_LP_BACKEND=scipy``
+or ``=highs`` puts *everything* on one solver.  A known-but-unimportable
 backend falls back to scipy with a single :class:`RuntimeWarning` per
 process (``"auto"`` silently: without the bindings it *is* scipy).
 

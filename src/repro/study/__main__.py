@@ -129,6 +129,15 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _engine_from(args):
+    """The engine ``--backend`` / ``--lp-workers`` / ``--lp-backend`` describe."""
+    from repro.evaluation.engine import EvaluationEngine
+    from repro.solvers.lp import OptimalMLUCache
+
+    cache = OptimalMLUCache(workers=args.lp_workers, backend=args.lp_backend)
+    return EvaluationEngine(cache=cache, backend=args.backend)
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """What the study and suite runners take besides their input file."""
     parser.add_argument("--out", help="write the full ResultSet JSON here")
@@ -236,10 +245,8 @@ def _run_and_report(parser: argparse.ArgumentParser, args, path: str, suite: boo
         resuming = f"Resuming {len(study)} experiment cell(s) from {args.checkpoint} ..."
         title = f"Study results ({path})"
     run_kwargs = dict(
-        backend=args.backend,
-        lp_workers=args.lp_workers,
+        engine=_engine_from(args),
         cell_workers=args.cell_workers,
-        lp_backend=args.lp_backend,
         warehouse=args.warehouse,
     )
     if args.resume:
@@ -391,9 +398,7 @@ def _cmd_serve(argv: list[str]) -> int:
         args.socket,
         warehouse=args.warehouse,
         spool_dir=args.spool_dir,
-        backend=args.backend,
-        lp_workers=args.lp_workers,
-        lp_backend=args.lp_backend,
+        engine=_engine_from(args),
         cell_workers=args.cell_workers,
     )
 

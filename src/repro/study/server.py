@@ -59,7 +59,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from repro.evaluation.engine import EvaluationEngine
-from repro.solvers.lp import OptimalMLUCache, count_lp_solves
+from repro.solvers.lp import count_lp_solves
 from repro.study.results import StudyResult
 from repro.study.spec import ExperimentSpec, expand_spec
 from repro.study.study import Study, StudyCancelled
@@ -154,10 +154,9 @@ class StudyServer:
         spool_dir: Directory job checkpoint names resolve under (created on
             demand).  Defaults to ``<socket_path>.spool/`` so checkpoints
             survive a daemon restart next to the socket they belong to.
-        backend / lp_workers / lp_backend: Engine knobs, as in
-            :class:`~repro.evaluation.engine.EvaluationEngine` (``lp_backend``
-            defaults to ``REPRO_LP_BACKEND``, ``"auto"`` if unset).  The server
-            builds ONE engine with ONE warm LP cache shared by every job.
+        engine: The ONE engine, with its ONE warm LP cache, every job runs
+            through (a fresh :class:`~repro.evaluation.engine.
+            EvaluationEngine` by default).
         cell_workers: Cell process-pool width every job runs with
             (sequential by default -- the daemon's parallelism axis is the
             shared warm state, not per-job pools; cancellation is polled
@@ -169,9 +168,7 @@ class StudyServer:
         socket_path,
         warehouse=None,
         spool_dir=None,
-        backend: str | None = None,
-        lp_workers: int | str | None = None,
-        lp_backend: str | None = None,
+        engine: EvaluationEngine | None = None,
         cell_workers: int | str | None = None,
     ) -> None:
         self.socket_path = Path(socket_path).expanduser()
@@ -185,12 +182,7 @@ class StudyServer:
         # One warm engine for every job: the LP cache, and the scenario /
         # trained-scheme dicts below, ARE the service -- they make a second
         # client's overlapping grid free.
-        self.engine = EvaluationEngine(
-            cache=OptimalMLUCache(),
-            lp_workers=lp_workers,
-            backend=backend,
-            lp_backend=lp_backend,
-        )
+        self.engine = engine if engine is not None else EvaluationEngine()
         self._scheme_cache: dict = {}
         self._scenario_cache: dict = {}
         self._jobs: dict[str, _Job] = {}

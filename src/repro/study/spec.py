@@ -188,10 +188,10 @@ def register_scheme(kind: str, overwrite: bool = False):
     """Register a TE-scheme builder under a spec ``kind`` name.
 
     The decorated builder is called as ``builder(path_set, *, cache=None,
-    lp_workers=None, **params)`` with the remaining spec keys as ``params``
-    and must return a :class:`~repro.te.scheme.TEScheme`.  ``cache`` /
-    ``lp_workers`` carry the study engine's LP cache and pool width; builders
-    of schemes that never solve training-time LPs may ignore them.
+    **params)`` with the remaining spec keys as ``params`` and must return a
+    :class:`~repro.te.scheme.TEScheme`.  ``cache`` is the study engine's LP
+    cache; builders of schemes that never solve training-time LPs may ignore
+    it.
 
     Raises:
         ValueError: If ``kind`` is already registered and ``overwrite`` is
@@ -218,7 +218,6 @@ def build_scheme(
     spec: Mapping,
     path_set: PathSet,
     cache=None,
-    lp_workers: int | None = None,
 ) -> TEScheme:
     """Build a (untrained) scheme instance from a plain-dict spec.
 
@@ -227,7 +226,6 @@ def build_scheme(
             ``"label"`` key (the record display name) is stripped here.
         path_set: Candidate paths the scheme operates on.
         cache: Optimal-MLU cache for training-time normalisers.
-        lp_workers: LP process-pool width for training-time solves.
 
     Raises:
         ValueError: If the kind is missing or unknown.
@@ -242,7 +240,7 @@ def build_scheme(
         raise ValueError(
             f"unknown scheme kind {kind!r}; available: {', '.join(available_schemes())}"
         )
-    return builder(path_set, cache=cache, lp_workers=lp_workers, **params)
+    return builder(path_set, cache=cache, **params)
 
 
 def _training_config(params: dict):
@@ -254,77 +252,77 @@ def _training_config(params: dict):
 
 
 @register_scheme("figret")
-def _build_figret(path_set, *, cache=None, lp_workers=None, **params):
+def _build_figret(path_set, *, cache=None, **params):
     from repro.core.figret import Figret
 
-    return Figret(path_set, _training_config(params), cache=cache, lp_workers=lp_workers)
+    return Figret(path_set, _training_config(params), cache=cache)
 
 
 @register_scheme("dote")
-def _build_dote(path_set, *, cache=None, lp_workers=None, **params):
+def _build_dote(path_set, *, cache=None, **params):
     from repro.core.dote import Dote
 
-    return Dote(path_set, _training_config(params), cache=cache, lp_workers=lp_workers)
+    return Dote(path_set, _training_config(params), cache=cache)
 
 
 @register_scheme("teal")
-def _build_teal(path_set, *, cache=None, lp_workers=None, **params):
+def _build_teal(path_set, *, cache=None, **params):
     from repro.core.teal_like import TealLike
 
-    return TealLike(path_set, _training_config(params), cache=cache, lp_workers=lp_workers)
+    return TealLike(path_set, _training_config(params), cache=cache)
 
 
 @register_scheme("des_te")
-def _build_des_te(path_set, *, cache=None, lp_workers=None, **params):
+def _build_des_te(path_set, *, cache=None, **params):
     from repro.solvers.desensitization import DesensitizationTE
 
     return DesensitizationTE(path_set, **params)
 
 
 @register_scheme("fa_des_te")
-def _build_fa_des_te(path_set, *, cache=None, lp_workers=None, **params):
+def _build_fa_des_te(path_set, *, cache=None, **params):
     from repro.solvers.desensitization import FaultAwareDesensitizationTE
 
     return FaultAwareDesensitizationTE(path_set, **params)
 
 
 @register_scheme("linear_sens")
-def _build_linear_sens(path_set, *, cache=None, lp_workers=None, **params):
+def _build_linear_sens(path_set, *, cache=None, **params):
     from repro.solvers.heuristic_f import LinearSensitivityTE
 
     return LinearSensitivityTE(path_set, **params)
 
 
 @register_scheme("piecewise_sens")
-def _build_piecewise_sens(path_set, *, cache=None, lp_workers=None, **params):
+def _build_piecewise_sens(path_set, *, cache=None, **params):
     from repro.solvers.heuristic_f import PiecewiseSensitivityTE
 
     return PiecewiseSensitivityTE(path_set, **params)
 
 
 @register_scheme("pred_te")
-def _build_pred_te(path_set, *, cache=None, lp_workers=None, **params):
+def _build_pred_te(path_set, *, cache=None, **params):
     from repro.solvers.lp import PredictionBasedTE
 
     return PredictionBasedTE(path_set, **params)
 
 
 @register_scheme("omniscient")
-def _build_omniscient(path_set, *, cache=None, lp_workers=None, **params):
+def _build_omniscient(path_set, *, cache=None, **params):
     from repro.solvers.lp import OmniscientTE
 
     return OmniscientTE(path_set, **params)
 
 
 @register_scheme("oblivious")
-def _build_oblivious(path_set, *, cache=None, lp_workers=None, **params):
+def _build_oblivious(path_set, *, cache=None, **params):
     from repro.solvers.oblivious import ObliviousTE
 
     return ObliviousTE(path_set, **params)
 
 
 @register_scheme("cope")
-def _build_cope(path_set, *, cache=None, lp_workers=None, **params):
+def _build_cope(path_set, *, cache=None, **params):
     from repro.solvers.cope import CopeTE
 
     return CopeTE(path_set, **params)

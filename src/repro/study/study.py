@@ -15,8 +15,8 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
   :class:`~repro.solvers.lp.OptimalMLUCache` -- one optimal-MLU pass per
   distinct demand matrix across the *whole* grid, so adding schemes or
   re-running a study never repeats an LP solve (assert it with
-  :func:`~repro.solvers.lp.count_lp_solves`).  Cold solves fan out over the
-  LP process pool when ``lp_workers`` is set.
+  :func:`~repro.solvers.lp.count_lp_solves`).  Cold solves run on the
+  solver, and over the pool width, that cache was built with.
 
 Pass ``scheme_cache`` / ``scenario_cache`` dicts to share the first two
 dedup layers across studies in one process (the benchmark harness does).
@@ -44,8 +44,8 @@ from repro.solvers.lp import (
     _discard_pool,
     _pool,
     resolve_lp_workers,
-    shared_cache,
 )
+from repro.solvers.lp_backend import available_lp_backends
 from repro.study.results import ResultSet, StudyCheckpoint, StudyResult
 from repro.study.warehouse import ResultWarehouse
 from repro.study.spec import (
@@ -156,9 +156,10 @@ def _warn_cell_pool_fallback(exc: BaseException) -> None:
 def _run_cells_job(payload: tuple) -> tuple:
     """Process-pool worker: run a group of cells sharing one scheme training.
 
-    The payload carries the (declarative, hence picklable) cells, the parent
-    engine's backend name, a snapshot of the parent's LP-cache entries, and
-    any schemes the parent had already trained for this group.  The return
+    The payload carries the (declarative, hence picklable) cells, the names
+    of the parent engine's array and LP backends, a snapshot of the parent's
+    LP-cache entries, and any schemes the parent had already trained for
+    this group.  The return
     value carries the finished records plus everything the parent merges
     back: LP-cache entries solved here and schemes trained here (both keyed
     exactly as the parent keys them, so the merge is a dict update).
@@ -169,17 +170,12 @@ def _run_cells_job(payload: tuple) -> tuple:
     sequential run that dies mid-grid.
     """
     cells, backend_name, lp_backend_name, cache_snapshot, pretrained = payload
-    cache = OptimalMLUCache()
+    # Width 1 (sequential): each cell worker is already one process of the
+    # cell pool, and letting REPRO_LP_WORKERS leak in here would nest an LP
+    # pool inside every cell worker.
+    cache = OptimalMLUCache(workers=1, backend=lp_backend_name)
     cache.merge_entries(cache_snapshot)
-    # lp_workers is pinned to 1 (sequential): each cell worker is already one
-    # process of the cell pool, and letting REPRO_LP_WORKERS leak in here
-    # would nest an LP pool inside every cell worker.
-    engine = EvaluationEngine(
-        cache=cache,
-        lp_workers=1,
-        backend=backend_name,
-        lp_backend=lp_backend_name,
-    )
+    engine = EvaluationEngine(cache=cache, backend=backend_name)
     study = Study(scheme_cache=dict(pretrained))
     finished = []
     error: Exception | None = None
@@ -328,29 +324,19 @@ class Study:
     def run(
         self,
         engine: EvaluationEngine | None = None,
-        backend: str | None = None,
-        lp_workers: int | str | None = None,
         checkpoint=None,
         cell_workers: int | str | None = None,
-        lp_backend: str | None = None,
         warehouse=None,
     ) -> ResultSet:
         """Execute every cell and collect the uniform result records.
 
         Args:
             engine: Evaluation engine (the process-wide default -- and its
-                shared LP cache -- if omitted).
-            backend: Array backend for the neural forward passes; when given
-                without an explicit engine, a backend-pinned engine sharing
-                the process-wide LP cache is used.
-            lp_workers: LP process-pool width for cold normaliser batches
-                (``"auto"`` derives one from the CPU count).
-            lp_backend: LP solver backend for the omniscient normalisers
-                (``"scipy"``, ``"highs"``, ``"auto"``; see
-                :mod:`repro.solvers.lp_backend`).  The default follows
-                ``REPRO_LP_BACKEND`` and is ``"auto"`` when that is unset:
-                normalisers on ``highs`` when importable, else on scipy.
-                Like ``backend``, only used when no explicit engine is given.
+                shared LP cache -- if omitted).  It names the array backend
+                of the forward passes and, through its cache, the LP solver
+                and pool width of every normaliser, training and replay:
+                ``EvaluationEngine(cache=OptimalMLUCache(workers=, backend=),
+                backend=)``.
             checkpoint: Optional path of a :class:`StudyCheckpoint`.  Every
                 finished cell is appended to it immediately (crash-safe
                 writes), so an interrupted grid restarts where it died via
@@ -358,17 +344,18 @@ class Study:
                 the cells already on disk.  The path must not already exist
                 -- resuming is explicit, never accidental.
             cell_workers: Process-pool width for *cell-level* parallelism
-                (``"auto"`` derives one from the CPU count, like
-                ``lp_workers``).  Declarative cells are grouped by
-                (scenario, scheme spec) -- one training per distinct scheme
-                spec, exactly as in sequential runs -- and the groups fan
-                out over a process pool; per-worker LP-cache entries and
-                trained schemes are merged back on return, so a follow-up
-                run repeats nothing.  Cells built from live objects (which
-                cannot cross a process boundary) run in-process, and an
-                unusable pool degrades to sequential execution with one
-                warning.  Results are bit-identical to ``cell_workers=None``
-                in either case.
+                (``"auto"`` derives one from the CPU count).  Declarative
+                cells are grouped by (scenario, scheme spec) -- one training
+                per distinct scheme spec, exactly as in sequential runs --
+                and the groups fan out over a process pool; per-worker
+                LP-cache entries and trained schemes are merged back on
+                return, so a follow-up run repeats nothing.  Cells built
+                from live objects, and all cells of an engine whose LP
+                backend is an instance outside the registry (neither can
+                cross a process boundary), run in-process, and an unusable
+                pool degrades to sequential execution with one warning.
+                Results are bit-identical to ``cell_workers=None`` in either
+                case.
             warehouse: Optional path or :class:`~repro.study.warehouse.
                 ResultWarehouse` that every finished cell is appended to as
                 it completes (after the checkpoint append, with the same
@@ -385,11 +372,8 @@ class Study:
         return self.execute(
             self.plan(
                 engine=engine,
-                backend=backend,
-                lp_workers=lp_workers,
                 checkpoint=checkpoint,
                 cell_workers=cell_workers,
-                lp_backend=lp_backend,
                 warehouse=warehouse,
             )
         )
@@ -398,10 +382,7 @@ class Study:
         self,
         checkpoint,
         engine: EvaluationEngine | None = None,
-        backend: str | None = None,
-        lp_workers: int | str | None = None,
         cell_workers: int | str | None = None,
-        lp_backend: str | None = None,
         warehouse=None,
     ) -> ResultSet:
         """Finish an interrupted checkpointed run (see :meth:`run`).
@@ -421,22 +402,18 @@ class Study:
         Args:
             checkpoint: Path of the checkpoint written by an earlier
                 ``run(checkpoint=...)`` / ``resume(...)``.
-            engine / backend / lp_workers / cell_workers / lp_backend /
-                warehouse: As in :meth:`run`.  Cells loaded from the
-                checkpoint were appended to the warehouse by the session
-                that ran them, so they are not re-appended here; a final
-                :meth:`~repro.study.warehouse.ResultWarehouse.sync` pass
+            engine / cell_workers / warehouse: As in :meth:`run`.  Cells
+                loaded from the checkpoint were appended to the warehouse by
+                the session that ran them, so they are not re-appended here;
+                a final :meth:`~repro.study.warehouse.ResultWarehouse.sync` pass
                 restores any record lost in the crash window between a
                 checkpoint append and its warehouse append.
         """
         return self.execute(
             self.plan(
                 engine=engine,
-                backend=backend,
-                lp_workers=lp_workers,
                 checkpoint=checkpoint,
                 cell_workers=cell_workers,
-                lp_backend=lp_backend,
                 warehouse=warehouse,
                 resume=True,
             )
@@ -509,11 +486,8 @@ class Study:
     def plan(
         self,
         engine: EvaluationEngine | None = None,
-        backend: str | None = None,
-        lp_workers: int | str | None = None,
         checkpoint=None,
         cell_workers: int | str | None = None,
-        lp_backend: str | None = None,
         warehouse=None,
         resume: bool = False,
     ) -> StudyPlan:
@@ -528,8 +502,7 @@ class Study:
         plans eagerly and own the loop itself.
 
         Args:
-            engine / backend / lp_workers / checkpoint / cell_workers /
-                lp_backend / warehouse: As in :meth:`run`.
+            engine / checkpoint / cell_workers / warehouse: As in :meth:`run`.
             resume: When true, cells whose provenance already appears in the
                 (existing) checkpoint are loaded as completed instead of
                 pending -- :meth:`resume` semantics; a missing checkpoint
@@ -557,10 +530,11 @@ class Study:
                 )
         elif resume:
             raise ValueError("resume=True needs a checkpoint path to resume from")
-        engine = self._resolve_engine(engine, backend, lp_workers, lp_backend)
-        # Same accepted forms as lp_workers, but cell_workers must not
+        if engine is None:
+            engine = default_engine()
+        # Same accepted forms as the LP pool width, but cell_workers must not
         # inherit REPRO_LP_WORKERS: that variable names the LP pool width,
-        # and the cell pool nests an engine (with its own lp_workers) inside
+        # and the cell pool nests an engine (with a width-1 cache) inside
         # every worker.
         cell_workers = resolve_lp_workers(cell_workers, use_env=False)
         writer = StudyCheckpoint(checkpoint) if checkpoint is not None else None
@@ -685,11 +659,16 @@ class Study:
         Pre-solving normalisers in the parent would need the per-cell
         perturbed demand streams, i.e. most of cell execution; grouping by
         scenario instead would serialise the trainings.  Returns the cells
-        that must still run in-process: ones carrying live objects, plus
-        everything handed back by pool-infrastructure failures (never cell
-        failures, which propagate after the surviving jobs are drained and
-        checkpointed).
+        that must still run in-process: ones carrying live objects, all of
+        them when the engine's LP backend is an instance the registry cannot
+        rebuild by name in a worker, plus everything handed back by
+        pool-infrastructure failures (never cell failures, which propagate
+        after the surviving jobs are drained and checkpointed).
         """
+        lp_backend = engine.cache.backend
+        lp_backend_name = lp_backend.name if lp_backend is not None else None
+        if lp_backend_name is not None and lp_backend_name not in available_lp_backends():
+            return pending
         local: list[tuple[int, ExperimentSpec]] = []
         groups: dict[tuple[str, str], list[tuple[int, ExperimentSpec]]] = {}
         for index, cell in pending:
@@ -702,9 +681,6 @@ class Study:
         if not groups:
             return local
         backend_name = engine.backend.name if engine.backend is not None else None
-        lp_backend_name = (
-            engine.lp_backend.name if engine.lp_backend is not None else None
-        )
         snapshot = engine.cache.entries_snapshot()
         # Ship each group only the cache entries of its own path set (keyed
         # by fingerprint) instead of pickling the whole -- possibly huge --
@@ -799,24 +775,6 @@ class Study:
             raise first_error
         return sorted(leftover)
 
-    @staticmethod
-    def _resolve_engine(
-        engine: EvaluationEngine | None,
-        backend: str | None,
-        lp_workers: int | str | None,
-        lp_backend: str | None = None,
-    ) -> EvaluationEngine:
-        if engine is not None:
-            return engine
-        if backend is None and lp_workers is None and lp_backend is None:
-            return default_engine()
-        return EvaluationEngine(
-            cache=shared_cache(),
-            lp_workers=lp_workers,
-            backend=backend,
-            lp_backend=lp_backend,
-        )
-
     # ------------------------------------------------------------------ #
     # Shared-work resolution (the dedup layers)
     # ------------------------------------------------------------------ #
@@ -888,7 +846,8 @@ class Study:
         """
         if not isinstance(cell, ExperimentSpec):
             cell = ExperimentSpec.from_dict(cell)
-        engine = self._resolve_engine(engine, None, None, None)
+        if engine is None:
+            engine = default_engine()
         ctx = self._context(cell)
         return self._resolve_scheme(cell, ctx, engine, ctx.train, "default")
 
@@ -913,9 +872,7 @@ class Study:
                     f"cell scenario {ctx.name!r} provides no path set to build scheme "
                     f"{cell.scheme.get('kind')!r} on"
                 )
-            scheme = build_scheme(
-                cell.scheme, ctx.paths, cache=engine.cache, lp_workers=engine.lp_workers
-            )
+            scheme = build_scheme(cell.scheme, ctx.paths, cache=engine.cache)
         elif callable(cell.scheme):
             scheme = cell.scheme()
         else:

@@ -11,7 +11,6 @@ flush.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -23,9 +22,6 @@ from repro.solvers.lp import (
     CACHE_FILE_VERSION,
     OptimalMLUCache,
 )
-
-#: Pool width for cold LP batches (sequential unless CI sets it).
-LP_WORKERS = int(os.environ.get("REPRO_LP_WORKERS", "0")) or None
 
 
 @pytest.fixture()
@@ -43,7 +39,7 @@ class TestRoundTrip:
     ):
         demands = _demands(mesh4_traffic)
         with OptimalMLUCache(path=cache_file) as first:
-            values = first.optimal_mlus(mesh4_paths, demands, workers=LP_WORKERS)
+            values = first.optimal_mlus(mesh4_paths, demands)
             assert first.misses == len(demands)
 
         second = OptimalMLUCache(path=cache_file)
@@ -70,9 +66,7 @@ class TestRoundTrip:
         )
         scheme.precompute(train)
         with OptimalMLUCache(path=cache_file) as cold_cache:
-            cold = EvaluationEngine(cache=cold_cache, lp_workers=LP_WORKERS).evaluate_scheme(
-                scheme, test, 4
-            )
+            cold = EvaluationEngine(cache=cold_cache).evaluate_scheme(scheme, test, 4)
 
         warm_cache = OptimalMLUCache(path=cache_file)
         solves_before = lp_solve_calls()
@@ -89,11 +83,11 @@ class TestRoundTrip:
     ):
         demands = _demands(mesh4_traffic, 6)
         cache = OptimalMLUCache(path=cache_file)
-        cache.optimal_mlus(mesh4_paths, demands[:3], workers=LP_WORKERS)
+        cache.optimal_mlus(mesh4_paths, demands[:3])
         cache.flush()
         first_lines = cache_file.read_text().splitlines()
         assert len(first_lines) == 1 + 3  # header + entries
-        cache.optimal_mlus(mesh4_paths, demands[3:], workers=LP_WORKERS)
+        cache.optimal_mlus(mesh4_paths, demands[3:])
         cache.flush()
         lines = cache_file.read_text().splitlines()
         assert lines[: len(first_lines)] == first_lines  # pure append

@@ -306,35 +306,67 @@ class TestBatchBackend:
         np.testing.assert_allclose(highs_mlus, scipy_mlus, atol=1e-9)
 
 
+def _engine_on(lp_backend):
+    from repro.evaluation.engine import EvaluationEngine
+    from repro.solvers.lp import OptimalMLUCache
+
+    return EvaluationEngine(cache=OptimalMLUCache(backend=lp_backend))
+
+
+class Recording(ScipyLinprogBackend):
+    """Counts the value-only solves it is handed; named outside the registry."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = 0
+
+    def solve_mlu(self, path_set, demand_vector, upper):
+        self.calls += 1
+        return super().solve_mlu(path_set, demand_vector, upper)
+
+
 class TestEngineAndStudyThreading:
     def test_engine_threads_backend_into_cache(self, mesh4_paths, rng):
-        from repro.evaluation.engine import EvaluationEngine
-
-        calls = []
-
-        class Recording(ScipyLinprogBackend):
-            name = "recording"
-
-            def solve_mlu(self, path_set, demand_vector, upper):
-                calls.append(1)
-                return super().solve_mlu(path_set, demand_vector, upper)
-
-        engine = EvaluationEngine(lp_backend=Recording())
+        recording = Recording()
+        engine = _engine_on(recording)
         demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
         engine.optimal_mlus(mesh4_paths, demands)
-        assert len(calls) == len(demands)
+        assert recording.calls == len(demands)
+
+    def test_cache_backend_solves_training_and_replay_normalisers(self):
+        # The trainer draws its normalisers from the engine's cache, so the
+        # cache's backend sees them all -- not just the replay's.
+        from repro.study.study import Study
+
+        replayed = 3
+        spec = {
+            "scenario": {
+                "topology": {"kind": "fully_connected", "num_nodes": 4, "capacity": 10.0},
+                "traffic": {"kind": "datacenter", "level": "pod", "seed": 3, "num_intervals": 50},
+                "history_len": 2,
+            },
+            "scheme": {"kind": "figret", "epochs": 1, "history_len": 2, "seed": 0},
+            "max_intervals": replayed,
+        }
+        recording = Recording()
+        engine = _engine_on(recording)
+        with count_lp_solves() as tally:
+            Study(spec).run(engine=engine)
+        assert recording.calls == tally.count == engine.cache.misses
+        assert tally.count > replayed  # the trainings' normalisers are in there
 
     def test_engine_default_lp_backend_is_none(self):
         from repro.evaluation.engine import EvaluationEngine
 
-        assert EvaluationEngine().lp_backend is None
+        assert EvaluationEngine().cache.backend is None
 
     def test_cache_optimal_mlu_accepts_backend(self, mesh4_paths, rng):
         from repro.solvers.lp import OptimalMLUCache
 
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
         plain = OptimalMLUCache().optimal_mlu(mesh4_paths, demand)
-        named = OptimalMLUCache().optimal_mlu(mesh4_paths, demand, backend="scipy")
+        named = OptimalMLUCache(backend="scipy").optimal_mlu(mesh4_paths, demand)
         # Approximate because the no-backend call follows REPRO_LP_BACKEND.
         assert named == pytest.approx(plain, abs=1e-9)
 
@@ -362,7 +394,7 @@ class TestEngineAndStudyThreading:
             "max_intervals": 3,
         }
         baseline = Study(spec).run()
-        explicit = Study(spec).run(lp_backend="scipy")
+        explicit = Study(spec).run(engine=_engine_on("scipy"))
         np.testing.assert_allclose(
             explicit[0].series, baseline[0].series, atol=1e-12
         )
@@ -385,8 +417,8 @@ class TestEngineAndStudyThreading:
             "scheme": {"kind": "pred_te"},
             "max_intervals": 3,
         }
-        scipy_run = Study(spec).run(lp_backend="scipy")
-        highs_run = Study(spec).run(lp_backend="highs")
+        scipy_run = Study(spec).run(engine=_engine_on("scipy"))
+        highs_run = Study(spec).run(engine=_engine_on("highs"))
         np.testing.assert_allclose(
             highs_run[0].series, scipy_run[0].series, atol=1e-9
         )

@@ -324,7 +324,7 @@ class TestAutoWorkers:
         from repro.solvers.lp import OptimalMLUCache
 
         demands = rng.random((2, mesh4_paths.num_sd_pairs)) + 0.1
-        values = OptimalMLUCache().optimal_mlus(mesh4_paths, demands, workers="auto")
+        values = OptimalMLUCache(workers="auto").optimal_mlus(mesh4_paths, demands)
         assert np.isfinite(values).all()
 
     def test_other_strings_rejected(self, mesh4_paths, rng):

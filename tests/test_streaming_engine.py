@@ -9,12 +9,10 @@ size, in particular chunk boundaries that split a history window
 (``chunk_size < history_len``).
 
 Set ``REPRO_LP_WORKERS`` (CI does, with 2) to run the engines here with a
-process pool under the cold LP batches.
+process pool under the cold LP batches: a default cache follows the variable.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -29,12 +27,10 @@ from repro.traffic.windows import build_history_windows, iter_window_chunks
 
 HISTORY = 4
 TOL = 1e-9
-#: Pool width for the engines under test (sequential unless CI sets it).
-LP_WORKERS = int(os.environ.get("REPRO_LP_WORKERS", "0")) or None
 
 
 def make_engine() -> EvaluationEngine:
-    return EvaluationEngine(lp_workers=LP_WORKERS)
+    return EvaluationEngine()
 
 
 def _sequential_replay(scheme, test_sequence, history_len, oracle_demand=False):
@@ -325,11 +321,9 @@ class TestBackendStreamingEquivalence:
         self, trained_dote, mesh4_traffic, backend_name, chunk_size
     ):
         test = mesh4_traffic[:20]
-        reference_engine = EvaluationEngine(lp_workers=LP_WORKERS, backend="numpy")
+        reference_engine = EvaluationEngine(backend="numpy")
         reference = reference_engine.evaluate_scheme(trained_dote, test, HISTORY)
-        engine = EvaluationEngine(
-            cache=reference_engine.cache, lp_workers=LP_WORKERS, backend=backend_name
-        )
+        engine = EvaluationEngine(cache=reference_engine.cache, backend=backend_name)
         tolerance = max(get_backend(backend_name).tolerance, TOL)
         batch = engine.evaluate_scheme(trained_dote, test, HISTORY)
         streamed = engine.evaluate_streaming(

@@ -219,7 +219,7 @@ class TestSchemeRegistry:
 
     def test_duplicate_registration_rejected(self):
         @register_scheme("unit_test_scheme")
-        def _build(path_set, *, cache=None, lp_workers=None, **params):
+        def _build(path_set, *, cache=None, **params):
             raise NotImplementedError
 
         try:
@@ -685,6 +685,53 @@ class TestStudyBehaviour:
         )
         with pytest.raises(ValueError, match="exactly one"):
             results.only(scheme="DOTE")
+
+
+class TestCellPool:
+    """What crosses the cell pool's process boundary: names, and a width of 1."""
+
+    @staticmethod
+    def _spec():
+        return {
+            "scenario": _tiny_config("cell_pool_mesh"),
+            "scheme": {"sweep": [
+                {"kind": "dote", "epochs": 1, "history_len": 3, "seed": 0},
+                {"kind": "pred_te"},
+            ]},
+            "max_intervals": 3,
+        }
+
+    def test_unregistered_lp_backend_runs_its_cells_in_process(self):
+        # A worker can only rebuild an LP backend from its registry name; an
+        # instance named outside the registry must not be shipped as one.
+        from repro.solvers.lp_backend import ScipyLinprogBackend
+
+        class Mine(ScipyLinprogBackend):
+            name = "mine"
+
+        def run(**kwargs):
+            engine = EvaluationEngine(cache=OptimalMLUCache(backend=Mine()))
+            return Study(self._spec()).run(engine=engine, **kwargs)
+
+        assert run(cell_workers=2).to_json() == run().to_json()
+
+    def test_explicit_width_one_never_opens_a_pool(self, monkeypatch, mesh4_paths, rng):
+        from repro.solvers import lp as lp_module
+        from repro.study.study import _run_cells_job
+
+        def no_pool(workers):
+            raise AssertionError(f"LP pool of width {workers} opened under an explicit 1")
+
+        monkeypatch.setenv("REPRO_LP_WORKERS", "2")
+        monkeypatch.setattr(lp_module, "_pool", no_pool)
+        demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+        engine = EvaluationEngine(cache=OptimalMLUCache(workers=1))
+        assert engine.optimal_mlus(mesh4_paths, demands).shape == (4,)
+        # The cell-pool worker, run here in-process: trainings and replays.
+        cells = list(enumerate(Study(self._spec()).specs))
+        finished, new_entries, _, error, _ = _run_cells_job((cells, None, None, {}, {}))
+        assert error is None
+        assert len(finished) == len(cells) and new_entries
 
 
 class TestStudyCLI:

@@ -100,7 +100,7 @@ def counting_builder():
     state = {"builds": 0, "fail_after": None}
 
     @register_scheme("resume_stub")
-    def _build(path_set, *, cache=None, lp_workers=None, **params):
+    def _build(path_set, *, cache=None, **params):
         state["builds"] += 1
         if state["fail_after"] is not None and state["builds"] > state["fail_after"]:
             raise RuntimeError("injected mid-grid crash")
@@ -441,7 +441,7 @@ class TestWorkerValidation:
 
     def test_engine_rejects_zero_lp_workers(self):
         with pytest.raises(ValueError, match="at least 1"):
-            EvaluationEngine(cache=OptimalMLUCache(), lp_workers=0)
+            EvaluationEngine(cache=OptimalMLUCache(workers=0))
 
     @pytest.mark.parametrize("bad", [0, -2, "garbage"])
     def test_study_rejects_invalid_cell_workers(self, bad):

@@ -10,8 +10,6 @@ the same demands.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -21,8 +19,6 @@ from repro.evaluation.engine import EvaluationEngine
 from repro.solvers import OptimalMLUCache, lp_solve_calls, omniscient_mlu
 
 HISTORY = 3
-#: Pool width for the normaliser batches (sequential unless CI sets it).
-LP_WORKERS = int(os.environ.get("REPRO_LP_WORKERS", "0")) or None
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +48,7 @@ class TestTrainerNormalisers:
             [omniscient_mlu(mesh4_paths, target) for target in targets]
         )
         cache = OptimalMLUCache()
-        batched = cache.optimal_mlus(mesh4_paths, targets, workers=LP_WORKERS)
+        batched = cache.optimal_mlus(mesh4_paths, targets)
         np.testing.assert_array_equal(batched, reference)  # bitwise
 
     def test_fit_losses_bit_identical_across_cache_states(
@@ -62,7 +58,7 @@ class TestTrainerNormalisers:
         histories = []
         warm = OptimalMLUCache()
         for cache in (None, OptimalMLUCache(), warm, warm):  # warm reused twice
-            trainer = Trainer(mesh4_paths, tiny_config, cache=cache, lp_workers=LP_WORKERS)
+            trainer = Trainer(mesh4_paths, tiny_config, cache=cache)
             histories.append(trainer.fit(train_sequence))
         for history in histories[1:]:
             assert history.epoch_losses == histories[0].epoch_losses
@@ -79,7 +75,7 @@ class TestTrainerNormalisers:
     ):
         """Train + eval of the same demands never solve one LP twice."""
         cache = OptimalMLUCache()
-        scheme = Figret(mesh4_paths, tiny_config, cache=cache, lp_workers=LP_WORKERS)
+        scheme = Figret(mesh4_paths, tiny_config, cache=cache)
         scheme.precompute(train_sequence)
         fit_misses = cache.misses
         assert fit_misses > 0
@@ -96,7 +92,7 @@ class TestTrainerNormalisers:
         self, mesh4_paths, train_sequence, tiny_config
     ):
         cache = OptimalMLUCache()
-        scheme = Dote(mesh4_paths, tiny_config, cache=cache, lp_workers=LP_WORKERS)
+        scheme = Dote(mesh4_paths, tiny_config, cache=cache)
         scheme.precompute(train_sequence)
         assert cache.misses == len(train_sequence) - HISTORY
 
@@ -118,7 +114,7 @@ class TestTealLikeNormalisers:
         self, mesh4_paths, train_sequence, tiny_config
     ):
         cache = OptimalMLUCache()
-        cached_scheme = TealLike(mesh4_paths, tiny_config, cache=cache, lp_workers=LP_WORKERS)
+        cached_scheme = TealLike(mesh4_paths, tiny_config, cache=cache)
         cached_scheme.precompute(train_sequence)
         # TEAL-like normalises on every training demand (its loss is on the
         # input demand itself), so the cache holds one entry per interval.
@@ -136,7 +132,7 @@ class TestTealLikeNormalisers:
         self, mesh4_paths, train_sequence, tiny_config
     ):
         cache = OptimalMLUCache()
-        scheme = TealLike(mesh4_paths, tiny_config, cache=cache, lp_workers=LP_WORKERS)
+        scheme = TealLike(mesh4_paths, tiny_config, cache=cache)
         scheme.precompute(train_sequence)
         misses = cache.misses
         solves_before = lp_solve_calls()
