@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import os
 import pickle
 import warnings
@@ -54,6 +53,7 @@ from repro.solvers.lp_backend import (
     available_lp_backends,
     resolve_lp_backend,
 )
+from repro.store import JsonlStore
 from repro.te.config import TEConfiguration
 from repro.te.scheme import TEScheme
 
@@ -627,6 +627,22 @@ CACHE_FILE_FORMAT = "repro-optimal-mlu-cache"
 CACHE_FILE_VERSION = 1
 
 
+class _CacheFile(JsonlStore):
+    """The cache's file: one ``[fingerprint, demand, mask, value]`` line per entry."""
+
+    _format = CACHE_FILE_FORMAT
+    _version = CACHE_FILE_VERSION
+    _kind = "optimal-MLU cache"
+    _torn_tail_hint = "its normaliser will be solved again"
+
+    def _encode(self, entry: tuple[tuple[str, str, str], float]) -> list:
+        return [*entry[0], entry[1]]
+
+    def _decode(self, payload: list) -> tuple[tuple[str, str, str], float]:
+        fingerprint, demand_key, mask_key, value = payload
+        return (str(fingerprint), str(demand_key), str(mask_key)), float(value)
+
+
 def _flush_cache_ref(ref: "weakref.ref[OptimalMLUCache]") -> None:
     """atexit hook: flush a still-alive persistent cache (never raises)."""
     cache = ref()
@@ -653,10 +669,13 @@ class OptimalMLUCache:
     With ``path`` set the cache is **disk-persistent**: existing entries are
     loaded on construction and new ones are appended to the file by
     :meth:`flush` (called automatically at interpreter exit, on
-    ``with``-block exit, and by :meth:`close`).  The store is an append-only
-    JSON-lines file whose first line is a versioned header; a file with a
-    mismatched version or corrupt content is ignored with a warning (cold
-    solves, never a crash) and rewritten wholesale on the next flush.
+    ``with``-block exit, and by :meth:`close`).  The file is a
+    :class:`repro.store.JsonlStore`, written like the study checkpoints: a
+    flush appends as one fsynced write (or rewrites atomically), a torn
+    trailing entry is dropped with a warning, and a file that cannot be
+    loaded at all -- foreign or mismatched header, junk mid-file, unreadable
+    -- is ignored with a warning (cold solves, never a crash) and rewritten
+    wholesale on the next flush: every entry is recomputable.
 
     The cache is also the one place that says *how* a miss is solved, so the
     training normalisers and the replay normalisers of a study -- both drawn
@@ -702,6 +721,7 @@ class OptimalMLUCache:
         self._unflushed: list[tuple[tuple[str, str, str], float]] = []
         self._needs_rewrite = False
         if self.path is not None:
+            self._file = _CacheFile(self.path)
             self._load()
             # A weakref keeps short-lived caches collectable; a dead ref
             # makes the exit hook a no-op.
@@ -733,102 +753,43 @@ class OptimalMLUCache:
     # Disk persistence
     # ------------------------------------------------------------------ #
     def _load(self) -> None:
-        """Read the persistent store, tolerating missing/corrupt files."""
+        """Read the persistent store; an unusable one means starting cold."""
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            entries = self._file.load()
         except FileNotFoundError:
             return
-        except OSError as exc:
+        except (ValueError, OSError) as exc:
             warnings.warn(
-                f"could not read optimal-MLU cache {self.path} ({exc}); "
-                "starting cold",
+                f"{exc}; the cache starts cold and is rewritten on the next flush",
                 RuntimeWarning,
-                stacklevel=4,
-            )
-            return
-        if not lines:
-            self._needs_rewrite = True
-            return
-        try:
-            header = json.loads(lines[0])
-            compatible = (
-                isinstance(header, dict)
-                and header.get("format") == CACHE_FILE_FORMAT
-                and header.get("version") == CACHE_FILE_VERSION
-            )
-        except ValueError:
-            compatible = False
-        if not compatible:
-            warnings.warn(
-                f"ignoring optimal-MLU cache {self.path}: unrecognised or "
-                f"version-mismatched header (expected {CACHE_FILE_FORMAT} "
-                f"v{CACHE_FILE_VERSION}); starting cold",
-                RuntimeWarning,
-                stacklevel=4,
+                stacklevel=3,
             )
             self._needs_rewrite = True
             return
-        bad_lines = 0
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                fingerprint, demand_key, mask_key, value = json.loads(line)
-                entry_key = (str(fingerprint), str(demand_key), str(mask_key))
-                entry_value = float(value)
-            except (ValueError, TypeError):
-                # A partially written trailing line (crash mid-append) or
-                # hand-edited junk: keep the good entries, compact the file
-                # on the next flush.
-                bad_lines += 1
-                continue
-            self._entries[entry_key] = entry_value
+        for key, value in entries:
+            self._entries[key] = value
             if len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
         self.loaded = len(self._entries)
-        if bad_lines:
-            warnings.warn(
-                f"optimal-MLU cache {self.path}: skipped {bad_lines} corrupt "
-                f"line(s), kept {self.loaded} entries",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            self._needs_rewrite = True
-
-    @staticmethod
-    def _entry_line(key: tuple[str, str, str], value: float) -> str:
-        return json.dumps([key[0], key[1], key[2], value])
 
     def flush(self) -> None:
         """Write new entries to the persistent store (no-op when in-memory).
 
-        Appends only what changed since the last flush; a missing, corrupt,
-        or version-mismatched file is rewritten from scratch (atomically, via
-        a temp file) so the store always ends up in the current format.
+        Appends only what changed since the last flush, as one fsynced write;
+        a missing file, a cleared cache, or a file that could not be loaded
+        is rewritten whole (atomically) in the current format.
         """
         if self.path is None:
             return
         if self._needs_rewrite or not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            temp = self.path.with_name(self.path.name + ".tmp")
-            with open(temp, "w", encoding="utf-8") as handle:
-                header = {"format": CACHE_FILE_FORMAT, "version": CACHE_FILE_VERSION}
-                handle.write(json.dumps(header) + "\n")
-                for key, value in self._entries.items():
-                    handle.write(self._entry_line(key, value) + "\n")
-                # Entries solved since the last flush but already evicted
-                # from memory must still be persisted (the append branch
-                # would have written them).
-                for key, value in self._unflushed:
-                    if key not in self._entries:
-                        handle.write(self._entry_line(key, value) + "\n")
-            os.replace(temp, self.path)
+            # Entries solved since the last flush but already evicted from
+            # memory must still be persisted (an append would have written
+            # them).
+            evicted = [entry for entry in self._unflushed if entry[0] not in self._entries]
+            self._file.rewrite([*self._entries.items(), *evicted])
             self._needs_rewrite = False
-        elif self._unflushed:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                for key, value in self._unflushed:
-                    handle.write(self._entry_line(key, value) + "\n")
+        else:
+            self._file.extend(self._unflushed)
         self._unflushed.clear()
 
     def close(self) -> None:

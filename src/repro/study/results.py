@@ -11,8 +11,6 @@ run can be stored next to the paper's tables and re-loaded for comparison.
 from __future__ import annotations
 
 import json
-import os
-import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +19,7 @@ import numpy as np
 
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.evaluation.reporting import format_table
+from repro.store import JsonlStore, atomic_write
 
 __all__ = [
     "StudyResult",
@@ -29,28 +28,6 @@ __all__ = [
     "StudyCheckpoint",
     "CheckpointError",
 ]
-
-
-def fsync_directory(path: Path) -> None:
-    """Flush a directory entry to disk (best effort).
-
-    After an ``os.replace`` (or a first append creating a file), the *file*
-    contents are durable once fsynced, but the directory entry pointing at
-    them is not until the directory itself is synced -- a crash could roll
-    the rename back.  Platforms without directory fds (or filesystems that
-    refuse to fsync them) are silently tolerated; durability degrades to
-    what the platform offers.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 class CheckpointError(ValueError):
@@ -295,23 +272,13 @@ class ResultSet:
     def save(self, path) -> Path:
         """Write :meth:`to_json` output to ``path`` atomically and durably.
 
-        The document is written to a temp file in the same directory,
-        flushed and fsynced, and moved into place with :func:`os.replace`
-        (followed by a directory fsync), so a crash at any point leaves
-        either the previous file or the complete new one -- never a
-        truncated document that a later :meth:`load` (or a study resume)
-        would choke on, and never a rename the filesystem quietly rolls
-        back.  Parent directories are created as needed.
+        Through :func:`repro.store.atomic_write`: a crash at any point leaves
+        either the previous file or the complete new one, never a truncated
+        document that a later :meth:`load` (or a study resume) would choke
+        on.  Parent directories are created as needed.
         """
         path = Path(path).expanduser()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.with_name(path.name + ".tmp")
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-        fsync_directory(path.parent)
+        atomic_write(path, [self.to_json(), "\n"])
         return path
 
     @classmethod
@@ -330,165 +297,19 @@ class ResultSet:
             raise ValueError(f"could not read result set {path}: {exc}") from exc
 
 
-class JsonlRecordStore:
-    """Crash-safe, append-only JSON-lines store of :class:`StudyResult` records.
+class JsonlRecordStore(JsonlStore):
+    """A :class:`~repro.store.JsonlStore` of :class:`StudyResult` records.
 
-    The shared persistence idiom of the study layer (checkpoints, the results
-    warehouse): a versioned header line followed by one
-    :meth:`StudyResult.to_dict` record per line.  The header is created
-    atomically (temp file + :func:`os.replace` + directory fsync) and every
-    record is appended as a single flushed+fsynced write, so the store is
-    readable after a crash or Ctrl-C at any point:
-
-    * a fully appended record is durable and complete;
-    * a partially appended trailing record (crash mid-write) is dropped with
-      a warning and the file is compacted (atomically) so later appends never
-      concatenate onto the torn line; a complete trailing record that lost
-      only its newline is kept, and terminated by the next append;
-    * anything else that fails to parse (a corrupt header, junk mid-file)
-      raises the store's error class naming the path and line, because
-      silently dropping finished work -- or treating foreign files as this
-      store's -- would be worse than stopping.
-
-    Subclasses pin the on-disk identity via ``_format`` / ``_version`` /
-    ``_error`` and the human noun used in messages via ``_kind`` /
-    ``_torn_tail_hint``.
+    The study layer's persistence idiom (checkpoints, the results warehouse):
+    one :meth:`StudyResult.to_dict` record per line, series included, under
+    the store's crash contract.
     """
 
-    #: On-disk format marker (subclasses must override).
-    _format = ""
-    #: On-disk format version (bump to invalidate existing files).
-    _version = 0
-    #: Error raised on corrupt / foreign / version-mismatched files.
-    _error: type[ValueError] = ValueError
-    #: Human name used in error and warning messages.
-    _kind = "record store"
-    #: Appended to the torn-tail warning (what dropping the record means).
-    _torn_tail_hint = "the interrupted append must be retried"
+    def _encode(self, record: StudyResult) -> dict:
+        return record.to_dict(include_series=True)
 
-    def __init__(self, path) -> None:
-        self.path = Path(path).expanduser()
-
-    def exists(self) -> bool:
-        """Whether the checkpoint file is already on disk."""
-        return self.path.exists()
-
-    def _needs_header(self) -> bool:
-        """True when appending would need the header written first.
-
-        Covers both a missing file and a pre-existing *empty* one (e.g. a
-        ``touch``-ed path): appending records without a header would leave a
-        file no later :meth:`load` accepts.
-        """
-        try:
-            return self.path.stat().st_size == 0
-        except FileNotFoundError:
-            return True
-
-    def create(self) -> None:
-        """Write a fresh store containing only the header (atomic)."""
-        self._rewrite([])
-
-    def _rewrite(self, records: Sequence[StudyResult]) -> None:
-        """Atomically + durably replace the file with header + the records."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = self.path.with_name(self.path.name + ".tmp")
-        header = {"format": self._format, "version": self._version}
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for record in records:
-                handle.write(json.dumps(record.to_dict(include_series=True)) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.path)
-        fsync_directory(self.path.parent)
-
-    def _ends_mid_line(self) -> bool:
-        """True when the (non-empty) file's last byte is not a newline."""
-        with open(self.path, "rb") as handle:
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) != b"\n"
-
-    def append(self, record: StudyResult) -> None:
-        """Append one record (one flushed+fsynced line).
-
-        An append never lands on an unterminated line: a crash between a
-        record's bytes and its newline leaves a complete last record that the
-        next one would be concatenated onto, and the merged line would then
-        read as a torn tail -- two finished records dropped.  Such a file is
-        first rewritten from what :meth:`load` reads of it (complete last
-        record kept, torn one dropped).
-        """
-        if self._needs_header():
-            self.create()
-        elif self._ends_mid_line():
-            self._rewrite(self.load())
-        line = json.dumps(record.to_dict(include_series=True))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        fsync_directory(self.path.parent)
-
-    def extend(self, records: Iterable[StudyResult]) -> None:
-        """Append several records (each its own crash-safe line)."""
-        for record in records:
-            self.append(record)
-
-    def load(self) -> list[StudyResult]:
-        """Read every complete record (see the class docstring for errors)."""
-        text = self.path.read_text(encoding="utf-8")
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            return []
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise self._error(
-                f"corrupt {self._kind} {self.path}: unreadable header ({exc})"
-            ) from exc
-        if not isinstance(header, dict) or header.get("format") != self._format:
-            raise self._error(
-                f"{self.path} is not a {self._kind} (expected a "
-                f"{self._format!r} header)"
-            )
-        if header.get("version") != self._version:
-            raise self._error(
-                f"unsupported {self._kind} version {header.get('version')!r} in "
-                f"{self.path} (this build reads version {self._version})"
-            )
-        records: list[StudyResult] = []
-        torn_tail = False
-        for number, line in enumerate(lines[1:], start=2):
-            try:
-                payload = json.loads(line)
-                record = StudyResult.from_dict(payload)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                # Only a JSON decode failure on the *last* line can be a
-                # crash-truncated append; a well-formed JSON line that is
-                # not a valid record (hand edit, writer bug) is corruption
-                # wherever it sits -- deleting it via the torn-tail
-                # compaction would silently destroy data.
-                if number == len(lines) and isinstance(exc, json.JSONDecodeError):
-                    warnings.warn(
-                        f"{self._kind} {self.path}: dropping partially "
-                        "written trailing record (interrupted mid-append); "
-                        f"{self._torn_tail_hint}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    torn_tail = True
-                    break
-                raise self._error(
-                    f"corrupt {self._kind} {self.path}: unreadable record "
-                    f"on line {number} ({exc})"
-                ) from exc
-            records.append(record)
-        if torn_tail:
-            # Compact the file so a later append starts on a clean line
-            # instead of concatenating onto the torn one.
-            self._rewrite(records)
-        return records
+    def _decode(self, payload: dict) -> StudyResult:
+        return StudyResult.from_dict(payload)
 
 
 class StudyCheckpoint(JsonlRecordStore):

@@ -591,10 +591,10 @@ class Study:
         """
         engine = plan.engine
         writer = plan.checkpoint
-        if writer is not None and writer._needs_header():
+        if writer is not None:
             writer.create()
         store = plan.warehouse
-        if store is not None and store._needs_header():
+        if store is not None:
             store.create()
         records: dict[int, StudyResult] = dict(plan.completed)
         pending = list(plan.pending)

@@ -3,10 +3,10 @@
 A study grid produces thousands of cells (scenarios x schemes x
 perturbations x seeds x repetitions); this module is where they accumulate
 *across sessions*.  :class:`ResultWarehouse` is a
-:class:`~repro.study.results.JsonlRecordStore` -- the same crash-safe
-atomic-header + flushed/fsynced-append + torn-tail-compaction idiom as
-:class:`~repro.study.results.StudyCheckpoint` and the persistent
-:class:`~repro.solvers.lp.OptimalMLUCache` -- plus the analysis side:
+:class:`~repro.study.results.JsonlRecordStore` -- the one crash-safe store
+of :mod:`repro.store` that :class:`~repro.study.results.StudyCheckpoint` and
+the persistent :class:`~repro.solvers.lp.OptimalMLUCache` also write
+through -- plus the analysis side:
 
 * :meth:`~ResultWarehouse.query` filters by scenario / scheme / experiment
   and by suite provenance tags (``suite`` / ``study`` / ``seed`` /
@@ -325,10 +325,7 @@ class ResultWarehouse(JsonlRecordStore):
         crash window (checkpointed but not yet warehoused) are appended
         here.  Returns the number of records appended.
         """
-        have = Counter()
-        if not self._needs_header():
-            for record in self.load():
-                have[canonical_json(record.spec)] += 1
+        have = Counter(canonical_json(record.spec) for record in self.results())
         added = 0
         for record in results:
             key = canonical_json(record.spec)

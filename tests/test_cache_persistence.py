@@ -138,7 +138,7 @@ class TestDegradedStores:
         self, mesh4_paths, mesh4_traffic, cache_file
     ):
         cache_file.write_text("this is not json\x00\xff garbage\n{]\n")
-        with pytest.warns(RuntimeWarning, match="version-mismatched|unrecognised"):
+        with pytest.warns(RuntimeWarning, match="unreadable header.*starts cold"):
             cache = OptimalMLUCache(path=cache_file)
         self._assert_cold_but_working(cache, mesh4_paths, mesh4_traffic)
         # The next flush repairs the store in the current format.
@@ -153,7 +153,7 @@ class TestDegradedStores:
         cache_file.write_text(
             json.dumps(header) + "\n" + json.dumps(["fp", "dh", "", 1.5]) + "\n"
         )
-        with pytest.warns(RuntimeWarning, match="version-mismatched"):
+        with pytest.warns(RuntimeWarning, match="unsupported optimal-MLU cache version 2.*starts cold"):
             cache = OptimalMLUCache(path=cache_file)
         self._assert_cold_but_working(cache, mesh4_paths, mesh4_traffic)
 
@@ -166,7 +166,7 @@ class TestDegradedStores:
         # Simulate a crash mid-append: chop the last line in half.
         content = cache_file.read_text()
         cache_file.write_text(content[: len(content) - 20])
-        with pytest.warns(RuntimeWarning, match="corrupt line"):
+        with pytest.warns(RuntimeWarning, match="partially written trailing record"):
             recovered = OptimalMLUCache(path=cache_file)
         assert recovered.loaded == len(demands) - 1
         reloaded = recovered.optimal_mlus(mesh4_paths, demands)
@@ -175,6 +175,36 @@ class TestDegradedStores:
         # Flushing compacts the store: all entries, valid lines only.
         recovered.flush()
         assert OptimalMLUCache(path=cache_file).loaded == len(demands)
+
+    def test_entry_that_lost_its_newline_survives_the_next_flush(
+        self, mesh4_paths, mesh4_traffic, cache_file, recwarn
+    ):
+        """A flush must not append onto a complete but unterminated last
+        entry: the merged line would read as junk and drop both entries."""
+        demands = _demands(mesh4_traffic, 6)
+        with OptimalMLUCache(path=cache_file) as cache:
+            cache.optimal_mlus(mesh4_paths, demands[:5])
+        cache_file.write_text(cache_file.read_text().rstrip("\n"))
+        reopened = OptimalMLUCache(path=cache_file)
+        assert reopened.loaded == 5
+        reopened.optimal_mlus(mesh4_paths, demands)
+        assert reopened.misses == 1
+        reopened.flush()
+        assert OptimalMLUCache(path=cache_file).loaded == 6
+        assert not recwarn.list
+
+    def test_junk_mid_file_warns_and_starts_cold(
+        self, mesh4_paths, mesh4_traffic, cache_file
+    ):
+        with OptimalMLUCache(path=cache_file) as cache:
+            cache.optimal_mlus(mesh4_paths, _demands(mesh4_traffic, 3))
+        header, *entries = cache_file.read_text().splitlines()
+        cache_file.write_text("\n".join([header, "junk", *entries]) + "\n")
+        with pytest.warns(RuntimeWarning, match="line 2.*starts cold"):
+            cache = OptimalMLUCache(path=cache_file)
+        self._assert_cold_but_working(cache, mesh4_paths, mesh4_traffic)
+        cache.flush()
+        assert OptimalMLUCache(path=cache_file).loaded == cache.misses
 
     def test_empty_file_is_treated_as_fresh(self, mesh4_paths, mesh4_traffic, cache_file):
         cache_file.write_text("")
