@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import datasets
-from repro.backend import active_backend
 from repro.core import TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
@@ -247,7 +246,7 @@ def write_bench_record(
     """Write one machine-readable ``BENCH_<name>.json`` benchmark record.
 
     Every record carries the context needed to compare runs over time --
-    array backend, LP worker width, python version -- plus the bench's own
+    LP worker width, python version -- plus the bench's own
     metrics (solves/sec, replay wall-times, speedups, ...).  The CI
     benchmark-regression job uploads these files as artifacts, so the perf
     trajectory of the replay engine is tracked per commit instead of living
@@ -289,7 +288,6 @@ def write_bench_record(
         "format": BENCH_RECORD_FORMAT,
         "version": BENCH_RECORD_VERSION,
         "bench": name,
-        "backend": active_backend().name,
         "lp_workers": resolve_lp_workers(lp_workers, use_env=False),
         "python": platform.python_version(),
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -9,13 +9,20 @@ the paper guarantees feasibility of the DNN output (Section 6).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from repro.backend import ArrayBackend, active_backend, use_backend
 from repro.nn import Linear, Module, ReLU, Sequential, Sigmoid, Tensor
 from repro.paths.path_set import PathSet
 
 __all__ = ["FigretNet"]
+
+if os.environ.get("REPRO_BACKEND"):
+    raise RuntimeError(
+        "REPRO_BACKEND is set, but there is no array backend to pick: the "
+        "forward pass is float64 numpy.  Unset REPRO_BACKEND."
+    )
 
 
 class FigretNet(Module):
@@ -54,26 +61,23 @@ class FigretNet(Module):
         """Raw (0, 1) path scores for a batch of flattened history windows.
 
         A :class:`Tensor` in gives a taped :class:`Tensor` out (training:
-        ``backward`` must reach the weights).  Anything else is inference: a
-        batch native to the active backend comes back as one -- ndarray in,
-        ndarray out on numpy -- through the same layer chain on plain
-        arrays, with no autodiff node recorded.  On numpy the ops are the
-        expressions :class:`Tensor` evaluates (``x @ W + b``,
-        ``x * (x > 0)``, the two-branch sigmoid): same bits either way.
+        ``backward`` must reach the weights).  An ndarray in is inference:
+        the same layer chain in float64 numpy, with no autodiff node
+        recorded.  The ops are the expressions :class:`Tensor` evaluates
+        (``x @ W + b``, ``x * (x > 0)``, the two-branch sigmoid): same bits
+        either way.
         """
         if isinstance(x, Tensor):
             return self.network(x)
-        xb = active_backend()
         for module in self.network.modules:
             if isinstance(module, Linear):
-                # Converted per call: the weights are tiny next to the batch.
-                weight = xb.asarray(module.weight.data, dtype=xb.compute_dtype)
-                bias = xb.asarray(module.bias.data, dtype=xb.compute_dtype)
-                x = xb.add(xb.matmul(x, weight), bias)
+                x = x @ module.weight.data + module.bias.data
             elif isinstance(module, ReLU):
-                x = xb.relu(x)
+                x = x * (x > 0)
             elif isinstance(module, Sigmoid):
-                x = xb.sigmoid(x)
+                positive = 1.0 / (1.0 + np.exp(-np.clip(x, 0.0, 60.0)))
+                negative_exp = np.exp(np.clip(x, -60.0, 0.0))
+                x = np.where(x >= 0, positive, negative_exp / (1.0 + negative_exp))
             else:  # pragma: no cover - the architecture is fixed above
                 raise TypeError(f"unsupported layer for inference: {module!r}")
         return x
@@ -96,8 +100,7 @@ class FigretNet(Module):
             raise ValueError(
                 f"expected a window with {self.input_dim} entries, got {window.shape[1]}"
             )
-        with use_backend("numpy"):  # the single-window path is float64 numpy
-            raw = self.forward(window / input_scale)[0]
+        raw = self.forward(window / input_scale)[0]
         sums = np.zeros(self.path_set.num_sd_pairs)
         np.add.at(sums, self.path_set.path_sd_index, raw)
         sums = np.maximum(sums, 1e-12)
@@ -107,25 +110,18 @@ class FigretNet(Module):
         self,
         windows: np.ndarray,
         input_scale: float = 1.0,
-        backend: ArrayBackend | str | None = None,
     ) -> np.ndarray:
         """Normalised split ratios for a batch of windows in one forward pass.
+
+        The tape-free layer chain (:meth:`forward`) gives the bits the taped
+        float64 forward gives; the raw scores are normalised per pair
+        through the sparse SD-to-path matrix.
 
         Args:
             windows: Array of shape ``(T, H, num_sd_pairs)`` or already
                 flattened ``(T, H * num_sd_pairs)``.
             input_scale: Divisor applied to the inputs (the trainer scales
                 inputs by the mean training demand).
-            backend: Array backend running the forward pass (the active
-                backend -- ``REPRO_BACKEND`` or a :func:`use_backend`
-                override -- when omitted).  Every backend runs the same
-                tape-free layer chain (:meth:`forward`) on one
-                host-to-device copy of the batch; the raw scores come back
-                to the host once, as float64, and are normalised per pair
-                there through the sparse SD-to-path matrix.  The default
-                numpy backend gives the bits the taped float64 forward gave;
-                alternates match it within their declared tolerance, only
-                the forward differing.
 
         Returns:
             Split ratios of shape ``(T, num_paths)``; every SD pair's ratios
@@ -138,10 +134,7 @@ class FigretNet(Module):
             raise ValueError(
                 f"expected windows with {self.input_dim} entries each, got shape {arr.shape}"
             )
-        with use_backend(backend) as xb:
-            # One host-to-device copy of the (already flattened) window batch.
-            raw = self.forward(xb.asarray(arr / input_scale, dtype=xb.compute_dtype))
-        raw = np.asarray(xb.to_numpy(raw), dtype=float)
+        raw = self.forward(arr / input_scale)
         # Per-SD-pair sums for every row via the sparse incidence matrix.
         sums = (self.path_set.sd_to_path @ raw.T).T
         # Pairs whose scores underflowed to (effectively) zero fall back to a

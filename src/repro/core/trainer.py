@@ -295,17 +295,9 @@ class Trainer:
         """Normalised split ratios for one history window (``(H, num_sd)``)."""
         return self.model.split_ratios(history_window, input_scale=self.input_scale)
 
-    def split_ratios_batch(self, windows: np.ndarray, backend=None) -> np.ndarray:
-        """Split ratios for a batch of windows (``(T, H, num_sd)``) in one pass.
-
-        ``backend`` selects the array backend for the forward pass; the
-        active one (``REPRO_BACKEND`` / :func:`repro.backend.use_backend`)
-        applies when omitted.  Training always runs on the float64 autodiff
-        tensors -- only inference is backend-switchable.
-        """
-        return self.model.split_ratios_batch(
-            windows, input_scale=self.input_scale, backend=backend
-        )
+    def split_ratios_batch(self, windows: np.ndarray) -> np.ndarray:
+        """Split ratios for a batch of windows (``(T, H, num_sd)``) in one pass."""
+        return self.model.split_ratios_batch(windows, input_scale=self.input_scale)
 
 
 class TrainerBackedScheme(TEScheme):

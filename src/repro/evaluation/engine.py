@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend, use_backend
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
 from repro.solvers.lp import OptimalMLUCache, shared_cache
@@ -102,22 +101,12 @@ class EvaluationEngine:
             pass an ``OptimalMLUCache(path=...)`` to persist LP results
             across benchmark sessions).  The cache also names the pool width
             and the LP solver its misses run on (``OptimalMLUCache(workers=,
-            backend=)``): the engine has no LP knob of its own.
-        backend: Array backend the neural schemes' forward passes run on
-            (see :mod:`repro.backend`).  ``None`` (default) follows the
-            active backend (the ``REPRO_BACKEND`` environment variable,
-            numpy if unset); a name or instance pins this engine regardless
-            of the environment.  Batched MLUs, failure rerouting, the LP
-            schemes and the LP normalisers always run on the host.
+            backend=)``): the engine has no LP knob of its own.  The neural
+            schemes' forward passes are float64 numpy.
     """
 
-    def __init__(
-        self,
-        cache: OptimalMLUCache | None = None,
-        backend: ArrayBackend | str | None = None,
-    ) -> None:
+    def __init__(self, cache: OptimalMLUCache | None = None) -> None:
         self.cache = cache if cache is not None else OptimalMLUCache()
-        self.backend = resolve_backend(backend) if backend is not None else None
 
     # ------------------------------------------------------------------ #
     # Normalisers
@@ -240,19 +229,15 @@ class EvaluationEngine:
         for windows, targets, start in iter_window_chunks(
             rows, history_len, chunk_size, oracle_demand=oracle_demand
         ):
-            # One backend scope per chunk: the windows are copied to the
-            # device once here (the chunk is the batching unit) and the
-            # forward's raw scores return to the host once.
-            with use_backend(self.backend):
-                ratios = scheme.configure_batch(windows)
-                raw_parts.append(
-                    np.atleast_1d(
-                        np.asarray(
-                            max_link_utilization(scheme.path_set, ratios, targets),
-                            dtype=float,
-                        )
+            ratios = scheme.configure_batch(windows)
+            raw_parts.append(
+                np.atleast_1d(
+                    np.asarray(
+                        max_link_utilization(scheme.path_set, ratios, targets),
+                        dtype=float,
                     )
                 )
+            )
             if precomputed is not None:
                 lo = history_len + start
                 optimal_parts.append(precomputed[lo : lo + len(targets)])
@@ -350,27 +335,26 @@ class EvaluationEngine:
                 scheme.set_failures(failed)
             oracle = self.optimal_mlus(path_set, targets, path_mask=working_mask)
             oracle = np.maximum(oracle, NORMALIZER_FLOOR)
-            with use_backend(self.backend):
-                for scheme in schemes:
-                    if scheme.name in fault_aware_names:
-                        # Fault-aware schemes see the failures, so their batch
-                        # must be recomputed per trial; their output needs no
-                        # rerouting.
-                        rerouted = scheme.configure_batch(windows)
-                    else:
-                        ratios = static_ratios.get(scheme.name)
-                        if ratios is None:
-                            ratios = scheme.configure_batch(windows)
-                            static_ratios[scheme.name] = ratios
-                        rerouted = reroute_ratios_around_failures(
-                            path_set, ratios, working_mask
-                        )
-                    mlus = np.atleast_1d(
-                        np.asarray(
-                            max_link_utilization(path_set, rerouted, targets), dtype=float
-                        )
+            for scheme in schemes:
+                if scheme.name in fault_aware_names:
+                    # Fault-aware schemes see the failures, so their batch
+                    # must be recomputed per trial; their output needs no
+                    # rerouting.
+                    rerouted = scheme.configure_batch(windows)
+                else:
+                    ratios = static_ratios.get(scheme.name)
+                    if ratios is None:
+                        ratios = scheme.configure_batch(windows)
+                        static_ratios[scheme.name] = ratios
+                    rerouted = reroute_ratios_around_failures(
+                        path_set, ratios, working_mask
                     )
-                    results[scheme.name].append(mlus / oracle)
+                mlus = np.atleast_1d(
+                    np.asarray(
+                        max_link_utilization(path_set, rerouted, targets), dtype=float
+                    )
+                )
+                results[scheme.name].append(mlus / oracle)
         return {
             name: np.concatenate(values) if values else np.array([])
             for name, values in results.items()

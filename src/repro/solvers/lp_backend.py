@@ -3,8 +3,7 @@
 Every number the paper reports is normalised by the omniscient MLU LP
 (Appendix B, Equation 9), so the LP solver *is* the cold-run hot path.  This
 module puts a small backend layer behind :func:`repro.solvers.lp.solve_mlu_lp`
-/ :func:`~repro.solvers.lp.solve_mlu_lp_batch`, mirroring the
-:mod:`repro.backend` array-backend pattern:
+/ :func:`~repro.solvers.lp.solve_mlu_lp_batch`:
 
 * :class:`ScipyLinprogBackend` (name ``"scipy"``) -- the reference.  Runs
   the historical ``scipy.optimize.linprog(method="highs")`` code path

@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m repro.study spec.json [--out results.json] [--backend numpy]
-                                    [--lp-workers auto] [--cell-workers 4]
+    python -m repro.study spec.json [--out results.json] [--lp-workers auto]
+                                    [--cell-workers 4]
                                     [--lp-backend highs] [--warehouse wh.jsonl]
                                     [--checkpoint run.ckpt [--resume]]
     python -m repro.study suite suite.json --warehouse wh.jsonl
@@ -72,20 +72,9 @@ def _workers_type(value: str):
     return workers
 
 
-def _backend_type(value: str) -> str:
-    """``type=`` parser for ``--backend``: the registry's own message (it
-    names the known backends) as a clean ``parser.error`` line."""
-    from repro.backend import get_backend
-
-    try:
-        get_backend(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
 def _lp_backend_type(value: str) -> str:
-    """``type=`` parser for ``--lp-backend``, as :func:`_backend_type`."""
+    """``type=`` parser for ``--lp-backend``: the registry's own message (it
+    names the known backends) as a clean ``parser.error`` line."""
     from repro.solvers.lp_backend import get_lp_backend
 
     try:
@@ -97,11 +86,6 @@ def _lp_backend_type(value: str) -> str:
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The execution knobs the study and suite runners share with ``serve``."""
-    parser.add_argument(
-        "--backend",
-        type=_backend_type,
-        help="array backend for the neural forward passes",
-    )
     parser.add_argument(
         "--lp-workers",
         default=None,
@@ -130,12 +114,12 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_from(args):
-    """The engine ``--backend`` / ``--lp-workers`` / ``--lp-backend`` describe."""
+    """The engine ``--lp-workers`` / ``--lp-backend`` describe."""
     from repro.evaluation.engine import EvaluationEngine
     from repro.solvers.lp import OptimalMLUCache
 
     cache = OptimalMLUCache(workers=args.lp_workers, backend=args.lp_backend)
-    return EvaluationEngine(cache=cache, backend=args.backend)
+    return EvaluationEngine(cache=cache)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:

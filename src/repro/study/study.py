@@ -156,8 +156,8 @@ def _warn_cell_pool_fallback(exc: BaseException) -> None:
 def _run_cells_job(payload: tuple) -> tuple:
     """Process-pool worker: run a group of cells sharing one scheme training.
 
-    The payload carries the (declarative, hence picklable) cells, the names
-    of the parent engine's array and LP backends, a snapshot of the parent's
+    The payload carries the (declarative, hence picklable) cells, the name
+    of the parent engine's LP backend, a snapshot of the parent's
     LP-cache entries, and any schemes the parent had already trained for
     this group.  The return
     value carries the finished records plus everything the parent merges
@@ -169,13 +169,13 @@ def _run_cells_job(payload: tuple) -> tuple:
     -- and its checkpoint -- before the error propagates, exactly like a
     sequential run that dies mid-grid.
     """
-    cells, backend_name, lp_backend_name, cache_snapshot, pretrained = payload
+    cells, lp_backend_name, cache_snapshot, pretrained = payload
     # Width 1 (sequential): each cell worker is already one process of the
     # cell pool, and letting REPRO_LP_WORKERS leak in here would nest an LP
     # pool inside every cell worker.
     cache = OptimalMLUCache(workers=1, backend=lp_backend_name)
     cache.merge_entries(cache_snapshot)
-    engine = EvaluationEngine(cache=cache, backend=backend_name)
+    engine = EvaluationEngine(cache=cache)
     study = Study(scheme_cache=dict(pretrained))
     finished = []
     error: Exception | None = None
@@ -332,11 +332,10 @@ class Study:
 
         Args:
             engine: Evaluation engine (the process-wide default -- and its
-                shared LP cache -- if omitted).  It names the array backend
-                of the forward passes and, through its cache, the LP solver
-                and pool width of every normaliser, training and replay:
-                ``EvaluationEngine(cache=OptimalMLUCache(workers=, backend=),
-                backend=)``.
+                shared LP cache -- if omitted).  Through its cache it names
+                the LP solver and pool width of every normaliser, training
+                and replay: ``EvaluationEngine(cache=OptimalMLUCache(workers=,
+                backend=))``.
             checkpoint: Optional path of a :class:`StudyCheckpoint`.  Every
                 finished cell is appended to it immediately (crash-safe
                 writes), so an interrupted grid restarts where it died via
@@ -680,7 +679,6 @@ class Study:
                 local.append((index, cell))
         if not groups:
             return local
-        backend_name = engine.backend.name if engine.backend is not None else None
         snapshot = engine.cache.entries_snapshot()
         # Ship each group only the cache entries of its own path set (keyed
         # by fingerprint) instead of pickling the whole -- possibly huge --
@@ -721,7 +719,6 @@ class Study:
             jobs.append(
                 (
                     cells,
-                    backend_name,
                     lp_backend_name,
                     _snapshot_for(cells[0][1]),
                     pretrained,

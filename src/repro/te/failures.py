@@ -36,7 +36,6 @@ def reroute_ratios_around_failures(
     :func:`reroute_around_failures` but operates directly on one ratio vector
     ``(num_paths,)`` or a batch ``(T, num_paths)`` with no Python loop over
     SD pairs -- the per-(trial, interval) hot path of the failure experiment.
-    It runs on the host's sparse products whatever array backend is active.
 
     Args:
         path_set: The paths the ratios refer to.

@@ -61,9 +61,8 @@ def max_link_utilization(
     """Maximum link utilisation (the TE objective ``M(R, D)`` of Section 3).
 
     Returns a scalar for a single demand vector or an array of shape
-    ``(batch,)`` for a batch of demand vectors.  The product with the sparse
-    incidence runs on the host whatever array backend is active: a backend
-    accelerates the DNN forward only (see :mod:`repro.backend`).
+    ``(batch,)`` for a batch of demand vectors, via one product with the
+    sparse path-to-edge incidence.
     """
     utilization = link_utilization(path_set, split_ratios, demands)
     result = utilization.max(axis=-1)

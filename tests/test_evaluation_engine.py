@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend, use_backend
 from repro.core import Dote, Figret, TealLike, TrainingConfig
 from repro.core.trainer import build_windows, fit_history_window
 from repro.evaluation.engine import EvaluationEngine, build_history_windows
@@ -152,24 +151,14 @@ class TestConfigureBatchEquivalence:
         with pytest.raises(RuntimeError):
             Dote(mesh4_paths).configure_batch(windows)
 
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_batch_matches_loop_under_every_backend(
-        self, backend_name, trained_neural_schemes, mesh4_traffic
-    ):
-        """configure_batch under any backend tracks the per-window loop.
-
-        The per-window ``configure`` path always runs on float64 numpy, so
-        this cross-checks each backend's vectorized forward pass against an
-        independent implementation, within the backend's tolerance.
-        """
-        tolerance = max(get_backend(backend_name).tolerance, TOL)
+    def test_batch_matches_per_window_loop(self, trained_neural_schemes, mesh4_traffic):
+        """configure_batch tracks the per-window ``configure`` loop."""
         windows, _ = build_history_windows(mesh4_traffic[:12].flat_demands(), HISTORY)
         for scheme in trained_neural_schemes:
-            with use_backend(backend_name):
-                batched = scheme.configure_batch(windows)
+            batched = scheme.configure_batch(windows)
             for i, window in enumerate(windows):
                 expected = scheme.configure(window).split_ratios
-                np.testing.assert_allclose(batched[i], expected, atol=tolerance)
+                np.testing.assert_allclose(batched[i], expected, atol=TOL)
 
 
 class TestEvaluateSchemeEquivalence:

@@ -31,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.backend import use_backend
 from repro.core import Figret, TrainingConfig
 from repro.core.model import FigretNet
 from repro.evaluation.engine import EvaluationEngine
@@ -416,13 +415,12 @@ class TestTapeFreeInference:
         output.bias.data[dead] = -80.0
         windows = rng.random((batch, history_len, mesh5_paths.num_sd_pairs)) * 5.0
 
-        got = model.split_ratios_batch(windows, input_scale=input_scale, backend="numpy")
+        got = model.split_ratios_batch(windows, input_scale=input_scale)
         want = reference_split_ratios_batch(model, windows, input_scale=input_scale)
         assert got.tobytes() == want.tobytes()
         assert (want[:, dead] == 1.0 / 3.0).all()  # the uniform fallback, k = 3 paths a pair
         flattened = windows.reshape(batch, -1)
-        with use_backend("numpy"):  # the other way in: a scope, already flattened
-            assert model.split_ratios_batch(flattened, input_scale).tobytes() == want.tobytes()
+        assert model.split_ratios_batch(flattened, input_scale).tobytes() == want.tobytes()
         for window in windows[:2]:
             single = model.split_ratios(window, input_scale=input_scale)
             assert single.tobytes() == reference_split_ratios(model, window, input_scale).tobytes()
@@ -431,8 +429,7 @@ class TestTapeFreeInference:
         model = FigretNet(mesh5_paths, history_len=2, hidden_sizes=(8,), seed=1)
         batch = np.random.default_rng(0).random((3, model.input_dim))
         taped = model.forward(Tensor(batch))
-        with use_backend("numpy"):
-            plain = model.forward(batch)
+        plain = model.forward(batch)
         assert isinstance(taped, Tensor) and taped.requires_grad
         assert isinstance(plain, np.ndarray)
         assert plain.tobytes() == taped.data.tobytes()

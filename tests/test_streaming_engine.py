@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import available_backends, get_backend
 from repro.core import Dote, TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers import OmniscientTE, PredictionBasedTE, omniscient_mlu
@@ -307,24 +306,15 @@ def replay_reference(trained_dote, mesh4_traffic):
     return trained_dote, traffic, engine, batch
 
 
-class TestBackendStreamingEquivalence:
-    """streaming == batch == numpy reference under every local array backend.
+class TestStreamingMatchesBatch:
+    """A neural scheme's streamed replay equals its batch replay."""
 
-    The numpy backend must match the default replay bit-identically; the
-    float32 / pure-python backends match within their declared tolerance
-    (the ~1e-6 float32 bound the GPU backends are pinned to).
-    """
-
-    @pytest.mark.parametrize("backend_name", available_backends())
     @pytest.mark.parametrize("chunk_size", [3, 1000])
-    def test_streaming_matches_numpy_batch(
-        self, trained_dote, mesh4_traffic, backend_name, chunk_size
-    ):
+    def test_streaming_matches_fresh_batch(self, trained_dote, mesh4_traffic, chunk_size):
         test = mesh4_traffic[:20]
-        reference_engine = EvaluationEngine(backend="numpy")
+        reference_engine = EvaluationEngine()
         reference = reference_engine.evaluate_scheme(trained_dote, test, HISTORY)
-        engine = EvaluationEngine(cache=reference_engine.cache, backend=backend_name)
-        tolerance = max(get_backend(backend_name).tolerance, TOL)
+        engine = EvaluationEngine(cache=reference_engine.cache)
         batch = engine.evaluate_scheme(trained_dote, test, HISTORY)
         streamed = engine.evaluate_streaming(
             trained_dote,
@@ -333,19 +323,13 @@ class TestBackendStreamingEquivalence:
             chunk_size=chunk_size,
         )
         np.testing.assert_allclose(
-            batch.normalized_mlus, reference.normalized_mlus, atol=tolerance
+            batch.normalized_mlus, reference.normalized_mlus, atol=TOL
         )
         np.testing.assert_allclose(
-            streamed.normalized_mlus, reference.normalized_mlus, atol=tolerance
+            streamed.normalized_mlus, reference.normalized_mlus, atol=TOL
         )
-        # Chunking adds no error beyond the backend's own (BLAS kernels may
-        # block differently per batch shape, so float32 backends keep their
-        # tolerance here too).
-        np.testing.assert_allclose(streamed.raw_mlus, batch.raw_mlus, atol=tolerance)
-        if backend_name == "numpy":
-            np.testing.assert_array_equal(
-                batch.normalized_mlus, reference.normalized_mlus
-            )
+        np.testing.assert_allclose(streamed.raw_mlus, batch.raw_mlus, atol=TOL)
+        np.testing.assert_array_equal(batch.normalized_mlus, reference.normalized_mlus)
 
 
 class TestStreamingCacheConsistency:

@@ -729,7 +729,7 @@ class TestCellPool:
         assert engine.optimal_mlus(mesh4_paths, demands).shape == (4,)
         # The cell-pool worker, run here in-process: trainings and replays.
         cells = list(enumerate(Study(self._spec()).specs))
-        finished, new_entries, _, error, _ = _run_cells_job((cells, None, None, {}, {}))
+        finished, new_entries, _, error, _ = _run_cells_job((cells, None, {}, {}))
         assert error is None
         assert len(finished) == len(cells) and new_entries
 
@@ -751,26 +751,28 @@ class TestStudyCLI:
         assert [record.scheme for record in restored] == ["FIGRET", "DOTE"]
 
     def test_unknown_backend_is_a_usage_error(self, capsys):
-        """``--backend`` / ``--lp-backend`` are checked against their
-        registries while parsing: exit 2 and one line naming the known
-        backends, before anything runs (the spec file is never opened)."""
-        from repro.backend import available_backends
+        """``--lp-backend`` is checked against its registry while parsing:
+        exit 2 and one line naming the known backends, before anything runs
+        (the spec file is never opened).  ``--backend`` is not a flag."""
         from repro.solvers.lp_backend import available_lp_backends
 
-        known = {
-            "--backend": ", ".join(sorted(available_backends())),
-            "--lp-backend": ", ".join(sorted(available_lp_backends())),
-        }
+        names = ", ".join(sorted(available_lp_backends()))
         commands = (["spec.json"], ["suite", "suite.json"], ["serve", "--socket", "s.sock"])
         for command in commands:
-            for flag, names in known.items():
-                with pytest.raises(SystemExit) as excinfo:
-                    study_cli([*command, flag, "nope"])
-                assert excinfo.value.code == 2
-                captured = capsys.readouterr()
-                assert f"argument {flag}: unknown" in captured.err
-                assert f"known backends: {names}" in captured.err
-                assert captured.out == ""
+            with pytest.raises(SystemExit) as excinfo:
+                study_cli([*command, "--lp-backend", "nope"])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert "argument --lp-backend: unknown" in captured.err
+            assert f"known backends: {names}" in captured.err
+            assert captured.out == ""
+
+            with pytest.raises(SystemExit) as excinfo:
+                study_cli([*command, "--backend", "numpy"])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert "unrecognized arguments: --backend numpy" in captured.err
+            assert captured.out == ""
 
     def test_cli_lists_registries(self, capsys):
         assert study_cli(["--list-scenarios"]) == 0
@@ -832,3 +834,20 @@ def test_scipy_stats_is_loaded_by_its_one_caller_only():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_repro_backend_variable_fails_loudly():
+    """The forward pass has no backend to pick: a set ``REPRO_BACKEND``
+    (even ``numpy``) stops the import instead of being silently ignored."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]),
+        REPRO_BACKEND="numpy",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode != 0
+    assert "RuntimeError" in done.stderr and "REPRO_BACKEND" in done.stderr

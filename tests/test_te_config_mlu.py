@@ -161,3 +161,19 @@ class TestMLU:
         demand = rng.random(mesh4_paths.num_sd_pairs)
         mlu = max_link_utilization(mesh4_paths, config, demand)
         assert max_link_utilization(mesh4_paths, config, demand * 3.0) == pytest.approx(3.0 * mlu)
+
+    def test_rejects_demand_of_wrong_length(self, mesh4_paths):
+        ratios = np.full(mesh4_paths.num_paths, 0.5)
+        with pytest.raises(ValueError, match="entries"):
+            max_link_utilization(mesh4_paths, ratios, np.ones(3))
+
+    def test_single_demand_returns_float(self, mesh4_paths, rng):
+        config = TEConfiguration.uniform(mesh4_paths)
+        demands = rng.random((4, mesh4_paths.num_sd_pairs))
+        batch = max_link_utilization(mesh4_paths, config.split_ratios, demands)
+        for single in (
+            max_link_utilization(mesh4_paths, config.split_ratios, demands[0]),
+            max_link_utilization(mesh4_paths, config, demands[0]),
+        ):
+            assert isinstance(single, float)
+            assert single == pytest.approx(batch[0], abs=1e-12)

@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import Dote, TrainingConfig
 from repro.te.config import TEConfiguration
-from repro.te.failures import reroute_around_failures, sample_failed_links
+from repro.te.failures import (
+    reroute_around_failures,
+    reroute_ratios_around_failures,
+    sample_failed_links,
+)
 from repro.te.sensitivity import (
     max_sensitivity_per_pair,
     normalized_path_capacities,
     path_sensitivities,
 )
+from repro.traffic.windows import build_history_windows
 
 
 class TestSensitivity:
@@ -88,6 +94,78 @@ class TestFailureRerouting:
         config = TEConfiguration.uniform(mesh4_paths)
         rerouted = reroute_around_failures(config, set())
         np.testing.assert_allclose(rerouted.split_ratios, config.split_ratios)
+
+
+class TestVectorisedRerouting:
+    """``reroute_ratios_around_failures`` on raw ratio rows."""
+
+    @staticmethod
+    def _rows(paths, rng, count=6):
+        return np.stack(
+            [
+                TEConfiguration(paths, rng.random(paths.num_paths)).split_ratios
+                for _ in range(count)
+            ]
+        )
+
+    @staticmethod
+    def _mask(paths):
+        # Every path of pair (0, 1) fails (the partitioned-uniform branch),
+        # and one path of pair (0, 2) (proportional redistribution).
+        mask = np.ones(paths.num_paths, dtype=bool)
+        mask[list(paths.path_indices_for(0, 1))] = False
+        mask[paths.path_indices_for(0, 2)[0]] = False
+        return mask
+
+    def test_partitioned_pair_splits_uniformly(self, mesh4_paths, rng):
+        rerouted = reroute_ratios_around_failures(
+            mesh4_paths, self._rows(mesh4_paths, rng), self._mask(mesh4_paths)
+        )
+        partitioned = list(mesh4_paths.path_indices_for(0, 1))
+        np.testing.assert_array_equal(rerouted[:, partitioned], 1.0 / len(partitioned))
+        assert not rerouted[:, mesh4_paths.path_indices_for(0, 2)[0]].any()
+
+    def test_single_row_keeps_its_shape(self, mesh4_paths, rng):
+        rows, mask = self._rows(mesh4_paths, rng), self._mask(mesh4_paths)
+        batch = reroute_ratios_around_failures(mesh4_paths, rows, mask)
+        single = reroute_ratios_around_failures(mesh4_paths, rows[0], mask)
+        assert single.shape == rows[0].shape
+        np.testing.assert_array_equal(single, batch[0])
+
+    def test_all_working_mask_passes_through(self, mesh4_paths, rng):
+        rows = self._rows(mesh4_paths, rng)
+        mask = np.ones(mesh4_paths.num_paths, dtype=bool)
+        np.testing.assert_array_equal(
+            reroute_ratios_around_failures(mesh4_paths, rows, mask), rows
+        )
+
+    def test_zero_surviving_mass_goes_uniform(self, mesh4_paths):
+        ratios = np.zeros(mesh4_paths.num_paths)
+        indices = list(mesh4_paths.path_indices_for(0, 1))
+        ratios[indices[0]] = 1.0
+        for src, dst in mesh4_paths.sd_pairs:
+            if (src, dst) != (0, 1):
+                ratios[mesh4_paths.path_indices_for(src, dst)[0]] = 1.0
+        mask = np.ones(mesh4_paths.num_paths, dtype=bool)
+        mask[indices[0]] = False
+        rerouted = reroute_ratios_around_failures(mesh4_paths, ratios, mask)
+        survivors = indices[1:]
+        np.testing.assert_array_equal(rerouted[survivors], 1.0 / len(survivors))
+        assert rerouted[indices[0]] == 0.0
+
+    def test_configure_batch_rows_are_float64_splits(self, mesh4_paths, mesh4_traffic):
+        """The batched neural ratios the failure replay reroutes."""
+        history = 4
+        config = TrainingConfig(
+            epochs=2, history_len=history, hidden_sizes=(16, 16), normalize_by_optimal=False
+        )
+        scheme = Dote(mesh4_paths, config)
+        scheme.precompute(mesh4_traffic[:48])
+        windows, _ = build_history_windows(mesh4_traffic[:16].flat_demands(), history)
+        ratios = scheme.configure_batch(windows)
+        assert ratios.dtype == np.float64
+        pair_sums = (mesh4_paths.sd_to_path @ ratios.T).T
+        np.testing.assert_allclose(pair_sums, 1.0, atol=1e-12)
 
 
 class TestSampleFailedLinks:
