@@ -24,7 +24,8 @@ from repro import datasets
 from repro.core import TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
-from repro.solvers.lp import resolve_lp_workers, shared_cache
+from repro.pool import resolve_workers
+from repro.solvers.lp import shared_cache
 from repro.study import ExperimentSpec, ResultSet, Study
 
 #: Seed used by every benchmark scenario (results are deterministic).
@@ -65,7 +66,7 @@ def bench_engine() -> EvaluationEngine:
     global _engine
     if _engine is None:
         cache = shared_cache()
-        cache.workers = resolve_lp_workers("auto")
+        cache.workers = resolve_workers("auto")
         _engine = EvaluationEngine(cache=cache)
     return _engine
 
@@ -288,7 +289,7 @@ def write_bench_record(
         "format": BENCH_RECORD_FORMAT,
         "version": BENCH_RECORD_VERSION,
         "bench": name,
-        "lp_workers": resolve_lp_workers(lp_workers, use_env=False),
+        "lp_workers": resolve_workers(lp_workers),
         "python": platform.python_version(),
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "metrics": metrics,

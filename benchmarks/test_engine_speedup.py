@@ -18,6 +18,7 @@ order of magnitude beyond it.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -31,6 +32,8 @@ from repro.te.mlu import max_link_utilization
 SCENARIO = "geant_small"
 #: Tiny training budget: replay speed does not depend on model quality.
 EPOCHS = 5
+#: Alternating sequential / batched replay rounds behind the gated median.
+REPLAY_ROUNDS = 7
 
 
 def _sequential_replay(scheme, path_set, flat, history_len, optimal):
@@ -55,27 +58,35 @@ def test_engine_replay_speedup(benchmark):
 
     def run():
         # --- Batching: replay the neural panel schemes with shared,
-        # precomputed normalisers (the Figure 5 setting). ---
-        start = time.perf_counter()
-        sequential = {
-            scheme.name: _sequential_replay(
-                scheme, scenario.paths, flat, history_len, optimal
-            )
-            for scheme in (figret, dote)
-        }
-        sequential_seconds = time.perf_counter() - start
+        # precomputed normalisers (the Figure 5 setting).  One round of each
+        # side lasts tens of milliseconds, and a single round's ratio read
+        # 4.2-7.8x across runs of one commit on a 2-core box, so the sides
+        # alternate over REPLAY_ROUNDS rounds and the median ratio is gated. ---
+        rounds = []
+        for _ in range(REPLAY_ROUNDS):
+            start = time.perf_counter()
+            sequential = {
+                scheme.name: _sequential_replay(
+                    scheme, scenario.paths, flat, history_len, optimal
+                )
+                for scheme in (figret, dote)
+            }
+            sequential_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        batched = {
-            scheme.name: engine.evaluate_scheme(
-                scheme, sliced, history_len, optimal_mlus=optimal
-            ).normalized_mlus
-            for scheme in (figret, dote)
-        }
-        batched_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            batched = {
+                scheme.name: engine.evaluate_scheme(
+                    scheme, sliced, history_len, optimal_mlus=optimal
+                ).normalized_mlus
+                for scheme in (figret, dote)
+            }
+            batched_seconds = time.perf_counter() - start
 
-        for name, series in sequential.items():
-            np.testing.assert_allclose(batched[name], series, atol=1e-9)
+            for name, series in sequential.items():
+                np.testing.assert_allclose(batched[name], series, atol=1e-9)
+            rounds.append((sequential_seconds, batched_seconds))
+        sequential_seconds = statistics.median(pair[0] for pair in rounds)
+        batched_seconds = statistics.median(pair[1] for pair in rounds)
 
         # --- LP caching: normalisers solved fresh per replay (what the seed
         # did whenever no precomputed array was threaded through, e.g. the
@@ -95,7 +106,8 @@ def test_engine_replay_speedup(benchmark):
         np.testing.assert_allclose(cached, fresh, atol=1e-9)
 
         return {
-            "replay_speedup": sequential_seconds / batched_seconds,
+            "replay_speedup": statistics.median(seq / bat for seq, bat in rounds),
+            "replay_rounds": [list(pair) for pair in rounds],
             "end_to_end_speedup": (sequential_seconds + fresh_lp_seconds)
             / (batched_seconds + cached_lp_seconds),
             "sequential_seconds": sequential_seconds,
@@ -122,7 +134,8 @@ def test_engine_replay_speedup(benchmark):
         f"(normalisers {outcome['fresh_lp_seconds'] * 1e3:.1f} ms -> "
         f"{outcome['cached_lp_seconds'] * 1e3:.1f} ms)"
     )
-    # Acceptance bar: >=5x replay speedup from batching + LP caching.
+    # Acceptance bar: >=5x replay speedup from batching + LP caching (the
+    # replay side is the median of the per-round ratios).
     assert outcome["replay_speedup"] >= 5.0
     assert outcome["end_to_end_speedup"] >= 5.0
     assert outcome["cache_hits"] > 0

@@ -8,8 +8,9 @@ pays) and emits a machine-readable ``BENCH_lp_worker_scaling.json`` record --
 the same harness the engine-speedup records live in.
 
 Where process spawning is forbidden (sandboxes), ``solve_mlu_lp_batch``
-falls back to sequential solves with one RuntimeWarning; the record then
-shows identical solves/sec per width, which is itself a useful signal.
+solves its chunks in-process (``repro.pool`` counts each fallback and warns
+once); the record then shows identical solves/sec per width, which is
+itself a useful signal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 import bench_common as common
-from repro.solvers.lp import default_lp_workers, solve_mlu_lp_batch
+from repro.pool import default_workers
+from repro.solvers.lp import solve_mlu_lp_batch
 
 #: Demand rows solved per (scenario, width) measurement.  Each solve costs
 #: ~100 ms on these topologies, so this bounds the bench to a few seconds.
@@ -35,7 +37,7 @@ def _worker_widths() -> tuple[int | None, ...]:
     # where the parent mostly waits on the pool), and the auto width when
     # it adds anything beyond those.
     widths: list[int | None] = [None, 2]
-    auto = default_lp_workers()
+    auto = default_workers()
     if auto > 2:
         widths.append(auto)
     return tuple(dict.fromkeys(widths))
@@ -55,7 +57,7 @@ def test_lp_worker_scaling(benchmark):
             per_width = {}
             for width in _worker_widths():
                 with warnings.catch_warnings():
-                    # The sequential fallback warns once per process; the
+                    # The in-process fallback warns once per process; the
                     # bench records the throughput either way.
                     warnings.simplefilter("ignore", RuntimeWarning)
                     start = time.perf_counter()

@@ -6,7 +6,6 @@ from repro.solvers.lp import (
     omniscient_mlu,
     OptimalMLUCache,
     shared_cache,
-    default_lp_workers,
     resolve_lp_workers,
     LP_WORKERS_ENV_VAR,
     lp_solve_calls,
@@ -38,7 +37,6 @@ __all__ = [
     "omniscient_mlu",
     "OptimalMLUCache",
     "shared_cache",
-    "default_lp_workers",
     "resolve_lp_workers",
     "LP_WORKERS_ENV_VAR",
     "LPBackend",

@@ -9,7 +9,7 @@ minimise the maximum link utilisation are the solution of the LP:
                 r_p >= 0
 
 This module provides the raw solver (:func:`solve_mlu_lp`), a batched variant
-(:func:`solve_mlu_lp_batch`) with optional process-pool fan-out, the
+(:func:`solve_mlu_lp_batch`) with optional fan-out over :mod:`repro.pool`, the
 omniscient benchmark used to normalise every MLU the paper reports
 (:func:`omniscient_mlu`), a disk-persistable cache for those normalisers
 (:class:`OptimalMLUCache`, with a process-wide instance via
@@ -36,18 +36,16 @@ from __future__ import annotations
 import atexit
 import hashlib
 import os
-import pickle
 import warnings
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from repro.paths.path_set import PathSet
+from repro.pool import HANDED_BACK, fan_out, resolve_workers
 from repro.solvers.lp_backend import (
     LPBackend,
     available_lp_backends,
@@ -66,7 +64,6 @@ __all__ = [
     "omniscient_mlu",
     "OptimalMLUCache",
     "shared_cache",
-    "default_lp_workers",
     "resolve_lp_workers",
     "LP_WORKERS_ENV_VAR",
     "lp_solve_calls",
@@ -137,16 +134,6 @@ class count_lp_solves:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
-
-
-def default_lp_workers(cap: int = 8) -> int:
-    """Process-pool width derived from the machine's CPU count.
-
-    Leaves one core for the parent process and caps the width: LP batches
-    are short-lived, so very wide pools pay more in pickling/startup than
-    they win back.  Returns 1 (sequential) on single-core machines.
-    """
-    return max(1, min(cap, (os.cpu_count() or 1) - 1))
 
 
 class MLUConstraintStructure:
@@ -381,9 +368,10 @@ def solve_mlu_lp(
 
 
 def _solve_batch_chunk(args) -> list[tuple[np.ndarray | None, float]]:
-    """Process-pool worker: solve a chunk of demands over one path set.
+    """Process-pool job: solve a chunk of demands over one path set.
 
-    The sequential batch, in this process -- so the chunk resolves its LP
+    Also how the parent solves a chunk the pool hands back.  The sequential
+    batch, in the running process -- so the chunk resolves its LP
     backend once and, with the persistent ``highs`` backend, every solve
     after the first reuses one model built for the whole chunk.  The
     configurations go back as bare ratio arrays (cheaper to pickle).
@@ -399,104 +387,21 @@ def _solve_batch_chunk(args) -> list[tuple[np.ndarray | None, float]]:
     ]
 
 
-#: Long-lived process pools keyed by width, reused across batch calls so a
-#: streaming replay does not pay pool startup once per chunk.
-_POOL_CACHE: dict[int, ProcessPoolExecutor] = {}
-
-
-def _shutdown_pools() -> None:
-    for pool in _POOL_CACHE.values():
-        try:
-            pool.shutdown(cancel_futures=True)
-        except Exception:
-            pass
-    _POOL_CACHE.clear()
-
-
-atexit.register(_shutdown_pools)
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    pool = _POOL_CACHE.get(workers)
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        _POOL_CACHE[workers] = pool
-    return pool
-
-
-def _discard_pool(workers: int) -> None:
-    pool = _POOL_CACHE.pop(workers, None)
-    if pool is not None:
-        try:
-            pool.shutdown(cancel_futures=True)
-        except Exception:
-            pass
-
-
 #: Environment variable naming the default LP process-pool width.
 LP_WORKERS_ENV_VAR = "REPRO_LP_WORKERS"
 
 
-def _env_lp_workers() -> int | None:
-    """The ``REPRO_LP_WORKERS`` default, validated like an explicit argument."""
-    raw = os.environ.get(LP_WORKERS_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    raw = raw.strip()
-    if raw.lower() == "auto":
-        return default_lp_workers()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{LP_WORKERS_ENV_VAR} must be unset, a positive int, or 'auto', "
-            f"got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"{LP_WORKERS_ENV_VAR} must be at least 1, got {value}; unset it "
-            "for sequential execution or use 'auto' for a CPU-count-derived "
-            "width"
-        )
-    return value
+def resolve_lp_workers(workers: int | str | None = None) -> int | None:
+    """Normalise and validate an LP pool width.
 
-
-def resolve_lp_workers(
-    workers: int | str | None = None, use_env: bool = True
-) -> int | None:
-    """Normalise and validate a ``workers`` argument.
-
-    Accepted forms: ``None`` (defer to ``REPRO_LP_WORKERS``, sequential when
-    that is unset too), a positive int (pool width), or the string ``"auto"``
-    (a CPU-count-derived width).  Anything else -- including ``0`` and
-    negative ints, which would otherwise be silently treated as sequential
-    here and then blow up (or hang) inside the process-pool layer -- raises a
-    :class:`ValueError` naming the accepted forms; a contradictory
-    environment value is rejected with the same error shape.
-
-    Args:
-        workers: The caller's explicit argument (always wins over the
-            environment).
-        use_env: Pass False for worker knobs that must *not* inherit the LP
-            pool width -- the study layer's ``cell_workers`` shares this
-            guard but fans out whole cells, and nesting one pool per cell
-            worker inside the cell pool is never what ``REPRO_LP_WORKERS``
-            means.
+    The forms of :func:`repro.pool.resolve_workers`.  ``None`` defers to
+    ``REPRO_LP_WORKERS`` (sequential when that is unset too); an explicit
+    argument always wins over the environment, and a malformed environment
+    value raises an error naming the variable.
     """
     if workers is None:
-        return _env_lp_workers() if use_env else None
-    if workers == "auto":
-        return default_lp_workers()
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ValueError(
-            f"workers must be None, a positive int, or 'auto', got {workers!r}"
-        )
-    if workers < 1:
-        raise ValueError(
-            f"workers must be at least 1, got {workers}; pass None for sequential "
-            "execution or 'auto' for a CPU-count-derived width"
-        )
-    return workers
+        return resolve_workers(os.environ.get(LP_WORKERS_ENV_VAR), LP_WORKERS_ENV_VAR)
+    return resolve_workers(workers)
 
 
 def solve_mlu_lp_batch(
@@ -517,11 +422,12 @@ def solve_mlu_lp_batch(
     structure -- and, for the ``highs`` backend, one persistent model --
     once per chunk, then reuses it).  With no width configured the solves
     run sequentially in-process, still sharing one precomputed structure,
-    one resolved bounds array, and one persistent model.  When the pool
-    cannot be used at all -- the path set fails to pickle, process spawning
-    is forbidden by the sandbox, or the pool dies -- the batch falls back to
-    the sequential path and a single :class:`RuntimeWarning` is emitted for
-    the whole process instead of failing (or silently degrading).
+    one resolved bounds array, and one persistent model.  Chunks the pool
+    cannot run -- the path set fails to pickle, process spawning is
+    forbidden by the sandbox, or the pool dies -- are solved in-process
+    instead (see :func:`repro.pool.fan_out`: the fallback is counted under
+    ``"lp"`` and warned about once per process, and the next call tries a
+    fresh pool).
 
     Args:
         backend: LP solver backend (instance, registered name, ``"auto"``,
@@ -543,40 +449,24 @@ def solve_mlu_lp_batch(
     workers = resolve_lp_workers(workers)
     lp_backend = resolve_lp_backend(backend)
     pooled_name = lp_backend.name if lp_backend.name in available_lp_backends() else None
-    if (
-        workers is not None
-        and workers > 1
-        and len(demands) > 1
-        and pooled_name is not None
-    ):
-        num_chunks = min(workers, len(demands))
-        chunks = np.array_split(demands, num_chunks)
+    if workers is not None and workers > 1 and len(demands) > 1 and pooled_name is not None:
         jobs = [
             (path_set, chunk, sensitivity_caps, path_mask, pooled_name, mlu_only)
-            for chunk in chunks
+            for chunk in np.array_split(demands, min(workers, len(demands)))
         ]
-        try:
-            chunk_results = list(_pool(workers).map(_solve_batch_chunk, jobs))
-        except (
-            pickle.PicklingError,
-            AttributeError,  # unpicklable locals raise this from pickle
-            TypeError,  # "cannot pickle ..." surfaces as TypeError too
-            BrokenProcessPool,
-            OSError,  # includes PermissionError from sandboxed spawns
-        ) as exc:
-            _discard_pool(workers)
-            _warn_pool_fallback(exc)
-        else:
-            return [
-                (
-                    TEConfiguration(path_set, ratios, normalize=False)
-                    if ratios is not None
-                    else None,
-                    mlu,
-                )
-                for chunk in chunk_results
-                for ratios, mlu in chunk
-            ]
+        solved: list = [None] * len(jobs)
+        for index, chunk in fan_out(_solve_batch_chunk, jobs, workers, "lp", "LP batch"):
+            solved[index] = _solve_batch_chunk(jobs[index]) if chunk is HANDED_BACK else chunk
+        return [
+            (
+                TEConfiguration(path_set, ratios, normalize=False)
+                if ratios is not None
+                else None,
+                mlu,
+            )
+            for chunk in solved
+            for ratios, mlu in chunk
+        ]
     global _LP_SOLVE_CALLS
     structure = constraint_structure(path_set)
     upper = _resolved_upper_bounds(path_set, structure, sensitivity_caps, path_mask)
@@ -590,23 +480,6 @@ def solve_mlu_lp_batch(
             ratios, mlu = lp_backend.solve(path_set, demand, upper)
             results.append((TEConfiguration(path_set, ratios, normalize=True), mlu))
     return results
-
-
-_POOL_FALLBACK_WARNED = False
-
-
-def _warn_pool_fallback(exc: BaseException) -> None:
-    """Warn (once per process) that LP batches run sequentially."""
-    global _POOL_FALLBACK_WARNED
-    if _POOL_FALLBACK_WARNED:
-        return
-    _POOL_FALLBACK_WARNED = True
-    warnings.warn(
-        f"process-pool LP batch failed ({exc!r}); solving sequentially "
-        "in-process from now on (results are identical, just slower)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def omniscient_mlu(path_set: PathSet, demand_vector: np.ndarray) -> float:
@@ -711,7 +584,7 @@ class OptimalMLUCache:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
-        self.workers = resolve_lp_workers(workers, use_env=False)
+        self.workers = resolve_workers(workers)
         self.backend = resolve_lp_backend(backend) if backend is not None else None
         self._entries: OrderedDict[tuple[str, str, str], float] = OrderedDict()
         self.hits = 0

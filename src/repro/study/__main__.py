@@ -57,14 +57,14 @@ def _workers_type(value: str):
 
     Turns bad input into a clean ``parser.error`` line instead of the raw
     ``ValueError`` traceback ``int(...)`` used to produce.  The accepted
-    forms live in one place -- :func:`repro.solvers.lp.resolve_lp_workers`
-    validates here too, so the CLI can never drift from the library layer.
+    forms live in one place -- :func:`repro.pool.resolve_workers` validates
+    here too, so the CLI can never drift from the library layer.
     """
-    from repro.solvers.lp import resolve_lp_workers
+    from repro.pool import resolve_workers
 
     try:
         workers = value if value == "auto" else int(value)
-        resolve_lp_workers(workers)
+        resolve_workers(workers)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'auto' or a positive integer, got {value!r}"

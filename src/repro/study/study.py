@@ -17,6 +17,9 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
   re-running a study never repeats an LP solve (assert it with
   :func:`~repro.solvers.lp.count_lp_solves`).  Cold solves run on the
   solver, and over the pool width, that cache was built with.
+* **Cell groups** under ``cell_workers`` fan out through
+  :func:`repro.pool.fan_out`, the same pool and fallback path as the LP
+  batches; a group the pool hands back runs in-process.
 
 Pass ``scheme_cache`` / ``scenario_cache`` dicts to share the first two
 dedup layers across studies in one process (the benchmark harness does).
@@ -28,8 +31,6 @@ import json
 import pickle
 import warnings
 from collections.abc import Iterable, Mapping
-from concurrent.futures import CancelledError, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,8 @@ from repro.datasets.registry import Scenario
 from repro.evaluation.engine import EvaluationEngine, EvaluationResult, default_engine
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
-from repro.solvers.lp import (
-    OptimalMLUCache,
-    _discard_pool,
-    _pool,
-    resolve_lp_workers,
-)
+from repro.pool import HANDED_BACK, fan_out, resolve_workers
+from repro.solvers.lp import OptimalMLUCache
 from repro.solvers.lp_backend import available_lp_backends
 from repro.study.results import ResultSet, StudyCheckpoint, StudyResult
 from repro.study.warehouse import ResultWarehouse
@@ -127,30 +124,6 @@ class StudyPlan:
     def remaining(self) -> int:
         """Number of cells that still need to run."""
         return len(self.pending)
-
-#: Exceptions that mean "the process pool is unusable", not "a cell failed".
-#: At submit time OSError is included (sandboxed spawn denial surfaces as
-#: PermissionError); once a worker is running, an OSError coming back from
-#: ``future.result()`` is an ordinary cell failure and must propagate, so the
-#: drain loop matches only transport/pool-death errors.
-_POOL_SUBMIT_ERRORS = (BrokenProcessPool, pickle.PicklingError, OSError)
-_POOL_RESULT_ERRORS = (BrokenProcessPool, pickle.PicklingError)
-
-_CELL_POOL_FALLBACK_WARNED = False
-
-
-def _warn_cell_pool_fallback(exc: BaseException) -> None:
-    """Warn (once per process) that study cells run in-process instead."""
-    global _CELL_POOL_FALLBACK_WARNED
-    if _CELL_POOL_FALLBACK_WARNED:
-        return
-    _CELL_POOL_FALLBACK_WARNED = True
-    warnings.warn(
-        f"study cell pool unavailable ({exc!r}); running cells sequentially "
-        "in-process from now on (results are identical, just slower)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def _run_cells_job(payload: tuple) -> tuple:
@@ -351,10 +324,11 @@ class Study:
                 return, so a follow-up run repeats nothing.  Cells built
                 from live objects, and all cells of an engine whose LP
                 backend is an instance outside the registry (neither can
-                cross a process boundary), run in-process, and an unusable
-                pool degrades to sequential execution with one warning.
-                Results are bit-identical to ``cell_workers=None`` in either
-                case.
+                cross a process boundary), run in-process.  So do the groups
+                of a call whose pool proves unusable (:mod:`repro.pool`
+                counts the fallback under ``"cells"`` and warns the first
+                time; the next call tries a fresh pool).  Results are
+                bit-identical to ``cell_workers=None`` in every case.
             warehouse: Optional path or :class:`~repro.study.warehouse.
                 ResultWarehouse` that every finished cell is appended to as
                 it completes (after the checkpoint append, with the same
@@ -531,11 +505,11 @@ class Study:
             raise ValueError("resume=True needs a checkpoint path to resume from")
         if engine is None:
             engine = default_engine()
-        # Same accepted forms as the LP pool width, but cell_workers must not
-        # inherit REPRO_LP_WORKERS: that variable names the LP pool width,
-        # and the cell pool nests an engine (with a width-1 cache) inside
-        # every worker.
-        cell_workers = resolve_lp_workers(cell_workers, use_env=False)
+        # Same accepted forms as the LP pool width, but cell_workers does not
+        # read REPRO_LP_WORKERS: that variable names the LP pool width, and
+        # the cell pool nests an engine (with a width-1 cache) inside every
+        # worker.
+        cell_workers = resolve_workers(cell_workers)
         writer = StudyCheckpoint(checkpoint) if checkpoint is not None else None
         store = None
         if warehouse is not None:
@@ -724,29 +698,16 @@ class Study:
                     pretrained,
                 )
             )
-        try:
-            pool = _pool(cell_workers)
-            futures = {pool.submit(_run_cells_job, job): job for job in jobs}
-        except _POOL_SUBMIT_ERRORS as exc:
-            _warn_cell_pool_fallback(exc)
-            _discard_pool(cell_workers)
-            return sorted(local + [item for job in jobs for item in job[0]])
         leftover = list(local)
         first_error: Exception | None = None
-        for future in as_completed(futures):
-            job = futures[future]
-            try:
-                finished, new_entries, trained, cell_error, error_index = future.result()
-            except CancelledError:
-                # A sibling infra failure discarded the pool and cancelled
-                # this still-queued job; its cells just run in-process.
-                leftover.extend(job[0])
+        for job_index, outcome in fan_out(
+            _run_cells_job, jobs, cell_workers, "cells", "study cell batch"
+        ):
+            cells = jobs[job_index][0]
+            if outcome is HANDED_BACK:
+                leftover.extend(cells)
                 continue
-            except _POOL_RESULT_ERRORS as exc:
-                _warn_cell_pool_fallback(exc)
-                _discard_pool(cell_workers)
-                leftover.extend(job[0])
-                continue
+            finished, new_entries, trained, cell_error, error_index = outcome
             engine.cache.merge_entries(new_entries)
             for key, scheme in trained.items():
                 self._scheme_cache.setdefault(tuple(key), scheme)
@@ -759,7 +720,7 @@ class Study:
                 # jobs, then raise -- with the same cell-identifying note
                 # the sequential path attaches.
                 if hasattr(cell_error, "add_note") and error_index is not None:
-                    failed = dict(job[0]).get(error_index)
+                    failed = dict(cells).get(error_index)
                     spec_note = (
                         canonical_json(failed.to_dict()) if failed is not None else "?"
                     )

@@ -167,7 +167,7 @@ class TestProcessPoolFallback:
     def broken_pool(self, monkeypatch):
         import pickle
 
-        from repro.solvers import lp as lp_module
+        from repro import pool as pool_module
 
         class ExplodingPool:
             def __init__(self, *args, **kwargs):
@@ -179,16 +179,16 @@ class TestProcessPoolFallback:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def submit(self, fn, job):
                 raise pickle.PicklingError("cannot pickle the path set")
 
-        monkeypatch.setattr(lp_module, "ProcessPoolExecutor", ExplodingPool)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", ExplodingPool)
         # Isolate the long-lived pool cache: a real pool created by an
         # earlier test must not serve this batch, and the exploding pool
         # must not leak to later tests.
-        monkeypatch.setattr(lp_module, "_POOL_CACHE", {})
-        monkeypatch.setattr(lp_module, "_POOL_FALLBACK_WARNED", False)
-        return lp_module
+        monkeypatch.setattr(pool_module, "_POOL_CACHE", {})
+        monkeypatch.setattr(pool_module, "_FALLBACKS", {})
+        return pool_module
 
     def test_fallback_warns_once_and_matches_sequential(
         self, broken_pool, mesh4_paths, rng
@@ -233,6 +233,9 @@ class TestProcessPoolFallback:
         # a pool: the chunks carry that name for the workers to resolve.
         # (test_counter_increments_on_fallback_solves is the broken-pool
         # half: it runs the default backend, too.)
+        from concurrent.futures import Future
+
+        from repro import pool as pool_module
         from repro.solvers import lp as lp_module
         from repro.solvers import lp_backend as lpb
 
@@ -243,16 +246,18 @@ class TestProcessPoolFallback:
             def __init__(self, *args, **kwargs):
                 pass
 
-            def map(self, fn, jobs):
+            def submit(self, fn, job):
                 assert fn is lp_module._solve_batch_chunk
-                shipped.extend(jobs)
-                return [fn(job) for job in jobs]
+                shipped.append(job)
+                future = Future()
+                future.set_result(fn(job))
+                return future
 
             def shutdown(self, **kwargs):
                 pass
 
-        monkeypatch.setattr(lp_module, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(lp_module, "_POOL_CACHE", {})
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pool_module, "_POOL_CACHE", {})
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
         sequential = lp_module.solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
         pooled = lp_module.solve_mlu_lp_batch(mesh4_paths, demands, workers=2, mlu_only=True)
@@ -334,9 +339,9 @@ class TestAutoWorkers:
             resolve_lp_workers("many")
 
     def test_default_lp_workers_positive(self):
-        from repro.solvers.lp import default_lp_workers
+        from repro.pool import default_workers
 
-        assert default_lp_workers() >= 1
+        assert default_workers() >= 1
 
 
 class TestWorkersEnvDefault:
@@ -355,10 +360,11 @@ class TestWorkersEnvDefault:
         assert resolve_lp_workers(2) == 2
 
     def test_env_auto(self, monkeypatch):
-        from repro.solvers.lp import default_lp_workers, resolve_lp_workers
+        from repro.pool import default_workers
+        from repro.solvers.lp import resolve_lp_workers
 
         monkeypatch.setenv("REPRO_LP_WORKERS", "auto")
-        assert resolve_lp_workers(None) == default_lp_workers()
+        assert resolve_lp_workers(None) == default_workers()
 
     def test_blank_env_means_unset(self, monkeypatch):
         from repro.solvers.lp import resolve_lp_workers
@@ -374,14 +380,17 @@ class TestWorkersEnvDefault:
         with pytest.raises(ValueError, match="REPRO_LP_WORKERS must be"):
             resolve_lp_workers(None)
 
-    def test_use_env_false_ignores_env(self, monkeypatch):
-        from repro.solvers.lp import resolve_lp_workers
+    def test_pool_validator_ignores_env(self, monkeypatch):
+        # Only the LP layer reads the variable; the cell pool's width and a
+        # cache's explicit width go straight to the pool's validator.
+        from repro.pool import resolve_workers
 
         monkeypatch.setenv("REPRO_LP_WORKERS", "3")
-        assert resolve_lp_workers(None, use_env=False) is None
-        # ...even a malformed one: the knob opting out must not validate it.
+        assert resolve_workers(None) is None
+        # ...even a malformed one: a knob that does not read it must not
+        # validate it.
         monkeypatch.setenv("REPRO_LP_WORKERS", "many")
-        assert resolve_lp_workers(None, use_env=False) is None
+        assert resolve_workers(None) is None
 
 
 def _importable(name: str) -> bool:

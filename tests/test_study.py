@@ -716,14 +716,14 @@ class TestCellPool:
         assert run(cell_workers=2).to_json() == run().to_json()
 
     def test_explicit_width_one_never_opens_a_pool(self, monkeypatch, mesh4_paths, rng):
-        from repro.solvers import lp as lp_module
+        from repro import pool as pool_module
         from repro.study.study import _run_cells_job
 
         def no_pool(workers):
             raise AssertionError(f"LP pool of width {workers} opened under an explicit 1")
 
         monkeypatch.setenv("REPRO_LP_WORKERS", "2")
-        monkeypatch.setattr(lp_module, "_pool", no_pool)
+        monkeypatch.setattr(pool_module, "_pool", no_pool)
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
         engine = EvaluationEngine(cache=OptimalMLUCache(workers=1))
         assert engine.optimal_mlus(mesh4_paths, demands).shape == (4,)
