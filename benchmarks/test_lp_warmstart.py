@@ -1,8 +1,9 @@
-"""Persistent-model LP backend on the omniscient solve hot path.
+"""Persistent HiGHS model on the omniscient solve hot path.
 
 ``BENCH_engine_replay.json`` recorded the cold LP pass as the dominant cost
 of every first replay (~95 fresh solves/sec with scipy's ``linprog``).  The
-persistent ``highs`` backend (:mod:`repro.solvers.lp_backend`) builds one
+persistent model every normaliser runs on
+(:class:`~repro.solvers.lp_backend.PersistentHighsBackend`) builds one
 HiGHS model per (path set, bounds) key, per demand only rewrites the
 demand-carrying column bounds, and starts primal simplex from a canonical
 shortest-path basis.  This bench measures, per scenario over the exact
@@ -12,19 +13,21 @@ to the bursty ToR one, where carrying the previous basis over lost 10x --
 * the solver's own ``simplex_iteration_count`` of crash-started solves
   against the pivots ``linprog`` needs from scratch for the same demand
   (deterministic, so this is what the bench *gates* on), and
-* fresh solves/sec per backend (recorded in ``BENCH_lp_warmstart.json``),
+* fresh solves/sec of ``ScipyLinprogBackend().solve_mlu`` against
+  ``PersistentHighsBackend().solve_mlu``, called directly (recorded in
+  ``BENCH_lp_warmstart.json``),
 
-and asserts the two backends agree on every optimal MLU to 1e-9.
+and asserts the two solvers agree on every optimal MLU to 1e-9.
 
-Without an importable ``highs`` backend the bench skips (it exists to pin
-the persistent model's win, not to re-measure scipy alone).
+Without the HiGHS bindings the bench skips (it exists to pin the persistent
+model's win, not to re-measure scipy alone).
 
 Methodology notes baked into the record:
 
 * "Fresh" means no value cache: every demand row is LP-solved; only the
   *model* (constraint structure for scipy, the persistent HiGHS model for
   highs) is reused, exactly as in a cold :class:`OptimalMLUCache` pass.
-* Each backend's rate is one timed sweep over the demand family (the highs
+* Each solver's rate is one timed sweep over the demand family (the highs
   sweep includes the one-time model build).  Rates are recorded, not gated:
   wall-clock comparisons belong to perfbench's interleaved pairs.
 """
@@ -32,18 +35,13 @@ Methodology notes baked into the record:
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 import bench_common as common
-from repro.solvers.lp import constraint_structure, count_lp_solves, solve_mlu_lp_batch
-from repro.solvers.lp_backend import (
-    PersistentHighsBackend,
-    ScipyLinprogBackend,
-    importable_lp_backends,
-)
+from repro.solvers.lp import constraint_structure
+from repro.solvers.lp_backend import PersistentHighsBackend, ScipyLinprogBackend
 
 #: Scenarios x the engine-replay evaluation slice: the same demand family the
 #: 94.8 solves/sec baseline in BENCH_engine_replay.json was measured on, from
@@ -53,21 +51,20 @@ SCENARIOS = ("geant_small", "pfabric_small", "meta_tor_db_small")
 BASELINE_SCENARIO = "geant_small"
 #: Gate: median crash-started pivots over median from-scratch pivots.
 MAX_CRASH_ITERATION_SHARE = 1 / 3
-#: Equivalence tolerance between backends on the optimal MLU.
+#: Equivalence tolerance between the two solvers on the optimal MLU.
 MLU_EQUIVALENCE_ATOL = 1e-9
 
 
-def _fresh_rate(path_set, demands, backend_name: str) -> tuple[dict, np.ndarray]:
-    """Fresh solves/sec of one timed sweep for one backend on one family."""
-    with count_lp_solves() as tally:
-        start = time.perf_counter()
-        solved = solve_mlu_lp_batch(path_set, demands, backend=backend_name, mlu_only=True)
-        elapsed = time.perf_counter() - start
-    assert tally.count == len(demands)
+def _fresh_rate(path_set, demands, solver) -> tuple[dict, np.ndarray]:
+    """Fresh solves/sec of one timed sweep for one solver on one family."""
+    upper = constraint_structure(path_set).trivial_upper
+    start = time.perf_counter()
+    mlus = np.array([solver.solve_mlu(path_set, demand, upper) for demand in demands])
+    elapsed = time.perf_counter() - start
     return {
         "fresh_lp_solves_per_second": len(demands) / elapsed,
         "num_demands": len(demands),
-    }, np.array([mlu for _, mlu in solved])
+    }, mlus
 
 
 def _simplex_iterations(path_set, demands) -> dict:
@@ -95,8 +92,10 @@ def _simplex_iterations(path_set, demands) -> dict:
 
 @pytest.mark.paper("Appendix B Eq. 9 solver throughput")
 def test_lp_warmstart(benchmark):
-    if "highs" not in importable_lp_backends():
-        pytest.skip("no importable highs backend (highspy or scipy >= 1.15)")
+    try:
+        PersistentHighsBackend()
+    except ImportError:
+        pytest.skip("no importable HiGHS bindings (highspy or scipy >= 1.15)")
     metrics: dict[str, dict] = {}
 
     def run():
@@ -105,12 +104,11 @@ def test_lp_warmstart(benchmark):
             demands = common.test_slice(scenario).flat_demands()
             per_backend: dict[str, dict] = {}
             reference: dict[str, np.ndarray] = {}
-            for backend_name in ("scipy", "highs"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    rates, mlus = _fresh_rate(scenario.paths, demands, backend_name)
-                per_backend[backend_name] = rates
-                reference[backend_name] = mlus
+            solvers = {"scipy": ScipyLinprogBackend(), "highs": PersistentHighsBackend()}
+            for solver_name, solver in solvers.items():
+                rates, mlus = _fresh_rate(scenario.paths, demands, solver)
+                per_backend[solver_name] = rates
+                reference[solver_name] = mlus
             # The tentpole's correctness bar, asserted in the bench itself:
             # identical optimal MLUs to 1e-9 across the whole family.
             np.testing.assert_allclose(

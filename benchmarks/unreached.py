@@ -63,7 +63,7 @@ TRAFFIC = [
     [*STUDY, "{tmp}/prefix.json", "--checkpoint", "{tmp}/run.ckpt"],
     [*STUDY, "{tmp}/full.json", "--checkpoint", "{tmp}/run.ckpt", "--resume", "--cell-workers", "2",
      "--out", "{tmp}/results.json"],
-    [*STUDY, "{tmp}/full.json", "--lp-workers", "2", "--lp-backend", "scipy"],
+    [*STUDY, "{tmp}/full.json", "--lp-workers", "2"],
     [*STUDY, "--list-scenarios"],
     [*STUDY, "--list-schemes"],
 ]

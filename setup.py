@@ -17,10 +17,10 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy", "scipy", "networkx"],
     extras_require={
-        # Standalone HiGHS bindings for the persistent warm-started LP
-        # backend (REPRO_LP_BACKEND=highs).  Optional: without them the
-        # backend layer uses the copy scipy >= 1.15 vendors, and falls
-        # back to scipy's linprog (with one warning) if neither imports.
+        # Standalone HiGHS bindings for the persistent LP model every
+        # normaliser runs on.  Optional: without them the model uses the
+        # copy scipy >= 1.15 vendors, and if neither imports the
+        # normalisers run on scipy's linprog, silently.
         "highs": ["highspy"],
     },
 )

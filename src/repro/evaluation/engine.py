@@ -100,9 +100,9 @@ class EvaluationEngine:
         cache: Optimal-MLU cache to use (a fresh in-memory one by default;
             pass an ``OptimalMLUCache(path=...)`` to persist LP results
             across benchmark sessions).  The cache also names the pool width
-            and the LP solver its misses run on (``OptimalMLUCache(workers=,
-            backend=)``): the engine has no LP knob of its own.  The neural
-            schemes' forward passes are float64 numpy.
+            its misses run on (``OptimalMLUCache(workers=)``): the engine
+            has no LP knob of its own.  The neural schemes' forward passes
+            are float64 numpy.
     """
 
     def __init__(self, cache: OptimalMLUCache | None = None) -> None:

@@ -16,16 +16,6 @@ from repro.solvers.lp import (
     OmniscientTE,
     PredictionBasedTE,
 )
-from repro.solvers.lp_backend import (
-    LPBackend,
-    ScipyLinprogBackend,
-    PersistentHighsBackend,
-    available_lp_backends,
-    importable_lp_backends,
-    get_lp_backend,
-    resolve_lp_backend,
-    LP_BACKEND_ENV_VAR,
-)
 from repro.solvers.desensitization import DesensitizationTE, FaultAwareDesensitizationTE
 from repro.solvers.heuristic_f import LinearSensitivityTE, PiecewiseSensitivityTE
 from repro.solvers.oblivious import ObliviousTE, solve_oblivious_routing
@@ -39,14 +29,6 @@ __all__ = [
     "shared_cache",
     "resolve_lp_workers",
     "LP_WORKERS_ENV_VAR",
-    "LPBackend",
-    "ScipyLinprogBackend",
-    "PersistentHighsBackend",
-    "available_lp_backends",
-    "importable_lp_backends",
-    "get_lp_backend",
-    "resolve_lp_backend",
-    "LP_BACKEND_ENV_VAR",
     "lp_solve_calls",
     "count_lp_solves",
     "LPSolveTally",

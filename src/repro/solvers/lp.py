@@ -23,12 +23,10 @@ rescale of the path-to-edge incidence, so everything demand-independent
 precomputed once per :class:`PathSet` in :class:`MLUConstraintStructure` and
 shared by every subsequent solve.
 
-The solver itself is pluggable (see :mod:`repro.solvers.lp_backend`): the
-``scipy`` backend runs ``linprog`` per demand, the ``highs`` backend keeps
-one persistent HiGHS model per (path set, bounds) key and starts every solve
-from a canonical shortest-path basis, and the default (``"auto"``) solves
-value-only normalisers on ``highs`` and vertex-returning LPs on ``scipy`` --
-selected per call (``backend=``) or per process (``REPRO_LP_BACKEND``).
+One fixed rule picks the solver (see :mod:`repro.solvers.lp_backend`, which
+only this module imports): value-only normalisers run on a persistent HiGHS
+model per (path set, bounds) key, started from a canonical shortest-path
+basis; vertex-returning solves run on ``linprog`` per demand.
 """
 
 from __future__ import annotations
@@ -46,11 +44,7 @@ from scipy import sparse
 
 from repro.paths.path_set import PathSet
 from repro.pool import HANDED_BACK, fan_out, resolve_workers
-from repro.solvers.lp_backend import (
-    LPBackend,
-    available_lp_backends,
-    resolve_lp_backend,
-)
+from repro.solvers.lp_backend import resolve_lp_backend
 from repro.store import JsonlStore
 from repro.te.config import TEConfiguration
 from repro.te.scheme import TEScheme
@@ -116,8 +110,8 @@ class count_lp_solves:
     """Context manager scoping the process-global LP solve counter.
 
     Yields an :class:`LPSolveTally` whose ``count`` is relative to scope
-    entry, so concurrent/ordered test runs (pytest-xdist workers, the CI
-    backend matrix) can assert exact solve counts without caring what ran
+    entry, so concurrent/ordered test runs (pytest-xdist workers, CI jobs
+    sharing a worker) can assert exact solve counts without caring what ran
     before them in the process::
 
         with count_lp_solves() as tally:
@@ -328,13 +322,13 @@ def solve_mlu_lp(
     demand_vector: np.ndarray,
     sensitivity_caps: np.ndarray | None = None,
     path_mask: np.ndarray | None = None,
-    backend: "LPBackend | str | None" = None,
 ) -> tuple[TEConfiguration, float]:
     """Solve the MLU-minimisation LP for a single demand vector.
 
     The demand-independent constraint structure is precomputed once per
     path set (see :class:`MLUConstraintStructure`), so repeated solves over
     the same path set only pay for the diagonal rescale and the solver run.
+    The solve returns a vertex, so it runs on ``linprog``.
 
     Args:
         path_set: Candidate paths.
@@ -346,11 +340,6 @@ def solve_mlu_lp(
         path_mask: Optional boolean mask of usable paths (False = the path is
             unavailable, e.g. it traverses a failed link).  Pairs whose paths
             are all masked keep a uniform split.
-        backend: LP solver backend -- an :class:`~repro.solvers.lp_backend.
-            LPBackend` instance, a registered name (``"scipy"``, ``"highs"``,
-            ``"auto"``), or None for the process default
-            (``REPRO_LP_BACKEND``, ``"auto"`` if unset: this full solve
-            then runs on scipy, value-only solves on highs).
 
     Returns:
         ``(configuration, optimal MLU)``.
@@ -363,7 +352,7 @@ def solve_mlu_lp(
     structure = constraint_structure(path_set)
     demand = _checked_demand(demand_vector, structure.num_sd_pairs)
     upper = _resolved_upper_bounds(path_set, structure, sensitivity_caps, path_mask)
-    ratios, mlu = resolve_lp_backend(backend).solve(path_set, demand, upper)
+    ratios, mlu = resolve_lp_backend().solve(path_set, demand, upper)
     return TEConfiguration(path_set, ratios, normalize=True), mlu
 
 
@@ -371,15 +360,13 @@ def _solve_batch_chunk(args) -> list[tuple[np.ndarray | None, float]]:
     """Process-pool job: solve a chunk of demands over one path set.
 
     Also how the parent solves a chunk the pool hands back.  The sequential
-    batch, in the running process -- so the chunk resolves its LP
-    backend once and, with the persistent ``highs`` backend, every solve
-    after the first reuses one model built for the whole chunk.  The
+    batch, in the running process -- so with ``mlu_only`` every solve after
+    the first reuses one persistent model built for the whole chunk.  The
     configurations go back as bare ratio arrays (cheaper to pickle).
     """
-    path_set, demands, sensitivity_caps, path_mask, backend_name, mlu_only = args
+    path_set, demands, sensitivity_caps, path_mask, mlu_only = args
     solved = solve_mlu_lp_batch(
-        path_set, demands, sensitivity_caps, path_mask,
-        workers=1, backend=backend_name, mlu_only=mlu_only,
+        path_set, demands, sensitivity_caps, path_mask, workers=1, mlu_only=mlu_only
     )
     return [
         (config.split_ratios if config is not None else None, mlu)
@@ -410,7 +397,6 @@ def solve_mlu_lp_batch(
     sensitivity_caps: np.ndarray | None = None,
     path_mask: np.ndarray | None = None,
     workers: int | str | None = None,
-    backend: "LPBackend | str | None" = None,
     mlu_only: bool = False,
 ) -> list[tuple[TEConfiguration | None, float]]:
     """Solve the MLU LP for every row of a ``(T, num_sd_pairs)`` demand array.
@@ -419,10 +405,10 @@ def solve_mlu_lp_batch(
     for an ``os.cpu_count()``-derived width, or ``REPRO_LP_WORKERS`` as the
     process default) they fan out over a long-lived process pool shared by
     all batch calls of that width (each worker rebuilds the constraint
-    structure -- and, for the ``highs`` backend, one persistent model --
-    once per chunk, then reuses it).  With no width configured the solves
-    run sequentially in-process, still sharing one precomputed structure,
-    one resolved bounds array, and one persistent model.  Chunks the pool
+    structure -- and, for ``mlu_only``, one persistent model -- once per
+    chunk, then reuses it).  With no width configured the solves run
+    sequentially in-process, still sharing one precomputed structure, one
+    resolved bounds array, and one persistent model.  Chunks the pool
     cannot run -- the path set fails to pickle, process spawning is
     forbidden by the sandbox, or the pool dies -- are solved in-process
     instead (see :func:`repro.pool.fan_out`: the fallback is counted under
@@ -430,14 +416,10 @@ def solve_mlu_lp_batch(
     fresh pool).
 
     Args:
-        backend: LP solver backend (instance, registered name, ``"auto"``,
-            or None for the ``REPRO_LP_BACKEND`` process default).  Pool
-            workers re-resolve the backend *by name* in their own process;
-            an unregistered custom instance therefore solves sequentially.
-        mlu_only: When True, skip building the configurations and return
-            ``(None, optimal MLU)`` per row -- the normaliser fast path used
-            by :class:`OptimalMLUCache` (the values are identical, solution
-            extraction is just skipped).
+        mlu_only: When True, return ``(None, optimal MLU)`` per row -- the
+            normaliser fast path used by :class:`OptimalMLUCache`.  The
+            values then come from the persistent HiGHS model instead of
+            ``linprog``: the same optimum, to solver tolerance.
 
     Returns:
         A list of ``(configuration, optimal MLU)`` tuples, one per demand row
@@ -447,11 +429,9 @@ def solve_mlu_lp_batch(
     if demands.ndim == 1:
         demands = demands[None, :]
     workers = resolve_lp_workers(workers)
-    lp_backend = resolve_lp_backend(backend)
-    pooled_name = lp_backend.name if lp_backend.name in available_lp_backends() else None
-    if workers is not None and workers > 1 and len(demands) > 1 and pooled_name is not None:
+    if workers is not None and workers > 1 and len(demands) > 1:
         jobs = [
-            (path_set, chunk, sensitivity_caps, path_mask, pooled_name, mlu_only)
+            (path_set, chunk, sensitivity_caps, path_mask, mlu_only)
             for chunk in np.array_split(demands, min(workers, len(demands)))
         ]
         solved: list = [None] * len(jobs)
@@ -468,6 +448,7 @@ def solve_mlu_lp_batch(
             for ratios, mlu in chunk
         ]
     global _LP_SOLVE_CALLS
+    solver = resolve_lp_backend()
     structure = constraint_structure(path_set)
     upper = _resolved_upper_bounds(path_set, structure, sensitivity_caps, path_mask)
     results: list[tuple[TEConfiguration | None, float]] = []
@@ -475,9 +456,9 @@ def solve_mlu_lp_batch(
         _LP_SOLVE_CALLS += 1
         demand = _checked_demand(demand, structure.num_sd_pairs)
         if mlu_only:
-            results.append((None, lp_backend.solve_mlu(path_set, demand, upper)))
+            results.append((None, solver.solve_mlu(path_set, demand, upper)))
         else:
-            ratios, mlu = lp_backend.solve(path_set, demand, upper)
+            ratios, mlu = solver.solve(path_set, demand, upper)
             results.append((TEConfiguration(path_set, ratios, normalize=True), mlu))
     return results
 
@@ -550,9 +531,11 @@ class OptimalMLUCache:
     -- is ignored with a warning (cold solves, never a crash) and rewritten
     wholesale on the next flush: every entry is recomputable.
 
-    The cache is also the one place that says *how* a miss is solved, so the
-    training normalisers and the replay normalisers of a study -- both drawn
-    from its engine's cache -- cannot end up on different solvers or widths.
+    The cache is also the one place that says over how many processes a
+    miss is solved, so the training normalisers and the replay normalisers
+    of a study -- both drawn from its engine's cache -- share one width.
+    The key names no solver because there is one: every miss is an
+    ``mlu_only`` batch (see :mod:`repro.solvers.lp_backend`).
 
     Args:
         max_entries: Oldest entries are evicted from *memory* beyond this
@@ -564,14 +547,9 @@ class OptimalMLUCache:
             (``1`` is sequential whatever the environment says), ``"auto"``
             for a CPU-count-derived width, or ``None`` to follow
             ``REPRO_LP_WORKERS`` at solve time (sequential when unset).
-        backend: LP solver for the misses -- an
-            :class:`~repro.solvers.lp_backend.LPBackend` instance or a
-            registered name (``"scipy"``, ``"highs"``, ``"auto"``) -- or
-            ``None`` to follow ``REPRO_LP_BACKEND`` at solve time.
 
     Raises:
-        ValueError: ``max_entries`` or ``workers`` is out of range, or
-            ``backend`` names no registered LP backend.
+        ValueError: ``max_entries`` or ``workers`` is out of range.
     """
 
     def __init__(
@@ -579,13 +557,11 @@ class OptimalMLUCache:
         max_entries: int = 1_000_000,
         path: str | os.PathLike | None = None,
         workers: int | str | None = None,
-        backend: "LPBackend | str | None" = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
         self.workers = resolve_workers(workers)
-        self.backend = resolve_lp_backend(backend) if backend is not None else None
         self._entries: OrderedDict[tuple[str, str, str], float] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -736,8 +712,8 @@ class OptimalMLUCache:
     ) -> np.ndarray:
         """Cached omniscient MLUs for every row of a ``(T, pairs)`` array.
 
-        Rows missing from the cache are solved (on the cache's ``backend``,
-        over a process pool of its ``workers``) and inserted; cached rows are
+        Rows missing from the cache are solved (over a process pool of the
+        cache's ``workers``) and inserted; cached rows are
         returned without re-solving.  The cache only keeps the optimal
         values, so the batch runs with ``mlu_only=True`` -- solution
         extraction and configuration construction are skipped entirely.
@@ -770,7 +746,6 @@ class OptimalMLUCache:
                 demands[rows],
                 path_mask=path_mask,
                 workers=self.workers,
-                backend=self.backend,
                 mlu_only=True,
             )
             for (key, indices), (_, mlu) in zip(missing.items(), solved):

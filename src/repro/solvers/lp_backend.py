@@ -1,40 +1,31 @@
-"""Pluggable LP solver backends for the MLU-minimisation hot path.
+"""The LP solvers behind the MLU-minimisation hot path, and the one rule
+that picks between them.
 
 Every number the paper reports is normalised by the omniscient MLU LP
-(Appendix B, Equation 9), so the LP solver *is* the cold-run hot path.  This
-module puts a small backend layer behind :func:`repro.solvers.lp.solve_mlu_lp`
-/ :func:`~repro.solvers.lp.solve_mlu_lp_batch`:
+(Appendix B, Equation 9), so the LP solver *is* the cold-run hot path.
+:func:`repro.solvers.lp.solve_mlu_lp` / :func:`~repro.solvers.lp.
+solve_mlu_lp_batch` hand every solve to :func:`resolve_lp_backend`'s one
+composite, which routes it by what the caller needs back:
 
-* :class:`ScipyLinprogBackend` (name ``"scipy"``) -- the reference.  Runs
-  the historical ``scipy.optimize.linprog(method="highs")`` code path
-  verbatim: one model build, presolve and from-scratch solve per demand.
-* :class:`PersistentHighsBackend` (name ``"highs"``) -- builds one persistent
-  HiGHS model per ``(PathSet, ratio-upper-bounds)`` key and solves each
-  demand by primal simplex from a canonical shortest-path basis: no model
-  rebuild, no presolve, ~100 pivots instead of ~650.  About 5x per solve on
-  smooth and bursty traces alike (``benchmarks/test_lp_warmstart.py`` writes
-  the record to ``benchmarks/.records/BENCH_lp_warmstart.json``), and a
-  result is a function of (model, demand) alone.
-* :class:`AutoLPBackend` (name ``"auto"``) -- the default.  Value-only solves
-  (``solve_mlu``: every normaliser) run on ``highs``, whose optimum is
-  unique; vertex-returning ``solve`` stays on ``linprog`` bit for bit,
-  because the quality of the LP-based schemes depends on *which* optimal
-  vertex of a degenerate LP comes back.
+* value-only solves (``solve_mlu``: every normaliser) run on
+  :class:`PersistentHighsBackend`, which builds one persistent HiGHS model
+  per ``(PathSet, ratio-upper-bounds)`` key and solves each demand by primal
+  simplex from a canonical shortest-path basis: no model rebuild, no
+  presolve, ~100 pivots instead of ~650.  About 5x per solve on smooth and
+  bursty traces alike (``benchmarks/test_lp_warmstart.py`` writes the record
+  to ``benchmarks/.records/BENCH_lp_warmstart.json``).  The optimum value is
+  unique, and a result is a function of (model, demand) alone.
+* vertex-returning solves (``solve``: Des TE, Pred TE, the oracle scheme)
+  run on :class:`ScipyLinprogBackend`, ``scipy.optimize.linprog(method=
+  "highs")`` per demand, because the quality of the LP-based schemes depends
+  on *which* optimal vertex of a degenerate LP comes back.
 
-Selection: ``OptimalMLUCache(backend=)`` names the solver of every
-normaliser drawn from that cache (a study's trainings and replays alike),
-``backend=`` on ``solve_mlu_lp`` / ``solve_mlu_lp_batch`` that of one call,
-and the ``REPRO_LP_BACKEND`` environment variable whatever neither names --
-which includes the LP schemes' own solves, so only ``REPRO_LP_BACKEND=scipy``
-or ``=highs`` puts *everything* on one solver.  A known-but-unimportable
-backend falls back to scipy with a single :class:`RuntimeWarning` per
-process (``"auto"`` silently: without the bindings it *is* scipy).
-
-The ``highs`` backend needs the ``highspy`` bindings.  When the standalone
-``highspy`` package is missing, the backend transparently uses the private
+The solver is not selectable (the variable that once chose it stops the
+import, below).  The one platform choice is :func:`_load_highspy`'s.  The persistent model
+needs the ``highspy`` bindings: the standalone package, else the private
 copy scipy >= 1.15 vendors for its own ``linprog``/``milp`` (the same
-pybind11 module, so no new dependency is required); with neither available
-it is unimportable and selection falls back to scipy.
+pybind11 module, so no new dependency is required).  With neither, the
+normalisers run on ``linprog`` too, silently.
 
 Persistent-model formulation
 ----------------------------
@@ -61,73 +52,44 @@ which is why equivalence is asserted on the MLU, not on the split ratios.
 from __future__ import annotations
 
 import os
-import warnings
 from collections import OrderedDict
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+if os.environ.get("REPRO_LP_BACKEND"):
+    raise RuntimeError(
+        "REPRO_LP_BACKEND is set, but the LP solver is no longer selectable: "
+        "normalisers run on the persistent HiGHS model, vertex-returning "
+        "solves on linprog.  Unset REPRO_LP_BACKEND."
+    )
+
 __all__ = [
-    "LP_BACKEND_ENV_VAR",
-    "LPBackend",
     "ScipyLinprogBackend",
     "PersistentHighsBackend",
     "AutoLPBackend",
-    "available_lp_backends",
-    "importable_lp_backends",
-    "get_lp_backend",
     "resolve_lp_backend",
 ]
-
-#: Environment variable naming the default LP backend for the process.
-LP_BACKEND_ENV_VAR = "REPRO_LP_BACKEND"
 
 #: Persistent HiGHS models kept per backend instance (LRU beyond this).
 MAX_PERSISTENT_MODELS = 8
 
 
-class LPBackend:
-    """Interface of an MLU-LP solver backend.
+class ScipyLinprogBackend:
+    """The vertex solver: ``scipy.optimize.linprog(method="highs")`` per demand.
 
-    Backends receive the demand vector together with the already-resolved
-    per-path ratio upper bounds (sensitivity caps x failure masks, feasibility
-    relaxation applied -- see ``repro.solvers.lp._ratio_upper_bounds``), and
-    return raw arrays; the public :func:`~repro.solvers.lp.solve_mlu_lp`
-    wrapper owns validation, the solve counter and the
-    :class:`~repro.te.config.TEConfiguration` packaging.
+    Both methods take the demand vector together with the already-resolved
+    per-path ratio upper bounds (sensitivity caps x failure masks,
+    feasibility relaxation applied -- see
+    ``repro.solvers.lp._resolved_upper_bounds``) and return raw arrays; the
+    public :func:`~repro.solvers.lp.solve_mlu_lp` wrapper owns validation,
+    the solve counter and the :class:`~repro.te.config.TEConfiguration`
+    packaging.  Each solve hands scipy a freshly rescaled constraint matrix
+    (sparsity arrays shared via
+    :class:`~repro.solvers.lp.MLUConstraintStructure`).  Also the reference
+    the persistent model is tested against.
     """
-
-    #: Registry name of the backend.
-    name = "abstract"
-
-    def solve(self, path_set, demand_vector, upper) -> tuple[np.ndarray, float]:
-        """Solve one LP; return ``(split_ratios, optimal_mlu)``.
-
-        Raises:
-            repro.solvers.lp.LPSolveError: If the LP is infeasible or the
-                solver fails, with the solver's status message.
-        """
-        raise NotImplementedError
-
-    def solve_mlu(self, path_set, demand_vector, upper) -> float:
-        """Optimal MLU only -- the normaliser fast path.
-
-        Backends that can skip extracting the full solution vector override
-        this; the default just discards the ratios.
-        """
-        return self.solve(path_set, demand_vector, upper)[1]
-
-
-class ScipyLinprogBackend(LPBackend):
-    """The historical ``scipy.optimize.linprog(method="highs")`` path.
-
-    Each solve hands scipy a freshly rescaled constraint matrix (sparsity
-    arrays shared via :class:`~repro.solvers.lp.MLUConstraintStructure`), so
-    results are bit-identical to the pre-backend implementation.
-    """
-
-    name = "scipy"
 
     def _run(self, path_set, demand_vector, upper):
         from repro.solvers.lp import LPSolveError, constraint_structure
@@ -146,13 +108,19 @@ class ScipyLinprogBackend(LPBackend):
             raise LPSolveError(f"MLU LP failed: {result.message}")
         return result
 
-    def solve(self, path_set, demand_vector, upper):
+    def solve(self, path_set, demand_vector, upper) -> tuple[np.ndarray, float]:
+        """Solve one LP; return ``(split_ratios, optimal_mlu)``.
+
+        Raises:
+            repro.solvers.lp.LPSolveError: If the LP is infeasible or the
+                solver fails, with the solver's status message.
+        """
         result = self._run(path_set, demand_vector, upper)
         return result.x[: path_set.num_paths], float(result.x[-1])
 
     def solve_mlu(self, path_set, demand_vector, upper) -> float:
-        # scipy returns the full solution either way; skipping the ratio
-        # slice only saves the caller the TEConfiguration packaging.
+        """Optimal MLU only (scipy returns the full solution either way;
+        skipping the ratio slice only saves the caller the packaging)."""
         return float(self._run(path_set, demand_vector, upper).x[-1])
 
 
@@ -174,8 +142,8 @@ def _load_highspy():
         return _core, _core._Highs
     except (ImportError, AttributeError) as exc:
         raise ImportError(
-            "the 'highs' LP backend needs the highspy bindings (pip install "
-            "highspy), and this scipy does not vendor them"
+            "the persistent HiGHS model needs the highspy bindings (pip "
+            "install highspy), and this scipy does not vendor them"
         ) from exc
 
 
@@ -346,8 +314,8 @@ class _PersistentModel:
         return ratios, mlu
 
 
-class PersistentHighsBackend(LPBackend):
-    """Persistent HiGHS models, one per (PathSet, bounds) key.
+class PersistentHighsBackend:
+    """The value solver: persistent HiGHS models, one per (PathSet, bounds) key.
 
     The first solve for a key builds the model; every solve moves the
     demand-carrying column bounds and runs primal simplex from the model's
@@ -359,8 +327,6 @@ class PersistentHighsBackend(LPBackend):
     (the equivalence suite pins 1e-9); the returned split ratios can sit on a
     different optimal vertex of degenerate LPs.
     """
-
-    name = "highs"
 
     def __init__(self) -> None:
         self._hs, self._highs_cls = _load_highspy()
@@ -398,109 +364,46 @@ class PersistentHighsBackend(LPBackend):
         return self._model(path_set, upper).solve_mlu(demand_vector)
 
 
-class AutoLPBackend(LPBackend):
-    """The default: unique values on the persistent model, vertices on ``linprog``.
+class AutoLPBackend:
+    """The one solver rule: unique values on the persistent model, vertices on ``linprog``.
 
-    Unimportable without the HiGHS bindings (selection then falls back to
-    scipy for everything, silently: that is what ``auto`` means).
+    Without the HiGHS bindings (:func:`_load_highspy` raises
+    :class:`ImportError`) the values run on ``linprog`` too: a platform
+    choice, made once and silently.
     """
 
+    #: What ``resolve_lp_backend(None).name`` reports (perfbench records it).
     name = "auto"
 
     def __init__(self) -> None:
-        self._values = _instantiate("highs")
-        self._vertices = _instantiate("scipy")
+        self._vertices = ScipyLinprogBackend()
+        try:
+            self._values = PersistentHighsBackend()
+        except ImportError:
+            self._values = self._vertices
 
-    def solve(self, path_set, demand_vector, upper):
+    def solve(self, path_set, demand_vector, upper) -> tuple[np.ndarray, float]:
         return self._vertices.solve(path_set, demand_vector, upper)
 
     def solve_mlu(self, path_set, demand_vector, upper) -> float:
         return self._values.solve_mlu(path_set, demand_vector, upper)
 
 
-_FACTORIES = {
-    "scipy": ScipyLinprogBackend,
-    "highs": PersistentHighsBackend,
-    "auto": AutoLPBackend,
-}
-
-_INSTANCES: dict[str, LPBackend] = {}
-_FALLBACK_WARNED: set[str] = set()
+_SOLVER: AutoLPBackend | None = None
 
 
-def available_lp_backends() -> tuple[str, ...]:
-    """Registered LP backend names (``highs`` may not be importable)."""
-    return tuple(_FACTORIES)
+def resolve_lp_backend(backend: None = None) -> AutoLPBackend:
+    """The process's one :class:`AutoLPBackend` (built on first use).
 
-
-def importable_lp_backends() -> tuple[str, ...]:
-    """LP backends that can actually run on this machine (no fallbacks)."""
-    names = ["scipy"]
-    try:
-        _load_highspy()
-    except ImportError:
-        pass
-    else:
-        names.append("highs")
-    return tuple(names)
-
-
-def _instantiate(name: str) -> LPBackend:
-    backend = _INSTANCES.get(name)
-    if backend is None:
-        backend = _FACTORIES[name]()
-        _INSTANCES[name] = backend
-    return backend
-
-
-def get_lp_backend(name: str | None = None) -> LPBackend:
-    """Resolve an LP backend by name, environment variable, or default.
-
-    Args:
-        name: Backend name, or None to consult ``REPRO_LP_BACKEND`` (falling
-            back to ``auto``: normalisers on ``highs`` when importable,
-            everything else -- or everything -- on ``scipy``).
-
-    Returns:
-        The (cached) backend instance.  A *known but unimportable* backend
-        falls back to scipy with a single warning per process (none for
-        ``auto``); an *unknown* name raises :class:`ValueError`.
+    There is nothing to pick: any argument but ``None`` raises
+    :class:`TypeError`.
     """
-    if name is None:
-        name = os.environ.get(LP_BACKEND_ENV_VAR) or "auto"
-    name = name.strip().lower()
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown LP backend {name!r} (from {LP_BACKEND_ENV_VAR} or an "
-            f"explicit argument); known backends: {', '.join(sorted(_FACTORIES))}"
+    if backend is not None:
+        raise TypeError(
+            f"the LP solver is not selectable (got {backend!r}): normalisers "
+            "run on the persistent HiGHS model, vertex-returning solves on linprog"
         )
-    try:
-        return _instantiate(name)
-    except ImportError as exc:
-        if name != "auto" and name not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(name)
-            warnings.warn(
-                f"LP backend {name!r} is not importable ({exc}); "
-                "falling back to scipy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        # Cache the fallback under the failing name so hot-path resolution
-        # does not re-attempt the import on every solve.
-        fallback = _instantiate("scipy")
-        _INSTANCES[name] = fallback
-        return fallback
-
-
-def resolve_lp_backend(backend: "LPBackend | str | None") -> LPBackend:
-    """Normalise a function's ``backend`` argument.
-
-    ``None`` means the environment default (``REPRO_LP_BACKEND``, ``auto``
-    if unset), a string is looked up in the registry, and an instance passes
-    through.
-    """
-    if backend is None:
-        return get_lp_backend(None)
-    if isinstance(backend, LPBackend):
-        return backend
-    return get_lp_backend(backend)
+    global _SOLVER
+    if _SOLVER is None:
+        _SOLVER = AutoLPBackend()
+    return _SOLVER

@@ -3,8 +3,7 @@
 Usage::
 
     python -m repro.study spec.json [--out results.json] [--lp-workers auto]
-                                    [--cell-workers 4]
-                                    [--lp-backend highs] [--warehouse wh.jsonl]
+                                    [--cell-workers 4] [--warehouse wh.jsonl]
                                     [--checkpoint run.ckpt [--resume]]
     python -m repro.study suite suite.json --warehouse wh.jsonl
                                     [--checkpoint run.ckpt [--resume]] [...]
@@ -72,18 +71,6 @@ def _workers_type(value: str):
     return workers
 
 
-def _lp_backend_type(value: str) -> str:
-    """``type=`` parser for ``--lp-backend``: the registry's own message (it
-    names the known backends) as a clean ``parser.error`` line."""
-    from repro.solvers.lp_backend import get_lp_backend
-
-    try:
-        get_lp_backend(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The execution knobs the study and suite runners share with ``serve``."""
     parser.add_argument(
@@ -100,25 +87,14 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="process-pool width for cell-level parallelism ('auto' or a positive int)",
     )
-    parser.add_argument(
-        "--lp-backend",
-        default=None,
-        type=_lp_backend_type,
-        metavar="NAME",
-        help=(
-            "LP solver backend for the omniscient normalisers ('scipy', "
-            "'highs', or 'auto'; default: the REPRO_LP_BACKEND environment "
-            "variable, 'auto' if unset: highs when importable, else scipy)"
-        ),
-    )
 
 
 def _engine_from(args):
-    """The engine ``--lp-workers`` / ``--lp-backend`` describe."""
+    """The engine ``--lp-workers`` describes."""
     from repro.evaluation.engine import EvaluationEngine
     from repro.solvers.lp import OptimalMLUCache
 
-    cache = OptimalMLUCache(workers=args.lp_workers, backend=args.lp_backend)
+    cache = OptimalMLUCache(workers=args.lp_workers)
     return EvaluationEngine(cache=cache)
 
 

@@ -42,7 +42,6 @@ from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
 from repro.pool import HANDED_BACK, fan_out, resolve_workers
 from repro.solvers.lp import OptimalMLUCache
-from repro.solvers.lp_backend import available_lp_backends
 from repro.study.results import ResultSet, StudyCheckpoint, StudyResult
 from repro.study.warehouse import ResultWarehouse
 from repro.study.spec import (
@@ -129,10 +128,9 @@ class StudyPlan:
 def _run_cells_job(payload: tuple) -> tuple:
     """Process-pool worker: run a group of cells sharing one scheme training.
 
-    The payload carries the (declarative, hence picklable) cells, the name
-    of the parent engine's LP backend, a snapshot of the parent's
-    LP-cache entries, and any schemes the parent had already trained for
-    this group.  The return
+    The payload carries the (declarative, hence picklable) cells, a
+    snapshot of the parent's LP-cache entries, and any schemes the parent
+    had already trained for this group.  The return
     value carries the finished records plus everything the parent merges
     back: LP-cache entries solved here and schemes trained here (both keyed
     exactly as the parent keys them, so the merge is a dict update).
@@ -142,11 +140,11 @@ def _run_cells_job(payload: tuple) -> tuple:
     -- and its checkpoint -- before the error propagates, exactly like a
     sequential run that dies mid-grid.
     """
-    cells, lp_backend_name, cache_snapshot, pretrained = payload
+    cells, cache_snapshot, pretrained = payload
     # Width 1 (sequential): each cell worker is already one process of the
     # cell pool, and letting REPRO_LP_WORKERS leak in here would nest an LP
     # pool inside every cell worker.
-    cache = OptimalMLUCache(workers=1, backend=lp_backend_name)
+    cache = OptimalMLUCache(workers=1)
     cache.merge_entries(cache_snapshot)
     engine = EvaluationEngine(cache=cache)
     study = Study(scheme_cache=dict(pretrained))
@@ -306,9 +304,8 @@ class Study:
         Args:
             engine: Evaluation engine (the process-wide default -- and its
                 shared LP cache -- if omitted).  Through its cache it names
-                the LP solver and pool width of every normaliser, training
-                and replay: ``EvaluationEngine(cache=OptimalMLUCache(workers=,
-                backend=))``.
+                the LP pool width of every normaliser, training and replay:
+                ``EvaluationEngine(cache=OptimalMLUCache(workers=))``.
             checkpoint: Optional path of a :class:`StudyCheckpoint`.  Every
                 finished cell is appended to it immediately (crash-safe
                 writes), so an interrupted grid restarts where it died via
@@ -322,13 +319,12 @@ class Study:
                 and the groups fan out over a process pool; per-worker
                 LP-cache entries and trained schemes are merged back on
                 return, so a follow-up run repeats nothing.  Cells built
-                from live objects, and all cells of an engine whose LP
-                backend is an instance outside the registry (neither can
-                cross a process boundary), run in-process.  So do the groups
-                of a call whose pool proves unusable (:mod:`repro.pool`
-                counts the fallback under ``"cells"`` and warns the first
-                time; the next call tries a fresh pool).  Results are
-                bit-identical to ``cell_workers=None`` in every case.
+                from live objects (they cannot cross a process boundary)
+                run in-process.  So do the groups of a call whose pool
+                proves unusable (:mod:`repro.pool` counts the fallback
+                under ``"cells"`` and warns the first time; the next call
+                tries a fresh pool).  Results are bit-identical to
+                ``cell_workers=None`` in every case.
             warehouse: Optional path or :class:`~repro.study.warehouse.
                 ResultWarehouse` that every finished cell is appended to as
                 it completes (after the checkpoint append, with the same
@@ -632,16 +628,11 @@ class Study:
         Pre-solving normalisers in the parent would need the per-cell
         perturbed demand streams, i.e. most of cell execution; grouping by
         scenario instead would serialise the trainings.  Returns the cells
-        that must still run in-process: ones carrying live objects, all of
-        them when the engine's LP backend is an instance the registry cannot
-        rebuild by name in a worker, plus everything handed back by
+        that must still run in-process: ones carrying live objects, plus
+        everything handed back by
         pool-infrastructure failures (never cell failures, which propagate
         after the surviving jobs are drained and checkpointed).
         """
-        lp_backend = engine.cache.backend
-        lp_backend_name = lp_backend.name if lp_backend is not None else None
-        if lp_backend_name is not None and lp_backend_name not in available_lp_backends():
-            return pending
         local: list[tuple[int, ExperimentSpec]] = []
         groups: dict[tuple[str, str], list[tuple[int, ExperimentSpec]]] = {}
         for index, cell in pending:
@@ -690,14 +681,7 @@ class Study:
                 except Exception:
                     continue  # worker retrains; still correct, just slower
                 pretrained[key] = scheme
-            jobs.append(
-                (
-                    cells,
-                    lp_backend_name,
-                    _snapshot_for(cells[0][1]),
-                    pretrained,
-                )
-            )
+            jobs.append((cells, _snapshot_for(cells[0][1]), pretrained))
         leftover = list(local)
         first_error: Exception | None = None
         for job_index, outcome in fan_out(

@@ -1,35 +1,56 @@
-"""Unit tests for the pluggable LP solver-backend layer."""
+"""Unit tests for the one LP solver rule and the solvers behind it."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.solvers import lp_backend as lpb
 from repro.solvers.lp import count_lp_solves, solve_mlu_lp, solve_mlu_lp_batch
 from repro.solvers.lp_backend import (
     AutoLPBackend,
     PersistentHighsBackend,
     ScipyLinprogBackend,
-    available_lp_backends,
-    get_lp_backend,
-    importable_lp_backends,
     resolve_lp_backend,
 )
 
+
+def _highs_importable() -> bool:
+    try:
+        lpb._load_highspy()
+    except ImportError:
+        return False
+    return True
+
+
 needs_highs = pytest.mark.skipif(
-    "highs" not in importable_lp_backends(),
-    reason="no importable highs backend (highspy or scipy-vendored HiGHS)",
+    not _highs_importable(),
+    reason="no importable HiGHS bindings (highspy or scipy-vendored HiGHS)",
 )
 
 
 @pytest.fixture()
-def clean_registry(monkeypatch):
-    """Isolate the backend instance cache and fallback-warning state."""
-    monkeypatch.setattr(lpb, "_INSTANCES", {})
-    monkeypatch.setattr(lpb, "_FALLBACK_WARNED", set())
-    monkeypatch.delenv(lpb.LP_BACKEND_ENV_VAR, raising=False)
+def fresh_solver(monkeypatch):
+    """Build the process's composite afresh (and drop it again afterwards)."""
+    monkeypatch.setattr(lpb, "_SOLVER", None)
     return lpb
+
+
+@pytest.fixture()
+def value_side(monkeypatch):
+    """Swap the composite's value solver; returns the setter."""
+
+    def swap(solver):
+        monkeypatch.setattr(resolve_lp_backend(), "_values", solver)
+        return solver
+
+    return swap
 
 
 def _broken_load():
@@ -37,38 +58,28 @@ def _broken_load():
 
 
 class TestSelection:
-    @needs_highs
-    def test_default_is_auto(self, clean_registry):
-        assert get_lp_backend(None).name == "auto"
-        assert isinstance(get_lp_backend(None), AutoLPBackend)
-        assert get_lp_backend(None) is get_lp_backend("auto")
+    def test_default_is_auto(self, fresh_solver):
+        assert resolve_lp_backend(None).name == "auto"
+        assert isinstance(resolve_lp_backend(None), AutoLPBackend)
+        assert isinstance(resolve_lp_backend()._vertices, ScipyLinprogBackend)
+        if _highs_importable():
+            assert isinstance(resolve_lp_backend()._values, PersistentHighsBackend)
 
-    def test_instances_are_cached(self, clean_registry):
-        assert get_lp_backend("scipy") is get_lp_backend("scipy")
+    def test_instances_are_cached(self, fresh_solver):
+        assert resolve_lp_backend() is resolve_lp_backend()
 
-    def test_unknown_name_lists_choices(self, clean_registry):
-        with pytest.raises(ValueError, match="scipy"):
-            get_lp_backend("cplex")
-
-    def test_env_variable_selects_backend(self, clean_registry, monkeypatch):
-        monkeypatch.setenv(lpb.LP_BACKEND_ENV_VAR, "scipy")
-        assert get_lp_backend(None).name == "scipy"
-
-    def test_registered_names(self):
-        assert available_lp_backends() == ("scipy", "highs", "auto")
-        assert "scipy" in importable_lp_backends()
-
-    def test_resolve_passthrough_and_lookup(self, clean_registry):
-        instance = ScipyLinprogBackend()
-        assert resolve_lp_backend(instance) is instance
-        assert resolve_lp_backend("scipy").name == "scipy"
-        assert resolve_lp_backend(None) is get_lp_backend(None)
-        assert resolve_lp_backend("auto") is get_lp_backend(None)
+    def test_resolve_passthrough_and_lookup(self, fresh_solver):
+        # None passes through to the one composite; there is nothing to look
+        # up, by name or by instance.
+        assert resolve_lp_backend(None) is resolve_lp_backend()
+        for choice in ("scipy", "highs", "auto", ScipyLinprogBackend()):
+            with pytest.raises(TypeError, match="not selectable"):
+                resolve_lp_backend(choice)
 
     @needs_highs
-    def test_auto_prefers_highs(self, clean_registry, mesh4_paths, rng, monkeypatch):
-        # ...for what has one answer: value-only solves run on the registry's
-        # highs instance, vertex-returning solves on its scipy instance.  The
+    def test_auto_prefers_highs(self, fresh_solver, mesh4_paths, rng, monkeypatch):
+        # ...for what has one answer: value-only solves run on the composite's
+        # persistent model, vertex-returning solves on its linprog side.  The
         # methods are wrapped on their classes, the way perfbench's tracer
         # does it, so this also pins that those names are what runs.
         ran = []
@@ -86,35 +97,20 @@ class TestSelection:
             record(cls, "solve")
             record(cls, "solve_mlu")
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        solve_mlu_lp(mesh4_paths, demand, backend="auto")
-        solve_mlu_lp_batch(mesh4_paths, demand, backend="auto", mlu_only=True)
-        assert ran == [
-            (get_lp_backend("scipy"), "solve"),
-            (get_lp_backend("highs"), "solve_mlu"),
-        ]
+        solve_mlu_lp(mesh4_paths, demand)
+        solve_mlu_lp_batch(mesh4_paths, demand, mlu_only=True)
+        solver = resolve_lp_backend()
+        assert ran == [(solver._vertices, "solve"), (solver._values, "solve_mlu")]
 
-    def test_unimportable_backend_warns_once_and_falls_back(
-        self, clean_registry, monkeypatch
-    ):
+    def test_auto_without_highs_is_scipy(self, monkeypatch):
         monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
-        with pytest.warns(RuntimeWarning, match="falling back to scipy"):
-            backend = get_lp_backend("highs")
-        assert backend.name == "scipy"
-        # The fallback is cached under the failing name: no second warning,
-        # no re-attempted import on the hot path.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert get_lp_backend("highs") is backend
-
-    def test_auto_without_highs_is_scipy(self, clean_registry, monkeypatch):
-        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
-        assert get_lp_backend("auto").name == "scipy"
-        assert importable_lp_backends() == ("scipy",)
+        solver = AutoLPBackend()
+        assert solver.name == "auto"
+        assert solver._values is solver._vertices
+        assert isinstance(solver._values, ScipyLinprogBackend)
 
     def test_default_without_highs_is_all_scipy_and_silent(
-        self, clean_registry, monkeypatch, mesh4_paths, rng
+        self, fresh_solver, monkeypatch, mesh4_paths, rng, solve_on
     ):
         import warnings as warnings_module
 
@@ -122,16 +118,38 @@ class TestSelection:
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            assert get_lp_backend(None) is get_lp_backend("scipy")
+            assert resolve_lp_backend()._values is resolve_lp_backend()._vertices
             [(_, value)] = solve_mlu_lp_batch(mesh4_paths, demand, mlu_only=True)
-        [(_, reference)] = solve_mlu_lp_batch(
-            mesh4_paths, demand, backend=ScipyLinprogBackend(), mlu_only=True
-        )
+        _, reference = solve_on(ScipyLinprogBackend(), mesh4_paths, demand, mlu_only=True)
         assert value == reference
 
 
+def test_lp_backend_variable_fails_loudly():
+    """The solver is not selectable: a set ``REPRO_LP_BACKEND`` (even a
+    once-valid name) stops the import instead of being silently ignored,
+    and an empty one counts as unset."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def import_with(value):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]),
+            REPRO_LP_BACKEND=value,
+        )
+        return subprocess.run(
+            [sys.executable, "-c", "import repro.solvers.lp_backend"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = import_with("scipy")
+    assert done.returncode != 0
+    assert "RuntimeError" in done.stderr and "REPRO_LP_BACKEND" in done.stderr
+    assert "no longer selectable" in done.stderr
+    assert import_with("").returncode == 0
+
+
 def _linprog_reference(path_set, demand, upper):
-    """The parent's solve, spelled out: what ``scipy`` must keep returning."""
+    """The parent's solve, spelled out: what ``linprog`` must keep returning."""
     from scipy.optimize import linprog
 
     from repro.solvers.lp import constraint_structure
@@ -168,13 +186,13 @@ class TestDefaultKeepsPublishedValues:
             for caps, mask in bounds
         ]
 
-    def test_env_scipy_reproduces_the_parent_bit_for_bit(
-        self, clean_registry, monkeypatch, mesh4_paths, cases
+    def test_without_highs_reproduces_the_parent_bit_for_bit(
+        self, fresh_solver, monkeypatch, mesh4_paths, cases
     ):
         from repro.solvers.lp import OptimalMLUCache, omniscient_mlu
         from repro.te.config import TEConfiguration
 
-        monkeypatch.setenv(lpb.LP_BACKEND_ENV_VAR, "scipy")
+        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
         for demand, caps, mask, upper in cases:
             ratios, mlu = _linprog_reference(mesh4_paths, demand, upper)
             config, solved = solve_mlu_lp(
@@ -191,7 +209,7 @@ class TestDefaultKeepsPublishedValues:
 
     @needs_highs
     def test_default_solve_returns_linprog_ratios_bit_for_bit(
-        self, clean_registry, mesh4_paths, cases
+        self, fresh_solver, mesh4_paths, cases, solve_on
     ):
         from repro.solvers.lp import OptimalMLUCache, omniscient_mlu
 
@@ -201,8 +219,9 @@ class TestDefaultKeepsPublishedValues:
                 mesh4_paths, demand, sensitivity_caps=caps, path_mask=mask
             )
             assert solved == mlu
-            named, _ = solve_mlu_lp(
-                mesh4_paths, demand, sensitivity_caps=caps, path_mask=mask, backend="scipy"
+            named, _ = solve_on(
+                ScipyLinprogBackend(), mesh4_paths, demand,
+                sensitivity_caps=caps, path_mask=mask,
             )
             assert np.array_equal(config.split_ratios, named.split_ratios)
             # Only the normaliser moves, and only in its last bits -- and
@@ -216,59 +235,48 @@ class TestDefaultKeepsPublishedValues:
 
 @needs_highs
 class TestPersistentModels:
-    def test_model_reused_across_solves(self, mesh4_paths, rng):
+    def test_model_reused_across_solves(self, mesh4_paths, rng, solve_on):
         backend = PersistentHighsBackend()
         demands = rng.random((5, mesh4_paths.num_sd_pairs)) + 0.1
         for demand in demands:
-            solve_mlu_lp(mesh4_paths, demand, backend=backend)
+            solve_on(backend, mesh4_paths, demand)
         assert backend.num_models == 1
 
-    def test_distinct_bounds_get_distinct_models(self, mesh4_paths, rng):
+    def test_distinct_bounds_get_distinct_models(self, mesh4_paths, rng, solve_on):
         backend = PersistentHighsBackend()
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        solve_mlu_lp(mesh4_paths, demand, backend=backend)
+        solve_on(backend, mesh4_paths, demand)
         caps = np.full(mesh4_paths.num_paths, 0.5)
-        solve_mlu_lp(mesh4_paths, demand, sensitivity_caps=caps, backend=backend)
+        solve_on(backend, mesh4_paths, demand, sensitivity_caps=caps)
         assert backend.num_models == 2
 
-    def test_lru_eviction(self, mesh4_paths, rng, monkeypatch):
+    def test_lru_eviction(self, mesh4_paths, rng, monkeypatch, solve_on):
         monkeypatch.setattr(lpb, "MAX_PERSISTENT_MODELS", 2)
         backend = PersistentHighsBackend()
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
         for cap in (0.5, 0.6, 0.7):
             caps = np.full(mesh4_paths.num_paths, cap)
-            solve_mlu_lp(mesh4_paths, demand, sensitivity_caps=caps, backend=backend)
+            solve_on(backend, mesh4_paths, demand, sensitivity_caps=caps)
         assert backend.num_models == 2
 
-    def test_clear_models(self, mesh4_paths, rng):
+    def test_clear_models(self, mesh4_paths, rng, solve_on):
         backend = PersistentHighsBackend()
-        solve_mlu_lp(
-            mesh4_paths, rng.random(mesh4_paths.num_sd_pairs), backend=backend
-        )
+        solve_on(backend, mesh4_paths, rng.random(mesh4_paths.num_sd_pairs))
         backend.clear_models()
         assert backend.num_models == 0
 
-    def test_repeated_solves_stay_exact(self, mesh4_paths, rng):
+    def test_repeated_solves_stay_exact(self, mesh4_paths, rng, solve_on):
         # Re-solving an identical demand on a used model reproduces the
         # first answer exactly (tests/test_solvers_lp.py has the property).
         backend = PersistentHighsBackend()
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        _, first = solve_mlu_lp(mesh4_paths, demand, backend=backend)
+        _, first = solve_on(backend, mesh4_paths, demand)
         for _ in range(3):
-            _, again = solve_mlu_lp(mesh4_paths, demand, backend=backend)
+            _, again = solve_on(backend, mesh4_paths, demand)
             assert again == first
 
 
 class TestBatchBackend:
-    def test_batch_accepts_backend_name(self, mesh4_paths, rng):
-        # The default backend follows REPRO_LP_BACKEND, so the comparison is
-        # approximate: both backends find the same optimum to solver tolerance.
-        demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
-        default = solve_mlu_lp_batch(mesh4_paths, demands)
-        named = solve_mlu_lp_batch(mesh4_paths, demands, backend="scipy")
-        for (_, expected), (_, mlu) in zip(default, named):
-            assert mlu == pytest.approx(expected, abs=1e-9)
-
     def test_mlu_only_skips_configurations(self, mesh4_paths, rng):
         demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
         full = solve_mlu_lp_batch(mesh4_paths, demands)
@@ -284,39 +292,26 @@ class TestBatchBackend:
             solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
         assert tally.count == len(demands)
 
-    def test_unregistered_instance_solves_sequentially(self, mesh4_paths, rng):
-        # A custom instance cannot be shipped to pool workers by name; the
-        # batch must fall back to in-process solves rather than mis-resolve.
-        class Custom(ScipyLinprogBackend):
-            name = "custom-local"
-
-        demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
-        results = solve_mlu_lp_batch(mesh4_paths, demands, workers=2, backend=Custom())
-        expected = solve_mlu_lp_batch(mesh4_paths, demands)
-        for (_, want), (_, got) in zip(expected, results):
-            assert got == pytest.approx(want, abs=1e-9)
-
     @needs_highs
-    def test_batch_backends_agree(self, mesh4_paths, rng):
+    def test_batch_backends_agree(self, fresh_solver, mesh4_paths, rng):
+        # Full solves run on linprog, value-only ones on the persistent model.
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
         scipy_mlus = [m for _, m in solve_mlu_lp_batch(mesh4_paths, demands)]
         highs_mlus = [
-            m for _, m in solve_mlu_lp_batch(mesh4_paths, demands, backend="highs")
+            m for _, m in solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
         ]
         np.testing.assert_allclose(highs_mlus, scipy_mlus, atol=1e-9)
 
 
-def _engine_on(lp_backend):
+def _fresh_engine():
     from repro.evaluation.engine import EvaluationEngine
     from repro.solvers.lp import OptimalMLUCache
 
-    return EvaluationEngine(cache=OptimalMLUCache(backend=lp_backend))
+    return EvaluationEngine(cache=OptimalMLUCache())
 
 
 class Recording(ScipyLinprogBackend):
-    """Counts the value-only solves it is handed; named outside the registry."""
-
-    name = "recording"
+    """Counts the value-only solves it is handed."""
 
     def __init__(self):
         self.calls = 0
@@ -326,17 +321,28 @@ class Recording(ScipyLinprogBackend):
         return super().solve_mlu(path_set, demand_vector, upper)
 
 
+_PRED_TE_SPEC = {
+    "scenario": {
+        "topology": {"kind": "fully_connected", "num_nodes": 4, "capacity": 10.0},
+        "traffic": {"kind": "datacenter", "level": "pod", "seed": 3, "num_intervals": 12},
+        "history_len": 2,
+    },
+    "scheme": {"kind": "pred_te"},
+    "max_intervals": 3,
+}
+
+
 class TestEngineAndStudyThreading:
-    def test_engine_threads_backend_into_cache(self, mesh4_paths, rng):
-        recording = Recording()
-        engine = _engine_on(recording)
+    def test_engine_threads_backend_into_cache(self, mesh4_paths, rng, value_side):
+        recording = value_side(Recording())
+        engine = _fresh_engine()
         demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
         engine.optimal_mlus(mesh4_paths, demands)
         assert recording.calls == len(demands)
 
-    def test_cache_backend_solves_training_and_replay_normalisers(self):
+    def test_cache_backend_solves_training_and_replay_normalisers(self, value_side):
         # The trainer draws its normalisers from the engine's cache, so the
-        # cache's backend sees them all -- not just the replay's.
+        # value solver sees them all -- not just the replay's.
         from repro.study.study import Study
 
         replayed = 3
@@ -349,88 +355,31 @@ class TestEngineAndStudyThreading:
             "scheme": {"kind": "figret", "epochs": 1, "history_len": 2, "seed": 0},
             "max_intervals": replayed,
         }
-        recording = Recording()
-        engine = _engine_on(recording)
+        recording = value_side(Recording())
+        engine = _fresh_engine()
         with count_lp_solves() as tally:
             Study(spec).run(engine=engine)
         assert recording.calls == tally.count == engine.cache.misses
         assert tally.count > replayed  # the trainings' normalisers are in there
 
-    def test_engine_default_lp_backend_is_none(self):
-        from repro.evaluation.engine import EvaluationEngine
-
-        assert EvaluationEngine().cache.backend is None
-
-    def test_cache_optimal_mlu_accepts_backend(self, mesh4_paths, rng):
-        from repro.solvers.lp import OptimalMLUCache
-
-        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        plain = OptimalMLUCache().optimal_mlu(mesh4_paths, demand)
-        named = OptimalMLUCache(backend="scipy").optimal_mlu(mesh4_paths, demand)
-        # Approximate because the no-backend call follows REPRO_LP_BACKEND.
-        assert named == pytest.approx(plain, abs=1e-9)
-
-    def test_study_run_accepts_lp_backend(self, monkeypatch):
-        from repro.study.study import Study
-
-        # Pin the no-argument default to "auto" regardless of the test
-        # environment: pred_te's raw MLUs are then linprog's bit for bit and
-        # only the normaliser's last bits may differ from all-scipy.
-        monkeypatch.delenv(lpb.LP_BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(lpb, "_INSTANCES", {})
-
-        spec = {
-            "scenario": {
-                "topology": {"kind": "fully_connected", "num_nodes": 4, "capacity": 10.0},
-                "traffic": {
-                    "kind": "datacenter",
-                    "level": "pod",
-                    "seed": 3,
-                    "num_intervals": 12,
-                },
-                "history_len": 2,
-            },
-            "scheme": {"kind": "pred_te"},
-            "max_intervals": 3,
-        }
-        baseline = Study(spec).run()
-        explicit = Study(spec).run(engine=_engine_on("scipy"))
-        np.testing.assert_allclose(
-            explicit[0].series, baseline[0].series, atol=1e-12
-        )
-
     @needs_highs
-    def test_study_run_highs_matches_scipy(self):
+    def test_study_run_highs_matches_scipy(self, fresh_solver, value_side):
         from repro.study.study import Study
 
-        spec = {
-            "scenario": {
-                "topology": {"kind": "fully_connected", "num_nodes": 4, "capacity": 10.0},
-                "traffic": {
-                    "kind": "datacenter",
-                    "level": "pod",
-                    "seed": 3,
-                    "num_intervals": 12,
-                },
-                "history_len": 2,
-            },
-            "scheme": {"kind": "pred_te"},
-            "max_intervals": 3,
-        }
-        scipy_run = Study(spec).run(engine=_engine_on("scipy"))
-        highs_run = Study(spec).run(engine=_engine_on("highs"))
+        highs_run = Study(_PRED_TE_SPEC).run(engine=_fresh_engine())
+        value_side(ScipyLinprogBackend())
+        scipy_run = Study(_PRED_TE_SPEC).run(engine=_fresh_engine())
         np.testing.assert_allclose(
             highs_run[0].series, scipy_run[0].series, atol=1e-9
         )
 
-
     @needs_highs
-    def test_default_study_keeps_the_lp_schemes_published_numbers(self, monkeypatch):
+    def test_default_study_keeps_the_lp_schemes_published_numbers(
+        self, fresh_solver, value_side
+    ):
         # A grid with des_te and pred_te cells: under the default their raw
-        # MLUs are the all-scipy run's bit for bit (their LPs stay on
+        # MLUs are the all-linprog run's bit for bit (their LPs stay on
         # linprog); only the normaliser's last bits may move.
-        from repro.evaluation.engine import EvaluationEngine
-        from repro.solvers.lp import OptimalMLUCache
         from repro.study.study import Study
 
         spec = {
@@ -442,41 +391,9 @@ class TestEngineAndStudyThreading:
             "scheme": {"sweep": [{"kind": "des_te"}, {"kind": "pred_te"}]},
             "max_intervals": 4,
         }
-        monkeypatch.setattr(lpb, "_INSTANCES", {})
-
-        def run():
-            return Study(spec).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
-
-        monkeypatch.delenv(lpb.LP_BACKEND_ENV_VAR, raising=False)
-        default = run()
-        monkeypatch.setenv(lpb.LP_BACKEND_ENV_VAR, "scipy")
-        reference = run()
+        default = Study(spec).run(engine=_fresh_engine())
+        value_side(ScipyLinprogBackend())
+        reference = Study(spec).run(engine=_fresh_engine())
         for ours, theirs in zip(default, reference, strict=True):
             assert np.array_equal(ours.result.raw_mlus, theirs.result.raw_mlus)
             np.testing.assert_allclose(ours.series, theirs.series, rtol=1e-12, atol=0)
-
-
-class TestEnvPlumbing:
-    def test_env_backend_reaches_solves(self, mesh4_paths, rng, monkeypatch):
-        # A backend registered and named by REPRO_LP_BACKEND must be the one
-        # solve_mlu_lp actually runs when no explicit backend is passed.
-        calls = []
-
-        class Recording(ScipyLinprogBackend):
-            name = "recording-env"
-
-            def solve(self, path_set, demand_vector, upper):
-                calls.append(1)
-                return super().solve(path_set, demand_vector, upper)
-
-        monkeypatch.setitem(lpb._FACTORIES, "recording-env", Recording)
-        monkeypatch.setattr(lpb, "_INSTANCES", {})
-        monkeypatch.setenv(lpb.LP_BACKEND_ENV_VAR, "recording-env")
-        solve_mlu_lp(mesh4_paths, rng.random(mesh4_paths.num_sd_pairs))
-        assert calls == [1]
-
-    def test_bad_env_backend_raises_at_use(self, mesh4_paths, monkeypatch):
-        monkeypatch.setattr(lpb, "_INSTANCES", {})
-        monkeypatch.setenv(lpb.LP_BACKEND_ENV_VAR, "gurobi")
-        with pytest.raises(ValueError, match="unknown LP backend"):
-            solve_mlu_lp(mesh4_paths, np.ones(mesh4_paths.num_sd_pairs))

@@ -55,7 +55,7 @@ def _grid_spec(name: str) -> dict:
 
 
 def _engine() -> EvaluationEngine:
-    return EvaluationEngine(cache=OptimalMLUCache(workers=1, backend="scipy"))
+    return EvaluationEngine(cache=OptimalMLUCache(workers=1))
 
 
 @pytest.fixture()
@@ -156,6 +156,32 @@ def test_only_the_pool_module_opens_process_pools():
     assert offenders == [], "process pools belong in repro/pool.py"
 
 
+def test_only_the_lp_module_imports_the_solver_rule():
+    """``solvers/lp_backend.py`` decides which solver serves which solve, and
+    ``solvers/lp.py`` is the one module that asks it."""
+    src = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path in (src / "solvers" / "lp.py", src / "solvers" / "lp_backend.py"):
+            continue
+        package = ".".join(("repro", *path.relative_to(src).parent.parts))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    parent = package.rsplit(".", node.level - 1)[0]
+                    base = ".".join(filter(None, (parent, base)))
+                modules = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if "repro.solvers.lp_backend" in modules:
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert offenders == [], "only repro/solvers/lp.py may import repro.solvers.lp_backend"
+
+
 def test_the_pool_module_is_a_leaf():
     tree = ast.parse((Path(repro.__file__).parent / "pool.py").read_text(encoding="utf-8"))
     imported = [
@@ -176,11 +202,11 @@ class TestFallbackRetriesPerCall:
     def test_lp_batches(self, fake_executor, mesh4_paths, rng):
         fake_executor(SpawnDenied).attempts = 0
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
-        sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1, backend="scipy")
+        sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for call in range(1, 4):
-                pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=2, backend="scipy")
+                pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
                 assert SpawnDenied.attempts == call
                 assert pool_module.fallbacks("lp") == call
                 assert [mlu for _, mlu in pooled] == [mlu for _, mlu in sequential]

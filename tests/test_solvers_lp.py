@@ -195,14 +195,10 @@ class TestProcessPoolFallback:
     ):
         from repro.solvers.lp import solve_mlu_lp_batch
 
-        # Pinned to scipy: the test exercises pool-fallback machinery, not
-        # a backend, so it names the reference one.
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
-        sequential = solve_mlu_lp_batch(mesh4_paths, demands, backend="scipy")
+        sequential = solve_mlu_lp_batch(mesh4_paths, demands)
         with pytest.warns(RuntimeWarning, match="process-pool LP batch failed"):
-            pooled = solve_mlu_lp_batch(
-                mesh4_paths, demands, workers=2, backend="scipy"
-            )
+            pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
         for (expected_config, expected_mlu), (config, mlu) in zip(sequential, pooled):
             assert mlu == pytest.approx(expected_mlu, abs=1e-9)
             np.testing.assert_allclose(
@@ -213,9 +209,7 @@ class TestProcessPoolFallback:
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            again = solve_mlu_lp_batch(
-                mesh4_paths, demands, workers=2, backend="scipy"
-            )
+            again = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
         assert [mlu for _, mlu in again] == [mlu for _, mlu in pooled]
 
     def test_counter_increments_on_fallback_solves(self, broken_pool, mesh4_paths, rng):
@@ -228,18 +222,15 @@ class TestProcessPoolFallback:
         assert lp_solve_calls() == before + len(demands)
 
 
-    def test_default_backend_fans_out_by_name(self, monkeypatch, mesh4_paths, rng):
-        # The default is a registered name ("auto"), so a width still means
-        # a pool: the chunks carry that name for the workers to resolve.
-        # (test_counter_increments_on_fallback_solves is the broken-pool
-        # half: it runs the default backend, too.)
+    def test_default_solver_fans_out(self, monkeypatch, mesh4_paths, rng):
+        # A width means a pool: the chunks name no solver, each worker runs
+        # the same fixed rule.  (test_counter_increments_on_fallback_solves
+        # is the broken-pool half.)
         from concurrent.futures import Future
 
         from repro import pool as pool_module
         from repro.solvers import lp as lp_module
-        from repro.solvers import lp_backend as lpb
 
-        monkeypatch.delenv(lpb.LP_BACKEND_ENV_VAR, raising=False)
         shipped = []
 
         class InlinePool:
@@ -262,7 +253,7 @@ class TestProcessPoolFallback:
         sequential = lp_module.solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
         pooled = lp_module.solve_mlu_lp_batch(mesh4_paths, demands, workers=2, mlu_only=True)
         assert [len(job[1]) for job in shipped] == [2, 2]
-        assert {job[4] for job in shipped} == {lpb.get_lp_backend(None).name}
+        assert all(len(job) == 5 and job[4] is True for job in shipped)
         assert pooled == sequential
         # Full solves: a chunk is the sequential batch, run in the worker.
         sequential = lp_module.solve_mlu_lp_batch(mesh4_paths, demands)
@@ -393,18 +384,22 @@ class TestWorkersEnvDefault:
         assert resolve_workers(None) is None
 
 
-def _importable(name: str) -> bool:
-    from repro.solvers.lp_backend import importable_lp_backends
+def _highs_importable() -> bool:
+    from repro.solvers.lp_backend import _load_highspy
 
-    return name in importable_lp_backends()
+    try:
+        _load_highspy()
+    except ImportError:
+        return False
+    return True
 
 
 class TestBackendEquivalence:
-    """The scipy and persistent-highs backends solve the same LP."""
+    """``linprog`` and the persistent HiGHS model solve the same LP."""
 
     pytestmark = pytest.mark.skipif(
-        not _importable("highs"),
-        reason="no importable highs backend (highspy or scipy-vendored HiGHS)",
+        not _highs_importable(),
+        reason="no importable HiGHS bindings (highspy or scipy-vendored HiGHS)",
     )
 
     @pytest.fixture()
@@ -414,7 +409,7 @@ class TestBackendEquivalence:
         return ScipyLinprogBackend(), PersistentHighsBackend()
 
     def test_hypothesis_same_mlu_across_demands_caps_masks(
-        self, mesh4_paths, backends
+        self, mesh4_paths, backends, solve_on
     ):
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -444,67 +439,51 @@ class TestBackendEquivalence:
             ),
         )
         def check(demand, caps, mask):
-            from repro.solvers.lp import solve_mlu_lp
-
             kwargs = dict(
                 sensitivity_caps=None if caps is None else np.array(caps),
                 path_mask=None if mask is None else np.array(mask, dtype=bool),
             )
-            _, scipy_mlu = solve_mlu_lp(
-                mesh4_paths, np.array(demand), backend=scipy_backend, **kwargs
-            )
-            _, highs_mlu = solve_mlu_lp(
-                mesh4_paths, np.array(demand), backend=highs_backend, **kwargs
-            )
+            _, scipy_mlu = solve_on(scipy_backend, mesh4_paths, demand, **kwargs)
+            _, highs_mlu = solve_on(highs_backend, mesh4_paths, demand, **kwargs)
             assert highs_mlu == pytest.approx(scipy_mlu, abs=1e-9)
 
         check()
 
     def test_highs_configuration_achieves_the_optimal_mlu(
-        self, mesh4_paths, rng, backends
+        self, mesh4_paths, rng, backends, solve_on
     ):
         # Degenerate LPs may have several optimal vertices, so the *ratios*
-        # can differ between backends; what must hold is that the highs
+        # can differ between solvers; what must hold is that the highs
         # configuration actually achieves the reported (shared) optimum.
-        from repro.solvers.lp import solve_mlu_lp
-
         _, highs_backend = backends
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.2
-        config, mlu = solve_mlu_lp(mesh4_paths, demand, backend=highs_backend)
+        config, mlu = solve_on(highs_backend, mesh4_paths, demand)
         achieved = max_link_utilization(mesh4_paths, config, demand)
         assert achieved == pytest.approx(mlu, abs=1e-6)
 
-    def test_caps_respected_by_highs_backend(self, mesh4_paths, rng, backends):
-        from repro.solvers.lp import solve_mlu_lp
-
+    def test_caps_respected_by_highs_backend(self, mesh4_paths, rng, backends, solve_on):
         _, highs_backend = backends
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.2
         caps = np.full(mesh4_paths.num_paths, 0.5)
-        config, _ = solve_mlu_lp(
-            mesh4_paths, demand, sensitivity_caps=caps, backend=highs_backend
-        )
+        config, _ = solve_on(highs_backend, mesh4_paths, demand, sensitivity_caps=caps)
         assert config.split_ratios.max() <= 0.5 + 1e-6
 
 
     def test_tolerance_sized_flow_does_not_become_a_negative_ratio(
-        self, tor_scenario_small, backends
+        self, tor_scenario_small, backends, solve_on
     ):
         # Found by the history property below.  The solver's feasibility
         # tolerance is absolute (1e-7, in flow units), so a pair whose whole
         # demand is that small can be left with a slightly negative flow on
         # one path; divided by the demand it used to come back as a ratio
         # of -0.125, which TEConfiguration rightly refuses.
-        from repro.solvers.lp import solve_mlu_lp
-
         _, paths, _ = tor_scenario_small
         _, highs_backend = backends
         caps = np.zeros(paths.num_paths)
         caps[111:114] = [0.5, 0.25, 0.625]  # the three paths of pair 37
         demand = np.zeros(paths.num_sd_pairs)
         demand[37], demand[47] = 1e-7, 1.0
-        config, mlu = solve_mlu_lp(
-            paths, demand, sensitivity_caps=caps, backend=highs_backend
-        )
+        config, mlu = solve_on(highs_backend, paths, demand, sensitivity_caps=caps)
         assert config.split_ratios.min() >= 0.0
         np.testing.assert_allclose(paths.sd_to_path @ config.split_ratios, 1.0, atol=1e-9)
         assert mlu == pytest.approx(1.0 / 30.0, abs=1e-9)
@@ -514,15 +493,16 @@ class TestHistoryIndependence:
     """A highs result is a function of (model, demand), not of what ran before."""
 
     pytestmark = pytest.mark.skipif(
-        not _importable("highs"),
-        reason="no importable highs backend (highspy or scipy-vendored HiGHS)",
+        not _highs_importable(),
+        reason="no importable HiGHS bindings (highspy or scipy-vendored HiGHS)",
     )
 
-    def test_hypothesis_same_bits_after_any_solve_sequence(self, tor_scenario_small):
+    def test_hypothesis_same_bits_after_any_solve_sequence(
+        self, tor_scenario_small, solve_on
+    ):
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from repro.solvers.lp import solve_mlu_lp, solve_mlu_lp_batch
         from repro.solvers.lp_backend import PersistentHighsBackend
 
         _, paths, traffic = tor_scenario_small
@@ -563,12 +543,11 @@ class TestHistoryIndependence:
 
         def run(backend, job):
             (caps, mask), demand, value_only = job
-            kwargs = dict(sensitivity_caps=caps, path_mask=mask, backend=backend)
-            if value_only:
-                [(_, mlu)] = solve_mlu_lp_batch(paths, demand, mlu_only=True, **kwargs)
-                return None, mlu
-            config, mlu = solve_mlu_lp(paths, demand, **kwargs)
-            return config.split_ratios, mlu
+            config, mlu = solve_on(
+                backend, paths, demand,
+                sensitivity_caps=caps, path_mask=mask, mlu_only=value_only,
+            )
+            return None if value_only else config.split_ratios, mlu
 
         used = PersistentHighsBackend()  # one history across all examples, too
 
@@ -588,7 +567,7 @@ class TestHistoryIndependence:
 
 
 class TestInfeasibleLP:
-    """Both backends surface solver failures as LPSolveError with a message."""
+    """Both solvers surface failures as LPSolveError with a message."""
 
     @pytest.fixture()
     def force_zero_upper(self, monkeypatch):
@@ -604,31 +583,34 @@ class TestInfeasibleLP:
             lambda path_set, caps, mask: np.zeros(path_set.num_paths),
         )
 
-    def _solve_infeasible(self, path_set, backend):
-        from repro.solvers.lp import solve_mlu_lp
-
+    @staticmethod
+    def _solve_infeasible(solve_on, path_set, solver):
         # A non-None mask routes past the trivial-bounds fast path into the
         # (patched) _ratio_upper_bounds.
-        solve_mlu_lp(
+        solve_on(
+            solver,
             path_set,
             np.ones(path_set.num_sd_pairs),
             path_mask=np.ones(path_set.num_paths, dtype=bool),
-            backend=backend,
         )
 
     def test_scipy_backend_raises_with_solver_message(
-        self, mesh4_paths, force_zero_upper
+        self, mesh4_paths, force_zero_upper, solve_on
     ):
+        from repro.solvers.lp_backend import ScipyLinprogBackend
+
         with pytest.raises(LPSolveError, match="MLU LP failed: .+"):
-            self._solve_infeasible(mesh4_paths, "scipy")
+            self._solve_infeasible(solve_on, mesh4_paths, ScipyLinprogBackend())
 
     @pytest.mark.skipif(
-        not _importable("highs"), reason="no importable highs backend"
+        not _highs_importable(), reason="no importable HiGHS bindings"
     )
     def test_highs_backend_raises_with_solver_message(
-        self, mesh4_paths, force_zero_upper
+        self, mesh4_paths, force_zero_upper, solve_on
     ):
+        from repro.solvers.lp_backend import PersistentHighsBackend
+
         # No pair has a usable path, so there is no routing to start from:
         # the model solves from scratch and the solver's own status is named.
         with pytest.raises(LPSolveError, match="MLU LP failed: Infeasible"):
-            self._solve_infeasible(mesh4_paths, "highs")
+            self._solve_infeasible(solve_on, mesh4_paths, PersistentHighsBackend())

@@ -701,20 +701,6 @@ class TestCellPool:
             "max_intervals": 3,
         }
 
-    def test_unregistered_lp_backend_runs_its_cells_in_process(self):
-        # A worker can only rebuild an LP backend from its registry name; an
-        # instance named outside the registry must not be shipped as one.
-        from repro.solvers.lp_backend import ScipyLinprogBackend
-
-        class Mine(ScipyLinprogBackend):
-            name = "mine"
-
-        def run(**kwargs):
-            engine = EvaluationEngine(cache=OptimalMLUCache(backend=Mine()))
-            return Study(self._spec()).run(engine=engine, **kwargs)
-
-        assert run(cell_workers=2).to_json() == run().to_json()
-
     def test_explicit_width_one_never_opens_a_pool(self, monkeypatch, mesh4_paths, rng):
         from repro import pool as pool_module
         from repro.study.study import _run_cells_job
@@ -729,7 +715,7 @@ class TestCellPool:
         assert engine.optimal_mlus(mesh4_paths, demands).shape == (4,)
         # The cell-pool worker, run here in-process: trainings and replays.
         cells = list(enumerate(Study(self._spec()).specs))
-        finished, new_entries, _, error, _ = _run_cells_job((cells, None, {}, {}))
+        finished, new_entries, _, error, _ = _run_cells_job((cells, {}, {}))
         assert error is None
         assert len(finished) == len(cells) and new_entries
 
@@ -751,28 +737,18 @@ class TestStudyCLI:
         assert [record.scheme for record in restored] == ["FIGRET", "DOTE"]
 
     def test_unknown_backend_is_a_usage_error(self, capsys):
-        """``--lp-backend`` is checked against its registry while parsing:
-        exit 2 and one line naming the known backends, before anything runs
-        (the spec file is never opened).  ``--backend`` is not a flag."""
-        from repro.solvers.lp_backend import available_lp_backends
-
-        names = ", ".join(sorted(available_lp_backends()))
+        """Neither the forward pass nor the LP solver is selectable:
+        ``--backend`` and ``--lp-backend`` are not flags, so argparse exits
+        2 before anything runs (the spec file is never opened)."""
         commands = (["spec.json"], ["suite", "suite.json"], ["serve", "--socket", "s.sock"])
         for command in commands:
-            with pytest.raises(SystemExit) as excinfo:
-                study_cli([*command, "--lp-backend", "nope"])
-            assert excinfo.value.code == 2
-            captured = capsys.readouterr()
-            assert "argument --lp-backend: unknown" in captured.err
-            assert f"known backends: {names}" in captured.err
-            assert captured.out == ""
-
-            with pytest.raises(SystemExit) as excinfo:
-                study_cli([*command, "--backend", "numpy"])
-            assert excinfo.value.code == 2
-            captured = capsys.readouterr()
-            assert "unrecognized arguments: --backend numpy" in captured.err
-            assert captured.out == ""
+            for flag, value in (("--lp-backend", "nope"), ("--backend", "numpy")):
+                with pytest.raises(SystemExit) as excinfo:
+                    study_cli([*command, flag, value])
+                assert excinfo.value.code == 2
+                captured = capsys.readouterr()
+                assert f"unrecognized arguments: {flag} {value}" in captured.err
+                assert captured.out == ""
 
     def test_cli_lists_registries(self, capsys):
         assert study_cli(["--list-scenarios"]) == 0
