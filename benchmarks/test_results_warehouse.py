@@ -1,10 +1,11 @@
 """Results-warehouse throughput: durable appends, loads, and aggregation.
 
-Every warehouse append is a flushed + fsynced line followed by a directory
-fsync -- the durability contract that makes a suite survive SIGKILL at any
-instant -- so append throughput is bounded by the storage stack, not by
-JSON encoding.  This bench pins that the bookkeeping around the fsyncs
-stays cheap:
+Every warehouse append is one fsynced write through a held ``O_APPEND``
+descriptor (the first append of a session also fsyncs the directory) --
+the durability contract that makes a suite survive SIGKILL at any instant,
+which ``tests/test_store_faults.py`` checks boundary by boundary -- so
+append throughput is bounded by the storage stack, not by JSON encoding.
+This bench pins that the bookkeeping around the fsyncs stays cheap:
 
 * ``append_records_per_second`` -- sustained :meth:`ResultWarehouse.extend`
   rate for realistic records (7 metrics + a 32-sample stored series), the

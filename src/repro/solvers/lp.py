@@ -583,7 +583,7 @@ class OptimalMLUCache:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.flush()
+        self.close()
 
     def clear(self) -> None:
         """Drop every cached entry and reset the hit/miss counters.
@@ -642,8 +642,10 @@ class OptimalMLUCache:
         self._unflushed.clear()
 
     def close(self) -> None:
-        """Flush pending entries (kept for symmetry with file-like objects)."""
+        """Flush pending entries and release the file's append descriptor."""
         self.flush()
+        if self.path is not None:
+            self._file.close()
 
     # ------------------------------------------------------------------ #
     # Cross-process transport (the study layer's cell pool)

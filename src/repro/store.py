@@ -66,9 +66,8 @@ class JsonlStore:
 
     A versioned header line followed by one ``_encode(record)`` value per
     line.  Whole-file writes (:meth:`create`, :meth:`rewrite`) go through
-    :func:`atomic_write`, and every :meth:`extend` is one flushed+fsynced
-    write followed by a directory fsync, so the store is readable after a
-    crash or Ctrl-C at any point:
+    :func:`atomic_write`, and every :meth:`extend` is one fsynced write, so
+    the store is readable after a crash, SIGKILL or Ctrl-C at any point:
 
     * a fully appended record is durable and complete;
     * a partially appended trailing record (crash mid-write) is dropped with
@@ -85,6 +84,10 @@ class JsonlStore:
     / ``ValueError`` on a malformed one), the on-disk identity via
     ``_format`` / ``_version`` / ``_error``, and the human noun used in
     messages via ``_kind`` / ``_torn_tail_hint``.
+
+    After its first append a store holds an ``O_APPEND`` descriptor on the
+    file (see :meth:`extend`); :meth:`close` releases it, and so do
+    :meth:`rewrite`, garbage collection and pickling (a copy carries none).
     """
 
     #: On-disk format marker (subclasses must override).
@@ -100,6 +103,25 @@ class JsonlStore:
 
     def __init__(self, path) -> None:
         self.path = Path(path).expanduser()
+        # The held append descriptor and the (st_dev, st_ino, st_size) the
+        # file at ``path`` must still have for the next append to reuse it.
+        self._fd: int | None = None
+        self._ident: tuple[int, int, int] | None = None
+
+    def close(self) -> None:
+        """Release the held append descriptor (the next append reopens)."""
+        fd, self._fd, self._ident = self._fd, None, None
+        if fd is not None:
+            os.close(fd)
+
+    def __del__(self) -> None:
+        try:
+            self.close()
+        except Exception:  # half-built object, or interpreter shutdown
+            pass
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_fd": None, "_ident": None}
 
     def _encode(self, record) -> object:
         raise NotImplementedError
@@ -128,11 +150,23 @@ class JsonlStore:
 
     def rewrite(self, records: Iterable) -> None:
         """Atomically + durably replace the file with header + the records."""
+        self.close()
         header = json.dumps({"format": self._format, "version": self._version})
         atomic_write(self.path, itertools.chain([header + "\n"], map(self._line, records)))
 
     def extend(self, records: Iterable) -> None:
-        """Append records as one flushed+fsynced write, then fsync the directory.
+        """Append records as one write and one file fsync.
+
+        The first append after the store is (re)opened takes the slow path:
+        write the header if the file is missing or empty, compact an
+        unterminated tail, open an ``O_APPEND`` descriptor, append, fsync
+        the file, then fsync the directory once so the file's entry is
+        durable too.  The descriptor is then held, and each later append is
+        one ``stat`` of ``path``, one write and one file fsync.  When the
+        ``stat`` no longer matches the descriptor's device, inode and the
+        size this store left -- the file was rewritten, deleted or appended
+        to by someone else -- the descriptor is dropped and the slow path
+        runs again, so an append always lands in the file at ``path``.
 
         An append never lands on an unterminated line: a crash between a
         record's bytes and its newline leaves a complete last record that the
@@ -141,9 +175,37 @@ class JsonlStore:
         first rewritten from what :meth:`load` reads of it (complete last
         record kept, torn one dropped).
         """
-        text = "".join(map(self._line, records))
-        if not text:
+        data = "".join(map(self._line, records)).encode("utf-8")
+        if not data:
             return
+        if self._fd is not None:
+            try:
+                st = os.stat(self.path)
+                current = (st.st_dev, st.st_ino, st.st_size)
+            except FileNotFoundError:
+                current = None
+            if current != self._ident:
+                self.close()
+        reopened = self._fd is None
+        if reopened:
+            self._open_for_append()
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self._fd, view):]
+            os.fsync(self._fd)
+        except BaseException:
+            # A failed write may leave a torn line: the slow path's tail
+            # probe must look at the file before anything else is appended.
+            self.close()
+            raise
+        dev, ino, size = self._ident
+        self._ident = (dev, ino, size + len(data))
+        if reopened:
+            fsync_directory(self.path.parent)
+
+    def _open_for_append(self) -> None:
+        """Header check, tail probe, then hold an ``O_APPEND`` descriptor."""
         if self._needs_header():
             self.rewrite([])
         else:
@@ -152,14 +214,12 @@ class JsonlStore:
                 unterminated = handle.read(1) != b"\n"
             if unterminated:
                 self.rewrite(self.load())
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        fsync_directory(self.path.parent)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        st = os.fstat(fd)
+        self._fd, self._ident = fd, (st.st_dev, st.st_ino, st.st_size)
 
     def append(self, record) -> None:
-        """Append one record: one write, one file fsync, one directory fsync."""
+        """Append one record: one write and one file fsync (see :meth:`extend`)."""
         self.extend([record])
 
     def load(self) -> list:

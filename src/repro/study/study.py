@@ -565,47 +565,54 @@ class Study:
         store = plan.warehouse
         if store is not None:
             store.create()
-        records: dict[int, StudyResult] = dict(plan.completed)
-        pending = list(plan.pending)
-        total = len(self.specs)
+        try:
+            records: dict[int, StudyResult] = dict(plan.completed)
+            pending = list(plan.pending)
+            total = len(self.specs)
 
-        def _notify(index: int, record: StudyResult) -> None:
-            if writer is not None:
-                writer.append(record)
-            if store is not None:
-                store.append(record)
-            if on_cell is not None:
-                on_cell(index, record)
+            def _notify(index: int, record: StudyResult) -> None:
+                if writer is not None:
+                    writer.append(record)
+                if store is not None:
+                    store.append(record)
+                if on_cell is not None:
+                    on_cell(index, record)
 
-        cell_workers = plan.cell_workers
-        if cell_workers is not None and cell_workers > 1 and len(pending) > 1:
-            if should_stop is not None and should_stop():
-                raise StudyCancelled(len(records), total)
-            pending = self._run_pooled(
-                pending, engine, cell_workers, records, _notify
-            )
-        for index, cell in pending:
-            if should_stop is not None and should_stop():
-                raise StudyCancelled(len(records), total)
-            try:
-                record = self._run_cell(cell, engine)
-            except Exception as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note(
-                        f"raised by study cell {index + 1}/{len(self.specs)} "
-                        f"(spec: {canonical_json(cell.to_dict())})"
-                    )
-                raise
-            records[index] = record
-            _notify(index, record)
-        results = ResultSet(records[index] for index in range(len(self.specs)))
-        if store is not None and plan.completed:
-            # Resumed cells were warehoused by the session that ran them --
-            # except any lost in the crash window between their checkpoint
-            # append and their warehouse append.  Reconcile by provenance so
-            # the warehouse ends up complete without duplicating anything.
-            store.sync(results)
-        return results
+            cell_workers = plan.cell_workers
+            if cell_workers is not None and cell_workers > 1 and len(pending) > 1:
+                if should_stop is not None and should_stop():
+                    raise StudyCancelled(len(records), total)
+                pending = self._run_pooled(
+                    pending, engine, cell_workers, records, _notify
+                )
+            for index, cell in pending:
+                if should_stop is not None and should_stop():
+                    raise StudyCancelled(len(records), total)
+                try:
+                    record = self._run_cell(cell, engine)
+                except Exception as exc:
+                    if hasattr(exc, "add_note"):
+                        exc.add_note(
+                            f"raised by study cell {index + 1}/{len(self.specs)} "
+                            f"(spec: {canonical_json(cell.to_dict())})"
+                        )
+                    raise
+                records[index] = record
+                _notify(index, record)
+            results = ResultSet(records[index] for index in range(len(self.specs)))
+            if store is not None and plan.completed:
+                # Resumed cells were warehoused by the session that ran them --
+                # except any lost in the crash window between their checkpoint
+                # append and their warehouse append.  Reconcile by provenance so
+                # the warehouse ends up complete without duplicating anything.
+                store.sync(results)
+            return results
+        finally:
+            # Release the held append descriptors on every exit, cancelled
+            # and failed runs included.
+            for held in (writer, store):
+                if held is not None:
+                    held.close()
 
     def _run_pooled(
         self,

@@ -132,6 +132,66 @@ class TestFailureProperties:
                 assert (rerouted.split_ratios[indices[~mask[indices]]] <= 1e-12).all()
 
 
+def _working_paths_by_loop(paths, failed_edges) -> np.ndarray:
+    """The per-hop loop ``restrict_to_working_paths`` was before it became
+    one sparse product: the reference the vectorised mask must equal."""
+    mask = np.ones(paths.num_paths, dtype=bool)
+    for p_idx, nodes in enumerate(paths.paths):
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            if (a, b) in failed_edges:
+                mask[p_idx] = False
+                break
+    return mask
+
+
+_GEANT_PATHS = None
+
+
+def _geant_paths():
+    global _GEANT_PATHS
+    if _GEANT_PATHS is None:
+        from repro.datasets import load
+
+        _GEANT_PATHS = load("geant_small", num_intervals=8).paths
+    return _GEANT_PATHS
+
+
+@st.composite
+def failure_sets(draw, paths):
+    """Random failed-edge sets: topology edges plus pairs absent from it."""
+    n = paths.topology.num_nodes
+    edges = [(e.src, e.dst) for e in paths.topology.edges]
+    present = draw(st.sets(st.sampled_from(edges), max_size=len(edges)))
+    absent = draw(
+        st.sets(
+            st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)).filter(
+                lambda edge: not paths.topology.has_edge(*edge)
+            ),
+            max_size=4,
+        )
+    )
+    return present | absent
+
+
+class TestWorkingPathMaskProperties:
+    @pytest.mark.parametrize("path_set", [_mesh_paths, _geant_paths], ids=["mesh4", "geant_small"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sparse_mask_equals_the_per_hop_loop(self, path_set, data):
+        paths = path_set()
+        failed = data.draw(failure_sets(paths))
+        mask = paths.restrict_to_working_paths(failed)
+        assert mask.dtype == bool and mask.shape == (paths.num_paths,)
+        np.testing.assert_array_equal(mask, _working_paths_by_loop(paths, failed))
+
+    @pytest.mark.parametrize("path_set", [_mesh_paths, _geant_paths], ids=["mesh4", "geant_small"])
+    def test_no_failure_and_only_absent_edges_keep_every_path(self, path_set):
+        paths = path_set()
+        n = paths.topology.num_nodes
+        for failed in (set(), {(0, 0), (n, n + 1), (-1, 2)}):
+            assert paths.restrict_to_working_paths(failed).all()
+
+
 class TestSensitivityProperties:
     @settings(max_examples=50, deadline=None)
     @given(raw=raw_ratio_vectors)

@@ -3,10 +3,13 @@
 Every whole-file write of the package (a fresh normaliser cache, a store's
 compaction, a saved result set) must fsync the temp file before the
 ``os.replace`` and the directory after it, or a crash can leave an empty
-file or roll the rename back.  An append must stay one file fsync plus one
-directory fsync: the warm study path pays it per record.  And only
-``repro/store.py`` may call ``os.replace`` / ``os.fsync``, so there is one
-writer to harden.
+file or roll the rename back.  The first append after a store is (re)opened
+is one file fsync plus one directory fsync; every later append through the
+held descriptor is one file fsync only -- the warm study path pays it per
+record.  A file rewritten, deleted or appended to behind the store's back
+sends the next append down the first-append path again, so it lands in the
+file at ``path``, never on a torn line.  And only ``repro/store.py`` may call
+``os.replace`` / ``os.fsync``, so there is one writer to harden.
 """
 
 from __future__ import annotations
@@ -98,9 +101,70 @@ def test_append_is_one_file_fsync_and_one_directory_fsync(
     durable_calls.clear()
     store.append(_record())
     assert durable_calls == ["fsync file", "fsync dir"]
+    durable_calls.clear()
     store.extend([_record("A"), _record("B")])
-    assert durable_calls == ["fsync file", "fsync dir"] * 2
-    assert [r.scheme for r in store.load()] == ["FIGRET", "A", "B"]
+    store.append(_record("C"))
+    assert durable_calls == ["fsync file"] * 2
+    assert [r.scheme for r in store.load()] == ["FIGRET", "A", "B", "C"]
+    store.close()
+
+
+def _rewritten_by_another_instance(store):
+    other = type(store)(store.path)
+    other.rewrite([*other.load(), _record("other")])
+    return ["FIGRET", "other", "next"], ["fsync file", "fsync dir"]
+
+
+def _deleted(store):
+    store.path.unlink()
+    # The header is written atomically before the append.
+    return ["next"], ["fsync file", "replace", "fsync dir", "fsync file", "fsync dir"]
+
+
+def _appended_by_another_instance(store):
+    other = type(store)(store.path)
+    other.append(_record("other"))
+    other.close()
+    return ["FIGRET", "other", "next"], ["fsync file", "fsync dir"]
+
+
+def _torn_line_from_a_foreign_writer(store):
+    with open(store.path, "a", encoding="utf-8") as handle:
+        handle.write('{"scenario": "half-writ')
+    # Compacted first, exactly as without a held descriptor: load() drops
+    # the torn line, then the tail probe rewrites from what it read.
+    rewrite = ["fsync file", "replace", "fsync dir"]
+    return ["FIGRET", "next"], [*rewrite, *rewrite, "fsync file", "fsync dir"]
+
+
+@pytest.mark.parametrize("store_class", [StudyCheckpoint, ResultWarehouse])
+@pytest.mark.parametrize(
+    "interfere",
+    [
+        _rewritten_by_another_instance,
+        _deleted,
+        _appended_by_another_instance,
+        _torn_line_from_a_foreign_writer,
+    ],
+)
+def test_append_reopens_a_file_changed_behind_the_held_descriptor(
+    tmp_path, durable_calls, store_class, interfere
+):
+    store = store_class(tmp_path / "store.jsonl")
+    store.append(_record())
+    expected_schemes, expected_calls = interfere(store)
+    durable_calls.clear()
+    if interfere is _torn_line_from_a_foreign_writer:
+        with pytest.warns(RuntimeWarning, match="partially written trailing record"):
+            store.append(_record("next"))
+    else:
+        store.append(_record("next"))
+    assert durable_calls == expected_calls
+    durable_calls.clear()
+    store.append(_record("last"))
+    assert durable_calls == ["fsync file"]
+    assert [r.scheme for r in store_class(store.path).load()] == [*expected_schemes, "last"]
+    store.close()
 
 
 def test_create_keeps_an_existing_store(tmp_path):
