@@ -38,6 +38,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import bench_common as common
 from repro.solvers.lp import constraint_structure
@@ -74,14 +75,23 @@ def _simplex_iterations(path_set, demands) -> dict:
     (presolve, slack basis) on the same LP, which is what the default ran
     for every normaliser before.  Both counts are deterministic.
     """
-    upper = constraint_structure(path_set).trivial_upper
+    structure = constraint_structure(path_set)
+    upper = structure.trivial_upper
     model = PersistentHighsBackend()._model(path_set, upper)
-    reference = ScipyLinprogBackend()
     crash, scratch = [], []
     for demand in demands:
         model.solve_mlu(demand)
         crash.append(model._solver.getInfo().simplex_iteration_count)
-        scratch.append(reference._run(path_set, demand, upper).nit)
+        from_scratch = linprog(
+            structure.cost,
+            A_ub=structure.a_ub(demand),
+            b_ub=structure.b_ub,
+            A_eq=structure.a_eq,
+            b_eq=structure.b_eq,
+            bounds=structure.bounds_array(upper),
+            method="highs",
+        )
+        scratch.append(from_scratch.nit)
     return {
         "crash_simplex_iterations_median": float(np.median(crash)),
         "crash_simplex_iterations_max": int(max(crash)),

@@ -26,7 +26,9 @@ shared by every subsequent solve.
 One fixed rule picks the solver (see :mod:`repro.solvers.lp_backend`, which
 only this module imports): value-only normalisers run on a persistent HiGHS
 model per (path set, bounds) key, started from a canonical shortest-path
-basis; vertex-returning solves run on ``linprog`` per demand.
+basis; vertex-returning solves hand scipy's own HiGHS core the LP ``linprog``
+would, stacked here once per path set, and keep ``linprog``'s vertex bit for
+bit.  Every entry point rejects a demand with a NaN or infinite entry.
 """
 
 from __future__ import annotations
@@ -180,6 +182,24 @@ class MLUConstraintStructure:
         self._trivial_upper: np.ndarray | None = None
         self._trivial_bounds: np.ndarray | None = None
 
+        # The LP as linprog hands it to HiGHS, for the vertex solves that call
+        # scipy's HiGHS core directly: rows [A_ub; A_eq] stacked in one CSC
+        # matrix (columns sorted by row), lhs <= A x <= rhs.  Per demand only
+        # the A_ub values move; stacked_data() reads each stored entry's
+        # factor from [demand..., 1.0] (1.0 for the capacity column and the
+        # equality rows), forming the products a_ub() forms.
+        stacked = sparse.vstack([template, self.a_eq]).tocsc()
+        stacked.sort_indices()
+        self.stacked_indptr = stacked.indptr
+        self.stacked_indices = stacked.indices
+        self._stacked_base = stacked.data
+        column = np.repeat(np.arange(num_paths + 1), np.diff(stacked.indptr))
+        scaled = (stacked.indices < num_edges) & (column < num_paths)
+        self._stacked_factor = np.full(stacked.nnz, num_pairs)
+        self._stacked_factor[scaled] = self._path_sd_index[column[scaled]]
+        self.stacked_row_lower = np.concatenate([np.full(num_edges, -np.inf), self.b_eq])
+        self.stacked_row_upper = np.concatenate([self.b_ub, self.b_eq])
+
     @property
     def trivial_upper(self) -> np.ndarray:
         """Per-path ratio upper bounds with no caps and no mask (all ones).
@@ -234,6 +254,12 @@ class MLUConstraintStructure:
             (data, self._template.indices, self._template.indptr),
             shape=self._template.shape,
         )
+
+    def stacked_data(self, demand_vector: np.ndarray) -> np.ndarray:
+        """Values of the stacked ``[A_ub; A_eq]`` for one demand, in
+        :attr:`stacked_indptr` / :attr:`stacked_indices` order."""
+        factors = np.append(np.asarray(demand_vector, dtype=float), 1.0)
+        return self._stacked_base * factors[self._stacked_factor]
 
 
 _STRUCTURES: "weakref.WeakKeyDictionary[PathSet, MLUConstraintStructure]" = (
@@ -309,11 +335,14 @@ def _resolved_upper_bounds(
 
 
 def _checked_demand(demand_vector, num_sd_pairs: int) -> np.ndarray:
+    """The demand as floats; a wrong length or a NaN/inf entry is a ValueError."""
     demand = np.asarray(demand_vector, dtype=float)
     if demand.shape != (num_sd_pairs,):
         raise ValueError(
             f"demand vector must have {num_sd_pairs} entries, got {demand.shape}"
         )
+    if not np.isfinite(demand).all():
+        raise ValueError("demand vector must be finite (it has a NaN or inf entry)")
     return demand
 
 
@@ -328,7 +357,9 @@ def solve_mlu_lp(
     The demand-independent constraint structure is precomputed once per
     path set (see :class:`MLUConstraintStructure`), so repeated solves over
     the same path set only pay for the diagonal rescale and the solver run.
-    The solve returns a vertex, so it runs on ``linprog``.
+    The solve returns a vertex, so it runs on ``linprog``'s LP and options in
+    scipy's own HiGHS core, called directly, and returns ``linprog``'s vertex
+    bit for bit.
 
     Args:
         path_set: Candidate paths.
@@ -345,12 +376,13 @@ def solve_mlu_lp(
         ``(configuration, optimal MLU)``.
 
     Raises:
+        ValueError: If the demand has the wrong length or a NaN/inf entry.
         LPSolveError: If the LP is infeasible or the solver fails.
     """
     global _LP_SOLVE_CALLS
-    _LP_SOLVE_CALLS += 1
     structure = constraint_structure(path_set)
     demand = _checked_demand(demand_vector, structure.num_sd_pairs)
+    _LP_SOLVE_CALLS += 1
     upper = _resolved_upper_bounds(path_set, structure, sensitivity_caps, path_mask)
     ratios, mlu = resolve_lp_backend().solve(path_set, demand, upper)
     return TEConfiguration(path_set, ratios, normalize=True), mlu
@@ -418,16 +450,22 @@ def solve_mlu_lp_batch(
     Args:
         mlu_only: When True, return ``(None, optimal MLU)`` per row -- the
             normaliser fast path used by :class:`OptimalMLUCache`.  The
-            values then come from the persistent HiGHS model instead of
-            ``linprog``: the same optimum, to solver tolerance.
+            values then come from the persistent HiGHS model instead of the
+            vertex solver: the same optimum, to solver tolerance.
 
     Returns:
         A list of ``(configuration, optimal MLU)`` tuples, one per demand row
         (``(None, optimal MLU)`` with ``mlu_only``).
+
+    Raises:
+        ValueError: If a row has the wrong length or a NaN/inf entry (checked
+            before any solve, so nothing is solved or cached).
     """
     demands = np.asarray(demands, dtype=float)
     if demands.ndim == 1:
         demands = demands[None, :]
+    for demand in demands:
+        _checked_demand(demand, path_set.num_sd_pairs)
     workers = resolve_lp_workers(workers)
     if workers is not None and workers > 1 and len(demands) > 1:
         jobs = [
@@ -454,7 +492,6 @@ def solve_mlu_lp_batch(
     results: list[tuple[TEConfiguration | None, float]] = []
     for demand in demands:
         _LP_SOLVE_CALLS += 1
-        demand = _checked_demand(demand, structure.num_sd_pairs)
         if mlu_only:
             results.append((None, solver.solve_mlu(path_set, demand, upper)))
         else:

@@ -16,16 +16,23 @@ composite, which routes it by what the caller needs back:
   to ``benchmarks/.records/BENCH_lp_warmstart.json``).  The optimum value is
   unique, and a result is a function of (model, demand) alone.
 * vertex-returning solves (``solve``: Des TE, Pred TE, the oracle scheme)
-  run on :class:`ScipyLinprogBackend`, ``scipy.optimize.linprog(method=
-  "highs")`` per demand, because the quality of the LP-based schemes depends
-  on *which* optimal vertex of a degenerate LP comes back.
+  run on :class:`ScipyLinprogBackend`, which hands scipy's vendored HiGHS
+  core -- the binary ``linprog(method="highs")`` runs -- exactly the arrays
+  and options ``linprog`` would, because the quality of the LP-based schemes
+  depends on *which* optimal vertex of a degenerate LP comes back.  It keeps
+  ``linprog``'s vertex bit for bit and its status and feasibility checks;
+  it skips the wrapper's per-call input cleaning, matrix conversion and
+  dual bookkeeping (about a fifth of a call).
 
 The solver is not selectable (the variable that once chose it stops the
-import, below).  The one platform choice is :func:`_load_highspy`'s.  The persistent model
-needs the ``highspy`` bindings: the standalone package, else the private
-copy scipy >= 1.15 vendors for its own ``linprog``/``milp`` (the same
-pybind11 module, so no new dependency is required).  With neither, the
-normalisers run on ``linprog`` too, silently.
+import, below).  The platform choices are made once, in
+:class:`AutoLPBackend`'s constructor.  The persistent model needs the
+``highspy`` bindings: the standalone package, else the private copy scipy
+>= 1.15 vendors for its own ``linprog``/``milp`` (the same pybind11 module,
+so no new dependency is required); with neither, the normalisers run on the
+vertex solver too, silently.  The vertex solver binds scipy's vendored core
+only, never the standalone package (another HiGHS build can pick another
+vertex); where scipy vendors none, each vertex solve is a ``linprog`` call.
 
 Persistent-model formulation
 ----------------------------
@@ -52,6 +59,7 @@ which is why equivalence is asserted on the MLU, not on the split ratios.
 from __future__ import annotations
 
 import os
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -62,7 +70,7 @@ if os.environ.get("REPRO_LP_BACKEND"):
     raise RuntimeError(
         "REPRO_LP_BACKEND is set, but the LP solver is no longer selectable: "
         "normalisers run on the persistent HiGHS model, vertex-returning "
-        "solves on linprog.  Unset REPRO_LP_BACKEND."
+        "solves on linprog's LP in scipy's HiGHS core.  Unset REPRO_LP_BACKEND."
     )
 
 __all__ = [
@@ -76,8 +84,122 @@ __all__ = [
 MAX_PERSISTENT_MODELS = 8
 
 
+#: ``linprog``'s post-solve tolerance: its default ``tol`` (1e-9), loosened
+#: the way ``scipy.optimize._linprog_util._check_result`` loosens it.
+FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
+
+
+def _load_scipy_core():
+    """scipy's vendored HiGHS core -- the binary ``linprog`` runs -- or ``None``.
+
+    Never the standalone ``highspy``: another HiGHS build can return another
+    optimal vertex of a degenerate LP.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+def _linprog_options(core):
+    """The options ``linprog(method="highs")`` passes HiGHS, exactly."""
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+def _within_linprog_tolerance(x, row_value, col_upper, row_upper, num_inequalities) -> bool:
+    """``linprog``'s check that an ``Optimal`` solution satisfies its constraints.
+
+    The check of ``scipy.optimize._linprog_util._check_result``, for the
+    stacked LP ``[A_ub; A_eq] x`` with zero lower bounds: every ``x`` within
+    its bounds, every inequality slack ``row_upper - row_value`` at least
+    ``-tol`` and every equality residual at most ``tol`` in magnitude, with
+    ``tol =`` :data:`FEASIBILITY_TOL`.  A NaN anywhere fails it.
+    """
+    tol = FEASIBILITY_TOL
+    slack = row_upper - row_value
+    return bool(
+        np.all((x >= -tol) & (x <= col_upper + tol))
+        and np.all(slack[:num_inequalities] >= -tol)
+        and np.all(np.abs(slack[num_inequalities:]) <= tol)
+    )
+
+
+def _replace_inf(values: np.ndarray, inf: float) -> np.ndarray:
+    """linprog's ``_replace_inf``: a copy with +-inf as HiGHS's +-``kHighsInf``."""
+    values = values.copy()
+    infinite = np.isinf(values)
+    values[infinite] = np.sign(values[infinite]) * inf
+    return values
+
+
+class _LinprogModel:
+    """One path set's LP as ``linprog`` hands it to HiGHS.
+
+    Everything but the column upper bounds and the matrix values is marshalled
+    into the ``HighsLp`` once; each solve sets those two and runs a fresh
+    solver on it, so a result is a function of (path set, demand, bounds).
+    Holds no reference to the structure it was built from (it is the value of
+    a weak-keyed map whose key is that structure).
+    """
+
+    def __init__(self, core, options, structure) -> None:
+        self._core, self._options = core, options
+        inf = core.kHighsInf
+        num_cols = structure.num_paths + 1
+        row_lower = _replace_inf(structure.stacked_row_lower, inf)
+        self._row_upper = _replace_inf(structure.stacked_row_upper, inf)
+        self._num_inequalities = structure.b_ub.size
+        self._inf = inf
+        lp = core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = num_cols
+        lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.col_cost_ = structure.cost
+        lp.col_lower_ = np.zeros(num_cols)
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = self._row_upper
+        lp.a_matrix_.start_ = structure.stacked_indptr
+        lp.a_matrix_.index_ = structure.stacked_indices
+        self._lp = lp
+
+    def solve(self, structure, demand, upper) -> np.ndarray:
+        from repro.solvers.lp import LPSolveError
+
+        core, lp = self._core, self._lp
+        col_upper = np.append(upper, self._inf)
+        # Python lists cross into HiGHS's vectors about 2x faster than arrays.
+        lp.col_upper_ = col_upper.tolist()
+        lp.a_matrix_.value_ = structure.stacked_data(demand).tolist()
+        highs = core._Highs()
+        highs.passOptions(self._options)
+        error = core.HighsStatus.kError
+        failed = highs.passModel(lp) == error or highs.run() == error
+        status = highs.getModelStatus()
+        if failed or status != core.HighsModelStatus.kOptimal:
+            raise LPSolveError(
+                f"MLU LP failed: HiGHS model status {highs.modelStatusToString(status)}"
+            )
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        if not _within_linprog_tolerance(
+            x, np.array(solution.row_value), col_upper, self._row_upper, self._num_inequalities
+        ):
+            raise LPSolveError(
+                "MLU LP failed: HiGHS model status Optimal, but the solution "
+                f"violates its constraints by more than {FEASIBILITY_TOL:.2e}"
+            )
+        return x
+
+
 class ScipyLinprogBackend:
-    """The vertex solver: ``scipy.optimize.linprog(method="highs")`` per demand.
+    """The vertex solver: ``linprog(method="highs")``'s LP and vertex per demand.
 
     Both methods take the demand vector together with the already-resolved
     per-path ratio upper bounds (sensitivity caps x failure masks,
@@ -85,16 +207,35 @@ class ScipyLinprogBackend:
     ``repro.solvers.lp._resolved_upper_bounds``) and return raw arrays; the
     public :func:`~repro.solvers.lp.solve_mlu_lp` wrapper owns validation,
     the solve counter and the :class:`~repro.te.config.TEConfiguration`
-    packaging.  Each solve hands scipy a freshly rescaled constraint matrix
-    (sparsity arrays shared via
-    :class:`~repro.solvers.lp.MLUConstraintStructure`).  Also the reference
-    the persistent model is tested against.
+    packaging.
+
+    Where scipy vendors its HiGHS core, each solve hands that core the very
+    arrays and options ``linprog`` would (the stacked LP of
+    :class:`~repro.solvers.lp.MLUConstraintStructure`, marshalled once per
+    path set), runs a fresh solver, and keeps ``linprog``'s ``Optimal``
+    check and post-solve feasibility check
+    (:func:`_within_linprog_tolerance`): the same vertex bit for bit, without
+    the wrapper's input cleaning, matrix conversion and dual bookkeeping.
+    Without the core -- a platform choice made once, at construction -- every
+    solve is a ``linprog`` call.  Also the reference the persistent model is
+    tested against.
     """
 
-    def _run(self, path_set, demand_vector, upper):
+    def __init__(self) -> None:
+        self._core = _load_scipy_core()
+        self._models: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def _run(self, path_set, demand_vector, upper) -> np.ndarray:
         from repro.solvers.lp import LPSolveError, constraint_structure
 
         structure = constraint_structure(path_set)
+        if self._core is not None:
+            model = self._models.get(structure)
+            if model is None:
+                model = self._models[structure] = _LinprogModel(
+                    self._core, _linprog_options(self._core), structure
+                )
+            return model.solve(structure, demand_vector, upper)
         result = linprog(
             structure.cost,
             A_ub=structure.a_ub(demand_vector),
@@ -106,22 +247,23 @@ class ScipyLinprogBackend:
         )
         if not result.success:
             raise LPSolveError(f"MLU LP failed: {result.message}")
-        return result
+        return result.x
 
     def solve(self, path_set, demand_vector, upper) -> tuple[np.ndarray, float]:
         """Solve one LP; return ``(split_ratios, optimal_mlu)``.
 
         Raises:
-            repro.solvers.lp.LPSolveError: If the LP is infeasible or the
-                solver fails, with the solver's status message.
+            repro.solvers.lp.LPSolveError: If the LP is infeasible, the
+                solver fails, or its solution misses ``linprog``'s
+                feasibility check, naming HiGHS's model status.
         """
-        result = self._run(path_set, demand_vector, upper)
-        return result.x[: path_set.num_paths], float(result.x[-1])
+        x = self._run(path_set, demand_vector, upper)
+        return x[: path_set.num_paths], float(x[-1])
 
     def solve_mlu(self, path_set, demand_vector, upper) -> float:
-        """Optimal MLU only (scipy returns the full solution either way;
+        """Optimal MLU only (HiGHS returns the full solution either way;
         skipping the ratio slice only saves the caller the packaging)."""
-        return float(self._run(path_set, demand_vector, upper).x[-1])
+        return float(self._run(path_set, demand_vector, upper)[-1])
 
 
 def _load_highspy():
@@ -365,11 +507,14 @@ class PersistentHighsBackend:
 
 
 class AutoLPBackend:
-    """The one solver rule: unique values on the persistent model, vertices on ``linprog``.
+    """The one solver rule: unique values on the persistent model, vertices
+    on ``linprog``'s LP.
 
-    Without the HiGHS bindings (:func:`_load_highspy` raises
-    :class:`ImportError`) the values run on ``linprog`` too: a platform
-    choice, made once and silently.
+    Both platform choices are made here, once and silently: without the
+    HiGHS bindings (:func:`_load_highspy` raises :class:`ImportError`) the
+    values run on the vertex solver too, and without scipy's vendored core
+    (:func:`_load_scipy_core` returns ``None``) that solver calls
+    ``linprog``.
     """
 
     #: What ``resolve_lp_backend(None).name`` reports (perfbench records it).
@@ -401,7 +546,7 @@ def resolve_lp_backend(backend: None = None) -> AutoLPBackend:
     if backend is not None:
         raise TypeError(
             f"the LP solver is not selectable (got {backend!r}): normalisers "
-            "run on the persistent HiGHS model, vertex-returning solves on linprog"
+            "run on the persistent HiGHS model, vertex-returning solves on linprog's LP"
         )
     global _SOLVER
     if _SOLVER is None:

@@ -167,6 +167,32 @@ def _linprog_reference(path_set, demand, upper):
     return result.x[: path_set.num_paths], float(result.x[-1])
 
 
+def _scenario_cases(name):
+    """``(path set, cases)`` on a bundled scenario: three test-trace demands
+    (one with zero-demand pairs) x no bounds, Des TE's caps, a two-link
+    failure mask, and both."""
+    from repro import datasets
+    from repro.solvers.desensitization import DesensitizationTE
+    from repro.solvers.lp import _ratio_upper_bounds
+
+    scenario = datasets.load(name, seed=7)
+    paths = scenario.paths
+    des_te_caps = DesensitizationTE(paths)._caps
+    failed = paths.restrict_to_working_paths(
+        {(edge.src, edge.dst) for edge in paths.topology.edges[:2]}
+    )
+    assert not failed.all()
+    bounds = [(None, None), (des_te_caps, None), (None, failed), (des_te_caps, failed)]
+    _, test = scenario.split()
+    demands = test.flat_demands()[:3].copy()
+    demands[1, ::2] = 0.0
+    return paths, [
+        (demand, caps, mask, _ratio_upper_bounds(paths, caps, mask))
+        for demand in demands
+        for caps, mask in bounds
+    ]
+
+
 class TestDefaultKeepsPublishedValues:
     """What the split default may and may not change."""
 
@@ -212,25 +238,169 @@ class TestDefaultKeepsPublishedValues:
         self, fresh_solver, mesh4_paths, cases, solve_on
     ):
         from repro.solvers.lp import OptimalMLUCache, omniscient_mlu
+        from repro.te.config import TEConfiguration
 
-        for demand, caps, mask, upper in cases:
-            ratios, mlu = _linprog_reference(mesh4_paths, demand, upper)
-            config, solved = solve_mlu_lp(
-                mesh4_paths, demand, sensitivity_caps=caps, path_mask=mask
+        scenarios = [(mesh4_paths, cases)]
+        scenarios += [_scenario_cases(name) for name in ("geant_small", "meta_tor_db_small")]
+        for paths, scenario_cases in scenarios:
+            for demand, caps, mask, upper in scenario_cases:
+                ratios, mlu = _linprog_reference(paths, demand, upper)
+                direct, direct_mlu = ScipyLinprogBackend().solve(paths, demand, upper)
+                assert direct.tobytes() == ratios.tobytes() and direct_mlu == mlu
+                config, solved = solve_mlu_lp(
+                    paths, demand, sensitivity_caps=caps, path_mask=mask
+                )
+                assert solved == mlu
+                expected = TEConfiguration(paths, ratios, normalize=True)
+                assert np.array_equal(config.split_ratios, expected.split_ratios)
+                named, _ = solve_on(
+                    ScipyLinprogBackend(), paths, demand, sensitivity_caps=caps, path_mask=mask
+                )
+                assert np.array_equal(config.split_ratios, named.split_ratios)
+                # Only the normaliser moves, and only in its last bits -- and
+                # omniscient_mlu serves the very value the cache does.
+                if caps is None:
+                    cached = OptimalMLUCache().optimal_mlu(paths, demand, path_mask=mask)
+                    assert cached == pytest.approx(max(mlu, 1e-12), rel=1e-12)
+                if caps is None and mask is None:
+                    assert omniscient_mlu(paths, demand) == cached
+
+
+def _scipy_core():
+    return pytest.importorskip("scipy.optimize._highspy._core")
+
+
+class TestVertexSolver:
+    """Vertex solves hand scipy's own HiGHS core what linprog would."""
+
+    def test_default_binds_scipys_core_whenever_it_imports(
+        self, fresh_solver, monkeypatch, mesh4_paths, rng
+    ):
+        # Every CI leg with a vendored core -- standalone highspy installed
+        # or not -- takes the direct path: no vertex solve reaches linprog.
+        assert resolve_lp_backend()._vertices._core is _scipy_core()
+
+        def no_linprog(*args, **kwargs):
+            raise AssertionError("a vertex solve fell back to linprog")
+
+        monkeypatch.setattr(lpb, "linprog", no_linprog)
+        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
+        solve_mlu_lp(mesh4_paths, demand, sensitivity_caps=np.full(mesh4_paths.num_paths, 0.5))
+
+    def test_without_scipys_core_vertices_run_on_linprog(
+        self, fresh_solver, monkeypatch, mesh4_paths, rng
+    ):
+        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
+        direct, direct_mlu = solve_mlu_lp(mesh4_paths, demand)
+        calls = []
+        original = lpb.linprog
+        monkeypatch.setattr(
+            lpb, "linprog", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
+        )
+        monkeypatch.setattr(lpb, "_load_scipy_core", lambda: None)
+        monkeypatch.setattr(lpb, "_SOLVER", None)
+        config, mlu = solve_mlu_lp(mesh4_paths, demand)
+        assert calls == [1]
+        assert mlu == direct_mlu
+        assert np.array_equal(config.split_ratios, direct.split_ratios)
+
+    def test_core_gets_linprogs_inputs(self, monkeypatch, mesh4_paths, rng):
+        # The arrays linprog hands its HiGHS wrapper, byte for byte: the
+        # stacked pattern, the per-demand values (zero-demand pairs included),
+        # the row bounds and the column bounds.
+        from scipy.optimize import _linprog_highs
+
+        from repro.solvers.lp import _ratio_upper_bounds, constraint_structure
+
+        core = _scipy_core()
+        captured = []
+        original = _linprog_highs._highs_wrapper
+
+        def spy(*args):
+            captured.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
+        structure = constraint_structure(mesh4_paths)
+        upper = _ratio_upper_bounds(mesh4_paths, np.full(mesh4_paths.num_paths, 0.5), None)
+        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
+        demand[::2] = 0.0
+        _linprog_reference(mesh4_paths, demand, upper)
+        [(cost, indptr, indices, data, lhs, rhs, lower, col_upper, _, _)] = captured
+        inf = core.kHighsInf
+        sent = {
+            "cost": structure.cost,
+            "indptr": structure.stacked_indptr,
+            "indices": structure.stacked_indices,
+            "data": structure.stacked_data(demand),
+            "lhs": lpb._replace_inf(structure.stacked_row_lower, inf),
+            "rhs": lpb._replace_inf(structure.stacked_row_upper, inf),
+            "lower": np.zeros(structure.num_paths + 1),
+            "col_upper": np.append(upper, inf),
+        }
+        for name, theirs in zip(sent, (cost, indptr, indices, data, lhs, rhs, lower, col_upper)):
+            assert np.asarray(theirs).tobytes() == sent[name].tobytes(), name
+
+    def test_feasibility_check_on_a_hand_made_solution(self, mesh4_paths):
+        # linprog's _check_result, ported: bounds within tol, inequality
+        # slack >= -tol, |equality residual| <= tol, NaN never passes.
+        from scipy import sparse
+
+        from repro.solvers.lp import constraint_structure
+
+        structure = constraint_structure(mesh4_paths)
+        demand = np.ones(mesh4_paths.num_sd_pairs)
+        matrix = sparse.csc_matrix(
+            (structure.stacked_data(demand), structure.stacked_indices, structure.stacked_indptr)
+        )
+        num_edges = structure.b_ub.size
+        col_upper = np.append(np.ones(structure.num_paths), np.inf)
+        ratios = mesh4_paths.sd_to_path.T @ (1.0 / mesh4_paths.sd_to_path.sum(axis=1).A1)
+        utilisation = (matrix[:num_edges, :-1] @ ratios) / mesh4_paths.topology.capacities
+        x = np.append(ratios, utilisation.max())
+        tol = lpb.FEASIBILITY_TOL
+
+        def check(x, row_value=None):
+            row_value = matrix @ x if row_value is None else row_value
+            return lpb._within_linprog_tolerance(
+                x, row_value, col_upper, structure.stacked_row_upper, num_edges
             )
-            assert solved == mlu
-            named, _ = solve_on(
-                ScipyLinprogBackend(), mesh4_paths, demand,
-                sensitivity_caps=caps, path_mask=mask,
-            )
-            assert np.array_equal(config.split_ratios, named.split_ratios)
-            # Only the normaliser moves, and only in its last bits -- and
-            # omniscient_mlu serves the very value the cache does.
-            if caps is None:
-                cached = OptimalMLUCache().optimal_mlu(mesh4_paths, demand, path_mask=mask)
-                assert cached == pytest.approx(max(mlu, 1e-12), rel=1e-12)
-            if caps is None and mask is None:
-                assert omniscient_mlu(mesh4_paths, demand) == cached
+
+        assert check(x)
+        over_cap = x.copy()
+        over_cap[0] = 1.0 + 2 * tol
+        assert not check(over_cap)
+        negative = x.copy()
+        negative[0] = -2 * tol
+        assert not check(negative)
+        overloaded = x.copy()
+        overloaded[-1] *= 0.5  # t below the busiest edge's utilisation
+        assert not check(overloaded)
+        residual = matrix @ x
+        residual[num_edges] += 2 * tol  # a pair's ratios no longer sum to one
+        assert not check(x, residual)
+        residual[num_edges] -= 1.5 * tol
+        assert check(x, residual)
+        with_nan = x.copy()
+        with_nan[1] = np.nan
+        assert not check(with_nan)
+
+    def test_infeasible_lp_names_the_model_status(self, mesh4_paths):
+        from repro.solvers.lp import LPSolveError
+
+        _scipy_core()
+        demand = np.ones(mesh4_paths.num_sd_pairs)
+        with pytest.raises(LPSolveError, match="MLU LP failed: HiGHS model status Infeasible"):
+            ScipyLinprogBackend().solve(mesh4_paths, demand, np.zeros(mesh4_paths.num_paths))
+
+    def test_optimal_but_infeasible_raises(self, monkeypatch, mesh4_paths, rng):
+        from repro.solvers.lp import LPSolveError
+
+        _scipy_core()
+        monkeypatch.setattr(lpb, "_within_linprog_tolerance", lambda *args: False)
+        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
+        with pytest.raises(LPSolveError, match="MLU LP failed: HiGHS model status Optimal"):
+            ScipyLinprogBackend().solve(mesh4_paths, demand, np.ones(mesh4_paths.num_paths))
 
 
 @needs_highs
@@ -314,6 +484,7 @@ class Recording(ScipyLinprogBackend):
     """Counts the value-only solves it is handed."""
 
     def __init__(self):
+        super().__init__()
         self.calls = 0
 
     def solve_mlu(self, path_set, demand_vector, upper):

@@ -8,7 +8,9 @@ import pytest
 from repro.solvers.lp import (
     LPSolveError,
     OmniscientTE,
+    OptimalMLUCache,
     PredictionBasedTE,
+    count_lp_solves,
     omniscient_mlu,
     predict_demand,
     solve_mlu_lp,
@@ -94,6 +96,28 @@ class TestSolveMluLP:
     def test_wrong_mask_shape_rejected(self, mesh4_paths):
         with pytest.raises(ValueError):
             solve_mlu_lp(mesh4_paths, np.ones(mesh4_paths.num_sd_pairs), path_mask=np.ones(3, dtype=bool))
+
+
+class TestNonFiniteDemand:
+    """A NaN or infinite demand is a ValueError on every LP path -- the
+    vertex solve, the normaliser and the cache -- and nothing is cached."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["solve_mlu_lp", "omniscient_mlu", "optimal_mlus"])
+    def test_rejected_before_any_solve(self, mesh4_paths, rng, entry, bad):
+        good = rng.random(mesh4_paths.num_sd_pairs) + 0.1
+        demand = good.copy()
+        demand[2] = bad
+        cache = OptimalMLUCache()
+        calls = {
+            "solve_mlu_lp": lambda: solve_mlu_lp(mesh4_paths, demand),
+            "omniscient_mlu": lambda: omniscient_mlu(mesh4_paths, demand),
+            "optimal_mlus": lambda: cache.optimal_mlus(mesh4_paths, np.stack([good, demand])),
+        }
+        with count_lp_solves() as tally, pytest.raises(ValueError, match="finite"):
+            calls[entry]()
+        assert tally.count == 0
+        assert len(cache) == 0
 
 
 class TestOmniscientMlu:
