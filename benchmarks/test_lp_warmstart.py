@@ -19,9 +19,6 @@ to the bursty ToR one, where carrying the previous basis over lost 10x --
 
 and asserts the two solvers agree on every optimal MLU to 1e-9.
 
-Without the HiGHS bindings the bench skips (it exists to pin the persistent
-model's win, not to re-measure scipy alone).
-
 Methodology notes baked into the record:
 
 * "Fresh" means no value cache: every demand row is LP-solved; only the
@@ -102,10 +99,6 @@ def _simplex_iterations(path_set, demands) -> dict:
 
 @pytest.mark.paper("Appendix B Eq. 9 solver throughput")
 def test_lp_warmstart(benchmark):
-    try:
-        PersistentHighsBackend()
-    except ImportError:
-        pytest.skip("no importable HiGHS bindings (highspy or scipy >= 1.15)")
     metrics: dict[str, dict] = {}
 
     def run():

@@ -15,12 +15,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
-    extras_require={
-        # Standalone HiGHS bindings for the persistent LP model every
-        # normaliser runs on.  Optional: without them the model uses the
-        # copy scipy >= 1.15 vendors, and if neither imports the
-        # normalisers run on scipy's linprog, silently.
-        "highs": ["highspy"],
-    },
+    # scipy >= 1.15 vendors the HiGHS core (scipy.optimize._highspy._core)
+    # that every LP solve runs on, normalisers and vertices alike; no other
+    # HiGHS build is used, so records do not depend on what else is installed.
+    install_requires=["numpy", "scipy>=1.15", "networkx"],
 )

@@ -24,11 +24,12 @@ precomputed once per :class:`PathSet` in :class:`MLUConstraintStructure` and
 shared by every subsequent solve.
 
 One fixed rule picks the solver (see :mod:`repro.solvers.lp_backend`, which
-only this module imports): value-only normalisers run on a persistent HiGHS
+only this module imports), and both solvers run on scipy's vendored HiGHS
+core, whatever else is installed: value-only normalisers on a persistent
 model per (path set, bounds) key, started from a canonical shortest-path
-basis; vertex-returning solves hand scipy's own HiGHS core the LP ``linprog``
-would, stacked here once per path set, and keep ``linprog``'s vertex bit for
-bit.  Every entry point rejects a demand with a NaN or infinite entry.
+basis; vertex-returning solves on the LP ``linprog`` would hand that core,
+stacked here once per path set, keeping ``linprog``'s vertex bit for bit.
+Every entry point rejects a demand with a NaN, infinite or negative entry.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def _resolved_upper_bounds(
 
 
 def _checked_demand(demand_vector, num_sd_pairs: int) -> np.ndarray:
-    """The demand as floats; a wrong length or a NaN/inf entry is a ValueError."""
+    """The demand as floats; a wrong length or a NaN/inf/negative entry is a ValueError."""
     demand = np.asarray(demand_vector, dtype=float)
     if demand.shape != (num_sd_pairs,):
         raise ValueError(
@@ -343,6 +344,8 @@ def _checked_demand(demand_vector, num_sd_pairs: int) -> np.ndarray:
         )
     if not np.isfinite(demand).all():
         raise ValueError("demand vector must be finite (it has a NaN or inf entry)")
+    if (demand < 0).any():
+        raise ValueError("demand vector must be non-negative")
     return demand
 
 
@@ -376,7 +379,8 @@ def solve_mlu_lp(
         ``(configuration, optimal MLU)``.
 
     Raises:
-        ValueError: If the demand has the wrong length or a NaN/inf entry.
+        ValueError: If the demand has the wrong length or a NaN, inf or
+            negative entry.
         LPSolveError: If the LP is infeasible or the solver fails.
     """
     global _LP_SOLVE_CALLS
@@ -458,8 +462,8 @@ def solve_mlu_lp_batch(
         (``(None, optimal MLU)`` with ``mlu_only``).
 
     Raises:
-        ValueError: If a row has the wrong length or a NaN/inf entry (checked
-            before any solve, so nothing is solved or cached).
+        ValueError: If a row has the wrong length or a NaN, inf or negative
+            entry (checked before any solve, so nothing is solved or cached).
     """
     demands = np.asarray(demands, dtype=float)
     if demands.ndim == 1:

@@ -25,14 +25,12 @@ composite, which routes it by what the caller needs back:
   dual bookkeeping (about a fifth of a call).
 
 The solver is not selectable (the variable that once chose it stops the
-import, below).  The platform choices are made once, in
-:class:`AutoLPBackend`'s constructor.  The persistent model needs the
-``highspy`` bindings: the standalone package, else the private copy scipy
->= 1.15 vendors for its own ``linprog``/``milp`` (the same pybind11 module,
-so no new dependency is required); with neither, the normalisers run on the
-vertex solver too, silently.  The vertex solver binds scipy's vendored core
-only, never the standalone package (another HiGHS build can pick another
-vertex); where scipy vendors none, each vertex solve is a ``linprog`` call.
+import, below), and neither is the HiGHS build: both solvers bind the core
+scipy >= 1.15 vendors for its own ``linprog``/``milp``
+(``scipy.optimize._highspy._core``, the pybind11 module ``linprog`` itself
+runs), never a standalone ``highspy``.  Another HiGHS build can return
+another vertex of a degenerate LP, or another last bit of a normaliser, so a
+record must not depend on which packages the machine has installed.
 
 Persistent-model formulation
 ----------------------------
@@ -64,7 +62,9 @@ from collections import OrderedDict
 
 import numpy as np
 from scipy import sparse
+# Kept only as the target of perfbench's ``solvers.lp_backend.linprog`` span.
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 if os.environ.get("REPRO_LP_BACKEND"):
     raise RuntimeError(
@@ -89,27 +89,14 @@ MAX_PERSISTENT_MODELS = 8
 FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
 
 
-def _load_scipy_core():
-    """scipy's vendored HiGHS core -- the binary ``linprog`` runs -- or ``None``.
-
-    Never the standalone ``highspy``: another HiGHS build can return another
-    optimal vertex of a degenerate LP.
-    """
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
-    return _core
-
-
-def _linprog_options(core):
+def _linprog_options():
     """The options ``linprog(method="highs")`` passes HiGHS, exactly."""
-    options = core.HighsOptions()
+    options = _core.HighsOptions()
     options.presolve = "on"
-    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
-    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     return options
 
 
@@ -149,18 +136,18 @@ class _LinprogModel:
     a weak-keyed map whose key is that structure).
     """
 
-    def __init__(self, core, options, structure) -> None:
-        self._core, self._options = core, options
-        inf = core.kHighsInf
+    def __init__(self, structure) -> None:
+        self._options = _linprog_options()
+        inf = _core.kHighsInf
         num_cols = structure.num_paths + 1
         row_lower = _replace_inf(structure.stacked_row_lower, inf)
         self._row_upper = _replace_inf(structure.stacked_row_upper, inf)
         self._num_inequalities = structure.b_ub.size
         self._inf = inf
-        lp = core.HighsLp()
+        lp = _core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = num_cols
         lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
         lp.col_cost_ = structure.cost
         lp.col_lower_ = np.zeros(num_cols)
         lp.row_lower_ = row_lower
@@ -172,17 +159,17 @@ class _LinprogModel:
     def solve(self, structure, demand, upper) -> np.ndarray:
         from repro.solvers.lp import LPSolveError
 
-        core, lp = self._core, self._lp
+        lp = self._lp
         col_upper = np.append(upper, self._inf)
         # Python lists cross into HiGHS's vectors about 2x faster than arrays.
         lp.col_upper_ = col_upper.tolist()
         lp.a_matrix_.value_ = structure.stacked_data(demand).tolist()
-        highs = core._Highs()
+        highs = _core._Highs()
         highs.passOptions(self._options)
-        error = core.HighsStatus.kError
+        error = _core.HighsStatus.kError
         failed = highs.passModel(lp) == error or highs.run() == error
         status = highs.getModelStatus()
-        if failed or status != core.HighsModelStatus.kOptimal:
+        if failed or status != _core.HighsModelStatus.kOptimal:
             raise LPSolveError(
                 f"MLU LP failed: HiGHS model status {highs.modelStatusToString(status)}"
             )
@@ -209,45 +196,27 @@ class ScipyLinprogBackend:
     the solve counter and the :class:`~repro.te.config.TEConfiguration`
     packaging.
 
-    Where scipy vendors its HiGHS core, each solve hands that core the very
-    arrays and options ``linprog`` would (the stacked LP of
+    Each solve hands scipy's vendored HiGHS core the very arrays and options
+    ``linprog`` would (the stacked LP of
     :class:`~repro.solvers.lp.MLUConstraintStructure`, marshalled once per
     path set), runs a fresh solver, and keeps ``linprog``'s ``Optimal``
     check and post-solve feasibility check
     (:func:`_within_linprog_tolerance`): the same vertex bit for bit, without
     the wrapper's input cleaning, matrix conversion and dual bookkeeping.
-    Without the core -- a platform choice made once, at construction -- every
-    solve is a ``linprog`` call.  Also the reference the persistent model is
-    tested against.
+    Also the reference the persistent model is tested against.
     """
 
     def __init__(self) -> None:
-        self._core = _load_scipy_core()
         self._models: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _run(self, path_set, demand_vector, upper) -> np.ndarray:
-        from repro.solvers.lp import LPSolveError, constraint_structure
+        from repro.solvers.lp import constraint_structure
 
         structure = constraint_structure(path_set)
-        if self._core is not None:
-            model = self._models.get(structure)
-            if model is None:
-                model = self._models[structure] = _LinprogModel(
-                    self._core, _linprog_options(self._core), structure
-                )
-            return model.solve(structure, demand_vector, upper)
-        result = linprog(
-            structure.cost,
-            A_ub=structure.a_ub(demand_vector),
-            b_ub=structure.b_ub,
-            A_eq=structure.a_eq,
-            b_eq=structure.b_eq,
-            bounds=structure.bounds_array(upper),
-            method="highs",
-        )
-        if not result.success:
-            raise LPSolveError(f"MLU LP failed: {result.message}")
-        return result.x
+        model = self._models.get(structure)
+        if model is None:
+            model = self._models[structure] = _LinprogModel(structure)
+        return model.solve(structure, demand_vector, upper)
 
     def solve(self, path_set, demand_vector, upper) -> tuple[np.ndarray, float]:
         """Solve one LP; return ``(split_ratios, optimal_mlu)``.
@@ -266,38 +235,15 @@ class ScipyLinprogBackend:
         return float(self._run(path_set, demand_vector, upper)[-1])
 
 
-def _load_highspy():
-    """The highspy bindings: the standalone package, else scipy's vendored copy.
-
-    Returns ``(module_like, Highs_class)``.  Raises :class:`ImportError` when
-    neither is available (old scipy without the vendored solver).
-    """
-    try:
-        import highspy
-
-        return highspy, highspy.Highs
-    except ImportError:
-        pass
-    try:
-        from scipy.optimize._highspy import _core
-
-        return _core, _core._Highs
-    except (ImportError, AttributeError) as exc:
-        raise ImportError(
-            "the persistent HiGHS model needs the highspy bindings (pip "
-            "install highspy), and this scipy does not vendor them"
-        ) from exc
-
-
 class _PersistentModel:
     """One HiGHS model for a ``(PathSet, upper-bounds)`` key, re-solved per demand."""
 
-    def __init__(self, hs, highs_cls, path_set, structure, upper) -> None:
+    def __init__(self, path_set, structure, upper) -> None:
         num_paths = path_set.num_paths
         num_pairs = path_set.num_sd_pairs
         num_edges = structure.b_ub.shape[0]
         num_cols = num_paths + 1 + num_pairs
-        inf = hs.kHighsInf
+        inf = _core.kHighsInf
 
         self._path_sd_index = path_set.path_sd_index
         self._num_paths = num_paths
@@ -339,7 +285,7 @@ class _PersistentModel:
         matrix = sparse.vstack([equality, load]).tocsc()
         matrix.sort_indices()
 
-        lp = hs.HighsLp()
+        lp = _core.HighsLp()
         lp.num_col_ = num_cols
         lp.num_row_ = num_pairs + num_edges
         cost = np.zeros(num_cols)
@@ -353,20 +299,20 @@ class _PersistentModel:
             [np.zeros(num_pairs), np.full(num_edges, -inf)]
         )
         lp.row_upper_ = np.zeros(num_pairs + num_edges)
-        lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
         lp.a_matrix_.start_ = matrix.indptr
         lp.a_matrix_.index_ = matrix.indices
         lp.a_matrix_.value_ = matrix.data
 
-        solver = highs_cls()
+        solver = _core._Highs()
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("simplex_strategy", 4)  # primal: the start is primal feasible
         solver.passModel(lp)
         self._solver = solver
-        self._optimal = hs.HighsModelStatus.kOptimal
-        self._crash_start(hs, path_set, upper)
+        self._optimal = _core.HighsModelStatus.kOptimal
+        self._crash_start(path_set, upper)
 
-    def _crash_start(self, hs, path_set, upper) -> None:
+    def _crash_start(self, path_set, upper) -> None:
         """The canonical start: every pair routed over its first usable paths.
 
         Each pair's paths are filled in path order up to their ratio caps
@@ -376,7 +322,7 @@ class _PersistentModel:
         everything else is at zero.  Only the edge row that carries ``t`` --
         the routing's most loaded edge -- is picked per demand.
         """
-        status = hs.HighsBasisStatus
+        status = _core.HighsBasisStatus
         sd = self._path_sd_index
         paths = np.arange(self._num_paths)
         before = np.cumsum(upper) - upper
@@ -400,7 +346,7 @@ class _PersistentModel:
         fill = sparse.diags(np.clip(need, 0.0, upper)) @ path_set.sd_to_path.T
         per_capacity = sparse.diags(1.0 / path_set.topology.capacities)
         self._crash_utilisation = (per_capacity @ path_set.path_to_edge.T @ fill).tocsr()
-        self._basis = hs.HighsBasis()
+        self._basis = _core.HighsBasis()
         self._basis.valid, self._basis.alien = True, False
         # Columns x | t | s, rows pairs | edges: t is basic in place of the
         # slack of the tight edge row, which solve_mlu marks per demand.
@@ -471,7 +417,6 @@ class PersistentHighsBackend:
     """
 
     def __init__(self) -> None:
-        self._hs, self._highs_cls = _load_highspy()
         self._models: OrderedDict[tuple[str, bytes], _PersistentModel] = OrderedDict()
 
     def clear_models(self) -> None:
@@ -489,9 +434,7 @@ class PersistentHighsBackend:
         if model is None:
             from repro.solvers.lp import constraint_structure
 
-            model = _PersistentModel(
-                self._hs, self._highs_cls, path_set, constraint_structure(path_set), upper
-            )
+            model = _PersistentModel(path_set, constraint_structure(path_set), upper)
             self._models[key] = model
             if len(self._models) > MAX_PERSISTENT_MODELS:
                 self._models.popitem(last=False)
@@ -508,13 +451,10 @@ class PersistentHighsBackend:
 
 class AutoLPBackend:
     """The one solver rule: unique values on the persistent model, vertices
-    on ``linprog``'s LP.
+    on ``linprog``'s LP, both in scipy's vendored HiGHS core.
 
-    Both platform choices are made here, once and silently: without the
-    HiGHS bindings (:func:`_load_highspy` raises :class:`ImportError`) the
-    values run on the vertex solver too, and without scipy's vendored core
-    (:func:`_load_scipy_core` returns ``None``) that solver calls
-    ``linprog``.
+    Whatever else the machine has installed, both sides run the one HiGHS
+    build scipy ships, so no record depends on the machine's packages.
     """
 
     #: What ``resolve_lp_backend(None).name`` reports (perfbench records it).
@@ -522,10 +462,7 @@ class AutoLPBackend:
 
     def __init__(self) -> None:
         self._vertices = ScipyLinprogBackend()
-        try:
-            self._values = PersistentHighsBackend()
-        except ImportError:
-            self._values = self._vertices
+        self._values = PersistentHighsBackend()
 
     def solve(self, path_set, demand_vector, upper) -> tuple[np.ndarray, float]:
         return self._vertices.solve(path_set, demand_vector, upper)

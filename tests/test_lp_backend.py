@@ -5,10 +5,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as scipy_core
 
 import repro
 from repro.solvers import lp_backend as lpb
@@ -18,20 +20,6 @@ from repro.solvers.lp_backend import (
     PersistentHighsBackend,
     ScipyLinprogBackend,
     resolve_lp_backend,
-)
-
-
-def _highs_importable() -> bool:
-    try:
-        lpb._load_highspy()
-    except ImportError:
-        return False
-    return True
-
-
-needs_highs = pytest.mark.skipif(
-    not _highs_importable(),
-    reason="no importable HiGHS bindings (highspy or scipy-vendored HiGHS)",
 )
 
 
@@ -53,17 +41,12 @@ def value_side(monkeypatch):
     return swap
 
 
-def _broken_load():
-    raise ImportError("no highspy anywhere")
-
-
 class TestSelection:
     def test_default_is_auto(self, fresh_solver):
         assert resolve_lp_backend(None).name == "auto"
         assert isinstance(resolve_lp_backend(None), AutoLPBackend)
         assert isinstance(resolve_lp_backend()._vertices, ScipyLinprogBackend)
-        if _highs_importable():
-            assert isinstance(resolve_lp_backend()._values, PersistentHighsBackend)
+        assert isinstance(resolve_lp_backend()._values, PersistentHighsBackend)
 
     def test_instances_are_cached(self, fresh_solver):
         assert resolve_lp_backend() is resolve_lp_backend()
@@ -76,7 +59,6 @@ class TestSelection:
             with pytest.raises(TypeError, match="not selectable"):
                 resolve_lp_backend(choice)
 
-    @needs_highs
     def test_auto_prefers_highs(self, fresh_solver, mesh4_paths, rng, monkeypatch):
         # ...for what has one answer: value-only solves run on the composite's
         # persistent model, vertex-returning solves on its linprog side.  The
@@ -102,26 +84,42 @@ class TestSelection:
         solver = resolve_lp_backend()
         assert ran == [(solver._vertices, "solve"), (solver._values, "solve_mlu")]
 
-    def test_auto_without_highs_is_scipy(self, monkeypatch):
-        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
+    def test_an_installed_highspy_is_never_bound(self, monkeypatch, mesh4_paths, rng):
+        # Both sides run scipy's vendored core whatever else is installed: a
+        # standalone highspy in sys.modules is never touched, and normalisers
+        # and vertices come out as they do without it, bit for bit.
+        from repro.solvers.lp import _ratio_upper_bounds
+
+        caps = np.full(mesh4_paths.num_paths, 0.5)
+        uppers = [_ratio_upper_bounds(mesh4_paths, c, None) for c in (None, caps)]
+        demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
+        demands[1, ::2] = 0.0
+
+        def run(solver):
+            solved = []
+            for demand in demands:
+                for upper in uppers:
+                    ratios, mlu = solver.solve(mesh4_paths, demand, upper)
+                    value = solver.solve_mlu(mesh4_paths, demand, upper)
+                    solved.append((value, ratios.tobytes(), mlu))
+            return solved
+
+        reference = run(AutoLPBackend())
+
+        def used(name):
+            raise AssertionError(f"standalone highspy's {name} was used")
+
+        stub = types.ModuleType("highspy")
+        stub.__getattr__ = used
+        monkeypatch.setitem(sys.modules, "highspy", stub)
         solver = AutoLPBackend()
-        assert solver.name == "auto"
-        assert solver._values is solver._vertices
-        assert isinstance(solver._values, ScipyLinprogBackend)
-
-    def test_default_without_highs_is_all_scipy_and_silent(
-        self, fresh_solver, monkeypatch, mesh4_paths, rng, solve_on
-    ):
-        import warnings as warnings_module
-
-        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
-        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert resolve_lp_backend()._values is resolve_lp_backend()._vertices
-            [(_, value)] = solve_mlu_lp_batch(mesh4_paths, demand, mlu_only=True)
-        _, reference = solve_on(ScipyLinprogBackend(), mesh4_paths, demand, mlu_only=True)
-        assert value == reference
+        assert run(solver) == reference
+        assert lpb._core is scipy_core
+        [vertex_model] = solver._vertices._models.values()
+        assert isinstance(vertex_model._lp, scipy_core.HighsLp)
+        assert len(solver._values._models) == len(uppers)
+        for value_model in solver._values._models.values():
+            assert isinstance(value_model._solver, scipy_core._Highs)
 
 
 def test_lp_backend_variable_fails_loudly():
@@ -212,28 +210,6 @@ class TestDefaultKeepsPublishedValues:
             for caps, mask in bounds
         ]
 
-    def test_without_highs_reproduces_the_parent_bit_for_bit(
-        self, fresh_solver, monkeypatch, mesh4_paths, cases
-    ):
-        from repro.solvers.lp import OptimalMLUCache, omniscient_mlu
-        from repro.te.config import TEConfiguration
-
-        monkeypatch.setattr(lpb, "_load_highspy", _broken_load)
-        for demand, caps, mask, upper in cases:
-            ratios, mlu = _linprog_reference(mesh4_paths, demand, upper)
-            config, solved = solve_mlu_lp(
-                mesh4_paths, demand, sensitivity_caps=caps, path_mask=mask
-            )
-            assert solved == mlu
-            expected = TEConfiguration(mesh4_paths, ratios, normalize=True)
-            assert np.array_equal(config.split_ratios, expected.split_ratios)
-            if caps is None:
-                cached = OptimalMLUCache().optimal_mlu(mesh4_paths, demand, path_mask=mask)
-                assert cached == max(mlu, 1e-12)
-            if caps is None and mask is None:
-                assert omniscient_mlu(mesh4_paths, demand) == max(mlu, 1e-12)
-
-    @needs_highs
     def test_default_solve_returns_linprog_ratios_bit_for_bit(
         self, fresh_solver, mesh4_paths, cases, solve_on
     ):
@@ -266,43 +242,8 @@ class TestDefaultKeepsPublishedValues:
                     assert omniscient_mlu(paths, demand) == cached
 
 
-def _scipy_core():
-    return pytest.importorskip("scipy.optimize._highspy._core")
-
-
 class TestVertexSolver:
     """Vertex solves hand scipy's own HiGHS core what linprog would."""
-
-    def test_default_binds_scipys_core_whenever_it_imports(
-        self, fresh_solver, monkeypatch, mesh4_paths, rng
-    ):
-        # Every CI leg with a vendored core -- standalone highspy installed
-        # or not -- takes the direct path: no vertex solve reaches linprog.
-        assert resolve_lp_backend()._vertices._core is _scipy_core()
-
-        def no_linprog(*args, **kwargs):
-            raise AssertionError("a vertex solve fell back to linprog")
-
-        monkeypatch.setattr(lpb, "linprog", no_linprog)
-        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        solve_mlu_lp(mesh4_paths, demand, sensitivity_caps=np.full(mesh4_paths.num_paths, 0.5))
-
-    def test_without_scipys_core_vertices_run_on_linprog(
-        self, fresh_solver, monkeypatch, mesh4_paths, rng
-    ):
-        demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        direct, direct_mlu = solve_mlu_lp(mesh4_paths, demand)
-        calls = []
-        original = lpb.linprog
-        monkeypatch.setattr(
-            lpb, "linprog", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
-        )
-        monkeypatch.setattr(lpb, "_load_scipy_core", lambda: None)
-        monkeypatch.setattr(lpb, "_SOLVER", None)
-        config, mlu = solve_mlu_lp(mesh4_paths, demand)
-        assert calls == [1]
-        assert mlu == direct_mlu
-        assert np.array_equal(config.split_ratios, direct.split_ratios)
 
     def test_core_gets_linprogs_inputs(self, monkeypatch, mesh4_paths, rng):
         # The arrays linprog hands its HiGHS wrapper, byte for byte: the
@@ -312,7 +253,6 @@ class TestVertexSolver:
 
         from repro.solvers.lp import _ratio_upper_bounds, constraint_structure
 
-        core = _scipy_core()
         captured = []
         original = _linprog_highs._highs_wrapper
 
@@ -327,7 +267,7 @@ class TestVertexSolver:
         demand[::2] = 0.0
         _linprog_reference(mesh4_paths, demand, upper)
         [(cost, indptr, indices, data, lhs, rhs, lower, col_upper, _, _)] = captured
-        inf = core.kHighsInf
+        inf = scipy_core.kHighsInf
         sent = {
             "cost": structure.cost,
             "indptr": structure.stacked_indptr,
@@ -388,7 +328,6 @@ class TestVertexSolver:
     def test_infeasible_lp_names_the_model_status(self, mesh4_paths):
         from repro.solvers.lp import LPSolveError
 
-        _scipy_core()
         demand = np.ones(mesh4_paths.num_sd_pairs)
         with pytest.raises(LPSolveError, match="MLU LP failed: HiGHS model status Infeasible"):
             ScipyLinprogBackend().solve(mesh4_paths, demand, np.zeros(mesh4_paths.num_paths))
@@ -396,14 +335,12 @@ class TestVertexSolver:
     def test_optimal_but_infeasible_raises(self, monkeypatch, mesh4_paths, rng):
         from repro.solvers.lp import LPSolveError
 
-        _scipy_core()
         monkeypatch.setattr(lpb, "_within_linprog_tolerance", lambda *args: False)
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
         with pytest.raises(LPSolveError, match="MLU LP failed: HiGHS model status Optimal"):
             ScipyLinprogBackend().solve(mesh4_paths, demand, np.ones(mesh4_paths.num_paths))
 
 
-@needs_highs
 class TestPersistentModels:
     def test_model_reused_across_solves(self, mesh4_paths, rng, solve_on):
         backend = PersistentHighsBackend()
@@ -462,7 +399,6 @@ class TestBatchBackend:
             solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
         assert tally.count == len(demands)
 
-    @needs_highs
     def test_batch_backends_agree(self, fresh_solver, mesh4_paths, rng):
         # Full solves run on linprog, value-only ones on the persistent model.
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
@@ -533,7 +469,6 @@ class TestEngineAndStudyThreading:
         assert recording.calls == tally.count == engine.cache.misses
         assert tally.count > replayed  # the trainings' normalisers are in there
 
-    @needs_highs
     def test_study_run_highs_matches_scipy(self, fresh_solver, value_side):
         from repro.study.study import Study
 
@@ -544,7 +479,6 @@ class TestEngineAndStudyThreading:
             highs_run[0].series, scipy_run[0].series, atol=1e-9
         )
 
-    @needs_highs
     def test_default_study_keeps_the_lp_schemes_published_numbers(
         self, fresh_solver, value_side
     ):

@@ -99,10 +99,12 @@ class TestSolveMluLP:
 
 
 class TestNonFiniteDemand:
-    """A NaN or infinite demand is a ValueError on every LP path -- the
-    vertex solve, the normaliser and the cache -- and nothing is cached."""
+    """A NaN, infinite or negative demand is a ValueError on every LP path --
+    the vertex solve, the normaliser and the cache -- and nothing is solved
+    or cached.  (A negative one would otherwise split the two solvers: the
+    vertex LP solves it, the normaliser's supply bounds make it infeasible.)"""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
     @pytest.mark.parametrize("entry", ["solve_mlu_lp", "omniscient_mlu", "optimal_mlus"])
     def test_rejected_before_any_solve(self, mesh4_paths, rng, entry, bad):
         good = rng.random(mesh4_paths.num_sd_pairs) + 0.1
@@ -114,7 +116,8 @@ class TestNonFiniteDemand:
             "omniscient_mlu": lambda: omniscient_mlu(mesh4_paths, demand),
             "optimal_mlus": lambda: cache.optimal_mlus(mesh4_paths, np.stack([good, demand])),
         }
-        with count_lp_solves() as tally, pytest.raises(ValueError, match="finite"):
+        message = "finite" if not np.isfinite(bad) else "non-negative"
+        with count_lp_solves() as tally, pytest.raises(ValueError, match=message):
             calls[entry]()
         assert tally.count == 0
         assert len(cache) == 0
@@ -408,23 +411,8 @@ class TestWorkersEnvDefault:
         assert resolve_workers(None) is None
 
 
-def _highs_importable() -> bool:
-    from repro.solvers.lp_backend import _load_highspy
-
-    try:
-        _load_highspy()
-    except ImportError:
-        return False
-    return True
-
-
 class TestBackendEquivalence:
     """``linprog`` and the persistent HiGHS model solve the same LP."""
-
-    pytestmark = pytest.mark.skipif(
-        not _highs_importable(),
-        reason="no importable HiGHS bindings (highspy or scipy-vendored HiGHS)",
-    )
 
     @pytest.fixture()
     def backends(self):
@@ -515,11 +503,6 @@ class TestBackendEquivalence:
 
 class TestHistoryIndependence:
     """A highs result is a function of (model, demand), not of what ran before."""
-
-    pytestmark = pytest.mark.skipif(
-        not _highs_importable(),
-        reason="no importable HiGHS bindings (highspy or scipy-vendored HiGHS)",
-    )
 
     def test_hypothesis_same_bits_after_any_solve_sequence(
         self, tor_scenario_small, solve_on
@@ -626,9 +609,6 @@ class TestInfeasibleLP:
         with pytest.raises(LPSolveError, match="MLU LP failed: .+"):
             self._solve_infeasible(solve_on, mesh4_paths, ScipyLinprogBackend())
 
-    @pytest.mark.skipif(
-        not _highs_importable(), reason="no importable HiGHS bindings"
-    )
     def test_highs_backend_raises_with_solver_message(
         self, mesh4_paths, force_zero_upper, solve_on
     ):
