@@ -6,8 +6,8 @@ loaded scenarios are cached in module-level dictionaries and reused across
 benchmark modules within one pytest session.
 
 All benchmarks use scaled-down scenario variants (``*_small``) and shortened
-traces so the whole harness completes on a CPU-only machine; EXPERIMENTS.md
-records the scaling factors alongside the paper's original settings.
+traces so the whole harness completes on a CPU-only machine; the scenario
+builders in ``repro.datasets.registry`` hold the scaling factors.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ def test_fig03_three_te_schemes(benchmark):
     # counts), so the one number that depends on opposite-direction sharing --
     # scheme 3 under the A->B burst -- evaluates to 2.0 here instead of the
     # paper's 2.1875.  Every qualitative relationship between the schemes is
-    # unchanged (see EXPERIMENTS.md).
+    # unchanged.
     assert table["normal"][0] == pytest.approx(0.5)
     assert table["burst A->B"][0] == pytest.approx(2.0)
     assert table["normal"][1] == pytest.approx(0.75)

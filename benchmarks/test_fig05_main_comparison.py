@@ -86,8 +86,7 @@ def test_fig05a_geant_and_pfabric(benchmark):
     # GEANT (mostly stable WAN): the learned schemes stay in the same band as
     # the LP baselines with no severe congestion.  (On the paper's real GEANT
     # trace FIGRET/DOTE are essentially optimal; the shortened synthetic trace
-    # and CPU training budget leave them slightly above the LP here -- see
-    # EXPERIMENTS.md.)
+    # and CPU training budget leave them slightly above the LP here.)
     geant = per_scenario["geant_small"]
     assert geant["FIGRET"].mean <= geant["DOTE"].mean * 1.35
     assert geant["FIGRET"].severe_congestion_fraction <= 0.05

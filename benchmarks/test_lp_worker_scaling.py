@@ -1,11 +1,13 @@
 """LP process-pool scaling on the larger WAN topologies (ROADMAP item).
 
 The omniscient normalisers are the only CPU-bound LP work left in the replay
-pipeline, and they fan out over a long-lived process pool.  This bench
-measures solves/sec versus worker width on the Cogentco- and UsCarrier-like
-scenarios (the topologies where one solve costs ~100 ms, so fan-out actually
-pays) and emits a machine-readable ``BENCH_lp_worker_scaling.json`` record --
-the same harness the engine-speedup records live in.
+pipeline, and they fan out over a long-lived process pool.  This bench times
+the batch an ``OptimalMLUCache(workers=N)`` issues for its misses -- value-only
+solves on the persistent model -- versus worker width on the Cogentco- and
+UsCarrier-like scenarios, and emits a machine-readable
+``BENCH_lp_worker_scaling.json`` record.  Each worker builds its own model
+once per chunk, so a batch needs a couple of dozen rows per worker before
+fan-out can pay for that build.
 
 Where process spawning is forbidden (sandboxes), ``solve_mlu_lp_batch``
 solves its chunks in-process (``repro.pool`` counts each fallback and warns
@@ -23,20 +25,21 @@ import pytest
 
 import bench_common as common
 from repro.pool import default_workers
-from repro.solvers.lp import solve_mlu_lp_batch
+from repro.solvers.lp import OptimalMLUCache
 
-#: Demand rows solved per (scenario, width) measurement.  Each solve costs
-#: ~100 ms on these topologies, so this bounds the bench to a few seconds.
-NUM_DEMANDS = 6
+#: Demand rows solved per (scenario, width) measurement: 24 per worker at
+#: width 2, enough to amortise each worker's model build.  A solve costs
+#: ~20-40 ms on these topologies, so this bounds the bench to a few seconds.
+NUM_DEMANDS = 48
 
 SCENARIOS = ("cogentco_small", "uscarrier_small")
 
 
-def _worker_widths() -> tuple[int | None, ...]:
+def _worker_widths() -> tuple[int, ...]:
     # Sequential baseline, a 2-wide pool (measurable even on 2-core boxes,
     # where the parent mostly waits on the pool), and the auto width when
     # it adds anything beyond those.
-    widths: list[int | None] = [None, 2]
+    widths = [1, 2]
     auto = default_workers()
     if auto > 2:
         widths.append(auto)
@@ -51,25 +54,25 @@ def test_lp_worker_scaling(benchmark):
     def run():
         for name in SCENARIOS:
             scenario = common.get_scenario(name)
-            demands = common.test_slice(scenario, NUM_DEMANDS).flat_demands()[
-                : NUM_DEMANDS
-            ]
+            # The test split is shorter than NUM_DEMANDS; the whole trace is not.
+            demands = scenario.traffic.flat_demands()[:NUM_DEMANDS]
             per_width = {}
             for width in _worker_widths():
                 with warnings.catch_warnings():
                     # The in-process fallback warns once per process; the
                     # bench records the throughput either way.
                     warnings.simplefilter("ignore", RuntimeWarning)
+                    cache = OptimalMLUCache(workers=width)
                     start = time.perf_counter()
-                    solved = solve_mlu_lp_batch(scenario.paths, demands, workers=width)
+                    mlus = cache.optimal_mlus(scenario.paths, demands)
                     elapsed = time.perf_counter() - start
-                mlus = np.array([mlu for _, mlu in solved])
+                assert cache.misses == len(demands)
                 if name in reference:
                     # Identical results regardless of pool width.
                     np.testing.assert_allclose(mlus, reference[name], atol=1e-9)
                 else:
                     reference[name] = mlus
-                per_width[str(width or 1)] = {
+                per_width[str(width)] = {
                     "seconds": elapsed,
                     "solves_per_second": len(demands) / elapsed,
                 }
@@ -82,7 +85,7 @@ def test_lp_worker_scaling(benchmark):
     common.write_bench_record(
         "lp_worker_scaling",
         lp_workers=None,
-        swept_widths=[width or 1 for width in _worker_widths()],
+        swept_widths=list(_worker_widths()),
         num_demands=NUM_DEMANDS,
         scenarios=outcome,
     )

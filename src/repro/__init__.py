@@ -10,7 +10,7 @@ The most commonly used entry points are re-exported here:
 
 >>> from repro import datasets, Figret
 >>> scenario = datasets.load("geant_small", seed=1)
->>> model = Figret(scenario.topology, scenario.paths)
+>>> model = Figret(scenario.paths)
 
 Whole experiment grids are declared as data and run through the study layer:
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.nn import Tensor
 from repro.paths.path_set import PathSet
+from repro.solvers.lp import NORMALIZER_FLOOR
 from repro.te.sensitivity import normalized_path_capacities
 
 __all__ = ["TELoss"]
@@ -109,7 +110,7 @@ class TELoss:
         ratios = self.split_ratios(raw_scores)
         mlu = self.mlu(ratios, demands)
         if optimal_mlu is not None:
-            mlu = mlu / np.maximum(np.asarray(optimal_mlu, dtype=float), 1e-12)
+            mlu = mlu / np.maximum(np.asarray(optimal_mlu, dtype=float), NORMALIZER_FLOOR)
         loss_mlu = mlu.mean()
         components = {"mlu": float(loss_mlu.item())}
         total = loss_mlu

@@ -243,8 +243,8 @@ class Trainer:
         if config.normalize_by_optimal:
             # Normalisers come from the shared LP cache in one batched call:
             # values are bit-identical to per-target ``omniscient_mlu`` calls
-            # (same solver, same 1e-12 floor), and the entries stay cached
-            # for the evaluation replay of the same demands.
+            # (same solver, same ``NORMALIZER_FLOOR``), and the entries stay
+            # cached for the evaluation replay of the same demands.
             cache = self.cache if self.cache is not None else shared_cache()
             optimal = cache.optimal_mlus(self.path_set, targets)
 

@@ -7,8 +7,9 @@ train/test split.
 
 Full-size scenarios match Table 1's node/edge counts.  Each also has a
 ``*_small`` variant with a scaled-down topology and shorter trace so the
-complete benchmark harness runs on a CPU-only machine in minutes; the scaling
-factors are recorded in EXPERIMENTS.md.
+complete benchmark harness runs on a CPU-only machine in minutes; the
+``_build_*`` functions and the ``_BUILDERS`` table below set each variant's
+topology and trace length.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
-from repro.solvers.lp import OptimalMLUCache, shared_cache
+from repro.solvers.lp import NORMALIZER_FLOOR, OptimalMLUCache, shared_cache
 from repro.te.failures import (
     reroute_ratios_around_failures,
     sample_failed_links,
@@ -61,10 +61,6 @@ __all__ = [
 
 #: Default number of evaluation intervals per streaming chunk.
 DEFAULT_CHUNK_SIZE = 256
-
-#: Floor applied to normalisers so zero-demand intervals never divide by zero.
-NORMALIZER_FLOOR = 1e-12
-
 
 @dataclass
 class EvaluationResult:

@@ -8,7 +8,6 @@ from repro.solvers.lp import (
     shared_cache,
     resolve_lp_workers,
     LP_WORKERS_ENV_VAR,
-    lp_solve_calls,
     count_lp_solves,
     LPSolveTally,
     MLUConstraintStructure,
@@ -29,7 +28,6 @@ __all__ = [
     "shared_cache",
     "resolve_lp_workers",
     "LP_WORKERS_ENV_VAR",
-    "lp_solve_calls",
     "count_lp_solves",
     "LPSolveTally",
     "MLUConstraintStructure",

@@ -8,14 +8,15 @@ minimise the maximum link utilisation are the solution of the LP:
                 sum_{p: e in p} D_{sd(p)} r_p <= t * c(e)    for every edge e
                 r_p >= 0
 
-This module provides the raw solver (:func:`solve_mlu_lp`), a batched variant
-(:func:`solve_mlu_lp_batch`) with optional fan-out over :mod:`repro.pool`, the
-omniscient benchmark used to normalise every MLU the paper reports
-(:func:`omniscient_mlu`), a disk-persistable cache for those normalisers
-(:class:`OptimalMLUCache`, with a process-wide instance via
-:func:`shared_cache`), and the two simplest schemes built directly on
-the LP: :class:`OmniscientTE` (perfect knowledge of the next demand) and
-:class:`PredictionBasedTE` (solve for a demand predicted from history).
+This module provides the raw solver (:func:`solve_mlu_lp`), the batch of
+optimal values behind every normaliser (:func:`solve_mlu_lp_batch`, with
+optional fan-out over :mod:`repro.pool`), the omniscient benchmark used to
+normalise every MLU the paper reports (:func:`omniscient_mlu`), a
+disk-persistable cache for those normalisers (:class:`OptimalMLUCache`, with
+a process-wide instance via :func:`shared_cache`), and the two simplest
+schemes built directly on the LP: :class:`OmniscientTE` (perfect knowledge of
+the next demand) and :class:`PredictionBasedTE` (solve for a demand predicted
+from history).
 
 The LP's constraint matrices depend on the demand only through a diagonal
 rescale of the path-to-edge incidence, so everything demand-independent
@@ -25,11 +26,12 @@ shared by every subsequent solve.
 
 One fixed rule picks the solver (see :mod:`repro.solvers.lp_backend`, which
 only this module imports), and both solvers run on scipy's vendored HiGHS
-core, whatever else is installed: value-only normalisers on a persistent
-model per (path set, bounds) key, started from a canonical shortest-path
-basis; vertex-returning solves on the LP ``linprog`` would hand that core,
-stacked here once per path set, keeping ``linprog``'s vertex bit for bit.
-Every entry point rejects a demand with a NaN, infinite or negative entry.
+core, whatever else is installed: the batch's normalisers on a persistent
+model per (path set, failure mask) key, started from each pair's first usable
+path; :func:`solve_mlu_lp`'s vertices on the LP ``linprog`` would hand that
+core, stacked here once per path set, keeping ``linprog``'s vertex bit for
+bit.  Every entry point rejects a demand with a NaN, infinite or negative
+entry.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ __all__ = [
     "shared_cache",
     "resolve_lp_workers",
     "LP_WORKERS_ENV_VAR",
-    "lp_solve_calls",
+    "NORMALIZER_FLOOR",
     "count_lp_solves",
     "LPSolveTally",
     "OmniscientTE",
@@ -76,21 +78,13 @@ class LPSolveError(RuntimeError):
     """Raised when the LP solver fails to find an optimal solution."""
 
 
-#: Raw LP solve counter (this process only); see :func:`lp_solve_calls`.
+#: Floor on every omniscient normaliser, so a zero-demand interval never
+#: divides by zero.
+NORMALIZER_FLOOR = 1e-12
+
+#: Raw LP solve counter of this process (pool workers count in their own);
+#: read it through :func:`count_lp_solves`.
 _LP_SOLVE_CALLS = 0
-
-
-def lp_solve_calls() -> int:
-    """Number of raw MLU LP solves performed so far in this process.
-
-    Process-pool workers count in their own processes, so with ``workers``
-    set the parent's counter only reflects in-process solves.  Prefer
-    :func:`count_lp_solves` for assertions: absolute values of this
-    process-global counter depend on everything that ran earlier in the
-    process (other tests, a warm shared cache, ...), so they cross-
-    contaminate between suites and between CI jobs sharing a worker.
-    """
-    return _LP_SOLVE_CALLS
 
 
 class LPSolveTally:
@@ -103,10 +97,6 @@ class LPSolveTally:
     def count(self) -> int:
         """Raw LP solves since this tally was started."""
         return _LP_SOLVE_CALLS - self._start
-
-    def reset(self) -> None:
-        """Restart the tally at the current counter value."""
-        self._start = _LP_SOLVE_CALLS
 
 
 class count_lp_solves:
@@ -392,22 +382,15 @@ def solve_mlu_lp(
     return TEConfiguration(path_set, ratios, normalize=True), mlu
 
 
-def _solve_batch_chunk(args) -> list[tuple[np.ndarray | None, float]]:
-    """Process-pool job: solve a chunk of demands over one path set.
+def _solve_batch_chunk(args) -> np.ndarray:
+    """Process-pool job: the optimal MLUs of one chunk of demands.
 
-    Also how the parent solves a chunk the pool hands back.  The sequential
-    batch, in the running process -- so with ``mlu_only`` every solve after
-    the first reuses one persistent model built for the whole chunk.  The
-    configurations go back as bare ratio arrays (cheaper to pickle).
+    Also how the parent solves a chunk the pool hands back: the sequential
+    batch, in the running process, so every solve after the first reuses the
+    one persistent model built for the whole chunk.
     """
-    path_set, demands, sensitivity_caps, path_mask, mlu_only = args
-    solved = solve_mlu_lp_batch(
-        path_set, demands, sensitivity_caps, path_mask, workers=1, mlu_only=mlu_only
-    )
-    return [
-        (config.split_ratios if config is not None else None, mlu)
-        for config, mlu in solved
-    ]
+    path_set, demands, path_mask = args
+    return solve_mlu_lp_batch(path_set, demands, path_mask, workers=1)
 
 
 #: Environment variable naming the default LP process-pool width.
@@ -430,36 +413,32 @@ def resolve_lp_workers(workers: int | str | None = None) -> int | None:
 def solve_mlu_lp_batch(
     path_set: PathSet,
     demands: np.ndarray,
-    sensitivity_caps: np.ndarray | None = None,
     path_mask: np.ndarray | None = None,
     workers: int | str | None = None,
-    mlu_only: bool = False,
-) -> list[tuple[TEConfiguration | None, float]]:
-    """Solve the MLU LP for every row of a ``(T, num_sd_pairs)`` demand array.
+) -> np.ndarray:
+    """Optimal MLU of every row of a ``(T, num_sd_pairs)`` demand array.
 
-    The solves are independent, so with ``workers`` set (an int, ``"auto"``
-    for an ``os.cpu_count()``-derived width, or ``REPRO_LP_WORKERS`` as the
-    process default) they fan out over a long-lived process pool shared by
-    all batch calls of that width (each worker rebuilds the constraint
-    structure -- and, for ``mlu_only``, one persistent model -- once per
-    chunk, then reuses it).  With no width configured the solves run
-    sequentially in-process, still sharing one precomputed structure, one
-    resolved bounds array, and one persistent model.  Chunks the pool
-    cannot run -- the path set fails to pickle, process spawning is
+    The normaliser batch: value-only solves on the persistent HiGHS model
+    (see :mod:`repro.solvers.lp_backend`); :func:`solve_mlu_lp` is the one
+    entry point that returns a configuration.  The solves are independent,
+    so with ``workers`` set (an int, ``"auto"`` for an
+    ``os.cpu_count()``-derived width, or ``REPRO_LP_WORKERS`` as the process
+    default) they fan out over a long-lived process pool shared by all batch
+    calls of that width (each worker builds the constraint structure and one
+    persistent model once per chunk, then reuses them).  With no width
+    configured the solves run sequentially in-process on one model.  Chunks
+    the pool cannot run -- the path set fails to pickle, process spawning is
     forbidden by the sandbox, or the pool dies -- are solved in-process
     instead (see :func:`repro.pool.fan_out`: the fallback is counted under
     ``"lp"`` and warned about once per process, and the next call tries a
     fresh pool).
 
     Args:
-        mlu_only: When True, return ``(None, optimal MLU)`` per row -- the
-            normaliser fast path used by :class:`OptimalMLUCache`.  The
-            values then come from the persistent HiGHS model instead of the
-            vertex solver: the same optimum, to solver tolerance.
+        path_mask: Optional boolean mask of usable paths, as for
+            :func:`solve_mlu_lp`.
 
     Returns:
-        A list of ``(configuration, optimal MLU)`` tuples, one per demand row
-        (``(None, optimal MLU)`` with ``mlu_only``).
+        A float array with one optimal MLU per demand row.
 
     Raises:
         ValueError: If a row has the wrong length or a NaN, inf or negative
@@ -473,46 +452,33 @@ def solve_mlu_lp_batch(
     workers = resolve_lp_workers(workers)
     if workers is not None and workers > 1 and len(demands) > 1:
         jobs = [
-            (path_set, chunk, sensitivity_caps, path_mask, mlu_only)
+            (path_set, chunk, path_mask)
             for chunk in np.array_split(demands, min(workers, len(demands)))
         ]
         solved: list = [None] * len(jobs)
         for index, chunk in fan_out(_solve_batch_chunk, jobs, workers, "lp", "LP batch"):
             solved[index] = _solve_batch_chunk(jobs[index]) if chunk is HANDED_BACK else chunk
-        return [
-            (
-                TEConfiguration(path_set, ratios, normalize=False)
-                if ratios is not None
-                else None,
-                mlu,
-            )
-            for chunk in solved
-            for ratios, mlu in chunk
-        ]
+        return np.concatenate(solved)
     global _LP_SOLVE_CALLS
     solver = resolve_lp_backend()
     structure = constraint_structure(path_set)
-    upper = _resolved_upper_bounds(path_set, structure, sensitivity_caps, path_mask)
-    results: list[tuple[TEConfiguration | None, float]] = []
-    for demand in demands:
+    upper = _resolved_upper_bounds(path_set, structure, None, path_mask)
+    mlus = np.empty(len(demands))
+    for row, demand in enumerate(demands):
         _LP_SOLVE_CALLS += 1
-        if mlu_only:
-            results.append((None, solver.solve_mlu(path_set, demand, upper)))
-        else:
-            ratios, mlu = solver.solve(path_set, demand, upper)
-            results.append((TEConfiguration(path_set, ratios, normalize=True), mlu))
-    return results
+        mlus[row] = solver.solve_mlu(path_set, demand, upper)
+    return mlus
 
 
 def omniscient_mlu(path_set: PathSet, demand_vector: np.ndarray) -> float:
     """Optimal MLU with perfect knowledge of the demand (the paper's oracle).
 
     Every MLU reported by the paper's figures is normalised by this value.
-    Returns a tiny positive floor instead of exactly zero for all-zero
+    Returns :data:`NORMALIZER_FLOOR` instead of exactly zero for all-zero
     demands so normalisation never divides by zero.
     """
-    [(_, mlu)] = solve_mlu_lp_batch(path_set, demand_vector, mlu_only=True)
-    return max(mlu, 1e-12)
+    [mlu] = solve_mlu_lp_batch(path_set, demand_vector).tolist()
+    return max(mlu, NORMALIZER_FLOOR)
 
 
 #: On-disk format marker of the persistent cache (see :class:`OptimalMLUCache`).
@@ -558,8 +524,9 @@ class OptimalMLUCache:
 
     Entries are keyed by ``(path-set fingerprint, demand hash, mask hash)``,
     so structurally identical path sets share entries and the cache survives
-    the path-set object itself.  Values carry the same ``1e-12`` floor as
-    :func:`omniscient_mlu` so they can be used as normalisers directly.
+    the path-set object itself.  Values carry the same
+    :data:`NORMALIZER_FLOOR` as :func:`omniscient_mlu` so they can be used as
+    normalisers directly.
 
     With ``path`` set the cache is **disk-persistent**: existing entries are
     loaded on construction and new ones are appended to the file by
@@ -575,8 +542,8 @@ class OptimalMLUCache:
     The cache is also the one place that says over how many processes a
     miss is solved, so the training normalisers and the replay normalisers
     of a study -- both drawn from its engine's cache -- share one width.
-    The key names no solver because there is one: every miss is an
-    ``mlu_only`` batch (see :mod:`repro.solvers.lp_backend`).
+    The key names no solver because there is one: every miss is solved by
+    :func:`solve_mlu_lp_batch` (see :mod:`repro.solvers.lp_backend`).
 
     Args:
         max_entries: Oldest entries are evicted from *memory* beyond this
@@ -757,9 +724,7 @@ class OptimalMLUCache:
 
         Rows missing from the cache are solved (over a process pool of the
         cache's ``workers``) and inserted; cached rows are
-        returned without re-solving.  The cache only keeps the optimal
-        values, so the batch runs with ``mlu_only=True`` -- solution
-        extraction and configuration construction are skipped entirely.
+        returned without re-solving.
         """
         demands = np.ascontiguousarray(np.asarray(demands, dtype=float))
         if demands.ndim == 1:
@@ -784,15 +749,11 @@ class OptimalMLUCache:
                 self.misses += 1
         if missing:
             rows = [indices[0] for indices in missing.values()]
-            solved = solve_mlu_lp_batch(
-                path_set,
-                demands[rows],
-                path_mask=path_mask,
-                workers=self.workers,
-                mlu_only=True,
+            solved = np.maximum(
+                solve_mlu_lp_batch(path_set, demands[rows], path_mask, self.workers),
+                NORMALIZER_FLOOR,
             )
-            for (key, indices), (_, mlu) in zip(missing.items(), solved):
-                value = max(mlu, 1e-12)
+            for (key, indices), value in zip(missing.items(), solved.tolist()):
                 self._store(key, value)
                 values[indices] = value
         return values

@@ -7,18 +7,21 @@ Every number the paper reports is normalised by the omniscient MLU LP
 solve_mlu_lp_batch` hand every solve to :func:`resolve_lp_backend`'s one
 composite, which routes it by what the caller needs back:
 
-* value-only solves (``solve_mlu``: every normaliser) run on
+* value-only solves (``solve_mlu``: the batch, so every normaliser) run on
   :class:`PersistentHighsBackend`, which builds one persistent HiGHS model
-  per ``(PathSet, ratio-upper-bounds)`` key and solves each demand by primal
-  simplex from a canonical shortest-path basis: no model rebuild, no
-  presolve, ~100 pivots instead of ~650.  About 5x per solve on smooth and
-  bursty traces alike (``benchmarks/test_lp_warmstart.py`` writes the record
-  to ``benchmarks/.records/BENCH_lp_warmstart.json``).  The optimum value is
-  unique, and a result is a function of (model, demand) alone.
-* vertex-returning solves (``solve``: Des TE, Pred TE, the oracle scheme)
-  run on :class:`ScipyLinprogBackend`, which hands scipy's vendored HiGHS
-  core -- the binary ``linprog(method="highs")`` runs -- exactly the arrays
-  and options ``linprog`` would, because the quality of the LP-based schemes
+  per ``(PathSet, failure-mask bounds)`` key and solves each demand by
+  primal simplex from each pair's first usable path: no model rebuild, no
+  presolve, ~100 pivots instead of ~650.  Its ratio bounds are 0 or 1, all
+  a mask leaves; a fractional one is a ``ValueError``.  About 5x per solve
+  on smooth and bursty traces alike (``benchmarks/test_lp_warmstart.py``
+  writes the record to ``benchmarks/.records/BENCH_lp_warmstart.json``).
+  The optimum value is unique, and a result is a function of (model,
+  demand) alone.
+* vertex-returning solves (``solve``: :func:`~repro.solvers.lp.solve_mlu_lp`,
+  so Des TE with its sensitivity caps, Pred TE, the oracle scheme) run on
+  :class:`ScipyLinprogBackend`, which hands scipy's vendored HiGHS core --
+  the binary ``linprog(method="highs")`` runs -- exactly the arrays and
+  options ``linprog`` would, because the quality of the LP-based schemes
   depends on *which* optimal vertex of a degenerate LP comes back.  It keeps
   ``linprog``'s vertex bit for bit and its status and feasibility checks;
   it skips the wrapper's per-call input cleaning, matrix conversion and
@@ -46,9 +49,10 @@ the equivalent flow form with explicit per-pair supply slacks
                 x >= 0, t >= 0, s_i = d_i  (fixed by its bounds)
 
 A new demand is then *one* bulk column-bounds update (``s_i in [d_i, d_i]``).
-Every solve starts from the same shortest-path basis, the start of Garg &
-Young's multicommodity-flow algorithm, never from the previous solve's:
-carrying a basis over made results depend on solve history and cost 10x on
+Every solve starts from the same basis, never from the previous solve's: the
+shortest-path start of Garg & Young's multicommodity-flow algorithm, which
+under 0/1 bounds routes each pair whole over its first usable path.  Carrying
+a basis over instead made results depend on solve history and cost 10x on
 bursty traces.  The optimal objective equals the ratio LP's optimal MLU; the
 optimal *vertex* may differ from ``linprog``'s (degenerate LPs have many),
 which is why equivalence is asserted on the MLU, not on the split ratios.
@@ -236,9 +240,19 @@ class ScipyLinprogBackend:
 
 
 class _PersistentModel:
-    """One HiGHS model for a ``(PathSet, upper-bounds)`` key, re-solved per demand."""
+    """One HiGHS model for a ``(PathSet, upper-bounds)`` key, re-solved per demand.
+
+    The upper bounds are 0 (path unusable) or 1, the only values a failure
+    mask and :func:`repro.solvers.lp._ratio_upper_bounds`'s relaxation
+    produce; any other bound is a :class:`ValueError`.
+    """
 
     def __init__(self, path_set, structure, upper) -> None:
+        if not np.isin(upper, (0.0, 1.0)).all():
+            raise ValueError(
+                "the persistent model takes ratio upper bounds of 0 or 1 only "
+                "(a failure mask's); fractional caps are for the vertex solver"
+            )
         num_paths = path_set.num_paths
         num_pairs = path_set.num_sd_pairs
         num_edges = structure.b_ub.shape[0]
@@ -250,28 +264,19 @@ class _PersistentModel:
         self._num_pairs = num_pairs
         #: Indices of the per-pair supply slacks (their bounds carry the demand).
         self._slack_cols = np.arange(num_paths + 1, num_cols, dtype=np.int32)
-        # Fractional sensitivity caps (0 < u < 1) scale with the demand, so
-        # those flow columns get per-solve bounds u_p * d_{sd(p)}; u >= 1 is
-        # implied by the supply equality, u == 0 is fixed at build time.
-        fractional = np.flatnonzero((upper > 0.0) & (upper < 1.0))
-        self._frac_cols = fractional.astype(np.int32)
-        self._frac_caps = np.ascontiguousarray(upper[fractional], dtype=float)
-        self._frac_sd = self._path_sd_index[fractional]
-        self._frac_lower = np.zeros(fractional.size)
-        # Zero-demand pairs carry no flow, so any caps-respecting split is
-        # optimal; distribute proportionally to the upper bounds (feasible
-        # because the relaxation guarantees they sum to >= 1 per pair).
-        cap_sums = np.zeros(num_pairs)
-        np.add.at(cap_sums, self._path_sd_index, upper)
-        # A pair with an all-zero upper only occurs when infeasibility is
-        # being forced deliberately (the relaxation otherwise prevents it);
-        # the LP will fail before these placeholder ratios are ever used.
-        path_cap_sums = cap_sums[self._path_sd_index]
+        # Zero-demand pairs carry no flow, so any split over usable paths is
+        # optimal; spread it evenly over them.
+        usable_counts = np.zeros(num_pairs)
+        np.add.at(usable_counts, self._path_sd_index, upper)
+        # A pair with no usable path only occurs when infeasibility is being
+        # forced deliberately (the relaxation otherwise prevents it); the LP
+        # will fail before these placeholder ratios are ever used.
+        path_counts = usable_counts[self._path_sd_index]
         self._zero_demand_ratios = np.divide(
             upper,
-            path_cap_sums,
+            path_counts,
             out=np.zeros(num_paths),
-            where=path_cap_sums > 0.0,
+            where=path_counts > 0.0,
         )
 
         # [ sd_to_path | 0 | -I ] x,t,s = 0   (pair supply rows)
@@ -291,6 +296,7 @@ class _PersistentModel:
         cost = np.zeros(num_cols)
         cost[num_paths] = 1.0
         lp.col_cost_ = cost
+        # A usable path's flow is bounded by its pair's supply row alone.
         col_upper = np.full(num_cols, inf)
         col_upper[np.flatnonzero(upper == 0.0)] = 0.0
         lp.col_lower_ = np.zeros(num_cols)
@@ -313,37 +319,28 @@ class _PersistentModel:
         self._crash_start(path_set, upper)
 
     def _crash_start(self, path_set, upper) -> None:
-        """The canonical start: every pair routed over its first usable paths.
+        """The canonical start: each pair carried whole by its first usable path.
 
-        Each pair's paths are filled in path order up to their ratio caps
-        (the shortest-path routing when nothing is capped or masked).  In
-        ratio units that routing does not depend on the demand: capped paths
-        sit at their upper bound, the pair's partially filled path is basic,
-        everything else is at zero.  Only the edge row that carries ``t`` --
-        the routing's most loaded edge -- is picked per demand.
+        Garg & Young's shortest-path start under the bounds a failure mask
+        leaves: that path's flow is basic and every other flow sits at zero.
+        In ratio units the routing does not depend on the demand; only the
+        edge row that carries ``t`` -- the routing's most loaded edge -- is
+        picked per demand.
         """
         status = _core.HighsBasisStatus
-        sd = self._path_sd_index
-        paths = np.arange(self._num_paths)
-        before = np.cumsum(upper) - upper
-        need = 1.0 - (before - before[np.searchsorted(sd, np.arange(self._num_pairs))][sd])
-        usable = upper > 0.0
-        last = np.full(self._num_pairs, -1)
-        np.maximum.at(last, sd[usable], paths[usable])
-        # A pair's last usable path takes what rounding left of caps that
-        # sum to one, so every pair with a usable path has a basic one.
-        absorbs = usable & ((upper >= need) | (paths == last[sd]))
-        basic = np.full(self._num_pairs, self._num_paths)
-        np.minimum.at(basic, sd[absorbs], paths[absorbs])
+        usable = np.flatnonzero(upper)
+        first = np.full(self._num_pairs, self._num_paths)
+        np.minimum.at(first, self._path_sd_index[usable], usable)
         self._basis = None
-        if (last < 0).any():
+        if (first == self._num_paths).any():
             # Some pair has no usable path (infeasibility forced on purpose):
             # there is no routing to start from, the solver reports it.
             return
+        carried = np.zeros(self._num_paths)
+        carried[first] = 1.0
         flows = np.full(self._num_paths, status.kLower, dtype=object)
-        flows[usable & (paths < basic[sd])] = status.kUpper
-        flows[basic] = status.kBasic
-        fill = sparse.diags(np.clip(need, 0.0, upper)) @ path_set.sd_to_path.T
+        flows[first] = status.kBasic
+        fill = sparse.diags(carried) @ path_set.sd_to_path.T
         per_capacity = sparse.diags(1.0 / path_set.topology.capacities)
         self._crash_utilisation = (per_capacity @ path_set.path_to_edge.T @ fill).tocsr()
         self._basis = _core.HighsBasis()
@@ -362,13 +359,6 @@ class _PersistentModel:
 
         solver = self._solver
         demand = np.ascontiguousarray(demand_vector, dtype=float)
-        if self._frac_cols.size:
-            solver.changeColsBounds(
-                self._frac_cols.size,
-                self._frac_cols,
-                self._frac_lower,
-                self._frac_caps * demand[self._frac_sd],
-            )
         solver.changeColsBounds(self._num_pairs, self._slack_cols, demand, demand)
         # Nothing of the previous solve survives: the result is a function of
         # (model, demand) alone, whatever this model solved before.
@@ -405,10 +395,12 @@ class _PersistentModel:
 class PersistentHighsBackend:
     """The value solver: persistent HiGHS models, one per (PathSet, bounds) key.
 
-    The first solve for a key builds the model; every solve moves the
-    demand-carrying column bounds and runs primal simplex from the model's
-    canonical shortest-path basis, so results do not depend on what was
-    solved before.  Models are kept per backend instance in an LRU of
+    The bounds are 0/1 ratio upper bounds (a failure mask's); a fractional
+    one raises :class:`ValueError`.  The first solve for a key builds the
+    model; every solve moves the demand-carrying column bounds and runs
+    primal simplex from the model's canonical start (each pair's first
+    usable path), so results do not depend on what was solved before.
+    Models are kept per backend instance in an LRU of
     :data:`MAX_PERSISTENT_MODELS`.
 
     The optimal MLU matches :class:`ScipyLinprogBackend` to solver tolerance

@@ -62,21 +62,17 @@ def tor_scenario_small():
 
 @pytest.fixture(scope="session")
 def solve_on():
-    """``solve_mlu_lp`` (or, with ``mlu_only``, its value-only batch) on one
-    solver class: the solver is not selectable, so equivalence tests call
-    ``ScipyLinprogBackend`` / ``PersistentHighsBackend`` directly with the
-    bounds the public wrappers would resolve."""
+    """``solve_mlu_lp`` on one solver class: the solver is not selectable, so
+    equivalence tests call ``ScipyLinprogBackend`` / ``PersistentHighsBackend``
+    directly with the bounds the public wrapper would resolve."""
     from repro.solvers.lp import _resolved_upper_bounds, constraint_structure
     from repro.te.config import TEConfiguration
 
-    def solve(solver, path_set, demand, sensitivity_caps=None, path_mask=None, mlu_only=False):
+    def solve(solver, path_set, demand, sensitivity_caps=None, path_mask=None):
         upper = _resolved_upper_bounds(
             path_set, constraint_structure(path_set), sensitivity_caps, path_mask
         )
-        demand = np.asarray(demand, dtype=float)
-        if mlu_only:
-            return None, solver.solve_mlu(path_set, demand, upper)
-        ratios, mlu = solver.solve(path_set, demand, upper)
+        ratios, mlu = solver.solve(path_set, np.asarray(demand, dtype=float), upper)
         return TEConfiguration(path_set, ratios, normalize=True), mlu
 
     return solve

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation.engine import EvaluationEngine
-from repro.solvers import lp_solve_calls
+from repro.solvers import count_lp_solves
 from repro.solvers.lp import (
     CACHE_FILE_FORMAT,
     CACHE_FILE_VERSION,
@@ -44,9 +44,9 @@ class TestRoundTrip:
 
         second = OptimalMLUCache(path=cache_file)
         assert second.loaded == len(demands)
-        solves_before = lp_solve_calls()
-        reloaded = second.optimal_mlus(mesh4_paths, demands)
-        assert lp_solve_calls() == solves_before  # zero LP re-solves
+        with count_lp_solves() as tally:
+            reloaded = second.optimal_mlus(mesh4_paths, demands)
+        assert tally.count == 0  # zero LP re-solves
         assert second.misses == 0
         assert second.hits == len(demands)
         np.testing.assert_array_equal(reloaded, values)  # bit-identical
@@ -69,11 +69,11 @@ class TestRoundTrip:
             cold = EvaluationEngine(cache=cold_cache).evaluate_scheme(scheme, test, 4)
 
         warm_cache = OptimalMLUCache(path=cache_file)
-        solves_before = lp_solve_calls()
-        warm = EvaluationEngine(cache=warm_cache).evaluate_scheme(scheme, test, 4)
+        with count_lp_solves() as tally:
+            warm = EvaluationEngine(cache=warm_cache).evaluate_scheme(scheme, test, 4)
         # A neural scheme's replay only solves LPs for normalisers, so a warm
         # persistent cache means zero solver invocations end to end.
-        assert lp_solve_calls() == solves_before
+        assert tally.count == 0
         assert warm_cache.misses == 0
         np.testing.assert_array_equal(warm.normalized_mlus, cold.normalized_mlus)
         np.testing.assert_array_equal(warm.optimal_mlus, cold.optimal_mlus)
@@ -112,10 +112,10 @@ class TestRoundTrip:
             masked = cache.optimal_mlu(mesh4_paths, demand, path_mask=mask)
             unmasked = cache.optimal_mlu(mesh4_paths, demand)
         reloaded = OptimalMLUCache(path=cache_file)
-        solves_before = lp_solve_calls()
-        assert reloaded.optimal_mlu(mesh4_paths, demand, path_mask=mask) == masked
-        assert reloaded.optimal_mlu(mesh4_paths, demand) == unmasked
-        assert lp_solve_calls() == solves_before
+        with count_lp_solves() as tally:
+            assert reloaded.optimal_mlu(mesh4_paths, demand, path_mask=mask) == masked
+            assert reloaded.optimal_mlu(mesh4_paths, demand) == unmasked
+        assert tally.count == 0
 
     def test_in_memory_cache_never_touches_disk(self, mesh4_paths, mesh4_traffic, tmp_path):
         cache = OptimalMLUCache()

@@ -80,7 +80,7 @@ class TestSelection:
             record(cls, "solve_mlu")
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
         solve_mlu_lp(mesh4_paths, demand)
-        solve_mlu_lp_batch(mesh4_paths, demand, mlu_only=True)
+        solve_mlu_lp_batch(mesh4_paths, demand)
         solver = resolve_lp_backend()
         assert ran == [(solver._vertices, "solve"), (solver._values, "solve_mlu")]
 
@@ -90,8 +90,9 @@ class TestSelection:
         # and vertices come out as they do without it, bit for bit.
         from repro.solvers.lp import _ratio_upper_bounds
 
-        caps = np.full(mesh4_paths.num_paths, 0.5)
-        uppers = [_ratio_upper_bounds(mesh4_paths, c, None) for c in (None, caps)]
+        mask = np.ones(mesh4_paths.num_paths, dtype=bool)
+        mask[::3] = False  # every pair loses its first (shortest) path
+        uppers = [_ratio_upper_bounds(mesh4_paths, None, m) for m in (None, mask)]
         demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
         demands[1, ::2] = 0.0
 
@@ -353,17 +354,19 @@ class TestPersistentModels:
         backend = PersistentHighsBackend()
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
         solve_on(backend, mesh4_paths, demand)
-        caps = np.full(mesh4_paths.num_paths, 0.5)
-        solve_on(backend, mesh4_paths, demand, sensitivity_caps=caps)
+        mask = np.ones(mesh4_paths.num_paths, dtype=bool)
+        mask[::3] = False
+        solve_on(backend, mesh4_paths, demand, path_mask=mask)
         assert backend.num_models == 2
 
     def test_lru_eviction(self, mesh4_paths, rng, monkeypatch, solve_on):
         monkeypatch.setattr(lpb, "MAX_PERSISTENT_MODELS", 2)
         backend = PersistentHighsBackend()
         demand = rng.random(mesh4_paths.num_sd_pairs) + 0.1
-        for cap in (0.5, 0.6, 0.7):
-            caps = np.full(mesh4_paths.num_paths, cap)
-            solve_on(backend, mesh4_paths, demand, sensitivity_caps=caps)
+        for failed in range(3):
+            mask = np.ones(mesh4_paths.num_paths, dtype=bool)
+            mask[failed::3] = False
+            solve_on(backend, mesh4_paths, demand, path_mask=mask)
         assert backend.num_models == 2
 
     def test_clear_models(self, mesh4_paths, rng, solve_on):
@@ -384,28 +387,24 @@ class TestPersistentModels:
 
 
 class TestBatchBackend:
-    def test_mlu_only_skips_configurations(self, mesh4_paths, rng):
+    def test_batch_returns_one_float_per_row(self, mesh4_paths, rng):
         demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
-        full = solve_mlu_lp_batch(mesh4_paths, demands)
-        only = solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
-        assert all(config is None for config, _ in only)
-        np.testing.assert_allclose(
-            [mlu for _, mlu in only], [mlu for _, mlu in full], atol=1e-12
-        )
+        mlus = solve_mlu_lp_batch(mesh4_paths, demands)
+        assert isinstance(mlus, np.ndarray)
+        assert mlus.dtype == np.float64 and mlus.shape == (len(demands),)
+        assert solve_mlu_lp_batch(mesh4_paths, demands[0]).shape == (1,)
 
-    def test_mlu_only_still_counts_solves(self, mesh4_paths, rng):
+    def test_batch_counts_solves(self, mesh4_paths, rng):
         demands = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.1
         with count_lp_solves() as tally:
-            solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
+            solve_mlu_lp_batch(mesh4_paths, demands)
         assert tally.count == len(demands)
 
     def test_batch_backends_agree(self, fresh_solver, mesh4_paths, rng):
-        # Full solves run on linprog, value-only ones on the persistent model.
+        # Vertex solves run on linprog, the batch on the persistent model.
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
-        scipy_mlus = [m for _, m in solve_mlu_lp_batch(mesh4_paths, demands)]
-        highs_mlus = [
-            m for _, m in solve_mlu_lp_batch(mesh4_paths, demands, mlu_only=True)
-        ]
+        scipy_mlus = [solve_mlu_lp(mesh4_paths, demand)[1] for demand in demands]
+        highs_mlus = solve_mlu_lp_batch(mesh4_paths, demands)
         np.testing.assert_allclose(highs_mlus, scipy_mlus, atol=1e-9)
 
 

@@ -209,7 +209,7 @@ class TestFallbackRetriesPerCall:
                 pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
                 assert SpawnDenied.attempts == call
                 assert pool_module.fallbacks("lp") == call
-                assert [mlu for _, mlu in pooled] == [mlu for _, mlu in sequential]
+                assert pooled.tobytes() == sequential.tobytes()
         [warning] = _pool_warnings(caught)
         message = str(warning.message)
         assert "process-pool LP batch failed" in message

@@ -7,6 +7,7 @@ one by one; this walk is what catches it.
 
 from __future__ import annotations
 
+import doctest
 import importlib
 import pkgutil
 
@@ -27,3 +28,15 @@ def test_all_entries_resolve(module_name):
     ]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
 
+
+
+def test_package_docstring_first_example_runs():
+    """The first example of ``repro``'s docstring -- load a scenario, build a
+    model on it -- runs as written."""
+    block = next(part for part in repro.__doc__.split("\n\n") if ">>>" in part)
+    example = doctest.DocTestParser().get_doctest(block, {}, "repro", None, 0)
+    report = []
+    runner = doctest.DocTestRunner(verbose=False)
+    results = runner.run(example, out=report.append)
+    assert results.attempted == 3
+    assert results.failed == 0, "".join(report)

@@ -16,7 +16,7 @@ import pytest
 from repro.core import Dote, Figret, TealLike, TrainingConfig
 from repro.core.trainer import Trainer, build_windows
 from repro.evaluation.engine import EvaluationEngine
-from repro.solvers import OptimalMLUCache, lp_solve_calls, omniscient_mlu
+from repro.solvers import OptimalMLUCache, count_lp_solves, omniscient_mlu
 
 HISTORY = 3
 
@@ -80,12 +80,12 @@ class TestTrainerNormalisers:
         fit_misses = cache.misses
         assert fit_misses > 0
 
-        solves_before = lp_solve_calls()
         engine = EvaluationEngine(cache=cache)
-        result = engine.evaluate_scheme(scheme, train_sequence, HISTORY)
+        with count_lp_solves() as tally:
+            result = engine.evaluate_scheme(scheme, train_sequence, HISTORY)
         # Every normaliser of the training trace was already solved by fit.
         assert cache.misses == fit_misses
-        assert lp_solve_calls() == solves_before
+        assert tally.count == 0
         assert np.isfinite(result.normalized_mlus).all()
 
     def test_dote_threads_cache_through_trainer(
@@ -135,7 +135,7 @@ class TestTealLikeNormalisers:
         scheme = TealLike(mesh4_paths, tiny_config, cache=cache)
         scheme.precompute(train_sequence)
         misses = cache.misses
-        solves_before = lp_solve_calls()
-        EvaluationEngine(cache=cache).evaluate_scheme(scheme, train_sequence, 1)
+        with count_lp_solves() as tally:
+            EvaluationEngine(cache=cache).evaluate_scheme(scheme, train_sequence, 1)
         assert cache.misses == misses
-        assert lp_solve_calls() == solves_before
+        assert tally.count == 0
