@@ -286,10 +286,10 @@ def _cmd_query(argv: list[str]) -> int:
     group_by = [column.strip() for column in args.group_by.split(",") if column.strip()]
     if not group_by:
         parser.error("--group-by needs at least one column")
-    rows = store.aggregate(
-        results, group_by=group_by, metric=args.metric, confidence=args.confidence
-    )
     if args.json:
+        rows = store.aggregate(
+            results, group_by=group_by, metric=args.metric, confidence=args.confidence
+        )
         print(json.dumps(rows, indent=2))
         return 0
     print(f"{len(results)} record(s) match")

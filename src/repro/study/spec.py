@@ -123,6 +123,15 @@ def expand_spec(spec: Mapping) -> list[dict]:
 # --------------------------------------------------------------------------- #
 def _jsonify(value: Any) -> Any:
     """Convert a spec value into plain JSON types (tuples -> lists, ...)."""
+    # Exact built-in types first: a loaded record's spec is nothing else, and
+    # the ``Mapping`` ABC check below is the slow one.
+    kind = type(value)
+    if kind is dict:
+        return {str(key): _jsonify(item) for key, item in value.items()}
+    if kind is list:
+        return [_jsonify(item) for item in value]
+    if kind is str or kind is int or kind is float or kind is bool or value is None:
+        return value
     if isinstance(value, Mapping):
         return {str(key): _jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -502,6 +511,11 @@ class ExperimentSpec:
                 "chunk_size": self.chunk_size if self.streaming else None,
             }
         )
+
+    @functools.cached_property
+    def provenance_key(self) -> str:
+        """Canonical JSON of :meth:`to_dict` (checkpoint matching, error notes)."""
+        return canonical_json(self.to_dict())
 
     # ------------------------------------------------------------------ #
     # Provenance

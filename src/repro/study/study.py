@@ -420,7 +420,7 @@ class Study:
         inline_cells = 0
         inline_keys: set[str] = set()
         for index, cell in enumerate(self.specs):
-            key = canonical_json(cell.to_dict())
+            key = cell.provenance_key
             if not self._reproducible(cell):
                 inline_cells += 1
                 inline_keys.add(key)
@@ -594,7 +594,7 @@ class Study:
                     if hasattr(exc, "add_note"):
                         exc.add_note(
                             f"raised by study cell {index + 1}/{len(self.specs)} "
-                            f"(spec: {canonical_json(cell.to_dict())})"
+                            f"(spec: {cell.provenance_key})"
                         )
                     raise
                 records[index] = record
@@ -713,7 +713,7 @@ class Study:
                 if hasattr(cell_error, "add_note") and error_index is not None:
                     failed = dict(cells).get(error_index)
                     spec_note = (
-                        canonical_json(failed.to_dict()) if failed is not None else "?"
+                        failed.provenance_key if failed is not None else "?"
                     )
                     cell_error.add_note(
                         f"raised by study cell {error_index + 1}/{len(self.specs)} "

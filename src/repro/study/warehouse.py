@@ -19,6 +19,13 @@ through -- plus the analysis side:
 * :meth:`~ResultWarehouse.export_csv` writes a ``run_table``-style flat CSV
   (one row per record, provenance columns + the union of metric columns).
 
+All of them, and :meth:`~ResultWarehouse.sync`, read through
+:meth:`~ResultWarehouse.results`, which decodes the file once per file
+state and instance: a query, an aggregate and an export of an unchanged
+warehouse share one parse, and any store write in between (this
+instance's or another writer's) is seen by the next call.  The records are
+shared between those calls, so they are read-only.
+
 Studies append finished cells as they complete (``Study.run(warehouse=...)``)
 and :meth:`~ResultWarehouse.sync` reconciles a finished result set against
 the store, so a crash between the checkpoint append and the warehouse append
@@ -28,6 +35,7 @@ can never lose a record permanently.
 from __future__ import annotations
 
 import csv
+import os
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
@@ -105,6 +113,11 @@ class ResultWarehouse(JsonlRecordStore):
     _kind = "results warehouse"
     _torn_tail_hint = "resume the interrupted study (or sync its results) to restore it"
 
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        # The file identity and records of the last parse (see results()).
+        self._parsed: tuple[tuple[int, int, int, int], tuple[StudyResult, ...]] | None = None
+
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
@@ -114,10 +127,26 @@ class ResultWarehouse(JsonlRecordStore):
         A *missing* file is an empty warehouse (the store is created lazily
         by the first append); anything unreadable raises
         :class:`WarehouseError` as described in the class docstring.
+
+        The file is decoded once per file state: the records of the last
+        :meth:`load` are kept with the ``(st_dev, st_ino, st_size,
+        st_mtime_ns)`` that ``os.stat`` gave *before* that read, and a call
+        that finds the same identity returns them again without reading.
+        Any other state -- another writer's append, a :meth:`rewrite`, a
+        torn-tail compaction -- is parsed afresh.  Each call returns a new
+        list, but the :class:`StudyResult` records in it are shared with
+        earlier and later calls on this instance: treat them as read-only.
         """
-        if not self.exists():
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            self._parsed = None
             return ResultSet()
-        return ResultSet(self.load())
+        ident = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        parsed = self._parsed
+        if parsed is None or parsed[0] != ident:
+            parsed = self._parsed = (ident, tuple(self.load()))
+        return ResultSet(parsed[1])
 
     def query(
         self,
@@ -285,14 +314,13 @@ class ResultWarehouse(JsonlRecordStore):
         headers = [*_TAG_COLUMNS, *_ATTR_COLUMNS, *metric_columns]
         rows = []
         for record in results:
-            row: list = []
-            for column in (*_TAG_COLUMNS, *_ATTR_COLUMNS):
-                value = _column_value(record, column)
-                row.append("" if value is None else value)
-            for name in metric_columns:
-                value = record.metrics.get(name)
-                row.append("" if value is None else value)
-            rows.append(row)
+            tags, metrics = record.tags, record.metrics
+            values = (
+                *(tags.get(column) for column in _TAG_COLUMNS),
+                *(getattr(record, column) for column in _ATTR_COLUMNS),
+                *(metrics.get(name) for name in metric_columns),
+            )
+            rows.append(["" if value is None else value for value in values])
         return headers, rows
 
     def export_csv(self, path, results: ResultSet | None = None) -> int:

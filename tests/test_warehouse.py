@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,12 +17,16 @@ from repro.evaluation.metrics import (
     normalized_mlu_statistics,
 )
 from repro.study import (
+    ExperimentSpec,
     ResultSet,
     ResultWarehouse,
     StudyCheckpoint,
     StudyResult,
     WarehouseError,
 )
+from repro.study.__main__ import main as study_cli
+from repro.study.results import JsonlRecordStore
+from repro.study.spec import canonical_json
 
 
 def _record(
@@ -147,6 +153,132 @@ class TestWarehouseStore:
 
     def test_warehouse_error_is_a_value_error(self):
         assert issubclass(WarehouseError, ValueError)
+
+
+# --------------------------------------------------------------------------- #
+# Read contract: one parse per file state per instance
+# --------------------------------------------------------------------------- #
+class TestWarehouseReadContract:
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        """Count the parses of every record store (the ``load`` calls)."""
+        calls = []
+        original = JsonlRecordStore.load
+
+        def spy(self):
+            calls.append(self.path)
+            return original(self)
+
+        monkeypatch.setattr(JsonlRecordStore, "load", spy)
+        return calls
+
+    def test_analysis_calls_share_one_parse(self, tmp_path, loads):
+        path = tmp_path / "wh.jsonl"
+        ResultWarehouse(path).extend(
+            _record(scheme=scheme, tags={"seed": seed}) for scheme in ("A", "B") for seed in (0, 1)
+        )
+        store = ResultWarehouse(path)
+        assert len(store.query(scheme="A")) == 2
+        assert len(store.aggregate(group_by=("scheme",))) == 2
+        assert store.export_csv(tmp_path / "rows.csv") == 4
+        assert store.sync([]) == 0
+        assert loads == [path]
+
+    def test_next_call_sees_appends_rewrites_and_deletion(self, tmp_path, loads):
+        path = tmp_path / "wh.jsonl"
+        store = ResultWarehouse(path)
+        store.append(_record(scheme="A"))
+        assert [r.scheme for r in store.results()] == ["A"]
+        ResultWarehouse(path).append(_record(scheme="B"))
+        assert [r.scheme for r in store.results()] == ["A", "B"]
+        ResultWarehouse(path).rewrite([_record(scheme="C")])
+        assert [r.scheme for r in store.results()] == ["C"]
+        assert [r.scheme for r in store.results()] == ["C"]
+        path.unlink()
+        assert len(store.results()) == 0
+        assert len(loads) == 3
+
+    def test_editing_a_returned_set_leaves_the_next_call_alone(self, tmp_path):
+        store = ResultWarehouse(tmp_path / "wh.jsonl")
+        store.extend([_record(scheme="A"), _record(scheme="B")])
+        first = store.results()
+        first.results.pop()
+        first.results.append(_record(scheme="Z"))
+        assert [r.scheme for r in store.results()] == ["A", "B"]
+        assert [r.scheme for r in first] == ["A", "Z"]
+
+    def test_torn_tail_warns_on_the_parse_that_drops_it(self, tmp_path, recwarn):
+        path = tmp_path / "wh.jsonl"
+        store = ResultWarehouse(path)
+        store.append(_record(scheme="KEPT"))
+        assert [r.scheme for r in store.results()] == ["KEPT"]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"scenario": "half-writ')
+        with pytest.warns(RuntimeWarning, match="partially written trailing record"):
+            assert [r.scheme for r in store.results()] == ["KEPT"]
+        recwarn.clear()
+        assert [r.scheme for r in store.results()] == ["KEPT"]
+        assert not recwarn.list
+
+    def test_table_query_aggregates_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "wh.jsonl"
+        ResultWarehouse(path).extend([_record(scheme="A"), _record(scheme="B")])
+        calls = []
+        original = ResultWarehouse.aggregate
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultWarehouse, "aggregate", spy)
+        assert study_cli(["query", str(path), "--group-by", "scheme"]) == 0
+        assert "2 record(s) match" in capsys.readouterr().out
+        assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------- #
+# Canonical provenance strings (dedup, checkpoint and sync keys)
+# --------------------------------------------------------------------------- #
+class TestCanonicalJson:
+    def test_spec_values_canonicalise_to_pinned_strings(self):
+        value = {
+            "tuple": (1, (2.5, "x"), [True, None]),
+            "scalars": [np.float64(0.1), np.int64(7), np.bool_(True), np.str_("s"), np.float32(0.5)],
+            "arrays": [np.arange(3), np.array([[0.25, 1.0]]), np.array([], dtype=float)],
+            "mappings": OrderedDict([("b", MappingProxyType({"z": (1,), 2: "int key"})), ("a", {})]),
+            "plain": {"nested": {"deep": [1, {"k": -0.0}]}, "big": 10**20, "f": 1e-300},
+        }
+        assert canonical_json(value) == (
+            '{"arrays":[[0,1,2],[[0.25,1.0]],[]],"mappings":{"a":{},"b":{"2":"int key","z":[1]}},'
+            '"plain":{"big":100000000000000000000,"f":1e-300,"nested":{"deep":[1,{"k":-0.0}]}},'
+            '"scalars":[0.1,7,true,"s",0.5],"tuple":[1,[2.5,"x"],[true,null]]}'
+        )
+
+    def test_cell_provenance_key_is_the_pinned_string(self):
+        cell = ExperimentSpec(
+            scenario=OrderedDict(name="geant_small", seed=np.int64(3)),
+            scheme={"kind": "figret", "hidden": (64, 32), "learning_rate": np.float64(1e-3), "label": "F"},
+            perturbation=MappingProxyType(
+                {"kind": "fluctuation", "alpha": np.float32(1.5), "seed": np.int64(2)}
+            ),
+            max_intervals=np.int64(5),
+            tags=MappingProxyType(
+                {"suite": "pin", "seed": np.int64(1), "grid": np.array([1, 2]), "opts": OrderedDict(x=(None,))}
+            ),
+        )
+        pinned = (
+            '{"max_intervals":5,"perturbation":{"alpha":1.5,"kind":"fluctuation","seed":2,"worst_case":false},'
+            '"scenario":{"name":"geant_small","seed":3},'
+            '"scheme":{"hidden":[64,32],"kind":"figret","label":"F","learning_rate":0.001},'
+            '"tags":{"grid":[1,2],"opts":{"x":[null]},"seed":1,"suite":"pin"}}'
+        )
+        assert cell.provenance_key == pinned
+        assert canonical_json(cell.to_dict()) == pinned
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", {"k": [object()]}])
+    def test_non_json_values_raise(self, bad):
+        with pytest.raises(TypeError, match="not JSON-serialisable"):
+            canonical_json(bad)
 
 
 # --------------------------------------------------------------------------- #
