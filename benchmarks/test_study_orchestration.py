@@ -38,7 +38,7 @@ import bench_common as common
 from repro import pool
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers.lp import OptimalMLUCache, count_lp_solves
-from repro.study import ResultWarehouse, Study, Suite, expand_suite, sweep
+from repro.study import ResultWarehouse, Study, expand_suite, sweep
 from repro.traffic.perturb import gaussian_fluctuation
 
 #: The grid: three Figure-5 scenarios x three neural schemes x two
@@ -400,7 +400,7 @@ def test_suite_orchestration_and_warehouse_overhead(tmp_path):
     descriptor = _suite_descriptor()
 
     def suite():
-        return Suite(
+        return Study(
             descriptor,
             scheme_cache=common.SCHEME_CACHE,
             scenario_cache=common.SCENARIO_CACHE,

@@ -57,7 +57,7 @@ TRAFFIC = [
     [*PYTHON, "perfbench/run.py", "--trace", "1", "--seconds", "2", "--out", "{tmp}/perfbench"],
     [*PYTHON, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"],
     [*PYTHON, "benchmarks/service_smoke.py"],
-    [*STUDY, "suite", "{tmp}/suite.json", "--warehouse", "{tmp}/wh.jsonl", "--checkpoint", "{tmp}/suite.ckpt"],
+    [*STUDY, "{tmp}/suite.json", "--warehouse", "{tmp}/wh.jsonl", "--checkpoint", "{tmp}/suite.ckpt"],
     [*STUDY, "query", "{tmp}/wh.jsonl", "--group-by", "scheme,seed"],
     [*STUDY, "export", "{tmp}/wh.jsonl", "{tmp}/rows.csv"],
     [*STUDY, "{tmp}/prefix.json", "--checkpoint", "{tmp}/run.ckpt"],

@@ -5,10 +5,11 @@ Run with::
     python examples/suite_warehouse.py
 
 One JSON-able descriptor declares two studies, a seeds axis (each seed
-regenerates the synthetic traffic) and a repetition count; ``Suite`` expands
-it into experiment cells with ``suite`` / ``study`` / ``seed`` /
-``repetition`` provenance stamped into every record, and runs them with a
-``ResultWarehouse`` attached -- a durable, append-only JSONL store that
+regenerates the synthetic traffic) and a repetition count.  ``Study`` tells
+the descriptor from a study spec by its keys, expands it into experiment
+cells with ``suite`` / ``study`` / ``seed`` / ``repetition`` provenance
+stamped into every record, and runs them with a ``ResultWarehouse``
+attached -- a durable, append-only JSONL store that
 accumulates finished cells across sessions.  The warehouse then answers the
 campaign's questions directly: filtered queries, per-group mean +/- 95% CI
 over the seed axis with percentile columns recomputed from the pooled
@@ -16,7 +17,7 @@ stored series, and a flat CSV export for notebooks.
 
 The same flow runs from the shell::
 
-    python -m repro.study suite suite.json --warehouse wh.jsonl --checkpoint run.ckpt
+    python -m repro.study suite.json --warehouse wh.jsonl --checkpoint run.ckpt
     python -m repro.study query wh.jsonl --study replay --group-by scenario,scheme
     python -m repro.study export wh.jsonl results.csv
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.study import ResultWarehouse, Suite
+from repro.study import ResultWarehouse, Study
 
 #: The whole campaign, as one plain dict (this could be a JSON file).
 DESCRIPTOR = {
@@ -69,8 +70,8 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro_suite_"))
     warehouse_path = workdir / "warehouse.jsonl"
 
-    suite = Suite(DESCRIPTOR)
-    print(f"Suite {suite.name!r} expanded to {len(suite)} cells "
+    suite = Study(DESCRIPTOR)
+    print(f"Suite {DESCRIPTOR['name']!r} expanded to {len(suite)} cells "
           "((2 + 1) study cells x 3 seeds x 2 repetitions).")
 
     # Every finished cell is appended to the warehouse as it completes; a

@@ -25,20 +25,22 @@ repeat trainings or LP solves for finished cells), while
 ``Study.run(cell_workers=N)`` fans independent cells -- and distinct scheme
 trainings -- out over a process pool with bit-identical results.
 
-Above single studies sits the *suite* layer: a :class:`Suite` descriptor
-declares studies x seeds x repetitions x free-form annotations as one plain
-dict, expands to cells with suite provenance stamped into their tags, and a
-:class:`ResultWarehouse` -- a durable, append-only JSONL store -- accumulates
-finished cells across sessions with filtering
+Above single studies sits the *suite* layer: a suite descriptor declares
+studies x seeds x repetitions x free-form annotations as one plain dict
+(:func:`expand_suite`), and :class:`Study` tells it from a study spec by
+its keys -- ``Study(descriptor)`` runs the expanded cells with suite
+provenance stamped into their tags.  A :class:`ResultWarehouse` -- a
+durable, append-only JSONL store -- accumulates finished cells across
+sessions with filtering
 (:meth:`~repro.study.warehouse.ResultWarehouse.query`), repetition/seed
 aggregation with confidence intervals
 (:meth:`~repro.study.warehouse.ResultWarehouse.aggregate`), and a flat CSV
 export (:meth:`~repro.study.warehouse.ResultWarehouse.export_csv`).
 
-Run a JSON spec from the shell with ``python -m repro.study spec.json``
-(``--checkpoint`` / ``--resume`` / ``--cell-workers`` expose the same
-knobs); ``python -m repro.study suite | query | export`` run and analyze a
-whole suite against a warehouse.
+Run a JSON study spec or suite descriptor from the shell with ``python -m
+repro.study doc.json`` (``--checkpoint`` / ``--resume`` / ``--cell-workers``
+/ ``--warehouse`` expose the same knobs); ``python -m repro.study query |
+export`` analyze a warehouse.
 
 For long-lived workloads the *study service* keeps the runner warm:
 ``python -m repro.study serve`` starts a Unix-socket daemon
@@ -71,14 +73,13 @@ from repro.study.spec import (
 )
 from repro.study.server import StudyServer
 from repro.study.study import Study, StudyCancelled, StudyPlan
-from repro.study.suite import Suite, expand_suite
+from repro.study.suite import expand_suite
 from repro.study.warehouse import ResultWarehouse, WarehouseError
 
 __all__ = [
     "Study",
     "StudyCancelled",
     "StudyPlan",
-    "Suite",
     "StudyServer",
     "StudyClient",
     "StudyServiceError",

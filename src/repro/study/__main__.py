@@ -2,17 +2,15 @@
 
 Usage::
 
-    python -m repro.study spec.json [--out results.json] [--lp-workers auto]
-                                    [--cell-workers 4] [--warehouse wh.jsonl]
-                                    [--checkpoint run.ckpt [--resume]]
-    python -m repro.study suite suite.json --warehouse wh.jsonl
-                                    [--checkpoint run.ckpt [--resume]] [...]
+    python -m repro.study doc.json [--out results.json] [--lp-workers auto]
+                                   [--cell-workers 4] [--warehouse wh.jsonl]
+                                   [--checkpoint run.ckpt [--resume]]
     python -m repro.study query wh.jsonl [--suite S] [--study T] [--seed N]
                                     [--scenario X] [--scheme Y] [--group-by cols]
     python -m repro.study export wh.jsonl out.csv [same filters as query]
     python -m repro.study serve --socket /tmp/repro.sock [--warehouse wh.jsonl]
                                     [--spool-dir DIR] [run knobs]
-    python -m repro.study submit spec.json --socket /tmp/repro.sock [--suite]
+    python -m repro.study submit doc.json --socket /tmp/repro.sock
                                     [--checkpoint NAME [--resume]]
                                     [--warehouse wh.jsonl] [--out results.json]
     python -m repro.study status --socket /tmp/repro.sock [--job JOB]
@@ -20,14 +18,14 @@ Usage::
     python -m repro.study --list-scenarios
     python -m repro.study --list-schemes
 
-The first form runs one study spec (sweep axes spelled ``{"sweep": [...]}``),
-prints the result table, and optionally writes the full
-:class:`~repro.study.results.ResultSet` to ``--out``.  The ``suite`` form
-runs a whole suite descriptor (studies x seeds x repetitions, see
-:mod:`repro.study.suite`) appending every finished cell to the given
-warehouse; ``query`` aggregates a warehouse (mean +/- confidence half-width
-over repetitions, pooled percentile columns) and ``export`` writes the
-``run_table``-style flat CSV.
+The first form runs one document -- a study spec (sweep axes spelled
+``{"sweep": [...]}``) or a suite descriptor (studies x seeds x repetitions,
+see :mod:`repro.study.suite`; its keys tell it apart) -- prints the result
+table, optionally appends every finished cell to ``--warehouse``, and
+optionally writes the full :class:`~repro.study.results.ResultSet` to
+``--out``.  ``query`` aggregates a warehouse (mean +/- confidence
+half-width over repetitions, pooled percentile columns) and ``export``
+writes the ``run_table``-style flat CSV.
 
 Crash recovery: with ``--checkpoint`` every finished cell is appended to the
 given file as it completes, and re-running the same command with ``--resume``
@@ -38,10 +36,10 @@ warehouse reconciled (no lost or duplicated records).
 The ``serve`` form starts the long-lived study daemon
 (:mod:`repro.study.server`): one warm LP cache, scenario cache, and
 trained-scheme store shared across every job any client submits.
-``submit`` sends a spec (or, with ``--suite``, a suite descriptor) to a
-running daemon and streams per-cell records back as they finish;
-``status`` / ``cancel`` inspect and stop queued or running jobs (cancelled
-jobs stay checkpointed and resumable via ``submit --resume``).
+``submit`` sends a study spec or suite descriptor to a running daemon and
+streams per-cell records back as they finish; ``status`` / ``cancel``
+inspect and stop queued or running jobs (cancelled jobs stay checkpointed
+and resumable via ``submit --resume``).
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ def _workers_type(value: str):
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """The execution knobs the study and suite runners share with ``serve``."""
+    """The execution knobs the study runner shares with ``serve``."""
     parser.add_argument(
         "--lp-workers",
         default=None,
@@ -99,7 +97,7 @@ def _engine_from(args):
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """What the study and suite runners take besides their input file."""
+    """What the study runner takes besides its input file."""
     parser.add_argument("--out", help="write the full ResultSet JSON here")
     _add_engine_options(parser)
     parser.add_argument(
@@ -178,11 +176,10 @@ def _queried(parser: argparse.ArgumentParser, args):
     return store, results
 
 
-def _run_and_report(parser: argparse.ArgumentParser, args, path: str, suite: bool) -> int:
-    """Load a study spec or suite descriptor, run or resume it, print, save."""
+def _run_and_report(parser: argparse.ArgumentParser, args) -> int:
+    """Load a study document, run or resume it, print, warehouse, save."""
     from repro.study.results import CheckpointError, StudyCheckpoint
     from repro.study.study import Study
-    from repro.study.suite import Suite
 
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint (the file to resume from)")
@@ -191,26 +188,18 @@ def _run_and_report(parser: argparse.ArgumentParser, args, path: str, suite: boo
             f"checkpoint {args.checkpoint} already exists; pass --resume to "
             "continue it, or remove the file to start over"
         )
-    document = _load_json_file(parser, path, "suite descriptor" if suite else "study spec")
+    document = _load_json_file(parser, args.spec, "study document")
     try:
-        study = Suite(document) if suite else Study(document)
+        study = Study(document)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    if suite:
-        running = f"Running suite {study.name!r}: {len(study)} experiment cell(s) ..."
-        resuming = f"Resuming suite {study.name!r}: {len(study)} cell(s) from {args.checkpoint} ..."
-        title = f"Suite results ({study.name})"
-    else:
-        running = f"Running {len(study)} experiment cell(s) ..."
-        resuming = f"Resuming {len(study)} experiment cell(s) from {args.checkpoint} ..."
-        title = f"Study results ({path})"
     run_kwargs = dict(
         engine=_engine_from(args),
         cell_workers=args.cell_workers,
         warehouse=args.warehouse,
     )
     if args.resume:
-        print(resuming)
+        print(f"Resuming {len(study)} experiment cell(s) from {args.checkpoint} ...")
         try:
             results = study.resume(args.checkpoint, **run_kwargs)
         except CheckpointError as exc:
@@ -218,30 +207,17 @@ def _run_and_report(parser: argparse.ArgumentParser, args, path: str, suite: boo
             # traceback; cell failures still traceback as usual.
             parser.error(str(exc))
     else:
-        print(running)
+        print(f"Running {len(study)} experiment cell(s) ...")
         results = study.run(checkpoint=args.checkpoint, **run_kwargs)
-    print(results.to_table(title=title))
-    if suite and args.warehouse:
-        print(f"\nWarehoused {len(results)} record(s) in {args.warehouse}")
+    print(results.to_table(title=f"Study results ({args.spec})"))
+    notes = []
+    if args.warehouse:
+        notes.append(f"Warehoused {len(results)} record(s) in {args.warehouse}")
     if args.out:
-        saved = results.save(args.out)
-        lead = "" if suite else "\n"
-        print(f"{lead}Wrote {len(results)} records to {saved}")
+        notes.append(f"Wrote {len(results)} records to {results.save(args.out)}")
+    if notes:
+        print("\n" + "\n".join(notes))
     return 0
-
-
-def _cmd_suite(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study suite",
-        description=(
-            "Run a suite descriptor (studies x seeds x repetitions) into a "
-            "results warehouse."
-        ),
-    )
-    parser.add_argument("descriptor", help="path to a JSON suite descriptor")
-    _add_run_options(parser)
-    args = parser.parse_args(argv)
-    return _run_and_report(parser, args, args.descriptor, suite=True)
 
 
 def _cmd_query(argv: list[str]) -> int:
@@ -397,16 +373,12 @@ def _cmd_submit(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.study submit",
         description=(
-            "Submit a study spec (or suite descriptor) to a running study "
+            "Submit a study spec or suite descriptor to a running study "
             "daemon and stream per-cell records back as they finish."
         ),
     )
-    parser.add_argument("spec", help="path to a JSON study spec (or suite descriptor)")
+    parser.add_argument("spec", help="path to a JSON study spec or suite descriptor")
     _socket_option(parser)
-    parser.add_argument(
-        "--suite", action="store_true",
-        help="treat the file as a suite descriptor instead of a study spec",
-    )
     parser.add_argument(
         "--checkpoint", metavar="NAME",
         help=(
@@ -432,9 +404,7 @@ def _cmd_submit(argv: list[str]) -> int:
 
     from repro.study.client import StudyClient, StudyServiceError
 
-    spec = _load_json_file(
-        parser, args.spec, "suite descriptor" if args.suite else "study spec"
-    )
+    spec = _load_json_file(parser, args.spec, "study document")
 
     def _progress(message: dict) -> None:
         if args.quiet:
@@ -456,7 +426,6 @@ def _cmd_submit(argv: list[str]) -> int:
     try:
         outcome = client.submit(
             spec,
-            kind="suite" if args.suite else "study",
             checkpoint=args.checkpoint,
             resume=args.resume,
             warehouse=args.warehouse,
@@ -535,11 +504,13 @@ def _cmd_study(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.study",
         description=(
-            "Expand and run a declarative experiment-study spec "
+            "Expand and run a study spec or suite descriptor "
             f"(subcommands: {', '.join(_COMMANDS)})."
         ),
     )
-    parser.add_argument("spec", nargs="?", help="path to a JSON study spec")
+    parser.add_argument(
+        "spec", nargs="?", help="path to a JSON study spec or suite descriptor"
+    )
     _add_run_options(parser)
     parser.add_argument(
         "--list-scenarios", action="store_true", help="print registered scenarios and exit"
@@ -561,14 +532,13 @@ def _cmd_study(argv: list[str]) -> int:
         return 0
     if not args.spec:
         parser.error("a spec file is required (or --list-scenarios / --list-schemes)")
-    return _run_and_report(parser, args, args.spec, suite=False)
+    return _run_and_report(parser, args)
 
 
-#: Subcommands by first argument; anything else is the original
-#: ``python -m repro.study spec.json`` form (a spec file literally named
-#: ``suite`` would need ``./suite``).
+#: Subcommands by first argument; anything else is the
+#: ``python -m repro.study doc.json`` form (a document file literally named
+#: like a subcommand would need ``./``).
 _COMMANDS = {
-    "suite": _cmd_suite,
     "query": _cmd_query,
     "export": _cmd_export,
     "serve": _cmd_serve,

@@ -2,10 +2,12 @@
 
 :class:`StudyClient` speaks the daemon's newline-delimited JSON protocol
 over its Unix socket: one request per connection, one JSON object per line
-back.  ``submit`` blocks until the job finishes and returns a
-:class:`JobOutcome` whose ``results`` is a fully reconstructed
-:class:`~repro.study.results.ResultSet` (each streamed ``record`` payload is
-the :class:`~repro.study.results.StudyCheckpoint` wire format, so
+back.  Both submit calls take one document -- a study spec or a suite
+descriptor; the daemon tells them apart by their keys.  ``submit`` blocks
+until the job finishes and returns a :class:`JobOutcome` whose ``results``
+is a fully reconstructed :class:`~repro.study.results.ResultSet` (each
+streamed ``record`` payload is the
+:class:`~repro.study.results.StudyCheckpoint` wire format, so
 :meth:`~repro.study.results.StudyResult.from_dict` round-trips it
 losslessly); ``submit_iter`` yields the raw protocol messages as they
 arrive for callers that want streaming progress.
@@ -161,12 +163,11 @@ class StudyClient:
     def _submit_payload(
         self,
         spec: Mapping,
-        kind: str,
         checkpoint: str | None,
         resume: bool,
         warehouse=None,
     ) -> dict:
-        payload: dict = {"op": "submit", "kind": kind, "spec": dict(spec)}
+        payload: dict = {"op": "submit", "spec": dict(spec)}
         if checkpoint is not None:
             payload["checkpoint"] = checkpoint
         if resume:
@@ -178,7 +179,6 @@ class StudyClient:
     def submit_iter(
         self,
         spec: Mapping,
-        kind: str = "study",
         checkpoint: str | None = None,
         resume: bool = False,
         warehouse=None,
@@ -190,7 +190,7 @@ class StudyClient:
         ``failed`` message.  An ``error`` reply (spec rejected before
         queuing) raises :class:`StudyServiceError`.
         """
-        payload = self._submit_payload(spec, kind, checkpoint, resume, warehouse)
+        payload = self._submit_payload(spec, checkpoint, resume, warehouse)
         with self._connect() as sock:
             sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
             reader = sock.makefile("rb")
@@ -214,7 +214,6 @@ class StudyClient:
     def submit(
         self,
         spec: Mapping,
-        kind: str = "study",
         checkpoint: str | None = None,
         resume: bool = False,
         warehouse=None,
@@ -223,8 +222,7 @@ class StudyClient:
         """Submit a spec, block until the job finishes, collect the records.
 
         Args:
-            spec: Study spec (``kind="study"``) or suite descriptor
-                (``kind="suite"``) as a plain dict.
+            spec: Study spec or suite descriptor as a plain dict.
             checkpoint: Optional checkpoint *name*, resolved under the
                 daemon's spool directory -- required for ``resume`` and for
                 surviving a daemon restart.
@@ -246,8 +244,7 @@ class StudyClient:
         records: dict[int, StudyResult] = {}
         terminal: dict = {}
         for message in self.submit_iter(
-            spec, kind=kind, checkpoint=checkpoint, resume=resume,
-            warehouse=warehouse,
+            spec, checkpoint=checkpoint, resume=resume, warehouse=warehouse,
         ):
             if on_message is not None:
                 on_message(message)

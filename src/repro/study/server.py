@@ -3,8 +3,8 @@
 Every ``python -m repro.study`` invocation pays full process startup: a cold
 LP cache, re-built scenarios, re-trained schemes.  :class:`StudyServer` makes
 the *runner* persistent instead -- one daemon process listening on a local
-Unix socket, accepting study/suite descriptors as newline-delimited JSON,
-running them through a FIFO job queue, and keeping one warm process-wide
+Unix socket, accepting study specs and suite descriptors as newline-delimited
+JSON, running them through a FIFO job queue, and keeping one warm process-wide
 :class:`~repro.solvers.lp.OptimalMLUCache`, scenario cache, and
 trained-scheme store across *all* submitted jobs.  A second client submitting
 an overlapping grid triggers zero repeat LP solves and zero repeat trainings
@@ -14,20 +14,22 @@ for.
 Protocol (one request per connection, every message one JSON object per
 line):
 
-* ``{"op": "submit", "kind": "study"|"suite", "spec": {...}}`` -- expand
-  and enqueue the spec.  Optional keys: ``"checkpoint"`` (a name resolved
-  under the server's spool directory, making the job cancellable *and*
-  resumable), ``"resume"`` (re-submit of a cancelled/killed checkpointed
-  job: finished cells load from disk), ``"warehouse"`` (path records are
-  appended to; defaults to the server's ``--warehouse``).  The reply is one
-  ``accepted`` message, then one ``record`` message per finished cell as it
-  checkpoints -- the record payload is exactly the
+* ``{"op": "submit", "spec": {...}}`` -- expand the document (a study spec
+  or a suite descriptor; :class:`~repro.study.study.Study` tells them apart
+  by their keys) and enqueue it.  Optional keys: ``"checkpoint"`` (a name
+  resolved under the server's spool directory, making the job cancellable
+  *and* resumable), ``"resume"`` (re-submit of a cancelled/killed
+  checkpointed job: finished cells load from disk), ``"warehouse"`` (the
+  path string records are appended to; defaults to the server's
+  ``--warehouse``).  Any other key is a structured error.  The reply is
+  one ``accepted`` message, then one ``record`` message per finished cell
+  as it checkpoints -- the record payload is exactly the
   :class:`~repro.study.results.StudyCheckpoint` wire format
   (:meth:`~repro.study.results.StudyResult.to_dict`) -- then one terminal
   ``done`` / ``cancelled`` / ``failed`` message carrying the job's LP-solve
   and training counters.
-* ``{"op": "status"}`` (optionally ``"job": id``) -- server uptime, warm
-  cache sizes, and per-job progress.
+* ``{"op": "status"}`` (optionally ``"job": id``, a string) -- server
+  uptime, warm cache sizes, and per-job progress.
 * ``{"op": "cancel", "job": id}`` -- stop that job after its current cell
   (already-finished cells stay checkpointed, so it is resumable); cancelling
   an unknown or already-finished job is a structured error, never a crash.
@@ -61,15 +63,14 @@ from pathlib import Path
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers.lp import count_lp_solves
 from repro.study.results import StudyResult
-from repro.study.spec import ExperimentSpec, expand_spec
+from repro.study.spec import ExperimentSpec
 from repro.study.study import Study, StudyCancelled
-from repro.study.suite import expand_suite
 
 __all__ = ["StudyServer", "PROTOCOL_VERSION"]
 
 #: Wire protocol version, echoed in ``pong`` / ``status`` replies so clients
 #: can detect a daemon speaking a different dialect.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Job lifecycle states (terminal: done / failed / cancelled).
 QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
@@ -79,9 +80,7 @@ _TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 #: Keys a submit request may carry (anything else is a structured error --
 #: a typo'd option should not be silently ignored).
-_SUBMIT_KEYS = frozenset(
-    {"op", "kind", "spec", "checkpoint", "resume", "warehouse"}
-)
+_SUBMIT_KEYS = frozenset({"op", "spec", "checkpoint", "resume", "warehouse"})
 
 
 class _Job:
@@ -90,7 +89,6 @@ class _Job:
     def __init__(
         self,
         job_id: str,
-        kind: str,
         cells: list[ExperimentSpec],
         checkpoint: Path | None,
         resume: bool,
@@ -98,7 +96,6 @@ class _Job:
         stream: socket.socket | None,
     ) -> None:
         self.id = job_id
-        self.kind = kind
         self.cells = cells
         self.checkpoint = checkpoint
         self.resume = resume
@@ -125,7 +122,6 @@ class _Job:
         """The job's status payload (used by ``status`` replies)."""
         return {
             "job": self.id,
-            "kind": self.kind,
             "status": self.status,
             "cells": self.total,
             "completed": self.completed,
@@ -373,10 +369,6 @@ class StudyServer:
                 f"{sorted(_SUBMIT_KEYS - {'op'})}",
             )
             return
-        kind = request.get("kind", "study")
-        if kind not in ("study", "suite"):
-            self._error(conn, f"kind must be 'study' or 'suite', got {kind!r}")
-            return
         spec = request.get("spec")
         if not isinstance(spec, Mapping):
             self._error(
@@ -386,14 +378,9 @@ class StudyServer:
             )
             return
         try:
-            if kind == "suite":
-                cells = expand_suite(spec)
-            else:
-                cells = [
-                    ExperimentSpec.from_dict(cell) for cell in expand_spec(spec)
-                ]
+            cells = Study(spec).specs
         except (TypeError, ValueError) as exc:
-            self._error(conn, f"invalid {kind} spec: {exc}")
+            self._error(conn, f"invalid spec: {exc}")
             return
         checkpoint_name = request.get("checkpoint")
         checkpoint: Path | None = None
@@ -420,6 +407,15 @@ class StudyServer:
             )
             return
         warehouse = request.get("warehouse", self.default_warehouse)
+        # An explicit null still means "no warehouse"; the server's own
+        # default may be a Path, so only the request's value is checked.
+        if "warehouse" in request and warehouse is not None and (
+            not isinstance(warehouse, str) or not warehouse
+        ):
+            self._error(
+                conn, f"'warehouse' must be a non-empty path string, got {warehouse!r}"
+            )
+            return
         with self._lock:
             if self._stopping.is_set():
                 self._error(conn, "the study daemon is shutting down")
@@ -427,7 +423,6 @@ class StudyServer:
             self._job_counter += 1
             job = _Job(
                 job_id=f"job-{self._job_counter:04d}",
-                kind=kind,
                 cells=cells,
                 checkpoint=checkpoint,
                 resume=resume,
@@ -441,7 +436,6 @@ class StudyServer:
             {
                 "type": "accepted",
                 "job": job.id,
-                "kind": kind,
                 "cells": job.total,
                 "queued_ahead": position,
             },
@@ -480,6 +474,9 @@ class StudyServer:
 
     def _handle_status(self, conn: socket.socket, request: Mapping) -> None:
         job_id = request.get("job")
+        if job_id is not None and not isinstance(job_id, str):
+            self._error(conn, f"status 'job' must be a job id string, got {job_id!r}")
+            return
         with self._lock:
             if job_id is not None:
                 job = self._jobs.get(job_id)

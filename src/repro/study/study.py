@@ -27,7 +27,6 @@ dedup layers across studies in one process (the benchmark harness does).
 
 from __future__ import annotations
 
-import json
 import pickle
 import warnings
 from collections.abc import Iterable, Mapping
@@ -52,6 +51,7 @@ from repro.study.spec import (
     expand_spec,
     scenario_cache_key,
 )
+from repro.study.suite import _SUITE_KEYS, expand_suite
 from repro.te.scheme import TEScheme
 from repro.traffic.matrix import TrafficMatrixSequence
 from repro.traffic.perturb import gaussian_fluctuation, reverse_rank_fluctuation
@@ -219,8 +219,9 @@ class Study:
     """Declarative experiment orchestrator.
 
     Args:
-        spec: A study spec mapping (sweep axes expand into the grid), an
-            :class:`ExperimentSpec`, or an iterable of either.  ``None``
+        spec: A study spec mapping (sweep axes expand into the grid), a
+            suite descriptor mapping (see :mod:`repro.study.suite`), an
+            :class:`ExperimentSpec`, or an iterable of those.  ``None``
             starts empty (use :meth:`add`, or just the :meth:`scenario` /
             :meth:`trained_scheme` dedup helpers).
         scheme_cache: Optional dict holding trained schemes keyed by
@@ -260,22 +261,20 @@ class Study:
         if spec is not None:
             self.add(spec)
 
-    @classmethod
-    def from_spec(cls, spec: Mapping, **kwargs) -> "Study":
-        """Build a study from a plain-dict spec (sweep axes expanded)."""
-        return cls(spec, **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str, **kwargs) -> "Study":
-        """Build a study from a JSON spec document."""
-        return cls(json.loads(text), **kwargs)
-
     def add(self, spec) -> "Study":
-        """Append cells: a spec mapping (expanded), a cell, or an iterable."""
+        """Append cells: a document mapping (expanded), a cell, or an iterable.
+
+        A mapping with any suite descriptor key expands through
+        :func:`~repro.study.suite.expand_suite`; any other mapping is a
+        study spec and expands through :func:`~repro.study.spec.expand_spec`.
+        """
         if isinstance(spec, ExperimentSpec):
             self.specs.append(spec)
         elif isinstance(spec, Mapping):
-            self.specs.extend(ExperimentSpec.from_dict(cell) for cell in expand_spec(spec))
+            if _SUITE_KEYS.intersection(spec):
+                self.specs.extend(expand_suite(spec))
+            else:
+                self.specs.extend(ExperimentSpec.from_dict(cell) for cell in expand_spec(spec))
         elif isinstance(spec, Iterable) and not isinstance(spec, (str, bytes)):
             for item in spec:
                 self.add(item)

@@ -29,8 +29,11 @@ sweep axes expand first, then the suite clones every cell per seed and
 repetition, rewriting the scenario reference's seed and stamping
 ``suite`` / ``study`` / ``seed`` / ``repetition`` (plus the annotations)
 into the cell's tags, which ride into every result record's spec
-provenance.  :class:`Suite` is the :class:`~repro.study.study.Study` over
-those cells; ``python -m repro.study suite`` drives it from the shell.
+provenance.  A suite is not a separate runner: a mapping with any of the
+keys above (``name`` / ``annotations`` / ``seeds`` / ``repetitions`` /
+``studies``; a study spec's cell keys share none of them) is a suite
+descriptor, so ``Study(descriptor)``, ``python -m repro.study suite.json``
+and a daemon ``submit`` all expand it here.
 
 Seed semantics (deliberately explicit):
 
@@ -57,9 +60,8 @@ import copy
 from collections.abc import Mapping, Sequence
 
 from repro.study.spec import ExperimentSpec, expand_spec
-from repro.study.study import Study
 
-__all__ = ["Suite", "expand_suite", "RESERVED_TAG_KEYS"]
+__all__ = ["expand_suite", "RESERVED_TAG_KEYS"]
 
 #: Tag keys the suite expansion owns; study specs and annotations may not
 #: set them (the provenance would be ambiguous).
@@ -218,7 +220,8 @@ def expand_suite(descriptor: Mapping) -> list[ExperimentSpec]:
     if unknown:
         raise ValueError(
             f"unknown suite descriptor key(s) {sorted(unknown)}; allowed: "
-            f"{sorted(_SUITE_KEYS)}"
+            f"{sorted(_SUITE_KEYS)} (a document with any of these keys is a "
+            "suite descriptor; a study spec goes under a study entry's 'spec')"
         )
     name = descriptor.get("name", "suite")
     if not isinstance(name, str) or not name:
@@ -278,34 +281,3 @@ def expand_suite(descriptor: Mapping) -> list[ExperimentSpec]:
                     cell["tags"] = tags
                     cells.append(ExperimentSpec.from_dict(cell))
     return cells
-
-
-class Suite(Study):
-    """A study whose cells come from a validated suite descriptor.
-
-    The suite expands eagerly (descriptor errors surface at construction,
-    before anything runs); run / resume / plan / execute, and the dedup
-    caches consecutive calls share, are :class:`~repro.study.study.Study`'s.
-
-    Args:
-        descriptor: The plain-dict suite descriptor (see module docstring).
-        scheme_cache / scenario_cache: Shared dedup dicts, as in
-            :class:`~repro.study.study.Study`.
-    """
-
-    def __init__(
-        self,
-        descriptor: Mapping,
-        scheme_cache: dict | None = None,
-        scenario_cache: dict | None = None,
-    ) -> None:
-        self.descriptor = descriptor
-        self.name = descriptor.get("name", "suite") if isinstance(descriptor, Mapping) else "suite"
-        super().__init__(
-            expand_suite(descriptor), scheme_cache=scheme_cache, scenario_cache=scenario_cache
-        )
-
-    @property
-    def cells(self) -> list[ExperimentSpec]:
-        """The expanded cells, study-major (see :func:`expand_suite`)."""
-        return self.specs

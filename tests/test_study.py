@@ -650,18 +650,6 @@ class TestStudyBehaviour:
         with pytest.raises(TypeError, match="Study accepts"):
             Study(42)
 
-    def test_from_spec_and_from_json_expand_identically(self):
-        spec = {
-            "scenario": {"sweep": ["a", "b"]},
-            "scheme": {"kind": "dote"},
-        }
-        built = Study.from_spec(spec)
-        parsed = Study.from_json(json.dumps(spec))
-        assert len(built) == len(parsed) == 2
-        assert [cell.scenario for cell in built.specs] == [
-            cell.scenario for cell in parsed.specs
-        ]
-
     def test_labels_rename_records(self, grid_scenarios):
         spec = {
             "scenario": {"name": grid_scenarios[0], "seed": 2},
@@ -740,7 +728,7 @@ class TestStudyCLI:
         """Neither the forward pass nor the LP solver is selectable:
         ``--backend`` and ``--lp-backend`` are not flags, so argparse exits
         2 before anything runs (the spec file is never opened)."""
-        commands = (["spec.json"], ["suite", "suite.json"], ["serve", "--socket", "s.sock"])
+        commands = (["spec.json"], ["serve", "--socket", "s.sock"])
         for command in commands:
             for flag, value in (("--lp-backend", "nope"), ("--backend", "numpy")):
                 with pytest.raises(SystemExit) as excinfo:

@@ -11,11 +11,13 @@ Acceptance contract pinned here:
   already-completed one receives **bit-identical records with zero new LP
   solves and zero new trainings** -- the cross-client warm-state guarantee.
 * Protocol error paths never kill the daemon: malformed JSON and unknown
-  ops get structured ``error`` replies, a client disconnect mid-stream
-  cancels only its own job, double-cancel / unknown-job-id are clean
-  errors, and a stale socket file from a killed daemon is detected and
-  replaced on restart (while a live daemon on the path refuses a second
-  bind).
+  ops get structured ``error`` replies, as do a submit carrying a
+  ``"kind"``, a non-string ``"warehouse"`` (nothing queued) and a
+  ``status`` whose ``"job"`` is not a string; a client disconnect
+  mid-stream cancels only its own job, double-cancel / unknown-job-id are
+  clean errors, and a stale socket file from a killed daemon is detected
+  and replaced on restart (while a live daemon on the path refuses a
+  second bind).
 
 The server fixture binds sockets under ``tempfile.mkdtemp`` rather than
 pytest's ``tmp_path``: ``AF_UNIX`` paths are capped around 107 bytes and
@@ -42,7 +44,6 @@ from repro.study import (
     StudyClient,
     StudyServer,
     StudyServiceError,
-    Suite,
 )
 from repro.study.warehouse import ResultWarehouse
 
@@ -143,8 +144,8 @@ class TestPlanExecute:
             "name": "svc-suite",
             "studies": [{"name": "one", "spec": grid_spec("suite-pe", alphas=())}],
         }
-        direct = Suite(descriptor).run()
-        suite = Suite(descriptor)
+        direct = Study(descriptor).run()
+        suite = Study(descriptor)
         assert suite.execute(suite.plan()).to_json() == direct.to_json()
 
 
@@ -253,6 +254,11 @@ class TestWarmState:
         outcome = client.submit(grid_spec("wh", alphas=()), warehouse=warehouse)
         assert outcome.status == "done"
         assert len(ResultWarehouse(warehouse).results()) == 1
+        # The daemon's own default may be a Path; only a request's value
+        # has to be a string.
+        server.default_warehouse = tmp_path / "default.jsonl"
+        assert client.submit(grid_spec("wh", alphas=())).status == "done"
+        assert len(ResultWarehouse(server.default_warehouse).results()) == 1
 
     def test_status_reports_warm_caches_and_jobs(self, service):
         server, client = service
@@ -271,10 +277,11 @@ class TestWarmState:
             "name": "svc",
             "studies": [{"name": "one", "spec": grid_spec("suite-job", alphas=())}],
         }
-        outcome = client.submit(descriptor, kind="suite")
+        outcome = client.submit(descriptor)
         assert outcome.status == "done" and len(outcome.results) == 1
         (record,) = outcome.results
         assert record.tags["suite"] == "svc" and record.tags["study"] == "one"
+        assert "kind" not in client.status(job=outcome.job)["jobs"][0]
 
 
 # --------------------------------------------------------------------------- #
@@ -358,11 +365,42 @@ class TestProtocolErrors:
 
     def test_invalid_spec_rejected_before_queueing(self, service):
         _, client = service
-        with pytest.raises(StudyServiceError, match="invalid study spec"):
+        with pytest.raises(StudyServiceError, match="invalid spec: unknown experiment spec"):
             client.submit({"bogus_key": 1})
-        with pytest.raises(StudyServiceError, match="invalid suite spec"):
-            client.submit({"bogus_key": 1}, kind="suite")
+        with pytest.raises(StudyServiceError, match="invalid spec: unknown suite descriptor"):
+            client.submit({"bogus_key": 1, "studies": [{"spec": {}}]})
         assert client.status()["jobs"] == []  # nothing was queued
+
+    def test_submit_carrying_kind_is_an_unknown_key(self, service):
+        server, client = service
+        reply = raw_request(
+            server.socket_path,
+            json.dumps({"op": "submit", "kind": "suite", "spec": {}}).encode() + b"\n",
+        )
+        assert reply["type"] == "error" and "['kind']" in reply["error"]
+        assert client.ping()["protocol"] == 2
+        assert client.status()["jobs"] == []
+
+    @pytest.mark.parametrize("warehouse", [5, ["a"], {"path": "w"}, "", True])
+    def test_non_string_warehouse_rejected_before_queueing(self, service, warehouse):
+        server, client = service
+        spec = grid_spec("bad-warehouse", alphas=())
+        reply = raw_request(
+            server.socket_path,
+            json.dumps({"op": "submit", "spec": spec, "warehouse": warehouse}).encode()
+            + b"\n",
+        )
+        assert reply["type"] == "error" and "'warehouse'" in reply["error"]
+        assert client.status()["jobs"] == []  # nothing was queued
+
+    @pytest.mark.parametrize("job", [["x"], {"id": "job-0001"}, 7])
+    def test_status_with_a_non_string_job_is_a_structured_error(self, service, job):
+        server, client = service
+        reply = raw_request(
+            server.socket_path, json.dumps({"op": "status", "job": job}).encode() + b"\n"
+        )
+        assert reply["type"] == "error" and "job id string" in reply["error"]
+        assert client.ping()["type"] == "pong"
 
     def test_unknown_submit_key_rejected(self, service):
         server, client = service

@@ -8,11 +8,16 @@ The acceptance contract pinned here:
 * the suite seed rewrites declarative scenario references (pinned scenario /
   traffic seeds conflict loudly) and fills unset perturbation seeds (pinned
   ones are common random numbers and win);
+* ``Study(descriptor)`` is exactly ``expand_suite(descriptor)``'s cells: a
+  document's keys say whether it is a suite descriptor or a study spec, and
+  a document mixing the two is rejected naming the stray keys;
 * an interrupted suite resumed from its checkpoint finishes with zero repeat
   LP solves / trainings for finished cells and a warehouse holding every
   record exactly once;
-* the ``suite`` / ``query`` / ``export`` CLI subcommands drive the same path
-  end-to-end, and the CSV export round-trips the record count.
+* the main ``python -m repro.study FILE`` form and the ``query`` /
+  ``export`` subcommands drive the same path end-to-end, the CSV export
+  round-trips the record count, and the deleted ``suite`` subcommand is a
+  usage error.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from repro.solvers.lp import count_lp_solves
 from repro.study import (
     ResultSet,
     ResultWarehouse,
+    Study,
     StudyCheckpoint,
-    Suite,
     expand_suite,
 )
 from repro.study.__main__ import main as study_cli
@@ -223,16 +228,28 @@ class TestExpandSuite:
                 {"name": "twin", "spec": spec}, {"name": "twin", "spec": spec},
             ]})
 
-    def test_suite_class_expands_eagerly(self):
+    def test_study_expands_a_descriptor_eagerly(self):
         with pytest.raises(ValueError, match="unknown suite descriptor"):
-            Suite({"oops": 1, "studies": [{"spec": {}}]})
-        suite = Suite(acceptance_descriptor())
-        assert len(suite) == 18
-        assert suite.name == "acceptance"
+            Study({"oops": 1, "studies": [{"spec": {}}]})
+        study = Study(acceptance_descriptor())
+        assert len(study) == 18
+        assert {cell.tags["suite"] for cell in study.specs} == {"acceptance"}
 
-    def test_from_json_round_trip(self):
-        suite = Suite.from_json(json.dumps(acceptance_descriptor()))
-        assert len(suite) == 18
+    def test_study_of_a_descriptor_is_expand_suite(self):
+        descriptor = acceptance_descriptor()
+        assert [cell.provenance_key for cell in Study(descriptor).specs] == [
+            cell.provenance_key for cell in expand_suite(descriptor)
+        ]
+
+    def test_document_mixing_cell_and_suite_keys_names_the_cell_keys(self):
+        mixed = {
+            "name": "mixed",
+            "scenario": "geant_small",
+            "scheme": CHEAP_SCHEME,
+            "studies": [{"spec": {"scenario": "geant_small", "scheme": CHEAP_SCHEME}}],
+        }
+        with pytest.raises(ValueError, match=r"unknown suite descriptor key\(s\) \['scenario', 'scheme'\]"):
+            Study(mixed)
 
 
 # --------------------------------------------------------------------------- #
@@ -255,7 +272,7 @@ def small_suite_descriptor() -> dict:
 class TestSuiteExecution:
     def test_run_fills_warehouse_and_repetitions_are_identical(self, tmp_path):
         warehouse = tmp_path / "wh.jsonl"
-        suite = Suite(small_suite_descriptor())
+        suite = Study(small_suite_descriptor())
         results = suite.run(warehouse=warehouse, engine=EvaluationEngine())
         assert len(results) == 4
         stored = ResultWarehouse(warehouse).results()
@@ -276,7 +293,7 @@ class TestSuiteExecution:
         warehouse = tmp_path / "wh.jsonl"
 
         with count_lp_solves() as full_run:
-            reference = Suite(descriptor).run(engine=EvaluationEngine())
+            reference = Study(descriptor).run(engine=EvaluationEngine())
         assert len(reference) == 4
         assert full_run.count > 0
 
@@ -286,7 +303,7 @@ class TestSuiteExecution:
         StudyCheckpoint(checkpoint).extend(list(reference)[:2])
         ResultWarehouse(warehouse).append(list(reference)[0])
 
-        suite = Suite(descriptor)
+        suite = Study(descriptor)
         with count_lp_solves() as tally:
             resumed = suite.resume(checkpoint, warehouse=warehouse, engine=EvaluationEngine())
         # Only the seed-2 half still runs: strictly fewer solves than the
@@ -309,7 +326,7 @@ class TestSuiteExecution:
 
         # Resuming the complete run again is entirely idle and appends nothing.
         with count_lp_solves() as idle:
-            again = Suite(descriptor).resume(
+            again = Study(descriptor).resume(
                 checkpoint, warehouse=warehouse, engine=EvaluationEngine()
             )
         assert idle.count == 0
@@ -338,12 +355,12 @@ class TestSuiteCli:
         out_csv = tmp_path / "export" / "table.csv"
 
         assert study_cli([
-            "suite", str(suite_file), "--warehouse", str(warehouse),
+            str(suite_file), "--warehouse", str(warehouse),
             "--checkpoint", str(tmp_path / "run.ckpt"),
         ]) == 0
         assert framing(capsys.readouterr().out) == [
-            "Running suite 'small': 4 experiment cell(s) ...",
-            "Suite results (small)",
+            "Running 4 experiment cell(s) ...",
+            f"Study results ({suite_file})",
             "",
             f"Warehoused 4 record(s) in {warehouse}",
         ]
@@ -370,25 +387,25 @@ class TestSuiteCli:
         warehouse = tmp_path / "wh.jsonl"
         checkpoint = tmp_path / "run.ckpt"
         assert study_cli([
-            "suite", str(suite_file), "--warehouse", str(warehouse),
+            str(suite_file), "--warehouse", str(warehouse),
             "--checkpoint", str(checkpoint),
         ]) == 0
         capsys.readouterr()
         # Re-running without --resume refuses to clobber the checkpoint.
         with pytest.raises(SystemExit):
             study_cli([
-                "suite", str(suite_file), "--warehouse", str(warehouse),
+                str(suite_file), "--warehouse", str(warehouse),
                 "--checkpoint", str(checkpoint),
             ])
         capsys.readouterr()
         out = tmp_path / "results.json"
         assert study_cli([
-            "suite", str(suite_file), "--warehouse", str(warehouse),
+            str(suite_file), "--warehouse", str(warehouse),
             "--checkpoint", str(checkpoint), "--resume", "--out", str(out),
         ]) == 0
         assert framing(capsys.readouterr().out) == [
-            f"Resuming suite 'small': 4 cell(s) from {checkpoint} ...",
-            "Suite results (small)",
+            f"Resuming 4 experiment cell(s) from {checkpoint} ...",
+            f"Study results ({suite_file})",
             "",
             f"Warehoused 4 record(s) in {warehouse}",
             f"Wrote 4 records to {out}",
@@ -404,9 +421,15 @@ class TestSuiteCli:
         capsys.readouterr()
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"bogus": 1, "studies": [{"spec": {}}]}))
-        with pytest.raises(SystemExit):
-            study_cli(["suite", str(bad)])
+        with pytest.raises(SystemExit) as excinfo:
+            study_cli([str(bad)])
+        assert excinfo.value.code == 2
         assert "unknown suite descriptor" in capsys.readouterr().err
+        # The suite subcommand is gone: its first operand is no document.
+        with pytest.raises(SystemExit) as excinfo:
+            study_cli(["suite", str(suite_file)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             study_cli(["query", str(tmp_path / "w.jsonl"), "--confidence", "1.5"])
         assert "--confidence must be in (0, 1)" in capsys.readouterr().err
