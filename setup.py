@@ -18,5 +18,9 @@ setup(
     # scipy >= 1.15 vendors the HiGHS core (scipy.optimize._highspy._core)
     # that every LP solve runs on, normalisers and vertices alike; no other
     # HiGHS build is used, so records do not depend on what else is installed.
+    # networkx is imported only inside racke_path_set and
+    # Topology.to_networkx (and by the tests, as the reference the Yen's-paths
+    # and random-regular-graph ports must match); importing repro, or building
+    # any bundled scenario, does not load it.
     install_requires=["numpy", "scipy>=1.15", "networkx"],
 )

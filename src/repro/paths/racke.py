@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import numpy as np
 
 from repro.paths.path_set import PathSet
@@ -47,6 +46,8 @@ def racke_path_set(
     Returns:
         A :class:`PathSet` with up to ``k`` distinct paths per SD pair.
     """
+    import networkx as nx
+
     rng = np.random.default_rng(seed)
     graph = topology.to_networkx()
     capacities = {(a, b): data["capacity"] for a, b, data in graph.edges(data=True)}

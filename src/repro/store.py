@@ -18,6 +18,9 @@ from pathlib import Path
 
 __all__ = ["JsonlStore", "atomic_write", "fsync_directory"]
 
+#: Bytes the append path's tail probe reads back at a time.
+_TAIL_BLOCK = 4096
+
 
 def fsync_directory(path: Path) -> None:
     """Flush a directory entry to disk (best effort).
@@ -71,9 +74,12 @@ class JsonlStore:
 
     * a fully appended record is durable and complete;
     * a partially appended trailing record (crash mid-write) is dropped with
-      a warning and the file is compacted (atomically) so later appends never
-      concatenate onto the torn line; a complete trailing record that lost
-      only its newline is kept, and terminated by the next append;
+      a warning by every read, which never writes: the file is left as it
+      is, since the "torn" line may be a record another writer is still
+      appending.  The next append compacts the file (atomically) before it
+      writes, so it never concatenates onto the torn line; a complete
+      trailing record that lost only its newline is kept, and terminated by
+      that compaction;
     * anything else that fails to parse (a corrupt header, junk mid-file)
       raises the store's error class naming the path and line, because
       silently dropping finished work -- or treating foreign files as this
@@ -168,12 +174,13 @@ class JsonlStore:
         to by someone else -- the descriptor is dropped and the slow path
         runs again, so an append always lands in the file at ``path``.
 
-        An append never lands on an unterminated line: a crash between a
-        record's bytes and its newline leaves a complete last record that the
-        next one would be concatenated onto, and the merged line would then
-        read as a torn tail -- two finished records dropped.  Such a file is
-        first rewritten from what :meth:`load` reads of it (complete last
-        record kept, torn one dropped).
+        An append never lands on an unterminated or torn line: a crash
+        between a record's bytes and its newline leaves a complete last
+        record that the next one would be concatenated onto, and the merged
+        line would then read as a torn tail -- two finished records dropped.
+        Such a file is first rewritten from what :meth:`load` reads of it
+        (complete last record kept, torn one dropped); this is the one place
+        a store repairs its file.
         """
         data = "".join(map(self._line, records)).encode("utf-8")
         if not data:
@@ -208,15 +215,36 @@ class JsonlStore:
         """Header check, tail probe, then hold an ``O_APPEND`` descriptor."""
         if self._needs_header():
             self.rewrite([])
-        else:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                unterminated = handle.read(1) != b"\n"
-            if unterminated:
-                self.rewrite(self.load())
+        elif not self._tail_is_clean():
+            self.rewrite(self.load())
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         st = os.fstat(fd)
         self._fd, self._ident = fd, (st.st_dev, st.st_ino, st.st_size)
+
+    def _tail_is_clean(self) -> bool:
+        """Whether the file ends in a newline after a line that parses as JSON.
+
+        Reads back from the end only as far as the last line's start, so the
+        probe costs one block for any record shorter than that.
+        """
+        with open(self.path, "rb") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            start, tail = end, b""
+            while True:
+                start = max(0, start - _TAIL_BLOCK)
+                handle.seek(start)
+                tail = handle.read(end - start)
+                body = tail.rstrip()
+                cut = body.rfind(b"\n")
+                if cut >= 0 or start == 0:
+                    break
+        if not tail.endswith(b"\n"):
+            return False
+        try:
+            json.loads(body[cut + 1:])
+        except ValueError:
+            return False
+        return True
 
     def append(self, record) -> None:
         """Append one record: one write and one file fsync (see :meth:`extend`)."""
@@ -245,7 +273,6 @@ class JsonlStore:
                 f"{self.path} (this build reads version {self._version})"
             )
         records = []
-        torn_tail = False
         for number, line in enumerate(lines[1:], start=2):
             try:
                 record = self._decode(json.loads(line))
@@ -253,8 +280,8 @@ class JsonlStore:
                 # Only a JSON decode failure on the *last* line can be a
                 # crash-truncated append; a well-formed JSON line that is
                 # not a valid record (hand edit, writer bug) is corruption
-                # wherever it sits -- deleting it via the torn-tail
-                # compaction would silently destroy data.
+                # wherever it sits -- letting the next append's compaction
+                # delete it would silently destroy data.
                 if number == len(lines) and isinstance(exc, json.JSONDecodeError):
                     warnings.warn(
                         f"{self._kind} {self.path}: dropping partially "
@@ -263,15 +290,10 @@ class JsonlStore:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    torn_tail = True
                     break
                 raise self._error(
                     f"corrupt {self._kind} {self.path}: unreadable record "
                     f"on line {number} ({exc})"
                 ) from exc
             records.append(record)
-        if torn_tail:
-            # Compact the file so a later append starts on a clean line
-            # instead of concatenating onto the torn one.
-            self.rewrite(records)
         return records

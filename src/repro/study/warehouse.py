@@ -101,8 +101,9 @@ class ResultWarehouse(JsonlRecordStore):
 
     See the module docstring for the durability contract (shared with
     :class:`~repro.study.results.StudyCheckpoint`): complete records survive
-    any crash, a torn trailing append is dropped with a warning and the file
-    compacted, and corrupt / foreign / version-mismatched files raise a
+    any crash, a torn trailing append is dropped with a warning (and
+    compacted away by the next append, never by a read), and corrupt /
+    foreign / version-mismatched files raise a
     :class:`WarehouseError` naming the path -- a warehouse holds finished
     science, so silently misreading one would be worse than stopping.
     """

@@ -15,7 +15,9 @@ mismatch example of Figure 19).
 
 from __future__ import annotations
 
-import networkx as nx
+import random
+from collections import defaultdict
+
 import numpy as np
 
 from repro.topology.graph import Topology
@@ -80,6 +82,59 @@ def fully_connected(num_nodes: int, capacity: float = 1.0, name: str | None = No
     return Topology(num_nodes, edges, name=name or f"mesh{num_nodes}")
 
 
+def _random_regular_edges(degree: int, num_nodes: int, rng: random.Random) -> set[tuple[int, int]]:
+    """Stub matching (Steger and Wormald): a ``degree``-regular edge set.
+
+    Every node gets ``degree`` stubs; the stubs are shuffled and paired off,
+    pairs that would be a self-loop or a parallel edge go back into the pool,
+    and the pool is reshuffled until it is empty -- or can no longer be
+    paired, in which case the whole attempt starts over.  A port of
+    networkx 3.6.1's ``random_regular_graph``: the same draws from ``rng``,
+    and a set built in the same order, so it iterates in the same order.
+    """
+
+    def suitable(edges: set[tuple[int, int]], potential_edges: dict[int, int]) -> bool:
+        # Whether two of the nodes left with stubs can still be joined.
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation() -> set[tuple[int, int]] | None:
+        edges: set[tuple[int, int]] = set()
+        stubs = list(range(num_nodes)) * degree
+        while stubs:
+            potential_edges: dict[int, int] = defaultdict(int)
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node for node, potential in potential_edges.items() for _ in range(potential)
+            ]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    return edges
+
+
 def random_regular(
     num_nodes: int,
     degree: int,
@@ -92,25 +147,36 @@ def random_regular(
     The paper uses random regular graphs for ToR-level Meta topologies
     (Table 1).  The generated graph is undirected-regular; each undirected
     edge becomes two directed edges of equal capacity.  The generator retries
-    with different seeds until it produces a connected graph.
+    with seeds ``seed + 1``, ``seed + 2``, ... until it produces a connected
+    graph.
+
+    Edges come out in the order networkx 3.6.1 lists them for
+    ``nx.random_regular_graph(degree, num_nodes, seed)``: by lower endpoint,
+    then in the order each node met its neighbours while the edge set was
+    inserted -- so the topology, and every path set over it, is the one
+    networkx builds.
     """
     if degree >= num_nodes:
         raise ValueError("degree must be smaller than the number of nodes")
     if (degree * num_nodes) % 2 != 0:
         raise ValueError("degree * num_nodes must be even for a regular graph")
-    rng_seed = seed
-    for _ in range(100):
-        graph = nx.random_regular_graph(degree, num_nodes, seed=rng_seed)
-        if nx.is_connected(graph):
-            break
-        rng_seed += 1
-    else:  # pragma: no cover - astronomically unlikely for sane parameters
-        raise RuntimeError("failed to generate a connected random regular graph")
-    edges = []
-    for a, b in graph.edges():
-        edges.append((int(a), int(b), capacity))
-        edges.append((int(b), int(a), capacity))
-    return Topology(num_nodes, edges, name=name or f"rrg{num_nodes}d{degree}")
+    for rng_seed in range(seed, seed + 100):
+        neighbours: list[list[int]] = [[] for _ in range(num_nodes)]
+        for a, b in _random_regular_edges(degree, num_nodes, random.Random(rng_seed)):
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        edges = []
+        for a in range(num_nodes):
+            for b in neighbours[a]:
+                if b > a:
+                    edges.append((a, b, capacity))
+                    edges.append((b, a, capacity))
+        topology = Topology(num_nodes, edges, name=name or f"rrg{num_nodes}d{degree}")
+        if topology.is_strongly_connected():
+            return topology
+    raise RuntimeError(  # pragma: no cover - astronomically unlikely for sane parameters
+        "failed to generate a connected random regular graph"
+    )
 
 
 def leaf_spine_direct_connect(num_tors: int = 9, capacity: float = 1.0) -> Topology:

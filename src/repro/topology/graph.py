@@ -1,10 +1,15 @@
 """Capacitated directed network topology.
 
 The :class:`Topology` class is the foundation of every other subsystem.  It
-stores a directed multigraph-free edge list with per-edge capacities, provides
-constant-time lookup of edge indices, and exposes conversions to
-:mod:`networkx` graphs for algorithms that need them (shortest paths,
-connectivity checks).
+stores a directed multigraph-free edge list with per-edge capacities and
+provides constant-time lookup of edge indices.  The graph algorithms the run
+path needs work on that edge list directly: Yen's paths
+(:mod:`repro.paths.ksp`) on successor lists built from it, strong
+connectivity on its adjacency matrix (:mod:`scipy.sparse.csgraph`).
+:meth:`Topology.to_networkx` is for the algorithms that do not -- Racke-style
+paths (:mod:`repro.paths.racke`) -- and for tests that check the ports
+against networkx; it imports networkx only when called, so importing this
+module does not.
 
 Edges are directed.  Undirected physical links are represented by two directed
 edges with equal capacity, which is the convention used by the paper (GEANT's
@@ -13,10 +18,13 @@ edges with equal capacity, which is the convention used by the paper (GEANT's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology", "Edge"]
 
@@ -138,6 +146,8 @@ class Topology:
         Each edge gets attributes ``capacity`` and ``weight`` where weight
         defaults to 1 (hop count) and can be overridden by path algorithms.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self.num_nodes))
         for edge in self._edges:
@@ -177,7 +187,12 @@ class Topology:
     # ------------------------------------------------------------------ #
     def is_strongly_connected(self) -> bool:
         """Return True if every node can reach every other node."""
-        return nx.is_strongly_connected(self.to_networkx())
+        from scipy.sparse.csgraph import connected_components
+
+        components, _ = connected_components(
+            self.adjacency_matrix(), directed=True, connection="strong"
+        )
+        return int(components) == 1
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense capacity adjacency matrix (0 where no edge)."""

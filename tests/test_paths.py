@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import datasets
 from repro.paths.ksp import build_ksp_path_set
 from repro.paths.path_set import PathSet
 from repro.paths.racke import racke_path_set
@@ -33,6 +39,60 @@ class TestBuildKspPathSet:
         ps = build_ksp_path_set(line_topology, k=3)
         assert ps.max_paths_per_pair == 1
         assert ps.num_paths == line_topology.num_sd_pairs
+
+
+def _networkx_paths(topology: Topology, k: int) -> tuple[tuple[int, ...], ...]:
+    """What ``build_ksp_path_set`` made with networkx: the reference order."""
+    graph = topology.to_networkx()
+    return tuple(
+        tuple(path)
+        for src, dst in topology.sd_pairs()
+        for path in islice(nx.shortest_simple_paths(graph, src, dst), k)
+    )
+
+
+@pytest.fixture(scope="module")
+def registry_topologies() -> dict[str, Topology]:
+    """Every distinct registry topology that builds in well under a second.
+
+    The full-size Cogentco, UsCarrier and ToR fabrics are left to the
+    parent-recorded fingerprints of ``tests/test_datasets.py`` (networkx
+    takes seconds per k on each); every other full-size scenario shares
+    its small variant's topology.
+    """
+    topologies = {}
+    for name in datasets.available_scenarios():
+        if name.endswith("_small"):
+            topology = datasets.load(name, seed=7, num_intervals=20).topology
+            topologies[topology.name] = topology
+    return topologies
+
+
+class TestKspMatchesNetworkx:
+    """The port returns networkx's paths in networkx's order, tie-breaks too."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_every_registry_topology(self, registry_topologies, k):
+        for name, topology in registry_topologies.items():
+            assert build_ksp_path_set(topology, k=k).paths == _networkx_paths(topology, k), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_strongly_connected_digraphs_in_any_edge_order(self, data):
+        n = data.draw(st.integers(2, 8), label="nodes")
+        ring = data.draw(st.permutations(range(n)), label="ring")
+        arcs = {(ring[i], ring[(i + 1) % n]) for i in range(n)}
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        arcs |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n), label="extra"))
+        order = data.draw(st.permutations(sorted(arcs)), label="edge order")
+        topology = Topology(n, [(a, b, 1.0) for a, b in order])
+        k = data.draw(st.integers(1, 6), label="k")
+        assert build_ksp_path_set(topology, k=k).paths == _networkx_paths(topology, k)
+
+    def test_a_pair_without_a_path_raises_networkx_no_path(self):
+        one_way = Topology(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)])
+        with pytest.raises(nx.NetworkXNoPath, match="no path between 2 and 0"):
+            build_ksp_path_set(one_way)
 
 
 class TestPathSetStructure:

@@ -12,6 +12,10 @@ checkpoint with the warehouse attached and requires the uninterrupted run's
 The grid is four cells on an inline 5-node scenario with a scheme trained
 once up front (shared ``scheme_cache``), so a child does no training.
 
+A read never writes: a record another writer has only half appended must
+survive a concurrent ``load()``, which drops it in memory and leaves the
+file alone.
+
 The same grid checks the other half of the held-descriptor contract: once
 ``Study.run`` / ``resume`` returns -- or stops on a cancel or a raising cell
 -- no descriptor is left open on either store, and a pickled store carries
@@ -27,11 +31,12 @@ import time
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers.lp import OptimalMLUCache
-from repro.study import ResultWarehouse, Study, StudyCancelled, StudyCheckpoint
+from repro.study import ResultWarehouse, Study, StudyCancelled, StudyCheckpoint, StudyResult
 from repro.study.spec import _SCHEME_BUILDERS, canonical_json, register_scheme
 
 SPEC = {
@@ -232,3 +237,27 @@ def test_a_pickled_store_carries_no_descriptor(tmp_path, warm, store_class):
     for held in (store, copy):
         held.close()
     assert store._fd is None
+
+
+@pytest.mark.parametrize("store_class", [StudyCheckpoint, ResultWarehouse])
+def test_a_concurrent_read_never_destroys_a_record_being_written(tmp_path, store_class):
+    def record(scheme: str, notes: str = "") -> StudyResult:
+        return StudyResult(
+            scenario="mesh", scheme=scheme, experiment="replay",
+            spec={"scheme": scheme, "notes": notes}, metrics={"mean": 1.25},
+            series=np.array([1.0, 1.5]),
+        )
+
+    writer = store_class(tmp_path / "store.jsonl")
+    writer.append(record("A"))
+    line = writer._line(record("B", notes="x" * 12_000)).encode("utf-8")
+    assert len(line) > 12_000
+    os.write(writer._fd, line[:4096])  # the writer is mid-append ...
+    with pytest.warns(RuntimeWarning, match="partially written trailing record"):
+        assert [r.scheme for r in store_class(writer.path).load()] == ["A"]
+    os.write(writer._fd, line[4096:])  # ... and finishes after the read
+    os.fsync(writer._fd)
+    assert [r.scheme for r in store_class(writer.path).load()] == ["A", "B"]
+    writer.append(record("C"))
+    assert [r.scheme for r in store_class(writer.path).load()] == ["A", "B", "C"]
+    writer.close()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.topology import generators, zoo
@@ -64,6 +65,24 @@ class TestRandomRegular:
             generators.random_regular(5, 5)
         with pytest.raises(ValueError):
             generators.random_regular(5, 3)  # odd product
+        with pytest.raises(ValueError):
+            generators.random_regular(5, 0)
+
+    @pytest.mark.parametrize(
+        "num_nodes, degree",
+        [(2, 1), (8, 3), (9, 2), (12, 4), (20, 3), (24, 6), (32, 8), (155, 46), (324, 97)],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_edges_equal_the_networkx_loop(self, num_nodes, degree, seed):
+        """The loop ``random_regular`` ran before its port, edge for edge."""
+        rng_seed = seed
+        graph = nx.random_regular_graph(degree, num_nodes, seed=rng_seed)
+        while not nx.is_connected(graph):
+            rng_seed += 1
+            graph = nx.random_regular_graph(degree, num_nodes, seed=rng_seed)
+        expected = [arc for a, b in graph.edges() for arc in ((a, b), (b, a))]
+        topology = generators.random_regular(num_nodes, degree, seed=seed)
+        assert [(edge.src, edge.dst) for edge in topology.edges] == expected
 
 
 class TestWanLike:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from repro.topology import generators, zoo
 from repro.topology.graph import Edge, Topology
 
 
@@ -134,6 +136,25 @@ class TestTopologyTransforms:
         assert topo.is_strongly_connected()
         not_connected = Topology(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert not not_connected.is_strongly_connected()
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            generators.line(5),
+            generators.star(4),
+            generators.random_regular(20, 3, seed=1),
+            zoo.geant(),
+            generators.line(5).without_edges({(2, 3)}),
+            generators.star(4).without_edges({(0, 2), (2, 0)}),
+            Topology(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)]),
+            Topology(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
+            Topology(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)]),
+        ],
+        ids=lambda topology: f"{topology.name}-{topology.num_edges}",
+    )
+    def test_strong_connectivity_agrees_with_networkx(self, topology):
+        expected = nx.is_strongly_connected(topology.to_networkx())
+        assert topology.is_strongly_connected() is expected
 
     def test_equality_and_hash(self, topo):
         same = Topology(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])

@@ -101,8 +101,11 @@ class TestWarehouseStore:
         with pytest.warns(RuntimeWarning, match="partially written trailing record"):
             loaded = store.results()
         assert [r.scheme for r in loaded] == ["KEPT"]
-        # The torn line is gone from disk, so the next append lands cleanly.
-        store.append(_record(scheme="NEXT"))
+        # The read left the file alone; the next append compacts it first
+        # (dropping the torn line from disk), so it lands cleanly.
+        assert path.read_text().endswith('"half-writ')
+        with pytest.warns(RuntimeWarning, match="partially written trailing record"):
+            store.append(_record(scheme="NEXT"))
         assert [r.scheme for r in store.results()] == ["KEPT", "NEXT"]
 
     @pytest.mark.parametrize("store_class", [ResultWarehouse, StudyCheckpoint])
@@ -571,5 +574,6 @@ class TestWarehouseProperties:
         with pytest.warns(RuntimeWarning, match="partially written trailing record"):
             loaded = store.results()
         assert len(loaded) == len(records) - 1
-        # Compaction restored a clean file: loading again warns nothing.
+        # The read wrote nothing: the torn line is still there to drop.
+        assert path.read_text().endswith(torn)
         assert len(store.results()) == len(records) - 1
