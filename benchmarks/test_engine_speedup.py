@@ -151,9 +151,10 @@ def test_persistent_cache_skips_second_session(benchmark, tmp_path):
     cache_file = tmp_path / "optimal_mlu_cache.jsonl"
 
     def run():
-        # Session 1: cold -- every normaliser is an LP solve, persisted on
-        # flush (a neural scheme's replay itself solves no LPs, so the solver
-        # call counter isolates exactly the omniscient normaliser work).
+        # Session 1: cold -- every normaliser is an LP solve, written to the
+        # file as the cache stores it (a neural scheme's replay itself solves
+        # no LPs, so the solver call counter isolates exactly the omniscient
+        # normaliser work).
         start = time.perf_counter()
         with OptimalMLUCache(path=cache_file) as cold_cache:
             cold = EvaluationEngine(cache=cold_cache).evaluate_scheme(

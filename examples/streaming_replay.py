@@ -37,7 +37,8 @@ def main() -> None:
         f"(buffering at most {history_len + chunk_size} demand rows)\n"
     )
 
-    # --- Session 1: stream the trace, solving LPs cold, persisting on exit.
+    # --- Session 1: stream the trace, solving LPs cold; each solved batch
+    # is written to the cache file as it is stored (`with` only closes it).
     start = time.perf_counter()
     with OptimalMLUCache(path=cache_file) as cache:
         engine = EvaluationEngine(cache=cache)

@@ -18,8 +18,10 @@ solve per timestep.  This module amortises all three across the whole trace:
   :class:`~repro.solvers.lp.OptimalMLUCache` shared across every experiment
   (main comparison, fluctuation, drift, failures), so a demand matrix is
   never LP-solved twice.  With a *persistent* cache (``OptimalMLUCache(path=
-  ...)``) the entries survive the process, so repeated benchmark sessions
-  skip the cold LP pass entirely.
+  ...)``) each batch of solved normalisers is written to disk as the cache
+  stores it -- nothing is written at exit, and a killed process keeps what
+  it solved -- so repeated benchmark sessions skip the cold LP pass
+  entirely.
 * **Streaming** -- :meth:`EvaluationEngine.evaluate_streaming` replays the
   same batched pipeline chunk by chunk from a window iterator
   (:func:`~repro.traffic.windows.iter_window_chunks`), holding only
@@ -95,10 +97,11 @@ class EvaluationEngine:
     Args:
         cache: Optimal-MLU cache to use (a fresh in-memory one by default;
             pass an ``OptimalMLUCache(path=...)`` to persist LP results
-            across benchmark sessions).  The cache also names the pool width
-            its misses run on (``OptimalMLUCache(workers=)``): the engine
-            has no LP knob of its own.  The neural schemes' forward passes
-            are float64 numpy.
+            across benchmark sessions: it writes each solved batch when it
+            stores it, never at exit).  The cache also names the pool
+            width its misses run on (``OptimalMLUCache(workers=)``): the
+            engine has no LP knob of its own.  The neural schemes' forward
+            passes are float64 numpy.
     """
 
     def __init__(self, cache: OptimalMLUCache | None = None) -> None:

@@ -11,12 +11,12 @@ minimise the maximum link utilisation are the solution of the LP:
 This module provides the raw solver (:func:`solve_mlu_lp`), the batch of
 optimal values behind every normaliser (:func:`solve_mlu_lp_batch`, with
 optional fan-out over :mod:`repro.pool`), the omniscient benchmark used to
-normalise every MLU the paper reports (:func:`omniscient_mlu`), a
-disk-persistable cache for those normalisers (:class:`OptimalMLUCache`, with
-a process-wide instance via :func:`shared_cache`), and the two simplest
-schemes built directly on the LP: :class:`OmniscientTE` (perfect knowledge of
-the next demand) and :class:`PredictionBasedTE` (solve for a demand predicted
-from history).
+normalise every MLU the paper reports (:func:`omniscient_mlu`), a cache for
+those normalisers that can persist to disk, writing each newly solved batch
+as it stores it (:class:`OptimalMLUCache`, with a process-wide instance via
+:func:`shared_cache`), and the two simplest schemes built directly on the
+LP: :class:`OmniscientTE` (perfect knowledge of the next demand) and
+:class:`PredictionBasedTE` (solve for a demand predicted from history).
 
 The LP's constraint matrices depend on the demand only through a diagonal
 rescale of the path-to-edge incidence, so everything demand-independent
@@ -36,7 +36,6 @@ entry.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import os
 import warnings
@@ -486,6 +485,9 @@ CACHE_FILE_FORMAT = "repro-optimal-mlu-cache"
 #: Bump to invalidate every existing cache file (e.g. if the LP, the floor,
 #: or the key derivation changes in a way that alters cached values).
 CACHE_FILE_VERSION = 1
+#: Entries an :class:`OptimalMLUCache` keeps in memory (the values are
+#: floats, so millions of cached solves); the oldest go first.
+MAX_CACHE_ENTRIES = 1_000_000
 
 
 class _CacheFile(JsonlStore):
@@ -504,21 +506,6 @@ class _CacheFile(JsonlStore):
         return (str(fingerprint), str(demand_key), str(mask_key)), float(value)
 
 
-def _flush_cache_ref(ref: "weakref.ref[OptimalMLUCache]") -> None:
-    """atexit hook: flush a still-alive persistent cache (never raises)."""
-    cache = ref()
-    if cache is None:
-        return
-    try:
-        # Only write if something is actually pending, so an already-flushed
-        # cache whose directory has since been cleaned up (tmp dirs in tests)
-        # is not resurrected at interpreter exit.
-        if cache._unflushed or cache._needs_rewrite:
-            cache.flush()
-    except Exception:  # interpreter shutdown is no place for tracebacks
-        pass
-
-
 class OptimalMLUCache:
     """Memoises omniscient-optimal MLUs across experiments and sessions.
 
@@ -526,18 +513,23 @@ class OptimalMLUCache:
     so structurally identical path sets share entries and the cache survives
     the path-set object itself.  Values carry the same
     :data:`NORMALIZER_FLOOR` as :func:`omniscient_mlu` so they can be used as
-    normalisers directly.
+    normalisers directly.  Beyond :data:`MAX_CACHE_ENTRIES` the oldest
+    entries are evicted from memory (a persistent cache keeps them on disk).
 
     With ``path`` set the cache is **disk-persistent**: existing entries are
-    loaded on construction and new ones are appended to the file by
-    :meth:`flush` (called automatically at interpreter exit, on
-    ``with``-block exit, and by :meth:`close`).  The file is a
-    :class:`repro.store.JsonlStore`, written like the study checkpoints: a
-    flush appends as one fsynced write (or rewrites atomically), a torn
-    trailing entry is dropped with a warning, and a file that cannot be
-    loaded at all -- foreign or mismatched header, junk mid-file, unreadable
-    -- is ignored with a warning (cold solves, never a crash) and rewritten
-    wholesale on the next flush: every entry is recomputable.
+    loaded on construction, and every batch of new entries is written when
+    it is stored -- the misses one :meth:`optimal_mlus` call solved, or what
+    one :meth:`merge_entries` call added -- before the call returns.  There
+    is nothing left to write at exit, so a SIGKILLed process loses at most
+    the batch it was solving.  The file is a :class:`repro.store.JsonlStore`,
+    written like the study checkpoints: each batch is one append (one write
+    and one file fsync), and a torn trailing entry is dropped with a warning
+    and compacted away by the next append.  A missing file, or one that
+    cannot be loaded at all -- foreign or mismatched header, junk mid-file,
+    unreadable; ignored with a warning, so cold solves and never a crash --
+    is rewritten whole, atomically, by the first write.  Every entry is
+    recomputable.  :meth:`close` (or ``with``-exit) only releases the held
+    append descriptor.
 
     The cache is also the one place that says over how many processes a
     miss is solved, so the training normalisers and the replay normalisers
@@ -546,43 +538,34 @@ class OptimalMLUCache:
     :func:`solve_mlu_lp_batch` (see :mod:`repro.solvers.lp_backend`).
 
     Args:
-        max_entries: Oldest entries are evicted from *memory* beyond this
-            size (the values are floats, so the default allows millions of
-            cached solves).  Already-flushed entries stay on disk.
-        path: Optional location of the persistent store.  Parent directories
-            are created on flush.
+        path: Optional location of the persistent store.  ``~`` is
+            expanded; parent directories are created by the first write.
         workers: Process-pool width for a batch of misses: a positive int
             (``1`` is sequential whatever the environment says), ``"auto"``
             for a CPU-count-derived width, or ``None`` to follow
             ``REPRO_LP_WORKERS`` at solve time (sequential when unset).
 
     Raises:
-        ValueError: ``max_entries`` or ``workers`` is out of range.
+        ValueError: ``workers`` is out of range.
     """
 
     def __init__(
         self,
-        max_entries: int = 1_000_000,
+        *,
         path: str | os.PathLike | None = None,
         workers: int | str | None = None,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.max_entries = max_entries
         self.workers = resolve_workers(workers)
         self._entries: OrderedDict[tuple[str, str, str], float] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.path = Path(path).expanduser() if path is not None else None
         self.loaded = 0
-        self._unflushed: list[tuple[tuple[str, str, str], float]] = []
+        # Set when the file could not be loaded: the first write replaces it.
         self._needs_rewrite = False
         if self.path is not None:
             self._file = _CacheFile(self.path)
             self._load()
-            # A weakref keeps short-lived caches collectable; a dead ref
-            # makes the exit hook a no-op.
-            atexit.register(_flush_cache_ref, weakref.ref(self))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -592,19 +575,6 @@ class OptimalMLUCache:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def clear(self) -> None:
-        """Drop every cached entry and reset the hit/miss counters.
-
-        On a persistent cache the on-disk store is truncated to match at the
-        next :meth:`flush`.
-        """
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self._unflushed.clear()
-        if self.path is not None:
-            self._needs_rewrite = True
 
     # ------------------------------------------------------------------ #
     # Disk persistence
@@ -617,7 +587,7 @@ class OptimalMLUCache:
             return
         except (ValueError, OSError) as exc:
             warnings.warn(
-                f"{exc}; the cache starts cold and is rewritten on the next flush",
+                f"{exc}; the cache starts cold and is rewritten by its first write",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -625,33 +595,12 @@ class OptimalMLUCache:
             return
         for key, value in entries:
             self._entries[key] = value
-            if len(self._entries) > self.max_entries:
+            if len(self._entries) > MAX_CACHE_ENTRIES:
                 self._entries.popitem(last=False)
         self.loaded = len(self._entries)
 
-    def flush(self) -> None:
-        """Write new entries to the persistent store (no-op when in-memory).
-
-        Appends only what changed since the last flush, as one fsynced write;
-        a missing file, a cleared cache, or a file that could not be loaded
-        is rewritten whole (atomically) in the current format.
-        """
-        if self.path is None:
-            return
-        if self._needs_rewrite or not self.path.exists():
-            # Entries solved since the last flush but already evicted from
-            # memory must still be persisted (an append would have written
-            # them).
-            evicted = [entry for entry in self._unflushed if entry[0] not in self._entries]
-            self._file.rewrite([*self._entries.items(), *evicted])
-            self._needs_rewrite = False
-        else:
-            self._file.extend(self._unflushed)
-        self._unflushed.clear()
-
     def close(self) -> None:
-        """Flush pending entries and release the file's append descriptor."""
-        self.flush()
+        """Release the file's append descriptor (every entry is already written)."""
         if self.path is not None:
             self._file.close()
 
@@ -672,17 +621,16 @@ class OptimalMLUCache:
 
         Existing keys keep their current values (the solver is
         deterministic, so they are equal anyway).  On a persistent cache the
-        merged entries are appended at the next :meth:`flush` like locally
-        solved ones.  Returns the number of new entries inserted.
+        new entries are written as one batch, like locally solved ones.
+        Returns the number of new entries inserted.
         """
-        added = 0
-        for key, value in entries.items():
-            fingerprint, demand_key, mask_key = key
-            normalised = (str(fingerprint), str(demand_key), str(mask_key))
-            if normalised not in self._entries:
-                self._store(normalised, float(value))
-                added += 1
-        return added
+        new: dict[tuple[str, str, str], float] = {}
+        for (fingerprint, demand_key, mask_key), value in entries.items():
+            key = (str(fingerprint), str(demand_key), str(mask_key))
+            if key not in self._entries:
+                new[key] = float(value)
+        self._store(list(new.items()))
+        return len(new)
 
     @staticmethod
     def _mask_key(path_mask: np.ndarray | None) -> str:
@@ -698,21 +646,18 @@ class OptimalMLUCache:
             np.ascontiguousarray(demand_vector, dtype=float).tobytes()
         ).hexdigest()
 
-    def _store(self, key: tuple[str, str, str], value: float) -> None:
-        self._entries[key] = value
-        if self.path is not None:
-            self._unflushed.append((key, value))
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def optimal_mlu(
-        self,
-        path_set: PathSet,
-        demand_vector: np.ndarray,
-        path_mask: np.ndarray | None = None,
-    ) -> float:
-        """Cached :func:`omniscient_mlu` (optionally restricted to a path mask)."""
-        return float(self.optimal_mlus(path_set, demand_vector, path_mask)[0])
+    def _store(self, entries: list[tuple[tuple[str, str, str], float]]) -> None:
+        """Insert new entries; a persistent cache writes them first, as one batch."""
+        if self.path is not None and entries:
+            if self._needs_rewrite or not self._file.exists():
+                self._file.rewrite([*self._entries.items(), *entries])
+                self._needs_rewrite = False
+            else:
+                self._file.extend(entries)
+        for key, value in entries:
+            self._entries[key] = value
+            if len(self._entries) > MAX_CACHE_ENTRIES:
+                self._entries.popitem(last=False)
 
     def optimal_mlus(
         self,
@@ -723,8 +668,9 @@ class OptimalMLUCache:
         """Cached omniscient MLUs for every row of a ``(T, pairs)`` array.
 
         Rows missing from the cache are solved (over a process pool of the
-        cache's ``workers``) and inserted; cached rows are
-        returned without re-solving.
+        cache's ``workers``) and stored -- on a persistent cache, written as
+        one batch before the call returns; cached rows are returned without
+        re-solving.
         """
         demands = np.ascontiguousarray(np.asarray(demands, dtype=float))
         if demands.ndim == 1:
@@ -752,9 +698,9 @@ class OptimalMLUCache:
             solved = np.maximum(
                 solve_mlu_lp_batch(path_set, demands[rows], path_mask, self.workers),
                 NORMALIZER_FLOOR,
-            )
-            for (key, indices), value in zip(missing.items(), solved.tolist()):
-                self._store(key, value)
+            ).tolist()
+            self._store(list(zip(missing, solved)))
+            for indices, value in zip(missing.values(), solved):
                 values[indices] = value
         return values
 

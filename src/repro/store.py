@@ -44,6 +44,11 @@ def fsync_directory(path: Path) -> None:
         os.close(fd)
 
 
+def _naming(exc: OSError, path: Path) -> OSError:
+    """``exc``'s errno and reason, naming ``path`` (a write error names no file)."""
+    return OSError(exc.errno, exc.strerror or str(exc), str(path))
+
+
 def atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Replace ``path`` with the concatenated ``chunks``, atomically and durably.
 
@@ -52,14 +57,18 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
     directory fsync: a crash at any point leaves either the previous file or
     the complete new one -- never a truncated document, and never a rename
     the filesystem quietly rolls back.  Parent directories are created as
-    needed.
+    needed.  A failed write of the temp file (a full disk, an I/O error)
+    raises an :class:`OSError` with its errno that names ``path``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(path.name + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.writelines(chunks)
-        handle.flush()
-        os.fsync(handle.fileno())
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except OSError as exc:
+        raise _naming(exc, path) from exc
     os.replace(temp, path)
     fsync_directory(path.parent)
 
@@ -180,7 +189,9 @@ class JsonlStore:
         line would then read as a torn tail -- two finished records dropped.
         Such a file is first rewritten from what :meth:`load` reads of it
         (complete last record kept, torn one dropped); this is the one place
-        a store repairs its file.
+        a store repairs its file.  A failed write or fsync (a full disk, an
+        I/O error) raises an :class:`OSError` with its errno that names the
+        store's file; the next append starts on the slow path.
         """
         data = "".join(map(self._line, records)).encode("utf-8")
         if not data:
@@ -201,10 +212,12 @@ class JsonlStore:
             while view:
                 view = view[os.write(self._fd, view):]
             os.fsync(self._fd)
-        except BaseException:
+        except BaseException as exc:
             # A failed write may leave a torn line: the slow path's tail
             # probe must look at the file before anything else is appended.
             self.close()
+            if isinstance(exc, OSError):
+                raise _naming(exc, self.path) from exc
             raise
         dev, ino, size = self._ident
         self._ident = (dev, ino, size + len(data))

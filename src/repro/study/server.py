@@ -36,11 +36,12 @@ line):
 * ``{"op": "ping"}`` / ``{"op": "shutdown"}`` -- liveness / graceful stop
   (the running job is cancelled cleanly, i.e. checkpointed).
 
-Malformed request lines get a structured ``error`` reply and the daemon
-keeps serving.  A client that disconnects mid-stream cancels *its own* job
-only.  A stale socket file left by a killed daemon is detected (nothing
-accepts connections on it) and replaced on restart; a live daemon on the
-same path refuses to be shadowed.
+Malformed request lines, and lines longer than :data:`MAX_REQUEST_BYTES`,
+get a structured ``error`` reply and the daemon keeps serving.  A client
+that disconnects mid-stream cancels *its own* job only.  A stale socket
+file left by a killed daemon is detected (nothing accepts connections on
+it) and replaced on restart; a live daemon on the same path refuses to be
+shadowed.
 
 Jobs execute through the :meth:`~repro.study.study.Study.plan` /
 :meth:`~repro.study.study.Study.execute` split: the queue worker owns the
@@ -81,6 +82,11 @@ _TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 #: Keys a submit request may carry (anything else is a structured error --
 #: a typo'd option should not be silently ignored).
 _SUBMIT_KEYS = frozenset({"op", "spec", "checkpoint", "resume", "warehouse"})
+
+#: Longest request line the daemon reads (bytes, newline excluded): a client
+#: streaming bytes without a newline gets an ``error`` instead of a thread
+#: whose buffer grows without bound.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
 class _Job:
@@ -300,7 +306,12 @@ class StudyServer:
         try:
             with conn:
                 reader = conn.makefile("rb")
-                line = reader.readline()
+                line = reader.readline(MAX_REQUEST_BYTES + 1)
+                if len(line) > MAX_REQUEST_BYTES and not line.endswith(b"\n"):
+                    self._error(
+                        conn, f"request line longer than {MAX_REQUEST_BYTES} bytes"
+                    )
+                    return
                 if not line.strip():
                     return  # client connected and left (a ready-probe)
                 try:

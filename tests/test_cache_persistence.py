@@ -1,16 +1,20 @@
 """Round-trip tests for the disk-persistent :class:`OptimalMLUCache`.
 
-Contract: a cache persisted by one session and reloaded by a fresh one
-serves every previously solved normaliser without a single LP re-solve
-(asserted via the raw solver call counter) and with bit-identical values;
-corrupt, truncated, or version-mismatched store files degrade to cold
-solves with a warning -- never a crash -- and are repaired on the next
-flush.
+Contract: every batch of newly solved entries is on disk when the call that
+solved it returns -- nothing waits for ``close()`` or interpreter exit, so a
+SIGKILLed session keeps what it solved.  A cache persisted by one session and
+reloaded by a fresh one serves every previously solved normaliser without a
+single LP re-solve (asserted via the raw solver call counter) and with
+bit-identical values; corrupt, truncated, or version-mismatched store files
+degrade to cold solves with a warning -- never a crash -- and are repaired
+by the first write.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -78,29 +82,50 @@ class TestRoundTrip:
         np.testing.assert_array_equal(warm.normalized_mlus, cold.normalized_mlus)
         np.testing.assert_array_equal(warm.optimal_mlus, cold.optimal_mlus)
 
-    def test_flush_appends_instead_of_rewriting(
+    def test_each_solved_batch_is_appended_when_stored(
         self, mesh4_paths, mesh4_traffic, cache_file
     ):
         demands = _demands(mesh4_traffic, 6)
         cache = OptimalMLUCache(path=cache_file)
         cache.optimal_mlus(mesh4_paths, demands[:3])
-        cache.flush()
         first_lines = cache_file.read_text().splitlines()
-        assert len(first_lines) == 1 + 3  # header + entries
-        cache.optimal_mlus(mesh4_paths, demands[3:])
-        cache.flush()
+        assert len(first_lines) == 1 + 3  # header + entries, before any close()
+        cache.optimal_mlus(mesh4_paths, demands)  # 3 hits, 3 new entries
         lines = cache_file.read_text().splitlines()
         assert lines[: len(first_lines)] == first_lines  # pure append
         assert len(lines) == 1 + len(demands)
         assert OptimalMLUCache(path=cache_file).loaded == len(demands)
+        cache.close()
 
-    def test_flush_without_new_entries_is_stable(self, mesh4_paths, mesh4_traffic, cache_file):
+    def test_merged_entries_are_written_when_merged(self, cache_file):
         cache = OptimalMLUCache(path=cache_file)
-        cache.optimal_mlus(mesh4_paths, _demands(mesh4_traffic, 4))
-        cache.flush()
-        content = cache_file.read_text()
-        cache.flush()
-        assert cache_file.read_text() == content
+        assert cache.merge_entries({("fp", "d1", ""): 1.5, ("fp", "d2", "m"): 2.5}) == 2
+        assert cache.merge_entries({("fp", "d1", ""): 9.0}) == 0  # known key
+        reloaded = OptimalMLUCache(path=cache_file)
+        assert reloaded.entries_snapshot() == {("fp", "d1", ""): 1.5, ("fp", "d2", "m"): 2.5}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="kills a forked child (POSIX only)")
+    def test_a_sigkilled_session_keeps_the_batch_it_solved(
+        self, mesh4_paths, mesh4_traffic, cache_file
+    ):
+        demands = _demands(mesh4_traffic, 5)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child only
+            try:
+                # Width 1: an LP pool inherited through fork is no use here.
+                cache = OptimalMLUCache(path=cache_file, workers=1)
+                cache.optimal_mlus(mesh4_paths, demands)
+                os.kill(os.getpid(), signal.SIGKILL)  # no close(), no exit hooks
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        warm = OptimalMLUCache(path=cache_file)
+        assert warm.loaded == len(demands)
+        with count_lp_solves() as tally:
+            warm.optimal_mlus(mesh4_paths, demands)
+        assert tally.count == 0
+        assert warm.misses == 0
 
     def test_mask_entries_round_trip(self, mesh4_paths, mesh4_traffic, cache_file, rng):
         from repro.te.failures import sample_failed_links
@@ -109,18 +134,18 @@ class TestRoundTrip:
         failed = sample_failed_links(mesh4_paths.topology, 1, rng)
         mask = mesh4_paths.restrict_to_working_paths(failed)
         with OptimalMLUCache(path=cache_file) as cache:
-            masked = cache.optimal_mlu(mesh4_paths, demand, path_mask=mask)
-            unmasked = cache.optimal_mlu(mesh4_paths, demand)
+            [masked] = cache.optimal_mlus(mesh4_paths, demand, path_mask=mask)
+            [unmasked] = cache.optimal_mlus(mesh4_paths, demand)
+        assert len(cache) == 2  # the mask is part of the key
         reloaded = OptimalMLUCache(path=cache_file)
         with count_lp_solves() as tally:
-            assert reloaded.optimal_mlu(mesh4_paths, demand, path_mask=mask) == masked
-            assert reloaded.optimal_mlu(mesh4_paths, demand) == unmasked
+            assert reloaded.optimal_mlus(mesh4_paths, demand, path_mask=mask)[0] == masked
+            assert reloaded.optimal_mlus(mesh4_paths, demand)[0] == unmasked
         assert tally.count == 0
 
     def test_in_memory_cache_never_touches_disk(self, mesh4_paths, mesh4_traffic, tmp_path):
-        cache = OptimalMLUCache()
-        cache.optimal_mlus(mesh4_paths, _demands(mesh4_traffic, 3))
-        cache.flush()  # no-op
+        with OptimalMLUCache() as cache:
+            cache.optimal_mlus(mesh4_paths, _demands(mesh4_traffic, 3))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -141,8 +166,7 @@ class TestDegradedStores:
         with pytest.warns(RuntimeWarning, match="unreadable header.*starts cold"):
             cache = OptimalMLUCache(path=cache_file)
         self._assert_cold_but_working(cache, mesh4_paths, mesh4_traffic)
-        # The next flush repairs the store in the current format.
-        cache.flush()
+        # The first write repaired the store in the current format.
         repaired = OptimalMLUCache(path=cache_file)
         assert repaired.loaded == cache.misses
 
@@ -156,6 +180,7 @@ class TestDegradedStores:
         with pytest.warns(RuntimeWarning, match="unsupported optimal-MLU cache version 2.*starts cold"):
             cache = OptimalMLUCache(path=cache_file)
         self._assert_cold_but_working(cache, mesh4_paths, mesh4_traffic)
+        assert OptimalMLUCache(path=cache_file).loaded == cache.misses
 
     def test_truncated_trailing_line_keeps_good_entries(
         self, mesh4_paths, mesh4_traffic, cache_file
@@ -169,18 +194,19 @@ class TestDegradedStores:
         with pytest.warns(RuntimeWarning, match="partially written trailing record"):
             recovered = OptimalMLUCache(path=cache_file)
         assert recovered.loaded == len(demands) - 1
-        reloaded = recovered.optimal_mlus(mesh4_paths, demands)
+        # Writing the re-solved entry compacts the store first: all
+        # entries, valid lines only.
+        with pytest.warns(RuntimeWarning, match="partially written trailing record"):
+            reloaded = recovered.optimal_mlus(mesh4_paths, demands)
         assert recovered.misses == 1  # only the chopped entry re-solves
         np.testing.assert_array_equal(reloaded, values)
-        # Flushing compacts the store: all entries, valid lines only.
-        with pytest.warns(RuntimeWarning, match="partially written trailing record"):
-            recovered.flush()
+        assert len(cache_file.read_text().splitlines()) == 1 + len(demands)
         assert OptimalMLUCache(path=cache_file).loaded == len(demands)
 
-    def test_entry_that_lost_its_newline_survives_the_next_flush(
+    def test_entry_that_lost_its_newline_survives_the_next_write(
         self, mesh4_paths, mesh4_traffic, cache_file, recwarn
     ):
-        """A flush must not append onto a complete but unterminated last
+        """A write must not append onto a complete but unterminated last
         entry: the merged line would read as junk and drop both entries."""
         demands = _demands(mesh4_traffic, 6)
         with OptimalMLUCache(path=cache_file) as cache:
@@ -190,7 +216,6 @@ class TestDegradedStores:
         assert reopened.loaded == 5
         reopened.optimal_mlus(mesh4_paths, demands)
         assert reopened.misses == 1
-        reopened.flush()
         assert OptimalMLUCache(path=cache_file).loaded == 6
         assert not recwarn.list
 
@@ -204,49 +229,34 @@ class TestDegradedStores:
         with pytest.warns(RuntimeWarning, match="line 2.*starts cold"):
             cache = OptimalMLUCache(path=cache_file)
         self._assert_cold_but_working(cache, mesh4_paths, mesh4_traffic)
-        cache.flush()
         assert OptimalMLUCache(path=cache_file).loaded == cache.misses
 
     def test_empty_file_is_treated_as_fresh(self, mesh4_paths, mesh4_traffic, cache_file):
         cache_file.write_text("")
         cache = OptimalMLUCache(path=cache_file)
         self._assert_cold_but_working(cache, mesh4_paths, mesh4_traffic)
-        cache.flush()
         assert OptimalMLUCache(path=cache_file).loaded == cache.misses
 
-    def test_clear_truncates_store_on_flush(self, mesh4_paths, mesh4_traffic, cache_file):
-        cache = OptimalMLUCache(path=cache_file)
-        cache.optimal_mlus(mesh4_paths, _demands(mesh4_traffic, 4))
-        cache.flush()
-        cache.clear()
-        cache.flush()
-        assert OptimalMLUCache(path=cache_file).loaded == 0
-
-    def test_max_entries_bounds_load(self, mesh4_paths, mesh4_traffic, cache_file):
+    def test_eviction_bounds_memory_and_load(
+        self, mesh4_paths, mesh4_traffic, cache_file, monkeypatch
+    ):
+        monkeypatch.setattr("repro.solvers.lp.MAX_CACHE_ENTRIES", 2)
+        demands = _demands(mesh4_traffic, 6)
         with OptimalMLUCache(path=cache_file) as cache:
-            cache.optimal_mlus(mesh4_paths, _demands(mesh4_traffic, 6))
-        bounded = OptimalMLUCache(max_entries=2, path=cache_file)
+            cache.optimal_mlus(mesh4_paths, demands)
+            assert len(cache) == 2  # evicted from memory ...
+        assert len(cache_file.read_text().splitlines()) == 1 + 6  # ... not from disk
+        bounded = OptimalMLUCache(path=cache_file)
         assert len(bounded) == 2
         assert bounded.loaded == 2
 
-    def test_missing_parent_directory_created_on_flush(
+    def test_missing_parent_directory_created_by_the_first_write(
         self, mesh4_paths, mesh4_traffic, tmp_path
     ):
         nested = tmp_path / "a" / "b" / "cache.jsonl"
         with OptimalMLUCache(path=nested) as cache:
             cache.optimal_mlus(mesh4_paths, _demands(mesh4_traffic, 2))
         assert OptimalMLUCache(path=nested).loaded == 2
-
-    def test_rewrite_flush_keeps_evicted_unflushed_entries(
-        self, mesh4_paths, mesh4_traffic, cache_file
-    ):
-        """First flush (rewrite branch) must persist entries already evicted."""
-        demands = _demands(mesh4_traffic, 3)
-        cache = OptimalMLUCache(max_entries=2, path=cache_file)
-        cache.optimal_mlus(mesh4_paths, demands)  # 3 solves, 1 evicted
-        assert len(cache) == 2
-        cache.flush()  # file absent -> rewrite branch
-        assert OptimalMLUCache(path=cache_file).loaded == len(demands)
 
     def test_tilde_in_path_is_expanded(self, monkeypatch, tmp_path):
         monkeypatch.setenv("HOME", str(tmp_path))

@@ -277,16 +277,17 @@ class TestOptimalMLUCache:
         failed = sample_failed_links(mesh4_paths.topology, 1, rng)
         mask = mesh4_paths.restrict_to_working_paths(failed)
         cache = OptimalMLUCache()
-        unmasked = cache.optimal_mlu(mesh4_paths, demand)
-        masked = cache.optimal_mlu(mesh4_paths, demand, path_mask=mask)
+        unmasked = cache.optimal_mlus(mesh4_paths, demand)[0]
+        masked = cache.optimal_mlus(mesh4_paths, demand, path_mask=mask)[0]
         assert cache.misses == 2
         _, expected_masked = solve_mlu_lp(mesh4_paths, demand, path_mask=mask)
         assert masked == pytest.approx(max(expected_masked, 1e-12), abs=TOL)
         assert unmasked <= masked + TOL
 
-    def test_eviction_bounds_size(self, mesh4_paths, mesh4_traffic):
+    def test_eviction_bounds_size(self, mesh4_paths, mesh4_traffic, monkeypatch):
+        monkeypatch.setattr("repro.solvers.lp.MAX_CACHE_ENTRIES", 3)
         demands = mesh4_traffic[:8].flat_demands()
-        cache = OptimalMLUCache(max_entries=3)
+        cache = OptimalMLUCache()
         cache.optimal_mlus(mesh4_paths, demands)
         assert len(cache) == 3
 

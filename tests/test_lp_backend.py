@@ -237,7 +237,7 @@ class TestDefaultKeepsPublishedValues:
                 # Only the normaliser moves, and only in its last bits -- and
                 # omniscient_mlu serves the very value the cache does.
                 if caps is None:
-                    cached = OptimalMLUCache().optimal_mlu(paths, demand, path_mask=mask)
+                    cached = OptimalMLUCache().optimal_mlus(paths, demand, path_mask=mask)[0]
                     assert cached == pytest.approx(max(mlu, 1e-12), rel=1e-12)
                 if caps is None and mask is None:
                     assert omniscient_mlu(paths, demand) == cached

@@ -57,10 +57,9 @@ def durable_calls(monkeypatch):
     return calls
 
 
-def _cache_flush_on_a_new_file(tmp_path):
+def _cache_first_write_on_a_new_file(tmp_path):
     cache = OptimalMLUCache(path=tmp_path / "cache.jsonl")
-    cache.merge_entries({("fp", "demand", ""): 1.5})
-    return cache.flush
+    return lambda: cache.merge_entries({("fp", "demand", ""): 1.5})
 
 
 def _store_compaction(tmp_path):
@@ -85,7 +84,7 @@ def _resultset_save(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "prepare", [_cache_flush_on_a_new_file, _store_compaction, _resultset_save]
+    "prepare", [_cache_first_write_on_a_new_file, _store_compaction, _resultset_save]
 )
 def test_whole_file_writes_fsync_the_temp_file_and_the_directory(
     tmp_path, durable_calls, prepare

@@ -20,12 +20,19 @@ The same grid checks the other half of the held-descriptor contract: once
 ``Study.run`` / ``resume`` returns -- or stops on a cancel or a raising cell
 -- no descriptor is left open on either store, and a pickled store carries
 none.
+
+A write that fails (a full disk, an I/O error) raises an ``OSError`` naming
+the store's file, on a checkpoint, a warehouse and a persistent LP cache
+alike; the file still loads every complete record and the next write
+succeeds.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
+import re
 import signal
 import time
 import warnings
@@ -239,15 +246,16 @@ def test_a_pickled_store_carries_no_descriptor(tmp_path, warm, store_class):
     assert store._fd is None
 
 
+def record(scheme: str, notes: str = "") -> StudyResult:
+    return StudyResult(
+        scenario="mesh", scheme=scheme, experiment="replay",
+        spec={"scheme": scheme, "notes": notes}, metrics={"mean": 1.25},
+        series=np.array([1.0, 1.5]),
+    )
+
+
 @pytest.mark.parametrize("store_class", [StudyCheckpoint, ResultWarehouse])
 def test_a_concurrent_read_never_destroys_a_record_being_written(tmp_path, store_class):
-    def record(scheme: str, notes: str = "") -> StudyResult:
-        return StudyResult(
-            scenario="mesh", scheme=scheme, experiment="replay",
-            spec={"scheme": scheme, "notes": notes}, metrics={"mean": 1.25},
-            series=np.array([1.0, 1.5]),
-        )
-
     writer = store_class(tmp_path / "store.jsonl")
     writer.append(record("A"))
     line = writer._line(record("B", notes="x" * 12_000)).encode("utf-8")
@@ -261,3 +269,81 @@ def test_a_concurrent_read_never_destroys_a_record_being_written(tmp_path, store
     writer.append(record("C"))
     assert [r.scheme for r in store_class(writer.path).load()] == ["A", "B", "C"]
     writer.close()
+
+
+class _Records:
+    """Appends numbered records to a checkpoint or warehouse; counts what loads."""
+
+    def __init__(self, store_class, path):
+        self.store = store_class(path)
+
+    def write(self, number: int) -> None:
+        self.store.append(record(f"S{number}"))
+
+    def loaded(self) -> int:
+        return len(type(self.store)(self.store.path).load()) if self.store.exists() else 0
+
+    def close(self) -> None:
+        self.store.close()
+
+
+class _Normalisers:
+    """Merges numbered entries into a persistent LP cache; counts what loads."""
+
+    def __init__(self, path):
+        self.cache = OptimalMLUCache(path=path)
+
+    def write(self, number: int) -> None:
+        self.cache.merge_entries({("fp", f"demand{number}", ""): float(number)})
+
+    def loaded(self) -> int:
+        return OptimalMLUCache(path=self.cache.path).loaded
+
+    def close(self) -> None:
+        self.cache.close()
+
+
+STORES = {
+    "checkpoint": lambda path: _Records(StudyCheckpoint, path),
+    "warehouse": lambda path: _Records(ResultWarehouse, path),
+    "lp-cache": _Normalisers,
+}
+
+
+@pytest.mark.parametrize("kind", STORES)
+@pytest.mark.parametrize(
+    "call, error, written, kept",
+    [
+        # An append's write, half of it landed: the torn record is dropped.
+        ("write", errno.ENOSPC, 2, 2),
+        # An append's fsync: the record's bytes are in the file.
+        ("fsync", errno.EIO, 2, 3),
+        # The temp file of the first, whole-file write: no store file yet.
+        ("fsync", errno.ENOSPC, 0, 0),
+    ],
+)
+def test_a_failed_write_names_its_file_and_the_next_write_succeeds(
+    tmp_path, monkeypatch, kind, call, error, written, kept
+):
+    store = STORES[kind](tmp_path / "store.jsonl")
+    for number in range(written):
+        store.write(number)
+    real = getattr(os, call)
+
+    def failing(fd, *args):
+        if call == "write":
+            real(fd, bytes(args[0])[: len(args[0]) // 2])
+        raise OSError(error, os.strerror(error))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(f"repro.store.os.{call}", failing)
+        with pytest.raises(OSError, match=re.escape(str(tmp_path / "store.jsonl"))) as raised:
+            store.write(written)
+    assert raised.value.errno == error
+    with warnings.catch_warnings():
+        # The half-written record is a torn tail, dropped with a warning.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert store.loaded() == kept
+        store.write(written + 1)
+        assert store.loaded() == kept + 1
+    store.close()

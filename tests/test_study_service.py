@@ -352,6 +352,16 @@ class TestProtocolErrors:
         assert reply["type"] == "error" and "malformed" in reply["error"]
         assert client.ping()["type"] == "pong"  # daemon survived
 
+    def test_overlong_request_line_is_an_error_not_a_growing_buffer(
+        self, service, monkeypatch
+    ):
+        server, client = service
+        monkeypatch.setattr("repro.study.server.MAX_REQUEST_BYTES", 1024)
+        # No newline, and the socket stays open: only the bound ends the read.
+        reply = raw_request(server.socket_path, b"x" * 1025)
+        assert reply["type"] == "error" and "longer than 1024 bytes" in reply["error"]
+        assert client.ping()["type"] == "pong"
+
     def test_non_object_request_rejected(self, service):
         server, client = service
         reply = raw_request(server.socket_path, b"[1, 2, 3]\n")
