@@ -23,7 +23,9 @@ SCENARIO = {"name": "meta_tor_db_small", "seed": 11, "num_intervals": 220}
 
 
 def main() -> None:
-    study = Study()
+    # A study frees each scheme after its last cell unless the caller holds
+    # the scheme cache; this one does, so FIGRET is reused after the run.
+    study = Study(scheme_cache={})
     scenario = study.scenario(SCENARIO)  # built once; the cells below share it
     train, test = scenario.split()
     print(f"Scenario: {scenario.name} - {scenario.description}")

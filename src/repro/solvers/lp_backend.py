@@ -92,6 +92,24 @@ MAX_PERSISTENT_MODELS = 8
 #: the way ``scipy.optimize._linprog_util._check_result`` loosens it.
 FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
 
+#: HiGHS's default primal feasibility tolerance, and the least it accepts.
+DEFAULT_PRIMAL_TOL, MIN_PRIMAL_TOL = 1e-7, 1e-10
+
+
+def _primal_tolerance(demand: np.ndarray) -> float:
+    """The persistent model's primal feasibility tolerance for one demand.
+
+    HiGHS's tolerance is absolute, in flow units: a pair demanding less than
+    it may be left unrouted, and the MLU comes back short by its share (a
+    6e-8 demand beside two unit ones on a capacity-10 mesh cost 2e-9).  So it
+    is kept at a hundredth of the smallest positive demand, within HiGHS's
+    range; a demand of 1e-5 or more leaves the default, and its solve, as is.
+    """
+    positive = demand[demand > 0.0]
+    if positive.size == 0:
+        return DEFAULT_PRIMAL_TOL
+    return min(DEFAULT_PRIMAL_TOL, max(MIN_PRIMAL_TOL, 1e-2 * float(positive.min())))
+
 
 def _linprog_options():
     """The options ``linprog(method="highs")`` passes HiGHS, exactly."""
@@ -360,6 +378,7 @@ class _PersistentModel:
         solver = self._solver
         demand = np.ascontiguousarray(demand_vector, dtype=float)
         solver.changeColsBounds(self._num_pairs, self._slack_cols, demand, demand)
+        solver.setOptionValue("primal_feasibility_tolerance", _primal_tolerance(demand))
         # Nothing of the previous solve survives: the result is a function of
         # (model, demand) alone, whatever this model solved before.
         solver.clearSolver()

@@ -102,7 +102,9 @@ class _Job:
         stream: socket.socket | None,
     ) -> None:
         self.id = job_id
-        self.cells = cells
+        # Dropped (None) when the job reaches a terminal state: finished jobs
+        # stay in the server's table for ``status``, their cells need not.
+        self.cells: list[ExperimentSpec] | None = cells
         self.checkpoint = checkpoint
         self.resume = resume
         self.warehouse = warehouse
@@ -525,6 +527,7 @@ class StudyServer:
                 # and a queued job needs no cell-boundary to stop at.
                 job.status = CANCELLED
                 job.finished_at = time.time()
+                job.cells = None
         if queued:
             self._emit(
                 job,
@@ -608,6 +611,8 @@ class StudyServer:
 
     def _run_job(self, job: _Job) -> None:
         with self._lock:
+            if job.status in _TERMINAL_STATES:
+                return  # cancelled while queued, after the worker dequeued it
             job.status = RUNNING
             job.started_at = time.time()
         schemes_before = set(self._scheme_cache)
@@ -677,5 +682,6 @@ class StudyServer:
             job.finished_at = time.time()
             job.lp_solves = tally.count
             job.trainings = len(set(self._scheme_cache) - schemes_before)
+            job.cells = None
         self._emit(job, terminal)
         job.done_event.set()

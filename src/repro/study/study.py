@@ -23,12 +23,16 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
 
 Pass ``scheme_cache`` / ``scenario_cache`` dicts to share the first two
 dedup layers across studies in one process (the benchmark harness does).
+A study that owns its scheme cache (no ``scheme_cache`` passed) frees each
+trained scheme, and its baseline replays, once no pending cell needs them,
+so a sweep of trainings holds one model at a time instead of all of them.
 """
 
 from __future__ import annotations
 
 import pickle
 import warnings
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -226,7 +230,13 @@ class Study:
             :meth:`trained_scheme` dedup helpers).
         scheme_cache: Optional dict holding trained schemes keyed by
             (scenario, scheme spec, training segment); pass a shared dict to
-            reuse trainings across studies.
+            reuse trainings across studies.  Without one the study owns its
+            cache and :meth:`execute` frees each trained scheme (and its
+            baseline replays) after the scheme's last pending cell, so peak
+            memory holds the schemes still in use, not every one trained;
+            a later :meth:`trained_scheme` call then retrains (same
+            weights).  Pass ``scheme_cache=`` to keep trained schemes
+            beyond :meth:`execute`.
         scenario_cache: Optional dict holding built scenarios keyed by
             canonical reference; shareable the same way.
 
@@ -249,6 +259,9 @@ class Study:
         scenario_cache: dict | None = None,
     ) -> None:
         self.specs: list[ExperimentSpec] = []
+        # A study that owns its scheme cache frees what no pending cell needs
+        # (see _settle); a caller's dict is kept whole.
+        self._owns_schemes = scheme_cache is None
         self._scheme_cache = scheme_cache if scheme_cache is not None else {}
         # Live-instance / factory schemes key by object identity, which is
         # only stable while this study's specs pin the objects -- so they
@@ -553,6 +566,11 @@ class Study:
                 already on disk, and :class:`StudyCancelled` is raised so
                 the caller knows the run is partial but resumable.
 
+        A study that owns its scheme cache (built without ``scheme_cache=``)
+        drops each (scenario, scheme) pair's trained schemes and baseline
+        replays as soon as the pair's last pending cell has finished; pass
+        ``scheme_cache=`` to keep them beyond this call.
+
         Raises:
             StudyCancelled: When ``should_stop`` returned true before the
                 grid finished.
@@ -568,6 +586,11 @@ class Study:
             records: dict[int, StudyResult] = dict(plan.completed)
             pending = list(plan.pending)
             total = len(self.specs)
+            remaining = (
+                Counter((cell.scenario_key, cell.scheme_key) for _, cell in pending)
+                if self._owns_schemes
+                else None
+            )
 
             def _notify(index: int, record: StudyResult) -> None:
                 if writer is not None:
@@ -582,7 +605,7 @@ class Study:
                 if should_stop is not None and should_stop():
                     raise StudyCancelled(len(records), total)
                 pending = self._run_pooled(
-                    pending, engine, cell_workers, records, _notify
+                    pending, engine, cell_workers, records, _notify, remaining
                 )
             for index, cell in pending:
                 if should_stop is not None and should_stop():
@@ -597,6 +620,7 @@ class Study:
                         )
                     raise
                 records[index] = record
+                self._settle(remaining, (cell.scenario_key, cell.scheme_key), 1)
                 _notify(index, record)
             results = ResultSet(records[index] for index in range(len(self.specs)))
             if store is not None and plan.completed:
@@ -613,6 +637,25 @@ class Study:
                 if held is not None:
                     held.close()
 
+    def _settle(self, remaining: Counter | None, pair: tuple[str, str], done: int) -> bool:
+        """Count ``done`` finished cells of a (scenario, scheme) pair.
+
+        When the pair has no pending cell left, its trained schemes (every
+        training segment) and baseline replays are dropped.  ``remaining``
+        is ``None`` when the caller shares the scheme cache: nothing is
+        dropped.  Returns whether a pending cell still needs the pair.
+        """
+        if remaining is None:
+            return True
+        remaining[pair] -= done
+        if remaining[pair] > 0:
+            return True
+        del remaining[pair]
+        for cache in (self._scheme_cache, self._object_scheme_cache, self._baselines):
+            for key in [key for key in cache if key[:2] == pair]:
+                del cache[key]
+        return False
+
     def _run_pooled(
         self,
         pending: list[tuple[int, ExperimentSpec]],
@@ -620,6 +663,7 @@ class Study:
         cell_workers: int,
         records: dict[int, StudyResult],
         notify,
+        remaining: Counter | None,
     ) -> list[tuple[int, ExperimentSpec]]:
         """Fan pending cells out over a process pool.
 
@@ -637,7 +681,9 @@ class Study:
         that must still run in-process: ones carrying live objects, plus
         everything handed back by
         pool-infrastructure failures (never cell failures, which propagate
-        after the surviving jobs are drained and checkpointed).
+        after the surviving jobs are drained and checkpointed).  A group's
+        trained schemes are merged back only while ``remaining`` (see
+        :meth:`_settle`) says a pending cell still needs them.
         """
         local: list[tuple[int, ExperimentSpec]] = []
         groups: dict[tuple[str, str], list[tuple[int, ExperimentSpec]]] = {}
@@ -673,6 +719,7 @@ class Study:
             return filtered
 
         jobs = []
+        pairs = list(groups)
         for (scenario_key, scheme_key), cells in groups.items():
             pretrained = {}
             for key, scheme in self._scheme_cache.items():
@@ -699,8 +746,9 @@ class Study:
                 continue
             finished, new_entries, trained, cell_error, error_index = outcome
             engine.cache.merge_entries(new_entries)
-            for key, scheme in trained.items():
-                self._scheme_cache.setdefault(tuple(key), scheme)
+            if self._settle(remaining, pairs[job_index], len(finished)):
+                for key, scheme in trained.items():
+                    self._scheme_cache.setdefault(tuple(key), scheme)
             for index, record in finished:
                 records[index] = record
                 notify(index, record)

@@ -449,6 +449,20 @@ class TestBackendEquivalence:
 
         check()
 
+    def test_demand_below_the_default_tolerance_is_still_routed(
+        self, mesh4_paths, backends, solve_on
+    ):
+        # A pair demanding 2**-24 (under HiGHS's default 1e-7 feasibility
+        # tolerance) beside two unit demands: the optimum is (1 + 2**-24) / 30,
+        # and the persistent model once returned 1/30 with that pair unrouted.
+        scipy_backend, highs_backend = backends
+        demand = np.zeros(mesh4_paths.num_sd_pairs)
+        demand[0], demand[5], demand[10] = 2.0**-24, 1.0, 1.0
+        _, scipy_mlu = solve_on(scipy_backend, mesh4_paths, demand)
+        _, highs_mlu = solve_on(highs_backend, mesh4_paths, demand)
+        assert scipy_mlu == pytest.approx((1.0 + 2.0**-24) / 30.0, abs=1e-12)
+        assert highs_mlu == pytest.approx(scipy_mlu, abs=1e-12)
+
     def test_highs_configuration_achieves_the_optimal_mlu(
         self, mesh4_paths, rng, backends, solve_on
     ):
@@ -483,19 +497,25 @@ class TestBackendEquivalence:
     def test_tolerance_sized_flow_does_not_become_a_negative_ratio(
         self, tor_scenario_small, backends, solve_on
     ):
-        # The solver's feasibility tolerance is absolute (1e-7, in flow
-        # units), so a pair whose whole demand is that small can be left with
-        # a slightly negative flow on one path (here pair 30's first, -1e-7);
-        # divided by the demand it would come back as a ratio of -1, which
-        # TEConfiguration rightly refuses.
+        # The solver's feasibility tolerance is absolute (in flow units), so
+        # a pair whose whole demand is that small can be left with a slightly
+        # negative flow on one path (at 1e-10, pair 30's first, -2e-10);
+        # divided by the demand it would come back as a ratio of -2, which
+        # TEConfiguration rightly refuses.  1e-7 was that size at HiGHS's
+        # default tolerance, where the two small pairs also went unrouted and
+        # the MLU came back 1/30 instead of (1 + 1e-7) / 30.
         _, paths, _ = tor_scenario_small
-        _, highs_backend = backends
-        demand = np.zeros(paths.num_sd_pairs)
-        demand[30], demand[44], demand[47] = 1e-7, 1e-7, 1.0
-        config, mlu = solve_on(highs_backend, paths, demand)
-        assert config.split_ratios.min() >= 0.0
-        np.testing.assert_allclose(paths.sd_to_path @ config.split_ratios, 1.0, atol=1e-9)
-        assert mlu == pytest.approx(1.0 / 30.0, abs=1e-9)
+        scipy_backend, highs_backend = backends
+        for small in (1e-7, 1e-10):
+            demand = np.zeros(paths.num_sd_pairs)
+            demand[30], demand[44], demand[47] = small, small, 1.0
+            config, mlu = solve_on(highs_backend, paths, demand)
+            assert config.split_ratios.min() >= 0.0
+            np.testing.assert_allclose(
+                paths.sd_to_path @ config.split_ratios, 1.0, atol=1e-9
+            )
+            _, reference_mlu = solve_on(scipy_backend, paths, demand)
+            assert mlu == pytest.approx(reference_mlu, abs=1e-9)
 
 
 class TestHistoryIndependence:

@@ -8,10 +8,12 @@ provenance intact.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.study import (
     ExperimentSpec,
     ResultSet,
     Study,
+    StudyCancelled,
     available_schemes,
     build_scheme,
     expand_spec,
@@ -673,6 +676,115 @@ class TestStudyBehaviour:
         )
         with pytest.raises(ValueError, match="exactly one"):
             results.only(scheme="DOTE")
+
+
+class TestSchemeRelease:
+    """A study that owns its scheme cache frees each scheme after its last cell."""
+
+    SCHEMES = (
+        {"kind": "figret", "epochs": 2, "robustness_weight": 0.1, "seed": 0},
+        {"kind": "dote", "epochs": 2, "seed": 0},
+        {"kind": "figret", "epochs": 2, "robustness_weight": 0.5, "seed": 0},
+    )
+
+    @classmethod
+    def _spec(cls) -> dict:
+        # Scheme-major: the scheme axis is declared first, so it varies
+        # slowest and each scheme's two cells are adjacent.
+        return {
+            "scheme": sweep(*cls.SCHEMES),
+            "scenario": {"name": "meta_pod_db_small", "seed": 3, "num_intervals": 60},
+            "perturbation": sweep(
+                {"kind": "none"}, {"kind": "fluctuation", "alpha": 1.0, "seed": 1}
+            ),
+            "max_intervals": 6,
+        }
+
+    @staticmethod
+    def _spy_builds(monkeypatch) -> list:
+        """Record ``(scheme spec, weakref)`` of every scheme the study builds."""
+        import repro.study.study as study_module
+
+        built = []
+        real = study_module.build_scheme
+
+        def spy(spec, *args, **kwargs):
+            scheme = real(spec, *args, **kwargs)
+            built.append((dict(spec), weakref.ref(scheme)))
+            return scheme
+
+        monkeypatch.setattr(study_module, "build_scheme", spy)
+        return built
+
+    def _run(self, monkeypatch, checkpoint, **caches):
+        built = self._spy_builds(monkeypatch)
+        study = Study(self._spec(), **caches)
+        alive_at_cell = []
+
+        def on_cell(index, record):
+            gc.collect()
+            alive_at_cell.append([ref() is not None for _, ref in built])
+
+        results = study.execute(
+            study.plan(engine=EvaluationEngine(cache=OptimalMLUCache()), checkpoint=checkpoint),
+            on_cell=on_cell,
+        )
+        return results, built, alive_at_cell
+
+    def test_owned_cache_holds_one_scheme_at_a_time(self, monkeypatch, tmp_path):
+        results, built, alive_at_cell = self._run(monkeypatch, tmp_path / "own.ckpt")
+        assert [spec for spec, _ in built] == list(self.SCHEMES)
+        assert len(alive_at_cell) == len(results) == 6
+        for index, alive in enumerate(alive_at_cell):
+            assert sum(alive) <= 1, (index, alive)
+            # Scheme s's last cell is index 2s + 1; from then on it is dead.
+            assert not any(alive[: (index + 1) // 2]), (index, alive)
+        gc.collect()
+        assert all(ref() is None for _, ref in built)
+
+    def test_external_cache_keeps_every_scheme(self, monkeypatch, tmp_path):
+        cache: dict = {}
+        _, built, _ = self._run(monkeypatch, tmp_path / "ext.ckpt", scheme_cache=cache)
+        gc.collect()
+        assert len(cache) == 3
+        assert all(ref() is not None for _, ref in built)
+
+    def test_release_changes_no_byte(self, monkeypatch, tmp_path):
+        owned, _, _ = self._run(monkeypatch, tmp_path / "own.ckpt")
+        shared, _, _ = self._run(monkeypatch, tmp_path / "ext.ckpt", scheme_cache={})
+        assert owned.to_json() == shared.to_json()
+        assert (tmp_path / "own.ckpt").read_bytes() == (tmp_path / "ext.ckpt").read_bytes()
+
+    def test_pooled_run_releases_after_merge_back(self, monkeypatch):
+        sequential = Study(self._spec()).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
+        study = Study(self._spec())
+        # A scheme trained before the run ships to its group's worker; the
+        # parent's copy goes once that group has merged back.
+        pretrained = weakref.ref(study.trained_scheme(study.specs[0]))
+        pooled = study.run(engine=EvaluationEngine(cache=OptimalMLUCache()), cell_workers=2)
+        gc.collect()
+        assert pretrained() is None
+        assert study._scheme_cache == {} and study._baselines == {}
+        assert pooled.to_json() == sequential.to_json()
+
+    def test_resume_never_trains_a_completed_scheme(self, monkeypatch, tmp_path):
+        checkpoint = tmp_path / "resume.ckpt"
+        first = Study(self._spec())
+        done = []
+        with pytest.raises(StudyCancelled):
+            first.execute(
+                first.plan(engine=EvaluationEngine(cache=OptimalMLUCache()), checkpoint=checkpoint),
+                on_cell=lambda index, record: done.append(index),
+                should_stop=lambda: len(done) >= 2,
+            )
+        assert done == [0, 1]  # both cells of the first scheme
+        built = self._spy_builds(monkeypatch)
+        resumed = Study(self._spec()).resume(
+            checkpoint, engine=EvaluationEngine(cache=OptimalMLUCache())
+        )
+        assert [spec for spec, _ in built] == list(self.SCHEMES[1:])
+        uninterrupted = Study(self._spec()).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
+        assert resumed.to_json() == uninterrupted.to_json()
 
 
 class TestCellPool:

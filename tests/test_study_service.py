@@ -45,6 +45,7 @@ from repro.study import (
     StudyServer,
     StudyServiceError,
 )
+from repro.study.server import _Job
 from repro.study.warehouse import ResultWarehouse
 
 
@@ -270,6 +271,31 @@ class TestWarmState:
         (job,) = status["jobs"]
         assert job["status"] == "done" and job["completed"] == job["cells"] == 1
         assert client.status(job=job["job"])["jobs"] == [job]
+
+    def test_finished_job_drops_its_cells(self, service):
+        server, client = service
+        outcome = client.submit(grid_spec("drop-cells"))
+        job = server._jobs[outcome.job]
+        assert job.cells is None
+        (payload,) = client.status(job=outcome.job)["jobs"]
+        assert payload == job.describe()
+        assert payload["status"] == "done"
+        assert payload["cells"] == payload["completed"] == 3
+        assert set(payload) == {
+            "job", "status", "cells", "completed", "checkpoint", "resume",
+            "lp_solves", "trainings", "error", "cancel_reason", "submitted_at",
+            "started_at", "finished_at",
+        }
+
+    def test_job_cancelled_while_queued_never_runs(self, service):
+        # The worker may dequeue a job just before a cancel marks it: the
+        # job must stay cancelled, not run its (dropped) cells.
+        server, _ = service
+        job = _Job("job-queued", Study(grid_spec("queued")).specs, None, False, None, None)
+        assert server._request_cancel(job, "cancelled by client")
+        assert job.status == "cancelled" and job.cells is None
+        server._run_job(job)
+        assert job.status == "cancelled" and job.started_at is None
 
     def test_suite_submit(self, service):
         server, client = service
