@@ -259,9 +259,7 @@ def write_bench_record(
             ``"auto"`` records the actual width).  Benches that *sweep*
             widths themselves pass ``None`` -- recorded as ``null`` rather
             than a misleading single width -- and list the swept widths in
-            their own metrics.  ``REPRO_LP_WORKERS`` deliberately does not
-            leak into the record: only what the bench explicitly ran with is
-            written.
+            their own metrics.
         update: Merge the new metrics into an existing record of the same
             bench instead of replacing it -- how several tests of one module
             extend a single ``BENCH_*.json`` (an unreadable or foreign

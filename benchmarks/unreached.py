@@ -3,10 +3,11 @@
     python benchmarks/unreached.py        # ~6 min; not a CI job
 
 Runs the examples, perfbench (untraced and traced), the ``benchmarks/`` tests,
-``service_smoke.py`` and CI's CLI smokes with a ``sitecustomize.py`` first on
-``PYTHONPATH``, so every process they start -- pool workers and daemons
-included -- logs the code objects it enters; prints, per file, each function
-none entered.  Unit tests are not part of the traffic: ROADMAP direction
+``service_smoke.py``, the two CLI smokes CI runs (``suite_cli_smoke.py``,
+``crash_resume_smoke.py``) and an LP-pooled CLI run with a
+``sitecustomize.py`` first on ``PYTHONPATH``, so every process they start --
+pool workers and daemons included -- logs the code objects it enters; prints,
+per file, each function none entered.  Unit tests are not part of the traffic: ROADMAP direction
 ``cut`` asks what only they reach.
 """
 
@@ -44,10 +45,9 @@ _setprofile(_profile)
 '''
 
 FIGRET = {"kind": "figret", "epochs": 5, "robustness_weight": 0.1, "seed": 7}
-PREFIX = {"scenario": {"sweep": ["meta_pod_db_small", "meta_pod_web_small"]},
-          "scheme": FIGRET, "max_intervals": 10}
-FULL = dict(PREFIX, scheme={"sweep": [FIGRET, {"kind": "dote", "epochs": 5, "seed": 7}]})
-SUITE = {"name": "scan", "seeds": [1, 2], "studies": [{"name": "both", "spec": FULL}]}
+FULL = {"scenario": {"sweep": ["meta_pod_db_small", "meta_pod_web_small"]},
+        "scheme": {"sweep": [FIGRET, {"kind": "dote", "epochs": 5, "seed": 7}]},
+        "max_intervals": 10}
 
 PYTHON = [sys.executable]
 STUDY = [*PYTHON, "-m", "repro.study"]
@@ -57,12 +57,8 @@ TRAFFIC = [
     [*PYTHON, "perfbench/run.py", "--trace", "1", "--seconds", "2", "--out", "{tmp}/perfbench"],
     [*PYTHON, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"],
     [*PYTHON, "benchmarks/service_smoke.py"],
-    [*STUDY, "{tmp}/suite.json", "--warehouse", "{tmp}/wh.jsonl", "--checkpoint", "{tmp}/suite.ckpt"],
-    [*STUDY, "query", "{tmp}/wh.jsonl", "--group-by", "scheme,seed"],
-    [*STUDY, "export", "{tmp}/wh.jsonl", "{tmp}/rows.csv"],
-    [*STUDY, "{tmp}/prefix.json", "--checkpoint", "{tmp}/run.ckpt"],
-    [*STUDY, "{tmp}/full.json", "--checkpoint", "{tmp}/run.ckpt", "--resume", "--cell-workers", "2",
-     "--out", "{tmp}/results.json"],
+    [*PYTHON, "benchmarks/suite_cli_smoke.py", "{tmp}/suite"],
+    [*PYTHON, "benchmarks/crash_resume_smoke.py", "{tmp}/crash"],
     [*STUDY, "{tmp}/full.json", "--lp-workers", "2"],
     [*STUDY, "--list-scenarios"],
     [*STUDY, "--list-schemes"],
@@ -94,8 +90,7 @@ def main() -> int:
         Path(tmp, "calls").mkdir()
         Path(tmp, "site").mkdir()
         Path(tmp, "site", "sitecustomize.py").write_text(SITECUSTOMIZE)
-        for name, value in (("prefix", PREFIX), ("full", FULL), ("suite", SUITE)):
-            Path(tmp, f"{name}.json").write_text(json.dumps(value))
+        Path(tmp, "full.json").write_text(json.dumps(FULL))
         env = dict(os.environ, PYTHONPATH=f"{tmp}/site{os.pathsep}{SRC}", UNREACHED_SRC=str(SRC),
                    UNREACHED_OUT=f"{tmp}/calls", REPRO_BENCH_DIR=tmp)
         for command in TRAFFIC:

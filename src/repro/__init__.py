@@ -19,6 +19,27 @@ Whole experiment grids are declared as data and run through the study layer:
 ...                  "scheme": {"kind": "figret"}}).run()
 """
 
+import os as _os
+
+#: Environment variables that once configured the package, each with what
+#: replaced it.  A set one stops the import instead of being silently
+#: ignored; an empty value counts as unset.  Every ``repro`` import runs
+#: this check first.
+_RETIRED_VARIABLES = {
+    "REPRO_BACKEND": "there is no array backend to pick: the forward pass is "
+    "float64 numpy",
+    "REPRO_LP_BACKEND": "the LP solver is no longer selectable: normalisers run "
+    "on the persistent HiGHS model, vertex-returning solves on linprog's LP in "
+    "scipy's HiGHS core",
+    "REPRO_LP_WORKERS": "the LP pool width is no longer read from the "
+    "environment: it is OptimalMLUCache(workers=), which the CLI's "
+    "--lp-workers builds",
+}
+for _name, _replacement in _RETIRED_VARIABLES.items():
+    if _os.environ.get(_name):
+        raise RuntimeError(f"{_name} is set, but {_replacement}.  Unset {_name}.")
+del _name, _replacement
+
 from repro.topology.graph import Topology
 from repro.paths.path_set import PathSet
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSequence

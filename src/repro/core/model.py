@@ -9,20 +9,12 @@ the paper guarantees feasibility of the DNN output (Section 6).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.nn import Linear, Module, ReLU, Sequential, Sigmoid, Tensor
 from repro.paths.path_set import PathSet
 
 __all__ = ["FigretNet"]
-
-if os.environ.get("REPRO_BACKEND"):
-    raise RuntimeError(
-        "REPRO_BACKEND is set, but there is no array backend to pick: the "
-        "forward pass is float64 numpy.  Unset REPRO_BACKEND."
-    )
 
 
 class FigretNet(Module):

@@ -75,30 +75,20 @@ def default_workers() -> int:
     return max(1, min(8, (os.cpu_count() or 1) - 1))
 
 
-def resolve_workers(workers: int | str | None, env_var: str | None = None) -> int | None:
+def resolve_workers(workers: int | str | None) -> int | None:
     """Normalise and validate a pool width.
 
     Accepted forms: ``None`` (sequential), ``"auto"``
     (:func:`default_workers`) or an int of at least 1; anything else raises
-    a :class:`ValueError` naming them.  With ``env_var``, ``workers`` is that
-    variable's raw value (``None`` when unset; blank counts as unset) and
-    the error names the variable.
+    a :class:`ValueError` naming them.
     """
-    name = env_var or "workers"
-    if env_var is not None and workers is not None:
-        workers = workers.strip().lower() or None
-        if workers not in (None, "auto"):
-            try:
-                workers = int(workers)
-            except ValueError:
-                pass  # rejected below, with the accepted forms
     if workers is None:
         return None
     if workers == "auto":
         return default_workers()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(
-            f"{name} must be unset (sequential), 'auto' (a CPU-count-derived "
+            "workers must be None (sequential), 'auto' (a CPU-count-derived "
             f"width) or an int of at least 1, got {workers!r}"
         )
     return workers

@@ -6,8 +6,6 @@ from repro.solvers.lp import (
     omniscient_mlu,
     OptimalMLUCache,
     shared_cache,
-    resolve_lp_workers,
-    LP_WORKERS_ENV_VAR,
     count_lp_solves,
     LPSolveTally,
     MLUConstraintStructure,
@@ -26,8 +24,6 @@ __all__ = [
     "omniscient_mlu",
     "OptimalMLUCache",
     "shared_cache",
-    "resolve_lp_workers",
-    "LP_WORKERS_ENV_VAR",
     "count_lp_solves",
     "LPSolveTally",
     "MLUConstraintStructure",

@@ -62,8 +62,6 @@ __all__ = [
     "omniscient_mlu",
     "OptimalMLUCache",
     "shared_cache",
-    "resolve_lp_workers",
-    "LP_WORKERS_ENV_VAR",
     "NORMALIZER_FLOOR",
     "count_lp_solves",
     "LPSolveTally",
@@ -389,24 +387,7 @@ def _solve_batch_chunk(args) -> np.ndarray:
     one persistent model built for the whole chunk.
     """
     path_set, demands, path_mask = args
-    return solve_mlu_lp_batch(path_set, demands, path_mask, workers=1)
-
-
-#: Environment variable naming the default LP process-pool width.
-LP_WORKERS_ENV_VAR = "REPRO_LP_WORKERS"
-
-
-def resolve_lp_workers(workers: int | str | None = None) -> int | None:
-    """Normalise and validate an LP pool width.
-
-    The forms of :func:`repro.pool.resolve_workers`.  ``None`` defers to
-    ``REPRO_LP_WORKERS`` (sequential when that is unset too); an explicit
-    argument always wins over the environment, and a malformed environment
-    value raises an error naming the variable.
-    """
-    if workers is None:
-        return resolve_workers(os.environ.get(LP_WORKERS_ENV_VAR), LP_WORKERS_ENV_VAR)
-    return resolve_workers(workers)
+    return solve_mlu_lp_batch(path_set, demands, path_mask)
 
 
 def solve_mlu_lp_batch(
@@ -420,11 +401,11 @@ def solve_mlu_lp_batch(
     The normaliser batch: value-only solves on the persistent HiGHS model
     (see :mod:`repro.solvers.lp_backend`); :func:`solve_mlu_lp` is the one
     entry point that returns a configuration.  The solves are independent,
-    so with ``workers`` set (an int, ``"auto"`` for an
-    ``os.cpu_count()``-derived width, or ``REPRO_LP_WORKERS`` as the process
-    default) they fan out over a long-lived process pool shared by all batch
-    calls of that width (each worker builds the constraint structure and one
-    persistent model once per chunk, then reuses them).  With no width
+    so with ``workers`` set (an int, or ``"auto"`` for an
+    ``os.cpu_count()``-derived width) they fan out over a long-lived process
+    pool shared by all batch calls of that width (each worker builds the
+    constraint structure and one persistent model once per chunk, then
+    reuses them).  With no width
     configured the solves run sequentially in-process on one model.  Chunks
     the pool cannot run -- the path set fails to pickle, process spawning is
     forbidden by the sandbox, or the pool dies -- are solved in-process
@@ -448,7 +429,7 @@ def solve_mlu_lp_batch(
         demands = demands[None, :]
     for demand in demands:
         _checked_demand(demand, path_set.num_sd_pairs)
-    workers = resolve_lp_workers(workers)
+    workers = resolve_workers(workers)
     if workers is not None and workers > 1 and len(demands) > 1:
         jobs = [
             (path_set, chunk, path_mask)
@@ -540,10 +521,10 @@ class OptimalMLUCache:
     Args:
         path: Optional location of the persistent store.  ``~`` is
             expanded; parent directories are created by the first write.
-        workers: Process-pool width for a batch of misses: a positive int
-            (``1`` is sequential whatever the environment says), ``"auto"``
-            for a CPU-count-derived width, or ``None`` to follow
-            ``REPRO_LP_WORKERS`` at solve time (sequential when unset).
+        workers: Process-pool width for a batch of misses: a positive int,
+            ``"auto"`` for a CPU-count-derived width, or ``None`` (the
+            default) to solve them sequentially in-process; ``1`` is
+            sequential too.
 
     Raises:
         ValueError: ``workers`` is out of range.

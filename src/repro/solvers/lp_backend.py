@@ -28,8 +28,8 @@ composite, which routes it by what the caller needs back:
   dual bookkeeping (about a fifth of a call).
 
 The solver is not selectable (the variable that once chose it stops the
-import, below), and neither is the HiGHS build: both solvers bind the core
-scipy >= 1.15 vendors for its own ``linprog``/``milp``
+import, see :mod:`repro`), and neither is the HiGHS build: both solvers bind
+the core scipy >= 1.15 vendors for its own ``linprog``/``milp``
 (``scipy.optimize._highspy._core``, the pybind11 module ``linprog`` itself
 runs), never a standalone ``highspy``.  Another HiGHS build can return
 another vertex of a degenerate LP, or another last bit of a normaliser, so a
@@ -60,7 +60,6 @@ which is why equivalence is asserted on the MLU, not on the split ratios.
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 
@@ -69,13 +68,6 @@ from scipy import sparse
 # Kept only as the target of perfbench's ``solvers.lp_backend.linprog`` span.
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
-
-if os.environ.get("REPRO_LP_BACKEND"):
-    raise RuntimeError(
-        "REPRO_LP_BACKEND is set, but the LP solver is no longer selectable: "
-        "normalisers run on the persistent HiGHS model, vertex-returning "
-        "solves on linprog's LP in scipy's HiGHS core.  Unset REPRO_LP_BACKEND."
-    )
 
 __all__ = [
     "ScipyLinprogBackend",

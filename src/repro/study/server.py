@@ -29,7 +29,9 @@ line):
   ``done`` / ``cancelled`` / ``failed`` message carrying the job's LP-solve
   and training counters.
 * ``{"op": "status"}`` (optionally ``"job": id``, a string) -- server
-  uptime, warm cache sizes, and per-job progress.
+  uptime, warm cache sizes, and per-job progress.  Queued and running jobs
+  are always listed; of the finished ones, the last
+  :data:`MAX_FINISHED_JOBS` to finish (an older id is an unknown job).
 * ``{"op": "cancel", "job": id}`` -- stop that job after its current cell
   (already-finished cells stay checkpointed, so it is resumable); cancelling
   an unknown or already-finished job is a structured error, never a crash.
@@ -58,6 +60,7 @@ import socket
 import threading
 import time
 import warnings
+from collections import deque
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -87,6 +90,11 @@ _SUBMIT_KEYS = frozenset({"op", "spec", "checkpoint", "resume", "warehouse"})
 #: streaming bytes without a newline gets an ``error`` instead of a thread
 #: whose buffer grows without bound.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+#: Finished jobs the daemon keeps for ``status``; beyond this the one that
+#: finished first is forgotten, so a long-lived daemon's job table stays
+#: bounded.  Queued and running jobs are never dropped.
+MAX_FINISHED_JOBS = 1000
 
 
 class _Job:
@@ -190,6 +198,7 @@ class StudyServer:
         self._scheme_cache: dict = {}
         self._scenario_cache: dict = {}
         self._jobs: dict[str, _Job] = {}
+        self._finished: deque[str] = deque()  # finished job ids, oldest first
         self._queue: queue.Queue[_Job] = queue.Queue()
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -514,6 +523,19 @@ class StudyServer:
             },
         )
 
+    def _finish(self, job: _Job, status: str) -> None:
+        """Put a job in its terminal ``status`` (caller holds the lock).
+
+        Its cells are dropped, and so is the job that finished first once
+        more than :data:`MAX_FINISHED_JOBS` have.
+        """
+        job.status = status
+        job.finished_at = time.time()
+        job.cells = None
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            self._jobs.pop(self._finished.popleft(), None)
+
     def _request_cancel(self, job: _Job, reason: str) -> bool:
         """Flag a job for cancellation (idempotent; returns False if late)."""
         with self._lock:
@@ -525,9 +547,7 @@ class StudyServer:
             if queued:
                 # Mark immediately: the worker may be busy for a long time,
                 # and a queued job needs no cell-boundary to stop at.
-                job.status = CANCELLED
-                job.finished_at = time.time()
-                job.cells = None
+                self._finish(job, CANCELLED)
         if queued:
             self._emit(
                 job,
@@ -678,10 +698,8 @@ class StudyServer:
                 "wall_seconds": time.time() - job.started_at,
             }
         with self._lock:
-            job.status = status
-            job.finished_at = time.time()
             job.lp_solves = tally.count
             job.trainings = len(set(self._scheme_cache) - schemes_before)
-            job.cells = None
+            self._finish(job, status)
         self._emit(job, terminal)
         job.done_event.set()

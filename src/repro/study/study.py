@@ -133,22 +133,23 @@ def _run_cells_job(payload: tuple) -> tuple:
     """Process-pool worker: run a group of cells sharing one scheme training.
 
     The payload carries the (declarative, hence picklable) cells, a
-    snapshot of the parent's LP-cache entries, and any schemes the parent
-    had already trained for this group.  The return
-    value carries the finished records plus everything the parent merges
-    back: LP-cache entries solved here and schemes trained here (both keyed
-    exactly as the parent keys them, so the merge is a dict update).
+    snapshot of the parent's LP-cache entries, any schemes the parent had
+    already trained for this group, and whether the parent keeps trained
+    schemes (it shares its scheme cache with its caller).  The return value
+    carries the finished records plus everything the parent merges back:
+    LP-cache entries solved here and -- only for a parent that keeps them --
+    schemes trained here (both keyed exactly as the parent keys them, so the
+    merge is a dict update).  A parent that owns its scheme cache would drop
+    the group's schemes once the group's cells are done, so they are neither
+    pickled nor sent.
 
     A failing *cell* is returned as data (the fourth element) rather than
     raised, so the group's already-finished records still reach the parent
     -- and its checkpoint -- before the error propagates, exactly like a
     sequential run that dies mid-grid.
     """
-    cells, cache_snapshot, pretrained = payload
-    # Width 1 (sequential): each cell worker is already one process of the
-    # cell pool, and letting REPRO_LP_WORKERS leak in here would nest an LP
-    # pool inside every cell worker.
-    cache = OptimalMLUCache(workers=1)
+    cells, cache_snapshot, pretrained, keep_schemes = payload
+    cache = OptimalMLUCache()
     cache.merge_entries(cache_snapshot)
     engine = EvaluationEngine(cache=cache)
     study = Study(scheme_cache=dict(pretrained))
@@ -174,14 +175,15 @@ def _run_cells_job(payload: tuple) -> tuple:
         if key not in cache_snapshot
     }
     trained = {}
-    for key, scheme in study._scheme_cache.items():
-        if key in pretrained:
-            continue
-        try:
-            pickle.dumps(scheme)
-        except Exception:  # exotic registered schemes just stay worker-local
-            continue
-        trained[key] = scheme
+    if keep_schemes:
+        for key, scheme in study._scheme_cache.items():
+            if key in pretrained:
+                continue
+            try:
+                pickle.dumps(scheme)
+            except Exception:  # exotic registered schemes just stay worker-local
+                continue
+            trained[key] = scheme
     return finished, new_entries, trained, error, error_index
 
 
@@ -329,10 +331,10 @@ class Study:
                 cells are grouped by (scenario, scheme spec) -- one training
                 per distinct scheme spec, exactly as in sequential runs --
                 and the groups fan out over a process pool; per-worker
-                LP-cache entries and trained schemes are merged back on
-                return, so a follow-up run repeats nothing.  Cells built
-                from live objects (they cannot cross a process boundary)
-                run in-process.  So do the groups of a call whose pool
+                LP-cache entries (and, into a caller's ``scheme_cache``,
+                trained schemes) are merged back on return, so a follow-up
+                run repeats nothing.  Cells built from live objects (they
+                cannot cross a process boundary) run in-process.  So do the groups of a call whose pool
                 proves unusable (:mod:`repro.pool` counts the fallback
                 under ``"cells"`` and warns the first time; the next call
                 tries a fresh pool).  Results are bit-identical to
@@ -513,10 +515,6 @@ class Study:
             raise ValueError("resume=True needs a checkpoint path to resume from")
         if engine is None:
             engine = default_engine()
-        # Same accepted forms as the LP pool width, but cell_workers does not
-        # read REPRO_LP_WORKERS: that variable names the LP pool width, and
-        # the cell pool nests an engine (with a width-1 cache) inside every
-        # worker.
         cell_workers = resolve_workers(cell_workers)
         writer = StudyCheckpoint(checkpoint) if checkpoint is not None else None
         store = None
@@ -637,24 +635,23 @@ class Study:
                 if held is not None:
                     held.close()
 
-    def _settle(self, remaining: Counter | None, pair: tuple[str, str], done: int) -> bool:
+    def _settle(self, remaining: Counter | None, pair: tuple[str, str], done: int) -> None:
         """Count ``done`` finished cells of a (scenario, scheme) pair.
 
         When the pair has no pending cell left, its trained schemes (every
         training segment) and baseline replays are dropped.  ``remaining``
         is ``None`` when the caller shares the scheme cache: nothing is
-        dropped.  Returns whether a pending cell still needs the pair.
+        dropped.
         """
         if remaining is None:
-            return True
+            return
         remaining[pair] -= done
         if remaining[pair] > 0:
-            return True
+            return
         del remaining[pair]
         for cache in (self._scheme_cache, self._object_scheme_cache, self._baselines):
             for key in [key for key in cache if key[:2] == pair]:
                 del cache[key]
-        return False
 
     def _run_pooled(
         self,
@@ -681,9 +678,9 @@ class Study:
         that must still run in-process: ones carrying live objects, plus
         everything handed back by
         pool-infrastructure failures (never cell failures, which propagate
-        after the surviving jobs are drained and checkpointed).  A group's
-        trained schemes are merged back only while ``remaining`` (see
-        :meth:`_settle`) says a pending cell still needs them.
+        after the surviving jobs are drained and checkpointed).  Trained
+        schemes come back only to a study that shares its scheme cache; one
+        that owns it would drop them at once (see :meth:`_settle`).
         """
         local: list[tuple[int, ExperimentSpec]] = []
         groups: dict[tuple[str, str], list[tuple[int, ExperimentSpec]]] = {}
@@ -734,7 +731,9 @@ class Study:
                 except Exception:
                     continue  # worker retrains; still correct, just slower
                 pretrained[key] = scheme
-            jobs.append((cells, _snapshot_for(cells[0][1]), pretrained))
+            jobs.append(
+                (cells, _snapshot_for(cells[0][1]), pretrained, not self._owns_schemes)
+            )
         leftover = list(local)
         first_error: Exception | None = None
         for job_index, outcome in fan_out(
@@ -746,9 +745,9 @@ class Study:
                 continue
             finished, new_entries, trained, cell_error, error_index = outcome
             engine.cache.merge_entries(new_entries)
-            if self._settle(remaining, pairs[job_index], len(finished)):
-                for key, scheme in trained.items():
-                    self._scheme_cache.setdefault(tuple(key), scheme)
+            self._settle(remaining, pairs[job_index], len(finished))
+            for key, scheme in trained.items():
+                self._scheme_cache.setdefault(tuple(key), scheme)
             for index, record in finished:
                 records[index] = record
                 notify(index, record)

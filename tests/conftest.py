@@ -78,6 +78,17 @@ def solve_on():
     return solve
 
 
+@pytest.fixture(scope="module", params=[None, 2], ids=["lp-sequential", "lp-pool-2"])
+def lp_workers(request):
+    """LP pool width for the caches an equivalence suite builds.
+
+    A test that takes it runs twice: once on sequential caches and once on
+    ``OptimalMLUCache(workers=2)``, whose cold batches fan out over
+    :mod:`repro.pool` -- and must give the same bits.
+    """
+    return request.param
+
+
 @pytest.fixture()
 def rng():
     """A seeded NumPy random generator."""

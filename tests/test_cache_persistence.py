@@ -7,7 +7,9 @@ reloaded by a fresh one serves every previously solved normaliser without a
 single LP re-solve (asserted via the raw solver call counter) and with
 bit-identical values; corrupt, truncated, or version-mismatched store files
 degrade to cold solves with a warning -- never a crash -- and are repaired
-by the first write.
+by the first write.  The round trips run at both widths of the
+``lp_workers`` fixture: a cache whose misses fan out over a 2-wide LP pool
+writes the same file, byte for byte, as a sequential one.
 """
 
 from __future__ import annotations
@@ -39,12 +41,16 @@ def _demands(mesh4_traffic, count=8):
 
 class TestRoundTrip:
     def test_reload_serves_identical_values_with_zero_solves(
-        self, mesh4_paths, mesh4_traffic, cache_file
+        self, mesh4_paths, mesh4_traffic, cache_file, lp_workers
     ):
         demands = _demands(mesh4_traffic)
-        with OptimalMLUCache(path=cache_file) as first:
+        with OptimalMLUCache(path=cache_file, workers=lp_workers) as first:
             values = first.optimal_mlus(mesh4_paths, demands)
             assert first.misses == len(demands)
+        sequential_file = cache_file.with_name("sequential.jsonl")
+        with OptimalMLUCache(path=sequential_file) as sequential:
+            sequential.optimal_mlus(mesh4_paths, demands)
+        assert cache_file.read_bytes() == sequential_file.read_bytes()
 
         second = OptimalMLUCache(path=cache_file)
         assert second.loaded == len(demands)
@@ -56,7 +62,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(reloaded, values)  # bit-identical
 
     def test_fresh_engine_on_persisted_cache_replays_without_solving(
-        self, mesh4_paths, mesh4_traffic, cache_file
+        self, mesh4_paths, mesh4_traffic, cache_file, lp_workers
     ):
         from repro.core import Dote, TrainingConfig
 
@@ -69,7 +75,7 @@ class TestRoundTrip:
             ),
         )
         scheme.precompute(train)
-        with OptimalMLUCache(path=cache_file) as cold_cache:
+        with OptimalMLUCache(path=cache_file, workers=lp_workers) as cold_cache:
             cold = EvaluationEngine(cache=cold_cache).evaluate_scheme(scheme, test, 4)
 
         warm_cache = OptimalMLUCache(path=cache_file)
@@ -83,10 +89,10 @@ class TestRoundTrip:
         np.testing.assert_array_equal(warm.optimal_mlus, cold.optimal_mlus)
 
     def test_each_solved_batch_is_appended_when_stored(
-        self, mesh4_paths, mesh4_traffic, cache_file
+        self, mesh4_paths, mesh4_traffic, cache_file, lp_workers
     ):
         demands = _demands(mesh4_traffic, 6)
-        cache = OptimalMLUCache(path=cache_file)
+        cache = OptimalMLUCache(path=cache_file, workers=lp_workers)
         cache.optimal_mlus(mesh4_paths, demands[:3])
         first_lines = cache_file.read_text().splitlines()
         assert len(first_lines) == 1 + 3  # header + entries, before any close()
@@ -112,8 +118,7 @@ class TestRoundTrip:
         pid = os.fork()
         if pid == 0:  # pragma: no cover - runs in the child only
             try:
-                # Width 1: an LP pool inherited through fork is no use here.
-                cache = OptimalMLUCache(path=cache_file, workers=1)
+                cache = OptimalMLUCache(path=cache_file)
                 cache.optimal_mlus(mesh4_paths, demands)
                 os.kill(os.getpid(), signal.SIGKILL)  # no close(), no exit hooks
             finally:

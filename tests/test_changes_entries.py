@@ -3,7 +3,9 @@
 ``CHANGES.md`` is one top-level ``- PR <n>...`` bullet per change, its
 continuation lines indented.  From PR 36 on an entry holds at most 15 lines
 and 2,500 bytes; raw per-run numbers and test-by-test lists belong in the
-change's description, not here.  Older entries are left as they were.
+change's description, not here.  Every bullet naming one PR counts toward
+that PR's entry, so a ``- PR <n> (cont.):`` bullet does not buy a second
+allowance.  Older entries are left as they were.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ MAX_BYTES = 2_500
 
 
 def _entries(text: str) -> list[tuple[int, str]]:
-    """``(PR number, entry text)`` for every top-level ``- PR <n>`` bullet."""
+    """``(PR number, entry text)`` per PR: all its ``- PR <n>`` bullets, joined."""
     starts = list(re.finditer(r"^- PR (\d+)\b", text, flags=re.MULTILINE))
     ends = [match.start() for match in starts[1:]] + [len(text)]
-    return [
-        (int(match.group(1)), text[match.start():end].rstrip("\n"))
-        for match, end in zip(starts, ends)
-    ]
+    entries: dict[int, list[str]] = {}
+    for match, end in zip(starts, ends):
+        entries.setdefault(int(match.group(1)), []).append(
+            text[match.start():end].rstrip("\n")
+        )
+    return [(number, "\n".join(bullets)) for number, bullets in entries.items()]
 
 
 def test_entries_are_found():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.solvers.lp import (
     LPSolveError,
     OmniscientTE,
@@ -337,10 +343,10 @@ class TestAutoWorkers:
         assert np.isfinite(values).all()
 
     def test_other_strings_rejected(self, mesh4_paths, rng):
-        from repro.solvers.lp import resolve_lp_workers
+        from repro.pool import resolve_workers
 
         with pytest.raises(ValueError, match="auto"):
-            resolve_lp_workers("many")
+            resolve_workers("many")
 
     def test_default_lp_workers_positive(self):
         from repro.pool import default_workers
@@ -348,53 +354,28 @@ class TestAutoWorkers:
         assert default_workers() >= 1
 
 
-class TestWorkersEnvDefault:
-    """REPRO_LP_WORKERS is a first-class default of resolve_lp_workers."""
+def test_lp_workers_variable_fails_loudly():
+    """The LP pool width is ``OptimalMLUCache(workers=)`` and nothing else: a
+    set ``REPRO_LP_WORKERS`` stops the import instead of being silently
+    ignored, and an empty one counts as unset."""
+    src = str(Path(repro.__file__).resolve().parents[1])
 
-    def test_env_sets_default_width(self, monkeypatch):
-        from repro.solvers.lp import resolve_lp_workers
+    def import_with(value):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]),
+            REPRO_LP_WORKERS=value,
+        )
+        return subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
 
-        monkeypatch.setenv("REPRO_LP_WORKERS", "3")
-        assert resolve_lp_workers(None) == 3
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        from repro.solvers.lp import resolve_lp_workers
-
-        monkeypatch.setenv("REPRO_LP_WORKERS", "3")
-        assert resolve_lp_workers(2) == 2
-
-    def test_env_auto(self, monkeypatch):
-        from repro.pool import default_workers
-        from repro.solvers.lp import resolve_lp_workers
-
-        monkeypatch.setenv("REPRO_LP_WORKERS", "auto")
-        assert resolve_lp_workers(None) == default_workers()
-
-    def test_blank_env_means_unset(self, monkeypatch):
-        from repro.solvers.lp import resolve_lp_workers
-
-        monkeypatch.setenv("REPRO_LP_WORKERS", "   ")
-        assert resolve_lp_workers(None) is None
-
-    @pytest.mark.parametrize("bad", ["many", "0", "-2", "2.5"])
-    def test_contradictory_env_rejected_with_accepted_forms(self, monkeypatch, bad):
-        from repro.solvers.lp import resolve_lp_workers
-
-        monkeypatch.setenv("REPRO_LP_WORKERS", bad)
-        with pytest.raises(ValueError, match="REPRO_LP_WORKERS must be"):
-            resolve_lp_workers(None)
-
-    def test_pool_validator_ignores_env(self, monkeypatch):
-        # Only the LP layer reads the variable; the cell pool's width and a
-        # cache's explicit width go straight to the pool's validator.
-        from repro.pool import resolve_workers
-
-        monkeypatch.setenv("REPRO_LP_WORKERS", "3")
-        assert resolve_workers(None) is None
-        # ...even a malformed one: a knob that does not read it must not
-        # validate it.
-        monkeypatch.setenv("REPRO_LP_WORKERS", "many")
-        assert resolve_workers(None) is None
+    done = import_with("2")
+    assert done.returncode != 0
+    assert "RuntimeError" in done.stderr and "REPRO_LP_WORKERS" in done.stderr
+    assert "OptimalMLUCache(workers=)" in done.stderr
+    assert import_with("").returncode == 0
 
 
 class TestBackendEquivalence:

@@ -8,8 +8,10 @@ close the triangle ``streaming == batch == per-timestep`` for every chunk
 size, in particular chunk boundaries that split a history window
 (``chunk_size < history_len``).
 
-Set ``REPRO_LP_WORKERS`` (CI does, with 2) to run the engines here with a
-process pool under the cold LP batches: a default cache follows the variable.
+Every engine here runs twice (the ``lp_workers`` fixture): on a sequential
+LP cache and on ``OptimalMLUCache(workers=2)``, whose cold normaliser batches
+fan out over a process pool.  Both must reproduce the sequential per-timestep
+normalisers bit for bit.
 """
 
 from __future__ import annotations
@@ -20,16 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Dote, TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
-from repro.solvers import OmniscientTE, PredictionBasedTE, omniscient_mlu
+from repro.solvers import OmniscientTE, OptimalMLUCache, PredictionBasedTE, omniscient_mlu
 from repro.te.mlu import max_link_utilization
 from repro.traffic.windows import build_history_windows, iter_window_chunks
 
 HISTORY = 4
 TOL = 1e-9
-
-
-def make_engine() -> EvaluationEngine:
-    return EvaluationEngine()
 
 
 def _sequential_replay(scheme, test_sequence, history_len, oracle_demand=False):
@@ -122,7 +120,7 @@ class TestIterWindowChunks:
         with pytest.raises(ValueError, match="history"):
             list(iter_window_chunks(flat, 0, 4))
         # A trace with nothing to evaluate: one message from both replays.
-        scheme, engine = PredictionBasedTE(mesh4_paths), make_engine()
+        scheme, engine = PredictionBasedTE(mesh4_paths), EvaluationEngine()
         for replay in (engine.evaluate_scheme, engine.evaluate_streaming):
             for length in (HISTORY - 1, HISTORY):
                 with pytest.raises(
@@ -161,6 +159,12 @@ class TestIterWindowChunks:
 
 
 @pytest.fixture(scope="module")
+def make_engine(lp_workers):
+    """Fresh engines on a cache of the module's LP pool width."""
+    return lambda: EvaluationEngine(cache=OptimalMLUCache(workers=lp_workers))
+
+
+@pytest.fixture(scope="module")
 def trained_dote(request):
     """A tiny trained DOTE model (deterministic function of its window)."""
     mesh4_paths = request.getfixturevalue("mesh4_paths")
@@ -183,14 +187,15 @@ class TestStreamingReplayEquivalence:
     #: one-chunk; 10x-longer-than-chunk is covered by 3 on a 40-interval trace.
     CHUNKS = [1, 2, 3, 7, 10, 1000]
 
-    def _assert_triple_equivalence(self, scheme, test_sequence, oracle_demand=False):
-        engine = make_engine()
+    def _assert_triple_equivalence(self, engine, scheme, test_sequence, oracle_demand=False):
         batch = engine.evaluate_scheme(
             scheme, test_sequence, HISTORY, oracle_demand=oracle_demand
         )
         raw, optimal, normalized = _sequential_replay(
             scheme, test_sequence, HISTORY, oracle_demand=oracle_demand
         )
+        # The cache's normalisers, pooled or not, are the sequential ones.
+        np.testing.assert_array_equal(batch.optimal_mlus, optimal)
         np.testing.assert_allclose(batch.raw_mlus, raw, atol=TOL)
         np.testing.assert_allclose(batch.normalized_mlus, normalized, atol=TOL)
         for chunk_size in self.CHUNKS:
@@ -207,20 +212,20 @@ class TestStreamingReplayEquivalence:
             if chunk_size >= len(raw):
                 _assert_same_bytes(streamed, batch)
 
-    def test_lp_scheme(self, mesh4_paths, mesh4_traffic):
+    def test_lp_scheme(self, make_engine, mesh4_paths, mesh4_traffic):
         self._assert_triple_equivalence(
-            PredictionBasedTE(mesh4_paths), mesh4_traffic[:14]
+            make_engine(), PredictionBasedTE(mesh4_paths), mesh4_traffic[:14]
         )
 
-    def test_neural_scheme(self, trained_dote, mesh4_traffic):
-        self._assert_triple_equivalence(trained_dote, mesh4_traffic[:16])
+    def test_neural_scheme(self, make_engine, trained_dote, mesh4_traffic):
+        self._assert_triple_equivalence(make_engine(), trained_dote, mesh4_traffic[:16])
 
-    def test_oracle_scheme(self, mesh4_paths, mesh4_traffic):
+    def test_oracle_scheme(self, make_engine, mesh4_paths, mesh4_traffic):
         self._assert_triple_equivalence(
-            OmniscientTE(mesh4_paths), mesh4_traffic[:12], oracle_demand=True
+            make_engine(), OmniscientTE(mesh4_paths), mesh4_traffic[:12], oracle_demand=True
         )
 
-    def test_trace_ten_times_longer_than_chunk(self, trained_dote, mesh4_traffic):
+    def test_trace_ten_times_longer_than_chunk(self, make_engine, trained_dote, mesh4_traffic):
         """The acceptance-criterion shape: chunks 10x smaller than the trace."""
         engine = make_engine()
         intervals = len(mesh4_traffic) - HISTORY  # 76 evaluation intervals
@@ -238,7 +243,7 @@ class TestStreamingReplayEquivalence:
         )
         np.testing.assert_allclose(streamed.raw_mlus, batch.raw_mlus, atol=TOL)
 
-    def test_stream_of_traffic_matrices(self, trained_dote, mesh4_traffic):
+    def test_stream_of_traffic_matrices(self, make_engine, trained_dote, mesh4_traffic):
         """An iterable of TrafficMatrix objects is flattened lazily."""
         engine = make_engine()
         batch = engine.evaluate_scheme(trained_dote, mesh4_traffic[:20], HISTORY)
@@ -250,7 +255,7 @@ class TestStreamingReplayEquivalence:
         )
 
     def test_precomputed_normalisers_slice_identically(
-        self, trained_dote, mesh4_traffic
+        self, make_engine, trained_dote, mesh4_traffic
     ):
         """optimal_mlus= uses the seed's full-trace indexing on both paths."""
         engine = make_engine()
@@ -294,7 +299,7 @@ class TestStreamingReplayEquivalence:
 
 
 @pytest.fixture(scope="module")
-def replay_reference(trained_dote, mesh4_traffic):
+def replay_reference(make_engine, trained_dote, mesh4_traffic):
     """Frozen (scheme, traffic, engine, batch result) for the chunk property.
 
     Module-scoped so the hypothesis property re-streams against one warmed
@@ -310,9 +315,11 @@ class TestStreamingMatchesBatch:
     """A neural scheme's streamed replay equals its batch replay."""
 
     @pytest.mark.parametrize("chunk_size", [3, 1000])
-    def test_streaming_matches_fresh_batch(self, trained_dote, mesh4_traffic, chunk_size):
+    def test_streaming_matches_fresh_batch(
+        self, make_engine, trained_dote, mesh4_traffic, chunk_size
+    ):
         test = mesh4_traffic[:20]
-        reference_engine = EvaluationEngine()
+        reference_engine = make_engine()
         reference = reference_engine.evaluate_scheme(trained_dote, test, HISTORY)
         engine = EvaluationEngine(cache=reference_engine.cache)
         batch = engine.evaluate_scheme(trained_dote, test, HISTORY)
@@ -335,8 +342,27 @@ class TestStreamingMatchesBatch:
 class TestStreamingCacheConsistency:
     """Cache state populated by streaming replays never changes results."""
 
+    def test_cold_batches_run_at_the_cache_width(
+        self, make_engine, lp_workers, trained_dote, mesh4_traffic, monkeypatch
+    ):
+        """The pooled leg really fans out, with no fallback to in-process."""
+        from repro import pool
+        from repro.solvers import lp
+
+        widths = []
+
+        def recording_fan_out(fn, jobs, workers, label, what):
+            widths.append(workers)
+            return pool.fan_out(fn, jobs, workers, label, what)
+
+        monkeypatch.setattr(lp, "fan_out", recording_fan_out)
+        fallbacks = pool.fallbacks("lp")
+        make_engine().evaluate_streaming(trained_dote, mesh4_traffic[:20], HISTORY, chunk_size=4)
+        assert widths == ([] if lp_workers is None else [lp_workers] * 4)
+        assert pool.fallbacks("lp") == fallbacks
+
     def test_streaming_primes_cache_for_batch_replay(
-        self, mesh4_paths, mesh4_traffic
+        self, make_engine, mesh4_paths, mesh4_traffic
     ):
         scheme = PredictionBasedTE(mesh4_paths)
         engine = make_engine()
@@ -349,7 +375,7 @@ class TestStreamingCacheConsistency:
         )
 
     def test_failure_experiment_unaffected_by_primed_cache(
-        self, mesh4_paths, mesh4_traffic
+        self, make_engine, mesh4_paths, mesh4_traffic
     ):
         """failure_experiment gives identical output on cold & primed engines."""
         from repro.solvers import DesensitizationTE

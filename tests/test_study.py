@@ -788,7 +788,8 @@ class TestSchemeRelease:
 
 
 class TestCellPool:
-    """What crosses the cell pool's process boundary: names, and a width of 1."""
+    """What crosses the cell pool's process boundary: names, a width of 1, and
+    trained schemes only for a parent that keeps them."""
 
     @staticmethod
     def _spec():
@@ -808,16 +809,40 @@ class TestCellPool:
         def no_pool(workers):
             raise AssertionError(f"LP pool of width {workers} opened under an explicit 1")
 
-        monkeypatch.setenv("REPRO_LP_WORKERS", "2")
         monkeypatch.setattr(pool_module, "_pool", no_pool)
         demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
         engine = EvaluationEngine(cache=OptimalMLUCache(workers=1))
         assert engine.optimal_mlus(mesh4_paths, demands).shape == (4,)
         # The cell-pool worker, run here in-process: trainings and replays.
         cells = list(enumerate(Study(self._spec()).specs))
-        finished, new_entries, _, error, _ = _run_cells_job((cells, {}, {}))
+        finished, new_entries, _, error, _ = _run_cells_job((cells, {}, {}, False))
         assert error is None
         assert len(finished) == len(cells) and new_entries
+
+    def test_only_a_parent_that_keeps_schemes_gets_them_back(self, monkeypatch):
+        from repro.pool import HANDED_BACK
+        from repro.study import study as study_module
+
+        real_fan_out = study_module.fan_out
+        returned = []
+
+        def recording_fan_out(*args):
+            for job_index, outcome in real_fan_out(*args):
+                assert outcome is not HANDED_BACK
+                returned.append(outcome[2])
+                yield job_index, outcome
+
+        monkeypatch.setattr(study_module, "fan_out", recording_fan_out)
+        owned = Study(self._spec()).run(engine=EvaluationEngine(), cell_workers=2)
+        # Its trained schemes would be dropped on arrival: none is sent.
+        assert returned == [{}, {}]
+        returned.clear()
+        kept: dict = {}
+        shared = Study(self._spec(), scheme_cache=kept).run(
+            engine=EvaluationEngine(), cell_workers=2
+        )
+        assert len(returned) == 2 and sum(map(len, returned)) == len(kept) > 0
+        assert owned.to_json() == shared.to_json()
 
 
 class TestStudyCLI:

@@ -26,7 +26,8 @@ import numpy as np
 import pytest
 
 from repro.evaluation.engine import EvaluationEngine
-from repro.solvers.lp import OptimalMLUCache, count_lp_solves, resolve_lp_workers
+from repro.pool import resolve_workers
+from repro.solvers.lp import OptimalMLUCache, count_lp_solves
 from repro.study import (
     ExperimentSpec,
     InlineScenario,
@@ -430,14 +431,14 @@ class TestCellWorkers:
 
 class TestWorkerValidation:
     @pytest.mark.parametrize("bad", [0, -3, True, 1.5, "garbage"])
-    def test_resolve_lp_workers_rejects_invalid(self, bad):
+    def test_resolve_workers_rejects_invalid(self, bad):
         with pytest.raises(ValueError, match="auto"):
-            resolve_lp_workers(bad)
+            resolve_workers(bad)
 
-    def test_resolve_lp_workers_accepts_valid_forms(self):
-        assert resolve_lp_workers(None) is None
-        assert resolve_lp_workers(3) == 3
-        assert resolve_lp_workers("auto") >= 1
+    def test_resolve_workers_accepts_valid_forms(self):
+        assert resolve_workers(None) is None
+        assert resolve_workers(3) == 3
+        assert resolve_workers("auto") >= 1
 
     def test_engine_rejects_zero_lp_workers(self):
         with pytest.raises(ValueError, match="at least 1"):

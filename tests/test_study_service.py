@@ -15,7 +15,8 @@ Acceptance contract pinned here:
   ``"kind"``, a non-string ``"warehouse"`` (nothing queued) and a
   ``status`` whose ``"job"`` is not a string; a client disconnect
   mid-stream cancels only its own job, double-cancel / unknown-job-id are
-  clean errors, and a stale socket file from a killed daemon is detected
+  clean errors, the oldest finished jobs beyond ``MAX_FINISHED_JOBS`` are
+  forgotten (queued and running ones never), and a stale socket file from a killed daemon is detected
   and replaced on restart (while a live daemon on the path refuses a
   second bind).
 
@@ -286,6 +287,23 @@ class TestWarmState:
             "lp_solves", "trainings", "error", "cancel_reason", "submitted_at",
             "started_at", "finished_at",
         }
+
+    def test_daemon_forgets_the_oldest_finished_jobs(self, service, monkeypatch):
+        from repro.study import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", 2)
+        server, client = service
+        # A job still queued is never forgotten, however many finish after it.
+        held = _Job("job-held", Study(grid_spec("held")).specs, None, False, None, None)
+        server._jobs[held.id] = held
+        jobs = [client.submit(grid_spec("forget", alphas=())).job for _ in range(3)]
+        assert [job["job"] for job in client.status()["jobs"]] == ["job-held", *jobs[1:]]
+        with pytest.raises(StudyServiceError, match="unknown job"):
+            client.status(job=jobs[0])
+        with pytest.raises(StudyServiceError, match="unknown job"):
+            client.cancel(jobs[0])
+        assert client.status(job=jobs[1])["jobs"][0]["status"] == "done"
+        assert len(server._jobs) == 3
 
     def test_job_cancelled_while_queued_never_runs(self, service):
         # The worker may dequeue a job just before a cancel marks it: the

@@ -5,7 +5,9 @@ per training target in a Python loop; both now draw the normalisers from an
 :class:`OptimalMLUCache` in one batched call.  The batching must be invisible
 to training -- losses bit-identical to the per-target path -- and the entries
 it leaves behind must be *hits* (not re-solves) for any later evaluation of
-the same demands.
+the same demands.  Every cache here runs at both widths of the
+``lp_workers`` fixture: a 2-wide LP pool must train bit for bit like the
+sequential path.
 """
 
 from __future__ import annotations
@@ -40,24 +42,24 @@ def train_sequence(mesh4_traffic):
 
 class TestTrainerNormalisers:
     def test_cached_normalisers_bitwise_equal_seed_loop(
-        self, mesh4_paths, train_sequence, tiny_config
+        self, mesh4_paths, train_sequence, tiny_config, lp_workers
     ):
         """The cache serves exactly what per-target omniscient_mlu returned."""
         _, targets = build_windows(train_sequence, HISTORY)
         reference = np.array(
             [omniscient_mlu(mesh4_paths, target) for target in targets]
         )
-        cache = OptimalMLUCache()
+        cache = OptimalMLUCache(workers=lp_workers)
         batched = cache.optimal_mlus(mesh4_paths, targets)
         np.testing.assert_array_equal(batched, reference)  # bitwise
 
     def test_fit_losses_bit_identical_across_cache_states(
-        self, mesh4_paths, train_sequence, tiny_config
+        self, mesh4_paths, train_sequence, tiny_config, lp_workers
     ):
         """Cold cache, warm cache, and isolated caches all train identically."""
         histories = []
-        warm = OptimalMLUCache()
-        for cache in (None, OptimalMLUCache(), warm, warm):  # warm reused twice
+        warm = OptimalMLUCache(workers=lp_workers)
+        for cache in (None, OptimalMLUCache(workers=lp_workers), warm, warm):  # warm reused twice
             trainer = Trainer(mesh4_paths, tiny_config, cache=cache)
             histories.append(trainer.fit(train_sequence))
         for history in histories[1:]:
@@ -71,10 +73,10 @@ class TestTrainerNormalisers:
         assert warm.hits > 0
 
     def test_fit_populates_cache_hit_by_subsequent_evaluation(
-        self, mesh4_paths, train_sequence, tiny_config
+        self, mesh4_paths, train_sequence, tiny_config, lp_workers
     ):
         """Train + eval of the same demands never solve one LP twice."""
-        cache = OptimalMLUCache()
+        cache = OptimalMLUCache(workers=lp_workers)
         scheme = Figret(mesh4_paths, tiny_config, cache=cache)
         scheme.precompute(train_sequence)
         fit_misses = cache.misses
@@ -89,9 +91,9 @@ class TestTrainerNormalisers:
         assert np.isfinite(result.normalized_mlus).all()
 
     def test_dote_threads_cache_through_trainer(
-        self, mesh4_paths, train_sequence, tiny_config
+        self, mesh4_paths, train_sequence, tiny_config, lp_workers
     ):
-        cache = OptimalMLUCache()
+        cache = OptimalMLUCache(workers=lp_workers)
         scheme = Dote(mesh4_paths, tiny_config, cache=cache)
         scheme.precompute(train_sequence)
         assert cache.misses == len(train_sequence) - HISTORY
@@ -111,9 +113,9 @@ class TestTrainerNormalisers:
 
 class TestTealLikeNormalisers:
     def test_precompute_uses_cache_and_trains_identically(
-        self, mesh4_paths, train_sequence, tiny_config
+        self, mesh4_paths, train_sequence, tiny_config, lp_workers
     ):
-        cache = OptimalMLUCache()
+        cache = OptimalMLUCache(workers=lp_workers)
         cached_scheme = TealLike(mesh4_paths, tiny_config, cache=cache)
         cached_scheme.precompute(train_sequence)
         # TEAL-like normalises on every training demand (its loss is on the
@@ -129,9 +131,9 @@ class TestTealLikeNormalisers:
         )
 
     def test_teal_cache_hit_by_subsequent_evaluation(
-        self, mesh4_paths, train_sequence, tiny_config
+        self, mesh4_paths, train_sequence, tiny_config, lp_workers
     ):
-        cache = OptimalMLUCache()
+        cache = OptimalMLUCache(workers=lp_workers)
         scheme = TealLike(mesh4_paths, tiny_config, cache=cache)
         scheme.precompute(train_sequence)
         misses = cache.misses
