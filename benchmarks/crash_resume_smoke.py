@@ -15,8 +15,8 @@ The interrupt waits for a record instead of a timer, so the check does not
 depend on how fast the host trains.  A SIGINT that tears the record being
 appended is legal too: the torn line is dropped and that cell re-runs.
 Every child pins BLAS to one thread, so both sides sum in one order.
-``benchmarks/test_crash_resume_smoke.py`` runs this in tier-1; CI's
-quickstart-smoke job runs the script.  Exit status 0 on success.
+``benchmarks/test_crash_resume_smoke.py`` runs this in tier-1.  Exit status 0
+on success.
 """
 
 from __future__ import annotations

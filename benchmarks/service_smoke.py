@@ -73,7 +73,7 @@ KILL_SPEC = {
 
 def wire(results) -> str:
     return json.dumps(
-        [record.to_dict(include_series=True) for record in results], sort_keys=True
+        [record.to_dict() for record in results], sort_keys=True
     )
 
 

@@ -14,8 +14,8 @@ CSV.  It proves:
 3. the JSON query has four groups (2 schemes x 2 seeds, pooling the
    repetitions), whose sizes ``n`` add up to the exported row count.
 
-``benchmarks/test_suite_cli_smoke.py`` runs this in tier-1; CI's
-quickstart-smoke job runs the script.  Exit status 0 on success.
+``benchmarks/test_suite_cli_smoke.py`` runs this in tier-1.  Exit status 0
+on success.
 """
 
 from __future__ import annotations

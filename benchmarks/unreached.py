@@ -1,14 +1,31 @@
 """Which ``def``s in ``src/`` does nothing the repository runs ever enter?
 
-    python benchmarks/unreached.py        # ~6 min; not a CI job
+    python benchmarks/unreached.py        # ~7 min; not a CI job
 
 Runs the examples, perfbench (untraced and traced), the ``benchmarks/`` tests,
-``service_smoke.py``, the two CLI smokes CI runs (``suite_cli_smoke.py``,
-``crash_resume_smoke.py``) and an LP-pooled CLI run with a
-``sitecustomize.py`` first on ``PYTHONPATH``, so every process they start --
-pool workers and daemons included -- logs the code objects it enters; prints,
-per file, each function none entered.  Unit tests are not part of the traffic: ROADMAP direction
+``service_smoke.py`` and an LP-pooled CLI run with a ``sitecustomize.py``
+first on ``PYTHONPATH``, so every process they start -- pool workers and
+daemons included -- logs the code objects it enters; prints, per file, each
+function none entered.  The two CLI smokes (``suite_cli_smoke.py``,
+``crash_resume_smoke.py``) run once, under ``pytest benchmarks`` through
+their tier-1 wrappers, whose subprocesses inherit the profiling
+``PYTHONPATH``.  Unit tests are not part of the traffic: ROADMAP direction
 ``cut`` asks what only they reach.
+
+Defs that only tests reach and that stay, and why:
+
+* ``te.failures.reroute_around_failures`` -- the one-configuration
+  reference the vectorised ``reroute_ratios_around_failures`` is tested
+  against;
+* ``OmniscientTE`` (and its ``omniscient`` builder) with ``oracle_demand``
+  replay -- the oracle that pins window/normaliser alignment at exactly
+  1.0;
+* ``ResultWarehouse.sync`` -- repairs the crash window between a
+  checkpoint append and its warehouse append, covered by
+  ``tests/test_store_faults.py``;
+* the ``submit`` / ``status`` / ``cancel`` commands of ``python -m
+  repro.study``, the daemon's ``_handle_cancel`` and ``StudyClient.ping``
+  / ``cancel`` -- daemon features the service tests drive.
 """
 
 from __future__ import annotations
@@ -57,8 +74,6 @@ TRAFFIC = [
     [*PYTHON, "perfbench/run.py", "--trace", "1", "--seconds", "2", "--out", "{tmp}/perfbench"],
     [*PYTHON, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"],
     [*PYTHON, "benchmarks/service_smoke.py"],
-    [*PYTHON, "benchmarks/suite_cli_smoke.py", "{tmp}/suite"],
-    [*PYTHON, "benchmarks/crash_resume_smoke.py", "{tmp}/crash"],
     [*STUDY, "{tmp}/full.json", "--lp-workers", "2"],
     [*STUDY, "--list-scenarios"],
     [*STUDY, "--list-schemes"],

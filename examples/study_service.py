@@ -91,9 +91,9 @@ def main() -> None:
           f"{third.summary['trainings']} trainings -- free")
     assert third.summary["lp_solves"] == 0 and third.summary["trainings"] == 0
     identical = json.dumps(
-        [r.to_dict(include_series=True) for r in third.results], sort_keys=True
+        [r.to_dict() for r in third.results], sort_keys=True
     ) == json.dumps(
-        [r.to_dict(include_series=True) for r in second.results], sort_keys=True
+        [r.to_dict() for r in second.results], sort_keys=True
     )
     print(f"tenant 3 records bit-identical to tenant 2's: {identical}")
     assert identical

@@ -31,10 +31,6 @@ class TrainingConfig:
             large gradients; clipping keeps Adam stable at higher learning
             rates.
         lr_decay: Multiplicative learning-rate decay applied after each epoch.
-        warmup_steps: Number of initial optimisation steps over which the
-            learning rate ramps linearly from 0 to ``learning_rate``.  Adam's
-            first steps on the very wide input layer otherwise saturate the
-            Sigmoid output and stall training on large topologies.
         seed: Seed for weight initialisation and batch shuffling.
     """
 
@@ -47,7 +43,6 @@ class TrainingConfig:
     normalize_by_optimal: bool = True
     gradient_clip: float | None = 5.0
     lr_decay: float = 0.98
-    warmup_steps: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -67,8 +62,6 @@ class TrainingConfig:
             raise ValueError("gradient_clip must be positive or None")
         if not 0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be non-negative")
 
     def replace(self, **overrides) -> "TrainingConfig":
         """Return a copy with some fields replaced."""

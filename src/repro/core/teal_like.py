@@ -42,7 +42,6 @@ class TealLike(TrainerBackedScheme):
         "robustness_weight": 0.0,
         "gradient_clip": None,
         "lr_decay": 1.0,
-        "warmup_steps": 0,
     }
 
     def _fit(self, trainer: Trainer, train_sequence: TrafficMatrixSequence) -> TrainingHistory:

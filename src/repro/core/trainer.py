@@ -250,19 +250,13 @@ class Trainer:
 
         rng = np.random.default_rng(config.seed)
         num_samples = scaled_inputs.shape[0]
-        base_lr = config.learning_rate
-        global_step = 0
+        learning_rate = config.learning_rate
         try:
             for epoch in range(1, config.epochs + 1):
+                self.optimizer.lr = learning_rate
                 order = rng.permutation(num_samples)
                 epoch_total, epoch_mlu, epoch_sens, batches = 0.0, 0.0, 0.0, 0
                 for start in range(0, num_samples, config.batch_size):
-                    if config.warmup_steps > 0:
-                        warmup = min(1.0, (global_step + 1) / config.warmup_steps)
-                    else:
-                        warmup = 1.0
-                    self.optimizer.lr = base_lr * warmup
-                    global_step += 1
                     batch_idx = order[start : start + config.batch_size]
                     components = train_step(
                         self.model,
@@ -282,7 +276,7 @@ class Trainer:
                 self.history.record(
                     epoch_total / batches, epoch_mlu / batches, epoch_sens / batches
                 )
-                base_lr *= config.lr_decay
+                learning_rate *= config.lr_decay
         finally:
             self.optimizer.release()
             drop_clip_scratch()

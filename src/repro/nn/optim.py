@@ -92,7 +92,7 @@ class Adam:
     whole-array form; what changes is that no parameter-sized temporary is
     allocated or streamed through memory (the whole-array form makes 14
     passes and 8 temporaries per parameter per step).  ``lr`` is read on
-    every step (the trainer changes it for warm-up and decay) and no view of
+    every step (the trainer decays it after each epoch) and no view of
     ``param.data`` is kept between steps (``load_state_dict`` rebinds it).
 
     The moments are twice the size of the weights and only an optimisation

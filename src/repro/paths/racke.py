@@ -26,11 +26,14 @@ from repro.topology.graph import Topology
 
 __all__ = ["racke_path_set"]
 
+#: Base of the exponential load penalty.  Larger values make successive
+#: paths for the same pair more disjoint.
+_PENALTY_BASE = 8.0
+
 
 def racke_path_set(
     topology: Topology,
     k: int = 3,
-    penalty_base: float = 8.0,
     seed: int = 0,
 ) -> PathSet:
     """Build a capacity-aware, congestion-spreading path set.
@@ -38,8 +41,6 @@ def racke_path_set(
     Args:
         topology: The network topology.
         k: Number of candidate paths per SD pair.
-        penalty_base: Base of the exponential load penalty.  Larger values
-            make successive paths for the same pair more disjoint.
         seed: Seed controlling the SD pair processing order (randomising the
             order avoids systematically favouring low-index pairs).
 
@@ -56,7 +57,7 @@ def racke_path_set(
     def edge_cost(a: int, b: int) -> float:
         cap = capacities[(a, b)]
         utilisation = load[(a, b)] / cap
-        return (1.0 / cap) * math.pow(penalty_base, utilisation)
+        return (1.0 / cap) * math.pow(_PENALTY_BASE, utilisation)
 
     pairs = topology.sd_pairs()
     order = rng.permutation(len(pairs))
@@ -75,7 +76,7 @@ def racke_path_set(
                 for x, y in zip(path[:-1], path[1:])
             }
             for a, b in chosen_edges:
-                graph[a][b]["cost"] *= penalty_base
+                graph[a][b]["cost"] *= _PENALTY_BASE
             path = nx.shortest_path(graph, src, dst, weight="cost")
             if path not in paths_by_pair[(src, dst)]:
                 paths_by_pair[(src, dst)].append([int(n) for n in path])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.paths.path_set import PathSet
-from repro.solvers.lp import predict_demand, solve_mlu_lp
+from repro.solvers.lp import _demand_history, solve_mlu_lp
 from repro.te.config import TEConfiguration
 from repro.te.scheme import TEScheme
 from repro.te.sensitivity import normalized_path_capacities
@@ -80,9 +80,7 @@ class DesensitizationTE(TEScheme):
 
     def anticipated_demand(self, history: np.ndarray) -> np.ndarray:
         """Per-pair peak over the most recent ``window`` demand vectors."""
-        history = np.asarray(history, dtype=float)
-        recent = history[-self.window :]
-        return predict_demand(recent, strategy="peak")
+        return _demand_history(history)[-self.window :].max(axis=0)
 
     def configure(self, history: np.ndarray) -> TEConfiguration:
         anticipated = self.anticipated_demand(history)

@@ -16,7 +16,7 @@ those normalisers that can persist to disk, writing each newly solved batch
 as it stores it (:class:`OptimalMLUCache`, with a process-wide instance via
 :func:`shared_cache`), and the two simplest schemes built directly on the
 LP: :class:`OmniscientTE` (perfect knowledge of the next demand) and
-:class:`PredictionBasedTE` (solve for a demand predicted from history).
+:class:`PredictionBasedTE` (solve for the most recent demand).
 
 The LP's constraint matrices depend on the demand only through a diagonal
 rescale of the path-to-edge incidence, so everything demand-independent
@@ -67,7 +67,6 @@ __all__ = [
     "LPSolveTally",
     "OmniscientTE",
     "PredictionBasedTE",
-    "predict_demand",
 ]
 
 
@@ -704,30 +703,12 @@ def shared_cache() -> OptimalMLUCache:
     return _SHARED_CACHE
 
 
-def predict_demand(history: np.ndarray, strategy: str = "last") -> np.ndarray:
-    """Predict the next demand vector from a window of historical demands.
-
-    Args:
-        history: Array of shape ``(H, num_sd_pairs)``, oldest first.
-        strategy: ``"last"`` (use the most recent matrix, the paper's choice
-            for prediction-based TE), ``"mean"`` (window average), ``"ewma"``
-            (exponentially weighted average), or ``"peak"`` (per-pair window
-            maximum, used by the Desensitization scheme's anticipated matrix).
-    """
+def _demand_history(history: np.ndarray) -> np.ndarray:
+    """``history`` as a float ``(H, num_sd_pairs)`` array with ``H >= 1``."""
     history = np.asarray(history, dtype=float)
     if history.ndim != 2 or history.shape[0] < 1:
         raise ValueError("history must be a (H, num_sd_pairs) array with H >= 1")
-    if strategy == "last":
-        return history[-1]
-    if strategy == "mean":
-        return history.mean(axis=0)
-    if strategy == "ewma":
-        weights = 0.5 ** np.arange(history.shape[0] - 1, -1, -1)
-        weights = weights / weights.sum()
-        return weights @ history
-    if strategy == "peak":
-        return history.max(axis=0)
-    raise ValueError(f"unknown prediction strategy {strategy!r}")
+    return history
 
 
 class OmniscientTE(TEScheme):
@@ -749,19 +730,13 @@ class OmniscientTE(TEScheme):
 class PredictionBasedTE(TEScheme):
     """Demand-prediction-based TE (B4/SWAN style, baseline (4) of Section 5.1).
 
-    Predicts the next demand from the recent history and optimises MLU for the
-    prediction with no burst-handling mechanism.
-
-    Args:
-        path_set: Candidate paths.
-        strategy: Prediction strategy passed to :func:`predict_demand`.
+    Predicts the next demand to be the most recent one and optimises MLU for
+    it with no burst-handling mechanism.
     """
 
-    def __init__(self, path_set: PathSet, strategy: str = "last") -> None:
-        super().__init__(path_set, name=f"Pred TE ({strategy})")
-        self.strategy = strategy
+    def __init__(self, path_set: PathSet) -> None:
+        super().__init__(path_set, name="Pred TE (last)")
 
     def configure(self, history: np.ndarray) -> TEConfiguration:
-        prediction = predict_demand(np.asarray(history), self.strategy)
-        config, _ = solve_mlu_lp(self.path_set, prediction)
+        config, _ = solve_mlu_lp(self.path_set, _demand_history(history)[-1])
         return config

@@ -44,11 +44,12 @@ export`` analyze a warehouse.
 
 For long-lived workloads the *study service* keeps the runner warm:
 ``python -m repro.study serve`` starts a Unix-socket daemon
-(:class:`StudyServer`) with a FIFO job queue and one process-wide LP
-cache, scenario cache, and trained-scheme store shared across every
-submitted job, so identical or overlapping grids from any client
-(:class:`StudyClient`, or ``submit``/``status``/``cancel`` from the
-shell) re-run with zero repeat LP solves or trainings.  Underneath,
+(:class:`StudyServer`) with a FIFO job queue, whose jobs run their cells
+one at a time, and one process-wide LP cache, scenario cache, and
+trained-scheme store shared across every submitted job, so identical or
+overlapping grids from any client (:class:`StudyClient`, or
+``submit``/``status``/``cancel`` from the shell) re-run with zero repeat
+LP solves or trainings.  Underneath,
 ``Study.run`` is a facade over :meth:`Study.plan` +
 :meth:`Study.execute` -- the scheduler-owns-the-loop split the daemon
 (and any notebook) builds on.

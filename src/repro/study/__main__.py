@@ -9,7 +9,7 @@ Usage::
                                     [--scenario X] [--scheme Y] [--group-by cols]
     python -m repro.study export wh.jsonl out.csv [same filters as query]
     python -m repro.study serve --socket /tmp/repro.sock [--warehouse wh.jsonl]
-                                    [--spool-dir DIR] [run knobs]
+                                    [--spool-dir DIR] [--lp-workers auto]
     python -m repro.study submit doc.json --socket /tmp/repro.sock
                                     [--checkpoint NAME [--resume]]
                                     [--warehouse wh.jsonl] [--out results.json]
@@ -70,20 +70,13 @@ def _workers_type(value: str):
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """The execution knobs the study runner shares with ``serve``."""
+    """The execution knob the study runner shares with ``serve``."""
     parser.add_argument(
         "--lp-workers",
         default=None,
         type=_workers_type,
         metavar="N",
         help="LP process-pool width for cold normaliser batches ('auto' or a positive int)",
-    )
-    parser.add_argument(
-        "--cell-workers",
-        default=None,
-        type=_workers_type,
-        metavar="N",
-        help="process-pool width for cell-level parallelism ('auto' or a positive int)",
     )
 
 
@@ -100,6 +93,13 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """What the study runner takes besides its input file."""
     parser.add_argument("--out", help="write the full ResultSet JSON here")
     _add_engine_options(parser)
+    parser.add_argument(
+        "--cell-workers",
+        default=None,
+        type=_workers_type,
+        metavar="N",
+        help="process-pool width for cell-level parallelism ('auto' or a positive int)",
+    )
     parser.add_argument(
         "--checkpoint",
         metavar="PATH",
@@ -335,7 +335,6 @@ def _cmd_serve(argv: list[str]) -> int:
         warehouse=args.warehouse,
         spool_dir=args.spool_dir,
         engine=_engine_from(args),
-        cell_workers=args.cell_workers,
     )
 
     def _stop(signum, frame):  # noqa: ARG001 - signal handler signature

@@ -11,7 +11,7 @@ run can be stored next to the paper's tables and re-loaded for comparison.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,7 +104,7 @@ class StudyResult:
             raise ValueError("record has no stored series")
         return normalized_mlu_statistics(self.series)
 
-    def to_dict(self, include_series: bool = True) -> dict:
+    def to_dict(self) -> dict:
         record = {
             "scenario": self.scenario,
             "scheme": self.scheme,
@@ -112,7 +112,7 @@ class StudyResult:
             "spec": self.spec,
             "metrics": self.metrics,
         }
-        if include_series and self.series is not None:
+        if self.series is not None:
             record["series"] = np.asarray(self.series, dtype=float).tolist()
         return record
 
@@ -129,12 +129,17 @@ class StudyResult:
         )
 
 
-def _matches(value: str, selector) -> bool:
+def _matches(value, selector) -> bool:
+    """The selector rule for record labels and tags.
+
+    ``None`` selects every value; a callable is called on the value; a string
+    or any other scalar must equal it; any other collection must contain it.
+    """
     if selector is None:
         return True
     if callable(selector):
         return bool(selector(value))
-    if isinstance(selector, str):
+    if isinstance(selector, str) or not isinstance(selector, Collection):
         return value == selector
     return value in selector
 
@@ -206,15 +211,13 @@ class ResultSet:
         self,
         metrics: Sequence[str] | None = None,
         title: str | None = None,
-        float_format: str = "{:.3f}",
     ) -> str:
-        """Render the records as an aligned ASCII table.
+        """Render the records as an aligned ASCII table, floats to 3 decimals.
 
         Args:
             metrics: Metric columns; defaults to the common ones present in
                 at least one record, in canonical order.
             title: Optional table title.
-            float_format: Format applied to float metric values.
         """
         if metrics is None:
             present = set()
@@ -228,7 +231,7 @@ class ResultSet:
             for name in metrics:
                 value = record.metrics.get(name)
                 if isinstance(value, float):
-                    row.append(float_format.format(value))
+                    row.append(f"{value:.3f}")
                 else:
                     row.append("" if value is None else value)
             rows.append(row)
@@ -237,14 +240,14 @@ class ResultSet:
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
-    def to_json(self, indent: int | None = 2, include_series: bool = True) -> str:
-        """Serialize to JSON (spec provenance and series included)."""
+    def to_json(self) -> str:
+        """Serialize to indented JSON (spec provenance and series included)."""
         payload = {
             "format": RESULTSET_FORMAT,
             "version": RESULTSET_VERSION,
-            "results": [record.to_dict(include_series=include_series) for record in self.results],
+            "results": [record.to_dict() for record in self.results],
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ResultSet":
@@ -306,7 +309,7 @@ class JsonlRecordStore(JsonlStore):
     """
 
     def _encode(self, record: StudyResult) -> dict:
-        return record.to_dict(include_series=True)
+        return record.to_dict()
 
     def _decode(self, payload: dict) -> StudyResult:
         return StudyResult.from_dict(payload)

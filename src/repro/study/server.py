@@ -169,10 +169,10 @@ class StudyServer:
         engine: The ONE engine, with its ONE warm LP cache, every job runs
             through (a fresh :class:`~repro.evaluation.engine.
             EvaluationEngine` by default).
-        cell_workers: Cell process-pool width every job runs with
-            (sequential by default -- the daemon's parallelism axis is the
-            shared warm state, not per-job pools; cancellation is polled
-            between cells either way).
+
+    Each job runs its cells in order, one at a time: the daemon's
+    parallelism is the shared warm state, not per-job pools, and its
+    cancellation is polled between cells.
     """
 
     def __init__(
@@ -181,7 +181,6 @@ class StudyServer:
         warehouse=None,
         spool_dir=None,
         engine: EvaluationEngine | None = None,
-        cell_workers: int | str | None = None,
     ) -> None:
         self.socket_path = Path(socket_path).expanduser()
         self.spool_dir = (
@@ -190,7 +189,6 @@ class StudyServer:
             else self.socket_path.with_name(self.socket_path.name + ".spool")
         )
         self.default_warehouse = warehouse
-        self.cell_workers = cell_workers
         # One warm engine for every job: the LP cache, and the scenario /
         # trained-scheme dicts below, ARE the service -- they make a second
         # client's overlapping grid free.
@@ -652,7 +650,7 @@ class StudyServer:
                     "index": index,
                     "completed": job.completed,
                     "total": job.total,
-                    "record": record.to_dict(include_series=True),
+                    "record": record.to_dict(),
                 },
             )
 
@@ -662,7 +660,6 @@ class StudyServer:
                 plan = study.plan(
                     engine=self.engine,
                     checkpoint=job.checkpoint,
-                    cell_workers=self.cell_workers,
                     warehouse=job.warehouse,
                     resume=job.resume,
                 )

@@ -423,9 +423,9 @@ class ExperimentSpec:
             scenario config (a dict with a ``"topology"`` key, see
             :func:`repro.datasets.from_config`), a built
             :class:`~repro.datasets.Scenario`, or an :class:`InlineScenario`.
-        scheme: Scheme spec dict (``{"kind": ..., ...params, "label": ...}``),
-            a live :class:`~repro.te.scheme.TEScheme`, or a zero-argument
-            factory returning one (required for drift cells that retrain).
+        scheme: Scheme spec dict (``{"kind": ..., ...params, "label": ...}``)
+            or a live :class:`~repro.te.scheme.TEScheme` (drift cells, which
+            retrain, need the dict).
         perturbation: ``{"kind": "none" | "fluctuation" | "failure" |
             "drift", ...}``; defaults to no perturbation (a plain replay).
         history_len: History window override (scenario default if ``None``).
@@ -472,6 +472,11 @@ class ExperimentSpec:
                 raise ValueError(
                     f"unknown scheme kind {kind!r}; available: {', '.join(available_schemes())}"
                 )
+        elif not isinstance(self.scheme, TEScheme):
+            raise TypeError(
+                "scheme must be a spec dict or a TEScheme, "
+                f"got {type(self.scheme).__name__}"
+            )
 
     @classmethod
     def from_dict(cls, cell: Mapping) -> "ExperimentSpec":
@@ -539,10 +544,8 @@ class ExperimentSpec:
             scenario = {"inline": type(self.scenario).__name__}
         if isinstance(self.scheme, Mapping):
             scheme: Any = _jsonify(self.scheme)
-        elif isinstance(self.scheme, TEScheme):
-            scheme = {"inline": self.scheme.name}
         else:
-            scheme = {"inline": getattr(self.scheme, "__name__", type(self.scheme).__name__)}
+            scheme = {"inline": self.scheme.name}
         provenance = {
             "scenario": scenario,
             "scheme": scheme,

@@ -265,9 +265,9 @@ class Study:
         # (see _settle); a caller's dict is kept whole.
         self._owns_schemes = scheme_cache is None
         self._scheme_cache = scheme_cache if scheme_cache is not None else {}
-        # Live-instance / factory schemes key by object identity, which is
-        # only stable while this study's specs pin the objects -- so they
-        # dedup per study and never enter the (possibly shared) scheme_cache.
+        # Live-instance schemes key by object identity, which is only stable
+        # while this study's specs pin the objects -- so they dedup per study
+        # and never enter the (possibly shared) scheme_cache.
         self._object_scheme_cache: dict = {}
         self._scenario_cache = scenario_cache if scenario_cache is not None else {}
         self._baselines: dict[tuple, tuple[EvaluationResult, MLUStatistics]] = {}
@@ -406,7 +406,7 @@ class Study:
     def _reproducible(cell: ExperimentSpec) -> bool:
         """Whether a cell's provenance fully identifies it across processes.
 
-        Live objects (scheme instances, factories, built scenarios) record
+        Live objects (scheme instances, built scenarios) record
         only an ``{"inline": <name>}`` marker -- two different objects with
         one display name are indistinguishable on disk, so such cells are
         never resumed from a checkpoint (they re-run instead; serving a
@@ -859,22 +859,15 @@ class Study:
         cached = cache.get(key)
         if cached is not None:
             return cached
-        if isinstance(cell.scheme, TEScheme):
-            scheme = cell.scheme
-        elif isinstance(cell.scheme, Mapping):
+        if isinstance(cell.scheme, Mapping):
             if ctx.paths is None:
                 raise ValueError(
                     f"cell scenario {ctx.name!r} provides no path set to build scheme "
                     f"{cell.scheme.get('kind')!r} on"
                 )
             scheme = build_scheme(cell.scheme, ctx.paths, cache=engine.cache)
-        elif callable(cell.scheme):
-            scheme = cell.scheme()
         else:
-            raise TypeError(
-                "scheme must be a spec dict, a TEScheme, or a zero-argument factory; "
-                f"got {type(cell.scheme).__name__}"
-            )
+            scheme = cell.scheme
         if ctx.paths is not None and scheme.path_set.fingerprint != ctx.paths.fingerprint:
             raise ValueError(
                 f"scheme {scheme.name!r} uses a different path set than scenario "
@@ -1101,7 +1094,7 @@ class Study:
         if isinstance(cell.scheme, TEScheme):
             raise ValueError(
                 "drift cells retrain from scratch per segment; pass a scheme spec dict "
-                "or a zero-argument factory instead of a live instance"
+                "instead of a live instance"
             )
         if not cell.train:
             raise ValueError(

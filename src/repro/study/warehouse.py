@@ -179,30 +179,14 @@ class ResultWarehouse(JsonlRecordStore):
             if selector is not None:
                 tag_selectors[name] = selector
 
-        def _tag_match(record: StudyResult) -> bool:
+        def _tags_match(record: StudyResult) -> bool:
             record_tags = record.tags
-            for name, selector in tag_selectors.items():
-                value = record_tags.get(name)
-                if callable(selector):
-                    if not selector(value):
-                        return False
-                elif isinstance(selector, (list, tuple, set, frozenset)):
-                    if value not in selector:
-                        return False
-                elif value != selector:
-                    return False
-            return where is None or where(record)
+            return all(
+                _matches(record_tags.get(name), selector)
+                for name, selector in tag_selectors.items()
+            ) and (where is None or where(record))
 
-        results = self.results()
-        selected = [
-            record
-            for record in results
-            if _matches(record.scenario, scenario)
-            and _matches(record.scheme, scheme)
-            and _matches(record.experiment, experiment)
-            and _tag_match(record)
-        ]
-        return ResultSet(selected)
+        return self.results().filter(scenario, scheme, experiment, where=_tags_match)
 
     # ------------------------------------------------------------------ #
     # Aggregation
@@ -245,7 +229,7 @@ class ResultWarehouse(JsonlRecordStore):
         for record in results:
             key = tuple(_column_value(record, column) for column in group_by)
             groups.setdefault(key, []).append(record)
-        ci_column = f"ci{round(confidence * 100):g}"
+        ci_column = f"ci{confidence * 100:g}"
         rows = []
         for key in sorted(groups, key=lambda k: tuple(str(part) for part in k)):
             group = groups[key]
@@ -277,9 +261,8 @@ class ResultWarehouse(JsonlRecordStore):
         metric: str = "mean",
         confidence: float = 0.95,
         title: str | None = None,
-        float_format: str = "{:.4f}",
     ) -> str:
-        """Render :meth:`aggregate` rows as an aligned ASCII table."""
+        """Render :meth:`aggregate` rows as an aligned ASCII table, floats to 4 decimals."""
         rows = self.aggregate(results, group_by, metric, confidence)
         if not rows:
             headers = [*group_by, "n"]
@@ -291,7 +274,7 @@ class ResultWarehouse(JsonlRecordStore):
             for name in headers:
                 value = row[name]
                 if isinstance(value, float):
-                    cells.append(float_format.format(value))
+                    cells.append(f"{value:.4f}")
                 else:
                     cells.append("" if value is None else value)
             table_rows.append(cells)

@@ -128,16 +128,15 @@ def sample_failed_links(
     topology,
     num_failures: int,
     rng: np.random.Generator,
-    bidirectional: bool = True,
 ) -> set[tuple[int, int]]:
-    """Sample random link failures.
+    """Sample random physical link failures.
+
+    A failed link removes both directed edges between its endpoints.
 
     Args:
         topology: The topology whose links may fail.
         num_failures: Number of physical links to fail.
         rng: NumPy random generator.
-        bidirectional: If True (default), failing a link removes both
-            directed edges between its endpoints (physical link failure).
 
     Returns:
         The set of failed directed edges.
@@ -149,7 +148,5 @@ def sample_failed_links(
     failed: set[tuple[int, int]] = set()
     for idx in chosen:
         a, b = undirected[int(idx)]
-        failed.add((a, b))
-        if bidirectional:
-            failed.add((b, a))
+        failed.update(((a, b), (b, a)))
     return failed

@@ -88,13 +88,13 @@ class TestTealLike:
             TealLike(mesh4_paths, FAST).configure(np.ones((1, 12)))
 
     def test_config_states_what_it_trains_with(self, mesh4_paths, mesh4_traffic):
-        # Clipping, decay and warm-up from a spec were silently ignored while
+        # Clipping and decay from a spec were silently ignored while
         # ``config`` kept reporting them.
-        asked = FAST.replace(lr_decay=0.9, warmup_steps=2, gradient_clip=1.0)
+        asked = FAST.replace(lr_decay=0.9, gradient_clip=1.0)
         fitted = []
         for config in (asked, FAST):
             scheme = TealLike(mesh4_paths, config)
-            assert (scheme.config.lr_decay, scheme.config.warmup_steps) == (1.0, 0)
+            assert scheme.config.lr_decay == 1.0
             assert scheme.config.gradient_clip is None
             scheme.precompute(mesh4_traffic)
             assert len(scheme.training_history.epoch_losses) == FAST.epochs

@@ -518,7 +518,7 @@ def _fit_all():
     scenario = registry.load("meta_pod_db_small", seed=3, num_intervals=60)
     train, _ = scenario.split()
     config = TrainingConfig(
-        history_len=scenario.history_len, epochs=3, seed=3, warmup_steps=2, lr_decay=0.9
+        history_len=scenario.history_len, epochs=3, seed=3, lr_decay=0.9
     )
     fitted = {}
     for name, scheme in (

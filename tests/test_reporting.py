@@ -160,14 +160,12 @@ class TestResultSetRoundTrip:
         assert restored[0].metrics == {"mean": 1.25}
         np.testing.assert_array_equal(restored[0].series, [1.0, 1.5])
 
-    def test_to_json_can_trim_series(self):
+    def test_record_without_series_round_trips_without_one(self):
         record = StudyResult(
             scenario="s", scheme="m", experiment="replay", spec={},
-            metrics={"mean": 1.0}, series=np.array([1.0]),
+            metrics={"mean": 1.0}, series=None,
         )
-        restored = ResultSet.from_json(
-            ResultSet([record]).to_json(include_series=False)
-        )
+        restored = ResultSet.from_json(ResultSet([record]).to_json())
         assert restored[0].series is None
         with pytest.raises(ValueError, match="no stored series"):
             restored[0].statistics

@@ -29,6 +29,13 @@ class TestDesensitizationTE:
         anticipated = scheme.anticipated_demand(history)
         np.testing.assert_allclose(anticipated, history[-5:].max(axis=0))
 
+    def test_configure_solves_for_the_window_peak(self, mesh4_paths, mesh4_traffic):
+        scheme = DesensitizationTE(mesh4_paths, window=5)
+        history = mesh4_traffic.flat_demands()[:20]
+        config = scheme.configure(history)
+        peak_only = scheme.configure(history[-5:].max(axis=0)[None, :])
+        np.testing.assert_array_equal(config.split_ratios, peak_only.split_ratios)
+
     def test_hedging_spreads_traffic(self, mesh4_paths, mesh4_traffic):
         scheme = DesensitizationTE(mesh4_paths, sensitivity_threshold=0.5)
         history = mesh4_traffic.flat_demands()[:12]

@@ -18,7 +18,6 @@ from repro.solvers.lp import (
     PredictionBasedTE,
     count_lp_solves,
     omniscient_mlu,
-    predict_demand,
     solve_mlu_lp,
 )
 from repro.te.mlu import max_link_utilization
@@ -139,33 +138,6 @@ class TestOmniscientMlu:
         assert omniscient_mlu(mesh4_paths, demand) == pytest.approx(mlu)
 
 
-class TestPredictDemand:
-    def test_last(self):
-        history = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(predict_demand(history, "last"), [3, 4])
-
-    def test_mean(self):
-        history = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(predict_demand(history, "mean"), [2, 3])
-
-    def test_peak(self):
-        history = np.array([[1.0, 5.0], [3.0, 4.0]])
-        np.testing.assert_allclose(predict_demand(history, "peak"), [3, 5])
-
-    def test_ewma_weights_recent_more(self):
-        history = np.array([[0.0, 0.0], [10.0, 10.0]])
-        ewma = predict_demand(history, "ewma")
-        assert (ewma > 5.0).all()
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            predict_demand(np.ones((2, 2)), "magic")
-
-    def test_invalid_history(self):
-        with pytest.raises(ValueError):
-            predict_demand(np.ones(3), "last")
-
-
 class TestSchemes:
     def test_omniscient_scheme_achieves_optimal(self, mesh4_paths, rng):
         scheme = OmniscientTE(mesh4_paths)
@@ -181,6 +153,23 @@ class TestSchemes:
         config = scheme.configure(history)
         achieved = max_link_utilization(mesh4_paths, config, demand)
         assert achieved == pytest.approx(omniscient_mlu(mesh4_paths, demand), rel=1e-5)
+
+    def test_prediction_scheme_solves_for_the_last_matrix(self, mesh4_paths, rng):
+        history = rng.random((3, mesh4_paths.num_sd_pairs)) + 0.5
+        config = PredictionBasedTE(mesh4_paths).configure(history)
+        expected, _ = solve_mlu_lp(mesh4_paths, history[-1])
+        np.testing.assert_array_equal(config.split_ratios, expected.split_ratios)
+
+    def test_pred_te_spec_rejects_a_strategy_key(self, mesh4_paths):
+        from repro.study.spec import build_scheme
+
+        with pytest.raises(TypeError, match="strategy"):
+            build_scheme({"kind": "pred_te", "strategy": "mean"}, mesh4_paths)
+
+    @pytest.mark.parametrize("history", [np.ones(3), np.ones((0, 3))], ids=["1-D", "no rows"])
+    def test_prediction_scheme_rejects_a_malformed_history(self, mesh4_paths, history):
+        with pytest.raises(ValueError, match="history must be"):
+            PredictionBasedTE(mesh4_paths).configure(history)
 
     def test_prediction_scheme_hurt_by_burst(self, mesh4_paths, rng):
         scheme = PredictionBasedTE(mesh4_paths)

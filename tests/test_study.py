@@ -97,6 +97,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown scheme kind 'bogus'"):
             ExperimentSpec(scenario="x", scheme={"kind": "bogus"})
 
+    @pytest.mark.parametrize("scheme", ["figret", lambda: None], ids=["name", "factory"])
+    def test_scheme_is_a_spec_dict_or_a_live_scheme(self, scheme):
+        with pytest.raises(TypeError, match="scheme must be a spec dict or a TEScheme"):
+            ExperimentSpec(scenario="x", scheme=scheme)
+
     def test_unknown_perturbation_kind(self):
         with pytest.raises(ValueError, match="unknown perturbation kind"):
             ExperimentSpec(scenario="x", scheme={"kind": "dote"}, perturbation={"kind": "melt"})
@@ -862,18 +867,24 @@ class TestStudyCLI:
         assert [record.scheme for record in restored] == ["FIGRET", "DOTE"]
 
     def test_unknown_backend_is_a_usage_error(self, capsys):
-        """Neither the forward pass nor the LP solver is selectable:
-        ``--backend`` and ``--lp-backend`` are not flags, so argparse exits
-        2 before anything runs (the spec file is never opened)."""
-        commands = (["spec.json"], ["serve", "--socket", "s.sock"])
-        for command in commands:
-            for flag, value in (("--lp-backend", "nope"), ("--backend", "numpy")):
-                with pytest.raises(SystemExit) as excinfo:
-                    study_cli([*command, flag, value])
-                assert excinfo.value.code == 2
-                captured = capsys.readouterr()
-                assert f"unrecognized arguments: {flag} {value}" in captured.err
-                assert captured.out == ""
+        """Neither the forward pass nor the LP solver is selectable, and the
+        daemon runs its jobs' cells in order: ``--backend``, ``--lp-backend``
+        and ``serve --cell-workers`` are not flags, so argparse exits 2
+        before anything runs (the spec file is never opened)."""
+        serve = ["serve", "--socket", "s.sock"]
+        cases = [
+            (command, flag, value)
+            for command in (["spec.json"], serve)
+            for flag, value in (("--lp-backend", "nope"), ("--backend", "numpy"))
+        ]
+        cases.append((serve, "--cell-workers", "2"))
+        for command, flag, value in cases:
+            with pytest.raises(SystemExit) as excinfo:
+                study_cli([*command, flag, value])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert f"unrecognized arguments: {flag} {value}" in captured.err
+            assert captured.out == ""
 
     def test_cli_lists_registries(self, capsys):
         assert study_cli(["--list-scenarios"]) == 0

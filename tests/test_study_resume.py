@@ -361,12 +361,12 @@ class TestCellWorkers:
         }
         live_cell = ExperimentSpec(
             scenario=scenario_config("resume_live", 4),
-            scheme=lambda: PredictionBasedTE(
+            scheme=PredictionBasedTE(
                 Study().scenario(scenario_config("resume_live", 4)).paths
             ),
             max_intervals=3,
         )
-        # A factory-built scheme cannot cross the pool boundary; the study
+        # A live scheme instance cannot cross the pool boundary; the study
         # must still complete the grid (that cell runs in-process).
         study = Study(sequence_spec)
         study.add(live_cell)

@@ -77,7 +77,7 @@ def grid_spec(name: str = "svc", alphas=(1.0, 2.0)) -> dict:
 
 def wire_dicts(results) -> str:
     return json.dumps(
-        [record.to_dict(include_series=True) for record in results], sort_keys=True
+        [record.to_dict() for record in results], sort_keys=True
     )
 
 

@@ -175,9 +175,10 @@ class TestSampleFailedLinks:
         for a, b in failed:
             assert (b, a) in failed
 
-    def test_unidirectional_sampling(self, mesh4_topology, rng):
-        failed = sample_failed_links(mesh4_topology, 3, rng, bidirectional=False)
-        assert len(failed) == 3
+    def test_failing_every_link_fails_every_directed_edge(self, mesh4_topology, rng):
+        links = {tuple(sorted((e.src, e.dst))) for e in mesh4_topology.edges}
+        failed = sample_failed_links(mesh4_topology, len(links), rng)
+        assert failed == {(e.src, e.dst) for e in mesh4_topology.edges}
 
     def test_too_many_failures_rejected(self, triangle_topology, rng):
         with pytest.raises(ValueError):

@@ -426,6 +426,9 @@ class TestWarehouseAggregate:
         assert "ci99" in row
         narrower = store.aggregate(group_by=("scheme",), confidence=0.5)[0]["ci50"]
         assert narrower < row["ci99"]
+        # A level between whole percents keeps its digits, not a rounded name.
+        (row,) = store.aggregate(group_by=("scheme",), confidence=0.975)
+        assert "ci97.5" in row
 
     def test_group_by_tag_columns(self, tmp_path):
         store = ResultWarehouse(tmp_path / "wh.jsonl")
