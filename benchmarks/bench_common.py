@@ -94,19 +94,13 @@ def run_study(
     spec,
     engine: EvaluationEngine | None = None,
     checkpoint=None,
-    cell_workers: int | str | None = None,
 ) -> ResultSet:
     """Run a study spec on the session engine with the session dedup caches.
 
-    ``checkpoint`` / ``cell_workers`` pass straight through to
-    :meth:`repro.study.Study.run` (crash-safe incremental results and
-    cell-level process-pool execution).
+    ``checkpoint`` passes straight through to :meth:`repro.study.Study.run`
+    (crash-safe incremental results).
     """
-    return _session_study(spec).run(
-        engine=engine or bench_engine(),
-        checkpoint=checkpoint,
-        cell_workers=cell_workers,
-    )
+    return _session_study(spec).run(engine=engine or bench_engine(), checkpoint=checkpoint)
 
 
 def training_config(scenario: datasets.Scenario, robustness_weight: float, epochs: int) -> TrainingConfig:

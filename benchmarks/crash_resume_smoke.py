@@ -1,10 +1,10 @@
-"""Crash recovery through the CLI: interrupt a checkpointed grid, resume it pooled.
+"""Crash recovery through the CLI: interrupt a checkpointed grid, resume it.
 
     PYTHONPATH=src python benchmarks/crash_resume_smoke.py [WORKDIR]
 
 Starts ``python -m repro.study spec.json --checkpoint smoke.ckpt``, sends it
 SIGINT as soon as the checkpoint holds its first record, then re-runs the
-same command with ``--resume --cell-workers 2 --out``.  It proves:
+same command with ``--resume --out``.  It proves:
 
 1. the interrupt left a partial checkpoint (at least one record, fewer
    than the grid's six), so the resume has real work to do;
@@ -125,8 +125,7 @@ def main(workdir: Path) -> None:
     saved = _interrupt_after_first_record(workdir)
     assert 1 <= saved < CELLS, f"the interrupted run left {saved} of {CELLS} records"
     _study(
-        workdir, "--checkpoint", "smoke.ckpt", "--resume", "--cell-workers", "2",
-        "--out", "resumed.json",
+        workdir, "--checkpoint", "smoke.ckpt", "--resume", "--out", "resumed.json",
     )
     results = ResultSet.load(workdir / "resumed.json")
     assert len(results) == CELLS, f"expected {CELLS} records, got {len(results)}"
@@ -135,7 +134,7 @@ def main(workdir: Path) -> None:
         workdir / "uninterrupted.json"
     ).read_bytes(), "the resumed --out differs from an uninterrupted run's"
     print(
-        f"crash recovery OK: interrupted at {saved}/{CELLS} records; the pooled "
+        f"crash recovery OK: interrupted at {saved}/{CELLS} records; the "
         f"resume wrote {len(results)}, byte-equal to an uninterrupted run"
     )
 

@@ -1,6 +1,6 @@
-"""Study-orchestration overhead, LP-solve dedup, and cell-pool scaling.
+"""Study-orchestration overhead and LP-solve dedup.
 
-Three guarantees of the declarative layer are pinned here:
+Two guarantees of the declarative layer are pinned here:
 
 * **Overhead** -- what running a scenarios x schemes x perturbations grid
   through :class:`repro.study.Study` costs over issuing the equivalent
@@ -12,14 +12,6 @@ Three guarantees of the declarative layer are pinned here:
   once per distinct demand matrix: adding the whole scheme axis to a grid
   adds *zero* LP solves, and re-running a study on a warm engine solves
   nothing (asserted with :func:`~repro.solvers.lp.count_lp_solves`).
-* **Cell pool** -- ``Study.run(cell_workers=N)`` produces bit-identical
-  results to sequential execution while fanning distinct scheme trainings
-  out over a process pool, and the workers' LP-cache entries and trained
-  schemes merge back into the parent (a warm re-run repeats nothing).  The
-  sequential-vs-pooled wall times are *recorded* (medians of interleaved
-  pairs on a warm pool, plus every pair), not asserted: like the LP pool,
-  whether a 2-wide pool wins depends on the core count (see
-  ``BENCH_lp_worker_scaling.json``).
 
 All tests extend one ``BENCH_study_orchestration.json`` record (later
 writers merge via ``write_bench_record(update=True)``).
@@ -28,14 +20,11 @@ writers merge via ``write_bench_record(update=True)``).
 from __future__ import annotations
 
 import gc
-import os
-import statistics
 import time
 
 import pytest
 
 import bench_common as common
-from repro import pool
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers.lp import OptimalMLUCache, count_lp_solves
 from repro.study import ResultWarehouse, Study, expand_suite, sweep
@@ -203,142 +192,6 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
         cold_lp_solves=cold_solves,
         scheme_axis_extra_solves=axis_tally.count,
         rerun_extra_solves=rerun_tally.count,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Cell-level process-pool execution
-# --------------------------------------------------------------------- #
-
-#: The pooled grid has the shape of perfbench's ``dc_train`` workload -- one
-#: ToR scenario x four neural scheme specs x {none, fluctuation} -- because
-#: that is what the pool is for: its sequential cost (well over a second
-#: here) is four trainings, which fan out one per group.  A grid of a few
-#: hundred milliseconds only measures pool start-up and pickling.  The BLAS
-#: thread setting is recorded beside the timings because the verdict flips on
-#: it: on the 2-core dev box two workers x two OpenBLAS threads oversubscribe
-#: the cores (0.2-0.4x), one BLAS thread per process -- what perfbench pins
-#: -- does not (1.2x), and sequential time is the same either way.
-CELL_POOL_WIDTH = 2
-CELL_POOL_PAIRS = 3
-
-
-def _cell_pool_spec(epochs=7):
-    def neural(kind, **params):
-        return {"kind": kind, "epochs": epochs, "seed": common.BENCH_SEED, **params}
-
-    return {
-        "scenario": {
-            "name": "meta_tor_db_small",
-            "seed": common.BENCH_SEED,
-            "num_intervals": 72,
-        },
-        "scheme": sweep(
-            neural("figret", robustness_weight=0.05, label="FIGRET rw=0.05"),
-            neural("figret", robustness_weight=0.15, label="FIGRET rw=0.15"),
-            neural("figret", robustness_weight=0.5, label="FIGRET rw=0.5"),
-            neural("dote"),
-        ),
-        "perturbation": sweep({"kind": "none"}, dict(FLUCTUATION)),
-        "max_intervals": 6,
-    }
-
-
-@pytest.mark.paper("study cell pool")
-def test_study_cell_worker_scaling(benchmark):
-    spec = _cell_pool_spec()
-
-    def run_width(spec, cell_workers):
-        # Fresh engine + scheme cache per run: the trainings and the cold
-        # normaliser pass are the work the pool parallelises, so they must
-        # happen inside the timed region.
-        engine = EvaluationEngine(cache=OptimalMLUCache())
-        scheme_cache: dict = {}
-        start = time.perf_counter()
-        results = Study(spec, scheme_cache=scheme_cache).run(
-            engine=engine, cell_workers=cell_workers
-        )
-        elapsed = time.perf_counter() - start
-        return elapsed, results, engine, scheme_cache
-
-    # Start the pool's workers (process creation, imports) on a throw-away
-    # job: a long-lived pool pays that once, not once per grid.
-    run_width(_cell_pool_spec(epochs=1), CELL_POOL_WIDTH)
-
-    pairs = []
-    baseline = None
-    fallbacks_before = pool.fallbacks("cells")
-    for _ in range(CELL_POOL_PAIRS):
-        sequential_s, results, _, _ = run_width(spec, None)
-        baseline = baseline or results.to_json()
-        assert results.to_json() == baseline
-
-        pooled_s, results, engine, scheme_cache = run_width(spec, CELL_POOL_WIDTH)
-        assert results.to_json() == baseline  # bit-identical to sequential
-        # Merge-back contract: the parent engine can re-run the whole grid
-        # without a single new LP solve, and every distinct scheme spec came
-        # back trained.
-        assert len(scheme_cache) == 4  # 1 scenario x 4 scheme specs
-        with count_lp_solves() as tally:
-            rerun = Study(spec, scheme_cache=scheme_cache).run(engine=engine)
-        assert tally.count == 0
-        assert rerun.to_json() == results.to_json()
-        pairs.append((sequential_s, pooled_s))
-
-    # If the pool was unusable (sandboxed spawn, broken pool) the pooled runs
-    # ran their cells in-process -- the correctness assertions above still
-    # hold, but recording sequential-vs-sequential wall times as pool
-    # scaling would fabricate the tracked artifact.  The degradation signal
-    # is the "cells" fallback counter moving during these runs (an earlier
-    # fallback in the same process does not count).
-    degraded = pool.fallbacks("cells") > fallbacks_before
-
-    cells = len(results)
-    sequential_s = statistics.median(pair[0] for pair in pairs)
-    pooled_s = statistics.median(pair[1] for pair in pairs)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info["pairs"] = pairs
-    benchmark.extra_info["pool_degraded"] = degraded
-    print()
-    for sequential, pooled in pairs:
-        print(
-            f"cell-pool scaling: sequential {sequential * 1e3:8.1f} ms, "
-            f"cell_workers={CELL_POOL_WIDTH} {pooled * 1e3:8.1f} ms ({cells} cells)"
-        )
-    if degraded:
-        print("cell pool unavailable here: pooled runs ran sequentially, timings not recorded")
-        # Explicit nulls: update=True merges into the existing record, so
-        # omitting the keys would leave a previous box's timings sitting
-        # next to degraded=true.
-        scaling_metrics = dict.fromkeys(
-            (
-                "cell_pool_sequential_seconds",
-                "cell_pool_pooled_seconds",
-                "cell_pool_speedup",
-                "cell_pool_pair_seconds",
-            )
-        )
-    else:
-        print(
-            f"cell-pool scaling: medians {sequential_s * 1e3:.1f} vs {pooled_s * 1e3:.1f} ms "
-            f"({sequential_s / pooled_s:.2f}x)"
-        )
-        scaling_metrics = {
-            "cell_pool_sequential_seconds": sequential_s,
-            "cell_pool_pooled_seconds": pooled_s,
-            "cell_pool_speedup": sequential_s / pooled_s,
-            "cell_pool_pair_seconds": [list(pair) for pair in pairs],
-        }
-    common.write_bench_record(
-        "study_orchestration",
-        lp_workers=common.bench_engine().cache.workers,
-        update=True,
-        cell_pool_grid_cells=cells,
-        cell_pool_width=CELL_POOL_WIDTH,
-        cell_pool_blas_threads=os.environ.get("OPENBLAS_NUM_THREADS")
-        or os.environ.get("OMP_NUM_THREADS"),  # None: the library default
-        cell_pool_degraded=degraded,
-        **scaling_metrics,
     )
 
 

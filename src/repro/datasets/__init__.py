@@ -11,7 +11,6 @@ from repro.datasets.registry import (
     from_config,
     load,
     register_scenario,
-    unregister_scenario,
 )
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "available_scenarios",
     "load",
     "register_scenario",
-    "unregister_scenario",
     "from_config",
 ]

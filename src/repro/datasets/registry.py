@@ -34,7 +34,6 @@ __all__ = [
     "available_scenarios",
     "load",
     "register_scenario",
-    "unregister_scenario",
     "from_config",
 ]
 
@@ -188,7 +187,7 @@ def available_scenarios() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def register_scenario(name: str, overwrite: bool = False):
+def register_scenario(name: str):
     """Register a scenario builder under ``name`` (new workloads are data).
 
     The decorated builder is called as ``builder(seed, num_intervals)`` --
@@ -209,23 +208,16 @@ def register_scenario(name: str, overwrite: bool = False):
             })
 
     Raises:
-        ValueError: If ``name`` is taken and ``overwrite`` is not set.
+        ValueError: If ``name`` is taken.
     """
 
     def decorator(builder: Callable[[int, int | None], Scenario]):
-        if name in _BUILDERS and not overwrite:
-            raise ValueError(
-                f"scenario {name!r} is already registered; pass overwrite=True to replace it"
-            )
+        if name in _BUILDERS:
+            raise ValueError(f"scenario {name!r} is already registered")
         _BUILDERS[name] = builder
         return builder
 
     return decorator
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a registered scenario (missing names are ignored)."""
-    _BUILDERS.pop(name, None)
 
 
 #: Topology builders usable from a scenario config's ``topology.kind``.

@@ -1,14 +1,13 @@
 """The one process pool: executors by width, the width rule, and the fallback.
 
-LP batches (:func:`repro.solvers.lp.solve_mlu_lp_batch`) and study-cell
-groups (:meth:`repro.study.Study.execute` under ``cell_workers``) both fan
-their jobs out through :func:`fan_out`, over long-lived executors kept here
-by width.  This module alone decides when a pool counts as unusable
+LP batches (:func:`repro.solvers.lp.solve_mlu_lp_batch`) fan their chunks
+out through :func:`fan_out`, over long-lived executors kept here by width.
+This module alone decides when a pool counts as unusable
 (:data:`POOL_ERRORS`) and what happens then: the pool is discarded, the
-label's counter in :func:`fallbacks` goes up, the label's first fallback
-warns, and the jobs the pool could not run are handed back to the caller to
-run in-process -- where a genuine error raises again with its usual note.
-The next call opens a fresh pool.  Standard library only.
+counter in :func:`fallbacks` goes up, the first fallback warns, and the jobs
+the pool did not finish are run in-process -- where a genuine error raises
+again with its usual note.  The next call opens a fresh pool.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ import atexit
 import os
 import pickle
 import warnings
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 
 __all__ = [
-    "HANDED_BACK",
     "POOL_ERRORS",
     "default_workers",
     "fallbacks",
@@ -36,15 +34,12 @@ __all__ = [
 #: ``OSError`` from spawning workers (``PermissionError`` in sandboxes).
 POOL_ERRORS = (BrokenProcessPool, pickle.PicklingError, AttributeError, TypeError, OSError)
 
-#: What :func:`fan_out` yields in place of a result for a job it hands back.
-HANDED_BACK = object()
-
 #: Long-lived pools keyed by width, reused across calls so a streaming replay
 #: does not pay pool startup once per chunk.
 _POOL_CACHE: dict[int, ProcessPoolExecutor] = {}
 
-#: Fallbacks so far in this process, per :func:`fan_out` label.
-_FALLBACKS: dict[str, int] = {}
+#: Fallbacks so far in this process.
+_FALLBACKS = 0
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -94,56 +89,54 @@ def resolve_workers(workers: int | str | None) -> int | None:
     return workers
 
 
-def fallbacks(label: str) -> int:
-    """How many :func:`fan_out` calls with this label fell back so far."""
-    return _FALLBACKS.get(label, 0)
+def fallbacks() -> int:
+    """How many :func:`fan_out` calls fell back so far."""
+    return _FALLBACKS
 
 
-def _fall_back(workers: int, label: str, what: str, error: BaseException) -> None:
+def _fall_back(workers: int, error: BaseException) -> None:
+    global _FALLBACKS
     _discard_pool(workers)
-    _FALLBACKS[label] = fallbacks(label) + 1
-    if _FALLBACKS[label] == 1:
+    _FALLBACKS += 1
+    if _FALLBACKS == 1:
         warnings.warn(
-            f"process-pool {what} failed ({error!r}); its jobs run in-process "
+            f"process-pool LP batch failed ({error!r}); its jobs run in-process "
             "for this call and the next call tries a fresh pool (results are "
-            f"identical, just slower).  Later fallbacks are counted in "
-            f"repro.pool.fallbacks({label!r}), not warned about",
+            "identical, just slower).  Later fallbacks are counted in "
+            "repro.pool.fallbacks(), not warned about",
             RuntimeWarning,
             stacklevel=4,
         )
 
 
-def fan_out(
-    fn: Callable, jobs: Sequence, workers: int, label: str, what: str
-) -> Iterator[tuple[int, object]]:
-    """Run ``fn(job)`` for every job on the width-``workers`` pool.
+def fan_out(fn: Callable, jobs: Sequence, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, computed on the width-``workers`` pool.
 
-    Yields ``(index, result)`` exactly once per job, in completion order,
-    with :data:`HANDED_BACK` as the result of a job the pool could not run.
     The first :data:`POOL_ERRORS` of a call falls back (see the module
-    docstring; ``what`` names the work in the warning).  Any other
-    exception raised by ``fn`` propagates.
+    docstring): jobs the pool did not finish -- all of them if it could not
+    start, else the one it broke under and the ones cancelled or lost with
+    it -- run in-process.  Any other exception raised by ``fn`` propagates.
     """
+    results: list = [None] * len(jobs)
     try:
         pool = _pool(workers)
         futures = {pool.submit(fn, job): index for index, job in enumerate(jobs)}
     except POOL_ERRORS as error:
-        _fall_back(workers, label, what, error)
-        for index in range(len(jobs)):
-            yield index, HANDED_BACK
-        return
+        _fall_back(workers, error)
+        return [fn(job) for job in jobs]
     remaining = dict(futures)
     for future in as_completed(futures):
         index = remaining.pop(future)
         error = future.exception()
         if not isinstance(error, POOL_ERRORS):
-            yield index, future.result()
+            results[index] = future.result()
             continue
-        _fall_back(workers, label, what, error)
-        yield index, HANDED_BACK
+        _fall_back(workers, error)
+        results[index] = fn(jobs[index])
         # Discarding the pool settled every other future: keep what came
-        # back, hand back what was cancelled or lost with the pool.
+        # back, run what was cancelled or lost with the pool.
         for future, index in remaining.items():
             lost = future.cancelled() or isinstance(future.exception(), POOL_ERRORS)
-            yield index, HANDED_BACK if lost else future.result()
-        return
+            results[index] = fn(jobs[index]) if lost else future.result()
+        break
+    return results

@@ -47,7 +47,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.paths.path_set import PathSet
-from repro.pool import HANDED_BACK, fan_out, resolve_workers
+from repro.pool import fan_out, resolve_workers
 from repro.solvers.lp_backend import resolve_lp_backend
 from repro.store import JsonlStore
 from repro.te.config import TEConfiguration
@@ -408,9 +408,9 @@ def solve_mlu_lp_batch(
     configured the solves run sequentially in-process on one model.  Chunks
     the pool cannot run -- the path set fails to pickle, process spawning is
     forbidden by the sandbox, or the pool dies -- are solved in-process
-    instead (see :func:`repro.pool.fan_out`: the fallback is counted under
-    ``"lp"`` and warned about once per process, and the next call tries a
-    fresh pool).
+    instead (see :func:`repro.pool.fan_out`: the fallback is counted in
+    :func:`repro.pool.fallbacks` and warned about once per process, and the
+    next call tries a fresh pool).
 
     Args:
         path_mask: Optional boolean mask of usable paths, as for
@@ -434,10 +434,7 @@ def solve_mlu_lp_batch(
             (path_set, chunk, path_mask)
             for chunk in np.array_split(demands, min(workers, len(demands)))
         ]
-        solved: list = [None] * len(jobs)
-        for index, chunk in fan_out(_solve_batch_chunk, jobs, workers, "lp", "LP batch"):
-            solved[index] = _solve_batch_chunk(jobs[index]) if chunk is HANDED_BACK else chunk
-        return np.concatenate(solved)
+        return np.concatenate(fan_out(_solve_batch_chunk, jobs, workers))
     global _LP_SOLVE_CALLS
     solver = resolve_lp_backend()
     structure = constraint_structure(path_set)
@@ -498,10 +495,9 @@ class OptimalMLUCache:
 
     With ``path`` set the cache is **disk-persistent**: existing entries are
     loaded on construction, and every batch of new entries is written when
-    it is stored -- the misses one :meth:`optimal_mlus` call solved, or what
-    one :meth:`merge_entries` call added -- before the call returns.  There
-    is nothing left to write at exit, so a SIGKILLed process loses at most
-    the batch it was solving.  The file is a :class:`repro.store.JsonlStore`,
+    it is stored -- the misses one :meth:`optimal_mlus` call solved --
+    before the call returns.  There is nothing left to write at exit, so a
+    SIGKILLed process loses at most the batch it was solving.  The file is a :class:`repro.store.JsonlStore`,
     written like the study checkpoints: each batch is one append (one write
     and one file fsync), and a torn trailing entry is dropped with a warning
     and compacted away by the next append.  A missing file, or one that
@@ -583,34 +579,6 @@ class OptimalMLUCache:
         """Release the file's append descriptor (every entry is already written)."""
         if self.path is not None:
             self._file.close()
-
-    # ------------------------------------------------------------------ #
-    # Cross-process transport (the study layer's cell pool)
-    # ------------------------------------------------------------------ #
-    def entries_snapshot(self) -> dict[tuple[str, str, str], float]:
-        """A plain-dict copy of the in-memory entries.
-
-        The snapshot is what a worker process is seeded with before running
-        its experiment cells, so demands already solved by the parent are
-        cache hits everywhere.
-        """
-        return dict(self._entries)
-
-    def merge_entries(self, entries) -> int:
-        """Insert entries solved elsewhere (e.g. by a pool worker).
-
-        Existing keys keep their current values (the solver is
-        deterministic, so they are equal anyway).  On a persistent cache the
-        new entries are written as one batch, like locally solved ones.
-        Returns the number of new entries inserted.
-        """
-        new: dict[tuple[str, str, str], float] = {}
-        for (fingerprint, demand_key, mask_key), value in entries.items():
-            key = (str(fingerprint), str(demand_key), str(mask_key))
-            if key not in self._entries:
-                new[key] = float(value)
-        self._store(list(new.items()))
-        return len(new)
 
     @staticmethod
     def _mask_key(path_mask: np.ndarray | None) -> str:

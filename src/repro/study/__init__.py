@@ -18,12 +18,11 @@ provenance and a lossless JSON round-trip.
 ... }).run()
 >>> print(results.to_table())
 
-Long grids are crash-safe and parallel: ``Study.run(checkpoint=path)``
-appends every finished cell to an on-disk :class:`StudyCheckpoint` and
+Long grids are crash-safe: ``Study.run(checkpoint=path)`` appends every
+finished cell to an on-disk :class:`StudyCheckpoint` and
 ``Study.resume(path)`` restarts an interrupted grid where it died (zero
-repeat trainings or LP solves for finished cells), while
-``Study.run(cell_workers=N)`` fans independent cells -- and distinct scheme
-trainings -- out over a process pool with bit-identical results.
+repeat trainings or LP solves for finished cells).  Cells run one at a time
+in the calling process.
 
 Above single studies sits the *suite* layer: a suite descriptor declares
 studies x seeds x repetitions x free-form annotations as one plain dict
@@ -38,8 +37,8 @@ aggregation with confidence intervals
 export (:meth:`~repro.study.warehouse.ResultWarehouse.export_csv`).
 
 Run a JSON study spec or suite descriptor from the shell with ``python -m
-repro.study doc.json`` (``--checkpoint`` / ``--resume`` / ``--cell-workers``
-/ ``--warehouse`` expose the same knobs); ``python -m repro.study query |
+repro.study doc.json`` (``--checkpoint`` / ``--resume`` / ``--warehouse``
+expose the same knobs); ``python -m repro.study query |
 export`` analyze a warehouse.
 
 For long-lived workloads the *study service* keeps the runner warm:

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.study doc.json [--out results.json] [--lp-workers auto]
-                                   [--cell-workers 4] [--warehouse wh.jsonl]
+                                   [--warehouse wh.jsonl]
                                    [--checkpoint run.ckpt [--resume]]
     python -m repro.study query wh.jsonl [--suite S] [--study T] [--seed N]
                                     [--scenario X] [--scheme Y] [--group-by cols]
@@ -50,7 +50,7 @@ import sys
 
 
 def _workers_type(value: str):
-    """Shared ``type=`` parser for ``--lp-workers`` / ``--cell-workers``.
+    """``type=`` parser for ``--lp-workers``.
 
     Turns bad input into a clean ``parser.error`` line instead of the raw
     ``ValueError`` traceback ``int(...)`` used to produce.  The accepted
@@ -93,13 +93,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """What the study runner takes besides its input file."""
     parser.add_argument("--out", help="write the full ResultSet JSON here")
     _add_engine_options(parser)
-    parser.add_argument(
-        "--cell-workers",
-        default=None,
-        type=_workers_type,
-        metavar="N",
-        help="process-pool width for cell-level parallelism ('auto' or a positive int)",
-    )
     parser.add_argument(
         "--checkpoint",
         metavar="PATH",
@@ -195,7 +188,6 @@ def _run_and_report(parser: argparse.ArgumentParser, args) -> int:
         parser.error(str(exc))
     run_kwargs = dict(
         engine=_engine_from(args),
-        cell_workers=args.cell_workers,
         warehouse=args.warehouse,
     )
     if args.resume:

@@ -193,7 +193,7 @@ def scenario_cache_key(scenario) -> str:
 _SCHEME_BUILDERS: dict[str, Callable] = {}
 
 
-def register_scheme(kind: str, overwrite: bool = False):
+def register_scheme(kind: str):
     """Register a TE-scheme builder under a spec ``kind`` name.
 
     The decorated builder is called as ``builder(path_set, *, cache=None,
@@ -203,15 +203,12 @@ def register_scheme(kind: str, overwrite: bool = False):
     it.
 
     Raises:
-        ValueError: If ``kind`` is already registered and ``overwrite`` is
-            not set.
+        ValueError: If ``kind`` is already registered.
     """
 
     def decorator(builder: Callable) -> Callable:
-        if kind in _SCHEME_BUILDERS and not overwrite:
-            raise ValueError(
-                f"scheme kind {kind!r} is already registered; pass overwrite=True to replace it"
-            )
+        if kind in _SCHEME_BUILDERS:
+            raise ValueError(f"scheme kind {kind!r} is already registered")
         _SCHEME_BUILDERS[kind] = builder
         return builder
 

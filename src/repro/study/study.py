@@ -17,9 +17,8 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
   re-running a study never repeats an LP solve (assert it with
   :func:`~repro.solvers.lp.count_lp_solves`).  Cold solves run on the
   solver, and over the pool width, that cache was built with.
-* **Cell groups** under ``cell_workers`` fan out through
-  :func:`repro.pool.fan_out`, the same pool and fallback path as the LP
-  batches; a group the pool hands back runs in-process.
+
+Cells run one at a time in this process, in spec order.
 
 Pass ``scheme_cache`` / ``scenario_cache`` dicts to share the first two
 dedup layers across studies in one process (the benchmark harness does).
@@ -30,7 +29,6 @@ so a sweep of trainings holds one model at a time instead of all of them.
 
 from __future__ import annotations
 
-import pickle
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Mapping
@@ -43,8 +41,6 @@ from repro.datasets.registry import Scenario
 from repro.evaluation.engine import EvaluationEngine, EvaluationResult, default_engine
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
-from repro.pool import HANDED_BACK, fan_out, resolve_workers
-from repro.solvers.lp import OptimalMLUCache
 from repro.study.results import ResultSet, StudyCheckpoint, StudyResult
 from repro.study.warehouse import ResultWarehouse
 from repro.study.spec import (
@@ -103,8 +99,6 @@ class StudyPlan:
         completed: Records already finished (loaded from a resumed
             checkpoint), keyed by cell index.
         engine: The resolved evaluation engine every cell runs through.
-        cell_workers: Resolved cell process-pool width (``None`` =
-            sequential).
         checkpoint: The checkpoint store finished cells append to (or
             ``None``).
         warehouse: The results warehouse finished cells append to (or
@@ -114,7 +108,6 @@ class StudyPlan:
     pending: list[tuple[int, "ExperimentSpec"]]
     completed: dict[int, StudyResult]
     engine: EvaluationEngine
-    cell_workers: int | None
     checkpoint: StudyCheckpoint | None
     warehouse: ResultWarehouse | None
 
@@ -127,64 +120,6 @@ class StudyPlan:
     def remaining(self) -> int:
         """Number of cells that still need to run."""
         return len(self.pending)
-
-
-def _run_cells_job(payload: tuple) -> tuple:
-    """Process-pool worker: run a group of cells sharing one scheme training.
-
-    The payload carries the (declarative, hence picklable) cells, a
-    snapshot of the parent's LP-cache entries, any schemes the parent had
-    already trained for this group, and whether the parent keeps trained
-    schemes (it shares its scheme cache with its caller).  The return value
-    carries the finished records plus everything the parent merges back:
-    LP-cache entries solved here and -- only for a parent that keeps them --
-    schemes trained here (both keyed exactly as the parent keys them, so the
-    merge is a dict update).  A parent that owns its scheme cache would drop
-    the group's schemes once the group's cells are done, so they are neither
-    pickled nor sent.
-
-    A failing *cell* is returned as data (the fourth element) rather than
-    raised, so the group's already-finished records still reach the parent
-    -- and its checkpoint -- before the error propagates, exactly like a
-    sequential run that dies mid-grid.
-    """
-    cells, cache_snapshot, pretrained, keep_schemes = payload
-    cache = OptimalMLUCache()
-    cache.merge_entries(cache_snapshot)
-    engine = EvaluationEngine(cache=cache)
-    study = Study(scheme_cache=dict(pretrained))
-    finished = []
-    error: Exception | None = None
-    error_index: int | None = None
-    for index, cell in cells:
-        try:
-            record = study._run_cell(cell, engine)
-        except Exception as exc:
-            try:
-                pickle.dumps(exc)
-                error = exc
-            except Exception:
-                error = RuntimeError(f"{type(exc).__name__}: {exc}")
-            error_index = index
-            break
-        record.result = None  # the live EvaluationResult stays in the worker
-        finished.append((index, record))
-    new_entries = {
-        key: value
-        for key, value in cache.entries_snapshot().items()
-        if key not in cache_snapshot
-    }
-    trained = {}
-    if keep_schemes:
-        for key, scheme in study._scheme_cache.items():
-            if key in pretrained:
-                continue
-            try:
-                pickle.dumps(scheme)
-            except Exception:  # exotic registered schemes just stay worker-local
-                continue
-            trained[key] = scheme
-    return finished, new_entries, trained, error, error_index
 
 
 @dataclass
@@ -310,7 +245,6 @@ class Study:
         self,
         engine: EvaluationEngine | None = None,
         checkpoint=None,
-        cell_workers: int | str | None = None,
         warehouse=None,
     ) -> ResultSet:
         """Execute every cell and collect the uniform result records.
@@ -326,19 +260,6 @@ class Study:
                 :meth:`resume` with zero repeat trainings or LP solves for
                 the cells already on disk.  The path must not already exist
                 -- resuming is explicit, never accidental.
-            cell_workers: Process-pool width for *cell-level* parallelism
-                (``"auto"`` derives one from the CPU count).  Declarative
-                cells are grouped by (scenario, scheme spec) -- one training
-                per distinct scheme spec, exactly as in sequential runs --
-                and the groups fan out over a process pool; per-worker
-                LP-cache entries (and, into a caller's ``scheme_cache``,
-                trained schemes) are merged back on return, so a follow-up
-                run repeats nothing.  Cells built from live objects (they
-                cannot cross a process boundary) run in-process.  So do the groups of a call whose pool
-                proves unusable (:mod:`repro.pool` counts the fallback
-                under ``"cells"`` and warns the first time; the next call
-                tries a fresh pool).  Results are bit-identical to
-                ``cell_workers=None`` in every case.
             warehouse: Optional path or :class:`~repro.study.warehouse.
                 ResultWarehouse` that every finished cell is appended to as
                 it completes (after the checkpoint append, with the same
@@ -349,14 +270,11 @@ class Study:
         Raises:
             FileExistsError: If ``checkpoint`` already exists (use
                 :meth:`resume` to continue it).
-            ValueError: If ``cell_workers`` is not ``None``, a positive int,
-                or ``"auto"``.
         """
         return self.execute(
             self.plan(
                 engine=engine,
                 checkpoint=checkpoint,
-                cell_workers=cell_workers,
                 warehouse=warehouse,
             )
         )
@@ -365,7 +283,6 @@ class Study:
         self,
         checkpoint,
         engine: EvaluationEngine | None = None,
-        cell_workers: int | str | None = None,
         warehouse=None,
     ) -> ResultSet:
         """Finish an interrupted checkpointed run (see :meth:`run`).
@@ -385,7 +302,7 @@ class Study:
         Args:
             checkpoint: Path of the checkpoint written by an earlier
                 ``run(checkpoint=...)`` / ``resume(...)``.
-            engine / cell_workers / warehouse: As in :meth:`run`.  Cells
+            engine / warehouse: As in :meth:`run`.  Cells
                 loaded from the checkpoint were appended to the warehouse by
                 the session that ran them, so they are not re-appended here;
                 a final :meth:`~repro.study.warehouse.ResultWarehouse.sync` pass
@@ -396,7 +313,6 @@ class Study:
             self.plan(
                 engine=engine,
                 checkpoint=checkpoint,
-                cell_workers=cell_workers,
                 warehouse=warehouse,
                 resume=True,
             )
@@ -470,7 +386,6 @@ class Study:
         self,
         engine: EvaluationEngine | None = None,
         checkpoint=None,
-        cell_workers: int | str | None = None,
         warehouse=None,
         resume: bool = False,
     ) -> StudyPlan:
@@ -478,14 +393,14 @@ class Study:
 
         The plan-build half of the orchestration loop: validate the
         checkpoint situation, match already-finished cells (when
-        ``resume=True``), resolve the engine and pool widths, and return an
+        ``resume=True``), resolve the engine, and return an
         inert :class:`StudyPlan` describing exactly what :meth:`execute`
         will do.  Nothing is trained, solved, or written here, so a
         scheduler (the study server's job queue, a test harness) can build
         plans eagerly and own the loop itself.
 
         Args:
-            engine / checkpoint / cell_workers / warehouse: As in :meth:`run`.
+            engine / checkpoint / warehouse: As in :meth:`run`.
             resume: When true, cells whose provenance already appears in the
                 (existing) checkpoint are loaded as completed instead of
                 pending -- :meth:`resume` semantics; a missing checkpoint
@@ -496,8 +411,7 @@ class Study:
         Raises:
             FileExistsError: If ``checkpoint`` exists and ``resume`` is
                 false.
-            ValueError: If ``resume`` is true without a ``checkpoint``, or
-                ``cell_workers`` is invalid.
+            ValueError: If ``resume`` is true without a ``checkpoint``.
         """
         completed: dict[int, StudyResult] = {}
         if checkpoint is not None:
@@ -515,7 +429,6 @@ class Study:
             raise ValueError("resume=True needs a checkpoint path to resume from")
         if engine is None:
             engine = default_engine()
-        cell_workers = resolve_workers(cell_workers)
         writer = StudyCheckpoint(checkpoint) if checkpoint is not None else None
         store = None
         if warehouse is not None:
@@ -533,7 +446,6 @@ class Study:
             pending=pending,
             completed=completed,
             engine=engine,
-            cell_workers=cell_workers,
             checkpoint=writer,
             warehouse=store,
         )
@@ -556,13 +468,12 @@ class Study:
             on_cell: Optional ``on_cell(index, record)`` callback invoked
                 after each newly finished cell is checkpointed/warehoused --
                 the study server streams records to its clients from here.
-                Called in completion order (spec order when sequential; pool
-                completion order under ``cell_workers``).
+                Called in spec order.
             should_stop: Optional zero-argument callable polled between
-                cells (and before a pooled fan-out).  When it returns true,
-                execution stops *cleanly*: everything finished so far is
-                already on disk, and :class:`StudyCancelled` is raised so
-                the caller knows the run is partial but resumable.
+                cells.  When it returns true, execution stops *cleanly*:
+                everything finished so far is already on disk, and
+                :class:`StudyCancelled` is raised so the caller knows the run
+                is partial but resumable.
 
         A study that owns its scheme cache (built without ``scheme_cache=``)
         drops each (scenario, scheme) pair's trained schemes and baseline
@@ -582,32 +493,14 @@ class Study:
             store.create()
         try:
             records: dict[int, StudyResult] = dict(plan.completed)
-            pending = list(plan.pending)
-            total = len(self.specs)
             remaining = (
-                Counter((cell.scenario_key, cell.scheme_key) for _, cell in pending)
+                Counter((cell.scenario_key, cell.scheme_key) for _, cell in plan.pending)
                 if self._owns_schemes
                 else None
             )
-
-            def _notify(index: int, record: StudyResult) -> None:
-                if writer is not None:
-                    writer.append(record)
-                if store is not None:
-                    store.append(record)
-                if on_cell is not None:
-                    on_cell(index, record)
-
-            cell_workers = plan.cell_workers
-            if cell_workers is not None and cell_workers > 1 and len(pending) > 1:
+            for index, cell in plan.pending:
                 if should_stop is not None and should_stop():
-                    raise StudyCancelled(len(records), total)
-                pending = self._run_pooled(
-                    pending, engine, cell_workers, records, _notify, remaining
-                )
-            for index, cell in pending:
-                if should_stop is not None and should_stop():
-                    raise StudyCancelled(len(records), total)
+                    raise StudyCancelled(len(records), len(self.specs))
                 try:
                     record = self._run_cell(cell, engine)
                 except Exception as exc:
@@ -618,8 +511,13 @@ class Study:
                         )
                     raise
                 records[index] = record
-                self._settle(remaining, (cell.scenario_key, cell.scheme_key), 1)
-                _notify(index, record)
+                self._settle(remaining, (cell.scenario_key, cell.scheme_key))
+                if writer is not None:
+                    writer.append(record)
+                if store is not None:
+                    store.append(record)
+                if on_cell is not None:
+                    on_cell(index, record)
             results = ResultSet(records[index] for index in range(len(self.specs)))
             if store is not None and plan.completed:
                 # Resumed cells were warehoused by the session that ran them --
@@ -635,8 +533,8 @@ class Study:
                 if held is not None:
                     held.close()
 
-    def _settle(self, remaining: Counter | None, pair: tuple[str, str], done: int) -> None:
-        """Count ``done`` finished cells of a (scenario, scheme) pair.
+    def _settle(self, remaining: Counter | None, pair: tuple[str, str]) -> None:
+        """Count one finished cell of a (scenario, scheme) pair.
 
         When the pair has no pending cell left, its trained schemes (every
         training segment) and baseline replays are dropped.  ``remaining``
@@ -645,130 +543,13 @@ class Study:
         """
         if remaining is None:
             return
-        remaining[pair] -= done
+        remaining[pair] -= 1
         if remaining[pair] > 0:
             return
         del remaining[pair]
         for cache in (self._scheme_cache, self._object_scheme_cache, self._baselines):
             for key in [key for key in cache if key[:2] == pair]:
                 del cache[key]
-
-    def _run_pooled(
-        self,
-        pending: list[tuple[int, ExperimentSpec]],
-        engine: EvaluationEngine,
-        cell_workers: int,
-        records: dict[int, StudyResult],
-        notify,
-        remaining: Counter | None,
-    ) -> list[tuple[int, ExperimentSpec]]:
-        """Fan pending cells out over a process pool.
-
-        Cells are grouped by (scenario, scheme spec) so a distinct scheme
-        spec trains exactly once -- in whichever worker owns its group --
-        while distinct specs train in parallel.  The known trade-off of this
-        grouping: on a *cold* LP cache, groups sharing a scenario each solve
-        that scenario's replay normalisers in their own worker (deduped only
-        at merge-back), so pooled cold runs do up to schemes-per-scenario
-        times the sequential LP work; with a warm snapshot -- the bench
-        harness, resumes, any second run -- there is no duplication.
-        Pre-solving normalisers in the parent would need the per-cell
-        perturbed demand streams, i.e. most of cell execution; grouping by
-        scenario instead would serialise the trainings.  Returns the cells
-        that must still run in-process: ones carrying live objects, plus
-        everything handed back by
-        pool-infrastructure failures (never cell failures, which propagate
-        after the surviving jobs are drained and checkpointed).  Trained
-        schemes come back only to a study that shares its scheme cache; one
-        that owns it would drop them at once (see :meth:`_settle`).
-        """
-        local: list[tuple[int, ExperimentSpec]] = []
-        groups: dict[tuple[str, str], list[tuple[int, ExperimentSpec]]] = {}
-        for index, cell in pending:
-            if self._reproducible(cell):
-                groups.setdefault(
-                    (cell.scenario_key, cell.scheme_key), []
-                ).append((index, cell))
-            else:
-                local.append((index, cell))
-        if not groups:
-            return local
-        snapshot = engine.cache.entries_snapshot()
-        # Ship each group only the cache entries of its own path set (keyed
-        # by fingerprint) instead of pickling the whole -- possibly huge --
-        # snapshot once per job.  Resolving the scenario context here builds
-        # each scenario once in the parent (the cheap dedup layer; training
-        # stays in the workers), which both reveals the fingerprint and
-        # pre-warms the caches the in-process leftovers use.
-        per_fingerprint: dict[str, dict] = {}
-
-        def _snapshot_for(cell: ExperimentSpec) -> dict:
-            ctx = self._context(cell)
-            if ctx.paths is None:
-                return snapshot
-            fingerprint = ctx.paths.fingerprint
-            filtered = per_fingerprint.get(fingerprint)
-            if filtered is None:
-                filtered = {
-                    key: value for key, value in snapshot.items() if key[0] == fingerprint
-                }
-                per_fingerprint[fingerprint] = filtered
-            return filtered
-
-        jobs = []
-        pairs = list(groups)
-        for (scenario_key, scheme_key), cells in groups.items():
-            pretrained = {}
-            for key, scheme in self._scheme_cache.items():
-                if key[0] != scenario_key or key[1] != scheme_key:
-                    continue
-                # Probe picklability up front: the probe re-serialises the
-                # weights once (cheap next to a training), and without it one
-                # exotic cached scheme would surface as a submit-time
-                # pickling error that falls back the *entire* pool.
-                try:
-                    pickle.dumps(scheme)
-                except Exception:
-                    continue  # worker retrains; still correct, just slower
-                pretrained[key] = scheme
-            jobs.append(
-                (cells, _snapshot_for(cells[0][1]), pretrained, not self._owns_schemes)
-            )
-        leftover = list(local)
-        first_error: Exception | None = None
-        for job_index, outcome in fan_out(
-            _run_cells_job, jobs, cell_workers, "cells", "study cell batch"
-        ):
-            cells = jobs[job_index][0]
-            if outcome is HANDED_BACK:
-                leftover.extend(cells)
-                continue
-            finished, new_entries, trained, cell_error, error_index = outcome
-            engine.cache.merge_entries(new_entries)
-            self._settle(remaining, pairs[job_index], len(finished))
-            for key, scheme in trained.items():
-                self._scheme_cache.setdefault(tuple(key), scheme)
-            for index, record in finished:
-                records[index] = record
-                notify(index, record)
-            if cell_error is not None and first_error is None:
-                # A *cell* failed; its group's finished records were still
-                # merged and checkpointed above.  Keep draining the other
-                # jobs, then raise -- with the same cell-identifying note
-                # the sequential path attaches.
-                if hasattr(cell_error, "add_note") and error_index is not None:
-                    failed = dict(cells).get(error_index)
-                    spec_note = (
-                        failed.provenance_key if failed is not None else "?"
-                    )
-                    cell_error.add_note(
-                        f"raised by study cell {error_index + 1}/{len(self.specs)} "
-                        f"(spec: {spec_note})"
-                    )
-                first_error = cell_error
-        if first_error is not None:
-            raise first_error
-        return sorted(leftover)
 
     # ------------------------------------------------------------------ #
     # Shared-work resolution (the dedup layers)

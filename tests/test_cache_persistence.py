@@ -103,13 +103,6 @@ class TestRoundTrip:
         assert OptimalMLUCache(path=cache_file).loaded == len(demands)
         cache.close()
 
-    def test_merged_entries_are_written_when_merged(self, cache_file):
-        cache = OptimalMLUCache(path=cache_file)
-        assert cache.merge_entries({("fp", "d1", ""): 1.5, ("fp", "d2", "m"): 2.5}) == 2
-        assert cache.merge_entries({("fp", "d1", ""): 9.0}) == 0  # known key
-        reloaded = OptimalMLUCache(path=cache_file)
-        assert reloaded.entries_snapshot() == {("fp", "d1", ""): 1.5, ("fp", "d2", "m"): 2.5}
-
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="kills a forked child (POSIX only)")
     def test_a_sigkilled_session_keeps_the_batch_it_solved(
         self, mesh4_paths, mesh4_traffic, cache_file

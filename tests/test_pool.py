@@ -1,13 +1,13 @@
 """The one process pool: who may open one, and what a fallback does.
 
-LP batches and study cells share :mod:`repro.pool`: its executors, its width
-rule and its one fallback path.  These tests drive that path with in-process
-fake executors (fast and deterministic): an executor whose construction is
+LP batches fan out through :mod:`repro.pool`: its executors, its width rule
+and its one fallback path.  These tests drive that path with in-process fake
+executors (fast and deterministic): an executor whose construction is
 denied, one whose pool breaks under a running job, and one that runs every
-job inline.  A fallback hands the pool's jobs back to the caller, which runs
-them in-process: the results are those of a sequential run, the label's
-counter goes up on every call, a warning fires on the first one only, and
-the next call tries a fresh pool.
+job inline.  A fallback runs the jobs the pool did not finish in-process:
+the results are those of a sequential run, the counter goes up on every
+call, a warning fires on the first one only, and the next call tries a
+fresh pool.
 """
 
 from __future__ import annotations
@@ -24,38 +24,8 @@ import pytest
 import repro
 from repro import pool as pool_module
 from repro.evaluation.engine import EvaluationEngine
+from repro.solvers import lp as lp_module
 from repro.solvers.lp import OptimalMLUCache, solve_mlu_lp_batch
-from repro.study import Study, StudyCheckpoint
-
-
-def _scenario(name: str) -> dict:
-    return {
-        "name": name,
-        "topology": {"kind": "fully_connected", "num_nodes": 4, "capacity": 10.0},
-        "traffic": {"kind": "datacenter", "level": "pod", "seed": 3, "num_intervals": 40},
-        "history_len": 3,
-    }
-
-
-def _grid_spec(name: str) -> dict:
-    """Three (scenario, scheme) groups -- three pool jobs -- of two cells each."""
-    return {
-        "scenario": _scenario(name),
-        "scheme": {"sweep": [
-            {"kind": "pred_te"},
-            {"kind": "omniscient"},
-            {"kind": "dote", "epochs": 1, "history_len": 3, "seed": 0},
-        ]},
-        "perturbation": {"sweep": [
-            {"kind": "none"},
-            {"kind": "fluctuation", "alpha": 0.5, "seed": 1},
-        ]},
-        "max_intervals": 3,
-    }
-
-
-def _engine() -> EvaluationEngine:
-    return EvaluationEngine(cache=OptimalMLUCache(workers=1))
 
 
 @pytest.fixture()
@@ -70,7 +40,7 @@ def fake_executor(monkeypatch):
     # to a later one, and each test starts with zero fallbacks (warn-once
     # state included).
     monkeypatch.setattr(pool_module, "_POOL_CACHE", {})
-    monkeypatch.setattr(pool_module, "_FALLBACKS", {})
+    monkeypatch.setattr(pool_module, "_FALLBACKS", 0)
     return install
 
 
@@ -106,6 +76,8 @@ class BreakingExecutor(InlineExecutor):
     """The first job finishes, the pool dies under the second, and shutting
     the dead pool down cancels every job still queued behind them."""
 
+    error: BaseException = BrokenProcessPool("a worker died abruptly")
+
     def __init__(self, max_workers):
         super().__init__(max_workers)
         self.futures: list[Future] = []
@@ -116,7 +88,7 @@ class BreakingExecutor(InlineExecutor):
         else:
             future = Future()
             if len(self.futures) == 1:
-                future.set_exception(BrokenProcessPool("a worker died abruptly"))
+                future.set_exception(self.error)
         self.futures.append(future)
         return future
 
@@ -196,113 +168,165 @@ def test_the_pool_module_is_a_leaf():
     ]
 
 
-class TestFallbackRetriesPerCall:
-    """A denied pool is retried on every call; only the first call warns."""
-
-    def test_lp_batches(self, fake_executor, mesh4_paths, rng):
-        fake_executor(SpawnDenied).attempts = 0
-        demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
-        sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for call in range(1, 4):
-                pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
-                assert SpawnDenied.attempts == call
-                assert pool_module.fallbacks("lp") == call
-                assert pooled.tobytes() == sequential.tobytes()
-        [warning] = _pool_warnings(caught)
-        message = str(warning.message)
-        assert "process-pool LP batch failed" in message
-        assert "next call tries a fresh pool" in message
-        assert "from now on" not in message
-        assert pool_module.fallbacks("cells") == 0
-
-    def test_study_cells(self, fake_executor):
-        fake_executor(SpawnDenied).attempts = 0
-        spec = _grid_spec("pool_retry")
-        sequential = Study(spec).run(engine=_engine()).to_json()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for call in range(1, 3):
-                pooled = Study(spec).run(engine=_engine(), cell_workers=2)
-                assert SpawnDenied.attempts == call
-                assert pool_module.fallbacks("cells") == call
-                assert pooled.to_json() == sequential
-        [warning] = _pool_warnings(caught)
-        assert "process-pool study cell batch failed" in str(warning.message)
-        assert pool_module.fallbacks("lp") == 0
+def test_a_denied_pool_is_retried_on_every_call_and_warns_once(
+    fake_executor, mesh4_paths, rng
+):
+    fake_executor(SpawnDenied).attempts = 0
+    demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+    sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for call in range(1, 4):
+            pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
+            assert SpawnDenied.attempts == call
+            assert pool_module.fallbacks() == call
+            assert pooled.tobytes() == sequential.tobytes()
+    [warning] = _pool_warnings(caught)
+    message = str(warning.message)
+    assert "process-pool LP batch failed" in message
+    assert "next call tries a fresh pool" in message
+    assert "from now on" not in message
 
 
-class TestCellPoolFallback:
-    def test_spawn_denied_at_construction_runs_the_grid_in_process(self, fake_executor):
-        fake_executor(SpawnDenied)
-        spec = _grid_spec("pool_denied")
-        sequential = Study(spec).run(engine=_engine())
-        with pytest.warns(RuntimeWarning, match="study cell batch failed") as caught:
-            pooled = Study(spec).run(engine=_engine(), cell_workers=2)
-        assert len(_pool_warnings(caught)) == 1
-        assert pooled.to_json() == sequential.to_json()
+def test_broken_pool_hands_its_chunks_back_bit_identically(fake_executor, mesh4_paths, rng):
+    executors: list[BreakingExecutor] = []
 
-    def test_broken_pool_hands_its_groups_back_bit_identically(self, fake_executor):
-        executors: list[BreakingExecutor] = []
+    class Recorded(BreakingExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            executors.append(self)
 
-        class Recorded(BreakingExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                executors.append(self)
-
-        fake_executor(Recorded)
-        spec = _grid_spec("pool_broken")
-        sequential = Study(spec).run(engine=_engine())
-        with pytest.warns(RuntimeWarning, match="BrokenProcessPool") as caught:
-            pooled = Study(spec).run(engine=_engine(), cell_workers=2)
-        assert len(_pool_warnings(caught)) == 1
-        [executor] = executors
-        first, broken, *queued = executor.futures
-        assert first.done() and not first.cancelled()
-        assert isinstance(broken.exception(), BrokenProcessPool)
-        assert queued and all(future.cancelled() for future in queued)
-        assert pool_module.fallbacks("cells") == 1
-        assert pooled.to_json() == sequential.to_json()
-
-    def test_failing_cell_keeps_other_groups_records_then_raises_noted(
-        self, fake_executor, tmp_path
-    ):
-        fake_executor(InlineExecutor)
-        study = Study({
-            "scenario": _scenario("pool_cell_error"),
-            "scheme": {"sweep": [{"kind": "pred_te"}, {"kind": "omniscient"}]},
-            "max_intervals": 3,
-        })
-        # Failure cells need the batched protocol: streaming one is rejected
-        # when the cell runs, i.e. inside the pool's job.
-        study.add({
-            "scenario": _scenario("pool_cell_error"),
-            "scheme": {"kind": "dote", "epochs": 1, "history_len": 3, "seed": 0},
-            "perturbation": {"kind": "failure", "num_failures": 1, "num_trials": 1},
-            "streaming": True,
-            "max_intervals": 3,
-        })
-        checkpoint = tmp_path / "cells.ckpt"
-        with pytest.raises(ValueError, match="batched failure protocol") as excinfo:
-            study.run(engine=_engine(), checkpoint=checkpoint, cell_workers=2)
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert any(note.startswith("raised by study cell 3/3") for note in notes)
-        saved = StudyCheckpoint(checkpoint).load()
-        assert sorted(record.scheme for record in saved) == sorted(
-            record.scheme for record in Study(study.specs[:2]).run(engine=_engine())
-        )
-        assert pool_module.fallbacks("cells") == 0
+    fake_executor(Recorded)
+    demands = rng.random((8, mesh4_paths.num_sd_pairs)) + 0.1
+    sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1)
+    with pytest.warns(RuntimeWarning, match="BrokenProcessPool") as caught:
+        pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=4)
+    assert len(_pool_warnings(caught)) == 1
+    [executor] = executors
+    first, broken, *queued = executor.futures
+    assert first.done() and not first.cancelled()
+    assert isinstance(broken.exception(), BrokenProcessPool)
+    assert len(queued) == 2 and all(future.cancelled() for future in queued)
+    assert pool_module.fallbacks() == 1
+    assert pooled.tobytes() == sequential.tobytes()
 
 
-def test_fan_out_yields_every_job_once_and_propagates_job_errors(fake_executor):
+def test_explicit_width_one_never_opens_a_pool(monkeypatch, mesh4_paths, rng):
+    def no_pool(workers):
+        raise AssertionError(f"LP pool of width {workers} opened under an explicit 1")
+
+    monkeypatch.setattr(pool_module, "_pool", no_pool)
+    demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+    engine = EvaluationEngine(cache=OptimalMLUCache(workers=1))
+    assert engine.optimal_mlus(mesh4_paths, demands).shape == (4,)
+
+
+def test_fan_out_returns_results_in_job_order_and_propagates_job_errors(fake_executor):
     fake_executor(InlineExecutor)
-    results = dict(pool_module.fan_out(np.sqrt, [4.0, 9.0], 2, "test", "test batch"))
-    assert results == {0: 2.0, 1: 3.0}
+    assert pool_module.fan_out(np.sqrt, [4.0, 9.0], 2) == [2.0, 3.0]
 
     def boom(job):
         raise LookupError(job)
 
     with pytest.raises(LookupError):
-        list(pool_module.fan_out(boom, [1], 2, "test", "test batch"))
-    assert pool_module.fallbacks("test") == 0
+        pool_module.fan_out(boom, [1], 2)
+    assert pool_module.fallbacks() == 0
+
+
+@pytest.mark.parametrize("error", pool_module.POOL_ERRORS, ids=lambda error: error.__name__)
+def test_each_pool_error_at_construction_runs_the_batch_in_process(
+    fake_executor, mesh4_paths, rng, error
+):
+    class Denied:
+        def __init__(self, max_workers):
+            raise error("the pool cannot start")
+
+    fake_executor(Denied)
+    demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+    sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1)
+    with pytest.warns(RuntimeWarning, match=error.__name__):
+        pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
+    assert pool_module.fallbacks() == 1
+    assert pooled.tobytes() == sequential.tobytes()
+
+
+@pytest.mark.parametrize("error", pool_module.POOL_ERRORS, ids=lambda error: error.__name__)
+def test_each_pool_error_under_a_job_hands_the_lost_chunks_back(
+    fake_executor, mesh4_paths, rng, error
+):
+    executors: list[BreakingExecutor] = []
+
+    class Recorded(BreakingExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.error = error("the result did not come back")
+            executors.append(self)
+
+    fake_executor(Recorded)
+    demands = rng.random((6, mesh4_paths.num_sd_pairs)) + 0.1
+    sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1)
+    with pytest.warns(RuntimeWarning, match=error.__name__):
+        pooled = solve_mlu_lp_batch(mesh4_paths, demands, workers=3)
+    [executor] = executors
+    assert [future.cancelled() for future in executor.futures] == [False, False, True]
+    assert pool_module.fallbacks() == 1
+    assert pooled.tobytes() == sequential.tobytes()
+
+
+def test_the_call_after_a_broken_pool_opens_a_fresh_one(fake_executor, mesh4_paths, rng):
+    built: list[type] = []
+
+    class BreaksOnce(BreakingExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            built.append(type(self))
+            fake_executor(InlineExecutor)  # whatever opens next works
+
+    fake_executor(BreaksOnce)
+    demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+    sequential = solve_mlu_lp_batch(mesh4_paths, demands, workers=1)
+    with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
+        first = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
+    assert built == [BreaksOnce] and pool_module._POOL_CACHE == {}
+    second = solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
+    assert isinstance(pool_module._POOL_CACHE[2], InlineExecutor)
+    assert pool_module.fallbacks() == 1
+    assert first.tobytes() == second.tobytes() == sequential.tobytes()
+
+
+def test_a_chunk_that_fails_raises_and_is_not_a_fallback(
+    fake_executor, monkeypatch, mesh4_paths, rng
+):
+    fake_executor(InlineExecutor)
+
+    def failing_chunk(job):
+        raise LookupError("the chunk failed")
+
+    monkeypatch.setattr(lp_module, "_solve_batch_chunk", failing_chunk)
+    demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LookupError, match="the chunk failed"):
+            solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
+    assert pool_module.fallbacks() == 0
+
+
+def test_a_chunk_error_that_looks_like_a_pool_error_raises_again_in_process(
+    fake_executor, monkeypatch, mesh4_paths, rng
+):
+    # A TypeError may be a job that did not pickle, so the pool's run counts
+    # as a fallback; the in-process run then raises the genuine error.
+    fake_executor(InlineExecutor)
+    calls = []
+
+    def failing_chunk(job):
+        calls.append(job)
+        raise TypeError("the chunk failed")
+
+    monkeypatch.setattr(lp_module, "_solve_batch_chunk", failing_chunk)
+    demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
+    with pytest.warns(RuntimeWarning, match="process-pool LP batch failed"):
+        with pytest.raises(TypeError, match="the chunk failed"):
+            solve_mlu_lp_batch(mesh4_paths, demands, workers=2)
+    assert pool_module.fallbacks() == 1
+    assert len(calls) == 3  # both chunks in the pool, the first again in-process

@@ -209,7 +209,7 @@ class TestProcessPoolFallback:
         # earlier test must not serve this batch, and the exploding pool
         # must not leak to later tests.
         monkeypatch.setattr(pool_module, "_POOL_CACHE", {})
-        monkeypatch.setattr(pool_module, "_FALLBACKS", {})
+        monkeypatch.setattr(pool_module, "_FALLBACKS", 0)
         return pool_module
 
     def test_fallback_warns_once_and_matches_sequential(

@@ -59,7 +59,7 @@ def durable_calls(monkeypatch):
 
 def _cache_first_write_on_a_new_file(tmp_path):
     cache = OptimalMLUCache(path=tmp_path / "cache.jsonl")
-    return lambda: cache.merge_entries({("fp", "demand", ""): 1.5})
+    return lambda: cache._store([(("fp", "demand", ""), 1.5)])
 
 
 def _store_compaction(tmp_path):

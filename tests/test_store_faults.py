@@ -288,13 +288,13 @@ class _Records:
 
 
 class _Normalisers:
-    """Merges numbered entries into a persistent LP cache; counts what loads."""
+    """Stores numbered entries in a persistent LP cache; counts what loads."""
 
     def __init__(self, path):
         self.cache = OptimalMLUCache(path=path)
 
     def write(self, number: int) -> None:
-        self.cache.merge_entries({("fp", f"demand{number}", ""): float(number)})
+        self.cache._store([(("fp", f"demand{number}", ""), float(number))])
 
     def loaded(self) -> int:
         return OptimalMLUCache(path=self.cache.path).loaded

@@ -351,15 +351,15 @@ class TestStreamingCacheConsistency:
 
         widths = []
 
-        def recording_fan_out(fn, jobs, workers, label, what):
+        def recording_fan_out(fn, jobs, workers):
             widths.append(workers)
-            return pool.fan_out(fn, jobs, workers, label, what)
+            return pool.fan_out(fn, jobs, workers)
 
         monkeypatch.setattr(lp, "fan_out", recording_fan_out)
-        fallbacks = pool.fallbacks("lp")
+        fallbacks = pool.fallbacks()
         make_engine().evaluate_streaming(trained_dote, mesh4_traffic[:20], HISTORY, chunk_size=4)
         assert widths == ([] if lp_workers is None else [lp_workers] * 4)
-        assert pool.fallbacks("lp") == fallbacks
+        assert pool.fallbacks() == fallbacks
 
     def test_streaming_primes_cache_for_batch_replay(
         self, make_engine, mesh4_paths, mesh4_traffic

@@ -25,8 +25,8 @@ from repro.datasets import (
     from_config,
     load,
     register_scenario,
-    unregister_scenario,
 )
+from repro.datasets import registry
 from repro.core import Figret, TrainingConfig
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers import DesensitizationTE, FaultAwareDesensitizationTE, PredictionBasedTE
@@ -201,21 +201,29 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError, match="unknown key.*'topology'"):
             from_config(config)
 
-    def test_register_scenario_roundtrip(self):
+    def test_register_scenario_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(registry, "_BUILDERS", dict(registry._BUILDERS))
+
         @register_scenario("unit_test_scenario")
         def _build(seed, num_intervals):
             return from_config(_tiny_config("unit_test_scenario", seed, num_intervals or 40))
 
-        try:
-            assert "unit_test_scenario" in available_scenarios()
-            scenario = load("unit_test_scenario", seed=9, num_intervals=25)
-            assert len(scenario.traffic) == 25
-            with pytest.raises(ValueError, match="already registered"):
-                register_scenario("unit_test_scenario")(_build)
-            register_scenario("unit_test_scenario", overwrite=True)(_build)
-        finally:
-            unregister_scenario("unit_test_scenario")
-        assert "unit_test_scenario" not in available_scenarios()
+        assert "unit_test_scenario" in available_scenarios()
+        scenario = load("unit_test_scenario", seed=9, num_intervals=25)
+        assert len(scenario.traffic) == 25
+        with pytest.raises(ValueError, match="already registered"):
+            register_scenario("unit_test_scenario")(_build)
+        with pytest.raises(ValueError, match="already registered"):
+            register_scenario("geant_small")(_build)
+
+
+    def test_a_taken_scenario_name_has_no_overwrite(self):
+        import repro.datasets
+
+        with pytest.raises(TypeError, match="overwrite"):
+            register_scenario("geant_small", overwrite=True)
+        assert not hasattr(repro.datasets, "unregister_scenario")
+        assert "geant_small" in available_scenarios()
 
 
 class TestSchemeRegistry:
@@ -225,18 +233,25 @@ class TestSchemeRegistry:
                      "oblivious", "cope", "omniscient"):
             assert kind in kinds
 
-    def test_duplicate_registration_rejected(self):
+    def test_duplicate_registration_rejected(self, monkeypatch):
+        from repro.study import spec as spec_module
+
+        monkeypatch.setattr(spec_module, "_SCHEME_BUILDERS", dict(spec_module._SCHEME_BUILDERS))
+
         @register_scheme("unit_test_scheme")
         def _build(path_set, *, cache=None, **params):
             raise NotImplementedError
 
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_scheme("unit_test_scheme")(_build)
-        finally:
-            from repro.study.spec import _SCHEME_BUILDERS
+        assert "unit_test_scheme" in available_schemes()
+        with pytest.raises(ValueError, match="already registered"):
+            register_scheme("unit_test_scheme")(_build)
+        with pytest.raises(ValueError, match="already registered"):
+            register_scheme("figret")(_build)
 
-            _SCHEME_BUILDERS.pop("unit_test_scheme", None)
+    def test_a_taken_scheme_kind_has_no_overwrite(self):
+        with pytest.raises(TypeError, match="overwrite"):
+            register_scheme("figret", overwrite=True)
+        assert "figret" in available_schemes()
 
     def test_build_scheme_unknown_kind(self, mesh4_paths):
         with pytest.raises(ValueError, match="unknown scheme kind"):
@@ -266,15 +281,15 @@ SCHEME_SPECS = (
 
 @pytest.fixture(scope="module")
 def grid_scenarios():
-    for index, name in enumerate(SCENARIO_NAMES):
-        register_scenario(name)(
-            lambda seed, num_intervals, _i=index, _n=name: from_config(
-                _tiny_config(_n, seed=seed + _i, num_intervals=num_intervals or 40)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registry, "_BUILDERS", dict(registry._BUILDERS))
+        for index, name in enumerate(SCENARIO_NAMES):
+            register_scenario(name)(
+                lambda seed, num_intervals, _i=index, _n=name: from_config(
+                    _tiny_config(_n, seed=seed + _i, num_intervals=num_intervals or 40)
+                )
             )
-        )
-    yield SCENARIO_NAMES
-    for name in SCENARIO_NAMES:
-        unregister_scenario(name)
+        yield SCENARIO_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +669,26 @@ class TestStudyBehaviour:
                 num_trials=1, fault_aware_names=(scheme.name,),
             )
 
+    def test_a_study_opens_no_process_pool(self, monkeypatch, grid_scenarios):
+        # Cells run in turn in this process, and a default engine's LP cache
+        # solves in-process too: nothing may build an executor.
+        from repro import pool as pool_module
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a process pool of width {max_workers} was opened")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pool_module, "_POOL_CACHE", {})
+        spec = {
+            "scenario": {"name": grid_scenarios[0], "seed": 2},
+            "scheme": {"sweep": [dict(SCHEME_SPECS[1]), {"kind": "pred_te"}]},
+            "max_intervals": 3,
+        }
+        fallbacks = pool_module.fallbacks()
+        results = Study(spec).run(engine=EvaluationEngine())
+        assert len(results) == 2
+        assert pool_module.fallbacks() == fallbacks
+
     def test_study_rejects_unknown_spec_type(self):
         with pytest.raises(TypeError, match="Study accepts"):
             Study(42)
@@ -760,18 +795,6 @@ class TestSchemeRelease:
         assert owned.to_json() == shared.to_json()
         assert (tmp_path / "own.ckpt").read_bytes() == (tmp_path / "ext.ckpt").read_bytes()
 
-    def test_pooled_run_releases_after_merge_back(self, monkeypatch):
-        sequential = Study(self._spec()).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
-        study = Study(self._spec())
-        # A scheme trained before the run ships to its group's worker; the
-        # parent's copy goes once that group has merged back.
-        pretrained = weakref.ref(study.trained_scheme(study.specs[0]))
-        pooled = study.run(engine=EvaluationEngine(cache=OptimalMLUCache()), cell_workers=2)
-        gc.collect()
-        assert pretrained() is None
-        assert study._scheme_cache == {} and study._baselines == {}
-        assert pooled.to_json() == sequential.to_json()
-
     def test_resume_never_trains_a_completed_scheme(self, monkeypatch, tmp_path):
         checkpoint = tmp_path / "resume.ckpt"
         first = Study(self._spec())
@@ -792,64 +815,6 @@ class TestSchemeRelease:
         assert resumed.to_json() == uninterrupted.to_json()
 
 
-class TestCellPool:
-    """What crosses the cell pool's process boundary: names, a width of 1, and
-    trained schemes only for a parent that keeps them."""
-
-    @staticmethod
-    def _spec():
-        return {
-            "scenario": _tiny_config("cell_pool_mesh"),
-            "scheme": {"sweep": [
-                {"kind": "dote", "epochs": 1, "history_len": 3, "seed": 0},
-                {"kind": "pred_te"},
-            ]},
-            "max_intervals": 3,
-        }
-
-    def test_explicit_width_one_never_opens_a_pool(self, monkeypatch, mesh4_paths, rng):
-        from repro import pool as pool_module
-        from repro.study.study import _run_cells_job
-
-        def no_pool(workers):
-            raise AssertionError(f"LP pool of width {workers} opened under an explicit 1")
-
-        monkeypatch.setattr(pool_module, "_pool", no_pool)
-        demands = rng.random((4, mesh4_paths.num_sd_pairs)) + 0.1
-        engine = EvaluationEngine(cache=OptimalMLUCache(workers=1))
-        assert engine.optimal_mlus(mesh4_paths, demands).shape == (4,)
-        # The cell-pool worker, run here in-process: trainings and replays.
-        cells = list(enumerate(Study(self._spec()).specs))
-        finished, new_entries, _, error, _ = _run_cells_job((cells, {}, {}, False))
-        assert error is None
-        assert len(finished) == len(cells) and new_entries
-
-    def test_only_a_parent_that_keeps_schemes_gets_them_back(self, monkeypatch):
-        from repro.pool import HANDED_BACK
-        from repro.study import study as study_module
-
-        real_fan_out = study_module.fan_out
-        returned = []
-
-        def recording_fan_out(*args):
-            for job_index, outcome in real_fan_out(*args):
-                assert outcome is not HANDED_BACK
-                returned.append(outcome[2])
-                yield job_index, outcome
-
-        monkeypatch.setattr(study_module, "fan_out", recording_fan_out)
-        owned = Study(self._spec()).run(engine=EvaluationEngine(), cell_workers=2)
-        # Its trained schemes would be dropped on arrival: none is sent.
-        assert returned == [{}, {}]
-        returned.clear()
-        kept: dict = {}
-        shared = Study(self._spec(), scheme_cache=kept).run(
-            engine=EvaluationEngine(), cell_workers=2
-        )
-        assert len(returned) == 2 and sum(map(len, returned)) == len(kept) > 0
-        assert owned.to_json() == shared.to_json()
-
-
 class TestStudyCLI:
     def test_cli_runs_spec_and_writes_results(self, tmp_path, grid_scenarios, capsys):
         spec = {
@@ -867,17 +832,17 @@ class TestStudyCLI:
         assert [record.scheme for record in restored] == ["FIGRET", "DOTE"]
 
     def test_unknown_backend_is_a_usage_error(self, capsys):
-        """Neither the forward pass nor the LP solver is selectable, and the
-        daemon runs its jobs' cells in order: ``--backend``, ``--lp-backend``
-        and ``serve --cell-workers`` are not flags, so argparse exits 2
-        before anything runs (the spec file is never opened)."""
+        """Neither the forward pass nor the LP solver is selectable, and
+        studies run their cells in order: ``--backend``, ``--lp-backend`` and
+        ``--cell-workers`` are not flags, so argparse exits 2 before anything
+        runs (the spec file is never opened)."""
         serve = ["serve", "--socket", "s.sock"]
         cases = [
             (command, flag, value)
             for command in (["spec.json"], serve)
             for flag, value in (("--lp-backend", "nope"), ("--backend", "numpy"))
         ]
-        cases.append((serve, "--cell-workers", "2"))
+        cases += [(command, "--cell-workers", "2") for command in (["spec.json"], serve)]
         for command, flag, value in cases:
             with pytest.raises(SystemExit) as excinfo:
                 study_cli([*command, flag, value])

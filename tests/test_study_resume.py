@@ -1,4 +1,4 @@
-"""Crash-safe studies: checkpointing, resume, and cell-level parallelism.
+"""Crash-safe studies: checkpointing and resume.
 
 The acceptance contract pinned here:
 
@@ -6,15 +6,11 @@ The acceptance contract pinned here:
   ``Study.resume(path)`` produces a ResultSet bit-identical (same
   ``to_json``) to an uninterrupted run, with zero repeat trainings and zero
   repeat LP solves for the already-checkpointed cells;
-* ``cell_workers=2`` matches ``cell_workers=None`` bit-identically on the
-  3 x 3 x 2 acceptance grid, with the workers' LP-cache entries and trained
-  schemes merged back into the parent;
 * a corrupt checkpoint fails with a clear error naming the file, while a
   partially appended trailing record (crash mid-write) is dropped with a
   warning and its cell simply re-runs.
 
-Scenarios here are inline config dicts (no registry entries), so worker
-processes can rebuild them regardless of the multiprocessing start method.
+Scenarios here are inline config dicts (no registry entries).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from repro.study import (
     register_scheme,
 )
 from repro.study.__main__ import main as study_cli
-from repro.study.spec import _SCHEME_BUILDERS
+from repro.study import spec as spec_module
 
 
 def scenario_config(name: str, seed: int) -> dict:
@@ -67,16 +63,6 @@ SCHEME_SPECS = (
 PERTURBATIONS = ({"kind": "none"}, {"kind": "fluctuation", "alpha": 0.5, "seed": 1})
 
 
-def acceptance_grid_spec() -> dict:
-    """The 3 x 3 x 2 acceptance grid over inline-config scenarios."""
-    return {
-        "scenario": {"sweep": [scenario_config(f"resume_grid_{i}", i) for i in (1, 2, 3)]},
-        "scheme": {"sweep": list(SCHEME_SPECS)},
-        "perturbation": {"sweep": list(PERTURBATIONS)},
-        "max_intervals": 4,
-    }
-
-
 def small_grid_spec() -> dict:
     """A 3-scenario x 1-scheme x 2-perturbation grid (6 cells, cheap)."""
     return {
@@ -95,9 +81,10 @@ def fresh_engine() -> EvaluationEngine:
 # Interrupt / resume
 # --------------------------------------------------------------------------- #
 @pytest.fixture
-def counting_builder():
+def counting_builder(monkeypatch):
     """A registered scheme kind whose builder counts builds and can be told
     to raise -- the injection point for 'the process died mid-grid'."""
+    monkeypatch.setattr(spec_module, "_SCHEME_BUILDERS", dict(spec_module._SCHEME_BUILDERS))
     state = {"builds": 0, "fail_after": None}
 
     @register_scheme("resume_stub")
@@ -116,8 +103,7 @@ def counting_builder():
             cache=cache,
         )
 
-    yield state
-    _SCHEME_BUILDERS.pop("resume_stub", None)
+    return state
 
 
 class TestInterruptResume:
@@ -216,6 +202,21 @@ class TestInterruptResume:
         with pytest.warns(RuntimeWarning, match="matches no cell"):
             results = Study(narrower).resume(checkpoint, engine=fresh_engine())
         assert len(results) == 1
+
+    def test_resume_onto_touched_empty_file_stays_loadable(self, tmp_path):
+        spec = {
+            "scenario": scenario_config("resume_touch", 4),
+            "scheme": dict(SCHEME_SPECS[1]),
+            "max_intervals": 3,
+        }
+        checkpoint = tmp_path / "touched.ckpt"
+        checkpoint.touch()  # pre-existing but empty (no header yet)
+        results = Study(spec).resume(checkpoint, engine=fresh_engine())
+        assert len(results) == 1
+        # The file gained its header, so later loads and resumes work.
+        assert len(StudyCheckpoint(checkpoint).load()) == 1
+        again = Study(spec).resume(checkpoint, engine=fresh_engine())
+        assert again.to_json() == results.to_json()
 
 
 class TestCheckpointFile:
@@ -316,86 +317,13 @@ class TestResultSetPersistence:
 
 
 # --------------------------------------------------------------------------- #
-# Cell-level process pool
+# Failing cells
 # --------------------------------------------------------------------------- #
-class TestCellWorkers:
-    def test_acceptance_grid_bit_identical_and_merged_back(self):
-        spec = acceptance_grid_spec()
-        sequential = Study(spec).run(engine=fresh_engine())
-
-        engine = fresh_engine()
-        scheme_cache: dict = {}
-        pooled = Study(spec, scheme_cache=scheme_cache).run(
-            engine=engine, cell_workers=2
-        )
-        assert pooled.to_json() == sequential.to_json()
-
-        # Trained schemes came back from the workers: one per scenario x
-        # scheme spec, ready for reuse without retraining.
-        assert len(scheme_cache) == 9
-
-        # The workers' LP-cache entries were merged into the parent engine:
-        # re-running the whole grid sequentially on it solves nothing.
-        with count_lp_solves() as tally:
-            rerun = Study(spec, scheme_cache=scheme_cache).run(engine=engine)
-        assert tally.count == 0
-        assert rerun.to_json() == sequential.to_json()
-
-    def test_pool_runs_with_checkpoint_and_resumes(self, tmp_path):
-        spec = small_grid_spec()
-        checkpoint = tmp_path / "pooled.ckpt"
-        pooled = Study(spec).run(
-            engine=fresh_engine(), checkpoint=checkpoint, cell_workers=2
-        )
-        assert len(StudyCheckpoint(checkpoint).load()) == 6
-        resumed = Study(spec).resume(checkpoint, engine=fresh_engine())
-        assert resumed.to_json() == pooled.to_json()
-
-    def test_live_object_cells_run_in_parent(self):
-        from repro.solvers import PredictionBasedTE
-
-        sequence_spec = {
-            "scenario": scenario_config("resume_live", 4),
-            "scheme": dict(SCHEME_SPECS[1]),
-            "max_intervals": 3,
-        }
-        live_cell = ExperimentSpec(
-            scenario=scenario_config("resume_live", 4),
-            scheme=PredictionBasedTE(
-                Study().scenario(scenario_config("resume_live", 4)).paths
-            ),
-            max_intervals=3,
-        )
-        # A live scheme instance cannot cross the pool boundary; the study
-        # must still complete the grid (that cell runs in-process).
-        study = Study(sequence_spec)
-        study.add(live_cell)
-        results = study.run(engine=fresh_engine(), cell_workers=2)
-        assert len(results) == 2
-        assert {record.scheme for record in results} == {"DOTE", "Pred TE (last)"}
-
-    def test_cell_error_in_worker_propagates(self):
-        # streaming=True is fine for the plain-replay cell but a spec error
-        # for the failure cell, raised inside the worker's run loop.
-        spec = {
-            "scenario": scenario_config("resume_err", 4),
-            "scheme": dict(SCHEME_SPECS[1]),
-            "perturbation": {"sweep": [
-                {"kind": "none"},
-                {"kind": "failure", "num_failures": 1, "num_trials": 1},
-            ]},
-            "streaming": True,
-            "max_intervals": 3,
-        }
-        with pytest.raises(ValueError, match="batched failure protocol"):
-            Study(spec).run(engine=fresh_engine(), cell_workers=2)
-
-    def test_worker_cell_failure_keeps_groups_finished_cells(self, tmp_path):
-        # Cells 1 (streaming replay, fine) and 2 (failure + streaming,
-        # rejected at run time) share one (scenario, scheme) group, i.e. one
-        # pool job.  The crash-safety contract says cell 1's finished record
-        # must still reach the checkpoint before cell 2's error propagates
-        # -- exactly like a sequential run dying mid-grid.
+class TestFailingCell:
+    def test_failing_cell_keeps_finished_cells_checkpointed(self, tmp_path):
+        # Cell 1 (streaming replay) is fine; cell 2 (failure + streaming) is
+        # rejected at run time.  Cell 1's record reaches the checkpoint before
+        # cell 2's error propagates, with the cell-identifying note.
         spec = {
             "scenario": scenario_config("resume_partial_group", 4),
             "scheme": dict(SCHEME_SPECS[1]),
@@ -407,27 +335,15 @@ class TestCellWorkers:
             "max_intervals": 3,
         }
         checkpoint = tmp_path / "group.ckpt"
-        with pytest.raises(ValueError, match="batched failure protocol"):
-            Study(spec).run(engine=fresh_engine(), checkpoint=checkpoint, cell_workers=2)
+        with pytest.raises(ValueError, match="batched failure protocol") as excinfo:
+            Study(spec).run(engine=fresh_engine(), checkpoint=checkpoint)
+        assert any(
+            note.startswith("raised by study cell 2/2")
+            for note in getattr(excinfo.value, "__notes__", [])
+        )
         saved = StudyCheckpoint(checkpoint).load()
         assert len(saved) == 1
         assert saved[0].experiment == "replay"
-
-    def test_resume_onto_touched_empty_file_stays_loadable(self, tmp_path):
-        spec = {
-            "scenario": scenario_config("resume_touch", 4),
-            "scheme": dict(SCHEME_SPECS[1]),
-            "max_intervals": 3,
-        }
-        checkpoint = tmp_path / "touched.ckpt"
-        checkpoint.touch()  # pre-existing but empty (no header yet)
-        results = Study(spec).resume(checkpoint, engine=fresh_engine())
-        assert len(results) == 1
-        # The file gained its header, so later loads and resumes work.
-        assert len(StudyCheckpoint(checkpoint).load()) == 1
-        again = Study(spec).resume(checkpoint, engine=fresh_engine())
-        assert again.to_json() == results.to_json()
-
 
 class TestWorkerValidation:
     @pytest.mark.parametrize("bad", [0, -3, True, 1.5, "garbage"])
@@ -444,11 +360,15 @@ class TestWorkerValidation:
         with pytest.raises(ValueError, match="at least 1"):
             EvaluationEngine(cache=OptimalMLUCache(workers=0))
 
-    @pytest.mark.parametrize("bad", [0, -2, "garbage"])
-    def test_study_rejects_invalid_cell_workers(self, bad):
-        spec = {"scenario": scenario_config("x", 1), "scheme": dict(SCHEME_SPECS[1])}
-        with pytest.raises(ValueError, match="auto"):
-            Study(spec).run(engine=fresh_engine(), cell_workers=bad)
+    @pytest.mark.parametrize("entry", ["run", "resume", "plan"])
+    def test_study_takes_no_cell_workers(self, tmp_path, entry):
+        # Cells run one at a time in the calling process; there is no cell pool.
+        study = Study({"scenario": scenario_config("x", 1), "scheme": dict(SCHEME_SPECS[1])})
+        checkpoint = tmp_path / "x.ckpt"
+        args = (checkpoint,) if entry == "resume" else ()
+        with pytest.raises(TypeError, match="cell_workers"):
+            getattr(study, entry)(*args, engine=fresh_engine(), cell_workers=2)
+        assert not checkpoint.exists()
 
 
 # --------------------------------------------------------------------------- #
@@ -581,11 +501,10 @@ class TestResumeCLI:
             tmp_path, "spec.json",
             {"scenario": scenario_config("cli_a", 1), "scheme": dict(SCHEME_SPECS[1])},
         )
-        for flag in ("--lp-workers", "--cell-workers"):
-            with pytest.raises(SystemExit) as excinfo:
-                study_cli([spec, flag, "garbage"])
-            assert excinfo.value.code == 2
-            assert "expected 'auto' or a positive integer" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            study_cli([spec, "--lp-workers", "garbage"])
+        assert excinfo.value.code == 2
+        assert "expected 'auto' or a positive integer" in capsys.readouterr().err
 
     def test_checkpoint_resume_flow(self, tmp_path, capsys):
         scheme = dict(SCHEME_SPECS[1])
