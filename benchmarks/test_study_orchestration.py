@@ -12,6 +12,10 @@ Two guarantees of the declarative layer are pinned here:
   once per distinct demand matrix: adding the whole scheme axis to a grid
   adds *zero* LP solves, and re-running a study on a warm engine solves
   nothing (asserted with :func:`~repro.solvers.lp.count_lp_solves`).
+* **Configuration dedup** -- a study configures each scheme once per
+  distinct trace: beside its replay and fluctuation cells, a pair's
+  one-chunk streaming cells and its failure cell add *zero*
+  ``configure_batch`` calls (asserted by exact count).
 
 All tests extend one ``BENCH_study_orchestration.json`` record (later
 writers merge via ``write_bench_record(update=True)``).
@@ -25,6 +29,7 @@ import time
 import pytest
 
 import bench_common as common
+from repro.core.trainer import TrainerBackedScheme
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers.lp import OptimalMLUCache, count_lp_solves
 from repro.study import ResultWarehouse, Study, expand_suite, sweep
@@ -61,6 +66,24 @@ def _grid_spec(scenario_name, schemes):
 
 def _full_grid():
     return [_grid_spec(name, _scheme_specs(name)) for name in SCENARIOS]
+
+
+def _configuration_studies():
+    """Per scenario, one study of its grid, the grid again as one-chunk
+    streaming cells, and a failure cell per scheme.
+
+    Per (scenario, scheme) pair two traces are configured -- unperturbed and
+    fluctuated -- however many cells replay or reroute them.
+    """
+    studies = []
+    for name in SCENARIOS:
+        grid = _grid_spec(name, _scheme_specs(name))
+        studies.append([
+            grid,
+            dict(grid, streaming=True),  # the default chunk covers MAX_INTERVALS
+            dict(grid, perturbation={"kind": "failure", "num_failures": 1, "num_trials": 2}),
+        ])
+    return studies
 
 
 def _pretrain_all():
@@ -122,7 +145,7 @@ def _compare(direct_fn, study_fn, rounds=7):
 
 
 @pytest.mark.paper("study orchestration")
-def test_study_orchestration_overhead_and_dedup(benchmark):
+def test_study_orchestration_overhead_and_dedup(benchmark, monkeypatch):
     schemes = _pretrain_all()
     engine = common.bench_engine()
 
@@ -162,6 +185,29 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
             Study(spec, scheme_cache=common.SCHEME_CACHE, scenario_cache=common.SCENARIO_CACHE).run(
                 engine=cold_engine
             )
+    # Tallies keep counting after their block: read them before the
+    # failure cells below solve their masked normalisers.
+    axis_solves, rerun_solves = axis_tally.count, rerun_tally.count
+
+    # --- Configuration dedup: one configure_batch per pair and trace.
+    configured = []
+    real_configure_batch = TrainerBackedScheme.configure_batch
+
+    def counting_configure_batch(scheme, windows):
+        configured.append(scheme.name)
+        return real_configure_batch(scheme, windows)
+
+    monkeypatch.setattr(TrainerBackedScheme, "configure_batch", counting_configure_batch)
+    configuration_cells = sum(
+        len(
+            Study(
+                specs, scheme_cache=common.SCHEME_CACHE, scenario_cache=common.SCENARIO_CACHE
+            ).run(engine=cold_engine)
+        )
+        for specs in _configuration_studies()
+    )
+    monkeypatch.undo()
+    pairs = len(SCENARIOS) * len(_scheme_specs(SCENARIOS[0]))
 
     results = benchmark.pedantic(run_study, rounds=1, iterations=1)
     cells = sum(len(result_set) for result_set in results)
@@ -172,14 +218,21 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
     )
     print(
         f"LP dedup: {cold_solves} cold solves for the scenario x perturbation axes, "
-        f"+{axis_tally.count} for the full scheme axis, +{rerun_tally.count} on re-run"
+        f"+{axis_solves} for the full scheme axis, +{rerun_solves} on re-run"
+    )
+    print(
+        f"Configuration dedup: {len(configured)} configure_batch calls for "
+        f"{configuration_cells} cells over {pairs} pairs"
     )
     benchmark.extra_info["overhead"] = overhead
     benchmark.extra_info["cold_solves"] = cold_solves
 
     assert cold_solves > 0  # the cold engine really did the normaliser pass
-    assert axis_tally.count == 0  # scheme axis: zero repeat LP solves
-    assert rerun_tally.count == 0  # warm re-run: zero repeat LP solves
+    assert axis_solves == 0  # scheme axis: zero repeat LP solves
+    assert rerun_solves == 0  # warm re-run: zero repeat LP solves
+    # Streaming and failure cells: zero repeat configurations.
+    assert configuration_cells == 5 * pairs
+    assert len(configured) == 2 * pairs
 
     common.write_bench_record(
         "study_orchestration",
@@ -190,8 +243,10 @@ def test_study_orchestration_overhead_and_dedup(benchmark):
         study_seconds=study_s,
         orchestration_overhead=overhead,
         cold_lp_solves=cold_solves,
-        scheme_axis_extra_solves=axis_tally.count,
-        rerun_extra_solves=rerun_tally.count,
+        scheme_axis_extra_solves=axis_solves,
+        rerun_extra_solves=rerun_solves,
+        configuration_cells=configuration_cells,
+        configure_batch_calls=len(configured),
     )
 
 

@@ -4,8 +4,8 @@ The paper's evaluation is a grid -- topologies x traffic models x schemes x
 perturbation/failure profiles.  This package exposes that grid as data: an
 :class:`ExperimentSpec` describes one cell with plain dicts, :class:`sweep`
 marks grid axes, :class:`Study` expands and executes the grid (deduplicating
-scenario builds, scheme trainings, baseline replays and LP normaliser
-solves), and :class:`ResultSet` collects uniform records with spec
+scenario builds, scheme trainings, replays, configurations and LP
+normaliser solves), and :class:`ResultSet` collects uniform records with spec
 provenance and a lossless JSON round-trip.
 
 >>> from repro.study import Study, sweep

@@ -502,19 +502,6 @@ class ExperimentSpec:
         return f"object:{id(self.scheme)}"
 
     @functools.cached_property
-    def eval_key(self) -> str:
-        """Canonical key of the replay knobs (baseline-replay dedup)."""
-        return canonical_json(
-            {
-                "history_len": self.history_len,
-                "max_intervals": self.max_intervals,
-                "oracle_demand": self.oracle_demand,
-                "streaming": self.streaming,
-                "chunk_size": self.chunk_size if self.streaming else None,
-            }
-        )
-
-    @functools.cached_property
     def provenance_key(self) -> str:
         """Canonical JSON of :meth:`to_dict` (checkpoint matching, error notes)."""
         return canonical_json(self.to_dict())

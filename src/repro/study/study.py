@@ -9,8 +9,19 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
   trace length, or canonical inline config) and shared by every cell.
 * **Schemes** are trained once per distinct scheme spec per scenario (and per
   drift training segment); the scheme axis of a grid never retrains.
-* **Baseline replays** (the unperturbed run that fluctuation / drift declines
-  are measured against) run once per scenario x scheme x eval knobs.
+* **Replays** run once per scheme x trace: a per-study memo keys each
+  replay on everything that decides its bits (scenario, scheme, training
+  segment, the trace -- unperturbed or one normalised fluctuation --, the
+  history length, the replayed rows, ``oracle_demand`` and the partition).
+  A streaming cell whose one chunk covers every evaluated interval *is* the
+  batched replay, so it shares that entry; only a smaller ``chunk_size``
+  keys a partition of its own.  A fluctuation hit neither builds nor
+  replays its perturbed trace.
+* **Configurations** of the unperturbed one-chunk replay (the ``T x
+  num_paths`` split ratios) are kept in the same memo entry while the
+  grid has a failure cell for the pair: the pair's replay cell and its
+  failure cell share one ``configure_batch``, whichever runs first.
+  Schemes told the failures (``set_failures``) still configure per trial.
 * **LP normalisers** are served by the engine's
   :class:`~repro.solvers.lp.OptimalMLUCache` -- one optimal-MLU pass per
   distinct demand matrix across the *whole* grid, so adding schemes or
@@ -23,7 +34,7 @@ Cells run one at a time in this process, in spec order.
 Pass ``scheme_cache`` / ``scenario_cache`` dicts to share the first two
 dedup layers across studies in one process (the benchmark harness does).
 A study that owns its scheme cache (no ``scheme_cache`` passed) frees each
-trained scheme, and its baseline replays, once no pending cell needs them,
+trained scheme, and its memoised replays, once no pending cell needs them,
 so a sweep of trainings holds one model at a time instead of all of them.
 """
 
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +167,44 @@ class _ScenarioContext:
         return self._pair_std
 
 
+@dataclass
+class _Replay:
+    """One entry of a study's replay memo (see :meth:`Study._replay`).
+
+    Attributes:
+        result: The replay, once a cell has run it.
+        statistics: ``result.statistics``, computed once.
+        ratios: The replay's ``(T, num_paths)`` configuration: kept only for
+            an unperturbed one-chunk replay whose pair has a failure cell,
+            which reroutes these same ratios.
+    """
+
+    result: EvaluationResult | None = None
+    statistics: MLUStatistics | None = None
+    ratios: np.ndarray | None = None
+
+
+class _MemoisedConfiguration:
+    """A scheme whose ``configure_batch`` is served from a memo entry.
+
+    Handed only to a one-chunk replay of the unperturbed trace and to the
+    failure protocol, which both configure the trace's full window batch
+    once: the first call runs the scheme and keeps the ratios in the entry,
+    a later one returns them.
+    """
+
+    def __init__(self, scheme: TEScheme, entry: _Replay) -> None:
+        self.name = scheme.name
+        self.path_set = scheme.path_set
+        self._scheme = scheme
+        self._entry = entry
+
+    def configure_batch(self, windows: np.ndarray) -> np.ndarray:
+        if self._entry.ratios is None:
+            self._entry.ratios = self._scheme.configure_batch(windows)
+        return self._entry.ratios
+
+
 class Study:
     """Declarative experiment orchestrator.
 
@@ -169,7 +218,7 @@ class Study:
             (scenario, scheme spec, training segment); pass a shared dict to
             reuse trainings across studies.  Without one the study owns its
             cache and :meth:`execute` frees each trained scheme (and its
-            baseline replays) after the scheme's last pending cell, so peak
+            memoised replays) after the scheme's last pending cell, so peak
             memory holds the schemes still in use, not every one trained;
             a later :meth:`trained_scheme` call then retrains (same
             weights).  Pass ``scheme_cache=`` to keep trained schemes
@@ -205,7 +254,11 @@ class Study:
         # and never enter the (possibly shared) scheme_cache.
         self._object_scheme_cache: dict = {}
         self._scenario_cache = scenario_cache if scenario_cache is not None else {}
-        self._baselines: dict[tuple, tuple[EvaluationResult, MLUStatistics]] = {}
+        # The replay memo: one entry per distinct replay (see _replay).
+        self._replays: dict[tuple, _Replay] = {}
+        # Pairs with a failure cell in the plan being executed: their
+        # unperturbed configuration is worth keeping (see _replay).
+        self._failure_pairs: set[tuple[str, str]] = set()
         self._contexts: dict[str, _ScenarioContext] = {}
         self._test_slices: dict[tuple, TrafficMatrixSequence] = {}
         if spec is not None:
@@ -475,10 +528,14 @@ class Study:
                 :class:`StudyCancelled` is raised so the caller knows the run
                 is partial but resumable.
 
-        A study that owns its scheme cache (built without ``scheme_cache=``)
-        drops each (scenario, scheme) pair's trained schemes and baseline
-        replays as soon as the pair's last pending cell has finished; pass
-        ``scheme_cache=`` to keep them beyond this call.
+        Each distinct replay runs once per study: cells that replay one
+        scheme over one trace with one partition share it, and a failure
+        cell reroutes the configuration of its pair's unperturbed replay
+        (see the module docstring).  A study that owns its scheme cache
+        (built without ``scheme_cache=``) drops each (scenario, scheme)
+        pair's trained schemes and memoised replays as soon as the pair's
+        last pending cell has finished; pass ``scheme_cache=`` to keep the
+        schemes beyond this call.
 
         Raises:
             StudyCancelled: When ``should_stop`` returned true before the
@@ -493,6 +550,11 @@ class Study:
             store.create()
         try:
             records: dict[int, StudyResult] = dict(plan.completed)
+            self._failure_pairs = {
+                (cell.scenario_key, cell.scheme_key)
+                for _, cell in plan.pending
+                if cell.perturbation["kind"] == "failure"
+            }
             remaining = (
                 Counter((cell.scenario_key, cell.scheme_key) for _, cell in plan.pending)
                 if self._owns_schemes
@@ -537,9 +599,9 @@ class Study:
         """Count one finished cell of a (scenario, scheme) pair.
 
         When the pair has no pending cell left, its trained schemes (every
-        training segment) and baseline replays are dropped.  ``remaining``
-        is ``None`` when the caller shares the scheme cache: nothing is
-        dropped.
+        training segment) and its replay memo entries (their results and
+        kept configurations) are dropped.  ``remaining`` is ``None`` when
+        the caller shares the scheme cache: nothing is dropped.
         """
         if remaining is None:
             return
@@ -547,7 +609,7 @@ class Study:
         if remaining[pair] > 0:
             return
         del remaining[pair]
-        for cache in (self._scheme_cache, self._object_scheme_cache, self._baselines):
+        for cache in (self._scheme_cache, self._object_scheme_cache, self._replays):
             for key in [key for key in cache if key[:2] == pair]:
                 del cache[key]
 
@@ -714,41 +776,67 @@ class Study:
     def _replay(
         self,
         cell: ExperimentSpec,
-        engine: EvaluationEngine,
-        scheme: TEScheme,
-        test: TrafficMatrixSequence,
-        history_len: int,
-    ) -> EvaluationResult:
-        if cell.streaming:
-            return engine.evaluate_streaming(
-                scheme,
-                test,
-                history_len,
-                chunk_size=cell.chunk_size,
-                oracle_demand=cell.oracle_demand,
-            )
-        return engine.evaluate_scheme(
-            scheme, test, history_len, oracle_demand=cell.oracle_demand
-        )
-
-    def _baseline(
-        self,
-        cell: ExperimentSpec,
-        engine: EvaluationEngine,
         ctx: _ScenarioContext,
+        engine: EvaluationEngine,
         scheme: TEScheme,
         test: TrafficMatrixSequence,
         history_len: int,
         train_key: str = "default",
-    ) -> tuple[EvaluationResult, MLUStatistics]:
-        """The unperturbed replay of a cell (one per scenario x scheme x knobs)."""
-        key = (ctx.key, cell.scheme_key, cell.eval_key, train_key)
-        cached = self._baselines.get(key)
-        if cached is None:
-            result = self._replay(cell, engine, scheme, test, history_len)
-            cached = (result, result.statistics)
-            self._baselines[key] = cached
-        return cached
+        perturb: Callable[[TrafficMatrixSequence], TrafficMatrixSequence] | None = None,
+    ) -> _Replay:
+        """Replay ``scheme`` over ``test`` (perturbed by ``perturb``), once per study.
+
+        The memo key is everything that decides the replay's bits: the pair,
+        the training segment, the trace (``"none"`` or the cell's normalised
+        fluctuation), the history length, the replayed rows,
+        ``oracle_demand``, and the partition -- the cell's ``chunk_size``
+        when it streams in more than one chunk, else ``None``, the one-chunk
+        path :meth:`EvaluationEngine.evaluate_scheme` takes.  On a hit the
+        perturbed trace is never built.
+        """
+        key = self._replay_key(cell, ctx, test, history_len, train_key, perturb)
+        entry = self._replays.setdefault(key, _Replay())
+        if entry.result is not None:
+            return entry
+        trace = test if perturb is None else perturb(test)
+        partition = key[-1]
+        if partition is not None:
+            result = engine.evaluate_streaming(
+                scheme,
+                trace,
+                history_len,
+                chunk_size=partition,
+                oracle_demand=cell.oracle_demand,
+            )
+        else:
+            # Only the unperturbed configuration is rerouted by failure cells.
+            keeps_ratios = (
+                perturb is None
+                and train_key == "default"
+                and not cell.oracle_demand
+                and (cell.scenario_key, cell.scheme_key) in self._failure_pairs
+            )
+            if keeps_ratios or entry.ratios is not None:
+                scheme = _MemoisedConfiguration(scheme, entry)
+            result = engine.evaluate_scheme(
+                scheme, trace, history_len, oracle_demand=cell.oracle_demand
+            )
+        entry.result, entry.statistics = result, result.statistics
+        return entry
+
+    @staticmethod
+    def _replay_key(cell, ctx, test, history_len, train_key, perturb) -> tuple:
+        streams = cell.streaming and cell.chunk_size < len(test) - history_len
+        return (
+            ctx.key,
+            cell.scheme_key,
+            train_key,
+            "none" if perturb is None else canonical_json(cell.perturbation),
+            history_len,
+            len(test),
+            cell.oracle_demand,
+            cell.chunk_size if streams else None,
+        )
 
     @staticmethod
     def _scheme_label(cell: ExperimentSpec, scheme: TEScheme) -> str:
@@ -787,16 +875,15 @@ class Study:
         test = self._sliced_test(ctx.key, ctx.test, history_len, cell.max_intervals)
         scheme = self._resolve_scheme(cell, ctx, engine, ctx.train, "default")
         if kind == "none":
-            result, stats = self._baseline(cell, engine, ctx, scheme, test, history_len)
-            metrics = dict(vars(stats))
+            replay = self._replay(cell, ctx, engine, scheme, test, history_len)
             return self._record(
                 cell,
                 ctx,
                 self._scheme_label(cell, scheme),
                 "replay",
-                metrics,
-                result.normalized_mlus,
-                result,
+                dict(vars(replay.statistics)),
+                replay.result.normalized_mlus,
+                replay.result,
             )
         if kind == "fluctuation":
             return self._run_fluctuation(cell, ctx, engine, scheme, test, history_len)
@@ -809,13 +896,22 @@ class Study:
         # Resolved before the baseline replay: a train-less scenario fails
         # with pair_std's spec-level error instead of replaying first.
         pair_std = ctx.pair_std()
-        _, base_stats = self._baseline(cell, engine, ctx, scheme, test, history_len)
-        perturb = reverse_rank_fluctuation if perturbation["worst_case"] else gaussian_fluctuation
-        perturbed = perturb(
-            test, perturbation["alpha"], pair_std, seed=perturbation["seed"]
+        base_stats = self._replay(cell, ctx, engine, scheme, test, history_len).statistics
+        fluctuate = (
+            reverse_rank_fluctuation if perturbation["worst_case"] else gaussian_fluctuation
         )
-        result = self._replay(cell, engine, scheme, perturbed, history_len)
-        stats = result.statistics
+        replay = self._replay(
+            cell,
+            ctx,
+            engine,
+            scheme,
+            test,
+            history_len,
+            perturb=lambda trace: fluctuate(
+                trace, perturbation["alpha"], pair_std, seed=perturbation["seed"]
+            ),
+        )
+        result, stats = replay.result, replay.statistics
         metrics = dict(vars(stats))
         metrics["average_decline"] = stats.mean / base_stats.mean - 1.0
         metrics["p90_decline"] = stats.p90 / base_stats.p90 - 1.0
@@ -849,9 +945,17 @@ class Study:
                 "rerouted around the failures instead"
             )
         names = (scheme.name,) if fault_aware else ()
+        configured = scheme
+        if not fault_aware:
+            # Rerouted: the pair's unperturbed one-chunk configuration,
+            # shared with its replay cell through the memo.
+            entry = self._replays.setdefault(
+                self._replay_key(cell, ctx, test, history_len, "default", None), _Replay()
+            )
+            configured = _MemoisedConfiguration(scheme, entry)
         try:
             series = engine.failure_experiment(
-                [scheme],
+                [configured],
                 test,
                 history_len,
                 perturbation["num_failures"],
@@ -898,25 +1002,28 @@ class Study:
         baseline_scheme = self._resolve_scheme(
             cell, ctx, engine, traffic.segment(0.0, test_segment[0]), baseline_key
         )
-        # The replay cache key carries the test segment too: two drift cells
+        # The replay memo key carries the test segment too: two drift cells
         # sharing a training prefix but held out on different slices must not
-        # reuse one another's baseline replay.
-        _, base_stats = self._baseline(
+        # reuse one another's replays.
+        held_out = f"test:{test_segment[0]}-{test_segment[1]}"
+        base_stats = self._replay(
             cell,
-            engine,
             ctx,
+            engine,
             baseline_scheme,
             test,
             history_len,
-            train_key=f"{baseline_key}|test:{test_segment[0]}-{test_segment[1]}",
-        )
+            train_key=f"{baseline_key}|{held_out}",
+        ).statistics
 
         segment_key = f"segment:{train_segment[0]}-{train_segment[1]}"
         scheme = self._resolve_scheme(
             cell, ctx, engine, traffic.segment(*train_segment), segment_key
         )
-        result = self._replay(cell, engine, scheme, test, history_len)
-        stats = result.statistics
+        replay = self._replay(
+            cell, ctx, engine, scheme, test, history_len, train_key=f"{segment_key}|{held_out}"
+        )
+        result, stats = replay.result, replay.statistics
         metrics = dict(vars(stats))
         metrics["average_decline"] = stats.mean / base_stats.mean - 1.0
         metrics["p90_decline"] = stats.p90 / base_stats.p90 - 1.0

@@ -815,6 +815,158 @@ class TestSchemeRelease:
         assert resumed.to_json() == uninterrupted.to_json()
 
 
+def _spy_configure_batch(monkeypatch, cls) -> list:
+    """Record the class name of every ``cls.configure_batch`` call."""
+    calls = []
+    real = cls.configure_batch
+
+    def spy(self, windows):
+        calls.append(type(self).__name__)
+        return real(self, windows)
+
+    monkeypatch.setattr(cls, "configure_batch", spy)
+    return calls
+
+
+def _record_bytes(record) -> str:
+    return json.dumps(record.to_dict(), sort_keys=True)
+
+
+class TestReplayMemo:
+    """A study runs each distinct replay, and each configuration, once."""
+
+    @staticmethod
+    def _warm_grid_shaped(scenarios, max_intervals=4) -> list[dict]:
+        # perfbench's warm_grid: a batched sweep beside a streaming one whose
+        # single chunk covers every evaluated interval.
+        base = {
+            "scenario": sweep(*({"name": name, "seed": 2} for name in scenarios)),
+            "scheme": sweep(*SCHEME_SPECS),
+            "max_intervals": max_intervals,
+        }
+        fluctuation = {"kind": "fluctuation", "alpha": 1.0, "seed": 3}
+        batched = dict(
+            base,
+            perturbation=sweep(
+                {"kind": "none"},
+                fluctuation,
+                dict(fluctuation, worst_case=True),
+                {"kind": "failure", "num_failures": 1, "num_trials": 2, "seed": 3},
+            ),
+        )
+        chunked = dict(
+            base,
+            perturbation=sweep({"kind": "none"}, fluctuation),
+            streaming=True,
+            chunk_size=max_intervals,
+        )
+        return [batched, chunked]
+
+    def test_warm_grid_configures_each_scheme_and_trace_once(
+        self, monkeypatch, grid_scenarios
+    ):
+        from repro.core.trainer import TrainerBackedScheme
+
+        specs = self._warm_grid_shaped(grid_scenarios[:2])
+        engine = EvaluationEngine(cache=OptimalMLUCache())
+        schemes: dict = {}
+        Study(specs, scheme_cache=schemes).run(engine=engine)  # train outside the tally
+        calls = _spy_configure_batch(monkeypatch, TrainerBackedScheme)
+        study = Study(specs, scheme_cache=schemes)
+        results = study.run(engine=engine)
+        # 6 pairs x 3 traces (unperturbed, gaussian, worst case): the failure
+        # cell reroutes the unperturbed configuration, and the one-chunk
+        # streaming cells are the batched replays.
+        assert len(results) == 36
+        assert len(calls) == 18
+        for cell, record in zip(study.specs, results):
+            alone = Study([cell], scheme_cache=schemes).run(
+                engine=EvaluationEngine(cache=OptimalMLUCache())
+            )[0]
+            assert _record_bytes(record) == _record_bytes(alone)
+
+    def test_streaming_partition_is_only_shared_in_one_chunk(
+        self, monkeypatch, grid_scenarios
+    ):
+        from repro.core.trainer import TrainerBackedScheme
+
+        base = {
+            "scenario": {"name": grid_scenarios[0], "seed": 2},
+            "scheme": SCHEME_SPECS[1],
+            "max_intervals": 6,
+        }
+        cells = [
+            ExperimentSpec.from_dict(base),
+            ExperimentSpec.from_dict(dict(base, streaming=True, chunk_size=2)),
+            ExperimentSpec.from_dict(dict(base, streaming=True, chunk_size=6)),
+            ExperimentSpec.from_dict(dict(base, streaming=True)),
+        ]
+        engine = EvaluationEngine(cache=OptimalMLUCache())
+        schemes: dict = {}
+        Study(cells[:1], scheme_cache=schemes).run(engine=engine)
+        calls = _spy_configure_batch(monkeypatch, TrainerBackedScheme)
+        results = Study(cells, scheme_cache=schemes).run(engine=engine)
+        # The batched replay (1) and the chunk-2 replay (3 chunks); chunks of
+        # 6 and 256 cover all 6 intervals in one and reuse the batched one.
+        assert len(calls) == 4
+        for cell, record in zip(cells, results):
+            alone = Study([cell], scheme_cache=schemes).run(engine=engine)[0]
+            assert _record_bytes(record) == _record_bytes(alone)
+
+    def test_failure_cells_reroute_the_replayed_lp_configuration(self):
+        spec = {
+            "scenario": {"name": "geant_small", "seed": 3, "num_intervals": 120},
+            "scheme": sweep({"kind": "pred_te"}, {"kind": "des_te"}),
+            "perturbation": sweep(
+                {"kind": "none"},
+                {"kind": "failure", "num_failures": 1, "num_trials": 2, "seed": 4},
+            ),
+            "max_intervals": 6,
+        }
+        study = Study(spec)
+        with count_lp_solves() as tally:
+            results = study.run(engine=EvaluationEngine(cache=OptimalMLUCache()))
+        # 6 normalisers + 2 schemes x 6 vertex solves + 2 trials x 6 masked
+        # normalisers; the failure cells configure nothing of their own.
+        assert tally.count == 30
+        for cell, record in zip(study.specs, results):
+            alone = Study([cell]).run(engine=EvaluationEngine(cache=OptimalMLUCache()))[0]
+            assert _record_bytes(record) == _record_bytes(alone)
+
+    def test_owning_study_drops_settled_pairs_and_fault_aware_configures_per_trial(
+        self, monkeypatch, grid_scenarios
+    ):
+        from repro.te.scheme import TEScheme
+
+        trials = 3
+        scenario = {"name": grid_scenarios[0], "seed": 2}
+        failure = {"kind": "failure", "num_failures": 1, "num_trials": trials, "seed": 5}
+        study = Study([
+            {
+                "scenario": scenario,
+                "scheme": {"kind": kind},
+                "perturbation": sweep({"kind": "none"}, dict(failure, **extra)),
+                "max_intervals": 4,
+            }
+            for kind, extra in (("fa_des_te", {"fault_aware": True}), ("des_te", {}))
+        ])
+        calls = _spy_configure_batch(monkeypatch, TEScheme)
+        memo_pairs = []
+        study.execute(
+            study.plan(engine=EvaluationEngine(cache=OptimalMLUCache())),
+            on_cell=lambda index, record: memo_pairs.append(
+                {key[1] for key in study._replays}
+            ),
+        )
+        fa_des, des = (study.specs[index].scheme_key for index in (0, 2))
+        # A pair's entries go with its last cell; none outlives the run.
+        assert memo_pairs == [{fa_des}, set(), {des}, set()]
+        # Told the failures: one replay + one configuration per trial.
+        # Rerouted: the replay's configuration serves every trial.
+        assert calls.count("FaultAwareDesensitizationTE") == 1 + trials
+        assert calls.count("DesensitizationTE") == 1
+
+
 class TestStudyCLI:
     def test_cli_runs_spec_and_writes_results(self, tmp_path, grid_scenarios, capsys):
         spec = {

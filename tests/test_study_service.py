@@ -170,6 +170,32 @@ def service():
     assert not thread.is_alive()
 
 
+@pytest.fixture()
+def cell_gate(monkeypatch):
+    """An event that every daemon cell after the first waits for.
+
+    The daemon runs its jobs on a thread of this process, so a test can hold
+    a job at its second cell until a cancel or stop has been acknowledged:
+    the job cannot finish first.  Cells run on the test's own thread (a
+    direct ``Study.run``) are never held, and teardown releases any held
+    cell before the daemon stops.
+    """
+    gate = threading.Event()
+    run_cell = Study._run_cell
+    daemon_cells = []
+
+    def gated(study, cell, engine):
+        if threading.current_thread() is not threading.main_thread():
+            if daemon_cells:
+                assert gate.wait(60), "the gate was never opened"
+            daemon_cells.append(cell)
+        return run_cell(study, cell, engine)
+
+    monkeypatch.setattr(Study, "_run_cell", gated)
+    yield gate
+    gate.set()
+
+
 def raw_request(socket_path, payload: bytes) -> dict:
     """Send raw bytes (possibly malformed) and read one reply line."""
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
@@ -332,7 +358,7 @@ class TestWarmState:
 # Cancel / resume through the daemon
 # --------------------------------------------------------------------------- #
 class TestCancelResume:
-    def test_cancel_mid_job_then_resume_completes(self, service):
+    def test_cancel_mid_job_then_resume_completes(self, service, cell_gate):
         server, client = service
         spec = grid_spec("svc-cancel", alphas=(1.0, 2.0, 3.0))
         direct = Study(spec).run()
@@ -342,6 +368,7 @@ class TestCancelResume:
             if message["type"] == "record" and message["completed"] == 1:
                 reply = StudyClient(server.socket_path).cancel(message["job"])
                 assert reply["type"] in ("cancelling", "cancelled")
+                cell_gate.set()
             if message["type"] in ("done", "cancelled", "failed"):
                 terminal = message
         assert terminal["type"] == "cancelled"
@@ -369,7 +396,7 @@ class TestCancelResume:
         with pytest.raises(StudyServiceError, match="needs a 'checkpoint'"):
             client.submit(grid_spec("r", alphas=()), resume=True)
 
-    def test_server_stop_cancels_running_job_checkpointed(self, service):
+    def test_server_stop_cancels_running_job_checkpointed(self, service, cell_gate):
         server, client = service
         spec = grid_spec("stop-cancel", alphas=(1.0, 2.0, 3.0))
         terminal = {}
@@ -377,6 +404,7 @@ class TestCancelResume:
         def on_message(message):
             if message["type"] == "record" and message["completed"] == 1:
                 server.stop()  # SIGTERM path: the CLI handler calls exactly this
+                cell_gate.set()
 
         outcome = client.submit(spec, checkpoint="stop-job", on_message=on_message)
         terminal = outcome.summary
