@@ -3,16 +3,19 @@
 The study checkpoints, the results warehouse and the persistent normaliser
 cache are each a :class:`JsonlStore` with its own ``_encode`` / ``_decode``
 hooks; :func:`atomic_write` is the whole-file write they share with
-:meth:`repro.study.ResultSet.save`.  Standard library only, so
+:meth:`repro.study.ResultSet.save`.  One process writes a store's file at a
+time (see :meth:`JsonlStore._hold`).  Standard library only, so
 :mod:`repro.solvers` and :mod:`repro.study` can both sit on top of it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import os
 import warnings
+import weakref
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -20,6 +23,19 @@ __all__ = ["JsonlStore", "atomic_write", "fsync_directory"]
 
 #: Bytes the append path's tail probe reads back at a time.
 _TAIL_BLOCK = 4096
+
+#: Stores of this process that hold a locked descriptor.  A forked child
+#: (an LP pool worker) closes its copies: a ``flock`` belongs to the open file
+#: description, so a copy would keep the lock after the parent released it.
+_HOLDING: weakref.WeakSet = weakref.WeakSet()
+
+
+def _release_inherited() -> None:
+    for store in list(_HOLDING):
+        store.close()
+
+
+os.register_at_fork(after_in_child=_release_inherited)
 
 
 def fsync_directory(path: Path) -> None:
@@ -101,8 +117,11 @@ class JsonlStore:
     messages via ``_kind`` / ``_torn_tail_hint``.
 
     After its first append a store holds an ``O_APPEND`` descriptor on the
-    file (see :meth:`extend`); :meth:`close` releases it, and so do
-    :meth:`rewrite`, garbage collection and pickling (a copy carries none).
+    file, with an exclusive lock on it (see :meth:`_hold`); :meth:`close`
+    releases both, and so do :meth:`rewrite`, garbage collection and
+    pickling (a copy carries none).  While one store holds the lock, any
+    other store on the path -- in another process or in this one -- is
+    refused with the store's error class before it writes a byte.
     """
 
     #: On-disk format marker (subclasses must override).
@@ -124,10 +143,43 @@ class JsonlStore:
         self._ident: tuple[int, int, int] | None = None
 
     def close(self) -> None:
-        """Release the held append descriptor (the next append reopens)."""
+        """Release the held append descriptor and its lock (the next append reopens)."""
         fd, self._fd, self._ident = self._fd, None, None
         if fd is not None:
+            _HOLDING.discard(self)
             os.close(fd)
+
+    def _hold(self) -> None:
+        """Hold an ``O_APPEND`` descriptor on ``path`` and an exclusive ``flock``.
+
+        The file is created empty if missing.  Raises the store's error
+        class, naming the file, if another store holds the lock.
+        """
+        self.close()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        while self._fd is None:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise self._error(
+                    f"{self._kind} {self.path} is held by another process (or another "
+                    "store in this one); one writer at a time"
+                ) from None
+            st = os.fstat(fd)
+            self._fd, self._ident = fd, (st.st_dev, st.st_ino, st.st_size)
+            _HOLDING.add(self)
+            if self._moved():
+                self.close()
+
+    def _moved(self) -> bool:
+        """Whether ``path`` is no longer the held file at the size this store left."""
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            return True
+        return (st.st_dev, st.st_ino, st.st_size) != self._ident
 
     def __del__(self) -> None:
         try:
@@ -151,37 +203,43 @@ class JsonlStore:
         """Whether the store's file is already on disk."""
         return self.path.exists()
 
-    def _needs_header(self) -> bool:
-        """True for a missing file and for an empty (e.g. ``touch``-ed) one."""
-        try:
-            return self.path.stat().st_size == 0
-        except FileNotFoundError:
-            return True
-
     def create(self) -> None:
-        """Write the header-only store if the file is missing or empty (atomic)."""
-        if self._needs_header():
+        """Write the header-only store if the file is missing or empty (atomic).
+
+        Takes the file's lock (see :meth:`_hold`) and releases it.
+        """
+        self._hold()
+        if self._ident[2] == 0:
             self.rewrite([])
+        self.close()
 
     def rewrite(self, records: Iterable) -> None:
-        """Atomically + durably replace the file with header + the records."""
-        self.close()
+        """Atomically + durably replace the file with header + the records.
+
+        Done under the file's lock (see :meth:`_hold`), which it releases.
+        """
+        if self._fd is None or self._moved():
+            self._hold()
         header = json.dumps({"format": self._format, "version": self._version})
-        atomic_write(self.path, itertools.chain([header + "\n"], map(self._line, records)))
+        try:
+            atomic_write(self.path, itertools.chain([header + "\n"], map(self._line, records)))
+        finally:
+            self.close()
 
     def extend(self, records: Iterable) -> None:
         """Append records as one write and one file fsync.
 
         The first append after the store is (re)opened takes the slow path:
-        write the header if the file is missing or empty, compact an
-        unterminated tail, open an ``O_APPEND`` descriptor, append, fsync
-        the file, then fsync the directory once so the file's entry is
-        durable too.  The descriptor is then held, and each later append is
-        one ``stat`` of ``path``, one write and one file fsync.  When the
-        ``stat`` no longer matches the descriptor's device, inode and the
-        size this store left -- the file was rewritten, deleted or appended
-        to by someone else -- the descriptor is dropped and the slow path
-        runs again, so an append always lands in the file at ``path``.
+        lock the file (see :meth:`_hold`), write the header if the file is
+        missing or empty, compact an unterminated tail, hold an ``O_APPEND``
+        descriptor, append, fsync the file, then fsync the directory once so
+        the file's entry is durable too.  The descriptor is then held, and
+        each later append is one ``stat`` of ``path``, one write and one file
+        fsync.  When the ``stat`` no longer matches the descriptor's device,
+        inode and the size this store left -- the file was rewritten,
+        deleted or appended to by someone else -- the descriptor is dropped
+        and the slow path runs again, so an append always lands in the file
+        at ``path``.
 
         An append never lands on an unterminated or torn line: a crash
         between a record's bytes and its newline leaves a complete last
@@ -196,14 +254,8 @@ class JsonlStore:
         data = "".join(map(self._line, records)).encode("utf-8")
         if not data:
             return
-        if self._fd is not None:
-            try:
-                st = os.stat(self.path)
-                current = (st.st_dev, st.st_ino, st.st_size)
-            except FileNotFoundError:
-                current = None
-            if current != self._ident:
-                self.close()
+        if self._fd is not None and self._moved():
+            self.close()
         reopened = self._fd is None
         if reopened:
             self._open_for_append()
@@ -225,14 +277,12 @@ class JsonlStore:
             fsync_directory(self.path.parent)
 
     def _open_for_append(self) -> None:
-        """Header check, tail probe, then hold an ``O_APPEND`` descriptor."""
-        if self._needs_header():
-            self.rewrite([])
-        elif not self._tail_is_clean():
-            self.rewrite(self.load())
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-        st = os.fstat(fd)
-        self._fd, self._ident = fd, (st.st_dev, st.st_ino, st.st_size)
+        """Lock, then header check and tail probe, then hold the descriptor."""
+        self._hold()
+        empty = self._ident[2] == 0
+        if empty or not self._tail_is_clean():
+            self.rewrite([] if empty else self.load())  # under the lock
+            self._hold()
 
     def _tail_is_clean(self) -> bool:
         """Whether the file ends in a newline after a line that parses as JSON.

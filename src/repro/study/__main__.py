@@ -173,6 +173,7 @@ def _run_and_report(parser: argparse.ArgumentParser, args) -> int:
     """Load a study document, run or resume it, print, warehouse, save."""
     from repro.study.results import CheckpointError, StudyCheckpoint
     from repro.study.study import Study
+    from repro.study.warehouse import WarehouseError
 
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint (the file to resume from)")
@@ -190,17 +191,17 @@ def _run_and_report(parser: argparse.ArgumentParser, args) -> int:
         engine=_engine_from(args),
         warehouse=args.warehouse,
     )
-    if args.resume:
-        print(f"Resuming {len(study)} experiment cell(s) from {args.checkpoint} ...")
-        try:
+    try:
+        if args.resume:
+            print(f"Resuming {len(study)} experiment cell(s) from {args.checkpoint} ...")
             results = study.resume(args.checkpoint, **run_kwargs)
-        except CheckpointError as exc:
-            # A corrupt/foreign checkpoint is one clean line, not a
-            # traceback; cell failures still traceback as usual.
-            parser.error(str(exc))
-    else:
-        print(f"Running {len(study)} experiment cell(s) ...")
-        results = study.run(checkpoint=args.checkpoint, **run_kwargs)
+        else:
+            print(f"Running {len(study)} experiment cell(s) ...")
+            results = study.run(checkpoint=args.checkpoint, **run_kwargs)
+    except (CheckpointError, WarehouseError) as exc:
+        # A corrupt, foreign or held store is one clean line, not a
+        # traceback; cell failures still traceback as usual.
+        parser.error(str(exc))
     print(results.to_table(title=f"Study results ({args.spec})"))
     notes = []
     if args.warehouse:

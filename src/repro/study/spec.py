@@ -1,11 +1,12 @@
 """Declarative experiment specs: plain-data descriptions of evaluation cells.
 
 An experiment cell is everything one table entry of the paper needs: a
-scenario (registered name, inline config, or live objects), a scheme
-(builder spec or live instance), a perturbation / failure profile, and the
-evaluation knobs (history length, interval cap, streaming).  Cells are plain
-dicts all the way down, so a whole study grid can live in a JSON file and
-ride through :meth:`ResultSet.to_json` as provenance.
+scenario (registered name, inline config, or live objects), a scheme (a
+builder spec dict, which the study builds and trains), a perturbation /
+failure profile, and the evaluation knobs (history length, interval cap,
+streaming).  Cells are plain dicts all the way down, so a whole study grid
+can live in a JSON file and ride through :meth:`ResultSet.to_json` as
+provenance.
 
 Grids are declared with :class:`sweep` axes::
 
@@ -376,7 +377,6 @@ _CELL_KEYS = frozenset(
         "streaming",
         "chunk_size",
         "oracle_demand",
-        "train",
         "tags",
     }
 )
@@ -420,9 +420,10 @@ class ExperimentSpec:
             scenario config (a dict with a ``"topology"`` key, see
             :func:`repro.datasets.from_config`), a built
             :class:`~repro.datasets.Scenario`, or an :class:`InlineScenario`.
-        scheme: Scheme spec dict (``{"kind": ..., ...params, "label": ...}``)
-            or a live :class:`~repro.te.scheme.TEScheme` (drift cells, which
-            retrain, need the dict).
+        scheme: Scheme spec dict (``{"kind": ..., ...params, "label": ...}``);
+            the study builds it and trains it on the scenario's training
+            split.  To replay an already-trained scheme, call
+            :meth:`~repro.evaluation.engine.EvaluationEngine.evaluate_scheme`.
         perturbation: ``{"kind": "none" | "fluctuation" | "failure" |
             "drift", ...}``; defaults to no perturbation (a plain replay).
         history_len: History window override (scenario default if ``None``).
@@ -431,9 +432,6 @@ class ExperimentSpec:
         streaming: Replay through the O(chunk)-memory streaming path.
         chunk_size: Streaming chunk size.
         oracle_demand: Hand the scheme the true next demand (Omniscient).
-        train: Whether the study trains (``precompute``) the scheme on the
-            scenario's training split; set ``False`` for pre-trained live
-            instances.
         tags: Free-form provenance carried into the result record.
     """
 
@@ -445,7 +443,6 @@ class ExperimentSpec:
     streaming: bool = False
     chunk_size: int = 256
     oracle_demand: bool = False
-    train: bool = True
     tags: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -462,17 +459,17 @@ class ExperimentSpec:
         # the cell has already been executed.
         _jsonify(self.tags)
         self.perturbation = _normalize_perturbation(self.perturbation)
-        if isinstance(self.scheme, Mapping):
-            # Fail fast on unknown kinds, before any cell executes.
-            kind = self.scheme.get("kind")
-            if kind not in _SCHEME_BUILDERS:
-                raise ValueError(
-                    f"unknown scheme kind {kind!r}; available: {', '.join(available_schemes())}"
-                )
-        elif not isinstance(self.scheme, TEScheme):
+        if not isinstance(self.scheme, Mapping):
             raise TypeError(
-                "scheme must be a spec dict or a TEScheme, "
-                f"got {type(self.scheme).__name__}"
+                "scheme must be a spec dict ({'kind': ...}), got "
+                f"{type(self.scheme).__name__}; replay an already-trained scheme "
+                "with EvaluationEngine.evaluate_scheme"
+            )
+        # Fail fast on unknown kinds, before any cell executes.
+        kind = self.scheme.get("kind")
+        if kind not in _SCHEME_BUILDERS:
+            raise ValueError(
+                f"unknown scheme kind {kind!r}; available: {', '.join(available_schemes())}"
             )
 
     @classmethod
@@ -496,10 +493,7 @@ class ExperimentSpec:
     @functools.cached_property
     def scheme_key(self) -> str:
         """Canonical key identifying the scheme spec (for training dedup)."""
-        if isinstance(self.scheme, Mapping):
-            spec = {key: value for key, value in self.scheme.items() if key != "label"}
-            return canonical_json(spec)
-        return f"object:{id(self.scheme)}"
+        return canonical_json({key: value for key, value in self.scheme.items() if key != "label"})
 
     @functools.cached_property
     def provenance_key(self) -> str:
@@ -512,10 +506,10 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         """JSON-safe provenance of this cell.
 
-        Declarative cells round-trip losslessly; live objects (schemes /
-        scenarios passed by instance) are recorded as ``{"inline": <name>}``
-        markers since they cannot be rebuilt from JSON.  Computed once per
-        cell; every record of the cell shares the dict.
+        Declarative cells round-trip losslessly; a scenario passed as a live
+        object is recorded as an ``{"inline": <name>}`` marker since it
+        cannot be rebuilt from JSON.  Computed once per cell; every record
+        of the cell shares the dict.
         """
         cached = self.__dict__.get("_provenance")
         if cached is not None:
@@ -526,13 +520,9 @@ class ExperimentSpec:
             scenario = {"inline": self.scenario.name}
         else:
             scenario = {"inline": type(self.scenario).__name__}
-        if isinstance(self.scheme, Mapping):
-            scheme: Any = _jsonify(self.scheme)
-        else:
-            scheme = {"inline": self.scheme.name}
         provenance = {
             "scenario": scenario,
-            "scheme": scheme,
+            "scheme": _jsonify(self.scheme),
             "perturbation": _jsonify(self.perturbation),
         }
         defaults = {
@@ -541,7 +531,6 @@ class ExperimentSpec:
             "streaming": False,
             "chunk_size": 256,
             "oracle_demand": False,
-            "train": True,
         }
         for key, default in defaults.items():
             value = getattr(self, key)

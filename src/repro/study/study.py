@@ -40,6 +40,7 @@ so a sweep of trainings holds one model at a time instead of all of them.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
@@ -144,27 +145,11 @@ class _ScenarioContext:
     test: TrafficMatrixSequence | None
     traffic: TrafficMatrixSequence | None
     history_len: int | None
-    _pair_std: np.ndarray | None = None
 
+    @functools.cached_property
     def pair_std(self) -> np.ndarray:
-        """The training split's per-pair std (computed once per scenario).
-
-        Raises:
-            ValueError: If the scenario has no training split -- a spec-level
-                error naming the scenario, instead of the bare
-                ``AttributeError: 'NoneType' object has no attribute
-                'pair_std'`` a train-less scenario used to surface.
-        """
-        if self.train is None:
-            raise ValueError(
-                f"scenario {self.name!r} provides no training split, but a "
-                "fluctuation cell needs its per-pair std as the perturbation "
-                "reference; use a scenario with a training split or drop the "
-                "fluctuation perturbation for this scenario"
-            )
-        if self._pair_std is None:
-            self._pair_std = self.train.pair_std()
-        return self._pair_std
+        """The training split's per-pair std (computed once per scenario)."""
+        return self.train.pair_std()
 
 
 @dataclass
@@ -249,10 +234,6 @@ class Study:
         # (see _settle); a caller's dict is kept whole.
         self._owns_schemes = scheme_cache is None
         self._scheme_cache = scheme_cache if scheme_cache is not None else {}
-        # Live-instance schemes key by object identity, which is only stable
-        # while this study's specs pin the objects -- so they dedup per study
-        # and never enter the (possibly shared) scheme_cache.
-        self._object_scheme_cache: dict = {}
         self._scenario_cache = scenario_cache if scenario_cache is not None else {}
         # The replay memo: one entry per distinct replay (see _replay).
         self._replays: dict[tuple, _Replay] = {}
@@ -260,7 +241,6 @@ class Study:
         # unperturbed configuration is worth keeping (see _replay).
         self._failure_pairs: set[tuple[str, str]] = set()
         self._contexts: dict[str, _ScenarioContext] = {}
-        self._test_slices: dict[tuple, TrafficMatrixSequence] = {}
         if spec is not None:
             self.add(spec)
 
@@ -371,30 +351,20 @@ class Study:
             )
         )
 
-    @staticmethod
-    def _reproducible(cell: ExperimentSpec) -> bool:
-        """Whether a cell's provenance fully identifies it across processes.
-
-        Live objects (scheme instances, built scenarios) record
-        only an ``{"inline": <name>}`` marker -- two different objects with
-        one display name are indistinguishable on disk, so such cells are
-        never resumed from a checkpoint (they re-run instead; serving a
-        possibly-stale result silently would be worse).
-        """
-        return isinstance(cell.scenario, (str, Mapping)) and isinstance(
-            cell.scheme, Mapping
-        )
-
     def _match_checkpoint(
         self, saved: list[StudyResult]
     ) -> dict[int, StudyResult]:
         """Map saved records onto this study's cells by spec provenance.
 
         Duplicate cells (identical provenance listed twice) match records
-        positionally; live-object cells never match (see
-        :meth:`_reproducible`); declarative records matching no cell are
-        kept on disk but excluded from the results, with a warning -- they
-        usually mean the spec changed since the checkpoint was written.
+        positionally.  A cell on a live scenario object (a built
+        :class:`Scenario` or an :class:`InlineScenario`) never matches: its
+        provenance records only an ``{"inline": <name>}`` marker, which two
+        different objects with one display name share, so it re-runs
+        (serving a possibly-stale result silently would be worse).
+        Declarative records matching no cell are kept on disk but excluded
+        from the results, with a warning -- they usually mean the spec
+        changed since the checkpoint was written.
         """
         by_key: dict[str, list[StudyResult]] = {}
         for record in saved:
@@ -404,7 +374,7 @@ class Study:
         inline_keys: set[str] = set()
         for index, cell in enumerate(self.specs):
             key = cell.provenance_key
-            if not self._reproducible(cell):
+            if not isinstance(cell.scenario, (str, Mapping)):
                 inline_cells += 1
                 inline_keys.add(key)
                 continue
@@ -415,7 +385,7 @@ class Study:
             warnings.warn(
                 f"{inline_cells} cell(s) built from live objects cannot be "
                 "identified by provenance and will re-run on resume; use "
-                "declarative scenario/scheme specs for resumable cells",
+                "declarative scenario specs for resumable cells",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -609,7 +579,7 @@ class Study:
         if remaining[pair] > 0:
             return
         del remaining[pair]
-        for cache in (self._scheme_cache, self._object_scheme_cache, self._replays):
+        for cache in (self._scheme_cache, self._replays):
             for key in [key for key in cache if key[:2] == pair]:
                 del cache[key]
 
@@ -650,26 +620,18 @@ class Study:
             return ctx
         scenario = self.scenario(cell.scenario)
         if isinstance(scenario, InlineScenario):
-            ctx = _ScenarioContext(
-                key=key,
-                name=scenario.name,
-                paths=scenario.paths,
-                train=scenario.train,
-                test=scenario.test,
-                traffic=scenario.traffic,
-                history_len=scenario.history_len,
-            )
+            train, test = scenario.train, scenario.test
         else:
             train, test = scenario.split()
-            ctx = _ScenarioContext(
-                key=key,
-                name=scenario.name,
-                paths=scenario.paths,
-                train=train,
-                test=test,
-                traffic=scenario.traffic,
-                history_len=scenario.history_len,
-            )
+        ctx = _ScenarioContext(
+            key=key,
+            name=scenario.name,
+            paths=scenario.paths,
+            train=train,
+            test=test,
+            traffic=scenario.traffic,
+            history_len=scenario.history_len,
+        )
         self._contexts[key] = ctx
         return ctx
 
@@ -681,6 +643,10 @@ class Study:
         Exposed so callers can pre-train a grid's schemes -- or share one
         training across studies via a common ``scheme_cache`` -- without
         running any replay.
+
+        Raises:
+            ValueError: If the cell's scenario has no path set or no
+                training split to build and train the scheme on.
         """
         if not isinstance(cell, ExperimentSpec):
             cell = ExperimentSpec.from_dict(cell)
@@ -697,34 +663,23 @@ class Study:
         train_sequence: TrafficMatrixSequence | None,
         train_key: str,
     ) -> TEScheme:
-        cache = self._scheme_cache if isinstance(cell.scheme, Mapping) else self._object_scheme_cache
         key = (ctx.key, cell.scheme_key, train_key)
-        cached = cache.get(key)
+        cached = self._scheme_cache.get(key)
         if cached is not None:
             return cached
-        if isinstance(cell.scheme, Mapping):
-            if ctx.paths is None:
-                raise ValueError(
-                    f"cell scenario {ctx.name!r} provides no path set to build scheme "
-                    f"{cell.scheme.get('kind')!r} on"
-                )
-            scheme = build_scheme(cell.scheme, ctx.paths, cache=engine.cache)
-        else:
-            scheme = cell.scheme
-        if ctx.paths is not None and scheme.path_set.fingerprint != ctx.paths.fingerprint:
+        kind = cell.scheme["kind"]
+        if ctx.paths is None:
             raise ValueError(
-                f"scheme {scheme.name!r} uses a different path set than scenario "
-                f"{ctx.name!r}; schemes under one scenario must share its PathSet so "
-                "their normalised MLUs are comparable"
+                f"cell scenario {ctx.name!r} provides no path set to build scheme {kind!r} on"
             )
-        if cell.train:
-            if train_sequence is None:
-                raise ValueError(
-                    f"scenario {ctx.name!r} provides no training data; pass train=False "
-                    "for pre-trained schemes or use a scenario with a training split"
-                )
-            scheme.precompute(train_sequence)
-        cache[key] = scheme
+        if train_sequence is None:
+            raise ValueError(
+                f"scenario {ctx.name!r} provides no training split to train scheme "
+                f"{kind!r} on; every cell's scheme is trained before it is replayed"
+            )
+        scheme = build_scheme(cell.scheme, ctx.paths, cache=engine.cache)
+        scheme.precompute(train_sequence)
+        self._scheme_cache[key] = scheme
         return scheme
 
     # ------------------------------------------------------------------ #
@@ -740,38 +695,14 @@ class Study:
             )
         return history
 
+    @staticmethod
     def _sliced_test(
-        self,
-        ctx_key: str,
-        test: TrafficMatrixSequence,
-        history_len: int,
-        max_intervals: int | None,
+        test: TrafficMatrixSequence, history_len: int, max_intervals: int | None
     ) -> TrafficMatrixSequence:
-        """Cap the test split at ``history_len + max_intervals`` rows.
-
-        Sliced once per scenario x knobs -- every cell of a grid row shares
-        the same sequence object.
-        """
+        """Cap the test split at ``history_len + max_intervals`` rows (a view)."""
         if max_intervals is None:
             return test
-        key = (ctx_key, id(test), history_len, max_intervals)
-        sliced = self._test_slices.get(key)
-        if sliced is None:
-            limit = history_len + max_intervals
-            sliced = test[: min(len(test), limit)]
-            self._test_slices[key] = sliced
-        return sliced
-
-    def _drift_test_segment(
-        self, ctx: _ScenarioContext, traffic: TrafficMatrixSequence, test_segment: tuple
-    ) -> TrafficMatrixSequence:
-        """The drift protocol's held-out test slice (cut once per scenario)."""
-        key = (ctx.key, "drift_test", test_segment)
-        cached = self._test_slices.get(key)
-        if cached is None:
-            cached = traffic.segment(*test_segment)
-            self._test_slices[key] = cached
-        return cached
+        return test[: history_len + max_intervals]
 
     def _replay(
         self,
@@ -839,29 +770,34 @@ class Study:
         )
 
     @staticmethod
-    def _scheme_label(cell: ExperimentSpec, scheme: TEScheme) -> str:
-        if isinstance(cell.scheme, Mapping) and cell.scheme.get("label"):
-            return str(cell.scheme["label"])
-        return scheme.name
-
     def _record(
-        self,
         cell: ExperimentSpec,
         ctx: _ScenarioContext,
-        scheme_label: str,
+        scheme: TEScheme,
         experiment: str,
         metrics: dict,
         series: np.ndarray | None,
         result: EvaluationResult | None = None,
     ) -> StudyResult:
+        """The cell's record; its scheme column is the spec's label, else the scheme's name."""
         return StudyResult(
             scenario=ctx.name,
-            scheme=scheme_label,
+            scheme=str(cell.scheme.get("label") or scheme.name),
             experiment=experiment,
             spec=cell.to_dict(),
             metrics=metrics,
             series=series,
             result=result,
+        )
+
+    def _decline_record(self, cell, ctx, scheme, experiment, replay, base) -> StudyResult:
+        """A perturbed replay's record: its statistics and their declines from ``base``."""
+        stats = replay.statistics
+        metrics = dict(vars(stats))
+        metrics["average_decline"] = stats.mean / base.mean - 1.0
+        metrics["p90_decline"] = stats.p90 / base.p90 - 1.0
+        return self._record(
+            cell, ctx, scheme, experiment, metrics, replay.result.normalized_mlus, replay.result
         )
 
     def _run_cell(self, cell: ExperimentSpec, engine: EvaluationEngine) -> StudyResult:
@@ -872,14 +808,14 @@ class Study:
         if ctx.test is None:
             raise ValueError(f"scenario {ctx.name!r} provides no test sequence")
         history_len = self._history_len(cell, ctx)
-        test = self._sliced_test(ctx.key, ctx.test, history_len, cell.max_intervals)
+        test = self._sliced_test(ctx.test, history_len, cell.max_intervals)
         scheme = self._resolve_scheme(cell, ctx, engine, ctx.train, "default")
         if kind == "none":
             replay = self._replay(cell, ctx, engine, scheme, test, history_len)
             return self._record(
                 cell,
                 ctx,
-                self._scheme_label(cell, scheme),
+                scheme,
                 "replay",
                 dict(vars(replay.statistics)),
                 replay.result.normalized_mlus,
@@ -893,9 +829,7 @@ class Study:
         self, cell, ctx, engine, scheme, test, history_len
     ) -> StudyResult:
         perturbation = cell.perturbation
-        # Resolved before the baseline replay: a train-less scenario fails
-        # with pair_std's spec-level error instead of replaying first.
-        pair_std = ctx.pair_std()
+        pair_std = ctx.pair_std
         base_stats = self._replay(cell, ctx, engine, scheme, test, history_len).statistics
         fluctuate = (
             reverse_rank_fluctuation if perturbation["worst_case"] else gaussian_fluctuation
@@ -911,19 +845,7 @@ class Study:
                 trace, perturbation["alpha"], pair_std, seed=perturbation["seed"]
             ),
         )
-        result, stats = replay.result, replay.statistics
-        metrics = dict(vars(stats))
-        metrics["average_decline"] = stats.mean / base_stats.mean - 1.0
-        metrics["p90_decline"] = stats.p90 / base_stats.p90 - 1.0
-        return self._record(
-            cell,
-            ctx,
-            self._scheme_label(cell, scheme),
-            "fluctuation",
-            metrics,
-            result.normalized_mlus,
-            result,
-        )
+        return self._decline_record(cell, ctx, scheme, "fluctuation", replay, base_stats)
 
     def _run_failure(self, cell, ctx, engine, scheme, test, history_len) -> StudyResult:
         perturbation = cell.perturbation
@@ -937,9 +859,8 @@ class Study:
         if fault_aware is None:
             fault_aware = can_be_told
         elif fault_aware and not can_be_told:
-            kind = cell.scheme["kind"] if isinstance(cell.scheme, Mapping) else scheme.name
             raise ValueError(
-                f"failure cell sets \"fault_aware\": true on scheme {kind!r}, which "
+                f"failure cell sets \"fault_aware\": true on scheme {cell.scheme['kind']!r}, which "
                 "has no set_failures() to be told the failed links through; drop "
                 "fault_aware (or set it to false) so its configuration is "
                 "rerouted around the failures instead"
@@ -970,22 +891,10 @@ class Study:
             if fault_aware:
                 scheme.set_failures(set())
         metrics = dict(vars(normalized_mlu_statistics(series)))
-        return self._record(
-            cell, ctx, self._scheme_label(cell, scheme), "failure", metrics, series
-        )
+        return self._record(cell, ctx, scheme, "failure", metrics, series)
 
     def _run_drift(self, cell: ExperimentSpec, ctx, engine) -> StudyResult:
         perturbation = cell.perturbation
-        if isinstance(cell.scheme, TEScheme):
-            raise ValueError(
-                "drift cells retrain from scratch per segment; pass a scheme spec dict "
-                "instead of a live instance"
-            )
-        if not cell.train:
-            raise ValueError(
-                "drift cells measure decline from retraining, which train=False "
-                "disables; drop train=False (there is no pre-trained scheme to protect)"
-            )
         traffic = ctx.traffic
         if traffic is None:
             raise ValueError(
@@ -995,8 +904,9 @@ class Study:
         test_segment = tuple(float(v) for v in perturbation["test_segment"])
         train_segment = tuple(float(v) for v in perturbation["train_segment"])
         history_len = self._history_len(cell, ctx)
-        test_full = self._drift_test_segment(ctx, traffic, test_segment)
-        test = self._sliced_test(ctx.key, test_full, history_len, cell.max_intervals)
+        test = self._sliced_test(
+            traffic.segment(*test_segment), history_len, cell.max_intervals
+        )
 
         baseline_key = f"segment:0.0-{test_segment[0]}"
         baseline_scheme = self._resolve_scheme(
@@ -1023,16 +933,4 @@ class Study:
         replay = self._replay(
             cell, ctx, engine, scheme, test, history_len, train_key=f"{segment_key}|{held_out}"
         )
-        result, stats = replay.result, replay.statistics
-        metrics = dict(vars(stats))
-        metrics["average_decline"] = stats.mean / base_stats.mean - 1.0
-        metrics["p90_decline"] = stats.p90 / base_stats.p90 - 1.0
-        return self._record(
-            cell,
-            ctx,
-            self._scheme_label(cell, scheme),
-            "drift",
-            metrics,
-            result.normalized_mlus,
-            result,
-        )
+        return self._decline_record(cell, ctx, scheme, "drift", replay, base_stats)

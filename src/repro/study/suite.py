@@ -159,31 +159,24 @@ def _seeded_scenario(scenario, seed: int, study: str):
     """Rewrite a declarative scenario reference to the suite seed."""
     if isinstance(scenario, str):
         return {"name": scenario, "seed": seed}
-    if isinstance(scenario, Mapping):
-        if "name" in scenario and "topology" not in scenario:
-            if "seed" in scenario:
-                raise ValueError(
-                    f"study {study!r} pins scenario seed {scenario['seed']!r} but the "
-                    "suite declares a seeds axis; drop the pinned seed (the suite owns "
-                    "the seed axis) or drop the suite's 'seeds' key"
-                )
-            return {**scenario, "seed": seed}
-        if "topology" in scenario:
-            traffic = scenario.get("traffic")
-            if isinstance(traffic, Mapping):
-                if "seed" in traffic:
-                    raise ValueError(
-                        f"study {study!r} pins traffic seed {traffic['seed']!r} in an "
-                        "inline scenario config but the suite declares a seeds axis; "
-                        "drop the pinned seed or the suite's 'seeds' key"
-                    )
-                return {**scenario, "traffic": {**traffic, "seed": seed}}
-            return scenario
-    raise ValueError(
-        f"study {study!r} uses a live scenario object; suites are declarative "
-        "(registered names, registry references, or inline configs) so their "
-        "cells can be resumed and identified in the warehouse"
-    )
+    if "name" in scenario and "topology" not in scenario:
+        if "seed" in scenario:
+            raise ValueError(
+                f"study {study!r} pins scenario seed {scenario['seed']!r} but the "
+                "suite declares a seeds axis; drop the pinned seed (the suite owns "
+                "the seed axis) or drop the suite's 'seeds' key"
+            )
+        return {**scenario, "seed": seed}
+    traffic = scenario.get("traffic")
+    if "topology" in scenario and isinstance(traffic, Mapping):
+        if "seed" in traffic:
+            raise ValueError(
+                f"study {study!r} pins traffic seed {traffic['seed']!r} in an "
+                "inline scenario config but the suite declares a seeds axis; "
+                "drop the pinned seed or the suite's 'seeds' key"
+            )
+        return {**scenario, "traffic": {**traffic, "seed": seed}}
+    return scenario
 
 
 def _seeded_perturbation(perturbation, seed: int):
@@ -209,8 +202,10 @@ def expand_suite(descriptor: Mapping) -> list[ExperimentSpec]:
 
     Raises:
         ValueError: On unknown descriptor keys, invalid axes, live-object
-            scenarios/schemes, pinned-seed conflicts, or reserved-tag
-            collisions (see the module docstring for the seed rules).
+            scenarios, pinned-seed conflicts, or reserved-tag collisions
+            (see the module docstring for the seed rules).
+        TypeError: On a scheme that is not a spec dict (see
+            :class:`~repro.study.spec.ExperimentSpec`).
     """
     if not isinstance(descriptor, Mapping):
         raise ValueError(
@@ -238,6 +233,13 @@ def expand_suite(descriptor: Mapping) -> list[ExperimentSpec]:
             for repetition in range(repetitions):
                 for base in base_cells:
                     cell = copy.deepcopy(base)
+                    if not isinstance(cell.get("scenario"), (str, Mapping)):
+                        raise ValueError(
+                            f"study {study_name!r} uses a live scenario object; suites "
+                            "are declarative (registered names, registry references, "
+                            "or inline configs) so their cells can be resumed and "
+                            "identified in the warehouse"
+                        )
                     if seed is not None:
                         cell["scenario"] = _seeded_scenario(
                             cell.get("scenario"), seed, study_name
@@ -247,18 +249,6 @@ def expand_suite(descriptor: Mapping) -> list[ExperimentSpec]:
                         )
                         if cell["perturbation"] is None:
                             del cell["perturbation"]
-                    elif not isinstance(cell.get("scenario"), (str, Mapping)):
-                        raise ValueError(
-                            f"study {study_name!r} uses a live scenario object; "
-                            "suites are declarative so their cells can be resumed "
-                            "and identified in the warehouse"
-                        )
-                    if not isinstance(cell.get("scheme"), Mapping):
-                        raise ValueError(
-                            f"study {study_name!r} uses a live scheme object; suites "
-                            "are declarative (scheme spec dicts) so their cells can "
-                            "be resumed and identified in the warehouse"
-                        )
                     own_tags = cell.get("tags") or {}
                     if not isinstance(own_tags, Mapping):
                         raise ValueError(

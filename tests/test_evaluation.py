@@ -101,7 +101,6 @@ class TestRunner:
                 "scenario": scenario,
                 "scheme": sweep(*schemes),
                 "perturbation": sweep(*perturbations),
-                "train": False,
             }
         ).run(engine=EvaluationEngine())
 

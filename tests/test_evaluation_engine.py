@@ -23,7 +23,6 @@ from repro.solvers import (
     solve_mlu_lp,
     solve_mlu_lp_batch,
 )
-from repro.study import InlineScenario, Study, sweep
 from repro.te.config import TEConfiguration
 from repro.te.failures import (
     reroute_around_failures,
@@ -208,19 +207,10 @@ class TestEvaluateSchemeEquivalence:
 class TestCompareSchemes:
     """Schemes compared under one normaliser must share one path set.
 
-    Pinned at both places that put several schemes under one normaliser: the
-    engine's multi-scheme failure replay and a study scenario's scheme axis.
+    Pinned at the engine's multi-scheme failure replay.  A study builds every
+    scheme of a scenario on that scenario's own path set, so its scheme axis
+    cannot mix two.
     """
-
-    @staticmethod
-    def _scheme_axis(paths, traffic, schemes):
-        train, test = traffic.split(0.7)
-        scenario = InlineScenario(
-            paths=paths, train=train, test=test[:12], history_len=HISTORY, name="mesh4"
-        )
-        return Study({"scenario": scenario, "scheme": sweep(*schemes)}).run(
-            engine=EvaluationEngine()
-        )
 
     def test_mismatched_path_sets_rejected(self, mesh4_paths, triangle_paths, mesh4_traffic):
         schemes = [PredictionBasedTE(mesh4_paths), PredictionBasedTE(triangle_paths)]
@@ -228,8 +218,6 @@ class TestCompareSchemes:
             EvaluationEngine().failure_experiment(
                 schemes, mesh4_traffic[:12], HISTORY, num_failures=1, num_trials=1
             )
-        with pytest.raises(ValueError, match="share its PathSet"):
-            self._scheme_axis(mesh4_paths, mesh4_traffic, schemes)
 
     def test_structurally_equal_path_sets_accepted(self, mesh4_topology, mesh4_traffic):
         from repro.paths.ksp import build_ksp_path_set
@@ -241,8 +229,6 @@ class TestCompareSchemes:
             schemes, mesh4_traffic[:12], HISTORY, num_failures=1, num_trials=1
         )
         assert set(failures) == {"Pred TE (last)", "Des TE"}
-        results = self._scheme_axis(paths_a, mesh4_traffic, schemes)
-        assert [record.scheme for record in results] == ["Pred TE (last)", "Des TE"]
 
 
 class TestOptimalMLUCache:

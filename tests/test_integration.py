@@ -125,7 +125,6 @@ class TestFailureHandling:
                 "scheme": sweep({"kind": "des_te"}, {"kind": "fa_des_te"}),
                 "perturbation": {"kind": "failure", "num_failures": 1, "num_trials": 2,
                                  "seed": 1},
-                "train": False,
                 "history_len": 4,
                 "max_intervals": 6,
             }

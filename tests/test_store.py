@@ -112,9 +112,11 @@ def test_append_is_one_file_fsync_and_one_directory_fsync(
     store.close()
 
 
-def _rewritten_by_another_instance(store):
-    other = type(store)(store.path)
-    other.rewrite([*other.load(), _record("other")])
+def _rewritten_by_a_foreign_writer(store):
+    # Another program replaces the file; the store's lock stays on the old one.
+    temp = store.path.with_name("foreign.tmp")
+    temp.write_text(store.path.read_text() + store._line(_record("other")))
+    os.replace(temp, store.path)
     return ["FIGRET", "other", "next"], ["fsync file", "fsync dir"]
 
 
@@ -124,10 +126,9 @@ def _deleted(store):
     return ["next"], ["fsync file", "replace", "fsync dir", "fsync file", "fsync dir"]
 
 
-def _appended_by_another_instance(store):
-    other = type(store)(store.path)
-    other.append(_record("other"))
-    other.close()
+def _appended_by_a_foreign_writer(store):
+    with open(store.path, "a", encoding="utf-8") as handle:
+        handle.write(store._line(_record("other")))
     return ["FIGRET", "other", "next"], ["fsync file", "fsync dir"]
 
 
@@ -145,9 +146,9 @@ def _torn_line_from_a_foreign_writer(store):
 @pytest.mark.parametrize(
     "interfere",
     [
-        _rewritten_by_another_instance,
+        _rewritten_by_a_foreign_writer,
         _deleted,
-        _appended_by_another_instance,
+        _appended_by_a_foreign_writer,
         _torn_line_from_a_foreign_writer,
     ],
 )

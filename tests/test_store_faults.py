@@ -14,7 +14,9 @@ once up front (shared ``scheme_cache``), so a child does no training.
 
 A read never writes: a record another writer has only half appended must
 survive a concurrent ``load()``, which drops it in memory and leaves the
-file alone.
+file alone.  A second writer -- another store object or another process --
+is refused with the store's error before it writes a byte, so it cannot
+compact that half-appended record away either.
 
 The same grid checks the other half of the held-descriptor contract: once
 ``Study.run`` / ``resume`` returns -- or stops on a cancel or a raising cell
@@ -30,17 +32,22 @@ succeeds.
 from __future__ import annotations
 
 import errno
+import json
 import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.evaluation.engine import EvaluationEngine
 from repro.solvers.lp import OptimalMLUCache
 from repro.study import ResultWarehouse, Study, StudyCancelled, StudyCheckpoint, StudyResult
@@ -238,11 +245,14 @@ def test_a_pickled_store_carries_no_descriptor(tmp_path, warm, store_class):
     store.append(record)
     copy = pickle.loads(pickle.dumps(store))
     assert copy._fd is None and store._fd is not None
+    with pytest.raises(store_class._error, match="held by another process"):
+        copy.append(record)  # a second writer on the path, refused
+    store.close()
     copy.append(record)
+    copy.close()
     store.append(record)
     assert len(store_class(store.path).load()) == 3
-    for held in (store, copy):
-        held.close()
+    store.close()
     assert store._fd is None
 
 
@@ -269,6 +279,102 @@ def test_a_concurrent_read_never_destroys_a_record_being_written(tmp_path, store
     writer.append(record("C"))
     assert [r.scheme for r in store_class(writer.path).load()] == ["A", "B", "C"]
     writer.close()
+
+
+@pytest.mark.parametrize("store_class", [StudyCheckpoint, ResultWarehouse])
+def test_a_second_writer_is_refused_before_it_writes_a_byte(tmp_path, store_class):
+    # Before the lock, the second store's tail probe saw the first store's
+    # half-written record as a torn tail and rewrote the file without it;
+    # the rest of that record then went to the replaced file, and a fresh
+    # load returned records 1 and 3.
+    first = store_class(tmp_path / "store.jsonl")
+    first.append(record("1"))
+    line = first._line(record("2", notes="x" * 12_000)).encode("utf-8")
+    os.write(first._fd, line[:4096])  # the first writer is mid-append ...
+    before = first.path.read_bytes()
+    second = store_class(first.path)
+    with pytest.raises(store_class._error, match="held by another process"):
+        second.append(record("3"))
+    assert first.path.read_bytes() == before and second._fd is None
+    os.write(first._fd, line[4096:])  # ... and finishes its record
+    os.fsync(first._fd)
+    first.close()
+    assert [r.scheme for r in store_class(first.path).load()] == ["1", "2"]
+
+
+_SECOND_PROCESS = """
+import sys
+from repro.study import ResultWarehouse, WarehouseError
+warehouse = ResultWarehouse(sys.argv[1])
+try:
+    warehouse.extend(warehouse.load())
+except WarehouseError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_a_second_process_is_refused_on_a_held_warehouse(tmp_path):
+    warehouse = ResultWarehouse(tmp_path / "wh.jsonl")
+    warehouse.append(record("A"))
+    before = warehouse.path.read_bytes()
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _SECOND_PROCESS, str(warehouse.path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert f"{warehouse.path} is held by another process" in done.stdout
+    # The CLI makes it a usage error before any cell runs.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "perturbation": {"kind": "none"}}))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.study", str(spec), "--warehouse", str(warehouse.path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2 and "is held by another process" in done.stderr, done.stderr
+    assert "Traceback" not in done.stderr
+    assert warehouse.path.read_bytes() == before
+    warehouse.append(record("B"))  # the holder goes on writing
+    warehouse.close()
+    # Released: the other process may write now.
+    done = subprocess.run(
+        [sys.executable, "-c", _SECOND_PROCESS, str(warehouse.path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert [r.scheme for r in ResultWarehouse(warehouse.path).load()] == ["A", "B", "A", "B"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child (POSIX only)")
+def test_a_forked_child_keeps_no_copy_of_a_held_lock(tmp_path):
+    # A flock belongs to the open file description, which a fork shares: an
+    # LP pool worker forked while a store holds its file would otherwise keep
+    # the lock after the parent released it.
+    store = ResultWarehouse(tmp_path / "wh.jsonl")
+    store.append(record("A"))
+    (ready, forked), (done, finish) = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child only
+        os.close(finish)
+        os.write(forked, b"x")  # past the fork hooks
+        os.read(done, 1)  # alive until the parent closes ``finish``
+        os._exit(0)
+    os.close(forked)
+    os.close(done)
+    try:
+        os.read(ready, 1)
+        store.close()
+        ResultWarehouse(store.path).append(record("B"))
+    finally:
+        os.close(finish)
+        os.close(ready)
+        os.waitpid(pid, 0)
+    assert [r.scheme for r in ResultWarehouse(store.path).load()] == ["A", "B"]
 
 
 class _Records:

@@ -89,18 +89,23 @@ class TestExpandSpec:
 # Cell validation
 # --------------------------------------------------------------------------- #
 class TestExperimentSpec:
-    def test_unknown_cell_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown experiment spec key"):
-            ExperimentSpec.from_dict({"scenario": "x", "scheme": {"kind": "dote"}, "nope": 1})
+    @pytest.mark.parametrize("key, value", [("nope", 1), ("train", False)])
+    def test_unknown_cell_key_rejected(self, key, value):
+        with pytest.raises(ValueError, match=rf"unknown experiment spec key\(s\) \['{key}'\]"):
+            ExperimentSpec.from_dict({"scenario": "x", "scheme": {"kind": "dote"}, key: value})
 
     def test_unknown_scheme_kind_listed(self):
         with pytest.raises(ValueError, match="unknown scheme kind 'bogus'"):
             ExperimentSpec(scenario="x", scheme={"kind": "bogus"})
 
-    @pytest.mark.parametrize("scheme", ["figret", lambda: None], ids=["name", "factory"])
-    def test_scheme_is_a_spec_dict_or_a_live_scheme(self, scheme):
-        with pytest.raises(TypeError, match="scheme must be a spec dict or a TEScheme"):
-            ExperimentSpec(scenario="x", scheme=scheme)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda paths: "figret", lambda paths: lambda: None, PredictionBasedTE],
+        ids=["name", "factory", "live_scheme"],
+    )
+    def test_scheme_is_a_spec_dict(self, make, triangle_paths):
+        with pytest.raises(TypeError, match="scheme must be a spec dict"):
+            ExperimentSpec(scenario="x", scheme=make(triangle_paths))
 
     def test_unknown_perturbation_kind(self):
         with pytest.raises(ValueError, match="unknown perturbation kind"):
@@ -422,12 +427,11 @@ class TestCellsMatchEngineCalls:
         assert record.metrics["p90_decline"] == stats.p90 / base.p90 - 1.0
 
     def test_live_scheme_cell_matches_evaluate_scheme(self, scenario):
-        train, test = scenario.split()
-        scheme = self._figret(scenario, train)
+        _, test = scenario.split()
+        cell = {"scenario": self.REFERENCE, "scheme": dict(SCHEME_SPECS[0])}
+        scheme = Study().trained_scheme(cell, self._engine())
         direct = self._engine().evaluate_scheme(scheme, test, self.HISTORY)
-        record = Study(
-            {"scenario": self.REFERENCE, "scheme": scheme, "train": False}
-        ).run(engine=self._engine())[0]
+        record = Study(cell).run(engine=self._engine())[0]
         self._assert_same_replay(record, direct)
 
     def test_scheme_axis_matches_per_scheme_replays(self, scenario):
@@ -525,7 +529,6 @@ class TestCellsMatchEngineCalls:
                 "scheme": sweep({"kind": "des_te"}, {"kind": "fa_des_te"}),
                 "perturbation": {"kind": "failure", "num_failures": 1, "num_trials": 2,
                                  "seed": 42},
-                "train": False,
             }
         ).run(engine=self._engine())
         assert [record.scheme for record in results] == list(direct)
@@ -549,38 +552,6 @@ class TestStudyBehaviour:
         streaming_spec = dict(base, streaming=True, chunk_size=2)
         streaming = Study(streaming_spec, scheme_cache=cache).run(engine=engine)[0]
         np.testing.assert_allclose(streaming.series, batch.series, rtol=0, atol=1e-9)
-
-    def test_live_scheme_path_set_mismatch_rejected(self, grid_scenarios, triangle_paths):
-        from repro.solvers import PredictionBasedTE
-
-        cell = ExperimentSpec(
-            scenario={"name": grid_scenarios[0], "seed": 2},
-            scheme=PredictionBasedTE(triangle_paths),
-            train=False,
-        )
-        with pytest.raises(ValueError, match="different path set"):
-            Study([cell]).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
-
-    def test_drift_rejects_live_instances(self, grid_scenarios, mesh4_paths):
-        from repro.solvers import PredictionBasedTE
-
-        cell = ExperimentSpec(
-            scenario={"name": grid_scenarios[0], "seed": 2},
-            scheme=PredictionBasedTE(mesh4_paths),
-            perturbation={"kind": "drift", "train_segment": (0.0, 0.25)},
-        )
-        with pytest.raises(ValueError, match="retrain from scratch"):
-            Study([cell]).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
-
-    def test_drift_rejects_train_false(self, grid_scenarios):
-        cell = ExperimentSpec(
-            scenario={"name": grid_scenarios[0], "seed": 2},
-            scheme=dict(SCHEME_SPECS[0]),
-            perturbation={"kind": "drift", "train_segment": (0.0, 0.25)},
-            train=False,
-        )
-        with pytest.raises(ValueError, match="train=False"):
-            Study([cell]).run(engine=EvaluationEngine(cache=OptimalMLUCache()))
 
     def test_drift_baselines_not_shared_across_test_segments(self, grid_scenarios):
         # Two drift cells with the same training prefix but different

@@ -170,19 +170,15 @@ class TestInterruptResume:
             Study(spec).run(engine=fresh_engine(), checkpoint=checkpoint)
 
     def test_live_object_cells_always_rerun_on_resume(self, tmp_path):
-        # Live objects record only an {"inline": <name>} marker, which two
-        # different objects with one display name would share -- so resume
-        # must re-run such cells (with a warning) instead of silently
+        # A live scenario records only an {"inline": <name>} marker, which
+        # two different objects with one display name would share -- so
+        # resume must re-run such cells (with a warning) instead of silently
         # serving a possibly-stale on-disk result.
         from repro.datasets import from_config
-        from repro.study.spec import build_scheme
 
         scenario = from_config(scenario_config("resume_inline", 4))
-        train, _ = scenario.split()
-        scheme = build_scheme(dict(SCHEME_SPECS[1]), scenario.paths)
-        scheme.precompute(train)
         cell = ExperimentSpec(
-            scenario=scenario, scheme=scheme, train=False, max_intervals=3
+            scenario=scenario, scheme=dict(SCHEME_SPECS[1]), max_intervals=3
         )
         checkpoint = tmp_path / "inline.ckpt"
         first = Study([cell]).run(engine=fresh_engine(), checkpoint=checkpoint)
@@ -454,37 +450,23 @@ class TestPicklableSchemes:
 
 
 # --------------------------------------------------------------------------- #
-# pair_std spec-level error
+# A train-less scenario is a spec-level error
 # --------------------------------------------------------------------------- #
 class TestPairStdGuard:
     def test_trainless_scenario_fluctuation_cell_raises_value_error(self):
         from repro.datasets import from_config
-        from repro.study.spec import build_scheme
 
         scenario = from_config(scenario_config("trainless", 6))
         _, test = scenario.split()
-        scheme = build_scheme(dict(SCHEME_SPECS[1]), scenario.paths)
-        scheme.precompute(scenario.split()[0])
         cell = ExperimentSpec(
             scenario=InlineScenario(
                 paths=scenario.paths, test=test, history_len=3, name="trainless"
             ),
-            scheme=scheme,
+            scheme=dict(SCHEME_SPECS[1]),
             perturbation={"kind": "fluctuation", "alpha": 0.5},
-            train=False,
         )
         with pytest.raises(ValueError, match="trainless.*training split"):
             Study([cell]).run(engine=fresh_engine())
-
-    def test_context_pair_std_names_scenario(self):
-        from repro.study.study import _ScenarioContext
-
-        ctx = _ScenarioContext(
-            key="k", name="bare", paths=None, train=None, test=None,
-            traffic=None, history_len=3,
-        )
-        with pytest.raises(ValueError, match="'bare'.*training split"):
-            ctx.pair_std()
 
 
 # --------------------------------------------------------------------------- #

@@ -288,6 +288,39 @@ class TestWarmState:
         assert client.submit(grid_spec("wh", alphas=())).status == "done"
         assert len(ResultWarehouse(server.default_warehouse).results()) == 1
 
+    def test_two_jobs_naming_one_warehouse_both_finish(self, service, tmp_path, cell_gate):
+        # A warehouse has one writer at a time.  The FIFO worker runs the
+        # second job only after the first, whose stores are closed by then.
+        server, client = service
+        warehouse = tmp_path / "shared.wh.jsonl"
+        outcomes = {}
+
+        def submit_second():
+            outcomes["second"] = StudyClient(server.socket_path).submit(
+                grid_spec("wh-two", alphas=()), warehouse=warehouse
+            )
+
+        second = threading.Thread(target=submit_second)
+
+        def on_message(message):
+            if message["type"] == "record" and not second.is_alive() and "second" not in outcomes:
+                # The first job holds the warehouse, held at its second cell.
+                second.start()
+                deadline = time.monotonic() + 30
+                while len(StudyClient(server.socket_path).status()["jobs"]) < 2:
+                    assert time.monotonic() < deadline, "the second job was never queued"
+                    time.sleep(0.01)
+                cell_gate.set()
+
+        outcomes["first"] = client.submit(
+            grid_spec("wh-one", alphas=(1.0,)), warehouse=warehouse, on_message=on_message
+        )
+        second.join(timeout=60)
+        assert outcomes["first"].status == outcomes["second"].status == "done"
+        assert [record.scenario for record in ResultWarehouse(warehouse).load()] == [
+            "wh-one", "wh-one", "wh-two"
+        ]
+
     def test_status_reports_warm_caches_and_jobs(self, service):
         server, client = service
         client.submit(grid_spec("status", alphas=()))
@@ -451,6 +484,8 @@ class TestProtocolErrors:
             client.submit({"bogus_key": 1})
         with pytest.raises(StudyServiceError, match="invalid spec: unknown suite descriptor"):
             client.submit({"bogus_key": 1, "studies": [{"spec": {}}]})
+        with pytest.raises(StudyServiceError, match=r"unknown experiment spec key\(s\) \['train'\]"):
+            client.submit({"scenario": "geant_small", "scheme": {"kind": "des_te"}, "train": False})
         assert client.status()["jobs"] == []  # nothing was queued
 
     def test_submit_carrying_kind_is_an_unknown_key(self, service):

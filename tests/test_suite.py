@@ -28,6 +28,7 @@ import json
 import pytest
 
 from repro.evaluation.engine import EvaluationEngine
+from repro.solvers import PredictionBasedTE
 from repro.solvers.lp import count_lp_solves
 from repro.study import (
     ResultSet,
@@ -188,10 +189,13 @@ class TestExpandSuite:
         assert cells[0].tags["variant"] == "ablation"
         assert cells[0].tags["study"] == "study-0"
 
-    def test_live_scheme_objects_rejected(self):
-        with pytest.raises(ValueError, match="live scheme object"):
+    @pytest.mark.parametrize(
+        "make", [lambda paths: object(), PredictionBasedTE], ids=["object", "te_scheme"]
+    )
+    def test_live_scheme_objects_rejected(self, make, triangle_paths):
+        with pytest.raises(TypeError, match="scheme must be a spec dict"):
             expand_suite({"studies": [
-                {"spec": {"scenario": "geant_small", "scheme": object()}},
+                {"spec": {"scenario": "geant_small", "scheme": make(triangle_paths)}},
             ]})
 
     def test_live_scenario_objects_rejected(self):
@@ -425,6 +429,16 @@ class TestSuiteCli:
             study_cli([str(bad)])
         assert excinfo.value.code == 2
         assert "unknown suite descriptor" in capsys.readouterr().err
+        # A cell's scheme is always trained: the retired "train" key is
+        # refused before anything runs.
+        bad.write_text(json.dumps({"scenario": "geant_small", "scheme": CHEAP_SCHEME,
+                                   "train": False}))
+        with pytest.raises(SystemExit) as excinfo:
+            study_cli([str(bad)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment spec key(s) ['train']" in captured.err
+        assert "Running" not in captured.out
         # The suite subcommand is gone: its first operand is no document.
         with pytest.raises(SystemExit) as excinfo:
             study_cli(["suite", str(suite_file)])

@@ -191,6 +191,7 @@ class TestWarehouseReadContract:
         path = tmp_path / "wh.jsonl"
         store = ResultWarehouse(path)
         store.append(_record(scheme="A"))
+        store.close()  # one writer at a time: the next two are other stores
         assert [r.scheme for r in store.results()] == ["A"]
         ResultWarehouse(path).append(_record(scheme="B"))
         assert [r.scheme for r in store.results()] == ["A", "B"]
