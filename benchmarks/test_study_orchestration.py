@@ -23,7 +23,9 @@ writers merge via ``write_bench_record(update=True)``).
 
 from __future__ import annotations
 
+import fcntl
 import gc
+import os
 import time
 
 import pytest
@@ -283,7 +285,7 @@ def _suite_descriptor(repetitions: int = 2) -> dict:
 
 
 @pytest.mark.paper("suite orchestration")
-def test_suite_orchestration_and_warehouse_overhead(tmp_path):
+def test_suite_orchestration_and_warehouse_overhead(tmp_path, monkeypatch):
     """Suite expansion is pure dict work; warehouse appends stay invisible.
 
     Expansion throughput is measured on a 600-cell descriptor (200
@@ -291,7 +293,9 @@ def test_suite_orchestration_and_warehouse_overhead(tmp_path):
     cells/sec.  The run comparison times a warm suite run (trainings and
     replays all cache hits via the session caches) with and without a
     warehouse attached -- the gap is exactly the durable-append cost, and
-    the per-cell append time lands in the record for trend tracking.
+    the per-cell append time lands in the record for trend tracking.  Each
+    warehoused round makes one append fsync on the warehouse: a run that
+    trains and solves nothing commits all its cells at once.
     """
     wide = _suite_descriptor(repetitions=200)
     gc.collect()
@@ -318,13 +322,25 @@ def test_suite_orchestration_and_warehouse_overhead(tmp_path):
     cells = len(suite())
 
     warehouse = ResultWarehouse(tmp_path / "bench_suite.jsonl")
-    plain_s, warehouse_s = _compare(
-        lambda: suite().run(engine=engine),
-        lambda: suite().run(engine=engine, warehouse=warehouse),
-        rounds=5,
-    )
+    appends: list[int] = []
+    fsync = os.fsync
+
+    def counting_fsync(fd):
+        # An append's fsync is the one on an O_APPEND descriptor.
+        if fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
+            appends.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fsync", counting_fsync)
+        plain_s, warehouse_s = _compare(
+            lambda: suite().run(engine=engine),
+            lambda: suite().run(engine=engine, warehouse=warehouse),
+            rounds=5,
+        )
     records = warehouse.results()
     assert len(records) == 5 * cells  # every timed round appended its cells
+    assert appends == [os.stat(warehouse.path).st_ino] * 5
     append_seconds_per_cell = max(0.0, warehouse_s - plain_s) / cells
 
     print(

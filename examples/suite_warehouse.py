@@ -74,7 +74,7 @@ def main() -> None:
     print(f"Suite {DESCRIPTOR['name']!r} expanded to {len(suite)} cells "
           "((2 + 1) study cells x 3 seeds x 2 repetitions).")
 
-    # Every finished cell is appended to the warehouse as it completes; a
+    # Every finished cell is appended to the warehouse as the study commits it; a
     # crashed run resumed from a checkpoint reconciles the store instead of
     # duplicating records.
     results = suite.run(warehouse=warehouse_path, checkpoint=workdir / "run.ckpt")

@@ -28,7 +28,7 @@ half-width over repetitions, pooled percentile columns) and ``export``
 writes the ``run_table``-style flat CSV.
 
 Crash recovery: with ``--checkpoint`` every finished cell is appended to the
-given file as it completes, and re-running the same command with ``--resume``
+given file in the study's commits (see ``Study.execute``), and re-running the same command with ``--resume``
 added skips the finished cells and completes the remainder -- so a killed
 200-cell suite restarts where it died instead of from scratch, with its
 warehouse reconciled (no lost or duplicated records).

@@ -29,7 +29,9 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
   :func:`~repro.solvers.lp.count_lp_solves`).  Cold solves run on the
   solver, and over the pool width, that cache was built with.
 
-Cells run one at a time in this process, in spec order.
+Cells run one at a time in this process, in spec order; their records
+reach the checkpoint and warehouse in commits, one per cell that trained
+or solved and one per exit (see :meth:`Study.execute`).
 
 Pass ``scheme_cache`` / ``scenario_cache`` dicts to share the first two
 dedup layers across studies in one process (the benchmark harness does).
@@ -53,6 +55,7 @@ from repro.datasets.registry import Scenario
 from repro.evaluation.engine import EvaluationEngine, EvaluationResult, default_engine
 from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
 from repro.paths.path_set import PathSet
+from repro.solvers.lp import LPSolveTally
 from repro.study.results import ResultSet, StudyCheckpoint, StudyResult
 from repro.study.warehouse import ResultWarehouse
 from repro.study.spec import (
@@ -241,6 +244,8 @@ class Study:
         # unperturbed configuration is worth keeping (see _replay).
         self._failure_pairs: set[tuple[str, str]] = set()
         self._contexts: dict[str, _ScenarioContext] = {}
+        # Schemes trained so far (a cell that trains commits at once).
+        self._trainings = 0
         if spec is not None:
             self.add(spec)
 
@@ -287,15 +292,17 @@ class Study:
                 shared LP cache -- if omitted).  Through its cache it names
                 the LP pool width of every normaliser, training and replay:
                 ``EvaluationEngine(cache=OptimalMLUCache(workers=))``.
-            checkpoint: Optional path of a :class:`StudyCheckpoint`.  Every
-                finished cell is appended to it immediately (crash-safe
-                writes), so an interrupted grid restarts where it died via
-                :meth:`resume` with zero repeat trainings or LP solves for
-                the cells already on disk.  The path must not already exist
-                -- resuming is explicit, never accidental.
+            checkpoint: Optional path of a :class:`StudyCheckpoint`.
+                Finished cells are committed to it as :meth:`execute` says
+                (crash-safe writes; every cell that trained or solved is on
+                disk before the next cell starts), so an interrupted grid
+                restarts where it died via :meth:`resume` with zero repeat
+                trainings or LP solves for the cells already on disk.  The
+                path must not already exist -- resuming is explicit, never
+                accidental.
             warehouse: Optional path or :class:`~repro.study.warehouse.
-                ResultWarehouse` that every finished cell is appended to as
-                it completes (after the checkpoint append, with the same
+                ResultWarehouse` that finished cells are appended to in the
+                same commits (after the checkpoint append, with the same
                 crash-safe writes).  Unlike a checkpoint, a warehouse is
                 *shared*: it may already hold records of other suites,
                 studies, and sessions, and this run simply appends to it.
@@ -489,14 +496,27 @@ class Study:
         Args:
             plan: The plan built by :meth:`plan`.
             on_cell: Optional ``on_cell(index, record)`` callback invoked
-                after each newly finished cell is checkpointed/warehoused --
-                the study server streams records to its clients from here.
-                Called in spec order.
+                for each newly finished cell once its record is committed to
+                the checkpoint and the warehouse (at once when the plan has
+                neither) -- the study server streams records to its clients
+                from here.  Called in spec order.
             should_stop: Optional zero-argument callable polled between
                 cells.  When it returns true, execution stops *cleanly*:
-                everything finished so far is already on disk, and
+                everything finished so far is committed, and
                 :class:`StudyCancelled` is raised so the caller knows the run
                 is partial but resumable.
+
+        Finished records are committed on a fixed rule.  A cell that did
+        real work -- trained a scheme, ran an LP solve, or missed the
+        engine's normaliser cache -- commits every record finished so far
+        right after it; a cell that only reused trained schemes and cached
+        optima leaves its record buffered for the next commit.  Every exit
+        commits too: the end of the grid, a cancel, a raising cell and
+        ``KeyboardInterrupt``.  A commit is one
+        :meth:`~repro.store.JsonlStore.extend` per store (one write and one
+        fsync each) and writes the bytes per-cell appends would, so a warm
+        grid costs one append per store and a crash loses only records of
+        cells that reused work.
 
         Each distinct replay runs once per study: cells that replay one
         scheme over one trace with one partition share it, and a failure
@@ -518,6 +538,24 @@ class Study:
         store = plan.warehouse
         if store is not None:
             store.create()
+        stores = [held for held in (writer, store) if held is not None]
+        buffered: list[tuple[int, StudyResult]] = []
+
+        def commit() -> None:
+            """One append per store for the buffered records, then announce them."""
+            batch = buffered[:]
+            buffered.clear()
+            for held in stores:
+                held.extend(record for _, record in batch)
+            if on_cell is not None:
+                for index, record in batch:
+                    on_cell(index, record)
+
+        solves = LPSolveTally()
+
+        def work() -> tuple[int, int, int]:
+            return self._trainings, solves.count, engine.cache.misses
+
         try:
             records: dict[int, StudyResult] = dict(plan.completed)
             self._failure_pairs = {
@@ -533,6 +571,7 @@ class Study:
             for index, cell in plan.pending:
                 if should_stop is not None and should_stop():
                     raise StudyCancelled(len(records), len(self.specs))
+                before = work()
                 try:
                     record = self._run_cell(cell, engine)
                 except Exception as exc:
@@ -544,12 +583,12 @@ class Study:
                     raise
                 records[index] = record
                 self._settle(remaining, (cell.scenario_key, cell.scheme_key))
-                if writer is not None:
-                    writer.append(record)
-                if store is not None:
-                    store.append(record)
-                if on_cell is not None:
-                    on_cell(index, record)
+                buffered.append((index, record))
+                # A cell that trained or solved commits at once; one that only
+                # reused work waits for the next commit.
+                if not stores or work() != before:
+                    commit()
+            commit()
             results = ResultSet(records[index] for index in range(len(self.specs)))
             if store is not None and plan.completed:
                 # Resumed cells were warehoused by the session that ran them --
@@ -558,12 +597,16 @@ class Study:
                 # the warehouse ends up complete without duplicating anything.
                 store.sync(results)
             return results
+        except BaseException:
+            # A cancel, a raising cell or Ctrl-C: the finished cells still
+            # reach the disk, and their callers, before the error does.
+            commit()
+            raise
         finally:
             # Release the held append descriptors on every exit, cancelled
             # and failed runs included.
-            for held in (writer, store):
-                if held is not None:
-                    held.close()
+            for held in stores:
+                held.close()
 
     def _settle(self, remaining: Counter | None, pair: tuple[str, str]) -> None:
         """Count one finished cell of a (scenario, scheme) pair.
@@ -679,6 +722,7 @@ class Study:
             )
         scheme = build_scheme(cell.scheme, ctx.paths, cache=engine.cache)
         scheme.precompute(train_sequence)
+        self._trainings += 1
         self._scheme_cache[key] = scheme
         return scheme
 

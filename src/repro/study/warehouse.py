@@ -26,9 +26,10 @@ warehouse share one parse, and any store write in between (this
 instance's or another writer's) is seen by the next call.  The records are
 shared between those calls, so they are read-only.
 
-Studies append finished cells as they complete (``Study.run(warehouse=...)``)
-and :meth:`~ResultWarehouse.sync` reconciles a finished result set against
-the store, so a crash between the checkpoint append and the warehouse append
+Studies append finished cells in their commits (``Study.run(warehouse=...)``,
+see :meth:`~repro.study.study.Study.execute`) and
+:meth:`~ResultWarehouse.sync` reconciles a finished result set against the
+store, so a crash between the checkpoint append and the warehouse append
 can never lose a record permanently.
 """
 

@@ -5,8 +5,8 @@ compaction, a saved result set) must fsync the temp file before the
 ``os.replace`` and the directory after it, or a crash can leave an empty
 file or roll the rename back.  The first append after a store is (re)opened
 is one file fsync plus one directory fsync; every later append through the
-held descriptor is one file fsync only -- the warm study path pays it per
-record.  A file rewritten, deleted or appended to behind the store's back
+held descriptor is one file fsync only -- a study pays it per commit.  A
+file rewritten, deleted or appended to behind the store's back
 sends the next append down the first-append path again, so it lands in the
 file at ``path``, never on a torn line.  And only ``repro/store.py`` may call
 ``os.replace`` / ``os.fsync``, so there is one writer to harden.

@@ -10,7 +10,18 @@ checkpoint with the warehouse attached and requires the uninterrupted run's
 ``to_json()`` and a warehouse holding every cell's provenance exactly once.
 
 The grid is four cells on an inline 5-node scenario with a scheme trained
-once up front (shared ``scheme_cache``), so a child does no training.
+once up front (shared ``scheme_cache``), so a child does no training.  It
+runs twice: on a warm engine, where no cell solves anything and the study
+commits every record in one append per store, and on a fresh engine per
+run, where every cell solves its normalisers and commits on its own.  The
+dry run of each starts from the caches the children inherit.
+
+A study commits its finished records on a fixed rule: right after a cell
+that trained or solved, and on every exit; a cell that only reused work
+waits for the next commit.  The commit tests count the appends of a warm
+and a cold grid, read both files from ``on_cell``, and stop a run by a
+cancel, a raising cell and ``KeyboardInterrupt``
+(``tests/test_study_service.py`` reads the warehouse from a daemon client).
 
 A read never writes: a record another writer has only half appended must
 survive a concurrent ``load()``, which drops it in memory and leaves the
@@ -32,6 +43,7 @@ succeeds.
 from __future__ import annotations
 
 import errno
+import fcntl
 import json
 import os
 import pickle
@@ -94,8 +106,11 @@ def _spy(monkeypatch, on_call):
         )
 
 
-def _run(warm, directory):
+def _run(warm, directory, cold=False):
+    """The grid with both stores, on the shared warm engine or a fresh one."""
     engine, caches = warm
+    if cold:
+        engine = EvaluationEngine(cache=OptimalMLUCache(workers=1))
     return Study(SPEC, **caches).run(
         engine=engine,
         checkpoint=directory / "grid.ckpt",
@@ -103,7 +118,7 @@ def _run(warm, directory):
     )
 
 
-def _run_child_until(warm, directory, boundary: int, torn: bool) -> None:
+def _run_child_until(warm, directory, boundary: int, torn: bool, cold: bool) -> None:
     """Fork a child that runs the grid and is SIGKILLed at call ``boundary``."""
     pid = os.fork()
     if pid == 0:  # pragma: no cover - runs in the child only
@@ -122,7 +137,7 @@ def _run_child_until(warm, directory, boundary: int, torn: bool) -> None:
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 _spy(monkeypatch, on_call)
-                _run(warm, directory)
+                _run(warm, directory, cold)
         finally:
             os._exit(0)
     deadline = time.monotonic() + CHILD_TIMEOUT_S
@@ -141,7 +156,12 @@ def _run_child_until(warm, directory, boundary: int, torn: bool) -> None:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="kills forked children (POSIX only)")
-def test_resume_after_sigkill_at_every_durable_boundary(tmp_path, monkeypatch, warm):
+@pytest.mark.parametrize("cold", [False, True], ids=["warm-grouped", "cold-per-cell"])
+def test_resume_after_sigkill_at_every_durable_boundary(tmp_path, monkeypatch, warm, cold):
+    if not cold:
+        # The children inherit the LP cache this run warms; the dry run must
+        # start from it too, or it would count per-cell appends.
+        _run(warm, tmp_path / "warmup")
     calls: list[str] = []
 
     def count(name, real, args):
@@ -150,11 +170,14 @@ def test_resume_after_sigkill_at_every_durable_boundary(tmp_path, monkeypatch, w
 
     with monkeypatch.context() as spying:
         _spy(spying, count)
-        reference = _run(warm, tmp_path / "dry")
+        reference = _run(warm, tmp_path / "dry", cold)
     expected = Counter(canonical_json(record.spec) for record in reference)
     assert len(expected) == len(reference) == 4
-    # Two store creations, then per cell a checkpoint and a warehouse append.
-    assert calls.count("replace") >= 2 and calls.count("fsync") >= 2 + 2 * len(reference)
+    # Two store creations, then per commit a checkpoint and a warehouse
+    # append: one commit on the warm engine, one per cell on a cold one.
+    commits = len(reference) if cold else 1
+    assert calls.count("write") == 2 * commits
+    assert calls.count("replace") >= 2 and calls.count("fsync") >= 2 + 2 * commits
 
     boundaries = [(k, False) for k in range(len(calls))]
     boundaries += [(k, True) for k, name in enumerate(calls) if name == "write"]
@@ -162,19 +185,121 @@ def test_resume_after_sigkill_at_every_durable_boundary(tmp_path, monkeypatch, w
     for k, torn in boundaries:
         directory = tmp_path / f"kill{k}{'torn' if torn else ''}"
         directory.mkdir()
-        _run_child_until(warm, directory, k, torn)
+        _run_child_until(warm, directory, k, torn, cold)
         with warnings.catch_warnings():
             # A torn trailing record is dropped with a RuntimeWarning.
             warnings.simplefilter("ignore", RuntimeWarning)
             resumed = Study(SPEC, **caches).resume(
                 directory / "grid.ckpt",
-                engine=engine,
+                engine=EvaluationEngine(cache=OptimalMLUCache(workers=1)) if cold else engine,
                 warehouse=directory / "grid.wh.jsonl",
             )
             warehoused = ResultWarehouse(directory / "grid.wh.jsonl").load()
         where = f"SIGKILL before durable call {k} ({calls[k]}{', torn' if torn else ''})"
         assert resumed.to_json() == reference.to_json(), where
         assert Counter(canonical_json(r.spec) for r in warehoused) == expected, where
+
+
+def _appends(monkeypatch) -> Counter:
+    """Count ``os.write`` / ``os.fsync`` calls on ``O_APPEND`` descriptors, by inode.
+
+    Only a store's append holds such a descriptor: a whole-file write's temp
+    file and a directory fsync do not count.
+    """
+    seen: Counter = Counter()
+
+    def on_call(name, real, args):
+        if name != "replace" and fcntl.fcntl(args[0], fcntl.F_GETFL) & os.O_APPEND:
+            seen[name, os.fstat(args[0]).st_ino] += 1
+        return real(*args)
+
+    _spy(monkeypatch, on_call)
+    return seen
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+def test_a_warm_grid_appends_once_per_store_per_run_and_a_cold_one_per_cell(
+    tmp_path, monkeypatch, warm, cold
+):
+    _run(warm, tmp_path / "warmup")  # the LP cache of every warm run below
+    per_store = len(Study(SPEC)) if cold else 1
+    for run in range(2):
+        directory = tmp_path / f"run{run}"
+        with monkeypatch.context() as spying:
+            appends = _appends(spying)
+            _run(warm, directory, cold)
+        for name in ("grid.ckpt", "grid.wh.jsonl"):
+            inode = os.stat(directory / name).st_ino
+            assert appends["write", inode] == appends["fsync", inode] == per_store, name
+        assert sum(appends.values()) == 2 * 2 * per_store
+
+
+def _provenances(path, store_class) -> Counter:
+    return Counter(canonical_json(r.spec) for r in store_class(path).load())
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+def test_on_cell_finds_its_record_in_both_files(tmp_path, warm, cold):
+    engine, caches = warm
+    if cold:
+        engine = EvaluationEngine(cache=OptimalMLUCache(workers=1))
+    else:
+        _run(warm, tmp_path / "warmup")
+    checkpoint, warehouse = tmp_path / "grid.ckpt", tmp_path / "grid.wh.jsonl"
+    announced = []
+
+    def on_cell(index, record):
+        key = canonical_json(record.spec)
+        assert _provenances(checkpoint, StudyCheckpoint)[key] == 1
+        assert _provenances(warehouse, ResultWarehouse)[key] == 1
+        announced.append(index)
+
+    study = Study(SPEC, **caches)
+    study.execute(
+        study.plan(engine=engine, checkpoint=checkpoint, warehouse=warehouse), on_cell=on_cell
+    )
+    assert announced == list(range(len(study)))
+
+
+@pytest.fixture
+def interrupting_scheme():
+    """A registered scheme kind whose builder raises ``KeyboardInterrupt``."""
+
+    @register_scheme("commit_ctrl_c")
+    def _build(path_set, *, cache=None, **params):
+        raise KeyboardInterrupt
+
+    yield {"kind": "commit_ctrl_c"}
+    _SCHEME_BUILDERS.pop("commit_ctrl_c", None)
+
+
+@pytest.mark.parametrize("stop", ["cancel", "raising cell", "KeyboardInterrupt"])
+def test_every_exit_commits_each_finished_record_once(
+    tmp_path, warm, failing_scheme, interrupting_scheme, stop
+):
+    # On a warm engine no cell commits by itself: the stop must.
+    engine, caches = warm
+    _run(warm, tmp_path / "warmup")
+    checkpoint, warehouse = tmp_path / "grid.ckpt", tmp_path / "grid.wh.jsonl"
+    spec, should_stop, error = SPEC, None, StudyCancelled
+    if stop == "cancel":
+        polls = iter(range(len(Study(SPEC))))
+        should_stop = lambda: next(polls) == 2
+    else:
+        bad = failing_scheme if stop == "raising cell" else interrupting_scheme
+        spec = {**SPEC, "scheme": {"sweep": [SPEC["scheme"], bad]}}
+        error = RuntimeError if stop == "raising cell" else KeyboardInterrupt
+    announced = []
+    study = Study(spec, **caches)
+    plan = study.plan(engine=engine, checkpoint=checkpoint, warehouse=warehouse)
+    with pytest.raises(error):
+        study.execute(plan, on_cell=lambda index, record: announced.append(record),
+                      should_stop=should_stop)
+    finished = 2 if stop == "cancel" else len(Study(SPEC))
+    expected = Counter(canonical_json(r.spec) for r in announced)
+    assert len(announced) == len(expected) == finished
+    assert _provenances(checkpoint, StudyCheckpoint) == expected
+    assert _provenances(warehouse, ResultWarehouse) == expected
 
 
 def _descriptors_on(*paths) -> int:

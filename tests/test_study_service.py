@@ -288,6 +288,26 @@ class TestWarmState:
         assert client.submit(grid_spec("wh", alphas=())).status == "done"
         assert len(ResultWarehouse(server.default_warehouse).results()) == 1
 
+    def test_a_warm_job_sends_each_record_only_once_it_is_warehoused(self, service, tmp_path):
+        # A warm job commits its records in one append at the end; no record
+        # frame may go out before that append.
+        server, client = service
+        spec = grid_spec("wh-warm")
+        assert client.submit(spec).status == "done"  # trains and solves
+        warehouse = tmp_path / "warm.wh.jsonl"
+        framed = []
+
+        def on_message(message):
+            if message["type"] == "record":
+                on_disk = ResultWarehouse(warehouse).load() if warehouse.exists() else []
+                spec_of = message["record"]["spec"]
+                framed.append(sum(record.spec == spec_of for record in on_disk))
+
+        outcome = client.submit(spec, warehouse=str(warehouse), on_message=on_message)
+        assert outcome.status == "done"
+        assert outcome.summary["lp_solves"] == outcome.summary["trainings"] == 0
+        assert framed == [1, 1, 1]
+
     def test_two_jobs_naming_one_warehouse_both_finish(self, service, tmp_path, cell_gate):
         # A warehouse has one writer at a time.  The FIFO worker runs the
         # second job only after the first, whose stores are closed by then.
