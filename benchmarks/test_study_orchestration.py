@@ -12,10 +12,12 @@ Two guarantees of the declarative layer are pinned here:
   once per distinct demand matrix: adding the whole scheme axis to a grid
   adds *zero* LP solves, and re-running a study on a warm engine solves
   nothing (asserted with :func:`~repro.solvers.lp.count_lp_solves`).
-* **Configuration dedup** -- a study configures each scheme once per
-  distinct trace: beside its replay and fluctuation cells, a pair's
-  one-chunk streaming cells and its failure cell add *zero*
-  ``configure_batch`` calls (asserted by exact count).
+* **Configuration dedup** -- a study on a fresh engine configures each
+  scheme once per distinct trace: beside its replay and fluctuation cells,
+  a pair's one-chunk streaming cells and its failure cell add *zero*
+  ``configure_batch`` calls, and the same studies re-run on that engine
+  configure nothing -- its replay memo serves them (asserted by exact
+  count).
 
 All tests extend one ``BENCH_study_orchestration.json`` record (later
 writers merge via ``write_bench_record(update=True)``).
@@ -152,9 +154,12 @@ def test_study_orchestration_overhead_and_dedup(benchmark, monkeypatch):
     engine = common.bench_engine()
 
     def run_study():
+        # A fresh engine on the warm LP cache: the round replays what the
+        # direct path replays, so the gap is orchestration, not memo reuse.
+        fresh = EvaluationEngine(cache=engine.cache)
         return [
             Study(spec, scheme_cache=common.SCHEME_CACHE, scenario_cache=common.SCENARIO_CACHE).run(
-                engine=engine
+                engine=fresh
             )
             for spec in _full_grid()
         ]
@@ -191,7 +196,8 @@ def test_study_orchestration_overhead_and_dedup(benchmark, monkeypatch):
     # failure cells below solve their masked normalisers.
     axis_solves, rerun_solves = axis_tally.count, rerun_tally.count
 
-    # --- Configuration dedup: one configure_batch per pair and trace.
+    # --- Configuration dedup: one configure_batch per pair and trace on an
+    # engine whose replay memo is empty, none on a re-run on that engine.
     configured = []
     real_configure_batch = TrainerBackedScheme.configure_batch
 
@@ -199,15 +205,22 @@ def test_study_orchestration_overhead_and_dedup(benchmark, monkeypatch):
         configured.append(scheme.name)
         return real_configure_batch(scheme, windows)
 
-    monkeypatch.setattr(TrainerBackedScheme, "configure_batch", counting_configure_batch)
-    configuration_cells = sum(
-        len(
-            Study(
-                specs, scheme_cache=common.SCHEME_CACHE, scenario_cache=common.SCENARIO_CACHE
-            ).run(engine=cold_engine)
+    def configuration_studies(on):
+        return sum(
+            len(
+                Study(
+                    specs, scheme_cache=common.SCHEME_CACHE, scenario_cache=common.SCENARIO_CACHE
+                ).run(engine=on)
+            )
+            for specs in _configuration_studies()
         )
-        for specs in _configuration_studies()
-    )
+
+    monkeypatch.setattr(TrainerBackedScheme, "configure_batch", counting_configure_batch)
+    memo_engine = EvaluationEngine(cache=cold_engine.cache)
+    configuration_cells = configuration_studies(memo_engine)
+    first_configured = len(configured)
+    configuration_studies(memo_engine)
+    rerun_configured = len(configured) - first_configured
     monkeypatch.undo()
     pairs = len(SCENARIOS) * len(_scheme_specs(SCENARIOS[0]))
 
@@ -223,8 +236,8 @@ def test_study_orchestration_overhead_and_dedup(benchmark, monkeypatch):
         f"+{axis_solves} for the full scheme axis, +{rerun_solves} on re-run"
     )
     print(
-        f"Configuration dedup: {len(configured)} configure_batch calls for "
-        f"{configuration_cells} cells over {pairs} pairs"
+        f"Configuration dedup: {first_configured} configure_batch calls for "
+        f"{configuration_cells} cells over {pairs} pairs, +{rerun_configured} on re-run"
     )
     benchmark.extra_info["overhead"] = overhead
     benchmark.extra_info["cold_solves"] = cold_solves
@@ -232,9 +245,11 @@ def test_study_orchestration_overhead_and_dedup(benchmark, monkeypatch):
     assert cold_solves > 0  # the cold engine really did the normaliser pass
     assert axis_solves == 0  # scheme axis: zero repeat LP solves
     assert rerun_solves == 0  # warm re-run: zero repeat LP solves
-    # Streaming and failure cells: zero repeat configurations.
+    # Streaming and failure cells: zero repeat configurations; a re-run on
+    # the same engine: zero configurations.
     assert configuration_cells == 5 * pairs
-    assert len(configured) == 2 * pairs
+    assert first_configured == 2 * pairs
+    assert rerun_configured == 0
 
     common.write_bench_record(
         "study_orchestration",
@@ -248,7 +263,8 @@ def test_study_orchestration_overhead_and_dedup(benchmark, monkeypatch):
         scheme_axis_extra_solves=axis_solves,
         rerun_extra_solves=rerun_solves,
         configuration_cells=configuration_cells,
-        configure_batch_calls=len(configured),
+        configure_batch_calls=first_configured,
+        rerun_configure_batch_calls=rerun_configured,
     )
 
 

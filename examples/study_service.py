@@ -102,6 +102,7 @@ def main() -> None:
     warm = status["warm"]
     print(f"\nwarm state after 3 tenants: {warm['lp_cache_entries']} LP cache "
           f"entries, {warm['trained_schemes']} trained scheme(s), "
+          f"{warm['memoised_replays']} memoised replay(s), "
           f"{warm['scenarios']} scenario(s)")
     print(third.results.to_table(title="Shared grid (as tenant 3 received it)"))
 

@@ -36,6 +36,7 @@ suite pins the equivalence to ``1e-9``, batch vs. streaming vs. sequential.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -92,7 +93,12 @@ class EvaluationEngine:
     One engine instance should be shared across experiments: its
     :class:`OptimalMLUCache` is what turns the repeated replays of the
     fluctuation / drift / failure protocols from ``O(T)`` LP solves each into
-    cache hits.
+    cache hits, and its replay memo (:meth:`replay_memo`) is what lets a
+    study re-run on it skip the replays themselves.  The memo is keyed on
+    the trained scheme *object* and held weakly: a scheme's entries live as
+    long as the scheme does, on this engine only (a fresh engine, even on
+    the same cache, replays cold).  A scheme is taken to be fixed once
+    trained.
 
     Args:
         cache: Optimal-MLU cache to use (a fresh in-memory one by default;
@@ -106,6 +112,25 @@ class EvaluationEngine:
 
     def __init__(self, cache: OptimalMLUCache | None = None) -> None:
         self.cache = cache if cache is not None else OptimalMLUCache()
+        self._replays: weakref.WeakKeyDictionary[TEScheme, dict] = weakref.WeakKeyDictionary()
+
+    # ------------------------------------------------------------------ #
+    # Replay memo
+    # ------------------------------------------------------------------ #
+    def replay_memo(self, scheme: TEScheme) -> dict:
+        """The memo of ``scheme``'s replays on this engine (created empty).
+
+        The engine only holds it: :class:`~repro.study.Study` decides the
+        keys and entries (each a pure function of the trained scheme and a
+        trace).  The dict goes when ``scheme`` is garbage-collected.
+        """
+        return self._replays.setdefault(scheme, {})
+
+    def memoised_replays(self) -> int:
+        """Number of memo entries held, over every live scheme."""
+        # ``data`` is copied in one C call, so another thread may count
+        # while a study adds entries.
+        return sum(len(memo) for memo in list(self._replays.data.values()))
 
     # ------------------------------------------------------------------ #
     # Normalisers

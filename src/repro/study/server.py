@@ -189,9 +189,9 @@ class StudyServer:
             else self.socket_path.with_name(self.socket_path.name + ".spool")
         )
         self.default_warehouse = warehouse
-        # One warm engine for every job: the LP cache, and the scenario /
-        # trained-scheme dicts below, ARE the service -- they make a second
-        # client's overlapping grid free.
+        # One warm engine for every job: the LP cache and the replay memo,
+        # and the scenario / trained-scheme dicts below, ARE the service --
+        # they make a second client's overlapping grid free.
         self.engine = engine if engine is not None else EvaluationEngine()
         self._scheme_cache: dict = {}
         self._scenario_cache: dict = {}
@@ -515,6 +515,7 @@ class StudyServer:
                 "warm": {
                     "lp_cache_entries": len(self.engine.cache),
                     "trained_schemes": len(self._scheme_cache),
+                    "memoised_replays": self.engine.memoised_replays(),
                     "scenarios": len(self._scenario_cache),
                 },
                 "jobs": jobs,

@@ -9,19 +9,25 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
   trace length, or canonical inline config) and shared by every cell.
 * **Schemes** are trained once per distinct scheme spec per scenario (and per
   drift training segment); the scheme axis of a grid never retrains.
-* **Replays** run once per scheme x trace: a per-study memo keys each
-  replay on everything that decides its bits (scenario, scheme, training
-  segment, the trace -- unperturbed or one normalised fluctuation --, the
-  history length, the replayed rows, ``oracle_demand`` and the partition).
-  A streaming cell whose one chunk covers every evaluated interval *is* the
+* **Replays** run once per trained scheme x trace *per engine*: the
+  engine's replay memo (:meth:`~repro.evaluation.engine.EvaluationEngine.
+  replay_memo`, held per trained scheme object) keys each replay on
+  everything that decides its bits (scenario, scheme, training segment, the
+  trace -- unperturbed or one normalised fluctuation --, the history
+  length, the replayed rows, ``oracle_demand`` and the partition).  A
+  streaming cell whose one chunk covers every evaluated interval *is* the
   batched replay, so it shares that entry; only a smaller ``chunk_size``
   keys a partition of its own.  A fluctuation hit neither builds nor
-  replays its perturbed trace.
+  replays its perturbed trace.  A failure cell's series is an entry too
+  (the unperturbed key plus its failure draw), so a study re-run on the
+  same engine with the same trained schemes (a shared ``scheme_cache``)
+  configures, perturbs and reroutes nothing.
 * **Configurations** of the unperturbed one-chunk replay (the ``T x
-  num_paths`` split ratios) are kept in the same memo entry while the
-  grid has a failure cell for the pair: the pair's replay cell and its
-  failure cell share one ``configure_batch``, whichever runs first.
-  Schemes told the failures (``set_failures``) still configure per trial.
+  num_paths`` split ratios) are kept in the memo entry while the running
+  plan has a failure cell for the pair, and dropped when
+  :meth:`Study.execute` returns: the pair's replay cell and its failure
+  cells share one ``configure_batch``, whichever runs first.  Schemes told
+  the failures (``set_failures``) still configure per trial.
 * **LP normalisers** are served by the engine's
   :class:`~repro.solvers.lp.OptimalMLUCache` -- one optimal-MLU pass per
   distinct demand matrix across the *whole* grid, so adding schemes or
@@ -34,16 +40,18 @@ reach the checkpoint and warehouse in commits, one per cell that trained
 or solved and one per exit (see :meth:`Study.execute`).
 
 Pass ``scheme_cache`` / ``scenario_cache`` dicts to share the first two
-dedup layers across studies in one process (the benchmark harness does).
-A study that owns its scheme cache (no ``scheme_cache`` passed) frees each
-trained scheme, and its memoised replays, once no pending cell needs them,
-so a sweep of trainings holds one model at a time instead of all of them.
+dedup layers across studies in one process (the benchmark harness does);
+with the same engine the replays carry over too.  A study that owns its
+scheme cache (no ``scheme_cache`` passed) frees each trained scheme, and
+with it the scheme's memoised replays, once no pending cell needs them, so
+a sweep of trainings holds one model at a time instead of all of them.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
+import weakref
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
@@ -155,16 +163,18 @@ class _ScenarioContext:
         return self.train.pair_std()
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: Study._configured is a WeakSet of entries
 class _Replay:
-    """One entry of a study's replay memo (see :meth:`Study._replay`).
+    """One replay entry of an engine's replay memo (see :meth:`Study._replay`).
 
     Attributes:
-        result: The replay, once a cell has run it.
+        result: The replay, once a cell has run it; its three series are
+            read-only, since every later record of it shares them.
         statistics: ``result.statistics``, computed once.
         ratios: The replay's ``(T, num_paths)`` configuration: kept only for
             an unperturbed one-chunk replay whose pair has a failure cell,
-            which reroutes these same ratios.
+            which reroutes these same ratios, and only until
+            :meth:`Study.execute` returns.
     """
 
     result: EvaluationResult | None = None
@@ -204,12 +214,14 @@ class Study:
             :meth:`trained_scheme` dedup helpers).
         scheme_cache: Optional dict holding trained schemes keyed by
             (scenario, scheme spec, training segment); pass a shared dict to
-            reuse trainings across studies.  Without one the study owns its
-            cache and :meth:`execute` frees each trained scheme (and its
-            memoised replays) after the scheme's last pending cell, so peak
-            memory holds the schemes still in use, not every one trained;
-            a later :meth:`trained_scheme` call then retrains (same
-            weights).  Pass ``scheme_cache=`` to keep trained schemes
+            reuse trainings across studies -- and, on the same engine, their
+            replays, which the engine memoises per trained scheme object.
+            Without one the study owns its cache and :meth:`execute` frees
+            each trained scheme (and so its memoised replays) after the
+            scheme's last pending cell, so peak memory holds the schemes
+            still in use, not every one trained; a later
+            :meth:`trained_scheme` call then retrains (same weights) and
+            replays cold.  Pass ``scheme_cache=`` to keep trained schemes
             beyond :meth:`execute`.
         scenario_cache: Optional dict holding built scenarios keyed by
             canonical reference; shareable the same way.
@@ -238,11 +250,12 @@ class Study:
         self._owns_schemes = scheme_cache is None
         self._scheme_cache = scheme_cache if scheme_cache is not None else {}
         self._scenario_cache = scenario_cache if scenario_cache is not None else {}
-        # The replay memo: one entry per distinct replay (see _replay).
-        self._replays: dict[tuple, _Replay] = {}
         # Pairs with a failure cell in the plan being executed: their
         # unperturbed configuration is worth keeping (see _replay).
         self._failure_pairs: set[tuple[str, str]] = set()
+        # Memo entries this execute() may have put ratios in; weak, so a
+        # freed scheme's entries go with it.
+        self._configured: weakref.WeakSet[_Replay] = weakref.WeakSet()
         self._contexts: dict[str, _ScenarioContext] = {}
         # Schemes trained so far (a cell that trains commits at once).
         self._trainings = 0
@@ -518,13 +531,17 @@ class Study:
         grid costs one append per store and a crash loses only records of
         cells that reused work.
 
-        Each distinct replay runs once per study: cells that replay one
-        scheme over one trace with one partition share it, and a failure
-        cell reroutes the configuration of its pair's unperturbed replay
-        (see the module docstring).  A study that owns its scheme cache
-        (built without ``scheme_cache=``) drops each (scenario, scheme)
-        pair's trained schemes and memoised replays as soon as the pair's
-        last pending cell has finished; pass ``scheme_cache=`` to keep the
+        Each distinct replay runs once per trained scheme on the plan's
+        engine, which memoises it: cells that replay one scheme over one
+        trace with one partition share it, a failure cell reroutes the
+        configuration of its pair's unperturbed replay, and a later study
+        on the same engine with the same trained schemes reuses the
+        replays and failure series (see the module docstring).  The
+        configurations kept for failure cells are dropped when this call
+        returns.  A study that owns its scheme cache (built without
+        ``scheme_cache=``) drops each (scenario, scheme) pair's trained
+        schemes, and so their memoised replays, as soon as the pair's last
+        pending cell has finished; pass ``scheme_cache=`` to keep the
         schemes beyond this call.
 
         Raises:
@@ -604,17 +621,21 @@ class Study:
             raise
         finally:
             # Release the held append descriptors on every exit, cancelled
-            # and failed runs included.
+            # and failed runs included; the memo keeps O(T) per replay, not
+            # the (T, num_paths) configurations.
             for held in stores:
                 held.close()
+            for entry in self._configured:
+                entry.ratios = None
+            self._configured.clear()
 
     def _settle(self, remaining: Counter | None, pair: tuple[str, str]) -> None:
         """Count one finished cell of a (scenario, scheme) pair.
 
         When the pair has no pending cell left, its trained schemes (every
-        training segment) and its replay memo entries (their results and
-        kept configurations) are dropped.  ``remaining`` is ``None`` when
-        the caller shares the scheme cache: nothing is dropped.
+        training segment) are dropped, and with them their entries in the
+        engine's replay memo.  ``remaining`` is ``None`` when the caller
+        shares the scheme cache: nothing is dropped.
         """
         if remaining is None:
             return
@@ -622,9 +643,8 @@ class Study:
         if remaining[pair] > 0:
             return
         del remaining[pair]
-        for cache in (self._scheme_cache, self._replays):
-            for key in [key for key in cache if key[:2] == pair]:
-                del cache[key]
+        for key in [key for key in self._scheme_cache if key[:2] == pair]:
+            del self._scheme_cache[key]
 
     # ------------------------------------------------------------------ #
     # Shared-work resolution (the dedup layers)
@@ -759,10 +779,11 @@ class Study:
         train_key: str = "default",
         perturb: Callable[[TrafficMatrixSequence], TrafficMatrixSequence] | None = None,
     ) -> _Replay:
-        """Replay ``scheme`` over ``test`` (perturbed by ``perturb``), once per study.
+        """Replay ``scheme`` over ``test`` (perturbed by ``perturb``), once per engine.
 
-        The memo key is everything that decides the replay's bits: the pair,
-        the training segment, the trace (``"none"`` or the cell's normalised
+        The entry lives in ``engine``'s memo of ``scheme``.  Its key is
+        everything else that decides the replay's bits: the pair, the
+        training segment, the trace (``"none"`` or the cell's normalised
         fluctuation), the history length, the replayed rows,
         ``oracle_demand``, and the partition -- the cell's ``chunk_size``
         when it streams in more than one chunk, else ``None``, the one-chunk
@@ -770,7 +791,7 @@ class Study:
         perturbed trace is never built.
         """
         key = self._replay_key(cell, ctx, test, history_len, train_key, perturb)
-        entry = self._replays.setdefault(key, _Replay())
+        entry = engine.replay_memo(scheme).setdefault(key, _Replay())
         if entry.result is not None:
             return entry
         trace = test if perturb is None else perturb(test)
@@ -792,12 +813,21 @@ class Study:
                 and (cell.scenario_key, cell.scheme_key) in self._failure_pairs
             )
             if keeps_ratios or entry.ratios is not None:
-                scheme = _MemoisedConfiguration(scheme, entry)
+                scheme = self._memoised_configuration(scheme, entry)
             result = engine.evaluate_scheme(
                 scheme, trace, history_len, oracle_demand=cell.oracle_demand
             )
+        for series in (result.normalized_mlus, result.raw_mlus, result.optimal_mlus):
+            series.flags.writeable = False
         entry.result, entry.statistics = result, result.statistics
         return entry
+
+    def _memoised_configuration(
+        self, scheme: TEScheme, entry: _Replay
+    ) -> _MemoisedConfiguration:
+        """``scheme`` configured through ``entry``, whose ratios execute() drops."""
+        self._configured.add(entry)
+        return _MemoisedConfiguration(scheme, entry)
 
     @staticmethod
     def _replay_key(cell, ctx, test, history_len, train_key, perturb) -> tuple:
@@ -873,7 +903,6 @@ class Study:
         self, cell, ctx, engine, scheme, test, history_len
     ) -> StudyResult:
         perturbation = cell.perturbation
-        pair_std = ctx.pair_std
         base_stats = self._replay(cell, ctx, engine, scheme, test, history_len).statistics
         fluctuate = (
             reverse_rank_fluctuation if perturbation["worst_case"] else gaussian_fluctuation
@@ -885,8 +914,9 @@ class Study:
             scheme,
             test,
             history_len,
+            # The training split's std is computed only on a memo miss.
             perturb=lambda trace: fluctuate(
-                trace, perturbation["alpha"], pair_std, seed=perturbation["seed"]
+                trace, perturbation["alpha"], ctx.pair_std, seed=perturbation["seed"]
             ),
         )
         return self._decline_record(cell, ctx, scheme, "fluctuation", replay, base_stats)
@@ -909,33 +939,40 @@ class Study:
                 "fault_aware (or set it to false) so its configuration is "
                 "rerouted around the failures instead"
             )
-        names = (scheme.name,) if fault_aware else ()
-        configured = scheme
-        if not fault_aware:
-            # Rerouted: the pair's unperturbed one-chunk configuration,
-            # shared with its replay cell through the memo.
-            entry = self._replays.setdefault(
-                self._replay_key(cell, ctx, test, history_len, "default", None), _Replay()
-            )
-            configured = _MemoisedConfiguration(scheme, entry)
-        try:
-            series = engine.failure_experiment(
-                [configured],
-                test,
-                history_len,
-                perturbation["num_failures"],
-                num_trials=perturbation["num_trials"],
-                fault_aware_names=names,
-                seed=perturbation["seed"],
-            )[scheme.name]
-        finally:
-            # The failure protocol mutates fault-aware schemes (set_failures
-            # per trial); clear the last trial's failures so other cells
-            # reusing this cached scheme replay an intact network.
-            if fault_aware:
-                scheme.set_failures(set())
-        metrics = dict(vars(normalized_mlu_statistics(series)))
-        return self._record(cell, ctx, scheme, "failure", metrics, series)
+        # The series is memoised beside the pair's replays: the unperturbed
+        # key plus the failure draw, with fault_aware resolved.
+        memo = engine.replay_memo(scheme)
+        base_key = self._replay_key(cell, ctx, test, history_len, "default", None)
+        key = (*base_key, canonical_json(dict(perturbation, fault_aware=fault_aware)))
+        if key not in memo:
+            names = (scheme.name,) if fault_aware else ()
+            configured = scheme
+            if not fault_aware:
+                # Rerouted: the pair's unperturbed one-chunk configuration,
+                # shared with its replay cell through the memo.
+                entry = memo.setdefault(base_key, _Replay())
+                configured = self._memoised_configuration(scheme, entry)
+            try:
+                series = engine.failure_experiment(
+                    [configured],
+                    test,
+                    history_len,
+                    perturbation["num_failures"],
+                    num_trials=perturbation["num_trials"],
+                    fault_aware_names=names,
+                    seed=perturbation["seed"],
+                )[scheme.name]
+            finally:
+                # The failure protocol mutates fault-aware schemes
+                # (set_failures per trial); clear the last trial's failures
+                # so other cells reusing this cached scheme replay an intact
+                # network.
+                if fault_aware:
+                    scheme.set_failures(set())
+            series.flags.writeable = False
+            memo[key] = series, normalized_mlu_statistics(series)
+        series, statistics = memo[key]
+        return self._record(cell, ctx, scheme, "failure", dict(vars(statistics)), series)
 
     def _run_drift(self, cell: ExperimentSpec, ctx, engine) -> StudyResult:
         perturbation = cell.perturbation

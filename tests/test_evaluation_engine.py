@@ -409,3 +409,60 @@ class TestFailureExperimentEquivalence:
                     expected[scheme.name].append(mlu / oracle)
         for name in expected:
             np.testing.assert_allclose(batched[name], np.array(expected[name]), atol=1e-6)
+
+
+class TestReplayMemoStorage:
+    def test_memo_goes_with_its_scheme(self):
+        class Scheme:
+            pass
+
+        engine, scheme = EvaluationEngine(cache=OptimalMLUCache()), Scheme()
+        engine.replay_memo(scheme)["key"] = "entry"
+        assert engine.replay_memo(scheme) == {"key": "entry"}
+        assert EvaluationEngine(cache=engine.cache).memoised_replays() == 0
+        assert engine.memoised_replays() == 1
+        del scheme
+        assert engine.memoised_replays() == 0
+
+    def test_count_while_another_thread_adds_and_frees_schemes(self):
+        """The daemon's status thread counts while its job thread memoises."""
+        import sys
+        import threading
+
+        class Scheme:
+            pass
+
+        engine = EvaluationEngine(cache=OptimalMLUCache())
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def count():
+            while not stop.is_set():
+                try:
+                    engine.memoised_replays()
+                except RuntimeError as exc:  # "changed size during iteration"
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=count) for _ in range(4)]
+        kept = []
+        try:
+            for reader in readers:
+                reader.start()
+            for index in range(20000):
+                scheme = Scheme()
+                memo = engine.replay_memo(scheme)
+                for key in range(3):
+                    memo[key] = index
+                if index % 2:
+                    kept.append(scheme)  # the others are freed at once
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert engine.memoised_replays() == 3 * len(kept)

@@ -804,7 +804,8 @@ def _record_bytes(record) -> str:
 
 
 class TestReplayMemo:
-    """A study runs each distinct replay, and each configuration, once."""
+    """An engine runs each distinct replay of a trained scheme, and each
+    configuration, once: within a study and across studies on it."""
 
     @staticmethod
     def _warm_grid_shaped(scenarios, max_intervals=4) -> list[dict]:
@@ -844,7 +845,8 @@ class TestReplayMemo:
         Study(specs, scheme_cache=schemes).run(engine=engine)  # train outside the tally
         calls = _spy_configure_batch(monkeypatch, TrainerBackedScheme)
         study = Study(specs, scheme_cache=schemes)
-        results = study.run(engine=engine)
+        # A fresh engine on the warm LP cache: its replay memo is empty.
+        results = study.run(engine=EvaluationEngine(cache=engine.cache))
         # 6 pairs x 3 traces (unperturbed, gaussian, worst case): the failure
         # cell reroutes the unperturbed configuration, and the one-chunk
         # streaming cells are the batched replays.
@@ -855,6 +857,67 @@ class TestReplayMemo:
                 engine=EvaluationEngine(cache=OptimalMLUCache())
             )[0]
             assert _record_bytes(record) == _record_bytes(alone)
+
+    def test_same_engine_rerun_replays_nothing(self, monkeypatch, grid_scenarios):
+        """A re-run on the engine and trained schemes of a first run makes no
+        forward pass, builds no perturbed trace and runs no failure trial."""
+        from repro.core.trainer import TrainerBackedScheme
+        from repro.study import study as study_module
+
+        specs = self._warm_grid_shaped(grid_scenarios[:2])
+        engine = EvaluationEngine(cache=OptimalMLUCache())
+        schemes: dict = {}
+        first = Study(specs, scheme_cache=schemes).run(engine=engine)
+        entries = engine.memoised_replays()
+        calls = _spy_configure_batch(monkeypatch, TrainerBackedScheme)
+        perturbed, trials = [], []
+        for name in ("gaussian_fluctuation", "reverse_rank_fluctuation"):
+            real = getattr(study_module, name)
+            monkeypatch.setattr(
+                study_module,
+                name,
+                lambda *args, real=real, **kwargs: perturbed.append(1) or real(*args, **kwargs),
+            )
+        real_failure = EvaluationEngine.failure_experiment
+        monkeypatch.setattr(
+            EvaluationEngine,
+            "failure_experiment",
+            lambda *args, **kwargs: trials.append(1) or real_failure(*args, **kwargs),
+        )
+        with count_lp_solves() as tally:
+            again = Study(specs, scheme_cache=schemes).run(engine=engine)
+        assert (len(calls), len(perturbed), len(trials), tally.count) == (0, 0, 0, 0)
+        assert engine.memoised_replays() == entries
+        assert [_record_bytes(record) for record in again] == [
+            _record_bytes(record) for record in first
+        ]
+
+    def test_memoised_series_are_read_only(self, grid_scenarios):
+        """Records of a re-run share the memoised arrays, so none is writable."""
+        spec = {
+            "scenario": {"name": grid_scenarios[0], "seed": 2},
+            "scheme": SCHEME_SPECS[1],
+            "perturbation": sweep(
+                {"kind": "none"},
+                {"kind": "fluctuation", "alpha": 1.0, "seed": 3},
+                {"kind": "failure", "num_failures": 1, "num_trials": 2, "seed": 3},
+            ),
+            "max_intervals": 4,
+        }
+        engine = EvaluationEngine(cache=OptimalMLUCache())
+        schemes: dict = {}
+        first = Study(spec, scheme_cache=schemes).run(engine=engine)
+        want = [_record_bytes(record) for record in first]
+        for record in first:
+            with pytest.raises(ValueError, match="read-only"):
+                record.series[0] = 0.0
+            if record.result is not None:
+                for series in (record.result.raw_mlus, record.result.optimal_mlus):
+                    with pytest.raises(ValueError, match="read-only"):
+                        series[0] = 0.0
+        again = Study(spec, scheme_cache=schemes).run(engine=engine)
+        assert [_record_bytes(record) for record in again] == want
+        assert all(a.series is b.series for a, b in zip(first, again))
 
     def test_streaming_partition_is_only_shared_in_one_chunk(
         self, monkeypatch, grid_scenarios
@@ -872,16 +935,16 @@ class TestReplayMemo:
             ExperimentSpec.from_dict(dict(base, streaming=True, chunk_size=6)),
             ExperimentSpec.from_dict(dict(base, streaming=True)),
         ]
-        engine = EvaluationEngine(cache=OptimalMLUCache())
+        cache = OptimalMLUCache()
         schemes: dict = {}
-        Study(cells[:1], scheme_cache=schemes).run(engine=engine)
+        Study(cells[:1], scheme_cache=schemes).run(engine=EvaluationEngine(cache=cache))
         calls = _spy_configure_batch(monkeypatch, TrainerBackedScheme)
-        results = Study(cells, scheme_cache=schemes).run(engine=engine)
+        results = Study(cells, scheme_cache=schemes).run(engine=EvaluationEngine(cache=cache))
         # The batched replay (1) and the chunk-2 replay (3 chunks); chunks of
         # 6 and 256 cover all 6 intervals in one and reuse the batched one.
         assert len(calls) == 4
         for cell, record in zip(cells, results):
-            alone = Study([cell], scheme_cache=schemes).run(engine=engine)[0]
+            alone = Study([cell], scheme_cache=schemes).run(engine=EvaluationEngine(cache=cache))[0]
             assert _record_bytes(record) == _record_bytes(alone)
 
     def test_failure_cells_reroute_the_replayed_lp_configuration(self):
@@ -922,16 +985,19 @@ class TestReplayMemo:
             for kind, extra in (("fa_des_te", {"fault_aware": True}), ("des_te", {}))
         ])
         calls = _spy_configure_batch(monkeypatch, TEScheme)
+        engine = EvaluationEngine(cache=OptimalMLUCache())
         memo_pairs = []
         study.execute(
-            study.plan(engine=EvaluationEngine(cache=OptimalMLUCache())),
+            study.plan(engine=engine),
             on_cell=lambda index, record: memo_pairs.append(
-                {key[1] for key in study._replays}
+                {key[1] for memo in engine._replays.values() for key in memo}
             ),
         )
         fa_des, des = (study.specs[index].scheme_key for index in (0, 2))
-        # A pair's entries go with its last cell; none outlives the run.
+        # A pair's engine memo entries go with its trained scheme, which the
+        # owning study frees after the pair's last cell; none outlives the run.
         assert memo_pairs == [{fa_des}, set(), {des}, set()]
+        assert engine.memoised_replays() == 0
         # Told the failures: one replay + one configuration per trial.
         # Rerouted: the replay's configuration serves every trial.
         assert calls.count("FaultAwareDesensitizationTE") == 1 + trials

@@ -210,23 +210,37 @@ def raw_request(socket_path, payload: bytes) -> dict:
 # Warm-state guarantee (the tentpole's acceptance criterion)
 # --------------------------------------------------------------------------- #
 class TestWarmState:
-    def test_second_identical_submit_is_free_and_bit_identical(self, service):
+    def test_second_identical_submit_is_free_and_bit_identical(self, service, monkeypatch):
+        from repro.core.trainer import TrainerBackedScheme
+
         server, client = service
         spec = grid_spec("warm")
         first = client.submit(spec)
         assert first.status == "done" and len(first.results) == 3
         assert first.summary["lp_solves"] > 0
         assert first.summary["trainings"] == 1
+        memoised = client.status()["warm"]["memoised_replays"]
+        assert memoised == 3  # the unperturbed replay and two fluctuations
 
+        configured = []
+        real = TrainerBackedScheme.configure_batch
+        monkeypatch.setattr(
+            TrainerBackedScheme,
+            "configure_batch",
+            lambda scheme, windows: configured.append(scheme.name) or real(scheme, windows),
+        )
         with count_lp_solves() as tally:
             second = client.submit(spec)
         assert second.status == "done"
         # Zero new LP solves: both the server's per-job tally and a
         # process-wide tally spanning the submit (the daemon runs in this
-        # process, so any stray solve would land in `tally` too).
+        # process, so any stray solve would land in `tally` too).  The
+        # engine's replay memo serves every replay: no forward pass either.
         assert second.summary["lp_solves"] == 0
         assert second.summary["trainings"] == 0
         assert tally.count == 0
+        assert configured == []
+        assert client.status()["warm"]["memoised_replays"] == memoised
         assert wire_dicts(second.results) == wire_dicts(first.results)
 
     def test_overlapping_submits_from_concurrent_clients(self, service):
