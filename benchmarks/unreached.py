@@ -23,12 +23,6 @@ Defs that only tests reach and that stay, and why:
 * ``ResultWarehouse.sync`` -- repairs the crash window between a
   checkpoint append and its warehouse append, covered by
   ``tests/test_store_faults.py``;
-* ``Trainer.__getstate__`` / ``__setstate__``,
-  ``TrainerBackedScheme.__getstate__`` and ``Module.state_dict`` /
-  ``load_state_dict`` -- a trained scheme pickles as its config and weights,
-  without its live LP cache or optimiser moments, which is how a trained
-  model is saved or handed to another process
-  (``tests/test_study_resume.py::TestPicklableSchemes``);
 * ``repro.pool._fall_back`` / ``fallbacks`` -- the LP pool's fallback when a
   pool cannot start or breaks mid-call, driven by ``tests/test_pool.py``'s
   fake executors;

@@ -16,7 +16,6 @@ from repro.core.config import TrainingConfig
 from repro.core.loss import TELoss
 from repro.core.model import FigretNet
 from repro.nn import Adam, Tensor, clip_gradient_norm
-from repro.nn.optim import drop_clip_scratch
 from repro.paths.path_set import PathSet
 from repro.solvers.lp import OptimalMLUCache, shared_cache
 from repro.te.config import TEConfiguration
@@ -179,40 +178,6 @@ class Trainer:
         self.input_scale: float = 1.0
 
     # ------------------------------------------------------------------ #
-    # Pickling (weights + config, not live caches)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """Serialise inference state: config, weights, scale, loss history.
-
-        The LP cache is a live process-local object (possibly the shared or
-        a disk-persistent one) and is deliberately dropped -- an unpickled
-        trainer falls back to :func:`~repro.solvers.lp.shared_cache` if it
-        ever trains again.  There is no optimiser state to carry: ``fit``
-        releases it when it returns, so the copy refits exactly as the
-        original would.
-        """
-        return {
-            "path_set": self.path_set,
-            "config": self.config,
-            "pair_variance": self.pair_variance,
-            "weights": self.model.state_dict(),
-            "input_scale": self.input_scale,
-            "history": self.history,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["path_set"],
-            state["config"],
-            pair_variance=state["pair_variance"],
-        )
-        self.model.load_state_dict(state["weights"])
-        self.input_scale = state["input_scale"]
-        self.history = state["history"]
-        # As after ``fit``: __init__ built zero-filled moments nothing reads.
-        self.optimizer.release()
-
-    # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
     def fit(self, train_sequence: TrafficMatrixSequence) -> TrainingHistory:
@@ -227,11 +192,9 @@ class Trainer:
         scored on, and the one the normalisers are solved for.
 
         Every fit is a fresh optimisation from the current weights: the
-        Adam moments, the step count, the gradients and the clipping scratch
-        are released on the way out (also when a step raises), so a fitted
-        trainer holds its weights and nothing the size of them besides, and
-        a second fit gives the same weights in this process as on a copy
-        that crossed a process boundary in between.
+        Adam moments, the step count and the gradients are released on the
+        way out (also when a step raises), so a fitted trainer holds its
+        weights and nothing the size of them besides.
         """
         config = self.config
         # Scale inputs so the network sees O(1) values regardless of the
@@ -279,30 +242,23 @@ class Trainer:
                 learning_rate *= config.lr_decay
         finally:
             self.optimizer.release()
-            drop_clip_scratch()
         return self.history
-
-    # ------------------------------------------------------------------ #
-    # Inference
-    # ------------------------------------------------------------------ #
-    def split_ratios(self, history_window: np.ndarray) -> np.ndarray:
-        """Normalised split ratios for one history window (``(H, num_sd)``)."""
-        return self.model.split_ratios(history_window, input_scale=self.input_scale)
-
-    def split_ratios_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Split ratios for a batch of windows (``(T, H, num_sd)``) in one pass."""
-        return self.model.split_ratios_batch(windows, input_scale=self.input_scale)
 
 
 class TrainerBackedScheme(TEScheme):
-    """A learned scheme: one :class:`Trainer`, built and fitted by ``precompute``.
+    """A learned scheme: a :class:`Trainer` fits it, its network configures.
 
     FIGRET, DOTE and the TEAL-like baseline are this class with three things
     named: ``scheme_name``, the config fields the scheme ``forced`` (so that
     ``config`` states what it trains with), and -- by overriding
-    :meth:`_fit` -- what it fits on.  Construction, pickling, window fitting
-    and the single/batched forward passes live here so they cannot drift
-    apart.
+    :meth:`_fit` -- what it fits on.  Construction, window fitting and the
+    single/batched forward passes live here so they cannot drift apart.
+
+    ``precompute`` keeps the fitted :class:`FigretNet` (``model``), its
+    ``input_scale`` and the ``training_history``; the trainer, with its
+    optimiser and its loss (which holds a dense copy of the path-to-edge
+    matrix), goes when ``precompute`` returns.  A trained scheme's size is its
+    weights.
 
     Args:
         path_set: Candidate paths.
@@ -326,28 +282,22 @@ class TrainerBackedScheme(TEScheme):
         self.training_history: TrainingHistory | None = None
         # Weights of the sensitivity loss; only FIGRET measures them.
         self.pair_variance: np.ndarray | None = None
-        self._trainer: Trainer | None = None
-
-    def __getstate__(self) -> dict:
-        """Pickle everything except the live LP cache (process-local).
-
-        The embedded :class:`Trainer` carries weights + config through its
-        own ``__getstate__``, so a trained scheme round-trips a process-pool
-        boundary ready for inference.
-        """
-        state = dict(self.__dict__)
-        state["cache"] = None
-        return state
+        self.model: FigretNet | None = None
+        self.input_scale = 1.0
 
     def precompute(self, train_sequence: TrafficMatrixSequence) -> None:
-        """Train a fresh network on the training portion of the trace."""
-        self._trainer = Trainer(
+        """Train a fresh network on the training portion of the trace.
+
+        A training that raises leaves the scheme as it was.
+        """
+        trainer = Trainer(
             self.path_set,
             self.config,
             pair_variance=self.pair_variance,
             cache=self.cache,
         )
-        self.training_history = self._fit(self._trainer, train_sequence)
+        self.training_history = self._fit(trainer, train_sequence)
+        self.model, self.input_scale = trainer.model, trainer.input_scale
 
     def _fit(self, trainer: Trainer, train_sequence: TrafficMatrixSequence) -> TrainingHistory:
         return trainer.fit(train_sequence)
@@ -357,26 +307,29 @@ class TrainerBackedScheme(TEScheme):
         """Length of the demand history window the scheme expects."""
         return self.config.history_len
 
-    def _require_trainer(self) -> Trainer:
-        if self._trainer is None:
+    def _require_model(self) -> FigretNet:
+        if self.model is None:
             raise RuntimeError(
                 f"{type(self).__name__}.configure called before precompute()"
             )
-        return self._trainer
+        return self.model
 
     def configure(self, history: np.ndarray) -> TEConfiguration:
-        trainer = self._require_trainer()
+        model = self._require_model()
         window = fit_history_window(history, self.config.history_len)
         return TEConfiguration(
-            self.path_set, trainer.split_ratios(window), normalize=True
+            self.path_set,
+            model.split_ratios(window, input_scale=self.input_scale),
+            normalize=True,
         )
 
     def configure_batch(self, windows: np.ndarray) -> np.ndarray:
         """All test windows in one vectorized forward pass (``(T, num_paths)``)."""
-        trainer = self._require_trainer()
+        model = self._require_model()
         windows = np.asarray(windows, dtype=float)
         if windows.ndim != 3:
             return super().configure_batch(windows)
-        return trainer.split_ratios_batch(
-            fit_history_window(windows, self.config.history_len)
+        return model.split_ratios_batch(
+            fit_history_window(windows, self.config.history_len),
+            input_scale=self.input_scale,
         )

@@ -49,23 +49,6 @@ class Module:
         """Total number of scalar parameters."""
         return sum(p.data.size for p in self.parameters())
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Flat mapping from parameter position to values (for checkpointing)."""
-        return {f"param_{i}": p.data.copy() for i, p in enumerate(self.parameters())}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore parameter values saved by :meth:`state_dict`."""
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ValueError(
-                f"state dict has {len(state)} entries but the module has {len(params)} parameters"
-            )
-        for i, param in enumerate(params):
-            value = np.asarray(state[f"param_{i}"], dtype=np.float64)
-            if value.shape != param.data.shape:
-                raise ValueError(f"shape mismatch for parameter {i}")
-            param.data = value.copy()
-
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["Adam", "clip_gradient_norm", "drop_clip_scratch"]
+__all__ = ["Adam", "clip_gradient_norm"]
 
 
 #: Elements per block of :meth:`Adam.step`.  One block each of the weights,
@@ -22,36 +22,54 @@ __all__ = ["Adam", "clip_gradient_norm", "drop_clip_scratch"]
 #: ones fall out of cache.
 _BLOCK = 16384
 
-#: Flat scratch arrays of :func:`clip_gradient_norm`, as large as the largest
-#: gradient squared since :func:`drop_clip_scratch`.  A stack, not a single
-#: slot: ``pop`` / ``append`` are atomic, so two threads clipping at once
-#: never square into one array.
+#: Idle ``_BLOCK``-sized scratch arrays of :func:`clip_gradient_norm`.  A
+#: stack, not a single slot: ``pop`` / ``append`` are atomic, so two threads
+#: clipping at once never square into one array.
 _square_scratch: list[np.ndarray] = []
+
+
+def _sum_of_squares(flat: np.ndarray, block: np.ndarray) -> float:
+    """``np.sum(flat**2)`` for a 1-D contiguous ``flat``, squared a block at a time.
+
+    NumPy sums a contiguous array pairwise: a run of more than 128 elements
+    is split at ``n // 2`` rounded down to a multiple of 8, and the two
+    halves' sums are added.  Splitting the same way down to pieces of at
+    most ``block.size`` elements, and letting ``np.sum`` do the rest of the
+    tree on each piece, adds the same numbers in the same order -- the bits
+    of ``np.sum(flat**2)`` -- with no temporary larger than ``block``.
+    """
+    size = flat.size
+    if size <= block.size:
+        squares = block[:size]
+        np.square(flat, out=squares)
+        return np.add.reduce(squares)
+    half = size // 2
+    half -= half % 8
+    return _sum_of_squares(flat[:half], block) + _sum_of_squares(flat[half:], block)
 
 
 def clip_gradient_norm(parameters: list[Tensor], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping global norm (useful for monitoring).  Each
-    gradient is squared into a scratch array kept between calls (no
-    gradient-sized allocation per step) and summed with ``np.sum`` over an
-    array of the gradient's own shape and layout, so the norm has the bits of
-    ``np.sum(grad**2)``; a gradient that is not C-contiguous is squared into
-    a fresh array instead.  The scratch stays allocated at the size of the
-    largest gradient seen until :func:`drop_clip_scratch` is called.
+    gradient's sum of squares has the bits of ``np.sum(grad**2)``: a
+    C-contiguous gradient is squared ``_BLOCK`` elements at a time into one
+    scratch array (:func:`_sum_of_squares`), so clipping allocates nothing
+    the size of a gradient; any other gradient is squared into a fresh array.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    grads = [param.grad for param in parameters if param.grad is not None]
-    scratch = _square_scratch.pop() if _square_scratch else np.empty(0)
-    largest = max((grad.size for grad in grads), default=0)
-    if scratch.size < largest:
-        scratch = np.empty(largest)
+    block = _square_scratch.pop() if _square_scratch else np.empty(_BLOCK)
     total = 0.0
-    for grad in grads:
-        squares = scratch[: grad.size].reshape(grad.shape) if grad.flags.c_contiguous else None
-        total += float(np.sum(np.square(grad, out=squares)))
-    _square_scratch.append(scratch)
+    for param in parameters:
+        grad = param.grad
+        if grad is None:
+            continue
+        if grad.flags.c_contiguous:
+            total += float(_sum_of_squares(grad.reshape(-1), block))
+        else:
+            total += float(np.sum(np.square(grad)))
+    _square_scratch.append(block)
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
@@ -59,21 +77,6 @@ def clip_gradient_norm(parameters: list[Tensor], max_norm: float) -> float:
             if param.grad is not None:
                 param.grad *= scale
     return norm
-
-
-def drop_clip_scratch() -> None:
-    """Free one scratch array of :func:`clip_gradient_norm`, if any is idle.
-
-    A training calls this when it ends, so a process that has finished
-    training does not keep an array the size of its largest gradient.  One
-    array per call: a training running on another thread whose array is
-    taken from under it allocates a new one at its next step, as a first
-    step does.
-    """
-    try:
-        _square_scratch.pop()
-    except IndexError:
-        pass
 
 
 class Adam:
@@ -93,11 +96,12 @@ class Adam:
     allocated or streamed through memory (the whole-array form makes 14
     passes and 8 temporaries per parameter per step).  ``lr`` is read on
     every step (the trainer decays it after each epoch) and no view of
-    ``param.data`` is kept between steps (``load_state_dict`` rebinds it).
+    ``param.data`` is kept between steps (a caller may rebind it).
 
     The moments are twice the size of the weights and only an optimisation
-    in progress reads them: :meth:`release` frees them when it ends, and the
-    first ``step`` after that allocates them again, at zero.
+    in progress reads them: :meth:`release` frees them and the scratch when
+    it ends, and the first ``step`` after that allocates them again, the
+    moments at zero.
 
     Args:
         parameters: Tensors to update.
@@ -124,15 +128,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self._step = 0
-        self._zero_moments()
-        self._scratch = (np.empty(_BLOCK), np.empty(_BLOCK))
+        self._start()
 
-    def _zero_moments(self) -> None:
+    def _start(self) -> None:
         self._m: list[np.ndarray] | None = [np.zeros_like(p.data) for p in self.parameters]
         self._v: list[np.ndarray] | None = [np.zeros_like(p.data) for p in self.parameters]
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = (
+            np.empty(_BLOCK),
+            np.empty(_BLOCK),
+        )
 
     def release(self) -> None:
-        """End the optimisation: free both moments and every gradient.
+        """End the optimisation: free both moments, the scratch and every gradient.
 
         The step count returns to zero with them, so the next ``step`` is the
         first step of a new optimisation from the current weights -- what a
@@ -142,13 +149,13 @@ class Adam:
         back is served from the heap and written, hence resident.
         """
         self._step = 0
-        self._m = self._v = None
+        self._m = self._v = self._scratch = None
         self.zero_grad()
 
     def step(self) -> None:
         """Apply one Adam update using the accumulated gradients."""
         if self._m is None:
-            self._zero_moments()
+            self._start()
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step

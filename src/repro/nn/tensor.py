@@ -84,25 +84,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
 
     # ------------------------------------------------------------------ #
-    # Pickling
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """Pickle values only: the autodiff tape is process-local closures.
-
-        A pickled tensor transports ``data`` and ``requires_grad``; gradients
-        and graph edges are dropped, so non-leaf tensors unpickle as detached
-        constants (exactly what shipping trained weights to a worker needs).
-        """
-        return {"data": self.data, "requires_grad": self.requires_grad}
-
-    def __setstate__(self, state: dict) -> None:
-        self.data = state["data"]
-        self.requires_grad = state["requires_grad"]
-        self.grad = None
-        self._backward = None
-        self._parents = ()
-
-    # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
     @staticmethod

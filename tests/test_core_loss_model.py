@@ -172,9 +172,27 @@ class TestTrainer:
         trainer = Trainer(mesh4_paths, config)
         trainer.fit(mesh4_traffic)
         window = mesh4_traffic.flat_demands()[:4]
-        ratios = trainer.split_ratios(window)
+        ratios = trainer.model.split_ratios(window, input_scale=trainer.input_scale)
         sums = mesh4_paths.sd_to_path @ ratios
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+    def test_a_refit_is_a_fresh_optimisation_from_the_current_weights(
+        self, mesh4_paths, mesh4_traffic
+    ):
+        # The refit used to continue the first fit's moments and step count.
+        config = TrainingConfig(epochs=2, history_len=3, hidden_sizes=(16,), seed=0,
+                                normalize_by_optimal=False)
+        original = Trainer(mesh4_paths, config)
+        original.fit(mesh4_traffic)
+        restarted = Trainer(mesh4_paths, config)
+        for param, fitted in zip(restarted.model.parameters(), original.model.parameters()):
+            param.data = fitted.data.copy()
+        original.fit(mesh4_traffic)
+        restarted.fit(mesh4_traffic)
+        assert [p.data.tobytes() for p in original.model.parameters()] == [
+            p.data.tobytes() for p in restarted.model.parameters()
+        ]
+        assert original.history.epoch_losses[2:] == restarted.history.epoch_losses
 
     def test_robustness_weight_recorded_in_history(self, mesh4_paths, mesh4_traffic):
         variance = mesh4_traffic.pair_variance()

@@ -2,9 +2,9 @@
 
 ``Adam.step`` walks parameters in cache-sized blocks, ``Tensor._accumulate``
 adopts the first gradient instead of adding it into zeros,
-``clip_gradient_norm`` squares into a kept scratch and the three segment ops
-are a CSR product / ``reduceat``.  None of that may change a single bit of a
-trained weight.  The old whole-array / zero-fill / ``ufunc.at`` code is kept
+``clip_gradient_norm`` squares one block at a time along NumPy's pairwise
+summation tree and the three segment ops are a CSR product / ``reduceat``.
+None of that may change a single bit of a trained weight.  The old whole-array / zero-fill / ``ufunc.at`` code is kept
 here, verbatim, as the reference; the properties compare the shipped code
 with it (``tobytes()`` on weights and moments; gradients by value, because an
 adopted ``-0.0`` keeps the sign that ``0.0 + -0.0`` loses).
@@ -210,7 +210,7 @@ class TestAdamAndClipping:
             st.tuples(
                 st.sampled_from([1e-3, 2e-3, 5e-4, 1.0, 1e-12]),  # lr of this step
                 st.sampled_from(["backward", "external", "none", "view"]),  # first grad
-                st.booleans(),  # load_state_dict before the step
+                st.booleans(),  # rebind the weights before the step
                 st.sampled_from([None, 5.0, 1e-3]),  # gradient clip
             ),
             min_size=1,
@@ -241,7 +241,7 @@ class TestAdamAndClipping:
                 else:
                     p_s.grad, p_r.grad = grad.copy(), grad.copy()
                 if reload_weights:
-                    # What Module.load_state_dict does: rebind, not write into.
+                    # Rebind, not write into: a new array for the next step.
                     value = rng.standard_normal(p_s.data.shape)
                     p_s.data, p_r.data = value.copy(), value.copy()
             shipped.lr = reference.lr = lr
@@ -262,22 +262,63 @@ class TestAdamAndClipping:
             if base_s is not None:
                 assert base_s.tobytes() == base_r.tobytes()
 
-    def test_load_state_dict_between_steps_is_seen_by_the_next_step(self):
+    def test_weights_rebound_between_steps_are_seen_by_the_next_step(self):
         def run(step):
             rng = np.random.default_rng(5)
             model = Sequential(Linear(300, 70, rng=rng), Linear(70, 3, rng=rng))
             optimizer = Adam(model.parameters(), lr=1e-2)
-            saved = model.state_dict()
+            saved = [param.data.copy() for param in model.parameters()]
             for round_ in range(3):
                 for param in model.parameters():
                     param.grad = random_values(rng, param.data.shape)
                 step(optimizer)
                 if round_ == 1:
-                    model.load_state_dict(saved)
-            return model.state_dict()
+                    for param, value in zip(model.parameters(), saved):
+                        param.data = value.copy()
+            return [param.data.tobytes() for param in model.parameters()]
 
-        shipped, reference = run(Adam.step), run(reference_adam_step)
-        assert [a.tobytes() for a in shipped.values()] == [b.tobytes() for b in reference.values()]
+        assert run(Adam.step) == run(reference_adam_step)
+
+
+def _gradient(seed, size, layout, rows):
+    """``size`` values: flat, a C-contiguous matrix of ``rows`` rows, its
+    transpose, or every other element of a longer array."""
+    values = random_values(np.random.default_rng(seed), 2 * size if layout == "strided" else size)
+    if layout == "flat":
+        return values
+    if layout == "strided":
+        return values[::2]
+    matrix = values.reshape(rows, size // rows)
+    return matrix.T if layout == "transposed" else matrix
+
+
+@st.composite
+def gradient_specs(draw):
+    """Sizes from 1 to 3 blocks, straddling the block and the pairwise split
+    points, odd ones and the edges included; every layout."""
+    size = draw(
+        st.one_of(
+            st.integers(1, 3 * BLOCK),
+            st.sampled_from([1, 7, 8, 127, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 9]),
+        )
+    )
+    layout = draw(st.sampled_from(["flat", "matrix", "transposed", "strided"]))
+    rows = draw(st.sampled_from([d for d in (1, 2, 3, 8, 13, 128) if size % d == 0]))
+    return draw(st.integers(0, 2**32 - 1)), size, layout, rows
+
+
+class TestBlockedClipNorm:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=gradient_specs())
+    def test_hypothesis_sum_of_squares_has_the_bits_of_the_whole_array_sum(self, spec):
+        grad = _gradient(*spec)
+        if grad.flags.c_contiguous:
+            blocked = optim_module._sum_of_squares(grad.reshape(-1), np.empty(BLOCK))
+            assert blocked.tobytes() == np.sum(grad**2).tobytes()
+        param, twin = (Tensor(np.zeros(grad.shape), requires_grad=True) for _ in range(2))
+        param.grad, twin.grad = grad, _gradient(*spec)
+        assert clip_gradient_norm([param], 1e-3) == reference_clip_gradient_norm([twin], 1e-3)
+        np.testing.assert_array_equal(param.grad, twin.grad)
 
 
 # ---------------------------------------------------------------------- #
@@ -527,14 +568,15 @@ def _fit_all():
         ("teal", TealLike(scenario.paths, config)),
     ):
         scheme.precompute(train)
-        trainer = scheme._trainer
-        weights = trainer.model.state_dict()
-        history = (
-            trainer.history.epoch_losses,
-            trainer.history.epoch_mlu_losses,
-            trainer.history.epoch_sensitivity_losses,
+        history = scheme.training_history
+        fitted[name] = (
+            [param.data.tobytes() for param in scheme.model.parameters()],
+            (
+                history.epoch_losses,
+                history.epoch_mlu_losses,
+                history.epoch_sensitivity_losses,
+            ),
         )
-        fitted[name] = ({key: value.tobytes() for key, value in weights.items()}, history)
     return fitted
 
 
@@ -573,7 +615,7 @@ class TestNonFiniteLoss:
 
     def test_no_update_is_applied_at_the_failing_step(self, mesh4_paths):
         trainer = Trainer(mesh4_paths, TrainingConfig(history_len=2, epochs=1))
-        before = trainer.model.state_dict()
+        before = [param.data.tobytes() for param in trainer.model.parameters()]
         inputs = np.full((4, trainer.model.input_dim), np.inf)
         demands = np.ones((4, mesh4_paths.num_sd_pairs))
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="epoch 7, step 9"):
@@ -581,8 +623,7 @@ class TestNonFiniteLoss:
                 trainer.model, trainer.loss, trainer.optimizer, inputs, demands, None,
                 gradient_clip=5.0, epoch=7, step=9,
             )
-        after = trainer.model.state_dict()
-        assert all(before[key].tobytes() == after[key].tobytes() for key in before)
+        assert [param.data.tobytes() for param in trainer.model.parameters()] == before
 
 
 # ---------------------------------------------------------------------- #
@@ -612,6 +653,43 @@ class TestStepMemory:
         # The whole-array forms peak at 4x / 1x the parameter (8.4 / 2.1 MB).
         assert _peak_bytes(optimizer.step) < 64 * 1024
         assert _peak_bytes(lambda: clip_gradient_norm([param], 1.0)) < 64 * 1024
+
+    def test_a_cold_clip_allocates_one_block_not_a_gradient(self):
+        # The first call of a process: the scratch squared into was as large
+        # as the largest gradient (2.1 MB here) and stayed allocated.
+        rng = np.random.default_rng(0)
+        param = Tensor(np.zeros((2048, 128)), requires_grad=True)
+        param.grad = rng.standard_normal(param.data.shape)
+        with pytest.MonkeyPatch.context() as patcher:
+            patcher.setattr(optim_module, "_square_scratch", [])
+            peak = _peak_bytes(lambda: clip_gradient_norm([param], 1.0))
+            assert [block.shape for block in optim_module._square_scratch] == [(BLOCK,)]
+        assert peak < BLOCK * 8 + 16 * 1024
+
+    def test_a_released_adam_holds_no_array(self):
+        rng = np.random.default_rng(0)
+        params = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in [(300, 7), (7,)]]
+        optimizer = Adam(params)
+        for param in params:
+            param.grad = rng.standard_normal(param.data.shape)
+        optimizer.step()
+        optimizer.release()
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, (list, tuple)):
+                return [array for item in value for array in arrays(item)]
+            return []
+
+        state = [value for name, value in vars(optimizer).items() if name != "parameters"]
+        assert arrays(state) == []
+        assert all(param.grad is None for param in params)
+        # The next step starts a new optimisation, scratch included.
+        for param in params:
+            param.grad = rng.standard_normal(param.data.shape)
+        optimizer.step()
+        assert optimizer._step == 1 and len(optimizer._scratch) == 2
 
     def test_a_training_step_peaks_below_three_times_its_largest_parameter(self, mesh4_paths):
         # 12 pairs x H = 352 -> a 4224 x 128 first layer, 4.3 MB.

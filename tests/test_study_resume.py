@@ -16,9 +16,7 @@ Scenarios here are inline config dicts (no registry entries).
 from __future__ import annotations
 
 import json
-import pickle
 
-import numpy as np
 import pytest
 
 from repro.evaluation.engine import EvaluationEngine
@@ -365,88 +363,6 @@ class TestWorkerValidation:
         with pytest.raises(TypeError, match="cell_workers"):
             getattr(study, entry)(*args, engine=fresh_engine(), cell_workers=2)
         assert not checkpoint.exists()
-
-
-# --------------------------------------------------------------------------- #
-# Picklable trainer state
-# --------------------------------------------------------------------------- #
-class TestPicklableSchemes:
-    @pytest.fixture(scope="class")
-    def trained_setup(self):
-        from repro.datasets import from_config
-
-        scenario = from_config(scenario_config("pickle_mesh", 5))
-        train, test = scenario.split()
-        flat = test.flat_demands()
-        windows = np.stack([flat[t - 3 : t] for t in range(3, len(flat))])
-        return scenario, train, windows
-
-    @pytest.mark.parametrize("kind", ["figret", "dote", "teal"])
-    def test_trained_scheme_pickle_round_trip(self, kind, trained_setup):
-        from repro.study.spec import build_scheme
-
-        scenario, train, windows = trained_setup
-        spec = dict(SCHEME_SPECS[{"figret": 0, "dote": 1, "teal": 2}[kind]])
-        scheme = build_scheme(spec, scenario.paths)
-        scheme.precompute(train)
-        clone = pickle.loads(pickle.dumps(scheme))
-        np.testing.assert_array_equal(
-            clone.configure_batch(windows), scheme.configure_batch(windows)
-        )
-        # Live LP caches never cross the boundary.
-        assert clone.cache is None
-
-    def test_trainer_pickle_keeps_weights_and_history(self, trained_setup):
-        from repro.core.config import TrainingConfig
-        from repro.core.trainer import Trainer
-
-        scenario, train, windows = trained_setup
-        trainer = Trainer(
-            scenario.paths,
-            TrainingConfig(epochs=2, history_len=3, normalize_by_optimal=False, seed=0),
-        )
-        history = trainer.fit(train)
-        clone = pickle.loads(pickle.dumps(trainer))
-        assert clone.cache is None
-        assert clone.input_scale == trainer.input_scale
-        assert clone.history.epoch_losses == history.epoch_losses
-        np.testing.assert_array_equal(
-            clone.split_ratios_batch(windows), trainer.split_ratios_batch(windows)
-        )
-
-    def test_a_refit_is_the_same_in_process_and_across_one(self, trained_setup):
-        # Every fit is a fresh optimisation from the current weights.  The
-        # original used to continue the first fit's moments and step count
-        # while its unpickled copy started from zero.
-        from repro.core.config import TrainingConfig
-        from repro.core.trainer import Trainer
-
-        scenario, train, _ = trained_setup
-        original = Trainer(
-            scenario.paths,
-            TrainingConfig(epochs=2, history_len=3, normalize_by_optimal=False, seed=0),
-        )
-        original.fit(train)
-        clone = pickle.loads(pickle.dumps(original))
-        original.fit(train)
-        clone.fit(train)
-        refit, expected = original.model.state_dict(), clone.model.state_dict()
-        assert refit.keys() == expected.keys()
-        for key in expected:
-            np.testing.assert_array_equal(refit[key], expected[key])
-        assert original.history.epoch_losses == clone.history.epoch_losses
-
-    def test_tensor_pickle_drops_autodiff_tape(self):
-        from repro.nn import Tensor
-
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = (a * 3.0).sum()
-        b.backward()
-        clone = pickle.loads(pickle.dumps(b))
-        np.testing.assert_array_equal(clone.data, b.data)
-        assert clone.grad is None
-        assert clone._parents == ()
-        assert clone._backward is None
 
 
 # --------------------------------------------------------------------------- #

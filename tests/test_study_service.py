@@ -19,6 +19,8 @@ Acceptance contract pinned here:
   forgotten (queued and running ones never), and a stale socket file from a killed daemon is detected
   and replaced on restart (while a live daemon on the path refuses a
   second bind).
+* Identical warm jobs past that cap keep the daemon's Python object, thread
+  and fd counts flat.
 
 The server fixture binds sockets under ``tempfile.mkdtemp`` rather than
 pytest's ``tmp_path``: ``AF_UNIX`` paths are capped around 107 bytes and
@@ -27,7 +29,9 @@ deeply nested pytest temp dirs can blow past that.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import socket
 import tempfile
 import threading
@@ -397,6 +401,37 @@ class TestWarmState:
             client.cancel(jobs[0])
         assert client.status(job=jobs[1])["jobs"][0]["status"] == "done"
         assert len(server._jobs) == 3
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts fds in /proc")
+    def test_identical_warm_jobs_past_the_cap_hold_objects_threads_and_fds_flat(
+        self, service, monkeypatch
+    ):
+        # Not RSS: each connection runs on its own thread, and glibc's
+        # per-thread malloc arenas move RSS without a leak (it stayed flat
+        # with MALLOC_ARENA_MAX=1 over 4,000 jobs).
+        from repro.study import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", 4)
+        server, client = service
+        spec = grid_spec("soak", alphas=())
+        threads = threading.active_count()
+
+        def run_jobs(count):
+            for _ in range(count):
+                assert client.submit(spec).status == "done"
+            # A connection's thread closes its socket and exits just after
+            # the reply.
+            deadline = time.monotonic() + 10
+            while threading.active_count() > threads and time.monotonic() < deadline:
+                time.sleep(0.01)
+            gc.collect()
+            return len(gc.get_objects()), threading.active_count(), len(os.listdir("/proc/self/fd"))
+
+        warmed = run_jobs(8)  # trains once, then the job table fills to its cap
+        soaked = run_jobs(40)
+        assert soaked[1:] == warmed[1:] == (threads, warmed[2])
+        assert soaked[0] - warmed[0] < 40, "Python objects grow with every job"
+        assert len(server._jobs) == 4
 
     def test_job_cancelled_while_queued_never_runs(self, service):
         # The worker may dequeue a job just before a cancel marks it: the
