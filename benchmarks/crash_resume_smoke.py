@@ -14,6 +14,13 @@ same command with ``--resume --out``.  It proves:
 The interrupt waits for a record instead of a timer, so the check does not
 depend on how fast the host trains.  A SIGINT that tears the record being
 appended is legal too: the torn line is dropped and that cell re-runs.
+The interrupted child installs Python's ``KeyboardInterrupt`` handler itself
+and must die of the signal: a shell that starts this script as a background
+job (``cmd &``) ignores SIGINT in it, the ignore is inherited through
+``exec``, and Python then never installs that handler, so the child would
+finish every cell.  The SIGINT is re-sent while the child runs on: one
+raised inside a weakref callback or a finalizer is printed as "Exception
+ignored" and dropped.
 Every child pins BLAS to one thread, so both sides sum in one order.
 ``benchmarks/test_crash_resume_smoke.py`` runs this in tier-1.  Exit status 0
 on success.
@@ -58,6 +65,18 @@ CELLS = 6
 #: Seconds any one child may take before the smoke calls it hung.
 CHILD_TIMEOUT_S = 120.0
 
+#: Seconds between SIGINTs to a child that runs on, and how many it is sent.
+SIGINT_EVERY_S = 0.25
+MAX_SIGINTS = 40
+
+#: ``python -m repro.study`` with the ``KeyboardInterrupt`` handler installed
+#: even where the interpreter started with SIGINT ignored.
+_INTERRUPTIBLE_STUDY = (
+    "import runpy, signal; "
+    "signal.signal(signal.SIGINT, signal.default_int_handler); "
+    "runpy.run_module('repro.study', run_name='__main__', alter_sys=True)"
+)
+
 
 def _environment() -> dict:
     src = str(REPO / "src")
@@ -95,7 +114,10 @@ def _saved(checkpoint: Path) -> int:
 def _interrupt_after_first_record(workdir: Path) -> int:
     checkpoint = workdir / "smoke.ckpt"
     child = subprocess.Popen(
-        [sys.executable, "-m", "repro.study", "spec.json", "--checkpoint", checkpoint.name],
+        [
+            sys.executable, "-c", _INTERRUPTIBLE_STUDY,
+            "spec.json", "--checkpoint", checkpoint.name,
+        ],
         cwd=workdir,
         env=_environment(),
         stdout=subprocess.DEVNULL,
@@ -110,8 +132,18 @@ def _interrupt_after_first_record(workdir: Path) -> int:
         assert child.poll() is None, (
             f"the study exited ({child.returncode}) before it could be interrupted"
         )
-        child.send_signal(signal.SIGINT)
-        child.wait(timeout=CHILD_TIMEOUT_S)
+        sent = 0
+        while child.poll() is None and sent < MAX_SIGINTS:
+            child.send_signal(signal.SIGINT)
+            sent += 1
+            try:
+                child.wait(timeout=SIGINT_EVERY_S)
+            except subprocess.TimeoutExpired:
+                pass
+        assert child.returncode == -signal.SIGINT, (
+            f"the study {'ran on' if child.returncode is None else f'exited {child.returncode}'} "
+            f"after {sent} SIGINTs instead of dying of one"
+        )
     finally:
         if child.poll() is None:
             child.kill()

@@ -1,6 +1,6 @@
 """Which ``def``s in ``src/`` does nothing the repository runs ever enter?
 
-    python benchmarks/unreached.py        # ~7 min; not a CI job
+    python benchmarks/unreached.py        # ~7 min; CI's manual `unreached` job
 
 Runs the examples, perfbench (untraced and traced), the ``benchmarks/`` tests,
 ``service_smoke.py`` and an LP-pooled CLI run with a ``sitecustomize.py``

@@ -28,6 +28,9 @@ solve per timestep.  This module amortises all three across the whole trace:
   ``history_len + chunk_size`` demand rows at a time, so traces far larger
   than memory replay out-of-core (online replay in the spirit of Garg &
   Young's on-line end-to-end congestion control).
+* **Replays** -- a :class:`ReplaySession` runs each distinct replay and
+  failure series of a trained scheme once per engine, and serves repeats
+  from the engine's memo.
 
 The engine produces results numerically equivalent to the per-timestep path
 (the schemes are deterministic functions of their history window); the test
@@ -37,8 +40,9 @@ suite pins the equivalence to ``1e-9``, batch vs. streaming vs. sequential.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +61,8 @@ from repro.traffic.windows import build_history_windows, iter_window_chunks
 __all__ = [
     "EvaluationResult",
     "EvaluationEngine",
+    "Replay",
+    "ReplaySession",
     "default_engine",
     "build_history_windows",
     "iter_window_chunks",
@@ -93,12 +99,8 @@ class EvaluationEngine:
     One engine instance should be shared across experiments: its
     :class:`OptimalMLUCache` is what turns the repeated replays of the
     fluctuation / drift / failure protocols from ``O(T)`` LP solves each into
-    cache hits, and its replay memo (:meth:`replay_memo`) is what lets a
-    study re-run on it skip the replays themselves.  The memo is keyed on
-    the trained scheme *object* and held weakly: a scheme's entries live as
-    long as the scheme does, on this engine only (a fresh engine, even on
-    the same cache, replays cold).  A scheme is taken to be fixed once
-    trained.
+    cache hits, and its replay memo (filled through a :class:`ReplaySession`)
+    is what lets a study re-run on it skip the replays themselves.
 
     Args:
         cache: Optimal-MLU cache to use (a fresh in-memory one by default;
@@ -113,18 +115,6 @@ class EvaluationEngine:
     def __init__(self, cache: OptimalMLUCache | None = None) -> None:
         self.cache = cache if cache is not None else OptimalMLUCache()
         self._replays: weakref.WeakKeyDictionary[TEScheme, dict] = weakref.WeakKeyDictionary()
-
-    # ------------------------------------------------------------------ #
-    # Replay memo
-    # ------------------------------------------------------------------ #
-    def replay_memo(self, scheme: TEScheme) -> dict:
-        """The memo of ``scheme``'s replays on this engine (created empty).
-
-        The engine only holds it: :class:`~repro.study.Study` decides the
-        keys and entries (each a pure function of the trained scheme and a
-        trace).  The dict goes when ``scheme`` is garbage-collected.
-        """
-        return self._replays.setdefault(scheme, {})
 
     def memoised_replays(self) -> int:
         """Number of memo entries held, over every live scheme."""
@@ -383,6 +373,168 @@ class EvaluationEngine:
             name: np.concatenate(values) if values else np.array([])
             for name, values in results.items()
         }
+
+
+@dataclass(eq=False)  # hashed by identity: a ReplaySession keeps a WeakSet of entries
+class Replay:
+    """One replay in an engine's memo (see :meth:`ReplaySession.replay`).
+
+    Attributes:
+        result: The replay, once run; its three series are read-only, since
+            every later record of it shares them.
+        statistics: ``result.statistics``, computed once.
+        ratios: The replay's ``(T, num_paths)`` configuration, kept only
+            while the session that replayed it has a failure series of the
+            pair to reroute it.
+    """
+
+    result: EvaluationResult | None = None
+    statistics: MLUStatistics | None = None
+    ratios: np.ndarray | None = None
+
+
+class ReplaySession:
+    """One run of cells on an engine's replay memo; :meth:`close` ends it.
+
+    The memo holds, per trained scheme *object* (weakly: the entries go
+    with the scheme, and a fresh engine replays cold), each replay keyed on
+    everything else that decides its bits: the caller's ``pair`` key (its
+    second item names the scheme), the training ``segment``, the trace
+    (``"none"`` or a perturbation's canonical label), the history length,
+    the replayed rows, ``oracle_demand`` and the partition.  A streaming
+    replay whose one chunk covers every interval *is* the batched replay;
+    only a smaller chunk keys a partition of its own.  A failure series is
+    an entry too: the unperturbed key plus the draw.  A scheme is taken to
+    be fixed once trained.
+
+    The unperturbed one-chunk replay of a pair in ``failure_pairs`` keeps
+    its configuration in its entry, so it and the pair's failure series
+    share one ``configure_batch``, whichever runs first.  :meth:`close`
+    drops every configuration the session kept: the memo holds ``O(T)`` per
+    replay between sessions.
+    """
+
+    def __init__(self, engine: EvaluationEngine, failure_pairs: Iterable[tuple] = ()) -> None:
+        self.engine = engine
+        self._failure_pairs = frozenset(failure_pairs)
+        # Entries this session kept ratios in; weak, so a freed scheme's go.
+        self._configured: weakref.WeakSet[Replay] = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Drop the configurations this session kept."""
+        for entry in self._configured:
+            entry.ratios = None
+        self._configured.clear()
+
+    def _configured_through(self, scheme: TEScheme, entry: Replay) -> SimpleNamespace:
+        """``scheme``, its ``configure_batch`` run once and kept in ``entry``."""
+        self._configured.add(entry)
+
+        def configure_batch(windows: np.ndarray) -> np.ndarray:
+            if entry.ratios is None:
+                entry.ratios = scheme.configure_batch(windows)
+            return entry.ratios
+
+        return SimpleNamespace(
+            name=scheme.name, path_set=scheme.path_set, configure_batch=configure_batch
+        )
+
+    def replay(
+        self,
+        scheme: TEScheme,
+        pair: tuple[Hashable, Hashable],
+        trace: TrafficMatrixSequence,
+        history_len: int,
+        segment: str = "default",
+        perturbation: tuple[str, Callable[[TrafficMatrixSequence], TrafficMatrixSequence]]
+        | None = None,
+        oracle_demand: bool = False,
+        chunk_size: int | None = None,
+    ) -> Replay:
+        """Replay ``scheme`` over ``trace``, once per engine.
+
+        Args:
+            perturbation: ``(label, perturb)`` to replay ``perturb(trace)``
+                instead, under the canonical ``label``; the perturbed trace
+                is built on a memo miss only.
+            chunk_size: Stream in chunks of this many intervals
+                (:meth:`EvaluationEngine.evaluate_streaming`); ``None`` is
+                one batched pass (:meth:`EvaluationEngine.evaluate_scheme`).
+        """
+        label = "none" if perturbation is None else perturbation[0]
+        if chunk_size is not None and chunk_size >= len(trace) - history_len:
+            chunk_size = None
+        key = (*pair, segment, label, history_len, len(trace), oracle_demand, chunk_size)
+        entry = self.engine._replays.setdefault(scheme, {}).setdefault(key, Replay())
+        if entry.result is not None:
+            return entry
+        if perturbation is not None:
+            trace = perturbation[1](trace)
+        if chunk_size is not None:
+            result = self.engine.evaluate_streaming(
+                scheme, trace, history_len, chunk_size=chunk_size, oracle_demand=oracle_demand
+            )
+        else:
+            # Only the unperturbed configuration is rerouted by failure series.
+            rerouted = (
+                segment == "default"
+                and perturbation is None
+                and not oracle_demand
+                and pair in self._failure_pairs
+            )
+            if rerouted or entry.ratios is not None:
+                scheme = self._configured_through(scheme, entry)
+            result = self.engine.evaluate_scheme(
+                scheme, trace, history_len, oracle_demand=oracle_demand
+            )
+        for series in (result.normalized_mlus, result.raw_mlus, result.optimal_mlus):
+            series.flags.writeable = False
+        entry.result, entry.statistics = result, result.statistics
+        return entry
+
+    def failure_series(
+        self,
+        scheme: TEScheme,
+        pair: tuple[Hashable, Hashable],
+        trace: TrafficMatrixSequence,
+        history_len: int,
+        num_failures: int,
+        num_trials: int,
+        seed: int,
+        fault_aware: bool,
+    ) -> tuple[np.ndarray, MLUStatistics]:
+        """:meth:`EvaluationEngine.failure_experiment` of ``scheme`` alone, once per engine.
+
+        A ``fault_aware`` scheme is told each trial's failures and
+        configures per trial; any other reroutes the configuration of the
+        pair's unperturbed replay.  Returns the read-only series and its
+        statistics.
+        """
+        memo = self.engine._replays.setdefault(scheme, {})
+        base = (*pair, "default", "none", history_len, len(trace), False, None)
+        key = (*base, ("failure", num_failures, num_trials, seed, fault_aware))
+        if key not in memo:
+            configured = scheme
+            if not fault_aware:
+                configured = self._configured_through(scheme, memo.setdefault(base, Replay()))
+            try:
+                series = self.engine.failure_experiment(
+                    [configured],
+                    trace,
+                    history_len,
+                    num_failures,
+                    num_trials=num_trials,
+                    fault_aware_names=(scheme.name,) if fault_aware else (),
+                    seed=seed,
+                )[scheme.name]
+            finally:
+                # Clear the last trial's failures, so later replays of this
+                # scheme see an intact network.
+                if fault_aware:
+                    scheme.set_failures(set())
+            series.flags.writeable = False
+            memo[key] = series, normalized_mlu_statistics(series)
+        return memo[key]
 
 
 #: Process-wide engine, built on the process-wide LP-result cache -- the same

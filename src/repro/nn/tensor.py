@@ -174,18 +174,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad, owned=True)
-
-        return self._make(-self.data, (self,), backward)
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-Tensor.as_tensor(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor.as_tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor.as_tensor(other)
         out_data = self.data * other.data
@@ -211,9 +199,6 @@ class Tensor:
 
         return self._make(out_data, (self, other), backward)
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor.as_tensor(other) / self
-
     def __matmul__(self, other) -> "Tensor":
         other = Tensor.as_tensor(other)
         if self.data.ndim < 2 or other.data.ndim != 2:
@@ -229,16 +214,6 @@ class Tensor:
                 other._accumulate(left.T @ upstream, owned=True)
 
         return self._make(out_data, (self, other), backward)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
-
-        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Non-linearities
@@ -261,24 +236,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
-
-        return self._make(out_data, (self,), backward)
-
-    def exp(self) -> "Tensor":
-        """Elementwise exponential."""
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data, owned=True)
-
-        return self._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        """Elementwise natural logarithm."""
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data, owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -328,15 +285,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Shape / indexing / segment ops
     # ------------------------------------------------------------------ #
-    def reshape(self, *shape: int) -> "Tensor":
-        """Reshape (returns a new tensor)."""
-        out_data = self.data.reshape(*shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(self.data.shape))
-
-        return self._make(out_data, (self,), backward)
-
     def gather_last(self, index: np.ndarray) -> "Tensor":
         """Index the last axis with an integer array (``x[..., index]``).
 

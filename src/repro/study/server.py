@@ -189,9 +189,10 @@ class StudyServer:
             else self.socket_path.with_name(self.socket_path.name + ".spool")
         )
         self.default_warehouse = warehouse
-        # One warm engine for every job: the LP cache and the replay memo,
-        # and the scenario / trained-scheme dicts below, ARE the service --
-        # they make a second client's overlapping grid free.
+        # One warm engine for every job: its LP cache and replay memo (each
+        # job replays through a ReplaySession on it), and the scenario /
+        # trained-scheme dicts below, ARE the service -- they make a second
+        # client's overlapping grid free.
         self.engine = engine if engine is not None else EvaluationEngine()
         self._scheme_cache: dict = {}
         self._scenario_cache: dict = {}

@@ -9,25 +9,10 @@ orchestration layer's whole job is deduplicating the shared work of a grid:
   trace length, or canonical inline config) and shared by every cell.
 * **Schemes** are trained once per distinct scheme spec per scenario (and per
   drift training segment); the scheme axis of a grid never retrains.
-* **Replays** run once per trained scheme x trace *per engine*: the
-  engine's replay memo (:meth:`~repro.evaluation.engine.EvaluationEngine.
-  replay_memo`, held per trained scheme object) keys each replay on
-  everything that decides its bits (scenario, scheme, training segment, the
-  trace -- unperturbed or one normalised fluctuation --, the history
-  length, the replayed rows, ``oracle_demand`` and the partition).  A
-  streaming cell whose one chunk covers every evaluated interval *is* the
-  batched replay, so it shares that entry; only a smaller ``chunk_size``
-  keys a partition of its own.  A fluctuation hit neither builds nor
-  replays its perturbed trace.  A failure cell's series is an entry too
-  (the unperturbed key plus its failure draw), so a study re-run on the
-  same engine with the same trained schemes (a shared ``scheme_cache``)
-  configures, perturbs and reroutes nothing.
-* **Configurations** of the unperturbed one-chunk replay (the ``T x
-  num_paths`` split ratios) are kept in the memo entry while the running
-  plan has a failure cell for the pair, and dropped when
-  :meth:`Study.execute` returns: the pair's replay cell and its failure
-  cells share one ``configure_batch``, whichever runs first.  Schemes told
-  the failures (``set_failures``) still configure per trial.
+* **Replays** run once per trained scheme x trace *per engine*, which
+  memoises them (:class:`~repro.evaluation.engine.ReplaySession`): a study
+  re-run on the same engine with the same trained schemes (a shared
+  ``scheme_cache``) configures, perturbs and reroutes nothing.
 * **LP normalisers** are served by the engine's
   :class:`~repro.solvers.lp.OptimalMLUCache` -- one optimal-MLU pass per
   distinct demand matrix across the *whole* grid, so adding schemes or
@@ -51,17 +36,21 @@ from __future__ import annotations
 
 import functools
 import warnings
-import weakref
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.datasets import registry as datasets_registry
 from repro.datasets.registry import Scenario
-from repro.evaluation.engine import EvaluationEngine, EvaluationResult, default_engine
-from repro.evaluation.metrics import MLUStatistics, normalized_mlu_statistics
+from repro.evaluation.engine import (
+    EvaluationEngine,
+    EvaluationResult,
+    Replay,
+    ReplaySession,
+    default_engine,
+)
 from repro.paths.path_set import PathSet
 from repro.solvers.lp import LPSolveTally
 from repro.study.results import ResultSet, StudyCheckpoint, StudyResult
@@ -149,7 +138,6 @@ class StudyPlan:
 class _ScenarioContext:
     """A scenario resolved into the pieces cell execution needs."""
 
-    key: str
     name: str
     paths: PathSet | None
     train: TrafficMatrixSequence | None
@@ -161,46 +149,6 @@ class _ScenarioContext:
     def pair_std(self) -> np.ndarray:
         """The training split's per-pair std (computed once per scenario)."""
         return self.train.pair_std()
-
-
-@dataclass(eq=False)  # hashed by identity: Study._configured is a WeakSet of entries
-class _Replay:
-    """One replay entry of an engine's replay memo (see :meth:`Study._replay`).
-
-    Attributes:
-        result: The replay, once a cell has run it; its three series are
-            read-only, since every later record of it shares them.
-        statistics: ``result.statistics``, computed once.
-        ratios: The replay's ``(T, num_paths)`` configuration: kept only for
-            an unperturbed one-chunk replay whose pair has a failure cell,
-            which reroutes these same ratios, and only until
-            :meth:`Study.execute` returns.
-    """
-
-    result: EvaluationResult | None = None
-    statistics: MLUStatistics | None = None
-    ratios: np.ndarray | None = None
-
-
-class _MemoisedConfiguration:
-    """A scheme whose ``configure_batch`` is served from a memo entry.
-
-    Handed only to a one-chunk replay of the unperturbed trace and to the
-    failure protocol, which both configure the trace's full window batch
-    once: the first call runs the scheme and keeps the ratios in the entry,
-    a later one returns them.
-    """
-
-    def __init__(self, scheme: TEScheme, entry: _Replay) -> None:
-        self.name = scheme.name
-        self.path_set = scheme.path_set
-        self._scheme = scheme
-        self._entry = entry
-
-    def configure_batch(self, windows: np.ndarray) -> np.ndarray:
-        if self._entry.ratios is None:
-            self._entry.ratios = self._scheme.configure_batch(windows)
-        return self._entry.ratios
 
 
 class Study:
@@ -250,12 +198,6 @@ class Study:
         self._owns_schemes = scheme_cache is None
         self._scheme_cache = scheme_cache if scheme_cache is not None else {}
         self._scenario_cache = scenario_cache if scenario_cache is not None else {}
-        # Pairs with a failure cell in the plan being executed: their
-        # unperturbed configuration is worth keeping (see _replay).
-        self._failure_pairs: set[tuple[str, str]] = set()
-        # Memo entries this execute() may have put ratios in; weak, so a
-        # freed scheme's entries go with it.
-        self._configured: weakref.WeakSet[_Replay] = weakref.WeakSet()
         self._contexts: dict[str, _ScenarioContext] = {}
         # Schemes trained so far (a cell that trains commits at once).
         self._trainings = 0
@@ -531,18 +473,13 @@ class Study:
         grid costs one append per store and a crash loses only records of
         cells that reused work.
 
-        Each distinct replay runs once per trained scheme on the plan's
-        engine, which memoises it: cells that replay one scheme over one
-        trace with one partition share it, a failure cell reroutes the
-        configuration of its pair's unperturbed replay, and a later study
-        on the same engine with the same trained schemes reuses the
-        replays and failure series (see the module docstring).  The
-        configurations kept for failure cells are dropped when this call
-        returns.  A study that owns its scheme cache (built without
-        ``scheme_cache=``) drops each (scenario, scheme) pair's trained
-        schemes, and so their memoised replays, as soon as the pair's last
-        pending cell has finished; pass ``scheme_cache=`` to keep the
-        schemes beyond this call.
+        The cells replay through one
+        :class:`~repro.evaluation.engine.ReplaySession` on the plan's
+        engine, closed when this call returns.  A study that owns its scheme
+        cache (built without ``scheme_cache=``) drops each (scenario,
+        scheme) pair's trained schemes, and so their memoised replays, as
+        soon as the pair's last pending cell has finished; pass
+        ``scheme_cache=`` to keep the schemes beyond this call.
 
         Raises:
             StudyCancelled: When ``should_stop`` returned true before the
@@ -573,13 +510,16 @@ class Study:
         def work() -> tuple[int, int, int]:
             return self._trainings, solves.count, engine.cache.misses
 
-        try:
-            records: dict[int, StudyResult] = dict(plan.completed)
-            self._failure_pairs = {
+        replays = ReplaySession(
+            engine,
+            {
                 (cell.scenario_key, cell.scheme_key)
                 for _, cell in plan.pending
                 if cell.perturbation["kind"] == "failure"
-            }
+            },
+        )
+        try:
+            records: dict[int, StudyResult] = dict(plan.completed)
             remaining = (
                 Counter((cell.scenario_key, cell.scheme_key) for _, cell in plan.pending)
                 if self._owns_schemes
@@ -590,7 +530,7 @@ class Study:
                     raise StudyCancelled(len(records), len(self.specs))
                 before = work()
                 try:
-                    record = self._run_cell(cell, engine)
+                    record = self._run_cell(cell, replays)
                 except Exception as exc:
                     if hasattr(exc, "add_note"):
                         exc.add_note(
@@ -620,14 +560,12 @@ class Study:
             commit()
             raise
         finally:
-            # Release the held append descriptors on every exit, cancelled
-            # and failed runs included; the memo keeps O(T) per replay, not
-            # the (T, num_paths) configurations.
+            # Release the held append descriptors and the kept
+            # configurations on every exit, cancelled and failed runs
+            # included.
             for held in stores:
                 held.close()
-            for entry in self._configured:
-                entry.ratios = None
-            self._configured.clear()
+            replays.close()
 
     def _settle(self, remaining: Counter | None, pair: tuple[str, str]) -> None:
         """Count one finished cell of a (scenario, scheme) pair.
@@ -687,7 +625,6 @@ class Study:
         else:
             train, test = scenario.split()
         ctx = _ScenarioContext(
-            key=key,
             name=scenario.name,
             paths=scenario.paths,
             train=train,
@@ -726,7 +663,7 @@ class Study:
         train_sequence: TrafficMatrixSequence | None,
         train_key: str,
     ) -> TEScheme:
-        key = (ctx.key, cell.scheme_key, train_key)
+        key = (cell.scenario_key, cell.scheme_key, train_key)
         cached = self._scheme_cache.get(key)
         if cached is not None:
             return cached
@@ -768,81 +705,6 @@ class Study:
             return test
         return test[: history_len + max_intervals]
 
-    def _replay(
-        self,
-        cell: ExperimentSpec,
-        ctx: _ScenarioContext,
-        engine: EvaluationEngine,
-        scheme: TEScheme,
-        test: TrafficMatrixSequence,
-        history_len: int,
-        train_key: str = "default",
-        perturb: Callable[[TrafficMatrixSequence], TrafficMatrixSequence] | None = None,
-    ) -> _Replay:
-        """Replay ``scheme`` over ``test`` (perturbed by ``perturb``), once per engine.
-
-        The entry lives in ``engine``'s memo of ``scheme``.  Its key is
-        everything else that decides the replay's bits: the pair, the
-        training segment, the trace (``"none"`` or the cell's normalised
-        fluctuation), the history length, the replayed rows,
-        ``oracle_demand``, and the partition -- the cell's ``chunk_size``
-        when it streams in more than one chunk, else ``None``, the one-chunk
-        path :meth:`EvaluationEngine.evaluate_scheme` takes.  On a hit the
-        perturbed trace is never built.
-        """
-        key = self._replay_key(cell, ctx, test, history_len, train_key, perturb)
-        entry = engine.replay_memo(scheme).setdefault(key, _Replay())
-        if entry.result is not None:
-            return entry
-        trace = test if perturb is None else perturb(test)
-        partition = key[-1]
-        if partition is not None:
-            result = engine.evaluate_streaming(
-                scheme,
-                trace,
-                history_len,
-                chunk_size=partition,
-                oracle_demand=cell.oracle_demand,
-            )
-        else:
-            # Only the unperturbed configuration is rerouted by failure cells.
-            keeps_ratios = (
-                perturb is None
-                and train_key == "default"
-                and not cell.oracle_demand
-                and (cell.scenario_key, cell.scheme_key) in self._failure_pairs
-            )
-            if keeps_ratios or entry.ratios is not None:
-                scheme = self._memoised_configuration(scheme, entry)
-            result = engine.evaluate_scheme(
-                scheme, trace, history_len, oracle_demand=cell.oracle_demand
-            )
-        for series in (result.normalized_mlus, result.raw_mlus, result.optimal_mlus):
-            series.flags.writeable = False
-        entry.result, entry.statistics = result, result.statistics
-        return entry
-
-    def _memoised_configuration(
-        self, scheme: TEScheme, entry: _Replay
-    ) -> _MemoisedConfiguration:
-        """``scheme`` configured through ``entry``, whose ratios execute() drops."""
-        self._configured.add(entry)
-        return _MemoisedConfiguration(scheme, entry)
-
-    @staticmethod
-    def _replay_key(cell, ctx, test, history_len, train_key, perturb) -> tuple:
-        streams = cell.streaming and cell.chunk_size < len(test) - history_len
-        return (
-            ctx.key,
-            cell.scheme_key,
-            train_key,
-            "none" if perturb is None else canonical_json(cell.perturbation),
-            history_len,
-            len(test),
-            cell.oracle_demand,
-            cell.chunk_size if streams else None,
-        )
-
     @staticmethod
     def _record(
         cell: ExperimentSpec,
@@ -864,53 +726,55 @@ class Study:
             result=result,
         )
 
-    def _decline_record(self, cell, ctx, scheme, experiment, replay, base) -> StudyResult:
-        """A perturbed replay's record: its statistics and their declines from ``base``."""
+    def _replay_record(self, cell, ctx, scheme, experiment, replay, base=None) -> StudyResult:
+        """A replay's record: its statistics, and their declines from ``base`` if given."""
         stats = replay.statistics
         metrics = dict(vars(stats))
-        metrics["average_decline"] = stats.mean / base.mean - 1.0
-        metrics["p90_decline"] = stats.p90 / base.p90 - 1.0
+        if base is not None:
+            metrics["average_decline"] = stats.mean / base.mean - 1.0
+            metrics["p90_decline"] = stats.p90 / base.p90 - 1.0
         return self._record(
             cell, ctx, scheme, experiment, metrics, replay.result.normalized_mlus, replay.result
         )
 
-    def _run_cell(self, cell: ExperimentSpec, engine: EvaluationEngine) -> StudyResult:
+    @staticmethod
+    def _replay(
+        replays: ReplaySession, cell, scheme, test, history_len, segment="default", perturb=None
+    ) -> Replay:
+        """The cell's replay of ``scheme`` over ``test``, memoised by ``replays``."""
+        return replays.replay(
+            scheme,
+            (cell.scenario_key, cell.scheme_key),
+            test,
+            history_len,
+            segment=segment,
+            perturbation=None if perturb is None else (canonical_json(cell.perturbation), perturb),
+            oracle_demand=cell.oracle_demand,
+            chunk_size=cell.chunk_size if cell.streaming else None,
+        )
+
+    def _run_cell(self, cell: ExperimentSpec, replays: ReplaySession) -> StudyResult:
         ctx = self._context(cell)
         kind = cell.perturbation["kind"]
         if kind == "drift":
-            return self._run_drift(cell, ctx, engine)
+            return self._run_drift(cell, ctx, replays)
         if ctx.test is None:
             raise ValueError(f"scenario {ctx.name!r} provides no test sequence")
         history_len = self._history_len(cell, ctx)
         test = self._sliced_test(ctx.test, history_len, cell.max_intervals)
-        scheme = self._resolve_scheme(cell, ctx, engine, ctx.train, "default")
+        scheme = self._resolve_scheme(cell, ctx, replays.engine, ctx.train, "default")
+        if kind == "failure":
+            return self._run_failure(cell, ctx, replays, scheme, test, history_len)
+        base = self._replay(replays, cell, scheme, test, history_len)
         if kind == "none":
-            replay = self._replay(cell, ctx, engine, scheme, test, history_len)
-            return self._record(
-                cell,
-                ctx,
-                scheme,
-                "replay",
-                dict(vars(replay.statistics)),
-                replay.result.normalized_mlus,
-                replay.result,
-            )
-        if kind == "fluctuation":
-            return self._run_fluctuation(cell, ctx, engine, scheme, test, history_len)
-        return self._run_failure(cell, ctx, engine, scheme, test, history_len)
-
-    def _run_fluctuation(
-        self, cell, ctx, engine, scheme, test, history_len
-    ) -> StudyResult:
+            return self._replay_record(cell, ctx, scheme, "replay", base)
         perturbation = cell.perturbation
-        base_stats = self._replay(cell, ctx, engine, scheme, test, history_len).statistics
         fluctuate = (
             reverse_rank_fluctuation if perturbation["worst_case"] else gaussian_fluctuation
         )
         replay = self._replay(
+            replays,
             cell,
-            ctx,
-            engine,
             scheme,
             test,
             history_len,
@@ -919,9 +783,9 @@ class Study:
                 trace, perturbation["alpha"], ctx.pair_std, seed=perturbation["seed"]
             ),
         )
-        return self._decline_record(cell, ctx, scheme, "fluctuation", replay, base_stats)
+        return self._replay_record(cell, ctx, scheme, "fluctuation", replay, base.statistics)
 
-    def _run_failure(self, cell, ctx, engine, scheme, test, history_len) -> StudyResult:
+    def _run_failure(self, cell, ctx, replays, scheme, test, history_len) -> StudyResult:
         perturbation = cell.perturbation
         if cell.streaming or cell.oracle_demand:
             raise ValueError(
@@ -939,42 +803,19 @@ class Study:
                 "fault_aware (or set it to false) so its configuration is "
                 "rerouted around the failures instead"
             )
-        # The series is memoised beside the pair's replays: the unperturbed
-        # key plus the failure draw, with fault_aware resolved.
-        memo = engine.replay_memo(scheme)
-        base_key = self._replay_key(cell, ctx, test, history_len, "default", None)
-        key = (*base_key, canonical_json(dict(perturbation, fault_aware=fault_aware)))
-        if key not in memo:
-            names = (scheme.name,) if fault_aware else ()
-            configured = scheme
-            if not fault_aware:
-                # Rerouted: the pair's unperturbed one-chunk configuration,
-                # shared with its replay cell through the memo.
-                entry = memo.setdefault(base_key, _Replay())
-                configured = self._memoised_configuration(scheme, entry)
-            try:
-                series = engine.failure_experiment(
-                    [configured],
-                    test,
-                    history_len,
-                    perturbation["num_failures"],
-                    num_trials=perturbation["num_trials"],
-                    fault_aware_names=names,
-                    seed=perturbation["seed"],
-                )[scheme.name]
-            finally:
-                # The failure protocol mutates fault-aware schemes
-                # (set_failures per trial); clear the last trial's failures
-                # so other cells reusing this cached scheme replay an intact
-                # network.
-                if fault_aware:
-                    scheme.set_failures(set())
-            series.flags.writeable = False
-            memo[key] = series, normalized_mlu_statistics(series)
-        series, statistics = memo[key]
+        series, statistics = replays.failure_series(
+            scheme,
+            (cell.scenario_key, cell.scheme_key),
+            test,
+            history_len,
+            perturbation["num_failures"],
+            perturbation["num_trials"],
+            perturbation["seed"],
+            fault_aware,
+        )
         return self._record(cell, ctx, scheme, "failure", dict(vars(statistics)), series)
 
-    def _run_drift(self, cell: ExperimentSpec, ctx, engine) -> StudyResult:
+    def _run_drift(self, cell: ExperimentSpec, ctx, replays) -> StudyResult:
         perturbation = cell.perturbation
         traffic = ctx.traffic
         if traffic is None:
@@ -988,30 +829,23 @@ class Study:
         test = self._sliced_test(
             traffic.segment(*test_segment), history_len, cell.max_intervals
         )
-
-        baseline_key = f"segment:0.0-{test_segment[0]}"
-        baseline_scheme = self._resolve_scheme(
-            cell, ctx, engine, traffic.segment(0.0, test_segment[0]), baseline_key
-        )
-        # The replay memo key carries the test segment too: two drift cells
+        # The replay's segment names the held-out slice too: two drift cells
         # sharing a training prefix but held out on different slices must not
         # reuse one another's replays.
         held_out = f"test:{test_segment[0]}-{test_segment[1]}"
-        base_stats = self._replay(
-            cell,
-            ctx,
-            engine,
-            baseline_scheme,
-            test,
-            history_len,
-            train_key=f"{baseline_key}|{held_out}",
-        ).statistics
-
-        segment_key = f"segment:{train_segment[0]}-{train_segment[1]}"
+        # Baseline: the same scheme trained on everything before the test slice.
+        base_key = f"segment:0.0-{test_segment[0]}"
+        baseline = self._resolve_scheme(
+            cell, ctx, replays.engine, traffic.segment(0.0, test_segment[0]), base_key
+        )
+        base = self._replay(
+            replays, cell, baseline, test, history_len, segment=f"{base_key}|{held_out}"
+        )
+        train_key = f"segment:{train_segment[0]}-{train_segment[1]}"
         scheme = self._resolve_scheme(
-            cell, ctx, engine, traffic.segment(*train_segment), segment_key
+            cell, ctx, replays.engine, traffic.segment(*train_segment), train_key
         )
         replay = self._replay(
-            cell, ctx, engine, scheme, test, history_len, train_key=f"{segment_key}|{held_out}"
+            replays, cell, scheme, test, history_len, segment=f"{train_key}|{held_out}"
         )
-        return self._decline_record(cell, ctx, scheme, "drift", replay, base_stats)
+        return self._replay_record(cell, ctx, scheme, "drift", replay, base.statistics)

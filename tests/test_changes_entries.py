@@ -1,11 +1,11 @@
-"""The change log stays readable: each entry from PR 12 on is a short note.
+"""The change log stays readable: each entry is a short note.
 
 ``CHANGES.md`` is one top-level ``- PR <n>...`` bullet per change, its
-continuation lines indented.  From PR 12 on an entry holds at most 15 lines
-and 2,500 bytes; raw per-run numbers and test-by-test lists belong in the
+continuation lines indented.  An entry holds at most 15 lines and 2,500
+bytes; raw per-run numbers and test-by-test lists belong in the
 change's description, not here.  Every bullet naming one PR counts toward
 that PR's entry, so a ``- PR <n> (cont.):`` bullet does not buy a second
-allowance.  Older entries are left as they were.
+allowance.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 CHANGES = Path(__file__).resolve().parents[1] / "CHANGES.md"
-FIRST_BOUNDED_PR = 12
+FIRST_BOUNDED_PR = 1
 MAX_LINES = 15
 MAX_BYTES = 2_500
 
@@ -37,7 +37,7 @@ def test_entries_are_found():
     assert len(numbers) > FIRST_BOUNDED_PR // 2
 
 
-def test_every_entry_from_pr_12_on_is_at_most_15_lines_and_2500_bytes():
+def test_every_entry_is_at_most_15_lines_and_2500_bytes():
     oversized = [
         f"PR {number}: {len(entry.splitlines())} lines, {len(entry.encode('utf-8'))} bytes"
         for number, entry in _entries(CHANGES.read_text(encoding="utf-8"))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import Dote, Figret, TealLike, TrainingConfig
 from repro.core.trainer import build_windows, fit_history_window
-from repro.evaluation.engine import EvaluationEngine, build_history_windows
+from repro.evaluation.engine import EvaluationEngine, ReplaySession, build_history_windows
 from repro.solvers import (
     DesensitizationTE,
     OmniscientTE,
@@ -411,28 +411,42 @@ class TestFailureExperimentEquivalence:
             np.testing.assert_allclose(batched[name], np.array(expected[name]), atol=1e-6)
 
 
-class TestReplayMemoStorage:
-    def test_memo_goes_with_its_scheme(self):
-        class Scheme:
-            pass
+class _EvenSplit:
+    """The cheapest scheme to replay: every window splits evenly."""
 
-        engine, scheme = EvaluationEngine(cache=OptimalMLUCache()), Scheme()
-        engine.replay_memo(scheme)["key"] = "entry"
-        assert engine.replay_memo(scheme) == {"key": "entry"}
+    name = "even"
+
+    def __init__(self, path_set):
+        self.path_set = path_set
+
+    def configure_batch(self, windows):
+        return np.full((len(windows), self.path_set.num_paths), 1.0 / 3)
+
+
+class TestReplayMemoStorage:
+    """The engine's memo, filled through a ``ReplaySession``: it goes with its
+    scheme, and another thread may count it while a session fills it."""
+
+    def test_memo_goes_with_its_scheme(self, mesh4_paths, mesh4_traffic):
+        engine, scheme = EvaluationEngine(cache=OptimalMLUCache()), _EvenSplit(mesh4_paths)
+        trace = mesh4_traffic[: HISTORY + 2]
+        first = ReplaySession(engine).replay(scheme, ("mesh4", "even"), trace, HISTORY)
+        assert ReplaySession(engine).replay(scheme, ("mesh4", "even"), trace, HISTORY) is first
         assert EvaluationEngine(cache=engine.cache).memoised_replays() == 0
         assert engine.memoised_replays() == 1
         del scheme
         assert engine.memoised_replays() == 0
 
-    def test_count_while_another_thread_adds_and_frees_schemes(self):
+    def test_count_while_another_thread_adds_and_frees_schemes(
+        self, mesh4_paths, mesh4_traffic
+    ):
         """The daemon's status thread counts while its job thread memoises."""
         import sys
         import threading
 
-        class Scheme:
-            pass
-
         engine = EvaluationEngine(cache=OptimalMLUCache())
+        session = ReplaySession(engine)
+        trace = mesh4_traffic[: HISTORY + 2]
         errors: list[BaseException] = []
         stop = threading.Event()
 
@@ -451,11 +465,13 @@ class TestReplayMemoStorage:
         try:
             for reader in readers:
                 reader.start()
-            for index in range(20000):
-                scheme = Scheme()
-                memo = engine.replay_memo(scheme)
-                for key in range(3):
-                    memo[key] = index
+            # Each scheme is a full replay (~1.6 ms against four spinning
+            # readers); a count that iterates the memo uncopied fails within
+            # 20 schemes, so 500 is ample.
+            for index in range(500):
+                scheme = _EvenSplit(mesh4_paths)
+                for segment in ("a", "b", "c"):
+                    session.replay(scheme, ("mesh4", "even"), trace, HISTORY, segment=segment)
                 if index % 2:
                     kept.append(scheme)  # the others are freed at once
         finally:

@@ -60,7 +60,7 @@ class _Quadratic(Module):
         self.x = Tensor(start, requires_grad=True)
 
     def loss(self, target: np.ndarray) -> Tensor:
-        diff = self.x - target
+        diff = self.x + (-target)
         return (diff * diff).sum()
 
 

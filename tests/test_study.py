@@ -8,6 +8,7 @@ provenance intact.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import os
@@ -1002,6 +1003,57 @@ class TestReplayMemo:
         # Rerouted: the replay's configuration serves every trial.
         assert calls.count("FaultAwareDesensitizationTE") == 1 + trials
         assert calls.count("DesensitizationTE") == 1
+
+    @pytest.mark.parametrize(
+        "ending, raised",
+        [
+            ("finish", None),
+            ("cancel", StudyCancelled),
+            ("raising_cell", ValueError),
+            ("interrupt", KeyboardInterrupt),
+        ],
+    )
+    def test_kept_configuration_never_outlives_execute(
+        self, monkeypatch, grid_scenarios, ending, raised
+    ):
+        """However the first execute() ends, the configuration its replay
+        cell kept for the pair's failure cell is gone by the next study."""
+        from repro.te.scheme import TEScheme
+
+        base = {
+            "scenario": {"name": grid_scenarios[0], "seed": 2},
+            "scheme": {"kind": "des_te"},
+            "max_intervals": 4,
+        }
+        failure = {"kind": "failure", "num_failures": 1, "num_trials": 2, "seed": 3}
+        cells = [base, dict(base, perturbation=failure)]
+        if ending == "raising_cell":  # des_te cannot be told the failed links
+            cells.append(dict(base, perturbation=dict(failure, fault_aware=True)))
+        engine, schemes, done = EvaluationEngine(cache=OptimalMLUCache()), {}, []
+        first = Study(cells, scheme_cache=schemes)
+
+        def on_cell(index, record):
+            done.append(index)
+            if ending == "interrupt":
+                raise KeyboardInterrupt
+
+        run = functools.partial(
+            first.execute,
+            first.plan(engine=engine),
+            on_cell=on_cell,
+            should_stop=lambda: ending == "cancel" and len(done) >= 1,
+        )
+        if raised is None:
+            run()
+        else:
+            with pytest.raises(raised):
+                run()
+        assert done == ([0] if ending in ("cancel", "interrupt") else [0, 1])
+        calls = _spy_configure_batch(monkeypatch, TEScheme)
+        again = [dict(base, perturbation=dict(failure, seed=4))]
+        Study(again, scheme_cache=schemes).run(engine=engine)
+        # One configuration to reroute; zero would be the first run's, kept.
+        assert calls == ["DesensitizationTE"]
 
 
 class TestStudyCLI:
